@@ -316,7 +316,7 @@ fn path_scan_estimate(config: &PathScanConfig, catalog: &CostCatalog, _probes: f
     let mut rows = seeds * paths;
     let mut cost = seeds * work * (TRAVERSAL_PATH_BASE + TRAVERSAL_FANOUT_FACTOR * f);
     if config.reachability {
-        // Visited-set BFS: at most one row, work bounded by the component.
+        // Point-to-point search: at most one row, work bounded by the component.
         rows = rows.min(1.0);
         cost = cost.min(g.edges.max(1.0));
     }

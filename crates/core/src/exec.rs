@@ -20,8 +20,8 @@ use std::time::Instant;
 use grfusion_common::value::GroupKey;
 use grfusion_common::{Error, PathData, ResourceKind, Result, Row, Value};
 use grfusion_graph::{
-    shortest_path, shortest_path_with_stats, BfsPaths, DfsPaths, EdgeSlot, GraphTopology,
-    KShortestPaths, TopologyLayout, TraversalFilter, TraversalSpec, VertexSlot,
+    hop_minimal_path, shortest_path, shortest_path_with_stats, BfsPaths, DfsPaths, EdgeSlot,
+    GraphTopology, KShortestPaths, TopologyLayout, TraversalFilter, TraversalSpec, VertexSlot,
 };
 use grfusion_sql::IndexEnd;
 
@@ -535,48 +535,15 @@ fn build_inner<'e>(
                 budget,
             })
         }
-        PlanNode::PathScan { config, .. } => {
-            // With workers > 1 the seed set is fanned out over a morsel
-            // pool; the merged buffer comes back in serial order with its
-            // bytes already charged by the workers (the row budget is
-            // charged at emission below, like every serial variant). Scans
-            // the pool cannot take (reachability fast path) fall back to
-            // the serial probe.
-            let scan = if env.parallel.workers > 1 {
-                match crate::parallel::try_parallel_path_scan(config, env)? {
-                    Some(outcome) => {
-                        let mut stats = GraphCounters::default();
-                        for w in &outcome.workers {
-                            stats.merge(&w.counters);
-                        }
-                        if let Some(s) = sink {
-                            s.record_workers(outcome.workers);
-                        }
-                        ActiveScan::Parallel {
-                            iter: outcome.paths.into_iter(),
-                            stats,
-                            gov: outcome.gov,
-                        }
-                    }
-                    None => PathProbe::start(config, &Vec::new(), env)?,
-                }
-            } else {
-                PathProbe::start(config, &Vec::new(), env)?
-            };
-            // Buffered/parallel variants charged their bytes while
-            // materializing; a tracker here would double-charge them at
-            // emission.
-            let tracker = match scan {
-                ActiveScan::Parallel { .. } | ActiveScan::Buffered { .. } => None,
-                _ => mem_tracker(env),
-            };
-            Box::new(PathScanOp {
-                scan,
-                budget,
-                tracker,
-                layout: env.graph(&config.graph)?.topo.layout(),
-            })
-        }
+        PlanNode::PathScan { config, .. } => Box::new(PathScanOp {
+            config,
+            env,
+            sink,
+            scan: None,
+            budget,
+            tracker: None,
+            layout: env.graph(&config.graph)?.topo.layout(),
+        }),
         PlanNode::PathJoin { outer, config, .. } => {
             let outer_op = build(outer, env, budget, sink, contracts, depth + 1, batch_ok)?;
             Box::new(PathJoinOp {
@@ -1397,6 +1364,16 @@ impl<'e> EngineFilter<'e> {
         !self.agg_preds.is_empty()
     }
 
+    /// Whether every pushed predicate is a `[0..*]` one, i.e. the filter's
+    /// answers ignore hop positions — what lets the point-to-point search
+    /// expand backwards from the target as well.
+    fn position_independent(&self) -> bool {
+        self.edge_preds
+            .iter()
+            .chain(&self.vertex_preds)
+            .all(|p| p.start == 0 && p.end == IndexEnd::Star)
+    }
+
     /// Tuple-pointer dereferences performed so far.
     pub(crate) fn derefs(&self) -> u64 {
         self.derefs.get()
@@ -1715,83 +1692,6 @@ impl<'e> ActiveScan<'e> {
     }
 }
 
-/// Visited-set BFS from `seed` to `target`, bounded by `max_len` hops,
-/// honoring the (uniform) traversal filter. Returns the hop-minimal path,
-/// which by minimality satisfies any max-only length window, plus the
-/// (vertices visited, edges examined) work counters of the search.
-fn targeted_bfs(
-    topo: &GraphTopology,
-    seed: VertexSlot,
-    target: VertexSlot,
-    max_len: usize,
-    filter: &EngineFilter<'_>,
-) -> (Option<PathData>, u64, u64) {
-    use std::collections::{HashMap, VecDeque};
-    let mut vertices = 0u64;
-    let mut edges = 0u64;
-    if !filter.vertex_allowed(topo, seed, 0) {
-        return (None, vertices, edges);
-    }
-    vertices += 1;
-    // Walks the parent chain back to the seed. Returns `None` on a broken
-    // chain (an impossible state — but "path not found" degrades far
-    // better than a panic mid-query).
-    let reconstruct = |parents: &HashMap<VertexSlot, (VertexSlot, EdgeSlot)>| {
-        let mut vs = vec![target];
-        let mut es = Vec::new();
-        let mut cur = target;
-        while cur != seed {
-            let &(p, e) = parents.get(&cur)?;
-            vs.push(p);
-            es.push(e);
-            cur = p;
-        }
-        vs.reverse();
-        es.reverse();
-        Some(PathData {
-            graph_view: topo.name().to_string(),
-            vertexes: vs.iter().map(|&s| topo.vertex_id(s)).collect(),
-            edges: es.iter().map(|&s| topo.edge_id(s)).collect(),
-            cost: 0.0,
-        })
-    };
-    if seed == target {
-        return (
-            Some(PathData::seed(topo.name(), topo.vertex_id(seed))),
-            vertices,
-            edges,
-        );
-    }
-    let view = topo.view();
-    let mut parents: HashMap<VertexSlot, (VertexSlot, EdgeSlot)> = HashMap::new();
-    let mut queue = VecDeque::new();
-    queue.push_back((seed, 0usize));
-    while let Some((v, depth)) = queue.pop_front() {
-        if depth >= max_len {
-            continue;
-        }
-        for (e, t) in view.out_hops(v) {
-            edges += 1;
-            if !filter.edge_allowed(topo, e, depth) {
-                continue;
-            }
-            if t == seed || parents.contains_key(&t) {
-                continue;
-            }
-            if !filter.vertex_allowed(topo, t, depth + 1) {
-                continue;
-            }
-            parents.insert(t, (v, e));
-            vertices += 1;
-            if t == target {
-                return (reconstruct(&parents), vertices, edges);
-            }
-            queue.push_back((t, depth + 1));
-        }
-    }
-    (None, vertices, edges)
-}
-
 /// Shared probe-start logic for `PathScan` and `PathJoin`.
 struct PathProbe;
 
@@ -1822,15 +1722,15 @@ impl PathProbe {
         };
 
         // Single-path fast path (planner-proven safe): the query needs at
-        // most one path to the pinned target, so run a visited-set BFS —
-        // or, under a SHORTESTPATH hint, classic closed-set Dijkstra —
-        // instead of enumerating simple paths.
+        // most one path to the pinned target, so run the point-to-point
+        // search — or, under a SHORTESTPATH hint, classic closed-set
+        // Dijkstra — instead of enumerating simple paths.
         // Classic Dijkstra ignores hop counts while searching, so under a
-        // SHORTESTPATH hint the fast path only applies when the length
-        // window is the planner's uncapped default — an explicit hop bound
-        // falls back to the bounded k-shortest enumerator.
+        // SHORTESTPATH hint the fast path only applies when the query put no
+        // upper bound on the length — an explicit hop bound falls back to
+        // the bounded k-shortest enumerator.
         let fast_ok = match &config.mode {
-            ScanMode::ShortestPath { .. } => config.max_len >= 64,
+            ScanMode::ShortestPath { .. } => !config.explicit_max_len,
             _ => true,
         };
         if config.reachability && fast_ok {
@@ -1847,7 +1747,7 @@ impl PathProbe {
             let Some(&seed) = seeds.first() else {
                 return Ok(ActiveScan::Empty);
             };
-            let (found, vertices, edges) =
+            let (found, search) =
                 if let ScanMode::ShortestPath { cost_attr } = &config.mode {
                     let col = genv.def.edge_attr_col(cost_attr).ok_or_else(|| {
                         Error::analysis(format!(
@@ -1868,13 +1768,18 @@ impl PathProbe {
                         },
                         &filter,
                     )?;
-                    (
-                        p.filter(|p| p.length() <= config.max_len),
-                        search.vertices_visited,
-                        search.edges_examined,
-                    )
+                    (p.filter(|p| p.length() <= config.max_len), search)
                 } else {
-                    targeted_bfs(topo, seed, target, config.max_len, &filter)
+                    // By hop-minimality the path satisfies any max-only
+                    // length window.
+                    hop_minimal_path(
+                        topo,
+                        seed,
+                        target,
+                        config.max_len,
+                        &filter,
+                        filter.position_independent(),
+                    )
                 };
             let mut gov = GovCounters {
                 bytes: 0,
@@ -1892,8 +1797,8 @@ impl PathProbe {
             return Ok(ActiveScan::Buffered {
                 iter: found.into_iter().collect::<Vec<_>>().into_iter(),
                 stats: GraphCounters {
-                    vertices_visited: vertices,
-                    edges_expanded: edges,
+                    vertices_visited: search.vertices_visited,
+                    edges_expanded: search.edges_examined,
                     tuple_derefs: filter.derefs(),
                 },
                 gov,
@@ -2009,7 +1914,14 @@ impl PathProbe {
 }
 
 struct PathScanOp<'e> {
-    scan: ActiveScan<'e>,
+    config: &'e PathScanConfig,
+    env: &'e QueryEnv<'e>,
+    sink: Option<&'e MetricsSink>,
+    /// `None` until the first `next()`: the probe (a whole point-to-point
+    /// search, an eager materialization, or a morsel fan-out) starts there
+    /// and not while the operator tree is built, so its time lands on this
+    /// operator's clock and a parent that never pulls never pays for it.
+    scan: Option<ActiveScan<'e>>,
     budget: &'e RowBudget,
     /// Emission-side byte accounting for in-flight (lazy serial) scans;
     /// `None` for buffered/parallel variants, whose bytes were charged
@@ -2020,9 +1932,52 @@ struct PathScanOp<'e> {
     layout: TopologyLayout,
 }
 
+impl<'e> PathScanOp<'e> {
+    fn start(&mut self) -> Result<&mut ActiveScan<'e>> {
+        // With workers > 1 the seed set is fanned out over a morsel pool;
+        // the merged buffer comes back in serial order with its bytes
+        // already charged by the workers (the row budget is charged at
+        // emission, like every serial variant). Scans the pool cannot take
+        // (reachability fast path) fall back to the serial probe.
+        let parallel = if self.env.parallel.workers > 1 {
+            crate::parallel::try_parallel_path_scan(self.config, self.env)?
+        } else {
+            None
+        };
+        let scan = match parallel {
+            Some(outcome) => {
+                let mut stats = GraphCounters::default();
+                for w in &outcome.workers {
+                    stats.merge(&w.counters);
+                }
+                if let Some(s) = self.sink {
+                    s.record_workers(outcome.workers);
+                }
+                ActiveScan::Parallel {
+                    iter: outcome.paths.into_iter(),
+                    stats,
+                    gov: outcome.gov,
+                }
+            }
+            None => PathProbe::start(self.config, &Vec::new(), self.env)?,
+        };
+        // Buffered/parallel variants charged their bytes while
+        // materializing; a tracker here would double-charge them at
+        // emission.
+        if scan.charges_on_emission() {
+            self.tracker = mem_tracker(self.env);
+        }
+        Ok(self.scan.insert(scan))
+    }
+}
+
 impl<'e> Op<'e> for PathScanOp<'e> {
     fn next(&mut self) -> Result<Option<Row>> {
-        match self.scan.next_path()? {
+        let scan = match &mut self.scan {
+            Some(scan) => scan,
+            None => self.start()?,
+        };
+        match scan.next_path()? {
             None => Ok(None),
             Some(p) => {
                 // The row budget is charged here, at emission, for every
@@ -2037,14 +1992,14 @@ impl<'e> Op<'e> for PathScanOp<'e> {
     }
 
     fn graph_stats(&self) -> Option<GraphCounters> {
-        Some(self.scan.graph_counters())
+        Some(self.scan.as_ref().map(ActiveScan::graph_counters).unwrap_or_default())
     }
 
     fn governor_stats(&self) -> Option<GovCounters> {
         // The tracker exists iff the governor is active; an ungoverned scan
         // performs no checks and must not annotate the plan.
         let t = self.tracker.as_ref()?;
-        let mut g = self.scan.gov_counters();
+        let mut g = self.scan.as_ref()?.gov_counters();
         g.merge(&t.counters());
         Some(g)
     }

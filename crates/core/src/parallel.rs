@@ -99,7 +99,7 @@ pub(crate) fn try_parallel_path_scan<'e>(
     config: &PathScanConfig,
     env: &'e QueryEnv<'e>,
 ) -> Result<Option<ParallelScanResult>> {
-    // The reachability fast path (targeted BFS / classic Dijkstra) answers
+    // The reachability fast path (point-to-point BFS / classic Dijkstra) answers
     // the whole query with one search from one seed, and `SPScan` always
     // traverses from a single seed — serial either way.
     if config.reachability || matches!(config.mode, ScanMode::ShortestPath { .. }) {

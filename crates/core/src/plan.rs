@@ -301,6 +301,11 @@ pub struct PathScanConfig {
     /// Inferred traversal window (§6.1).
     pub min_len: usize,
     pub max_len: usize,
+    /// Whether `max_len` is a bound the query wrote (`PS.Length <= n`)
+    /// rather than the planner's default cap. Hop-blind searches (classic
+    /// Dijkstra) may only stand in for the bounded enumerator when it is
+    /// not.
+    pub explicit_max_len: bool,
     pub start: StartSource,
     /// Target anchor (`PS.EndVertex.Id = ...`) — required by
     /// `ShortestPath`, unused by DFS/BFS (kept residual there).
@@ -315,7 +320,8 @@ pub struct PathScanConfig {
     /// Reachability fast path: the planner proved that the query needs at
     /// most one path per probe (`LIMIT 1`), with pinned start/end vertexes,
     /// a max-only length window, and only uniform `[0..*]` edge/vertex
-    /// predicates — so the scan may run a visited-set BFS instead of
+    /// predicates — so the scan may run one point-to-point search
+    /// (`grfusion_graph::p2p`, bidirectional BFS) instead of
     /// enumerating simple paths (how the paper's BFScan answers Listing 3
     /// queries at depth 20 in milliseconds, §7.2). Residual predicates are
     /// still applied above the scan, so this is semantics-preserving.

@@ -33,6 +33,13 @@ use crate::plan::{
     StartSource,
 };
 
+/// Length cap of a `SHORTESTPATH` scan whose query wrote no `PS.Length`
+/// bound: SPScan terminates by cost order, so the cap is only a safety net.
+/// Whether a scan's `max_len` is this default or the query's own bound is
+/// carried by [`PathScanConfig::explicit_max_len`], never inferred from the
+/// value.
+const DEFAULT_SP_MAX_LEN: usize = 64;
+
 /// Catalog information the planner needs (immutable snapshot).
 pub struct PlannerCtx {
     /// Lowercase table name → schema.
@@ -650,8 +657,9 @@ impl<'a> Planner<'a> {
                 apply_length_bounds(c, binding, &mut min_len, &mut max_len);
             }
         }
+        let explicit_max_len = max_len.is_some();
         let max_len = max_len.unwrap_or(if is_sp {
-            64 // SPScan terminates by cost order; the cap is a safety net
+            DEFAULT_SP_MAX_LEN
         } else {
             self.flags.default_max_path_len
         });
@@ -732,6 +740,7 @@ impl<'a> Planner<'a> {
             mode,
             min_len,
             max_len,
+            explicit_max_len,
             start,
             end,
             edge_preds,
@@ -742,8 +751,8 @@ impl<'a> Planner<'a> {
         })
     }
 
-    /// Is this conjunct compatible with returning a single visited-set BFS
-    /// path instead of enumerating? Safe forms: conjuncts not mentioning
+    /// Is this conjunct compatible with returning the one path of a
+    /// point-to-point search instead of enumerating? Safe forms: conjuncts not mentioning
     /// the binding at all, start/end anchors, recognized explicit length
     /// bounds, and uniform `[0..*]` predicates that were pushed into the
     /// traversal filter.

@@ -218,6 +218,55 @@ fn shortest_path_with_edge_predicate_avoids_toll() {
     assert_eq!(rs.rows[0][0], Value::text("1->2->4"));
 }
 
+/// A hop bound the query wrote is a bound, however large. `Length <= 64`
+/// used to be taken for the planner's default SPScan cap (also 64) and sent
+/// to hop-blind Dijkstra, whose cheapest path — 70 hops here — was then
+/// dropped: no rows, although a costlier path fits the bound.
+#[test]
+fn shortest_path_honours_an_explicit_length_bound_of_64_or_more() {
+    let db = Database::new();
+    db.execute("CREATE TABLE n (id INTEGER PRIMARY KEY)").unwrap();
+    db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, src INTEGER, dst INTEGER, w DOUBLE)")
+        .unwrap();
+    let mut nodes: Vec<Vec<Value>> = (0..=70i64).map(|i| vec![Value::Integer(i)]).collect();
+    nodes.push(vec![Value::Integer(100)]);
+    db.bulk_insert("n", nodes).unwrap();
+    // A cheap 70-hop chain 0 -> 1 -> ... -> 70, and a dear 2-hop detour via 100.
+    let road = |id: i64, src: i64, dst: i64, w: f64| {
+        vec![Value::Integer(id), Value::Integer(src), Value::Integer(dst), Value::Double(w)]
+    };
+    let mut roads: Vec<Vec<Value>> = (0..70i64).map(|i| road(i, i, i + 1, 0.01)).collect();
+    roads.push(road(1000, 0, 100, 50.0));
+    roads.push(road(1001, 100, 70, 50.0));
+    db.bulk_insert("r", roads).unwrap();
+    db.execute(
+        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM n \
+         EDGES(ID = id, FROM = src, TO = dst, w = w) FROM r",
+    )
+    .unwrap();
+    let shortest = |bound: i64| {
+        let rs = db
+            .execute(&format!(
+                "SELECT PS.Length, PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
+                 WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 70 \
+                 AND PS.Length <= {bound} LIMIT 1"
+            ))
+            .unwrap();
+        assert_eq!(rs.rows.len(), 1, "Length <= {bound} found no path");
+        (rs.rows[0][0].as_integer().unwrap(), rs.rows[0][1].as_double().unwrap())
+    };
+    for bound in [63, 64, 65, 69] {
+        let (len, cost) = shortest(bound);
+        assert_eq!(len, 2, "Length <= {bound}");
+        assert!((cost - 100.0).abs() < 1e-9, "Length <= {bound}: cost {cost}");
+    }
+    for bound in [70, 100] {
+        let (len, cost) = shortest(bound);
+        assert_eq!(len, 70, "Length <= {bound}");
+        assert!((cost - 0.7).abs() < 1e-9, "Length <= {bound}: cost {cost}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Path property / aggregate surface
 // ---------------------------------------------------------------------------

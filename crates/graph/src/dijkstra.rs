@@ -3,7 +3,8 @@
 //! Two entry points:
 //!
 //! * [`shortest_path`] — classic single-pair Dijkstra with a closed set;
-//!   the fast path for `LIMIT 1` / plain shortest-path queries.
+//!   the fast path for `LIMIT 1` / plain shortest-path queries. Its
+//!   per-vertex state lives in the point-to-point scratch ([`crate::p2p`]).
 //! * [`KShortestPaths`] — a lazy, pull-based enumerator that yields simple
 //!   paths between two vertexes in non-decreasing cost order; each `next()`
 //!   does only the work needed for one more path, matching the paper's
@@ -20,10 +21,12 @@ use std::collections::BinaryHeap;
 use grfusion_common::{Error, PathData, Result};
 
 use crate::filter::TraversalFilter;
-use crate::topology::{EdgeSlot, GraphTopology, TopologyView, VertexSlot};
+use crate::p2p::{walk, with_scratch, SearchStats, Tip};
+use crate::topology::{ix, EdgeSlot, GraphTopology, TopologyView, VertexSlot};
 
-/// A heap entry ordered by ascending cost (BinaryHeap is a max-heap, so the
-/// `Ord` impl is reversed). `seq` breaks ties deterministically.
+/// A path-carrying heap entry ordered by ascending cost (BinaryHeap is a
+/// max-heap, so the `Ord` impl is reversed). `seq` breaks ties
+/// deterministically.
 struct HeapEntry {
     cost: f64,
     seq: u64,
@@ -53,7 +56,8 @@ impl Ord for HeapEntry {
     }
 }
 
-fn snapshot(
+/// A slot-form path in user-visible ids, with its cost.
+pub(crate) fn snapshot(
     graph: &GraphTopology,
     vertexes: &[VertexSlot],
     edges: &[EdgeSlot],
@@ -65,15 +69,6 @@ fn snapshot(
         edges: edges.iter().map(|&s| graph.edge_id(s)).collect(),
         cost,
     }
-}
-
-/// Work counters of one closed-set Dijkstra search (vertexes settled,
-/// edges relaxed) — the quantities the engine's `EXPLAIN ANALYZE` reports
-/// for the shortest-path fast path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SearchStats {
-    pub vertices_visited: u64,
-    pub edges_examined: u64,
 }
 
 /// Single-pair Dijkstra with a closed set. Returns `None` when `target` is
@@ -106,81 +101,84 @@ where
     C: Fn(&GraphTopology, EdgeSlot) -> f64,
 {
     let mut stats = SearchStats::default();
-    let view = graph.view();
     if !filter.vertex_allowed(graph, source, 0) {
         return Ok((None, stats));
     }
-    // dist/parent maps keyed by vertex slot.
-    let mut dist: std::collections::HashMap<VertexSlot, f64> = std::collections::HashMap::new();
-    let mut parent: std::collections::HashMap<VertexSlot, (VertexSlot, EdgeSlot)> =
-        std::collections::HashMap::new();
-    let mut closed: std::collections::HashSet<VertexSlot> = std::collections::HashSet::new();
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    let mut seq = 0u64;
-
-    dist.insert(source, 0.0);
-    heap.push(HeapEntry {
-        cost: 0.0,
-        seq,
-        vertexes: vec![source],
-        edges: Vec::new(),
-    });
-
-    while let Some(entry) = heap.pop() {
-        let v = *entry.vertexes.last().expect("non-empty");
-        if closed.contains(&v) {
-            continue;
+    let found = with_scratch(|scratch| {
+        let view = graph.view();
+        let span = graph.vertex_slot_span();
+        // A vertex with a tentative distance carries `open`; once settled,
+        // `closed` (its distance is never read again).
+        let (open, closed) = scratch.begin(span);
+        if scratch.dist.len() < span {
+            scratch.dist.resize(span, 0.0);
         }
-        closed.insert(v);
-        stats.vertices_visited += 1;
-        if v == target {
-            // Reconstruct via parent chain (entry holds only the tip here —
-            // vertexes/edges vecs are single-element for the closed-set
-            // variant; reconstruct from parents instead).
-            let mut vs = vec![v]; // alloc-ok: path reconstruction runs once, at target
-            let mut es = Vec::new(); // alloc-ok: empty Vec does not allocate
-            let mut cur = v;
-            while let Some(&(p, e)) = parent.get(&cur) {
-                vs.push(p);
-                es.push(e);
-                cur = p;
-            }
-            vs.reverse();
-            es.reverse();
-            return Ok((Some(snapshot(graph, &vs, &es, entry.cost)), stats));
-        }
-        // Position argument for vertex filters: hop count is unknown in
-        // Dijkstra order, so pass 1 (non-seed) — engine filters that need
-        // exact positions use the enumerating scans instead.
-        for (e, t) in view.out_hops(v) {
-            stats.edges_examined += 1;
-            if !filter.edge_allowed(graph, e, entry.edges.len()) {
+        let (marks, via, dist, heap) = (
+            &mut scratch.marks,
+            &mut scratch.via,
+            &mut scratch.dist,
+            &mut scratch.heap,
+        );
+        heap.clear();
+        let mut seq = 0u64;
+        marks[ix(source)] = open;
+        dist[ix(source)] = 0.0;
+        heap.push(Tip {
+            cost: 0.0,
+            seq,
+            vertex: source,
+        });
+
+        while let Some(Tip { cost, vertex: v, .. }) = heap.pop() {
+            if marks[ix(v)] == closed {
                 continue;
             }
-            let w = cost_fn(graph, e);
-            if w < 0.0 {
-                return Err(Error::execution(
-                    "SPScan requires a non-negative edge cost attribute",
-                ));
+            marks[ix(v)] = closed;
+            stats.vertices_visited += 1;
+            if v == target {
+                let mut vs = vec![v]; // alloc-ok: path reconstruction runs once, at target
+                let mut es = Vec::new(); // alloc-ok: empty Vec does not allocate
+                walk(graph, via, v, source, &mut vs, &mut es);
+                vs.reverse();
+                es.reverse();
+                return Ok(Some(snapshot(graph, &vs, &es, cost)));
             }
-            if closed.contains(&t) || !filter.vertex_allowed(graph, t, 1) {
-                continue;
-            }
-            let nd = entry.cost + w;
-            if dist.get(&t).is_none_or(|&d| nd < d) {
-                dist.insert(t, nd);
-                parent.insert(t, (v, e));
-                seq += 1;
-                heap.push(HeapEntry {
-                    cost: nd,
-                    seq,
-                    vertexes: vec![t], // alloc-ok: closed-set variant carries only the tip
-                    edges: Vec::new(), // alloc-ok: empty Vec does not allocate
-                });
+            // Hop and position arguments for the filter: hop counts are
+            // unknown in Dijkstra order, so pass hop 0 / position 1
+            // (non-seed) — engine filters that need exact positions use the
+            // enumerating scans instead.
+            for (e, t) in view.out_hops(v) {
+                stats.edges_examined += 1;
+                if !filter.edge_allowed(graph, e, 0) {
+                    continue;
+                }
+                let w = cost_fn(graph, e);
+                if w < 0.0 {
+                    return Err(Error::execution(
+                        "SPScan requires a non-negative edge cost attribute",
+                    ));
+                }
+                let mark = marks[ix(t)];
+                if mark == closed || !filter.vertex_allowed(graph, t, 1) {
+                    continue;
+                }
+                let nd = cost + w;
+                if mark != open || nd < dist[ix(t)] {
+                    marks[ix(t)] = open;
+                    dist[ix(t)] = nd;
+                    via[ix(t)] = e;
+                    seq += 1;
+                    heap.push(Tip {
+                        cost: nd,
+                        seq,
+                        vertex: t,
+                    });
+                }
             }
         }
-    }
-    Ok((None, stats))
+        Ok(None)
+    })?;
+    Ok((found, stats))
 }
 
 /// Lazy enumeration of simple paths from `source` to `target` in

@@ -19,14 +19,21 @@
 //! All three are pull-based iterators: paths are produced only when the
 //! parent operator asks (the paper's lazy `PathScan`), so `LIMIT 1`
 //! reachability stops traversing on the first hit.
+//!
+//! Queries that need one path between two pinned vertexes skip enumeration
+//! altogether: [`hop_minimal_path`] (bidirectional BFS) and
+//! [`shortest_path`] (Dijkstra) search with per-thread dense scratch state
+//! ([`p2p`]).
 
 pub mod dijkstra;
 pub mod filter;
+pub mod p2p;
 pub mod topology;
 pub mod traverse;
 
-pub use dijkstra::{shortest_path, shortest_path_with_stats, KShortestPaths, SearchStats};
+pub use dijkstra::{shortest_path, shortest_path_with_stats, KShortestPaths};
 pub use filter::{NoFilter, TraversalFilter};
+pub use p2p::{hop_minimal_path, SearchStats};
 pub use topology::{
     EdgeSlot, GraphStats, GraphTopology, SealStats, TopologyLayout, TopologyView, VertexSlot,
     DEGREE_BUCKETS, REACH_DEPTHS,

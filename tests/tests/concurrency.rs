@@ -247,6 +247,63 @@ fn prepared_queries_shared_across_threads() {
     }
 }
 
+/// Many reader threads running point-to-point searches against one shared
+/// `GraphTopology` (what epoch readers do): the search state is per thread,
+/// so every thread must get the serial answers — the very same paths, since
+/// the kernel is deterministic — for both the BFS and the Dijkstra probes
+/// that share the scratch.
+#[test]
+fn point_to_point_probes_on_a_shared_topology_match_serial() {
+    use grfusion_common::RowId;
+    use grfusion_graph::{hop_minimal_path, shortest_path, EdgeSlot, GraphTopology, NoFilter};
+
+    const N: i64 = 600;
+    let mut g = GraphTopology::new("g", true);
+    for v in 0..N {
+        g.add_vertex(v, RowId(0)).unwrap();
+    }
+    let mut eid = 0;
+    for v in 0..N {
+        for step in [1, 7, 31] {
+            g.add_edge(eid, v, (v + step) % N, RowId(0)).unwrap();
+            eid += 1;
+        }
+    }
+    g.seal();
+    // Leave part of the graph in the delta overlay.
+    for id in (0..eid).step_by(97) {
+        g.remove_edge(id).unwrap();
+    }
+    let cost = |g: &GraphTopology, e: EdgeSlot| 1.0 + (g.edge_id(e) % 5) as f64;
+    let probe = |i: i64| {
+        let s = g.vertex_slot((i * 37) % N).unwrap();
+        let t = g.vertex_slot((i * 101 + 13) % N).unwrap();
+        let (hops, _) = hop_minimal_path(&g, s, t, 12, &NoFilter, true);
+        let cheapest = shortest_path(&g, s, t, cost, &NoFilter).unwrap();
+        (hops, cheapest)
+    };
+    let serial: Vec<_> = (0..200).map(probe).collect();
+    assert!(serial.iter().any(|(hops, _)| hops.is_some()));
+    assert!(serial.iter().any(|(hops, _)| hops.is_none()), "some pairs are over 12 hops apart");
+
+    const THREADS: i64 = 8;
+    let start = std::sync::Barrier::new(THREADS as usize);
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (probe, serial, start) = (&probe, &serial, &start);
+            scope.spawn(move || {
+                start.wait();
+                // Each thread walks the probes from its own offset, so at
+                // any moment different threads are in different searches.
+                for k in 0..200 {
+                    let i = (k + t * 25) % 200;
+                    assert_eq!(probe(i), serial[i as usize], "thread {t} probe {i}");
+                }
+            });
+        }
+    });
+}
+
 // ---------------------------------------------------------------------------
 // Epoch lifecycle: pin → survive re-seals → reclaim
 // ---------------------------------------------------------------------------

@@ -100,7 +100,64 @@ fn fig7_reachability_counters() {
     );
     let scan = m.node("PathScan").expect("no PathScan node");
     let g = scan.graph.expect("reachability scan lost its counters");
-    assert!(g.edges_expanded > 0, "targeted BFS expanded no edges");
+    assert!(g.edges_expanded > 0, "point-to-point search expanded no edges");
+}
+
+/// The reach probe runs on the PathScan's clock. A constant-anchored probe
+/// used to start while the operator tree was built, so EXPLAIN ANALYZE
+/// showed a whole search as ~0 µs of PathScan. Nine layers of 32 vertexes,
+/// each wired to the whole next layer: a depth-8 probe walks thousands of
+/// edges from whichever side it expands, against three trivial operators
+/// above it.
+#[test]
+fn reach_probe_time_lands_on_the_pathscan_operator() {
+    const LAYERS: i64 = 9;
+    const WIDTH: i64 = 32;
+    let db = Database::new();
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
+    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
+        .unwrap();
+    let vrows = (0..LAYERS * WIDTH).map(|i| vec![Value::Integer(i)]).collect();
+    db.bulk_insert("v", vrows).unwrap();
+    let mut erows = Vec::new();
+    for layer in 0..LAYERS - 1 {
+        for a in 0..WIDTH {
+            for b in 0..WIDTH {
+                let id = erows.len() as i64;
+                let (a, b) = (layer * WIDTH + a, (layer + 1) * WIDTH + b);
+                erows.push(vec![Value::Integer(id), Value::Integer(a), Value::Integer(b)]);
+            }
+        }
+    }
+    db.bulk_insert("e", erows).unwrap();
+    db.execute(
+        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v \
+         EDGES(ID = id, FROM = a, TO = b) FROM e",
+    )
+    .unwrap();
+    let m = collect(
+        &db,
+        "reach-depth-8",
+        &format!(
+            "SELECT PS.Length FROM g.Paths PS \
+             WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = {} \
+             AND PS.Length <= 8 LIMIT 1",
+            (LAYERS - 1) * WIDTH
+        ),
+        true,
+    );
+    let root = &m.nodes[0];
+    let scan = m.node("PathScan").expect("no PathScan node");
+    assert_eq!(scan.rows, 1);
+    assert!(scan.graph.expect("no counters").edges_expanded > 1000);
+    // PathScan is a leaf, so its inclusive time is its self time.
+    assert!(
+        2 * scan.time_ns >= root.time_ns,
+        "PathScan {} ns of root {} ns\n{}",
+        scan.time_ns,
+        root.time_ns,
+        m.render()
+    );
 }
 
 /// Fig 8 family — constrained reachability: the pushed edge predicate must

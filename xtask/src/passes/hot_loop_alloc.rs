@@ -9,7 +9,8 @@
 //! * any `fn next` / `fn next_batch` body, in every crate (the volcano
 //!   and batch operator surfaces), and
 //! * *every* function in the traversal kernels
-//!   (`crates/graph/src/traverse.rs`, `crates/graph/src/dijkstra.rs`).
+//!   (`crates/graph/src/traverse.rs`, `crates/graph/src/dijkstra.rs`,
+//!   `crates/graph/src/p2p.rs`).
 //!
 //! Deliberate allocations (building the output value itself, amortized
 //! reservations) carry `// alloc-ok: reason` on the same line and are
@@ -35,7 +36,11 @@ const ALLOC: &[&str] = &[
 ];
 
 /// Files where *every* function body is considered hot.
-const HOT_FILES: &[&str] = &["crates/graph/src/traverse.rs", "crates/graph/src/dijkstra.rs"];
+const HOT_FILES: &[&str] = &[
+    "crates/graph/src/traverse.rs",
+    "crates/graph/src/dijkstra.rs",
+    "crates/graph/src/p2p.rs",
+];
 
 const HOT_FNS: &[&str] = &["next", "next_batch"];
 

@@ -90,6 +90,21 @@ fn hot_loop_alloc_fixture_pair() {
     );
 }
 
+/// The point-to-point kernel is hot as a whole file: its fixtures sit at a
+/// path ending in `crates/graph/src/p2p.rs` and use no `next()` function.
+#[test]
+fn hot_loop_alloc_p2p_kernel_fixture_pair() {
+    let file = "crates/graph/src/p2p.rs";
+    assert_eq!(findings("hot-loop-alloc", "clean", file), Vec::<String>::new());
+    assert_eq!(
+        findings("hot-loop-alloc", "violation", file),
+        vec![
+            "xtask/fixtures/hot-loop-alloc/violation/crates/graph/src/p2p.rs:6: allocation \
+             `Vec::new` in hot loop — hoist it out or audit with `// alloc-ok: <reason>`"
+        ]
+    );
+}
+
 /// Every registered pass has a fixture pair on disk — adding a sixth pass
 /// without fixtures fails here, not in review.
 #[test]

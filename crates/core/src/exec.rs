@@ -539,6 +539,7 @@ fn build_inner<'e>(
             config,
             env,
             sink,
+            inputs: PathProbe::resolve(config, &Vec::new(), env)?,
             scan: None,
             budget,
             tracker: None,
@@ -1364,16 +1365,6 @@ impl<'e> EngineFilter<'e> {
         !self.agg_preds.is_empty()
     }
 
-    /// Whether every pushed predicate is a `[0..*]` one, i.e. the filter's
-    /// answers ignore hop positions — what lets the point-to-point search
-    /// expand backwards from the target as well.
-    fn position_independent(&self) -> bool {
-        self.edge_preds
-            .iter()
-            .chain(&self.vertex_preds)
-            .all(|p| p.start == 0 && p.end == IndexEnd::Star)
-    }
-
     /// Tuple-pointer dereferences performed so far.
     pub(crate) fn derefs(&self) -> u64 {
         self.derefs.get()
@@ -1583,6 +1574,27 @@ pub(crate) fn bind_filter<'e>(
     })
 }
 
+/// The edge-cost function of a shortest-path scan: the hinted attribute,
+/// read through the edge's tuple pointer (NULL or non-numeric = infinite).
+fn edge_cost<'e>(
+    genv: &'e GraphEnv<'e>,
+    cost_attr: &str,
+) -> Result<impl Fn(&GraphTopology, EdgeSlot) -> f64 + 'e> {
+    let col = genv.def.edge_attr_col(cost_attr).ok_or_else(|| {
+        Error::analysis(format!(
+            "graph view `{}` has no edge attribute `{cost_attr}`",
+            genv.def.name
+        ))
+    })?;
+    let edge_table = genv.edge_table;
+    Ok(move |g: &GraphTopology, e| {
+        edge_table
+            .get_value(g.edge_tuple(e), col)
+            .and_then(|v| v.as_double().ok())
+            .unwrap_or(f64::INFINITY)
+    })
+}
+
 /// Boxed edge-cost function used by shortest-path scans.
 type CostFn<'e> = Box<dyn Fn(&GraphTopology, EdgeSlot) -> f64 + 'e>;
 
@@ -1692,95 +1704,113 @@ impl<'e> ActiveScan<'e> {
     }
 }
 
+/// What a probe needs before it can traverse: the pushed predicates bound
+/// and the anchors resolved against the probing row.
+struct ProbeInputs<'e> {
+    filter: EngineFilter<'e>,
+    seeds: Vec<VertexSlot>,
+    /// The pinned end vertex, for the scans that search towards it (the
+    /// single-path fast path and `SPScan`).
+    target: Option<VertexSlot>,
+}
+
 /// Shared probe-start logic for `PathScan` and `PathJoin`.
 struct PathProbe;
 
 impl PathProbe {
+    /// Single-path fast path (planner-proven safe): the query needs at most
+    /// one path to the pinned target, so the probe runs the point-to-point
+    /// search — or, under a SHORTESTPATH hint, classic closed-set Dijkstra —
+    /// instead of enumerating simple paths. Classic Dijkstra ignores hop
+    /// counts while searching, so under the hint the fast path only applies
+    /// when the query put no upper bound on the length; an explicit hop
+    /// bound falls back to the bounded k-shortest enumerator.
+    fn single_path(config: &PathScanConfig) -> bool {
+        config.reachability
+            && !(matches!(config.mode, ScanMode::ShortestPath { .. }) && config.explicit_max_len)
+    }
+
+    /// Bind the filter and resolve the anchors: everything a probe can
+    /// reject short of the traversal itself. A standalone scan does this
+    /// while the operator tree is built, so a bad statement is refused even
+    /// when its parent never pulls. `None`: an anchor is NULL or names no
+    /// vertex, so no path matches.
+    fn resolve<'e>(
+        config: &PathScanConfig,
+        outer_row: &Row,
+        env: &'e QueryEnv<'e>,
+    ) -> Result<Option<ProbeInputs<'e>>> {
+        let genv = env.graph(&config.graph)?;
+        let topo = genv.topo;
+        let filter = bind_filter(config, outer_row, env, genv)?;
+        let anchor = |e: &PhysExpr| -> Result<Option<VertexSlot>> {
+            let v = e.eval(outer_row, env)?;
+            if v.is_null() {
+                return Ok(None);
+            }
+            Ok(topo.vertex_slot(v.as_integer()?).ok())
+        };
+
+        let seeds: Vec<VertexSlot> = match &config.start {
+            StartSource::AllVertexes => topo.vertex_slots().collect(),
+            StartSource::Constant(e) | StartSource::Probe(e) => match anchor(e)? {
+                Some(slot) => vec![slot],
+                None => return Ok(None),
+            },
+        };
+        let mut target = None;
+        if Self::single_path(config) || matches!(config.mode, ScanMode::ShortestPath { .. }) {
+            let Some(end_expr) = &config.end else {
+                return Err(Error::plan("single-target path scan without end anchor"));
+            };
+            target = anchor(end_expr)?;
+            if target.is_none() {
+                return Ok(None);
+            }
+        }
+        Ok(Some(ProbeInputs {
+            filter,
+            seeds,
+            target,
+        }))
+    }
+
     fn start<'e>(
         config: &PathScanConfig,
         outer_row: &Row,
         env: &'e QueryEnv<'e>,
     ) -> Result<ActiveScan<'e>> {
+        match Self::resolve(config, outer_row, env)? {
+            Some(inputs) => Self::run(config, env, inputs),
+            None => Ok(ActiveScan::Empty),
+        }
+    }
+
+    fn run<'e>(
+        config: &PathScanConfig,
+        env: &'e QueryEnv<'e>,
+        inputs: ProbeInputs<'e>,
+    ) -> Result<ActiveScan<'e>> {
         let genv = env.graph(&config.graph)?;
         let topo = genv.topo;
-        let filter = bind_filter(config, outer_row, env, genv)?;
-
-        // Resolve seeds.
-        let seeds: Vec<VertexSlot> = match &config.start {
-            StartSource::AllVertexes => topo.vertex_slots().collect(),
-            StartSource::Constant(e) | StartSource::Probe(e) => {
-                let v = e.eval(outer_row, env)?;
-                if v.is_null() {
-                    return Ok(ActiveScan::Empty);
-                }
-                let id = v.as_integer()?;
-                match topo.vertex_slot(id) {
-                    Ok(slot) => vec![slot],
-                    Err(_) => return Ok(ActiveScan::Empty),
-                }
-            }
+        let ProbeInputs {
+            filter,
+            seeds,
+            target,
+        } = inputs;
+        let Some(&seed) = seeds.first() else {
+            return Ok(ActiveScan::Empty);
         };
-
-        // Single-path fast path (planner-proven safe): the query needs at
-        // most one path to the pinned target, so run the point-to-point
-        // search — or, under a SHORTESTPATH hint, classic closed-set
-        // Dijkstra — instead of enumerating simple paths.
-        // Classic Dijkstra ignores hop counts while searching, so under a
-        // SHORTESTPATH hint the fast path only applies when the query put no
-        // upper bound on the length — an explicit hop bound falls back to
-        // the bounded k-shortest enumerator.
-        let fast_ok = match &config.mode {
-            ScanMode::ShortestPath { .. } => !config.explicit_max_len,
-            _ => true,
-        };
-        if config.reachability && fast_ok {
-            let Some(end_expr) = &config.end else {
-                return Err(Error::plan("reachability scan without end anchor"));
+        if let (true, Some(target)) = (Self::single_path(config), target) {
+            let (found, search) = if let ScanMode::ShortestPath { cost_attr } = &config.mode {
+                let (p, search) =
+                    shortest_path_with_stats(topo, seed, target, edge_cost(genv, cost_attr)?, &filter)?;
+                (p.filter(|p| p.length() <= config.max_len), search)
+            } else {
+                // By hop-minimality the path satisfies any max-only
+                // length window.
+                hop_minimal_path(topo, seed, target, config.max_len, &filter)
             };
-            let v = end_expr.eval(outer_row, env)?;
-            if v.is_null() {
-                return Ok(ActiveScan::Empty);
-            }
-            let Ok(target) = topo.vertex_slot(v.as_integer()?) else {
-                return Ok(ActiveScan::Empty);
-            };
-            let Some(&seed) = seeds.first() else {
-                return Ok(ActiveScan::Empty);
-            };
-            let (found, search) =
-                if let ScanMode::ShortestPath { cost_attr } = &config.mode {
-                    let col = genv.def.edge_attr_col(cost_attr).ok_or_else(|| {
-                        Error::analysis(format!(
-                            "graph view `{}` has no edge attribute `{cost_attr}`",
-                            genv.def.name
-                        ))
-                    })?;
-                    let edge_table = genv.edge_table;
-                    let (p, search) = shortest_path_with_stats(
-                        topo,
-                        seed,
-                        target,
-                        move |g, e| {
-                            edge_table
-                                .get_value(g.edge_tuple(e), col)
-                                .and_then(|v| v.as_double().ok())
-                                .unwrap_or(f64::INFINITY)
-                        },
-                        &filter,
-                    )?;
-                    (p.filter(|p| p.length() <= config.max_len), search)
-                } else {
-                    // By hop-minimality the path satisfies any max-only
-                    // length window.
-                    hop_minimal_path(
-                        topo,
-                        seed,
-                        target,
-                        config.max_len,
-                        &filter,
-                        filter.position_independent(),
-                    )
-                };
             let mut gov = GovCounters {
                 bytes: 0,
                 checks: filter.gov_checks(),
@@ -1835,40 +1865,16 @@ impl PathProbe {
             ScanMode::Dfs => ActiveScan::Dfs(DfsPaths::new(topo, seeds, spec, filter)),
             ScanMode::Bfs => ActiveScan::Bfs(BfsPaths::new(topo, seeds, spec, filter)),
             ScanMode::ShortestPath { cost_attr } => {
-                let Some(end_expr) = &config.end else {
-                    return Err(Error::plan("SHORTESTPATH scan without end anchor"));
-                };
-                let v = end_expr.eval(outer_row, env)?;
-                if v.is_null() {
-                    return Ok(ActiveScan::Empty);
-                }
-                let target = match topo.vertex_slot(v.as_integer()?) {
-                    Ok(slot) => slot,
-                    Err(_) => return Ok(ActiveScan::Empty),
-                };
-                let col = genv.def.edge_attr_col(&cost_attr).ok_or_else(|| {
-                    Error::analysis(format!(
-                        "graph view `{}` has no edge attribute `{cost_attr}`",
-                        genv.def.name
-                    ))
-                })?;
-                let edge_table = genv.edge_table;
-                let cost: CostFn<'e> = Box::new(move |g, e| {
-                        edge_table
-                            .get_value(g.edge_tuple(e), col)
-                            .and_then(|v| v.as_double().ok())
-                            .unwrap_or(f64::INFINITY)
-                    });
-                let Some(&source) = seeds.first() else {
+                let Some(target) = target else {
                     return Ok(ActiveScan::Empty);
                 };
                 ActiveScan::Sp {
                     iter: KShortestPaths::new(
                         topo,
-                        source,
+                        seed,
                         target,
                         config.max_len,
-                        cost,
+                        Box::new(edge_cost(genv, &cost_attr)?),
                         filter,
                     ),
                     min_len: config.min_len,
@@ -1917,10 +1923,14 @@ struct PathScanOp<'e> {
     config: &'e PathScanConfig,
     env: &'e QueryEnv<'e>,
     sink: Option<&'e MetricsSink>,
-    /// `None` until the first `next()`: the probe (a whole point-to-point
-    /// search, an eager materialization, or a morsel fan-out) starts there
-    /// and not while the operator tree is built, so its time lands on this
-    /// operator's clock and a parent that never pulls never pays for it.
+    /// The probe's filter and anchors, resolved (and so validated) while
+    /// the operator tree is built; taken by the first `next()`.
+    inputs: Option<ProbeInputs<'e>>,
+    /// `None` until the first `next()`: the traversal (a whole
+    /// point-to-point search, an eager materialization, or a morsel
+    /// fan-out) starts there and not while the operator tree is built, so
+    /// its time lands on this operator's clock and a parent that never
+    /// pulls never pays for it.
     scan: Option<ActiveScan<'e>>,
     budget: &'e RowBudget,
     /// Emission-side byte accounting for in-flight (lazy serial) scans;
@@ -1959,7 +1969,10 @@ impl<'e> PathScanOp<'e> {
                     gov: outcome.gov,
                 }
             }
-            None => PathProbe::start(self.config, &Vec::new(), self.env)?,
+            None => match self.inputs.take() {
+                Some(inputs) => PathProbe::run(self.config, self.env, inputs)?,
+                None => ActiveScan::Empty,
+            },
         };
         // Buffered/parallel variants charged their bytes while
         // materializing; a tracker here would double-charge them at
@@ -2093,23 +2106,11 @@ pub fn single_pair_shortest<'e>(
     let (Ok(s), Ok(t)) = (topo.vertex_slot(source), topo.vertex_slot(target)) else {
         return Ok(None);
     };
-    let col = genv.def.edge_attr_col(cost_attr).ok_or_else(|| {
-        Error::analysis(format!(
-            "graph view `{}` has no edge attribute `{cost_attr}`",
-            genv.def.name
-        ))
-    })?;
-    let edge_table = genv.edge_table;
     shortest_path(
         topo,
         s,
         t,
-        move |g, e| {
-            edge_table
-                .get_value(g.edge_tuple(e), col)
-                .and_then(|v| v.as_double().ok())
-                .unwrap_or(f64::INFINITY)
-        },
+        edge_cost(genv, cost_attr)?,
         &grfusion_graph::NoFilter,
     )
 }

@@ -321,7 +321,7 @@ pub struct PathScanConfig {
     /// most one path per probe (`LIMIT 1`), with pinned start/end vertexes,
     /// a max-only length window, and only uniform `[0..*]` edge/vertex
     /// predicates — so the scan may run one point-to-point search
-    /// (`grfusion_graph::p2p`, bidirectional BFS) instead of
+    /// (`grfusion_graph::p2p`, visited-set BFS) instead of
     /// enumerating simple paths (how the paper's BFScan answers Listing 3
     /// queries at depth 20 in milliseconds, §7.2). Residual predicates are
     /// still applied above the scan, so this is semantics-preserving.

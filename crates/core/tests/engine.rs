@@ -267,6 +267,28 @@ fn shortest_path_honours_an_explicit_length_bound_of_64_or_more() {
     }
 }
 
+/// A constant-anchored path scan searches on its first `next()`, but its
+/// anchors and pushed predicates are still evaluated while the operator
+/// tree is built: a statement whose parent never pulls (`LIMIT 0`) is
+/// refused exactly as one that does.
+#[test]
+fn path_scan_anchor_errors_surface_even_when_the_scan_is_never_pulled() {
+    let db = road_db();
+    for limit in [0, 1] {
+        for bad in [
+            "PS.StartVertex.Id = 1/0 AND PS.EndVertex.Id = 2",
+            "PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 2 AND PS.Edges[0..*].distance > 1/0",
+        ] {
+            let err = db
+                .execute(&format!(
+                    "SELECT PS.Length FROM RoadNetwork.Paths PS WHERE {bad} LIMIT {limit}"
+                ))
+                .expect_err(&format!("{bad} LIMIT {limit}"));
+            assert!(matches!(err, Error::Execution(_)), "{bad} LIMIT {limit}: {err:?}");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Path property / aggregate surface
 // ---------------------------------------------------------------------------

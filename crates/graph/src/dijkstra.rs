@@ -4,7 +4,8 @@
 //!
 //! * [`shortest_path`] — classic single-pair Dijkstra with a closed set;
 //!   the fast path for `LIMIT 1` / plain shortest-path queries. Its
-//!   per-vertex state lives in the point-to-point scratch ([`crate::p2p`]).
+//!   per-vertex state lives in the per-thread search scratch
+//!   ([`crate::search`]).
 //! * [`KShortestPaths`] — a lazy, pull-based enumerator that yields simple
 //!   paths between two vertexes in non-decreasing cost order; each `next()`
 //!   does only the work needed for one more path, matching the paper's
@@ -15,60 +16,18 @@
 //! engine dereferences the hinted cost attribute through tuple pointers).
 //! Costs must be non-negative, as the paper requires for Dijkstra.
 
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use grfusion_common::{Error, PathData, Result};
 
 use crate::filter::TraversalFilter;
-use crate::p2p::{walk, with_scratch, SearchStats, Tip};
+use crate::search::{path_to, snapshot, with_scratch, ByCost, SearchStats};
 use crate::topology::{ix, EdgeSlot, GraphTopology, TopologyView, VertexSlot};
 
-/// A path-carrying heap entry ordered by ascending cost (BinaryHeap is a
-/// max-heap, so the `Ord` impl is reversed). `seq` breaks ties
-/// deterministically.
-struct HeapEntry {
-    cost: f64,
-    seq: u64,
+/// A partial simple path on the [`KShortestPaths`] frontier.
+struct Prefix {
     vertexes: Vec<VertexSlot>,
     edges: Vec<EdgeSlot>,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cost == other.cost && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse: smaller cost = greater priority.
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// A slot-form path in user-visible ids, with its cost.
-pub(crate) fn snapshot(
-    graph: &GraphTopology,
-    vertexes: &[VertexSlot],
-    edges: &[EdgeSlot],
-    cost: f64,
-) -> PathData {
-    PathData {
-        graph_view: graph.name().to_string(),
-        vertexes: vertexes.iter().map(|&s| graph.vertex_id(s)).collect(),
-        edges: edges.iter().map(|&s| graph.edge_id(s)).collect(),
-        cost,
-    }
 }
 
 /// Single-pair Dijkstra with a closed set. Returns `None` when `target` is
@@ -123,25 +82,20 @@ where
         let mut seq = 0u64;
         marks[ix(source)] = open;
         dist[ix(source)] = 0.0;
-        heap.push(Tip {
+        heap.push(ByCost {
             cost: 0.0,
             seq,
-            vertex: source,
+            item: source,
         });
 
-        while let Some(Tip { cost, vertex: v, .. }) = heap.pop() {
+        while let Some(ByCost { cost, item: v, .. }) = heap.pop() {
             if marks[ix(v)] == closed {
                 continue;
             }
             marks[ix(v)] = closed;
             stats.vertices_visited += 1;
             if v == target {
-                let mut vs = vec![v]; // alloc-ok: path reconstruction runs once, at target
-                let mut es = Vec::new(); // alloc-ok: empty Vec does not allocate
-                walk(graph, via, v, source, &mut vs, &mut es);
-                vs.reverse();
-                es.reverse();
-                return Ok(Some(snapshot(graph, &vs, &es, cost)));
+                return Ok(Some(path_to(graph, via, source, target, cost)));
             }
             // Hop and position arguments for the filter: hop counts are
             // unknown in Dijkstra order, so pass hop 0 / position 1
@@ -168,10 +122,10 @@ where
                     dist[ix(t)] = nd;
                     via[ix(t)] = e;
                     seq += 1;
-                    heap.push(Tip {
+                    heap.push(ByCost {
                         cost: nd,
                         seq,
-                        vertex: t,
+                        item: t,
                     });
                 }
             }
@@ -198,7 +152,7 @@ where
     cost_fn: C,
     filter: F,
     max_len: usize,
-    heap: BinaryHeap<HeapEntry>,
+    heap: BinaryHeap<ByCost<Prefix>>,
     seq: u64,
     /// Set when a negative cost is observed; surfaced on the next pull.
     error: Option<Error>,
@@ -220,11 +174,13 @@ where
     ) -> Self {
         let mut heap = BinaryHeap::new();
         if filter.vertex_allowed(graph, source, 0) {
-            heap.push(HeapEntry {
+            heap.push(ByCost {
                 cost: 0.0,
                 seq: 0,
-                vertexes: vec![source],
-                edges: Vec::new(),
+                item: Prefix {
+                    vertexes: vec![source],
+                    edges: Vec::new(),
+                },
             });
         }
         KShortestPaths {
@@ -273,7 +229,7 @@ where
         if self.error.is_some() {
             return None;
         }
-        while let Some(entry) = self.heap.pop() {
+        while let Some(ByCost { cost, item: entry, .. }) = self.heap.pop() {
             let v = *entry.vertexes.last().expect("non-empty");
             self.vertices_visited += 1;
             let at_target = v == self.target;
@@ -287,7 +243,7 @@ where
                 continue;
             }
             if !expand {
-                return Some(snapshot(self.graph, &entry.vertexes, &entry.edges, entry.cost));
+                return Some(snapshot(self.graph, &entry.vertexes, &entry.edges, cost));
             }
             for (e, t) in self.view.out_hops(v) {
                 self.edges_examined += 1;
@@ -320,17 +276,19 @@ where
                 let mut es = entry.edges.clone(); // alloc-ok: path enumeration forks the prefix per expansion
                 es.push(e);
                 self.seq += 1;
-                self.heap.push(HeapEntry {
-                    cost: entry.cost + w,
+                self.heap.push(ByCost {
+                    cost: cost + w,
                     seq: self.seq,
-                    vertexes: vs,
-                    edges: es,
+                    item: Prefix {
+                        vertexes: vs,
+                        edges: es,
+                    },
                 });
             }
             if at_target {
                 // The seed of a source == target query: emit the trivial
                 // zero-length path after queueing its extensions.
-                return Some(snapshot(self.graph, &entry.vertexes, &entry.edges, entry.cost));
+                return Some(snapshot(self.graph, &entry.vertexes, &entry.edges, cost));
             }
         }
         None

@@ -21,19 +21,20 @@
 //! reachability stops traversing on the first hit.
 //!
 //! Queries that need one path between two pinned vertexes skip enumeration
-//! altogether: [`hop_minimal_path`] (bidirectional BFS) and
-//! [`shortest_path`] (Dijkstra) search with per-thread dense scratch state
-//! ([`p2p`]).
+//! altogether: [`hop_minimal_path`] (forward BFS) and [`shortest_path`]
+//! (Dijkstra) search with per-thread dense scratch state (`search`).
 
 pub mod dijkstra;
 pub mod filter;
 pub mod p2p;
+mod search;
 pub mod topology;
 pub mod traverse;
 
 pub use dijkstra::{shortest_path, shortest_path_with_stats, KShortestPaths};
 pub use filter::{NoFilter, TraversalFilter};
-pub use p2p::{hop_minimal_path, SearchStats};
+pub use p2p::hop_minimal_path;
+pub use search::SearchStats;
 pub use topology::{
     EdgeSlot, GraphStats, GraphTopology, SealStats, TopologyLayout, TopologyView, VertexSlot,
     DEGREE_BUCKETS, REACH_DEPTHS,

@@ -1,7 +1,7 @@
-//! Kernel equivalence: the bidirectional search against the forward
+//! Kernel equivalence: the dense-scratch search against the hash-map
 //! visited-set BFS it replaced (kept here as the reference), on seeded
-//! random graphs in every layout, plus scratch-reuse and direction-choice
-//! cases. Tests return `Result` so they add no panic sites to the census.
+//! random graphs in every layout, plus scratch-reuse cases. Tests return
+//! `Result` so they add no panic sites to the census.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -10,7 +10,8 @@ use grfusion_common::{PathData, Result, RowId};
 use super::*;
 use crate::dijkstra::{reference_distances, shortest_path};
 use crate::filter::NoFilter;
-use crate::topology::TopologyLayout;
+use crate::search::SCRATCH;
+use crate::topology::{EdgeSlot, TopologyLayout};
 
 /// The search the engine ran before this kernel existed: forward BFS from
 /// `seed`, one parent per vertex in a hash map, exact positions handed to
@@ -92,7 +93,7 @@ impl Rng {
     }
 }
 
-/// A uniform filter (it ignores positions): edges whose id is a multiple
+/// A filter that ignores positions: edges whose id is a multiple
 /// of `edge_mod` and vertexes whose id is 3 modulo `vertex_mod` are
 /// forbidden; a modulus of 0 forbids nothing.
 #[derive(Clone, Copy)]
@@ -110,7 +111,7 @@ impl TraversalFilter for Modular {
     }
 }
 
-/// A filter whose answer depends on the hop: only sound forward-only.
+/// A filter whose answer depends on the hop.
 struct Positional;
 
 impl TraversalFilter for Positional {
@@ -247,26 +248,17 @@ fn matches_reference_on_seeded_random_graphs_in_every_layout() -> Result<()> {
                     };
                     for max_len in bounds {
                         let want = reference_bfs(&plain, s, t, max_len, f);
-                        let (got, _) = hop_minimal_path(&plain, s, t, max_len, f, true);
+                        let (got, _) = hop_minimal_path(&plain, s, t, max_len, f);
                         let ctx = format!("seed {seed} {s}->{t} max_len {max_len}");
-                        assert_eq!(
-                            got.as_ref().map(PathData::length),
-                            want.as_ref().map(PathData::length),
-                            "{ctx}"
-                        );
+                        // Same expansion order as the reference: path for path.
+                        assert_eq!(got, want, "{ctx}");
                         if let Some(p) = &got {
                             check_path(&plain, p, (s, t), max_len, f)?;
                         }
                         // Same hop order in every layout, so the very same path.
                         for g in [&delta, &csr] {
-                            assert_eq!(hop_minimal_path(g, s, t, max_len, f, true).0, got, "{ctx}");
+                            assert_eq!(hop_minimal_path(g, s, t, max_len, f).0, got, "{ctx}");
                         }
-                        // Backward side off: the reference itself, path for path.
-                        assert_eq!(
-                            hop_minimal_path(&plain, s, t, max_len, f, false).0,
-                            want,
-                            "{ctx}"
-                        );
                     }
                 }
             }
@@ -276,7 +268,7 @@ fn matches_reference_on_seeded_random_graphs_in_every_layout() -> Result<()> {
 }
 
 #[test]
-fn positional_filters_run_forward_only_and_match_the_reference() -> Result<()> {
+fn positional_filters_see_exact_hops_and_match_the_reference() -> Result<()> {
     for seed in 100..130u64 {
         let mut rng = Rng::new(seed);
         let n = 3 + rng.below(8);
@@ -289,7 +281,7 @@ fn positional_filters_run_forward_only_and_match_the_reference() -> Result<()> {
             for &t in &slots {
                 for max_len in [1, 2, slots.len()] {
                     assert_eq!(
-                        hop_minimal_path(&g, s, t, max_len, &Positional, false).0,
+                        hop_minimal_path(&g, s, t, max_len, &Positional).0,
                         reference_bfs(&g, s, t, max_len, &Positional),
                         "seed {seed} {s}->{t} max_len {max_len}"
                     );
@@ -325,36 +317,38 @@ fn hub(spokes: i64, outward: bool) -> Result<GraphTopology> {
 }
 
 #[test]
-fn the_cheaper_frontier_is_expanded_not_the_hub() -> Result<()> {
-    // Target with in-degree >> out-degree: a fixed alternation would walk
-    // its 500 in-edges on the first backward round.
+fn a_hub_target_costs_only_the_forward_funnel() -> Result<()> {
+    // Target with in-degree >> out-degree: the search never looks at its
+    // 500 in-edges, only at the chain leading to it.
     let g = hub(500, false)?;
     let (s, t) = (g.vertex_slot(1000)?, g.vertex_slot(0)?);
-    let (p, stats) = hop_minimal_path(&g, s, t, 8, &NoFilter, true);
+    let (p, stats) = hop_minimal_path(&g, s, t, 8, &NoFilter);
     assert_eq!(
         p.map(|p| p.path_string()),
         Some("1000->1001->1002->0".to_string())
     );
-    assert!(stats.edges_examined <= 4, "{stats:?}");
+    assert_eq!(
+        stats,
+        SearchStats {
+            vertices_visited: 4,
+            edges_examined: 3
+        }
+    );
 
-    // The mirror image: a source that fans out 500 ways is searched from
-    // the target's side.
+    // The mirror image: a source that fans out 500 ways pays for the level.
     let g = hub(500, true)?;
     let (s, t) = (g.vertex_slot(0)?, g.vertex_slot(1002)?);
-    let (p, stats) = hop_minimal_path(&g, s, t, 8, &NoFilter, true);
+    let (p, stats) = hop_minimal_path(&g, s, t, 8, &NoFilter);
     assert_eq!(
         p.map(|p| p.path_string()),
         Some("0->1->1000->1001->1002".to_string())
     );
-    assert!(stats.edges_examined <= 5, "{stats:?}");
-    // Forward-only pays for the fan-out.
-    let (_, forward_only) = hop_minimal_path(&g, s, t, 8, &NoFilter, false);
-    assert!(forward_only.edges_examined >= 500, "{forward_only:?}");
+    assert_eq!(stats.edges_examined, 503, "{stats:?}");
     Ok(())
 }
 
 #[test]
-fn a_filtered_target_is_unreachable_from_either_side() -> Result<()> {
+fn a_filtered_endpoint_is_unreachable() -> Result<()> {
     let g = hub(3, false)?;
     let (s, t) = (g.vertex_slot(1000)?, g.vertex_slot(0)?);
     // Vertex ids 3 mod 7 are forbidden; the hub's id is 0, spoke 3's is 3.
@@ -362,12 +356,10 @@ fn a_filtered_target_is_unreachable_from_either_side() -> Result<()> {
         edge_mod: 0,
         vertex_mod: 7,
     };
-    assert!(hop_minimal_path(&g, s, t, 8, &f, true).0.is_some());
+    assert!(hop_minimal_path(&g, s, t, 8, &f).0.is_some());
     let spoke = g.vertex_slot(3)?;
-    for uniform in [true, false] {
-        assert_eq!(hop_minimal_path(&g, spoke, t, 8, &f, uniform).0, None);
-        assert_eq!(hop_minimal_path(&g, s, spoke, 8, &f, uniform).0, None);
-    }
+    assert_eq!(hop_minimal_path(&g, spoke, t, 8, &f).0, None);
+    assert_eq!(hop_minimal_path(&g, s, spoke, 8, &f).0, None);
     Ok(())
 }
 
@@ -385,18 +377,20 @@ fn scratch_is_reused_across_topologies_and_a_generation_wrap() -> Result<()> {
         g
     };
     let small = random_graph(&mut rng, 10, 25, false)?;
-    let cost = |g: &GraphTopology, e: EdgeSlot| 1.0 + (g.edge_id(e) % 7).unsigned_abs() as f64; // cast-ok: test costs < 8
-                                                                                                // Warm the scratch on the big arena, then park the counter so the
-                                                                                                // probes below cross the wrap (and its full clear) mid-sequence.
-    let _ = hop_minimal_path(&big, 0, 1, 64, &NoFilter, true);
+    let cost = |g: &GraphTopology, e: EdgeSlot| {
+        1.0 + (g.edge_id(e) % 7).unsigned_abs() as f64 // cast-ok: test costs < 8
+    };
+    // Warm the scratch on the big arena, then park the counter so the
+    // probes below cross the wrap (and its full clear) mid-sequence.
+    let _ = hop_minimal_path(&big, 0, 1, 64, &NoFilter);
     force_stamp(u32::MAX - 9);
     for round in 0..40u32 {
         for g in [&big, &small] {
             let n = i64::try_from(g.vertex_count()).unwrap_or(1);
             let (s, t) = (g.vertex_slot(rng.below(n))?, g.vertex_slot(rng.below(n))?);
-            let want = reference_bfs(g, s, t, 64, &NoFilter).map(|p| p.length());
-            let (got, _) = hop_minimal_path(g, s, t, 64, &NoFilter, true);
-            assert_eq!(got.map(|p| p.length()), want, "round {round} {s}->{t}");
+            let want = reference_bfs(g, s, t, 64, &NoFilter);
+            let (got, _) = hop_minimal_path(g, s, t, 64, &NoFilter);
+            assert_eq!(got, want, "round {round} {s}->{t}");
             // Dijkstra draws its stamps from the same counter.
             let best = shortest_path(g, s, t, cost, &NoFilter)?.map(|p| p.cost);
             let reference = reference_distances(g, s, cost).get(&t).copied();
@@ -420,9 +414,7 @@ struct Nested<'g>(&'g GraphTopology);
 impl TraversalFilter for Nested<'_> {
     fn edge_allowed(&self, g: &GraphTopology, e: EdgeSlot, _hop: usize) -> bool {
         let (from, to) = g.edge_endpoints(e);
-        hop_minimal_path(self.0, from, to, 1, &NoFilter, true)
-            .0
-            .is_some()
+        hop_minimal_path(self.0, from, to, 1, &NoFilter).0.is_some()
     }
 }
 
@@ -430,15 +422,14 @@ impl TraversalFilter for Nested<'_> {
 fn a_search_started_from_a_filter_callback_gets_its_own_scratch() -> Result<()> {
     let g = hub(4, false)?;
     let (s, t) = (g.vertex_slot(1000)?, g.vertex_slot(0)?);
-    let (p, _) = hop_minimal_path(&g, s, t, 8, &Nested(&g), true);
+    let (p, _) = hop_minimal_path(&g, s, t, 8, &Nested(&g));
     assert_eq!(p.map(|p| p.length()), Some(3));
     Ok(())
 }
 
 #[test]
-fn stats_count_both_directions() -> Result<()> {
-    // 0 -> 1 -> 2 -> 3, searched 0 -> 3: every round is a tie on work, so
-    // forward goes first: fwd marks 1, bwd marks 2, fwd meets at 2.
+fn the_search_stops_at_max_len() -> Result<()> {
+    // 0 -> 1 -> 2 -> 3, searched 0 -> 3.
     let mut g = GraphTopology::new("chain", true);
     for v in 0..4 {
         g.add_vertex(v, RowId(0))?;
@@ -446,7 +437,8 @@ fn stats_count_both_directions() -> Result<()> {
     for v in 0..3 {
         g.add_edge(10 + v, v, v + 1, RowId(0))?;
     }
-    let (p, stats) = hop_minimal_path(&g, g.vertex_slot(0)?, g.vertex_slot(3)?, 3, &NoFilter, true);
+    let (s, t) = (g.vertex_slot(0)?, g.vertex_slot(3)?);
+    let (p, stats) = hop_minimal_path(&g, s, t, 3, &NoFilter);
     assert_eq!(p.map(|p| p.path_string()), Some("0->1->2->3".to_string()));
     assert_eq!(
         stats,
@@ -455,8 +447,8 @@ fn stats_count_both_directions() -> Result<()> {
             edges_examined: 3
         }
     );
-    // One hop short: the depths cannot fit, and the search stops early.
-    let (p, stats) = hop_minimal_path(&g, g.vertex_slot(0)?, g.vertex_slot(3)?, 2, &NoFilter, true);
+    // One hop short: the last level is never expanded.
+    let (p, stats) = hop_minimal_path(&g, s, t, 2, &NoFilter);
     assert_eq!(p, None);
     assert_eq!(stats.edges_examined, 2);
     Ok(())

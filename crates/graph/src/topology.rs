@@ -50,9 +50,8 @@ struct EdgeNode {
 /// endpoint* of each hop laid out in the parallel `out_heads` array — so a
 /// frontier expansion reads two cache-linear arrays instead of chasing one
 /// heap-allocated `Vec` plus one `EdgeNode` per hop. Incoming edges get the
-/// same offsets/targets/heads treatment: `FanIn` needs the counts, and the
-/// backward side of the point-to-point search ([`crate::p2p`]) walks
-/// `in_targets`/`in_heads` exactly as the forward side walks the out arrays.
+/// same offsets/targets treatment (no heads — `FanIn` only needs counts and
+/// slots).
 ///
 /// The arrays cover the vertex arena as it existed at seal time
 /// (`out_offsets.len() - 1` slots). Vertexes added later, and vertexes
@@ -70,8 +69,6 @@ struct CsrLayout {
     out_heads: Vec<VertexSlot>,
     in_offsets: Vec<u32>,
     in_targets: Vec<EdgeSlot>,
-    /// Parallel to `in_targets`: the vertex each incoming edge comes from.
-    in_heads: Vec<VertexSlot>,
 }
 
 impl CsrLayout {
@@ -92,13 +89,9 @@ impl CsrLayout {
     }
 
     #[inline]
-    fn in_range(&self, v: VertexSlot) -> std::ops::Range<usize> {
-        ix(self.in_offsets[ix(v)])..ix(self.in_offsets[ix(v) + 1])
-    }
-
-    #[inline]
     fn in_slice(&self, v: VertexSlot) -> &[EdgeSlot] {
-        &self.in_targets[self.in_range(v)]
+        let r = ix(self.in_offsets[ix(v)])..ix(self.in_offsets[ix(v) + 1]);
+        &self.in_targets[r]
     }
 
     /// Heap footprint of the sealed arrays.
@@ -106,7 +99,7 @@ impl CsrLayout {
         use std::mem::size_of;
         (self.out_offsets.capacity() + self.in_offsets.capacity()) * size_of::<u32>()
             + (self.out_targets.capacity() + self.in_targets.capacity()) * size_of::<EdgeSlot>()
-            + (self.out_heads.capacity() + self.in_heads.capacity()) * size_of::<VertexSlot>()
+            + self.out_heads.capacity() * size_of::<VertexSlot>()
     }
 }
 
@@ -566,34 +559,26 @@ impl GraphTopology {
         (e.from, e.to)
     }
 
-    /// The sealed arrays, if `slot`'s adjacency currently lives in them
-    /// rather than in the delta overlay — the one place the layout split is
-    /// decided. With an empty overlay the per-vertex flag is not consulted,
-    /// so a pure-CSR traversal never touches the vertex arena.
-    #[inline]
-    fn sealed(&self, slot: VertexSlot) -> Option<&CsrLayout> {
-        let csr = self.csr.as_deref()?;
-        (self.overlaid_vertexes == 0 || !self.vertexes[ix(slot)].overlaid).then_some(csr)
-    }
-
     /// Outgoing edges of a vertex (all incident edges for undirected
     /// graphs). Sealed vertexes resolve to a contiguous CSR run; overlaid
     /// (or never-sealed) vertexes to their per-vertex `Vec` — same slice
     /// type, same order either way.
     #[inline]
     pub fn out_edges(&self, slot: VertexSlot) -> &[EdgeSlot] {
-        match self.sealed(slot) {
-            Some(csr) => csr.out_slice(slot),
-            None => &self.vertexes[ix(slot)].out,
+        let node = &self.vertexes[ix(slot)];
+        match &self.csr {
+            Some(csr) if !node.overlaid => csr.out_slice(slot),
+            _ => &node.out,
         }
     }
 
     /// Incoming edges (empty for undirected graphs — use `out_edges`).
     #[inline]
     pub fn in_edges(&self, slot: VertexSlot) -> &[EdgeSlot] {
-        match self.sealed(slot) {
-            Some(csr) => csr.in_slice(slot),
-            None => &self.vertexes[ix(slot)].inc,
+        let node = &self.vertexes[ix(slot)];
+        match &self.csr {
+            Some(csr) if !node.overlaid => csr.in_slice(slot),
+            _ => &node.inc,
         }
     }
 
@@ -620,11 +605,14 @@ impl GraphTopology {
     /// the endpoint is resolved through the edge arena.
     #[inline]
     pub fn out_hop(&self, slot: VertexSlot, i: usize) -> (EdgeSlot, VertexSlot) {
-        if let Some(csr) = self.sealed(slot) {
-            let at = ix(csr.out_offsets[ix(slot)]) + i;
-            return (csr.out_targets[at], csr.out_heads[at]);
+        let node = &self.vertexes[ix(slot)];
+        if let Some(csr) = &self.csr {
+            if !node.overlaid {
+                let at = ix(csr.out_offsets[ix(slot)]) + i;
+                return (csr.out_targets[at], csr.out_heads[at]);
+            }
         }
-        let e = self.vertexes[ix(slot)].out[i];
+        let e = node.out[i];
         (e, self.edge_target(e, slot))
     }
 
@@ -645,27 +633,24 @@ impl GraphTopology {
     /// instead of once per hop (`out_hop` pays it per call — fine for the
     /// cursor-resumable DFS, measurable on full frontier expansions).
     #[inline]
-    pub fn out_hops(&self, slot: VertexSlot) -> Hops<'_> {
-        match self.sealed(slot) {
-            Some(csr) => Hops::sealed(&csr.out_targets, &csr.out_heads, csr.out_range(slot)),
-            None => Hops::linked(self, slot, &self.vertexes[ix(slot)].out),
+    pub fn out_hops(&self, slot: VertexSlot) -> OutHops<'_> {
+        let node = &self.vertexes[ix(slot)];
+        if let Some(csr) = &self.csr {
+            if !node.overlaid {
+                let r = csr.out_range(slot);
+                return OutHops(OutHopsInner::Sealed(
+                    csr.out_targets[r.clone()]
+                        .iter()
+                        .copied()
+                        .zip(csr.out_heads[r].iter().copied()),
+                ));
+            }
         }
-    }
-
-    /// Iterate `(edge, near endpoint)` hops *into* `slot` — the mirror of
-    /// [`GraphTopology::out_hops`], same order in every layout (the sealed
-    /// runs are copied from the per-vertex lists verbatim). Undirected
-    /// graphs keep every incident edge in the out lists, so they reuse
-    /// `out_hops`.
-    #[inline]
-    pub fn in_hops(&self, slot: VertexSlot) -> Hops<'_> {
-        if !self.directed {
-            return self.out_hops(slot);
-        }
-        match self.sealed(slot) {
-            Some(csr) => Hops::sealed(&csr.in_targets, &csr.in_heads, csr.in_range(slot)),
-            None => Hops::linked(self, slot, &self.vertexes[ix(slot)].inc),
-        }
+        OutHops(OutHopsInner::Linked {
+            graph: self,
+            from: slot,
+            edges: node.out.iter(),
+        })
     }
 
     /// Iterate live vertex slots.
@@ -689,7 +674,7 @@ impl GraphTopology {
     // ---- sealing --------------------------------------------------------------
 
     /// Compact the adjacency into sealed CSR arrays (out- and in-edges,
-    /// each with its parallel far-endpoint array) and empty the delta overlay.
+    /// plus the parallel far-endpoint array) and empty the delta overlay.
     ///
     /// The new arrays are built completely before any existing state is
     /// modified, so a caller that aborts *before* invoking `seal` (fault
@@ -703,9 +688,8 @@ impl GraphTopology {
         let mut out_targets = Vec::with_capacity(self.adjacency_entries);
         let mut out_heads = Vec::with_capacity(self.adjacency_entries);
         let mut in_offsets = Vec::with_capacity(span + 1);
-        let in_entries = if self.directed { self.live_edges } else { 0 };
-        let mut in_targets = Vec::with_capacity(in_entries);
-        let mut in_heads = Vec::with_capacity(in_entries);
+        let mut in_targets =
+            Vec::with_capacity(if self.directed { self.live_edges } else { 0 });
         out_offsets.push(0u32);
         in_offsets.push(0u32);
         for slot in 0..span as VertexSlot { // cast-ok: arena size < 2^32 enforced in add_vertex
@@ -715,7 +699,6 @@ impl GraphTopology {
             }
             for &e in self.in_edges(slot) {
                 in_targets.push(e);
-                in_heads.push(self.edge_target(e, slot));
             }
             out_offsets.push(out_targets.len() as u32); // cast-ok: adjacency_entries < 2^32 enforced in add_edge
             in_offsets.push(in_targets.len() as u32); // cast-ok: in-entries <= live_edges < 2^32
@@ -726,7 +709,6 @@ impl GraphTopology {
             out_heads,
             in_offsets,
             in_targets,
-            in_heads,
         });
         self.seal_stats = Some(self.collect_seal_stats(&csr));
         self.csr = Some(csr);
@@ -883,7 +865,7 @@ impl GraphTopology {
         let inc = if self.directed { self.live_edges } else { 0 };
         span * 2 * size_of::<u32>()
             + self.adjacency_entries * (size_of::<EdgeSlot>() + size_of::<VertexSlot>())
-            + inc * (size_of::<EdgeSlot>() + size_of::<VertexSlot>())
+            + inc * size_of::<EdgeSlot>()
     }
 
     // ---- statistics -----------------------------------------------------------
@@ -1051,32 +1033,19 @@ impl<'g> TopologyView<'g> {
 
     /// Iterate `(edge, far endpoint)` hops out of `v` in traversal order.
     #[inline]
-    pub fn out_hops(&self, v: VertexSlot) -> Hops<'g> {
+    pub fn out_hops(&self, v: VertexSlot) -> OutHops<'g> {
         self.graph.out_hops(v)
-    }
-
-    /// In-degree of `v` (its out-degree on undirected graphs).
-    #[inline]
-    pub fn in_len(&self, v: VertexSlot) -> usize {
-        self.graph.fan_in(v)
-    }
-
-    /// Iterate `(edge, near endpoint)` hops into `v` — what a backward
-    /// search expands. Same order in every layout.
-    #[inline]
-    pub fn in_hops(&self, v: VertexSlot) -> Hops<'g> {
-        self.graph.in_hops(v)
     }
 }
 
-/// Iterator over a vertex's `(edge, other endpoint)` hops — see
-/// [`GraphTopology::out_hops`] / [`GraphTopology::in_hops`]. The layout
-/// dispatch happens at construction: sealed vertexes walk two parallel CSR
-/// arrays, overlaid (or never-sealed) vertexes walk their `Vec` and resolve
-/// each endpoint through the edge arena.
-pub struct Hops<'a>(HopsInner<'a>);
+/// Iterator over a vertex's `(edge, far endpoint)` hops — see
+/// [`GraphTopology::out_hops`]. The layout dispatch happens at
+/// construction: sealed vertexes walk the two parallel CSR arrays,
+/// overlaid (or never-sealed) vertexes walk their `Vec` and resolve each
+/// endpoint through the edge arena.
+pub struct OutHops<'a>(OutHopsInner<'a>);
 
-enum HopsInner<'a> {
+enum OutHopsInner<'a> {
     Sealed(
         std::iter::Zip<
             std::iter::Copied<std::slice::Iter<'a, EdgeSlot>>,
@@ -1085,39 +1054,21 @@ enum HopsInner<'a> {
     ),
     Linked {
         graph: &'a GraphTopology,
-        at: VertexSlot,
+        from: VertexSlot,
         edges: std::slice::Iter<'a, EdgeSlot>,
     },
 }
 
-impl<'a> Hops<'a> {
-    #[inline]
-    fn sealed(targets: &'a [EdgeSlot], heads: &'a [VertexSlot], r: std::ops::Range<usize>) -> Self {
-        Hops(HopsInner::Sealed(
-            targets[r.clone()].iter().copied().zip(heads[r].iter().copied()),
-        ))
-    }
-
-    #[inline]
-    fn linked(graph: &'a GraphTopology, at: VertexSlot, edges: &'a [EdgeSlot]) -> Self {
-        Hops(HopsInner::Linked {
-            graph,
-            at,
-            edges: edges.iter(),
-        })
-    }
-}
-
-impl Iterator for Hops<'_> {
+impl Iterator for OutHops<'_> {
     type Item = (EdgeSlot, VertexSlot);
 
     #[inline]
     fn next(&mut self) -> Option<(EdgeSlot, VertexSlot)> {
         match &mut self.0 {
-            HopsInner::Sealed(it) => it.next(),
-            HopsInner::Linked { graph, at, edges } => {
+            OutHopsInner::Sealed(it) => it.next(),
+            OutHopsInner::Linked { graph, from, edges } => {
                 let &e = edges.next()?;
-                Some((e, graph.edge_target(e, *at)))
+                Some((e, graph.edge_target(e, *from)))
             }
         }
     }
@@ -1125,13 +1076,13 @@ impl Iterator for Hops<'_> {
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
         match &self.0 {
-            HopsInner::Sealed(it) => it.size_hint(),
-            HopsInner::Linked { edges, .. } => edges.size_hint(),
+            OutHopsInner::Sealed(it) => it.size_hint(),
+            OutHopsInner::Linked { edges, .. } => edges.size_hint(),
         }
     }
 }
 
-impl ExactSizeIterator for Hops<'_> {}
+impl ExactSizeIterator for OutHops<'_> {}
 
 /// Statistics snapshot for a graph view.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -1314,51 +1265,21 @@ mod tests {
         assert_eq!(g.edge_tuple(e), RowId(12));
     }
 
-    type Hop = (EdgeId, VertexId);
-    /// A vertex's id, out-hops, in-hops, fan-out and fan-in.
-    type Observed = (VertexId, Vec<Hop>, Vec<Hop>, usize, usize);
-
-    /// Adjacency observations that must be layout-independent: out- and
-    /// in-hops in traversal order, plus the degree properties.
-    fn observe(g: &GraphTopology) -> Vec<Observed> {
+    /// Adjacency observations that must be layout-independent.
+    fn observe(g: &GraphTopology) -> Vec<(VertexId, Vec<(EdgeId, VertexId)>, usize, usize)> {
         let view = g.view();
-        let ids = |hops: Hops<'_>| -> Vec<Hop> {
-            hops.map(|(e, t)| (g.edge_id(e), g.vertex_id(t))).collect()
-        };
         let mut all: Vec<_> = g
             .vertex_slots()
             .map(|v| {
-                let (out, inc) = (ids(view.out_hops(v)), ids(view.in_hops(v)));
-                assert_eq!(inc.len(), view.in_len(v));
-                (g.vertex_id(v), out, inc, g.fan_out(v), g.fan_in(v))
+                let hops: Vec<(EdgeId, VertexId)> = view
+                    .out_hops(v)
+                    .map(|(e, t)| (g.edge_id(e), g.vertex_id(t)))
+                    .collect();
+                (g.vertex_id(v), hops, g.fan_out(v), g.fan_in(v))
             })
             .collect();
         all.sort();
         all
-    }
-
-    #[test]
-    fn in_hops_mirror_out_hops() -> Result<()> {
-        for seal in [false, true] {
-            let mut g = diamond(true);
-            if seal {
-                g.seal();
-            }
-            let into: Vec<_> = g
-                .in_hops(g.vertex_slot(4)?)
-                .map(|(e, u)| (g.edge_id(e), g.vertex_id(u)))
-                .collect();
-            assert_eq!(into, vec![(12, 2), (13, 3)], "seal={seal}");
-            assert_eq!(g.in_hops(g.vertex_slot(1)?).len(), 0);
-        }
-        // Undirected: incident edges either way.
-        let g = diamond(false);
-        let v4 = g.vertex_slot(4)?;
-        assert_eq!(
-            g.in_hops(v4).collect::<Vec<_>>(),
-            g.out_hops(v4).collect::<Vec<_>>()
-        );
-        Ok(())
     }
 
     #[test]

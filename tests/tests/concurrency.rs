@@ -278,7 +278,7 @@ fn point_to_point_probes_on_a_shared_topology_match_serial() {
     let probe = |i: i64| {
         let s = g.vertex_slot((i * 37) % N).unwrap();
         let t = g.vertex_slot((i * 101 + 13) % N).unwrap();
-        let (hops, _) = hop_minimal_path(&g, s, t, 12, &NoFilter, true);
+        let (hops, _) = hop_minimal_path(&g, s, t, 12, &NoFilter);
         let cheapest = shortest_path(&g, s, t, cost, &NoFilter).unwrap();
         (hops, cheapest)
     };

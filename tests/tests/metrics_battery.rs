@@ -105,14 +105,15 @@ fn fig7_reachability_counters() {
 
 /// The reach probe runs on the PathScan's clock. A constant-anchored probe
 /// used to start while the operator tree was built, so EXPLAIN ANALYZE
-/// showed a whole search as ~0 µs of PathScan. Nine layers of 32 vertexes,
-/// each wired to the whole next layer: a depth-8 probe walks thousands of
-/// edges from whichever side it expands, against three trivial operators
-/// above it.
+/// showed a whole search as ~0 µs of PathScan. Nine layers of 64 vertexes,
+/// each wired to the whole next layer: a depth-8 probe walks ~25 000 edges
+/// against two one-row operators above it, so the expected margin is three
+/// orders of magnitude; and since these are wall-clock readings on a shared
+/// box, one clean run out of five is enough.
 #[test]
 fn reach_probe_time_lands_on_the_pathscan_operator() {
     const LAYERS: i64 = 9;
-    const WIDTH: i64 = 32;
+    const WIDTH: i64 = 64;
     let db = Database::new();
     db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
     db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
@@ -135,29 +136,24 @@ fn reach_probe_time_lands_on_the_pathscan_operator() {
          EDGES(ID = id, FROM = a, TO = b) FROM e",
     )
     .unwrap();
-    let m = collect(
-        &db,
-        "reach-depth-8",
-        &format!(
-            "SELECT PS.Length FROM g.Paths PS \
-             WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = {} \
-             AND PS.Length <= 8 LIMIT 1",
-            (LAYERS - 1) * WIDTH
-        ),
-        true,
+    let sql = format!(
+        "SELECT PS.Length FROM g.Paths PS \
+         WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = {} \
+         AND PS.Length <= 8 LIMIT 1",
+        (LAYERS - 1) * WIDTH
     );
-    let root = &m.nodes[0];
-    let scan = m.node("PathScan").expect("no PathScan node");
-    assert_eq!(scan.rows, 1);
-    assert!(scan.graph.expect("no counters").edges_expanded > 1000);
-    // PathScan is a leaf, so its inclusive time is its self time.
-    assert!(
-        2 * scan.time_ns >= root.time_ns,
-        "PathScan {} ns of root {} ns\n{}",
-        scan.time_ns,
-        root.time_ns,
-        m.render()
-    );
+    let mut seen = Vec::new();
+    let owned = (0..5).any(|_| {
+        let m = collect(&db, "reach-depth-8", &sql, true);
+        let root = &m.nodes[0];
+        let scan = m.node("PathScan").expect("no PathScan node");
+        assert_eq!(scan.rows, 1);
+        assert!(scan.graph.expect("no counters").edges_expanded > 20_000);
+        seen.push((scan.time_ns, root.time_ns));
+        // PathScan is a leaf, so its inclusive time is its self time.
+        2 * scan.time_ns >= root.time_ns
+    });
+    assert!(owned, "(PathScan ns, root ns) per run: {seen:?}");
 }
 
 /// Fig 8 family — constrained reachability: the pushed edge predicate must

@@ -510,9 +510,9 @@ mod csr_layout_shape {
 
         // Freshly materialized: sealed, no overlay. 6 vertexes / 6 directed
         // edges compact to (7+7) u32 offsets + 6 out-targets + 6 out-heads
-        // + 6 in-targets + 6 in-heads = 152 bytes.
+        // + 6 in-targets = 128 bytes.
         let s = db.graph_stats("g").unwrap();
-        assert_eq!(s.sealed_bytes, 152, "sealed CSR byte footprint drifted");
+        assert_eq!(s.sealed_bytes, 128, "sealed CSR byte footprint drifted");
         assert_eq!(s.overlay_bytes, 0);
         assert!(
             s.memory_bytes >= s.sealed_bytes,
@@ -524,15 +524,15 @@ mod csr_layout_shape {
         // re-seal threshold, so the statement does not re-seal).
         db.execute("INSERT INTO v VALUES (7)").unwrap();
         let s = db.graph_stats("g").unwrap();
-        assert_eq!(s.sealed_bytes, 152, "seal must not rebuild below threshold");
+        assert_eq!(s.sealed_bytes, 128, "seal must not rebuild below threshold");
         assert!(analyze_text(&db).contains("(layout=delta(1))"), "{}", analyze_text(&db));
 
         // An edge insert touches both endpoints: 3/7 overlaid ≥ 0.25, so
         // the same statement re-seals — overlay folded back, CSR rebuilt
-        // for 7 vertexes / 7 edges: (8+8) u32 offsets + 4×7 slots = 176.
+        // for 7 vertexes / 7 edges: (8+8) u32 offsets + 7+7+7 slots = 148.
         db.execute("INSERT INTO e VALUES (16, 6, 7, 1.0)").unwrap();
         let s = db.graph_stats("g").unwrap();
-        assert_eq!(s.sealed_bytes, 176, "re-sealed CSR byte footprint drifted");
+        assert_eq!(s.sealed_bytes, 148, "re-sealed CSR byte footprint drifted");
         assert_eq!(s.overlay_bytes, 0, "re-seal left overlay bytes behind");
         assert!(analyze_text(&db).contains("(layout=csr)"), "{}", analyze_text(&db));
     }

@@ -19,7 +19,7 @@ fn search(scratch: &mut Scratch, source: u32, target: u32) -> Option<Vec<u32>> {
 }
 
 fn reconstruct(scratch: &Scratch, at: u32) -> Vec<u32> {
-    let mut path = vec![at]; // alloc-ok: path reconstruction runs once, at the meeting
+    let mut path = vec![at]; // alloc-ok: path reconstruction runs once, at the target
     let mut cur = at;
     while let Some(&p) = scratch.parent.get(cur as usize) {
         path.push(p);

@@ -10,7 +10,7 @@
 //!   and batch operator surfaces), and
 //! * *every* function in the traversal kernels
 //!   (`crates/graph/src/traverse.rs`, `crates/graph/src/dijkstra.rs`,
-//!   `crates/graph/src/p2p.rs`).
+//!   `crates/graph/src/p2p.rs`, `crates/graph/src/search.rs`).
 //!
 //! Deliberate allocations (building the output value itself, amortized
 //! reservations) carry `// alloc-ok: reason` on the same line and are
@@ -40,6 +40,7 @@ const HOT_FILES: &[&str] = &[
     "crates/graph/src/traverse.rs",
     "crates/graph/src/dijkstra.rs",
     "crates/graph/src/p2p.rs",
+    "crates/graph/src/search.rs",
 ];
 
 const HOT_FNS: &[&str] = &["next", "next_batch"];

@@ -1113,11 +1113,11 @@ pub fn check_delete(table: &str, schema: Arc<Schema>, selection: &Option<Expr>) 
     Ok(())
 }
 
-fn empty_namespace() -> Namespace {
+pub(crate) fn empty_namespace() -> Namespace {
     Namespace::new(Arc::new(HashMap::new()))
 }
 
-fn table_namespace(table: &str, schema: Arc<Schema>) -> Result<Namespace> {
+pub(crate) fn table_namespace(table: &str, schema: Arc<Schema>) -> Result<Namespace> {
     let mut ns = empty_namespace();
     ns.push(table, BindingKind::Table(table.to_string()), schema)?;
     Ok(ns)

@@ -615,12 +615,8 @@ impl<'a> Rewriter<'a> {
         };
         // Every residual conjunct must be implied by the scan config.
         if let Some(pred) = residual {
-            let mut conjuncts = Vec::new();
-            flatten_and(pred, &mut conjuncts);
-            for c in &conjuncts {
-                if !conjunct_implied(c, start, k) {
-                    return None;
-                }
+            if !pred.conjuncts().into_iter().all(|c| conjunct_implied(c, start, k)) {
+                return None;
             }
         }
         // The chain needs a hash index on the edge-source from-column.
@@ -729,16 +725,6 @@ fn agg_order_insensitive(spec: &AggSpec) -> bool {
             .arg
             .as_ref()
             .is_some_and(|a| a.static_type() == DataType::Integer),
-    }
-}
-
-fn flatten_and<'p>(pred: &'p PhysExpr, out: &mut Vec<&'p PhysExpr>) {
-    match pred {
-        PhysExpr::And(l, r) => {
-            flatten_and(l, out);
-            flatten_and(r, out);
-        }
-        p => out.push(p),
     }
 }
 

@@ -33,7 +33,7 @@ struct DbInner {
     graph_views: HashMap<String, GraphView>,
     /// Lowercase table name → graph views sourcing from it (§3.3: each
     /// relational source knows the views it feeds).
-    source_map: HashMap<String, Vec<String>>,
+    source_map: HashMap<String, Vec<Arc<str>>>,
     config: EngineConfig,
     /// Journal of the open explicit transaction, if any.
     txn: Option<Journal>,
@@ -798,7 +798,7 @@ fn create_graph_view(inner: &mut DbInner, cgv: &grfusion_sql::CreateGraphView) -
         sources.push(view.def.edge_source.clone());
     }
     for s in sources {
-        inner.source_map.entry(s).or_default().push(name.clone());
+        inner.source_map.entry(s).or_default().push(name.as_str().into());
     }
     inner.graph_views.insert(name, view);
     Ok(())
@@ -812,7 +812,7 @@ fn drop_graph_view(inner: &mut DbInner, name: &str) -> Result<()> {
         )));
     }
     for views in inner.source_map.values_mut() {
-        views.retain(|v| v != &lower);
+        views.retain(|v| **v != *lower);
     }
     inner.source_map.retain(|_, v| !v.is_empty());
     Ok(())

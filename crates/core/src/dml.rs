@@ -17,40 +17,43 @@
 //!   edge; updating any other attribute touches only the relational store
 //!   (the topology holds tuple pointers, which stay valid across updates).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use grfusion_common::{Error, Result, Row, RowId, Value};
 use grfusion_sql::{Delete, Expr, Insert, Update};
-use grfusion_storage::{Catalog, UndoOp};
+use grfusion_storage::{Catalog, Table, UndoOp};
 
+use crate::access;
+use crate::analyze::{empty_namespace, table_namespace};
 use crate::env::QueryEnv;
-use crate::expr::{compile, BindingKind, GraphMeta, Namespace, PhysExpr};
+use crate::expr::{compile, PhysExpr};
 use crate::governor::{ExecContext, FaultState};
 use crate::graph_view::{id_value, GraphView};
 
 /// A reversible topology action.
 #[derive(Debug, Clone)]
 pub enum GraphUndo {
-    AddedVertex { gv: String, id: i64 },
-    RemovedVertex { gv: String, id: i64, tuple: RowId },
-    AddedEdge { gv: String, id: i64 },
+    AddedVertex { id: i64 },
+    RemovedVertex { id: i64, tuple: RowId },
+    AddedEdge { id: i64 },
     RemovedEdge {
-        gv: String,
         id: i64,
         from: i64,
         to: i64,
         tuple: RowId,
     },
-    RenamedVertex { gv: String, from: i64, to: i64 },
-    RenamedEdge { gv: String, from: i64, to: i64 },
+    RenamedVertex { from: i64, to: i64 },
+    RenamedEdge { from: i64, to: i64 },
 }
 
-/// One journal entry: either a storage action or a topology action.
+/// One journal entry: a storage action on a table or a topology action on
+/// a graph view. Names are shared (`Arc<str>`), so an entry per row costs
+/// no allocation for them.
 #[derive(Debug, Clone)]
 pub enum EngineUndo {
     Storage(UndoOp),
-    Graph(GraphUndo),
+    Graph { gv: Arc<str>, op: GraphUndo },
 }
 
 /// The transaction journal. Entries are appended in execution order and
@@ -69,8 +72,8 @@ impl Journal {
         self.entries.push(EngineUndo::Storage(op));
     }
 
-    pub fn record_graph(&mut self, op: GraphUndo) {
-        self.entries.push(EngineUndo::Graph(op));
+    fn record_graph(&mut self, gv: &Arc<str>, op: GraphUndo) {
+        self.entries.push(EngineUndo::Graph { gv: gv.clone(), op });
     }
 
     pub fn savepoint(&self) -> usize {
@@ -80,36 +83,20 @@ impl Journal {
     /// Lowercase names of the tables and graph views touched by entries at
     /// or after `savepoint` — the dirty set epoch publication uses to
     /// re-snapshot only what a statement actually changed.
-    pub(crate) fn dirty_since(
-        &self,
-        savepoint: usize,
-    ) -> (
-        std::collections::HashSet<String>,
-        std::collections::HashSet<String>,
-    ) {
-        let mut tables = std::collections::HashSet::new();
-        let mut views = std::collections::HashSet::new();
+    pub(crate) fn dirty_since(&self, savepoint: usize) -> (HashSet<String>, HashSet<String>) {
+        let mut tables = HashSet::new();
+        let mut views = HashSet::new();
         for entry in &self.entries[savepoint.min(self.entries.len())..] {
-            match entry {
-                EngineUndo::Storage(op) => {
-                    let t = match op {
-                        UndoOp::Insert { table, .. }
-                        | UndoOp::Delete { table, .. }
-                        | UndoOp::Update { table, .. } => table,
-                    };
-                    tables.insert(t.clone());
-                }
-                EngineUndo::Graph(op) => {
-                    let gv = match op {
-                        GraphUndo::AddedVertex { gv, .. }
-                        | GraphUndo::RemovedVertex { gv, .. }
-                        | GraphUndo::AddedEdge { gv, .. }
-                        | GraphUndo::RemovedEdge { gv, .. }
-                        | GraphUndo::RenamedVertex { gv, .. }
-                        | GraphUndo::RenamedEdge { gv, .. } => gv,
-                    };
-                    views.insert(gv.clone());
-                }
+            let (set, name) = match entry {
+                EngineUndo::Storage(
+                    UndoOp::Insert { table, .. }
+                    | UndoOp::Delete { table, .. }
+                    | UndoOp::Update { table, .. },
+                ) => (&mut tables, table),
+                EngineUndo::Graph { gv, .. } => (&mut views, gv),
+            };
+            if !set.contains(&**name) {
+                set.insert(name.to_string()); // alloc-ok: once per distinct name
             }
         }
         (tables, views)
@@ -146,39 +133,32 @@ impl Journal {
                         ctx.catalog.table(&table)?.write().update(row, old)?;
                     }
                 },
-                EngineUndo::Graph(op) => {
-                    let apply = |gv: &str, f: &mut dyn FnMut(&GraphView) -> Result<()>| {
-                        let view = ctx
-                            .graph_views
-                            .get(gv)
-                            .ok_or_else(|| Error::catalog(format!("graph view `{gv}` missing")))?;
-                        f(view)
-                    };
+                EngineUndo::Graph { gv, op } => {
+                    let view = ctx
+                        .graph_views
+                        .get(&*gv)
+                        .ok_or_else(|| Error::catalog(format!("graph view `{gv}` missing")))?; // alloc-ok: error path
+                    let mut topo = view.topology.write();
                     match op {
-                        GraphUndo::AddedVertex { gv, id } => apply(&gv, &mut |v| {
-                            v.topology.write().remove_vertex(id).map(|_| ())
-                        })?,
-                        GraphUndo::RemovedVertex { gv, id, tuple } => apply(&gv, &mut |v| {
-                            v.topology.write().add_vertex(id, tuple).map(|_| ())
-                        })?,
-                        GraphUndo::AddedEdge { gv, id } => apply(&gv, &mut |v| {
-                            v.topology.write().remove_edge(id).map(|_| ())
-                        })?,
+                        GraphUndo::AddedVertex { id } => {
+                            topo.remove_vertex(id)?;
+                        }
+                        GraphUndo::RemovedVertex { id, tuple } => {
+                            topo.add_vertex(id, tuple)?;
+                        }
+                        GraphUndo::AddedEdge { id } => {
+                            topo.remove_edge(id)?;
+                        }
                         GraphUndo::RemovedEdge {
-                            gv,
                             id,
                             from,
                             to,
                             tuple,
-                        } => apply(&gv, &mut |v| {
-                            v.topology.write().add_edge(id, from, to, tuple).map(|_| ())
-                        })?,
-                        GraphUndo::RenamedVertex { gv, from, to } => apply(&gv, &mut |v| {
-                            v.topology.write().rename_vertex(to, from)
-                        })?,
-                        GraphUndo::RenamedEdge { gv, from, to } => apply(&gv, &mut |v| {
-                            v.topology.write().rename_edge(to, from)
-                        })?,
+                        } => {
+                            topo.add_edge(id, from, to, tuple)?;
+                        }
+                        GraphUndo::RenamedVertex { from, to } => topo.rename_vertex(to, from)?,
+                        GraphUndo::RenamedEdge { from, to } => topo.rename_edge(to, from)?,
                     }
                 }
             }
@@ -193,7 +173,7 @@ pub struct DmlCtx<'a> {
     /// Lowercase name → graph view.
     pub graph_views: &'a HashMap<String, GraphView>,
     /// Lowercase table name → graph views that use it as a source.
-    pub source_map: &'a HashMap<String, Vec<String>>,
+    pub source_map: &'a HashMap<String, Vec<Arc<str>>>,
     /// Armed fault-injection plan (`None` on the rollback path and for
     /// databases without one — every `fault(..)` call is then a no-op).
     pub faults: Option<Arc<FaultState>>,
@@ -207,7 +187,7 @@ pub struct DmlCtx<'a> {
 
 impl<'a> DmlCtx<'a> {
     /// Graph views using `table` as a source, in registration order.
-    fn views_of(&self, table: &str) -> &[String] {
+    fn views_of(&self, table: &str) -> &'a [Arc<str>] {
         self.source_map
             .get(table)
             .map(|v| v.as_slice())
@@ -232,11 +212,10 @@ impl<'a> DmlCtx<'a> {
     }
 }
 
-/// Evaluate a constant expression (INSERT values, constant assignments).
-pub fn eval_const_expr(expr: &Expr) -> Result<Value> {
-    let ns = Namespace::new(std::sync::Arc::new(HashMap::<String, GraphMeta>::new()));
-    let pe = compile(expr, &ns)?;
-    let env = QueryEnv {
+/// An environment with nothing bound: DML expressions read one table's row
+/// (or nothing at all), never a catalog object.
+fn empty_env() -> QueryEnv<'static> {
+    QueryEnv {
         tables: HashMap::new(),
         graphs: HashMap::new(),
         limits: Default::default(),
@@ -244,27 +223,27 @@ pub fn eval_const_expr(expr: &Expr) -> Result<Value> {
         params: Vec::new(),
         gov: Default::default(),
         batch: Default::default(),
-    };
-    pe.eval(&Vec::new(), &env)
+    }
 }
 
 /// Compile a predicate or assignment expression against one table's schema.
 fn compile_for_table(
     expr: &Expr,
     table_name: &str,
-    schema: std::sync::Arc<grfusion_common::Schema>,
+    schema: Arc<grfusion_common::Schema>,
 ) -> Result<PhysExpr> {
-    let mut ns = Namespace::new(std::sync::Arc::new(HashMap::<String, GraphMeta>::new()));
-    ns.push(
-        table_name,
-        BindingKind::Table(table_name.to_string()),
-        schema,
-    )?;
-    compile(expr, &ns)
+    compile(expr, &table_namespace(table_name, schema)?)
 }
 
 /// Rows of `table` matching an optional predicate (read phase: collect row
-/// ids and contents before any mutation).
+/// ids and contents before any mutation), in ascending `RowId` order.
+///
+/// The rows come through the access path [`access::choose`] picks for the
+/// predicate's conjuncts — index candidates re-checked against the whole
+/// predicate — whenever evaluating the predicate cannot fail on any row
+/// ([`PhysExpr::vector_safe`]). A predicate that can fail is walked over
+/// the whole table, because the statement must surface the error of the
+/// first row in scan order that raises one, candidate or not.
 fn matching_rows(
     ctx: &DmlCtx<'_>,
     table_name: &str,
@@ -276,23 +255,37 @@ fn matching_rows(
         .as_ref()
         .map(|e| compile_for_table(e, table_name, table.schema().clone()))
         .transpose()?;
-    let env = QueryEnv {
-        tables: HashMap::new(),
-        graphs: HashMap::new(),
-        limits: Default::default(),
-        parallel: Default::default(),
-        params: Vec::new(),
-        gov: Default::default(),
-        batch: Default::default(),
+    let env = empty_env();
+    let candidates = match &pred {
+        Some(p) if p.vector_safe() => {
+            let indexes: Vec<_> = table.indexes().map(|ix| (ix.column(), ix.kind())).collect();
+            access::choose(p.conjuncts(), &indexes).candidates(&table, &env)?
+        }
+        _ => None,
+    };
+    select_rows(&table, pred.as_ref(), &env, candidates)
+}
+
+/// The rows among `candidates` (`None` = every live row) that satisfy
+/// `pred`, with their ids. Candidates are ascending, so the output order is
+/// the scan's either way.
+fn select_rows(
+    table: &Table,
+    pred: Option<&PhysExpr>,
+    env: &QueryEnv<'_>,
+    candidates: Option<Vec<RowId>>,
+) -> Result<Vec<(RowId, Row)>> {
+    let rows: Box<dyn Iterator<Item = (RowId, &Row)>> = match candidates {
+        Some(ids) => Box::new(ids.into_iter().filter_map(|id| Some((id, table.get(id)?)))),
+        None => Box::new(table.scan()),
     };
     let mut out = Vec::new();
-    for (id, row) in table.scan() {
-        if let Some(p) = &pred {
-            if !p.matches(row, &env)? {
-                continue;
-            }
+    for (id, row) in rows {
+        #[cfg(test)]
+        tests::ROWS_EXAMINED.with(|n| n.set(n.get() + 1));
+        if pred.map_or(Ok(true), |p| p.matches(row, env))? {
+            out.push((id, row.clone())); // alloc-ok: the victim copy is what the read phase returns
         }
-        out.push((id, row.clone()));
     }
     Ok(out)
 }
@@ -316,20 +309,39 @@ pub fn execute_insert(ctx: &DmlCtx<'_>, journal: &mut Journal, ins: &Insert) -> 
         let table_name = ins.table.to_ascii_lowercase();
         let handle = ctx.catalog.table(&table_name)?;
         let schema = handle.read().schema().clone();
-        let positions: Vec<usize> = match &ins.columns {
-            None => (0..schema.len()).collect(),
-            Some(cols) => cols
-                .iter()
-                .map(|c| schema.resolve(c))
-                .collect::<Result<_>>()?,
-        };
+        let positions = insert_positions(&schema, &ins.columns)?;
         crate::analyze::check_insert_values(&schema, &positions, value_rows)?;
     }
-    let rows: Vec<Row> = value_rows
-        .iter()
-        .map(|r| r.iter().map(eval_const_expr).collect::<Result<Row>>())
-        .collect::<Result<_>>()?;
+    // A literal is its own value; anything else is a constant expression
+    // compiled against nothing. One namespace and environment serve the
+    // whole statement.
+    let (ns, env) = (empty_namespace(), empty_env());
+    let no_row = Row::new();
+    let eval = |e: &Expr| match e {
+        Expr::Literal(v) => Ok(v.clone()),
+        e => compile(e, &ns)?.eval(&no_row, &env),
+    };
+    let mut rows: Vec<Row> = Vec::with_capacity(value_rows.len());
+    for exprs in value_rows {
+        // Sized up front: collecting through `Result` would grow it twice.
+        let mut row = Row::with_capacity(exprs.len()); // alloc-ok: the row being inserted
+        for e in exprs {
+            row.push(eval(e)?);
+        }
+        rows.push(row);
+    }
     execute_insert_rows(ctx, journal, &ins.table, &ins.columns, rows)
+}
+
+/// Resolve an INSERT's optional column list to schema positions.
+fn insert_positions(
+    schema: &grfusion_common::Schema,
+    columns: &Option<Vec<String>>,
+) -> Result<Vec<usize>> {
+    match columns {
+        None => Ok((0..schema.len()).collect()),
+        Some(cols) => cols.iter().map(|c| schema.resolve(c)).collect(),
+    }
 }
 
 /// Insert pre-evaluated value rows, honoring an optional column list
@@ -341,73 +353,84 @@ pub fn execute_insert_rows(
     columns: &Option<Vec<String>>,
     rows: Vec<Row>,
 ) -> Result<u64> {
-    let table_name = table.to_ascii_lowercase();
+    let table_name: Arc<str> = table.to_ascii_lowercase().into();
     let handle = ctx.catalog.table(&table_name)?;
     let schema = handle.read().schema().clone();
-
-    // Resolve the column list → positions.
-    let positions: Vec<usize> = match columns {
-        None => (0..schema.len()).collect(),
-        Some(cols) => cols
-            .iter()
-            .map(|c| schema.resolve(c))
-            .collect::<Result<_>>()?,
-    };
+    let positions = insert_positions(&schema, columns)?;
 
     let mut n = 0u64;
     for value_row in rows {
         if value_row.len() != positions.len() {
-            return Err(Error::execution(format!(
-                "INSERT expects {} values, got {}",
-                positions.len(),
-                value_row.len()
-            )));
+            return Err(arity_error(positions.len(), value_row.len()));
         }
-        let mut row: Row = vec![Value::Null; schema.len()];
-        for (pos, v) in positions.iter().zip(value_row) {
-            row[*pos] = v;
-        }
+        // Without a column list the values already are the row.
+        let row = if columns.is_none() {
+            value_row
+        } else {
+            let mut row: Row = vec![Value::Null; schema.len()]; // alloc-ok: the row being inserted
+            for (pos, v) in positions.iter().zip(value_row) {
+                row[*pos] = v;
+            }
+            row
+        };
         ctx.fault("dml.insert.row")?;
-        let row_id = handle.write().insert(row.clone())?;
-        journal.record_storage(UndoOp::Insert {
-            table: table_name.clone(),
-            row: row_id,
-        });
-        maintain_insert(ctx, journal, &table_name, row_id, &row)?;
+        insert_row(ctx, journal, &handle, &table_name, row)?;
         ctx.fault("dml.insert.post")?;
         n += 1;
     }
     Ok(n)
 }
 
+fn arity_error(expected: usize, got: usize) -> Error {
+    Error::execution(format!("INSERT expects {expected} values, got {got}"))
+}
+
+/// Store one row, journal it and maintain the views its table feeds.
+fn insert_row(
+    ctx: &DmlCtx<'_>,
+    journal: &mut Journal,
+    handle: &grfusion_storage::TableRef,
+    table: &Arc<str>,
+    row: Row,
+) -> Result<()> {
+    let views = ctx.views_of(table);
+    // Maintenance reads the row after storage has taken it: keep a copy
+    // only when some view will look.
+    let kept = if views.is_empty() { None } else { Some(row.clone()) };
+    let row_id = handle.write().insert(row)?;
+    journal.record_storage(UndoOp::Insert {
+        table: table.clone(), // alloc-ok: Arc bump
+        row: row_id,
+    });
+    match kept {
+        Some(row) => maintain_insert(ctx, journal, views, table, row_id, &row),
+        None => Ok(()),
+    }
+}
+
 /// Topology maintenance for one inserted row.
 fn maintain_insert(
     ctx: &DmlCtx<'_>,
     journal: &mut Journal,
+    views: &[Arc<str>],
     table: &str,
     row_id: RowId,
     row: &Row,
 ) -> Result<()> {
-    for gv_name in ctx.views_of(table) {
+    for gv_name in views {
         ctx.fault("dml.insert.maintain")?;
-        let view = &ctx.graph_views[gv_name];
+        let view = &ctx.graph_views[&**gv_name];
         if view.def.vertex_source == table {
             let id = id_value(&row[view.def.vertex_id_col], "vertex")?;
             view.topology.write().add_vertex(id, row_id)?;
-            journal.record_graph(GraphUndo::AddedVertex {
-                gv: gv_name.clone(),
-                id,
-            });
+            journal.record_graph(gv_name, GraphUndo::AddedVertex { id });
         }
         if view.def.edge_source == table {
             let id = id_value(&row[view.def.edge_id_col], "edge")?;
             let from = id_value(&row[view.def.edge_from_col], "edge FROM")?;
             let to = id_value(&row[view.def.edge_to_col], "edge TO")?;
             view.topology.write().add_edge(id, from, to, row_id)?;
-            journal.record_graph(GraphUndo::AddedEdge {
-                gv: gv_name.clone(),
-                id,
-            });
+            journal.record_graph(gv_name, GraphUndo::AddedEdge { id });
         }
     }
     Ok(())
@@ -422,16 +445,11 @@ pub fn execute_bulk_insert(
     table: &str,
     rows: Vec<Row>,
 ) -> Result<u64> {
-    let table_name = table.to_ascii_lowercase();
+    let table_name: Arc<str> = table.to_ascii_lowercase().into();
     let handle = ctx.catalog.table(&table_name)?;
     let mut n = 0u64;
     for row in rows {
-        let row_id = handle.write().insert(row.clone())?;
-        journal.record_storage(UndoOp::Insert {
-            table: table_name.clone(),
-            row: row_id,
-        });
-        maintain_insert(ctx, journal, &table_name, row_id, &row)?;
+        insert_row(ctx, journal, &handle, &table_name, row)?;
         n += 1;
     }
     Ok(n)
@@ -443,7 +461,7 @@ pub fn execute_bulk_insert(
 
 /// Execute a DELETE, maintaining affected graph views.
 pub fn execute_delete(ctx: &DmlCtx<'_>, journal: &mut Journal, del: &Delete) -> Result<u64> {
-    let table_name = del.table.to_ascii_lowercase();
+    let table_name: Arc<str> = del.table.to_ascii_lowercase().into();
     // Static typecheck: the WHERE clause must be BOOLEAN.
     {
         let schema = ctx.catalog.table(&table_name)?.read().schema().clone();
@@ -459,7 +477,7 @@ pub fn execute_delete(ctx: &DmlCtx<'_>, journal: &mut Journal, del: &Delete) -> 
         ctx.fault("dml.delete.storage")?;
         let old = handle.write().delete(row_id)?;
         journal.record_storage(UndoOp::Delete {
-            table: table_name.clone(),
+            table: table_name.clone(), // alloc-ok: Arc bump
             row: row_id,
             old,
         });
@@ -477,28 +495,18 @@ fn maintain_delete(
 ) -> Result<()> {
     for gv_name in ctx.views_of(table) {
         ctx.fault("dml.delete.maintain")?;
-        let view = &ctx.graph_views[gv_name];
+        let view = &ctx.graph_views[&**gv_name];
         if view.def.edge_source == table {
             let id = id_value(&row[view.def.edge_id_col], "edge")?;
             let from = id_value(&row[view.def.edge_from_col], "edge FROM")?;
             let to = id_value(&row[view.def.edge_to_col], "edge TO")?;
             let tuple = view.topology.write().remove_edge(id)?;
-            journal.record_graph(GraphUndo::RemovedEdge {
-                gv: gv_name.clone(),
-                id,
-                from,
-                to,
-                tuple,
-            });
+            journal.record_graph(gv_name, GraphUndo::RemovedEdge { id, from, to, tuple });
         }
         if view.def.vertex_source == table {
             let id = id_value(&row[view.def.vertex_id_col], "vertex")?;
             let tuple = view.topology.write().remove_vertex(id)?;
-            journal.record_graph(GraphUndo::RemovedVertex {
-                gv: gv_name.clone(),
-                id,
-                tuple,
-            });
+            journal.record_graph(gv_name, GraphUndo::RemovedVertex { id, tuple });
         }
     }
     Ok(())
@@ -510,7 +518,7 @@ fn maintain_delete(
 
 /// Execute an UPDATE, maintaining affected graph views (§3.3.1).
 pub fn execute_update(ctx: &DmlCtx<'_>, journal: &mut Journal, upd: &Update) -> Result<u64> {
-    let table_name = upd.table.to_ascii_lowercase();
+    let table_name: Arc<str> = upd.table.to_ascii_lowercase().into();
     let handle = ctx.catalog.table(&table_name)?;
     let schema = handle.read().schema().clone();
 
@@ -521,23 +529,16 @@ pub fn execute_update(ctx: &DmlCtx<'_>, journal: &mut Journal, upd: &Update) -> 
     let mut compiled: Vec<(usize, PhysExpr)> = Vec::with_capacity(upd.assignments.len());
     for (col, expr) in &upd.assignments {
         let pos = schema.resolve(col)?;
-        compiled.push((pos, compile_for_table(expr, &table_name, schema.clone())?));
+        let schema = schema.clone(); // alloc-ok: Arc bump, per assignment
+        compiled.push((pos, compile_for_table(expr, &table_name, schema)?));
     }
 
     let victims = matching_rows(ctx, &table_name, &upd.selection)?;
-    let env = QueryEnv {
-        tables: HashMap::new(),
-        graphs: HashMap::new(),
-        limits: Default::default(),
-        parallel: Default::default(),
-        params: Vec::new(),
-        gov: Default::default(),
-        batch: Default::default(),
-    };
+    let env = empty_env();
 
     let mut n = 0u64;
     for (row_id, old_row) in victims {
-        let mut new_row = old_row.clone();
+        let mut new_row = old_row.clone(); // alloc-ok: the row being written; maintenance compares it with the old one
         for (pos, expr) in &compiled {
             new_row[*pos] = expr.eval(&old_row, &env)?;
         }
@@ -546,7 +547,7 @@ pub fn execute_update(ctx: &DmlCtx<'_>, journal: &mut Journal, upd: &Update) -> 
         ctx.fault("dml.update.storage")?;
         let old = handle.write().update(row_id, new_row)?;
         journal.record_storage(UndoOp::Update {
-            table: table_name.clone(),
+            table: table_name.clone(), // alloc-ok: Arc bump
             row: row_id,
             old,
         });
@@ -567,16 +568,18 @@ fn maintain_update(
     let changed = |col: usize| old_row[col].sql_eq(&new_row[col]) != Some(true);
     for gv_name in ctx.views_of(table) {
         ctx.fault("dml.update.maintain")?;
-        let view = &ctx.graph_views[gv_name];
+        let view = &ctx.graph_views[&**gv_name];
         if view.def.vertex_source == table && changed(view.def.vertex_id_col) {
             let old_id = id_value(&old_row[view.def.vertex_id_col], "vertex")?;
             let new_id = id_value(&new_row[view.def.vertex_id_col], "vertex")?;
             view.topology.write().rename_vertex(old_id, new_id)?;
-            journal.record_graph(GraphUndo::RenamedVertex {
-                gv: gv_name.clone(),
-                from: old_id,
-                to: new_id,
-            });
+            journal.record_graph(
+                gv_name,
+                GraphUndo::RenamedVertex {
+                    from: old_id,
+                    to: new_id,
+                },
+            );
             // Cascade the new id into the edges relational-source (§3.3.1:
             // referential integrity of the edge source on vertex-id update).
             cascade_vertex_id(ctx, journal, view, old_id, new_id)?;
@@ -589,11 +592,13 @@ fn maintain_update(
                 let old_id = id_value(&old_row[view.def.edge_id_col], "edge")?;
                 let new_id = id_value(&new_row[view.def.edge_id_col], "edge")?;
                 view.topology.write().rename_edge(old_id, new_id)?;
-                journal.record_graph(GraphUndo::RenamedEdge {
-                    gv: gv_name.clone(),
-                    from: old_id,
-                    to: new_id,
-                });
+                journal.record_graph(
+                    gv_name,
+                    GraphUndo::RenamedEdge {
+                        from: old_id,
+                        to: new_id,
+                    },
+                );
             }
             if endpoint_changed {
                 // Re-link: drop the old edge and add the new one.
@@ -603,21 +608,20 @@ fn maintain_update(
                 let new_from = id_value(&new_row[view.def.edge_from_col], "edge FROM")?;
                 let new_to = id_value(&new_row[view.def.edge_to_col], "edge TO")?;
                 let tuple = view.topology.write().remove_edge(cur_id)?;
-                journal.record_graph(GraphUndo::RemovedEdge {
-                    gv: gv_name.clone(),
-                    id: cur_id,
-                    from: old_from,
-                    to: old_to,
-                    tuple,
-                });
+                journal.record_graph(
+                    gv_name,
+                    GraphUndo::RemovedEdge {
+                        id: cur_id,
+                        from: old_from,
+                        to: old_to,
+                        tuple,
+                    },
+                );
                 // The nastiest crash point: the edge is gone from the
                 // topology but not yet re-added — rollback must restore it.
                 ctx.fault("dml.update.relink")?;
                 view.topology.write().add_edge(cur_id, new_from, new_to, row_id)?;
-                journal.record_graph(GraphUndo::AddedEdge {
-                    gv: gv_name.clone(),
-                    id: cur_id,
-                });
+                journal.record_graph(gv_name, GraphUndo::AddedEdge { id: cur_id });
             }
         }
     }
@@ -626,6 +630,13 @@ fn maintain_update(
 
 /// Propagate a vertex-id change into every edge-source row that references
 /// the old id.
+///
+/// The rows are found through the topology, not by scanning the edge
+/// source: §3.3 maintenance keeps edge-source rows and topology edges one
+/// to one, so the rows naming a vertex are the tuple pointers of its
+/// incident edges (the vertex was just renamed, so it is looked up by
+/// `new_id`). They are visited in ascending `RowId` order — the scan's —
+/// and each is still checked to name `old_id` before it is rewritten.
 fn cascade_vertex_id(
     ctx: &DmlCtx<'_>,
     journal: &mut Journal,
@@ -633,33 +644,59 @@ fn cascade_vertex_id(
     old_id: i64,
     new_id: i64,
 ) -> Result<()> {
-    let handle = ctx.catalog.table(&view.def.edge_source)?;
-    // Collect first (cannot mutate while scanning).
+    let (from_col, to_col) = (view.def.edge_from_col, view.def.edge_to_col);
+    let names_old = |v: &Value| matches!(v, Value::Integer(i) if *i == old_id);
+    let (mut incident, edges): (Vec<RowId>, usize) = {
+        let topo = view.topology.read();
+        let slot = topo.vertex_slot(new_id)?;
+        // Undirected views list every incident edge as outgoing.
+        let incident = topo
+            .out_edges(slot)
+            .iter()
+            .chain(topo.in_edges(slot))
+            .map(|&e| topo.edge_tuple(e))
+            .collect();
+        (incident, topo.edge_count())
+    };
+    incident.sort_unstable();
+    incident.dedup(); // a self-loop is both outgoing and incoming
+    let table: Arc<str> = view.def.edge_source.as_str().into();
+    let handle = ctx.catalog.table(&table)?;
+    // There is no scan to fall back on, so a view that covered only part of
+    // its edge source (a filter, a row maintenance skipped) would make the
+    // cascade miss referencing rows silently: say so instead.
+    debug_assert_eq!(
+        handle.read().len(),
+        edges,
+        "graph view `{}`: edge-source rows and topology edges are not one to one",
+        view.def.name
+    );
+    // Collect first (cannot mutate while reading).
     let touched: Vec<(RowId, Row)> = {
         let t = handle.read();
-        t.scan()
-            .filter(|(_, row)| {
-                matches!(row[view.def.edge_from_col], Value::Integer(i) if i == old_id)
-                    || matches!(row[view.def.edge_to_col], Value::Integer(i) if i == old_id)
-            })
+        incident
+            .into_iter()
+            .filter_map(|id| t.get(id).map(|row| (id, row)))
+            .filter(|(_, row)| names_old(&row[from_col]) || names_old(&row[to_col]))
             .map(|(id, row)| (id, row.clone()))
             .collect()
     };
-    for (row_id, row) in touched {
+    for (row_id, mut new_row) in touched {
         ctx.fault("dml.update.cascade")?;
-        let mut new_row = row;
-        if matches!(new_row[view.def.edge_from_col], Value::Integer(i) if i == old_id) {
-            new_row[view.def.edge_from_col] = Value::Integer(new_id);
-        }
-        if matches!(new_row[view.def.edge_to_col], Value::Integer(i) if i == old_id) {
-            new_row[view.def.edge_to_col] = Value::Integer(new_id);
+        for col in [from_col, to_col] {
+            if names_old(&new_row[col]) {
+                new_row[col] = Value::Integer(new_id);
+            }
         }
         let old = handle.write().update(row_id, new_row)?;
         journal.record_storage(UndoOp::Update {
-            table: view.def.edge_source.clone(),
+            table: table.clone(), // alloc-ok: Arc bump
             row: row_id,
             old,
         });
     }
     Ok(())
 }
+
+#[cfg(test)]
+mod tests;

@@ -383,6 +383,23 @@ impl PhysExpr {
         }
     }
 
+    /// The operands of the top-level `AND` chain, left to right (the
+    /// expression itself when it is not an `AND`).
+    pub(crate) fn conjuncts(&self) -> Vec<&PhysExpr> {
+        fn flatten<'p>(e: &'p PhysExpr, out: &mut Vec<&'p PhysExpr>) {
+            match e {
+                PhysExpr::And(l, r) => {
+                    flatten(l, out);
+                    flatten(r, out);
+                }
+                e => out.push(e),
+            }
+        }
+        let mut out = Vec::new();
+        flatten(self, &mut out);
+        out
+    }
+
     /// Whether the expression references any column (false ⇒ constant).
     pub fn is_constant(&self) -> bool {
         match self {

@@ -43,6 +43,7 @@
 //! assert_eq!(rs.rows[0][0].to_string(), "Parker");
 //! ```
 
+mod access;
 pub mod analyze;
 pub mod batch;
 pub mod config;

@@ -23,7 +23,9 @@ use grfusion_common::{Column, DataType, Error, Result, Schema};
 use grfusion_sql::{
     BinaryOp, Expr, FromItem, IndexEnd, PathHint, RefPart, Select, SelectItem,
 };
+use grfusion_storage::IndexKind;
 
+use crate::access::{choose, AccessPath};
 use crate::config::OptimizerFlags;
 use crate::expr::{
     compile, AggFunc, BindingKind, CmpOp, GraphMeta, Namespace, PathTarget, PhysExpr,
@@ -472,8 +474,7 @@ impl<'a> Planner<'a> {
         let mut solo = Namespace::new(self.ctx.graphs.clone());
         solo.push(binding_name, kind.clone(), schema.clone())?;
 
-        let mut filter: Option<PhysExpr> = None;
-        let mut index_key: Option<(usize, PhysExpr)> = None;
+        let mut pushed: Vec<PhysExpr> = Vec::new();
         for (i, c) in conjuncts.iter().enumerate() {
             if consumed[i] {
                 continue;
@@ -486,38 +487,25 @@ impl<'a> Planner<'a> {
             }
             let Ok(pe) = compile(c, &solo) else { continue };
             consumed[i] = true;
-            // Index lookup candidate: `col = const` on a hash-indexed column.
-            if index_key.is_none() {
-                if let BindingKind::Table(table) = kind {
-                    if let PhysExpr::Cmp { op: CmpOp::Eq, left, right } = &pe {
-                        let cand = match (left.as_ref(), right.as_ref()) {
-                            (PhysExpr::Column { index, .. }, k) if k.is_constant() => {
-                                Some((*index, k.clone()))
-                            }
-                            (k, PhysExpr::Column { index, .. }) if k.is_constant() => {
-                                Some((*index, k.clone()))
-                            }
-                            _ => None,
-                        };
-                        if let Some((col, key)) = cand {
-                            let indexed = self
-                                .ctx
-                                .hash_indexed
-                                .get(table)
-                                .is_some_and(|cols| cols.contains(&col));
-                            if indexed {
-                                index_key = Some((col, key));
-                                continue; // consumed by the index, not the filter
-                            }
-                        }
-                    }
-                }
-            }
-            filter = Some(match filter {
-                None => pe,
-                Some(f) => PhysExpr::And(Box::new(f), Box::new(pe)),
-            });
+            pushed.push(pe);
         }
+        // A constant equality on a hash-indexed column is consumed by the
+        // index, not the filter. (Range verdicts stay scans for SELECT.)
+        let mut index_key: Option<(usize, PhysExpr)> = None;
+        let hash_indexed = match kind {
+            BindingKind::Table(table) => self.ctx.hash_indexed.get(table),
+            _ => None,
+        };
+        if let Some(columns) = hash_indexed {
+            let indexes: Vec<_> = columns.iter().map(|c| (*c, IndexKind::Hash)).collect();
+            if let AccessPath::Key { column, conjunct, key, .. } = choose(&pushed, &indexes) {
+                index_key = Some((column, key.clone()));
+                pushed.remove(conjunct);
+            }
+        }
+        let filter = pushed
+            .into_iter()
+            .reduce(|f, pe| PhysExpr::And(Box::new(f), Box::new(pe)));
 
         Ok(match node {
             PlanNode::TableScan { table, schema, .. } => {

@@ -11,16 +11,21 @@ use std::collections::{BTreeMap, HashMap};
 use grfusion_common::value::GroupKey;
 use grfusion_common::{Error, Result, RowId, Value};
 
-/// Key type for ordered indexes: a total order over index-able values.
+/// Key type for ordered indexes: a total order over index-able values that
+/// agrees with `Value::sql_cmp` — equal values are one key.
 ///
-/// Doubles are mapped to a sign-corrected bit pattern so `u64` ordering
-/// matches numeric ordering (the classic IEEE-754 trick), which keeps the
-/// `BTreeMap` key `Ord` without custom comparators.
+/// A number is the pair (order bits of the largest double not above it,
+/// what is left over), compared lexicographically. Doubles are mapped to a
+/// sign-corrected bit pattern so `u64` ordering matches numeric ordering
+/// (the classic IEEE-754 trick) and leave nothing over; an integer beyond
+/// 2^53 keeps its distance to that double, so neighbouring integers stay
+/// distinct keys while integers and doubles still interleave numerically.
+/// This keeps the `BTreeMap` key `Ord` without custom comparators.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OrdKey {
     Null,
     Boolean(bool),
-    Number(u64),
+    Number(u64, u16),
     Text(std::sync::Arc<str>),
 }
 
@@ -31,8 +36,11 @@ impl OrdKey {
         Ok(match v {
             Value::Null => OrdKey::Null,
             Value::Boolean(b) => OrdKey::Boolean(*b),
-            Value::Integer(i) => OrdKey::Number(f64_order_bits(*i as f64)),
-            Value::Double(d) => OrdKey::Number(f64_order_bits(*d)),
+            Value::Integer(i) => {
+                let (bits, rest) = i64_order_key(*i);
+                OrdKey::Number(bits, rest)
+            }
+            Value::Double(d) => OrdKey::Number(f64_order_bits(*d), 0),
             Value::Text(s) => OrdKey::Text(s.clone()),
             Value::Path(_) => {
                 return Err(Error::execution("PATH values are not indexable"));
@@ -41,16 +49,47 @@ impl OrdKey {
     }
 }
 
-/// Map an f64 to a u64 whose unsigned order equals the float's numeric
-/// order (negative floats get their bits flipped; positives get the sign
-/// bit set).
+/// Map an f64 to a u64 whose unsigned order equals the float's order under
+/// `Value::sql_cmp` (negative floats get their bits flipped; positives get
+/// the sign bit set). SQL holds `-0.0 = 0.0`, every NaN equal to every other
+/// and greater than any number, so both zeros share `+0.0`'s key and every
+/// NaN, whatever its sign and payload, the key above `+inf`'s.
 fn f64_order_bits(d: f64) -> u64 {
-    let bits = d.to_bits();
+    if d.is_nan() {
+        return u64::MAX;
+    }
+    let bits = if d == 0.0 { 0 } else { d.to_bits() };
     if bits & (1 << 63) != 0 {
         !bits
     } else {
         bits | (1 << 63)
     }
+}
+
+/// Inverse of [`f64_order_bits`].
+fn f64_from_order_bits(bits: u64) -> f64 {
+    f64::from_bits(if bits & (1 << 63) != 0 {
+        bits ^ (1 << 63)
+    } else {
+        !bits
+    })
+}
+
+/// Exact ordered key of an integer: the order bits of the largest double
+/// `f <= i`, and `i - f`. Below 2^53 in magnitude `f == i`; beyond it
+/// doubles are at most 1024 apart, so the remainder fits a `u16`.
+fn i64_order_key(i: i64) -> (u64, u16) {
+    // Every double this large is integral, so `as i128` reads it exactly.
+    let exact = |bits: u64| f64_from_order_bits(bits) as i128; // cast-ok: integral, within i128
+    let nearest = i as f64; // cast-ok: rounding up is undone below
+    let mut bits = f64_order_bits(nearest);
+    // Adjacent doubles have adjacent order bits: one double down is `- 1`.
+    if exact(bits) > i128::from(i) {
+        bits -= 1;
+    }
+    let rest = u16::try_from(i128::from(i) - exact(bits));
+    let rest = rest.expect("doubles within the i64 range are at most 1024 apart");
+    (bits, rest)
 }
 
 /// Physical index kind.
@@ -117,7 +156,7 @@ impl Index {
         if !self.unique || key.is_null() {
             return false;
         }
-        !self.get(key).is_empty()
+        !self.lookup(key).is_empty()
     }
 
     /// Insert an entry. The caller (the table) has already checked
@@ -167,13 +206,16 @@ impl Index {
 
     /// Point lookup.
     pub fn get(&self, key: &Value) -> Vec<RowId> {
-        match &self.repr {
-            Repr::Hash(map) => map.get(&key.group_key()).cloned().unwrap_or_default(),
-            Repr::Ordered(map) => OrdKey::from_value(key)
-                .ok()
-                .and_then(|k| map.get(&k).cloned())
-                .unwrap_or_default(),
-        }
+        self.lookup(key).to_vec()
+    }
+
+    /// Point lookup without copying the entry (empty when the key is absent).
+    pub fn lookup(&self, key: &Value) -> &[RowId] {
+        let rows = match &self.repr {
+            Repr::Hash(map) => map.get(&key.group_key()),
+            Repr::Ordered(map) => OrdKey::from_value(key).ok().and_then(|k| map.get(&k)),
+        };
+        rows.map_or(&[], Vec::as_slice)
     }
 
     /// Range scan `[low, high]` with per-bound inclusivity. Only ordered
@@ -204,6 +246,16 @@ impl Index {
             Some((v, false)) => Bound::Excluded(OrdKey::from_value(v)?),
         };
         let mut out = Vec::new();
+        // `BTreeMap::range` panics on an inverted or doubly-excluded empty
+        // interval; such a range simply holds no key.
+        if let (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) =
+            (&lo, &hi)
+        {
+            let both_included = matches!((&lo, &hi), (Bound::Included(_), Bound::Included(_)));
+            if l > h || (l == h && !both_included) {
+                return Ok(out);
+            }
+        }
         for (_, rows) in map.range((lo, hi)) {
             out.extend_from_slice(rows);
         }

@@ -221,10 +221,14 @@ impl Table {
     /// are moved for changed key columns.
     pub fn update(&mut self, id: RowId, new_row: Row) -> Result<Row> {
         let new_row = self.check_row(new_row)?;
+        // Borrow the stored row (fields, not `self.get`, so the indexes can
+        // be moved while it is read); it is swapped out, not cloned, below.
         let old = self
-            .get(id)
-            .ok_or_else(|| Error::execution(format!("row id {id:?} not found")))?
-            .clone();
+            .chunks
+            .get(id.index() >> CHUNK_BITS)
+            .and_then(|c| c.slots.get(id.index() & CHUNK_MASK))
+            .and_then(|s| s.as_ref())
+            .ok_or_else(|| Error::execution(format!("row id {id:?} not found")))?;
         // Check unique conflicts first (excluding this row's own entry).
         for ix in &self.indexes {
             let c = ix.column();
@@ -269,8 +273,9 @@ impl Table {
             }
             return Err(e);
         }
-        *self.slot_mut(id.index()).expect("row fetched above") = Some(new_row);
-        Ok(old)
+        self.slot_mut(id.index())
+            .and_then(|slot| slot.replace(new_row))
+            .ok_or_else(|| Error::execution(format!("row id {id:?} not found")))
     }
 
     /// Fetch a row by id (None if deleted / out of range).

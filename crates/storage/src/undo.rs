@@ -8,24 +8,27 @@
 //! actions so that graph-view maintenance (§3.3) is atomic with the
 //! triggering DML.
 
+use std::sync::Arc;
+
 use grfusion_common::{Result, Row, RowId};
 
 use crate::catalog::Catalog;
 
-/// One reversible storage action, keyed by table name.
+/// One reversible storage action, keyed by table name. The name is shared
+/// (`Arc<str>`), so a statement logging one op per row allocates it once.
 #[derive(Debug, Clone)]
 pub enum UndoOp {
     /// A row was inserted; undo deletes it.
-    Insert { table: String, row: RowId },
+    Insert { table: Arc<str>, row: RowId },
     /// A row was deleted; undo restores the old contents into its slot.
     Delete {
-        table: String,
+        table: Arc<str>,
         row: RowId,
         old: Row,
     },
     /// A row was updated; undo restores the old contents.
     Update {
-        table: String,
+        table: Arc<str>,
         row: RowId,
         old: Row,
     },

@@ -10,7 +10,9 @@
 //!   and batch operator surfaces), and
 //! * *every* function in the traversal kernels
 //!   (`crates/graph/src/traverse.rs`, `crates/graph/src/dijkstra.rs`,
-//!   `crates/graph/src/p2p.rs`, `crates/graph/src/search.rs`).
+//!   `crates/graph/src/p2p.rs`, `crates/graph/src/search.rs`) and in the
+//!   DML statement bodies (`crates/core/src/dml.rs`), whose loops run once
+//!   per inserted, updated or deleted row under the engine lock.
 //!
 //! Deliberate allocations (building the output value itself, amortized
 //! reservations) carry `// alloc-ok: reason` on the same line and are
@@ -41,6 +43,9 @@ const HOT_FILES: &[&str] = &[
     "crates/graph/src/dijkstra.rs",
     "crates/graph/src/p2p.rs",
     "crates/graph/src/search.rs",
+    // Per-row statement bodies: a `String`/`Row` clone per victim is what
+    // the writer holds the engine lock for.
+    "crates/core/src/dml.rs",
 ];
 
 const HOT_FNS: &[&str] = &["next", "next_batch"];

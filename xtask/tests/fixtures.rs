@@ -105,6 +105,21 @@ fn hot_loop_alloc_p2p_kernel_fixture_pair() {
     );
 }
 
+/// So are the DML statement bodies: a per-row `String` copy in
+/// `crates/core/src/dml.rs` is flagged without any `next()` around it.
+#[test]
+fn hot_loop_alloc_dml_statement_body_fixture_pair() {
+    let file = "crates/core/src/dml.rs";
+    assert_eq!(findings("hot-loop-alloc", "clean", file), Vec::<String>::new());
+    assert_eq!(
+        findings("hot-loop-alloc", "violation", file),
+        vec![
+            "xtask/fixtures/hot-loop-alloc/violation/crates/core/src/dml.rs:8: allocation \
+             `to_string` in hot loop — hoist it out or audit with `// alloc-ok: <reason>`"
+        ]
+    );
+}
+
 /// Every registered pass has a fixture pair on disk — adding a sixth pass
 /// without fixtures fails here, not in review.
 #[test]

@@ -18,7 +18,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: harness <experiment> [--vertices N] [--queries N] [--workers N] [--deadline-ms N] [--paper-like] [--metrics]\n\
          experiments: table2 | fig7 | fig8 | fig9 | fig10 | table3 | csr | batch | optimizer | concurrent |\n\
-         \u{20}            serve | ablate-pushdown | ablate-leninfer | ablate-lazy | ablate-traversal |\n\
+         \u{20}            ablate-pushdown | ablate-leninfer | ablate-lazy | ablate-traversal |\n\
          \u{20}            metrics | all\n\
          --workers N runs GRFusion's graph operators with N morsel worker\n\
          threads (default 1 = serial; answers are identical either way)\n\
@@ -111,7 +111,6 @@ fn main() -> ExitCode {
             "batch" => experiments::batch(scale),
             "optimizer" => experiments::optimizer(scale),
             "concurrent" => experiments::concurrent(scale),
-            "serve" => experiments::serve(scale),
             "ablate-pushdown" => experiments::ablate_pushdown(scale),
             "ablate-leninfer" => experiments::ablate_leninfer(scale),
             "ablate-lazy" => experiments::ablate_lazy(scale),
@@ -136,7 +135,6 @@ fn main() -> ExitCode {
             "batch",
             "optimizer",
             "concurrent",
-            "serve",
             "ablate-pushdown",
             "ablate-leninfer",
             "ablate-lazy",

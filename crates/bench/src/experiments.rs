@@ -1051,151 +1051,6 @@ pub fn metrics(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     Ok(out)
 }
 
-// ---------------------------------------------------------------------------
-// serve — open-loop multi-tenant load through the network front-end
-// ---------------------------------------------------------------------------
-
-/// Stands up the `crates/server` front-end over a roads graph and drives it
-/// with the open-loop harness at two operating points:
-///
-/// * `open-loop@moderate` — offered load under capacity with the default
-///   generous quotas; sheds should be rare and percentiles reflect service
-///   time plus light queueing.
-/// * `open-loop@overload` — offered load far above a deliberately tight
-///   quota (1 concurrent query per tenant, 1 global slot). Admission
-///   control must *shed* the excess with typed retryable `Overloaded`
-///   rather than buffer it; the interesting rows are `shed`, `dropped`,
-///   and how far `achieved_qps` sits below `offered_qps`.
-///
-/// Latencies are measured from the scheduled arrival (queueing included,
-/// no coordinated omission), so the overload percentiles honestly document
-/// the cost of running past saturation.
-pub fn serve(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
-    use crate::loadgen::{run_open_loop, LoadReport, LoadSpec, QueryMix};
-    use grfusion::{Database, FaultPlan};
-    use grfusion_common::Value;
-    use grfusion_server::{Server, ServerConfig, TenantQuota};
-    use std::sync::Arc;
-
-    let ds = roads(scale.vertices.min(2_000), scale.seed);
-    let name = ds.kind.label();
-
-    let build_db = || -> Result<Arc<Database>> {
-        let db = Database::new();
-        db.execute("CREATE TABLE sv (id INTEGER PRIMARY KEY)")?;
-        db.execute(
-            "CREATE TABLE se (id INTEGER PRIMARY KEY, src INTEGER, dst INTEGER, w DOUBLE)",
-        )?;
-        let vrows: Vec<Vec<Value>> = ds
-            .vertices
-            .iter()
-            .map(|(id, _)| vec![Value::Integer(*id)])
-            .collect();
-        db.bulk_insert("sv", vrows)?;
-        // Re-key edges densely so the harness's tenant stripes cover the
-        // whole id space.
-        let erows: Vec<Vec<Value>> = ds
-            .edges
-            .iter()
-            .enumerate()
-            .map(|(i, (_, from, to, _))| {
-                vec![
-                    Value::Integer(i as i64),
-                    Value::Integer(*from),
-                    Value::Integer(*to),
-                    Value::Double(1.0),
-                ]
-            })
-            .collect();
-        db.bulk_insert("se", erows)?;
-        db.execute(&format!(
-            "CREATE {} GRAPH VIEW g VERTEXES(ID = id) FROM sv \
-             EDGES(ID = id, FROM = src, TO = dst, w = w) FROM se",
-            if ds.directed { "DIRECTED" } else { "UNDIRECTED" }
-        ))?;
-        Ok(Arc::new(db))
-    };
-    let mix = QueryMix {
-        n_vertices: ds.vertex_count() as i64,
-        n_edges: ds.edge_count() as i64,
-        read_len: 3,
-    };
-
-    let mut out = Vec::new();
-    let mut emit = |system: &str, r: &LoadReport| {
-        out.push(m("serve", name, system, "offered_qps", format!("{:.1}", r.offered_qps)));
-        out.push(m("serve", name, system, "achieved_qps", format!("{:.1}", r.achieved_qps)));
-        out.push(m("serve", name, system, "acked", r.acked));
-        out.push(m("serve", name, system, "shed", r.shed));
-        out.push(m("serve", name, system, "retries", r.retries));
-        out.push(m("serve", name, system, "failed", r.failed));
-        out.push(m("serve", name, system, "dropped", r.dropped));
-        out.push(m("serve", name, system, "p50_us", r.p50_us));
-        out.push(m("serve", name, system, "p99_us", r.p99_us));
-        out.push(m("serve", name, system, "p999_us", r.p999_us));
-    };
-
-    // Moderate: under capacity, default quotas. Faults are pinned off so a
-    // stray GRFUSION_FAULTS in the environment can't skew the numbers.
-    let no_faults = Some(FaultPlan {
-        seed: 0,
-        rules: Vec::new(),
-    });
-    {
-        let handle = Server::start(
-            build_db()?,
-            ServerConfig {
-                workers: 2,
-                retry_after_ms: 5,
-                faults: no_faults.clone(),
-                ..ServerConfig::default()
-            },
-        )?;
-        let spec = LoadSpec {
-            tenants: 4,
-            requests_per_tenant: scale.queries.max(1) * 5,
-            offered_qps: 40.0,
-            deadline_ms: 0,
-            seed: scale.seed,
-            ..LoadSpec::default()
-        };
-        let report = run_open_loop(handle.addr(), &spec, &mix);
-        emit("open-loop@moderate", &report);
-        handle.shutdown();
-    }
-
-    // Overload: the same mix offered at 5x the rate into a 1-slot server.
-    {
-        let handle = Server::start(
-            build_db()?,
-            ServerConfig {
-                workers: 1,
-                quota: TenantQuota {
-                    max_concurrent: 1,
-                    max_queued_bytes: 4 * 1024,
-                },
-                global_in_flight: 1,
-                retry_after_ms: 5,
-                faults: no_faults,
-                ..ServerConfig::default()
-            },
-        )?;
-        let spec = LoadSpec {
-            tenants: 4,
-            requests_per_tenant: scale.queries.max(1) * 5,
-            offered_qps: 200.0,
-            deadline_ms: 100,
-            max_attempts: 4,
-            seed: scale.seed,
-            ..LoadSpec::default()
-        };
-        let report = run_open_loop(handle.addr(), &spec, &mix);
-        emit("open-loop@overload", &report);
-        handle.shutdown();
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,9 +2,8 @@
 //!
 //! One module per experiment of EDBT 2018 §7 (see DESIGN.md's experiment
 //! index). The harness binary (`cargo run -p grfusion-bench --release --bin
-//! harness -- <experiment>`) prints the same rows/series the paper reports;
-//! the Criterion benches under `benches/` mirror the experiments with
-//! statistical rigor on fixed representative points.
+//! harness -- <experiment>`) prints the same rows/series the paper reports.
+//! Performance is refereed by the repo benchmark (`benchmark/`), not here.
 //!
 //! Absolute numbers are not expected to match the paper (its testbed was a
 //! 32-core Xeon running VoltDB); the *shape* — who wins, how cost grows
@@ -12,7 +11,6 @@
 //! the reproduction target (see EXPERIMENTS.md).
 
 pub mod experiments;
-pub mod loadgen;
 pub mod timing;
 
 pub use experiments::{ExperimentScale, Measurement};

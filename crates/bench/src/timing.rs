@@ -1,4 +1,4 @@
-//! Timing utilities shared by the harness and the Criterion benches.
+//! Timing utilities for the harness.
 
 use std::time::{Duration, Instant};
 

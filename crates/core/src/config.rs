@@ -7,20 +7,6 @@
 
 use grfusion_common::{Error, Result};
 
-/// Error constructor shared by the strict `*_checked` env parsers: the
-/// variable name and offending value always appear in the message, the way
-/// malformed `GRFUSION_FAULTS` specs already report.
-fn bad_env(var: &str, val: &str, why: &str) -> Error {
-    Error::analysis(format!("invalid {var} `{val}`: {why}"))
-}
-
-/// Normalize a raw environment value: trim it and treat an empty or
-/// whitespace-only string the same as unset (the `GRFUSION_FAULTS`
-/// convention).
-fn env_value(v: Option<&str>) -> Option<&str> {
-    v.map(str::trim).filter(|t| !t.is_empty())
-}
-
 /// Which traversal the planner picks when the query gives no hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraversalChoice {
@@ -91,38 +77,6 @@ impl OptimizerFlags {
             ..OptimizerFlags::default()
         }
     }
-
-    /// Read `GRFUSION_OPTIMIZER` from the environment: `1` / `on` / `true`
-    /// enables cost-based selection, anything else (or unset) keeps the
-    /// rule-based planner byte-identical.
-    pub fn from_env() -> Self {
-        OptimizerFlags::from_env_value(std::env::var("GRFUSION_OPTIMIZER").ok().as_deref())
-    }
-
-    /// Pure parsing core of [`OptimizerFlags::from_env`] (testable without
-    /// mutating process-global environment state).
-    pub fn from_env_value(v: Option<&str>) -> Self {
-        OptimizerFlags::from_env_value_checked(v).unwrap_or_else(|_| OptimizerFlags::default())
-    }
-
-    /// Strict twin of [`OptimizerFlags::from_env_value`]: only the on/off
-    /// spellings are accepted; anything else is an error.
-    pub fn from_env_value_checked(v: Option<&str>) -> Result<OptimizerFlags> {
-        let Some(v) = env_value(v) else {
-            return Ok(OptimizerFlags::default());
-        };
-        if v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true") {
-            Ok(OptimizerFlags::cost_based())
-        } else if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") {
-            Ok(OptimizerFlags::default())
-        } else {
-            Err(bad_env(
-                "GRFUSION_OPTIMIZER",
-                v,
-                "expected 1/on/true or 0/off/false",
-            ))
-        }
-    }
 }
 
 /// Execution resource limits.
@@ -169,68 +123,6 @@ impl ParallelConfig {
         }
     }
 
-    /// Strict twin of [`ParallelConfig::from_env`]: a malformed or
-    /// out-of-range value is an error instead of a silent fallback.
-    /// `None` (or an empty string) means unset and keeps the default.
-    pub fn from_env_values_checked(
-        workers: Option<&str>,
-        morsel: Option<&str>,
-    ) -> Result<ParallelConfig> {
-        let workers = match env_value(workers) {
-            None => 1,
-            Some(t) => match t.parse::<usize>() {
-                Ok(n) if (1..=256).contains(&n) => n,
-                _ => {
-                    return Err(bad_env(
-                        "GRFUSION_WORKERS",
-                        t,
-                        "expected an integer in 1..=256",
-                    ))
-                }
-            },
-        };
-        let morsel_size = match env_value(morsel) {
-            None => 64,
-            Some(t) => match t.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    return Err(bad_env(
-                        "GRFUSION_MORSEL_SIZE",
-                        t,
-                        "expected a positive integer",
-                    ))
-                }
-            },
-        };
-        Ok(ParallelConfig {
-            workers,
-            morsel_size,
-        })
-    }
-
-    /// Read `GRFUSION_WORKERS` / `GRFUSION_MORSEL_SIZE` from the
-    /// environment; unset or unparsable values fall back to serial
-    /// defaults. Worker counts are clamped to a sane ceiling. (The
-    /// lenient path keeps `EngineConfig::default()` infallible; the
-    /// engine separately surfaces malformed values via
-    /// [`EngineConfig::env_error`].)
-    pub fn from_env() -> Self {
-        let workers = std::env::var("GRFUSION_WORKERS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|w| w.clamp(1, 256))
-            .unwrap_or(1);
-        let morsel_size = std::env::var("GRFUSION_MORSEL_SIZE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|m| m.max(1))
-            .unwrap_or(64);
-        ParallelConfig {
-            workers,
-            morsel_size,
-        }
-    }
-
     pub fn with_workers(workers: usize) -> Self {
         ParallelConfig {
             workers: workers.clamp(1, 256),
@@ -259,45 +151,6 @@ pub struct GovernorConfig {
     /// aggregation tables, join builds) per query. Exceeding it aborts with
     /// `Error::ResourceExhausted { kind: Bytes, .. }`.
     pub max_memory_bytes: Option<u64>,
-}
-
-impl GovernorConfig {
-    /// Strict twin of [`GovernorConfig::from_env`]: `0` is an explicit
-    /// "off", any other non-integer value is an error.
-    pub fn from_env_values_checked(
-        deadline: Option<&str>,
-        memory: Option<&str>,
-    ) -> Result<GovernorConfig> {
-        let parse = |var: &str, v: Option<&str>| -> Result<Option<u64>> {
-            match env_value(v) {
-                None => Ok(None),
-                Some(t) => match t.parse::<u64>() {
-                    Ok(0) => Ok(None),
-                    Ok(n) => Ok(Some(n)),
-                    Err(_) => Err(bad_env(var, t, "expected a non-negative integer (0 = off)")),
-                },
-            }
-        };
-        Ok(GovernorConfig {
-            deadline_ms: parse("GRFUSION_DEADLINE_MS", deadline)?,
-            max_memory_bytes: parse("GRFUSION_MEMORY_BYTES", memory)?,
-        })
-    }
-
-    /// Read `GRFUSION_DEADLINE_MS` / `GRFUSION_MEMORY_BYTES` from the
-    /// environment; unset or unparsable values leave the limit off.
-    pub fn from_env() -> Self {
-        let parse = |var: &str| {
-            std::env::var(var)
-                .ok()
-                .and_then(|v| v.trim().parse::<u64>().ok())
-                .filter(|&n| n > 0)
-        };
-        GovernorConfig {
-            deadline_ms: parse("GRFUSION_DEADLINE_MS"),
-            max_memory_bytes: parse("GRFUSION_MEMORY_BYTES"),
-        }
-    }
 }
 
 /// Sealed-CSR topology layout policy.
@@ -336,42 +189,6 @@ impl CsrConfig {
             reseal_fraction: 0.25,
         }
     }
-
-    /// Read `GRFUSION_CSR_RESEAL` from the environment: `0` / `off`
-    /// disables sealing entirely (the escape hatch), a fraction in `(0, 1]`
-    /// overrides the re-seal threshold, unset or unparsable keeps the
-    /// default policy.
-    pub fn from_env() -> Self {
-        CsrConfig::from_env_value(std::env::var("GRFUSION_CSR_RESEAL").ok().as_deref())
-    }
-
-    /// Pure parsing core of [`CsrConfig::from_env`] (testable without
-    /// mutating process-global environment state).
-    pub fn from_env_value(v: Option<&str>) -> Self {
-        CsrConfig::from_env_value_checked(v).unwrap_or_else(|_| CsrConfig::sealed())
-    }
-
-    /// Strict twin of [`CsrConfig::from_env_value`]: anything other than
-    /// unset, `0`/`off`, or a fraction in `(0, 1]` is an error.
-    pub fn from_env_value_checked(v: Option<&str>) -> Result<CsrConfig> {
-        let Some(v) = env_value(v) else {
-            return Ok(CsrConfig::sealed());
-        };
-        if v == "0" || v.eq_ignore_ascii_case("off") {
-            return Ok(CsrConfig::adjacency_only());
-        }
-        match v.parse::<f64>() {
-            Ok(f) if f > 0.0 && f <= 1.0 => Ok(CsrConfig {
-                sealed: true,
-                reseal_fraction: f,
-            }),
-            _ => Err(bad_env(
-                "GRFUSION_CSR_RESEAL",
-                v,
-                "expected `0`/`off` or a fraction in (0, 1]",
-            )),
-        }
-    }
 }
 
 impl Default for CsrConfig {
@@ -402,37 +219,6 @@ impl EpochConfig {
 
     pub fn disabled() -> Self {
         EpochConfig { enabled: false }
-    }
-
-    /// Read `GRFUSION_EPOCHS` from the environment: `1` / `on` enables
-    /// epoch publication, anything else (or unset) keeps it off.
-    pub fn from_env() -> Self {
-        EpochConfig::from_env_value(std::env::var("GRFUSION_EPOCHS").ok().as_deref())
-    }
-
-    /// Pure parsing core of [`EpochConfig::from_env`] (testable without
-    /// mutating process-global environment state).
-    pub fn from_env_value(v: Option<&str>) -> Self {
-        EpochConfig::from_env_value_checked(v).unwrap_or_else(|_| EpochConfig::disabled())
-    }
-
-    /// Strict twin of [`EpochConfig::from_env_value`]: only the on/off
-    /// spellings are accepted; anything else is an error.
-    pub fn from_env_value_checked(v: Option<&str>) -> Result<EpochConfig> {
-        let Some(v) = env_value(v) else {
-            return Ok(EpochConfig::disabled());
-        };
-        if v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true") {
-            Ok(EpochConfig::enabled())
-        } else if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") {
-            Ok(EpochConfig::disabled())
-        } else {
-            Err(bad_env(
-                "GRFUSION_EPOCHS",
-                v,
-                "expected 1/on/true or 0/off/false",
-            ))
-        }
     }
 }
 
@@ -486,53 +272,6 @@ impl BatchConfig {
             size: size.clamp(1, MAX_BATCH_SIZE),
         }
     }
-
-    /// Read `GRFUSION_BATCH` from the environment: `1` / `on` / `true`
-    /// enables batching at the default size, an integer in `1..=4096` sets
-    /// the batch size, anything else (or unset) keeps it off.
-    pub fn from_env() -> Self {
-        BatchConfig::from_env_value(std::env::var("GRFUSION_BATCH").ok().as_deref())
-    }
-
-    /// Pure parsing core of [`BatchConfig::from_env`] (testable without
-    /// mutating process-global environment state). Lenient: garbage keeps
-    /// batching off, out-of-range sizes clamp.
-    pub fn from_env_value(v: Option<&str>) -> Self {
-        let Some(t) = env_value(v) else {
-            return BatchConfig::disabled();
-        };
-        match BatchConfig::from_env_value_checked(v) {
-            Ok(cfg) => cfg,
-            // Preserve the historical clamp for a parseable-but-oversized
-            // size; everything else falls back to off.
-            Err(_) => match t.parse::<usize>() {
-                Ok(n) if n >= 1 => BatchConfig::with_size(n),
-                _ => BatchConfig::disabled(),
-            },
-        }
-    }
-
-    /// Strict twin of [`BatchConfig::from_env_value`]: on/off spellings or
-    /// an integer in `1..=4096`; anything else is an error.
-    pub fn from_env_value_checked(v: Option<&str>) -> Result<BatchConfig> {
-        let Some(v) = env_value(v) else {
-            return Ok(BatchConfig::disabled());
-        };
-        if v == "0" || v.eq_ignore_ascii_case("off") || v.eq_ignore_ascii_case("false") {
-            return Ok(BatchConfig::disabled());
-        }
-        if v == "1" || v.eq_ignore_ascii_case("on") || v.eq_ignore_ascii_case("true") {
-            return Ok(BatchConfig::enabled());
-        }
-        match v.parse::<usize>() {
-            Ok(n) if (1..=MAX_BATCH_SIZE).contains(&n) => Ok(BatchConfig::with_size(n)),
-            _ => Err(bad_env(
-                "GRFUSION_BATCH",
-                v,
-                "expected 1/on/true, 0/off/false, or a batch size in 1..=4096",
-            )),
-        }
-    }
 }
 
 impl Default for BatchConfig {
@@ -554,48 +293,180 @@ pub struct EngineConfig {
 }
 
 impl Default for EngineConfig {
-    /// The paper's configuration, plus any parallelism/governance requested
-    /// through the environment (`GRFUSION_WORKERS`, `GRFUSION_DEADLINE_MS`,
-    /// ...) — that hook is what lets CI run the whole suite down the
-    /// parallel or governed path without code changes.
+    /// The strict parse of the `GRFUSION_*` knobs (`ENV_KNOBS`) — that
+    /// hook is what lets CI run the whole suite down the parallel or
+    /// governed path without code changes — or the paper's configuration
+    /// when a knob is malformed. The failure is not lost: `Database`
+    /// surfaces [`EngineConfig::env_error`] on the first statement.
     fn default() -> Self {
-        EngineConfig {
-            optimizer: OptimizerFlags::from_env(),
-            limits: ExecLimits::default(),
-            parallel: ParallelConfig::from_env(),
-            governor: GovernorConfig::from_env(),
-            csr: CsrConfig::from_env(),
-            epochs: EpochConfig::from_env(),
-            batch: BatchConfig::from_env(),
-        }
+        EngineConfig::from_env_checked().unwrap_or_else(|_| EngineConfig::paper())
     }
 }
 
+/// One engine knob read from the environment.
+struct EnvKnob {
+    var: &'static str,
+    /// What the variable accepts — the tail of the malformed-value error.
+    expects: &'static str,
+    /// Strict parser + setter: stores a valid value into the config,
+    /// `None` when the value is malformed or out of range.
+    set: fn(&mut EngineConfig, &str) -> Option<()>,
+}
+
+const ON_OFF: &str = "expected 1/on/true or 0/off/false";
+const LIMIT: &str = "expected a non-negative integer (0 = off)";
+
+/// `1`/`on`/`true` or `0`/`off`/`false`, case-insensitive.
+fn on_off(v: &str) -> Option<bool> {
+    let is = |words: [&str; 3]| words.iter().any(|w| v.eq_ignore_ascii_case(w));
+    if is(["1", "on", "true"]) {
+        Some(true)
+    } else if is(["0", "off", "false"]) {
+        Some(false)
+    } else {
+        None
+    }
+}
+
+/// A governor limit: `0` is an explicit "off".
+fn limit(v: &str) -> Option<Option<u64>> {
+    v.parse::<u64>().ok().map(|n| (n > 0).then_some(n))
+}
+
+/// Every `GRFUSION_*` engine knob, in the order they are validated (the
+/// first malformed one is the one reported). `GRFUSION_FAULTS` is not
+/// here: `Database::with_config` owns the fault plan's lifecycle.
+static ENV_KNOBS: [EnvKnob; 8] = [
+    // On = statistics-driven plan selection on top of the rule-based plan.
+    EnvKnob {
+        var: "GRFUSION_OPTIMIZER",
+        expects: ON_OFF,
+        set: |c, v| {
+            c.optimizer.cost_based = on_off(v)?;
+            Some(())
+        },
+    },
+    EnvKnob {
+        var: "GRFUSION_WORKERS",
+        expects: "expected an integer in 1..=256",
+        set: |c, v| {
+            c.parallel.workers = v.parse().ok().filter(|n| (1..=256).contains(n))?;
+            Some(())
+        },
+    },
+    EnvKnob {
+        var: "GRFUSION_MORSEL_SIZE",
+        expects: "expected a positive integer",
+        set: |c, v| {
+            c.parallel.morsel_size = v.parse().ok().filter(|&n| n >= 1)?;
+            Some(())
+        },
+    },
+    EnvKnob {
+        var: "GRFUSION_DEADLINE_MS",
+        expects: LIMIT,
+        set: |c, v| {
+            c.governor.deadline_ms = limit(v)?;
+            Some(())
+        },
+    },
+    EnvKnob {
+        var: "GRFUSION_MEMORY_BYTES",
+        expects: LIMIT,
+        set: |c, v| {
+            c.governor.max_memory_bytes = limit(v)?;
+            Some(())
+        },
+    },
+    // `0`/`off` never seals (the escape hatch); a fraction overrides the
+    // re-seal threshold.
+    EnvKnob {
+        var: "GRFUSION_CSR_RESEAL",
+        expects: "expected `0`/`off` or a fraction in (0, 1]",
+        set: |c, v| {
+            c.csr = if v == "0" || v.eq_ignore_ascii_case("off") {
+                CsrConfig::adjacency_only()
+            } else {
+                let reseal_fraction = v.parse().ok().filter(|&f| f > 0.0 && f <= 1.0)?;
+                CsrConfig {
+                    sealed: true,
+                    reseal_fraction,
+                }
+            };
+            Some(())
+        },
+    },
+    EnvKnob {
+        var: "GRFUSION_EPOCHS",
+        expects: ON_OFF,
+        set: |c, v| {
+            c.epochs.enabled = on_off(v)?;
+            Some(())
+        },
+    },
+    // An on/off spelling uses the default batch size; any other integer in
+    // range is the batch size.
+    EnvKnob {
+        var: "GRFUSION_BATCH",
+        expects: "expected 1/on/true, 0/off/false, or a batch size in 1..=4096",
+        set: |c, v| {
+            c.batch = match on_off(v) {
+                Some(true) => BatchConfig::enabled(),
+                Some(false) => BatchConfig::disabled(),
+                None => BatchConfig::with_size(
+                    v.parse()
+                        .ok()
+                        .filter(|n| (1..=MAX_BATCH_SIZE).contains(n))?,
+                ),
+            };
+            Some(())
+        },
+    },
+];
+
 impl EngineConfig {
-    /// Strict twin of `EngineConfig::default()`: every `GRFUSION_*` engine
-    /// knob is parsed with its `*_checked` parser, so a malformed value is
-    /// an error instead of a silent fallback to defaults. (The
-    /// `GRFUSION_FAULTS` plan is validated separately by
-    /// `Database::with_config`, which owns its lifecycle.)
-    pub fn from_env_checked() -> Result<EngineConfig> {
-        let get = |k: &str| std::env::var(k).ok();
-        Ok(EngineConfig {
-            optimizer: OptimizerFlags::from_env_value_checked(
-                get("GRFUSION_OPTIMIZER").as_deref(),
-            )?,
+    /// The paper's configuration, with nothing read from the environment.
+    fn paper() -> EngineConfig {
+        EngineConfig {
+            optimizer: OptimizerFlags::default(),
             limits: ExecLimits::default(),
-            parallel: ParallelConfig::from_env_values_checked(
-                get("GRFUSION_WORKERS").as_deref(),
-                get("GRFUSION_MORSEL_SIZE").as_deref(),
-            )?,
-            governor: GovernorConfig::from_env_values_checked(
-                get("GRFUSION_DEADLINE_MS").as_deref(),
-                get("GRFUSION_MEMORY_BYTES").as_deref(),
-            )?,
-            csr: CsrConfig::from_env_value_checked(get("GRFUSION_CSR_RESEAL").as_deref())?,
-            epochs: EpochConfig::from_env_value_checked(get("GRFUSION_EPOCHS").as_deref())?,
-            batch: BatchConfig::from_env_value_checked(get("GRFUSION_BATCH").as_deref())?,
-        })
+            parallel: ParallelConfig::default(),
+            governor: GovernorConfig::default(),
+            csr: CsrConfig::default(),
+            epochs: EpochConfig::default(),
+            batch: BatchConfig::default(),
+        }
+    }
+
+    /// Names of the `GRFUSION_*` engine knobs the environment parser
+    /// recognises, in validation order (what `grfusion-serve --help` lists).
+    pub fn env_vars() -> impl Iterator<Item = &'static str> {
+        ENV_KNOBS.iter().map(|k| k.var)
+    }
+
+    /// The paper's configuration plus every `GRFUSION_*` engine knob set in
+    /// the environment, strictly parsed: a malformed or out-of-range value
+    /// is an error naming the variable and the value, never a silent
+    /// fallback. Unset, empty and whitespace-only all mean "not set" (the
+    /// `GRFUSION_FAULTS` convention).
+    pub fn from_env_checked() -> Result<EngineConfig> {
+        EngineConfig::from_lookup(|var| std::env::var(var).ok())
+    }
+
+    /// [`EngineConfig::from_env_checked`] over any variable source (tests
+    /// parse without mutating process-global environment state).
+    fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<EngineConfig> {
+        let mut cfg = EngineConfig::paper();
+        for knob in &ENV_KNOBS {
+            let raw = get(knob.var);
+            let Some(v) = raw.as_deref().map(str::trim).filter(|t| !t.is_empty()) else {
+                continue;
+            };
+            (knob.set)(&mut cfg, v).ok_or_else(|| {
+                Error::analysis(format!("invalid {} `{v}`: {}", knob.var, knob.expects))
+            })?;
+        }
+        Ok(cfg)
     }
 
     /// The first malformed `GRFUSION_*` engine knob in the current
@@ -604,7 +475,9 @@ impl EngineConfig {
     /// surfaces it on the first statement, the same contract as a
     /// malformed `GRFUSION_FAULTS` spec.
     pub fn env_error() -> Option<String> {
-        EngineConfig::from_env_checked().err().map(|e| e.to_string())
+        EngineConfig::from_env_checked()
+            .err()
+            .map(|e| e.to_string())
     }
 }
 
@@ -619,9 +492,19 @@ mod tests {
         assert!(f.predicate_pushdown);
         assert!(f.aggregate_pushdown);
         assert!(f.lazy_path_scan);
+        assert!(!f.cost_based);
         assert_eq!(f.traversal, TraversalChoice::Auto);
         assert!(f.default_max_path_len >= 1);
+        let on = OptimizerFlags::cost_based();
+        assert!(on.cost_based && on.length_inference && on.predicate_pushdown);
         assert_eq!(ExecLimits::default().max_intermediate_rows, None);
+        assert_eq!(
+            GovernorConfig::default(),
+            GovernorConfig {
+                deadline_ms: None,
+                max_memory_bytes: None
+            }
+        );
         // ParallelConfig::default() is serial regardless of environment;
         // only EngineConfig::default() consults GRFUSION_WORKERS.
         assert_eq!(ParallelConfig::default().workers, 1);
@@ -629,167 +512,191 @@ mod tests {
     }
 
     #[test]
-    fn parallel_config_sanitizes_inputs() {
+    fn constructors_sanitize_inputs() {
         assert_eq!(ParallelConfig::with_workers(0).workers, 1);
         assert_eq!(ParallelConfig::with_workers(4).workers, 4);
         assert!(ParallelConfig::with_workers(1 << 20).workers <= 256);
+        assert_eq!(BatchConfig::with_size(0).size, 1);
+        assert_eq!(BatchConfig::with_size(1 << 20).size, MAX_BATCH_SIZE);
         // EngineConfig::default() must always yield an executable config.
         let cfg = EngineConfig::default();
         assert!(cfg.parallel.workers >= 1);
         assert!(cfg.parallel.morsel_size >= 1);
     }
 
-    #[test]
-    fn governor_defaults_to_off() {
-        let g = GovernorConfig::default();
-        assert_eq!(g.deadline_ms, None);
-        assert_eq!(g.max_memory_bytes, None);
+    /// Parse an environment in which only `var` is set.
+    fn parse(var: &str, value: &str) -> Result<EngineConfig> {
+        EngineConfig::from_lookup(|k| (k == var).then(|| value.to_string()))
     }
 
     #[test]
-    fn batch_env_values() {
-        let d = BatchConfig::from_env_value(None);
-        assert!(!d.enabled);
-        assert_eq!(d.size, DEFAULT_BATCH_SIZE);
-        assert!(!BatchConfig::from_env_value(Some("0")).enabled);
-        assert!(!BatchConfig::from_env_value(Some("off")).enabled);
-        assert!(!BatchConfig::from_env_value(Some("FALSE")).enabled);
-        let on = BatchConfig::from_env_value(Some("1"));
-        assert!(on.enabled);
-        assert_eq!(on.size, DEFAULT_BATCH_SIZE);
-        assert!(BatchConfig::from_env_value(Some("on")).enabled);
-        assert!(BatchConfig::from_env_value(Some("TRUE")).enabled);
-        let sized = BatchConfig::from_env_value(Some("256"));
-        assert!(sized.enabled);
-        assert_eq!(sized.size, 256);
-        // Sizes clamp into 1..=4096; garbage keeps batching off.
-        assert_eq!(BatchConfig::from_env_value(Some("65536")).size, MAX_BATCH_SIZE);
-        assert!(!BatchConfig::from_env_value(Some("nope")).enabled);
-        assert!(!BatchConfig::from_env_value(Some("-4")).enabled);
-        assert_eq!(BatchConfig::with_size(0).size, 1);
-    }
-
-    #[test]
-    fn checked_workers_and_morsel_values() {
-        let ok = ParallelConfig::from_env_values_checked(Some("4"), Some("16")).unwrap();
-        assert_eq!((ok.workers, ok.morsel_size), (4, 16));
-        // Unset / empty keep defaults.
-        let d = ParallelConfig::from_env_values_checked(None, None).unwrap();
-        assert_eq!((d.workers, d.morsel_size), (1, 64));
+    fn recognised_variables_are_the_eight_documented_ones() {
+        let vars: Vec<&str> = EngineConfig::env_vars().collect();
         assert_eq!(
-            ParallelConfig::from_env_values_checked(Some("  "), Some("")).unwrap(),
-            d
+            vars,
+            [
+                "GRFUSION_OPTIMIZER",
+                "GRFUSION_WORKERS",
+                "GRFUSION_MORSEL_SIZE",
+                "GRFUSION_DEADLINE_MS",
+                "GRFUSION_MEMORY_BYTES",
+                "GRFUSION_CSR_RESEAL",
+                "GRFUSION_EPOCHS",
+                "GRFUSION_BATCH",
+            ]
         );
-        // Malformed or out-of-range values error and name the variable.
-        for bad in ["abc", "0", "-1", "1048576", "2.5"] {
-            let e = ParallelConfig::from_env_values_checked(Some(bad), None).unwrap_err();
-            assert!(e.to_string().contains("GRFUSION_WORKERS"), "{e}");
-            assert!(e.to_string().contains(bad.trim()), "{e}");
+    }
+
+    /// Every variable × {unset, empty/whitespace, each valid spelling,
+    /// out-of-range, garbage}: the expected config, or the strict error
+    /// naming the variable, the offending value and what was expected.
+    #[test]
+    fn every_knob_every_input_class() {
+        let paper = EngineConfig::paper();
+        assert_eq!(EngineConfig::from_lookup(|_| None).unwrap(), paper);
+        for var in EngineConfig::env_vars() {
+            for blank in ["", " ", " \t "] {
+                assert_eq!(parse(var, blank).unwrap(), paper, "{var}={blank:?}");
+            }
         }
-        for bad in ["nope", "0", "-3"] {
-            let e = ParallelConfig::from_env_values_checked(None, Some(bad)).unwrap_err();
-            assert!(e.to_string().contains("GRFUSION_MORSEL_SIZE"), "{e}");
+
+        let with = |edit: fn(&mut EngineConfig)| {
+            let mut c = paper;
+            edit(&mut c);
+            c
+        };
+        let valid: &[(&str, &[&str], EngineConfig)] = &[
+            (
+                "GRFUSION_OPTIMIZER",
+                &["1", "on", "ON", "true", " True "],
+                with(|c| c.optimizer = OptimizerFlags::cost_based()),
+            ),
+            ("GRFUSION_OPTIMIZER", &["0", "off", "FALSE"], paper),
+            (
+                "GRFUSION_WORKERS",
+                &["4", " 4 "],
+                with(|c| c.parallel.workers = 4),
+            ),
+            ("GRFUSION_WORKERS", &["1"], paper),
+            (
+                "GRFUSION_WORKERS",
+                &["256"],
+                with(|c| c.parallel.workers = 256),
+            ),
+            (
+                "GRFUSION_MORSEL_SIZE",
+                &["16"],
+                with(|c| c.parallel.morsel_size = 16),
+            ),
+            (
+                "GRFUSION_DEADLINE_MS",
+                &["50"],
+                with(|c| c.governor.deadline_ms = Some(50)),
+            ),
+            ("GRFUSION_DEADLINE_MS", &["0"], paper),
+            (
+                "GRFUSION_MEMORY_BYTES",
+                &["1048576"],
+                with(|c| c.governor.max_memory_bytes = Some(1_048_576)),
+            ),
+            ("GRFUSION_MEMORY_BYTES", &["0"], paper),
+            (
+                "GRFUSION_CSR_RESEAL",
+                &["0", "off", "OFF"],
+                with(|c| c.csr = CsrConfig::adjacency_only()),
+            ),
+            (
+                "GRFUSION_CSR_RESEAL",
+                &["0.5"],
+                with(|c| c.csr.reseal_fraction = 0.5),
+            ),
+            (
+                "GRFUSION_CSR_RESEAL",
+                &["1", "1.0"],
+                with(|c| c.csr.reseal_fraction = 1.0),
+            ),
+            (
+                "GRFUSION_EPOCHS",
+                &["1", "on", "TRUE"],
+                with(|c| c.epochs = EpochConfig::enabled()),
+            ),
+            ("GRFUSION_EPOCHS", &["0", "off", "false"], paper),
+            (
+                "GRFUSION_BATCH",
+                &["1", "on", "TRUE"],
+                with(|c| c.batch = BatchConfig::enabled()),
+            ),
+            ("GRFUSION_BATCH", &["0", "off", "FALSE"], paper),
+            (
+                "GRFUSION_BATCH",
+                &["256"],
+                with(|c| c.batch = BatchConfig::with_size(256)),
+            ),
+            (
+                "GRFUSION_BATCH",
+                &["4096"],
+                with(|c| c.batch = BatchConfig::with_size(4096)),
+            ),
+        ];
+        for (var, spellings, want) in valid {
+            for s in *spellings {
+                assert_eq!(parse(var, s).unwrap(), *want, "{var}={s}");
+            }
+        }
+
+        // Out-of-range first, then garbage. `GRFUSION_WORKERS=1000` and
+        // `GRFUSION_BATCH=99999` used to clamp on a lenient path; that
+        // path is gone and the same inputs are strict errors.
+        let invalid: &[(&str, &[&str], &str)] = &[
+            ("GRFUSION_OPTIMIZER", &["2", "fast", "yes"], ON_OFF),
+            (
+                "GRFUSION_WORKERS",
+                &["0", "257", "1000", "1048576", "-1", "2.5", "abc"],
+                "1..=256",
+            ),
+            (
+                "GRFUSION_MORSEL_SIZE",
+                &["0", "-3", "nope"],
+                "positive integer",
+            ),
+            ("GRFUSION_DEADLINE_MS", &["-1", "1.5", "fast"], LIMIT),
+            ("GRFUSION_MEMORY_BYTES", &["-1", "64MB"], LIMIT),
+            (
+                "GRFUSION_CSR_RESEAL",
+                &["0.0", "7", "-1", "NaN", "nope"],
+                "fraction in (0, 1]",
+            ),
+            ("GRFUSION_EPOCHS", &["2", "yes please"], ON_OFF),
+            (
+                "GRFUSION_BATCH",
+                &["4097", "65536", "99999", "-4", "1.5", "nope"],
+                "1..=4096",
+            ),
+        ];
+        for (var, values, expects) in invalid {
+            for v in *values {
+                let e = parse(var, v).unwrap_err().to_string();
+                assert!(
+                    e.contains(&format!("invalid {var} `{v}`")) && e.contains(expects),
+                    "{var}={v}: {e}"
+                );
+            }
         }
     }
 
     #[test]
-    fn checked_governor_values() {
-        let g = GovernorConfig::from_env_values_checked(Some("50"), Some("1048576")).unwrap();
-        assert_eq!(g.deadline_ms, Some(50));
-        assert_eq!(g.max_memory_bytes, Some(1_048_576));
-        // `0` is an explicit off, not an error.
-        let off = GovernorConfig::from_env_values_checked(Some("0"), Some("0")).unwrap();
-        assert_eq!(off, GovernorConfig::default());
-        let e = GovernorConfig::from_env_values_checked(Some("fast"), None).unwrap_err();
-        assert!(e.to_string().contains("GRFUSION_DEADLINE_MS"), "{e}");
-        let e = GovernorConfig::from_env_values_checked(None, Some("-1")).unwrap_err();
-        assert!(e.to_string().contains("GRFUSION_MEMORY_BYTES"), "{e}");
-    }
-
-    #[test]
-    fn checked_csr_reseal_values() {
-        assert!(CsrConfig::from_env_value_checked(None).unwrap().sealed);
-        assert!(!CsrConfig::from_env_value_checked(Some("off")).unwrap().sealed);
-        assert_eq!(
-            CsrConfig::from_env_value_checked(Some("0.5"))
-                .unwrap()
-                .reseal_fraction,
-            0.5
-        );
-        for bad in ["7", "nope", "-1", "0.0"] {
-            let e = CsrConfig::from_env_value_checked(Some(bad)).unwrap_err();
-            assert!(e.to_string().contains("GRFUSION_CSR_RESEAL"), "{e}");
-        }
-        // The lenient twin still falls back (EngineConfig::default() must
-        // stay infallible; the engine surfaces the error separately).
-        assert_eq!(CsrConfig::from_env_value(Some("7")), CsrConfig::sealed());
-    }
-
-    #[test]
-    fn checked_epochs_values() {
-        assert!(EpochConfig::from_env_value_checked(Some("on")).unwrap().enabled);
-        assert!(!EpochConfig::from_env_value_checked(Some("0")).unwrap().enabled);
-        assert!(!EpochConfig::from_env_value_checked(None).unwrap().enabled);
-        let e = EpochConfig::from_env_value_checked(Some("yes please")).unwrap_err();
-        assert!(e.to_string().contains("GRFUSION_EPOCHS"), "{e}");
-    }
-
-    #[test]
-    fn checked_batch_values() {
-        assert!(BatchConfig::from_env_value_checked(Some("on")).unwrap().enabled);
-        assert_eq!(
-            BatchConfig::from_env_value_checked(Some("256")).unwrap().size,
-            256
-        );
-        assert!(!BatchConfig::from_env_value_checked(Some("off")).unwrap().enabled);
-        for bad in ["65536", "nope", "-4", "1.5"] {
-            let e = BatchConfig::from_env_value_checked(Some(bad)).unwrap_err();
-            assert!(e.to_string().contains("GRFUSION_BATCH"), "{e}");
-        }
-    }
-
-    #[test]
-    fn checked_optimizer_values() {
+    fn first_malformed_knob_in_table_order_is_reported() {
+        let e = EngineConfig::from_lookup(|k| match k {
+            "GRFUSION_BATCH" => Some("nope".into()),
+            "GRFUSION_WORKERS" => Some("0".into()),
+            "GRFUSION_EPOCHS" => Some("on".into()),
+            _ => None,
+        })
+        .unwrap_err()
+        .to_string();
         assert!(
-            OptimizerFlags::from_env_value_checked(Some("1"))
-                .unwrap()
-                .cost_based
+            e.contains("GRFUSION_WORKERS") && !e.contains("GRFUSION_BATCH"),
+            "{e}"
         );
-        assert!(
-            OptimizerFlags::from_env_value_checked(Some("ON"))
-                .unwrap()
-                .cost_based
-        );
-        assert!(
-            !OptimizerFlags::from_env_value_checked(Some("0"))
-                .unwrap()
-                .cost_based
-        );
-        assert!(!OptimizerFlags::from_env_value_checked(None).unwrap().cost_based);
-        let e = OptimizerFlags::from_env_value_checked(Some("fast")).unwrap_err();
-        assert!(e.to_string().contains("GRFUSION_OPTIMIZER"), "{e}");
-        // Lenient twin falls back to rule-based; every rule flag stays on
-        // in both modes (cost_based only adds re-costing on top).
-        let lenient = OptimizerFlags::from_env_value(Some("fast"));
-        assert_eq!(lenient, OptimizerFlags::default());
-        let on = OptimizerFlags::cost_based();
-        assert!(on.cost_based && on.length_inference && on.predicate_pushdown);
-    }
-
-    #[test]
-    fn csr_reseal_env_values() {
-        let d = CsrConfig::from_env_value(None);
-        assert!(d.sealed);
-        assert_eq!(d.reseal_fraction, 0.25);
-        assert!(!CsrConfig::from_env_value(Some("0")).sealed);
-        assert!(!CsrConfig::from_env_value(Some("off")).sealed);
-        assert!(!CsrConfig::from_env_value(Some("OFF")).sealed);
-        let f = CsrConfig::from_env_value(Some("0.5"));
-        assert!(f.sealed);
-        assert_eq!(f.reseal_fraction, 0.5);
-        // Out-of-range or garbage falls back to the default policy.
-        assert_eq!(CsrConfig::from_env_value(Some("7")), CsrConfig::sealed());
-        assert_eq!(CsrConfig::from_env_value(Some("nope")), CsrConfig::sealed());
-        assert_eq!(CsrConfig::from_env_value(Some("-1")), CsrConfig::sealed());
     }
 }

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
+use grfusion_common::{DataType, Error, Result, Schema};
 use grfusion_graph::GraphStats;
 use grfusion_sql::{parse_statement, parse_statements, CreateIndex, CreateTable, Statement, TypeName};
 use grfusion_storage::{Catalog, IndexKind, Table};
@@ -18,14 +18,13 @@ use crate::lockorder::{LockClass, OrderedMutex};
 
 use crate::config::EngineConfig;
 use crate::dml::{self, DmlCtx, Journal};
-use crate::env::{GraphEnv, QueryEnv};
-use crate::epoch::{self, DirtySet, EpochHub, EpochView, ReaderShared};
-use crate::exec::{execute_plan, execute_plan_with_metrics};
+use crate::epoch::{DirtySet, EpochHub, EpochView, Settings};
 use crate::governor::{CancelToken, ExecContext, FaultPlan, FaultState};
 use crate::expr::GraphMeta;
 use crate::graph_view::{GraphView, GraphViewDef};
-use crate::planner::{plan_select, PlannerCtx};
+use crate::planner::PlannerCtx;
 use crate::result::ResultSet;
+use crate::snapshot::{has_subquery, LiveGuards, Snapshot};
 
 struct DbInner {
     catalog: Catalog,
@@ -34,123 +33,52 @@ struct DbInner {
     /// Lowercase table name → graph views sourcing from it (§3.3: each
     /// relational source knows the views it feeds).
     source_map: HashMap<String, Vec<Arc<str>>>,
-    config: EngineConfig,
     /// Journal of the open explicit transaction, if any.
     txn: Option<Journal>,
     /// Cached planner context — schemas and graph metadata only change on
     /// DDL, so queries reuse it (VoltDB-style pre-compiled metadata; DDL
     /// invalidates).
     plan_ctx: Option<Arc<PlannerCtx>>,
-    /// Cancellation token, created lazily the first time a caller asks for
-    /// one. While no token has been handed out, queries run with no cancel
-    /// flag at all, so the governor stays inactive (zero overhead) unless a
-    /// deadline or memory cap is also configured.
-    cancel: Option<CancelToken>,
-    /// Fault-injection state shared by all statements (hit counters persist
-    /// across statements so a retried statement runs past a spent rule).
-    faults: Option<Arc<FaultState>>,
-    /// A malformed `GRFUSION_FAULTS` value, surfaced on first use rather
-    /// than silently disabling the sweep.
-    faults_err: Option<String>,
-    /// A malformed `GRFUSION_*` engine knob (workers, batch, reseal, ...),
-    /// surfaced on the first statement rather than silently degrading to
-    /// defaults. Cleared by `set_config` (an explicit config supersedes
-    /// whatever the environment asked for).
-    env_err: Option<String>,
-}
-
-impl DbInner {
-    /// Build the per-query resource governor from the current config plus
-    /// the database-level cancel token (armed from now, so a past cancel
-    /// never bleeds into this query), the calling thread's ambient request
-    /// scope, and the fault plan.
-    fn exec_context(&self) -> Result<ExecContext> {
-        if let Some(msg) = self.env_err.as_ref().or(self.faults_err.as_ref()) {
-            return Err(Error::analysis(msg.clone()));
-        }
-        Ok(ExecContext::for_query(
-            &self.config.governor,
-            self.cancel.as_ref(),
-            self.faults.clone(),
-        ))
-    }
 }
 
 /// An in-memory relational database with native graph support.
 pub struct Database {
     inner: OrderedMutex<DbInner>,
-    /// Epoch publication point. Lives *outside* `inner`: epoch readers pin
-    /// the current snapshot through the hub's tiny mutex and never contend
-    /// with the writer holding `inner`.
+    /// Epoch publication point and the engine's settings. Lives *outside*
+    /// `inner`: epoch readers pin the current snapshot and copy the
+    /// settings through the hub's tiny mutexes and never contend with the
+    /// writer holding `inner`.
     hub: EpochHub,
 }
 
 /// A compiled SELECT statement (see [`Database::prepare`]).
 pub struct PreparedQuery {
-    plan: crate::plan::PlanNode,
-    /// Per-node cost-model estimates, captured at prepare time when the
+    pub(crate) plan: crate::plan::PlanNode,
+    /// Per-node cost-model estimates, captured at compile time when the
     /// cost-based optimizer is enabled (`None` on the rule-based path).
-    estimates: Option<Vec<crate::cost::NodeEstimate>>,
+    pub(crate) estimates: Option<Vec<crate::cost::NodeEstimate>>,
     /// Cost-model pipeline choice frozen into the stored plan.
-    prefer_row: bool,
+    pub(crate) prefer_row: bool,
 }
 
 impl PreparedQuery {
     /// EXPLAIN-style plan text. When the plan was prepared under the
     /// cost-based optimizer each line carries its cardinality estimate.
     pub fn explain(&self) -> String {
-        let text = self.plan.explain();
+        self.annotated(self.plan.explain())
+    }
+
+    /// The `EXPLAIN` statement's text: every node with its typed schema.
+    pub(crate) fn explain_typed(&self) -> String {
+        self.annotated(crate::analyze::explain_typed(&self.plan))
+    }
+
+    fn annotated(&self, text: String) -> String {
         match &self.estimates {
             Some(est) => crate::cost::annotate_explain(&text, est),
             None => text,
         }
     }
-}
-
-/// A planned SELECT plus whatever the cost-based optimizer decided about
-/// it. On the rule-based path (`GRFUSION_OPTIMIZER=0`, the default) the
-/// plan passes through untouched and `estimates` stays `None`, keeping
-/// every downstream byte identical.
-struct CostedPlan {
-    plan: crate::plan::PlanNode,
-    estimates: Option<Vec<crate::cost::NodeEstimate>>,
-    prefer_row: bool,
-}
-
-/// Run the cost-based optimizer over a rule-based plan if it is enabled.
-fn cost_plan(
-    inner: &DbInner,
-    ctx: &PlannerCtx,
-    plan: crate::plan::PlanNode,
-) -> Result<CostedPlan> {
-    if !inner.config.optimizer.cost_based {
-        return Ok(CostedPlan {
-            plan,
-            estimates: None,
-            prefer_row: false,
-        });
-    }
-    let catalog = cost_catalog(inner)?;
-    let o = crate::cost::optimize(plan, &catalog, &ctx.graphs, &ctx.tables, &ctx.hash_indexed)?;
-    Ok(CostedPlan {
-        plan: o.plan,
-        estimates: Some(o.estimates),
-        prefer_row: o.prefer_row_pipeline,
-    })
-}
-
-/// Snapshot live table/topology statistics for the cost model.
-fn cost_catalog(inner: &DbInner) -> Result<crate::cost::CostCatalog> {
-    let mut cat = crate::cost::CostCatalog::new();
-    for name in inner.catalog.table_names() {
-        let handle = inner.catalog.table(&name)?;
-        let t = handle.read();
-        cat.add_table(&name, t.stats(), t.column_ndvs());
-    }
-    for (name, view) in &inner.graph_views {
-        cat.add_graph(name, view.topology.read().stats());
-    }
-    Ok(cat)
 }
 
 impl Default for Database {
@@ -183,16 +111,11 @@ impl Database {
                 catalog: Catalog::new(),
                 graph_views: HashMap::new(),
                 source_map: HashMap::new(),
-                config,
                 txn: None,
                 plan_ctx: None,
-                cancel: None,
-                faults: faults.clone(),
-                faults_err: faults_err.clone(),
-                env_err: env_err.clone(),
             }),
             hub: EpochHub::new(
-                ReaderShared {
+                Settings {
                     config,
                     cancel: None,
                     faults,
@@ -219,27 +142,16 @@ impl Database {
     /// what arms the cooperative checks; a database nobody can cancel pays
     /// nothing for the feature.
     pub fn cancel_token(&self) -> CancelToken {
-        let token = self
-            .inner
-            .lock()
-            .cancel
-            .get_or_insert_with(CancelToken::default)
-            .clone();
-        let mirror = token.clone();
-        self.hub.update_shared(move |s| s.cancel = Some(mirror));
-        token
+        self.hub
+            .update_settings(|s| s.cancel.get_or_insert_with(CancelToken::default).clone())
     }
 
     /// Install (or with `None` clear) a deterministic fault-injection plan.
     /// Replaces any plan read from `GRFUSION_FAULTS` and resets all hit
     /// counters.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        let mut inner = self.inner.lock();
-        inner.faults = plan.map(|p| Arc::new(FaultState::new(p)));
-        inner.faults_err = None;
-        let faults = inner.faults.clone();
-        self.hub.update_shared(move |s| {
-            s.faults = faults;
+        self.hub.update_settings(|s| {
+            s.faults = plan.map(|p| Arc::new(FaultState::new(p)));
             s.faults_err = None;
         });
     }
@@ -248,9 +160,7 @@ impl Database {
     /// statement).
     pub fn set_config(&self, config: EngineConfig) {
         let mut inner = self.inner.lock();
-        inner.config = config;
-        inner.env_err = None;
-        self.hub.update_shared(|s| {
+        self.hub.update_settings(|s| {
             s.config = config;
             s.env_err = None;
         });
@@ -265,7 +175,36 @@ impl Database {
 
     /// Current configuration.
     pub fn config(&self) -> EngineConfig {
-        self.inner.lock().config
+        self.hub.settings().config
+    }
+
+    /// Run `f` over a consistent snapshot of the database — the one place a
+    /// read chooses its source. With epochs on and no transaction open on
+    /// this connection that is the pinned current epoch, and the writer's
+    /// lock is never taken; otherwise it is the live state under that lock,
+    /// which is how a reader inside `BEGIN …` sees its own writes.
+    fn read<T>(&self, f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>) -> Result<T> {
+        match self.hub.pin() {
+            Some(ep) => f(&Snapshot::pinned(&ep), &self.hub.settings()),
+            None => read_locked(&self.hub, &mut self.inner.lock(), f),
+        }
+    }
+
+    /// Run a DDL statement: it invalidates the cached planner context and
+    /// publishes a full snapshot (DDL changes the catalog shape, so nothing
+    /// can be reused) — unless a transaction is open, in which case
+    /// visibility waits for COMMIT/ROLLBACK.
+    fn ddl(
+        &self,
+        inner: &mut DbInner,
+        f: impl FnOnce(&mut DbInner) -> Result<()>,
+    ) -> Result<ResultSet> {
+        f(inner)?;
+        inner.plan_ctx = None;
+        if inner.txn.is_none() {
+            publish_epoch(&self.hub, inner, None)?;
+        }
+        Ok(ResultSet::empty())
     }
 
     /// Execute one SQL statement.
@@ -311,144 +250,72 @@ impl Database {
 
     /// Execute a parsed statement.
     pub fn execute_statement(&self, stmt: &Statement) -> Result<ResultSet> {
-        // Epoch read path: pin the current published snapshot and run the
-        // whole query against it without ever taking the writer's lock.
         match stmt {
-            Statement::Select(select) => {
-                if let Some(ep) = self.hub.pin() {
-                    return epoch::run_select_epoch(&self.hub, &ep, select, false);
-                }
-            }
-            Statement::Explain {
-                analyze: true,
-                select,
-            } => {
-                if let Some(ep) = self.hub.pin() {
-                    return epoch::explain_analyze_epoch(&self.hub, &ep, select);
-                }
-            }
-            _ => {}
-        }
-        let mut inner = self.inner.lock();
-        match stmt {
-            Statement::Select(select) => {
-                let ctx = cached_planner_ctx(&mut inner)?;
-                run_select(&inner, select, &ctx)
-            }
+            Statement::Select(select) => self.read(|snap, cfg| snap.select(cfg, select, false)),
             Statement::Explain { analyze, select } => {
-                let ctx = cached_planner_ctx(&mut inner)?;
-                let select = fold_subqueries(&inner, select, &ctx)?;
-                let plan = plan_select(&select, &ctx, &inner.config.optimizer)?;
-                let costed = cost_plan(&inner, &ctx, plan)?;
-                let plan_schema = Arc::new(Schema::new(vec![Column::new(
-                    "plan",
-                    DataType::Varchar,
-                )]));
-                if *analyze {
-                    // Run the query with instrumentation, discard its rows,
-                    // and return the annotated plan tree instead.
-                    let rs = run_plan(&inner, &costed.plan, Vec::new(), true, costed.prefer_row)?;
-                    let Some(mut metrics) = rs.metrics else {
-                        return Err(Error::execution("instrumented run returned no metrics"));
-                    };
-                    if let Some(est) = &costed.estimates {
-                        metrics.attach_estimates(est);
-                    }
-                    let rows = metrics
-                        .render()
-                        .lines()
-                        .map(|l| vec![Value::text(l)])
-                        .collect();
-                    Ok(ResultSet {
-                        schema: plan_schema,
-                        rows,
-                        rows_affected: 0,
-                        metrics: Some(metrics),
-                    })
-                } else {
-                    let text = crate::analyze::explain_typed(&costed.plan);
-                    let text = match &costed.estimates {
-                        Some(est) => crate::cost::annotate_explain(&text, est),
-                        None => text,
-                    };
-                    let rows = text
-                        .lines()
-                        .map(|l| vec![Value::text(l)])
-                        .collect();
-                    Ok(ResultSet {
-                        schema: plan_schema,
-                        rows,
-                        rows_affected: 0,
-                        metrics: None,
-                    })
-                }
+                self.read(|snap, cfg| snap.explain(cfg, select, *analyze))
             }
             Statement::CreateTable(ct) => {
-                create_table(&mut inner, ct)?;
-                inner.plan_ctx = None;
-                self.publish_after_ddl(&mut inner)?;
-                Ok(ResultSet::empty())
+                self.ddl(&mut self.inner.lock(), |inner| create_table(inner, ct))
             }
             Statement::CreateIndex(ci) => {
-                create_index(&inner, ci)?;
-                inner.plan_ctx = None;
-                self.publish_after_ddl(&mut inner)?;
-                Ok(ResultSet::empty())
+                self.ddl(&mut self.inner.lock(), |inner| create_index(inner, ci))
             }
-            Statement::CreateGraphView(cgv) => {
-                create_graph_view(&mut inner, cgv)?;
-                inner.plan_ctx = None;
-                self.publish_after_ddl(&mut inner)?;
-                Ok(ResultSet::empty())
-            }
+            Statement::CreateGraphView(cgv) => self.ddl(&mut self.inner.lock(), |inner| {
+                create_graph_view(inner, cgv, self.config().csr.sealed)
+            }),
             Statement::DropTable { name } => {
-                drop_table(&mut inner, name)?;
-                inner.plan_ctx = None;
-                self.publish_after_ddl(&mut inner)?;
-                Ok(ResultSet::empty())
+                self.ddl(&mut self.inner.lock(), |inner| drop_table(inner, name))
             }
             Statement::DropGraphView { name } => {
-                drop_graph_view(&mut inner, name)?;
-                inner.plan_ctx = None;
-                self.publish_after_ddl(&mut inner)?;
-                Ok(ResultSet::empty())
+                self.ddl(&mut self.inner.lock(), |inner| drop_graph_view(inner, name))
             }
-            Statement::Insert(ins) => match &ins.source {
-                grfusion_sql::InsertSource::Values(_) => run_dml(&self.hub, &mut inner, |ctx, journal| {
-                    dml::execute_insert(ctx, journal, ins)
-                }),
-                grfusion_sql::InsertSource::Select(select) => {
-                    // INSERT ... SELECT: materialize the query first (the
-                    // engine is serial, so this is a consistent snapshot),
-                    // then insert through the normal maintenance path.
-                    let ctx = cached_planner_ctx(&mut inner)?;
-                    let rs = run_select(&inner, select, &ctx)?;
-                    run_dml(&self.hub, &mut inner, |ctx, journal| {
-                        dml::execute_insert_rows(ctx, journal, &ins.table, &ins.columns, rs.rows)
-                    })
+            Statement::Insert(ins) => {
+                let mut inner = self.inner.lock();
+                match &ins.source {
+                    grfusion_sql::InsertSource::Values(_) => {
+                        run_dml(&self.hub, &mut inner, |ctx, journal| {
+                            dml::execute_insert(ctx, journal, ins)
+                        })
+                    }
+                    grfusion_sql::InsertSource::Select(select) => {
+                        // INSERT ... SELECT: materialize the query first
+                        // (the engine is serial, so this is a consistent
+                        // snapshot), then insert through the normal
+                        // maintenance path.
+                        let rs = read_locked(&self.hub, &mut inner, |snap, cfg| {
+                            snap.select(cfg, select, false)
+                        })?;
+                        run_dml(&self.hub, &mut inner, |ctx, journal| {
+                            dml::execute_insert_rows(
+                                ctx,
+                                journal,
+                                &ins.table,
+                                &ins.columns,
+                                rs.rows,
+                            )
+                        })
+                    }
                 }
-            },
+            }
             Statement::Update(upd) => {
                 let mut upd = upd.clone();
-                if let Some(sel) = &mut upd.selection {
-                    let ctx = cached_planner_ctx(&mut inner)?;
-                    fold_expr_subqueries(&inner, sel, &ctx)?;
-                }
+                let mut inner = self.inner.lock();
+                fold_predicate(&self.hub, &mut inner, &mut upd.selection)?;
                 run_dml(&self.hub, &mut inner, move |ctx, journal| {
                     dml::execute_update(ctx, journal, &upd)
                 })
             }
             Statement::Delete(del) => {
                 let mut del = del.clone();
-                if let Some(sel) = &mut del.selection {
-                    let ctx = cached_planner_ctx(&mut inner)?;
-                    fold_expr_subqueries(&inner, sel, &ctx)?;
-                }
+                let mut inner = self.inner.lock();
+                fold_predicate(&self.hub, &mut inner, &mut del.selection)?;
                 run_dml(&self.hub, &mut inner, move |ctx, journal| {
                     dml::execute_delete(ctx, journal, &del)
                 })
             }
             Statement::Begin => {
+                let mut inner = self.inner.lock();
                 if inner.txn.is_some() {
                     return Err(Error::transaction("transaction already in progress"));
                 }
@@ -460,18 +327,18 @@ impl Database {
                 Ok(ResultSet::empty())
             }
             Statement::Commit => {
+                let mut inner = self.inner.lock();
                 if inner.txn.take().is_none() {
                     return Err(Error::transaction("no transaction in progress"));
                 }
                 self.hub.set_txn_open(false);
                 // The whole transaction becomes visible in one publication
                 // (full snapshot: mid-transaction DDL is not journaled).
-                if self.hub.enabled() {
-                    publish_epoch(&self.hub, &mut inner, None)?;
-                }
+                publish_epoch(&self.hub, &mut inner, None)?;
                 Ok(ResultSet::empty())
             }
             Statement::Rollback => {
+                let mut inner = self.inner.lock();
                 let Some(mut journal) = inner.txn.take() else {
                     return Err(Error::transaction("no transaction in progress"));
                 };
@@ -491,9 +358,7 @@ impl Database {
                 self.hub.set_txn_open(false);
                 // DML was undone, but DDL survives a rollback — republish
                 // so readers see the post-rollback catalog.
-                if self.hub.enabled() {
-                    publish_epoch(&self.hub, &mut inner, None)?;
-                }
+                publish_epoch(&self.hub, &mut inner, None)?;
                 Ok(ResultSet::empty())
             }
         }
@@ -526,18 +391,9 @@ impl Database {
         let Statement::Select(select) = &stmt else {
             return Err(Error::analysis("only SELECT statements can be prepared"));
         };
-        let mut inner = self.inner.lock();
-        let ctx = cached_planner_ctx(&mut inner)?;
         // Subqueries fold at prepare time: their results are frozen into
         // the stored plan (documented prepared-statement semantics).
-        let select = fold_subqueries(&inner, select, &ctx)?;
-        let plan = plan_select(&select, &ctx, &inner.config.optimizer)?;
-        let costed = cost_plan(&inner, &ctx, plan)?;
-        Ok(PreparedQuery {
-            plan: costed.plan,
-            estimates: costed.estimates,
-            prefer_row: costed.prefer_row,
-        })
+        self.read(|snap, cfg| snap.compile(cfg, select))
     }
 
     /// Execute a prepared query with the given parameter values (bound to
@@ -547,18 +403,7 @@ impl Database {
         query: &PreparedQuery,
         params: &[grfusion_common::Value],
     ) -> Result<ResultSet> {
-        if let Some(ep) = self.hub.pin() {
-            return epoch::run_plan_epoch(
-                &self.hub,
-                &ep,
-                &query.plan,
-                params.to_vec(),
-                false,
-                query.prefer_row,
-            );
-        }
-        let inner = self.inner.lock();
-        run_plan(&inner, &query.plan, params.to_vec(), false, query.prefer_row)
+        self.read(|snap, cfg| snap.run(cfg, query, params.to_vec(), false))
     }
 
     /// Execute a SELECT with per-operator instrumentation. The result
@@ -572,19 +417,7 @@ impl Database {
                 "execute_with_metrics supports SELECT statements only",
             ));
         };
-        if let Some(ep) = self.hub.pin() {
-            return epoch::run_select_epoch(&self.hub, &ep, select, true);
-        }
-        let mut inner = self.inner.lock();
-        let ctx = cached_planner_ctx(&mut inner)?;
-        let select = fold_subqueries(&inner, select, &ctx)?;
-        let plan = plan_select(&select, &ctx, &inner.config.optimizer)?;
-        let costed = cost_plan(&inner, &ctx, plan)?;
-        let mut rs = run_plan(&inner, &costed.plan, Vec::new(), true, costed.prefer_row)?;
-        if let (Some(m), Some(est)) = (rs.metrics.as_mut(), &costed.estimates) {
-            m.attach_estimates(est);
-        }
-        Ok(rs)
+        self.read(|snap, cfg| snap.select(cfg, select, true))
     }
 
     /// EXPLAIN-style plan text for a SELECT statement.
@@ -593,16 +426,7 @@ impl Database {
         let Statement::Select(select) = &stmt else {
             return Err(Error::analysis("EXPLAIN supports SELECT statements only"));
         };
-        let inner = self.inner.lock();
-        let ctx = planner_ctx(&inner)?;
-        let select = fold_subqueries(&inner, select, &ctx)?;
-        let plan = plan_select(&select, &ctx, &inner.config.optimizer)?;
-        let costed = cost_plan(&inner, &ctx, plan)?;
-        let text = crate::analyze::explain_typed(&costed.plan);
-        Ok(match &costed.estimates {
-            Some(est) => crate::cost::annotate_explain(&text, est),
-            None => text,
-        })
+        self.read(|snap, cfg| Ok(snap.compile(cfg, select)?.explain_typed()))
     }
 
     /// Statistics of a graph view's materialized topology (vertex/edge
@@ -647,35 +471,10 @@ impl Database {
     /// dumps prove the statement was all-or-nothing across storage, indexes,
     /// and topologies.
     pub fn state_dump(&self) -> Result<String> {
-        // With epochs on, dump the pinned snapshot: safe from any reader
-        // thread, never blocks on (or observes partial work of) the writer.
-        if let Some(ep) = self.hub.pin() {
-            return Ok(epoch::state_dump_epoch(&ep));
-        }
-        let inner = self.inner.lock();
-        let mut out = String::new();
-        for name in inner.catalog.table_names() {
-            let handle = inner.catalog.table(&name)?;
-            let t = handle.read();
-            let mut rows: Vec<(u64, String)> = t
-                .scan()
-                .map(|(id, row)| {
-                    let vals: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-                    (id.0, vals.join(","))
-                })
-                .collect();
-            rows.sort_unstable();
-            out.push_str(&format!("table {} rows={}\n", name, rows.len()));
-            for (id, vals) in rows {
-                out.push_str(&format!("r @{id} {vals}\n"));
-            }
-        }
-        let mut names: Vec<&String> = inner.graph_views.keys().collect();
-        names.sort();
-        for n in names {
-            out.push_str(&inner.graph_views[n].topology_dump());
-        }
-        Ok(out)
+        // With epochs on this dumps the pinned snapshot: safe from any
+        // reader thread, never blocks on (or observes partial work of) the
+        // writer.
+        self.read(|snap, _| Ok(snap.state_dump()))
     }
 
     /// Number of the currently published epoch (`None` when epoch
@@ -690,7 +489,7 @@ impl Database {
     /// statement prefix. `None` when reads are not routing through epochs.
     pub fn snapshot_dump(&self) -> Option<(u64, String)> {
         let ep = self.hub.pin()?;
-        Some((ep.number, epoch::state_dump_epoch(&ep)))
+        Some((ep.number, Snapshot::pinned(&ep).state_dump()))
     }
 
     /// Pin the current epoch and hold it: the returned handle keeps the
@@ -704,16 +503,6 @@ impl Database {
     /// `(live epochs, retained bytes)` — see [`GraphStats::live_epochs`].
     pub fn epoch_stats(&self) -> (usize, usize) {
         self.hub.live_stats()
-    }
-
-    /// Publish after a DDL statement (full snapshot: DDL changes the
-    /// catalog shape, so nothing can be reused), unless a transaction is
-    /// open — then visibility waits for COMMIT/ROLLBACK.
-    fn publish_after_ddl(&self, inner: &mut DbInner) -> Result<()> {
-        if self.hub.enabled() && inner.txn.is_none() {
-            publish_epoch(&self.hub, inner, None)?;
-        }
-        Ok(())
     }
 }
 
@@ -763,7 +552,7 @@ fn create_table(inner: &mut DbInner, ct: &CreateTable) -> Result<()> {
     Ok(())
 }
 
-fn create_index(inner: &DbInner, ci: &CreateIndex) -> Result<()> {
+fn create_index(inner: &mut DbInner, ci: &CreateIndex) -> Result<()> {
     let handle = inner.catalog.table(&ci.table)?;
     let mut table = handle.write();
     let col = table.schema().resolve(&ci.column)?;
@@ -775,7 +564,11 @@ fn create_index(inner: &DbInner, ci: &CreateIndex) -> Result<()> {
     table.create_index(ci.name.clone(), col, ci.unique, kind)
 }
 
-fn create_graph_view(inner: &mut DbInner, cgv: &grfusion_sql::CreateGraphView) -> Result<()> {
+fn create_graph_view(
+    inner: &mut DbInner,
+    cgv: &grfusion_sql::CreateGraphView,
+    seal: bool,
+) -> Result<()> {
     let name = cgv.name.to_ascii_lowercase();
     if inner.graph_views.contains_key(&name) {
         return Err(Error::catalog(format!(
@@ -788,7 +581,7 @@ fn create_graph_view(inner: &mut DbInner, cgv: &grfusion_sql::CreateGraphView) -
     // Compact the freshly built adjacency into sealed CSR arrays right
     // away: materialization is the one moment the topology is complete and
     // overlay-free, so the seal is a straight copy.
-    if inner.config.csr.sealed {
+    if seal {
         view.topology.write().seal();
     }
     // Register the view with each of its sources (§3.3: a source knows the
@@ -839,22 +632,18 @@ fn run_dml<F>(hub: &EpochHub, inner: &mut DbInner, f: F) -> Result<ResultSet>
 where
     F: FnOnce(&DmlCtx<'_>, &mut Journal) -> Result<u64>,
 {
-    let inner = &mut *inner;
-    if let Some(msg) = inner.env_err.as_ref().or(inner.faults_err.as_ref()) {
-        return Err(Error::analysis(msg.clone()));
-    }
+    let settings = hub.settings();
     // Governor context for cancellation/deadline checkpoints and re-seal
-    // byte accounting, built up front because the transaction journal below
-    // holds the only &mut into `inner`.
-    let gov = inner.exec_context()?;
+    // byte accounting (also where a malformed `GRFUSION_*` value surfaces).
+    let gov = settings.exec_context()?;
     let ctx = DmlCtx {
         catalog: &inner.catalog,
         graph_views: &inner.graph_views,
         source_map: &inner.source_map,
-        faults: inner.faults.clone(),
+        faults: settings.faults,
         gov: if gov.active() { Some(&gov) } else { None },
     };
-    let csr = inner.config.csr;
+    let csr = settings.config.csr;
     match &mut inner.txn {
         Some(journal) => {
             // Explicit transaction: statement-level atomicity via savepoint.
@@ -946,7 +735,7 @@ fn maybe_reseal(
 }
 
 // ---------------------------------------------------------------------------
-// SELECT execution
+// Epoch publication, planner context, and the writer's own reads
 // ---------------------------------------------------------------------------
 
 /// Publish a new epoch from the writer's committed state.
@@ -1062,232 +851,28 @@ fn planner_ctx(inner: &DbInner) -> Result<PlannerCtx> {
     })
 }
 
-fn run_select(
-    inner: &DbInner,
-    select: &grfusion_sql::Select,
-    ctx: &PlannerCtx,
-) -> Result<ResultSet> {
-    let select = fold_subqueries(inner, select, ctx)?;
-    let plan = plan_select(&select, ctx, &inner.config.optimizer)?;
-    let costed = cost_plan(inner, ctx, plan)?;
-    run_plan(inner, &costed.plan, Vec::new(), false, costed.prefer_row)
+/// [`Database::read`] for a caller that already holds the writer's lock:
+/// the snapshot is the live state, uncommitted writes included.
+fn read_locked<T>(
+    hub: &EpochHub,
+    inner: &mut DbInner,
+    f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>,
+) -> Result<T> {
+    let plan_ctx = cached_planner_ctx(inner)?;
+    let settings = hub.settings();
+    let guards = LiveGuards::take(&inner.catalog, &inner.graph_views);
+    f(&Snapshot::locked(&guards, &plan_ctx), &settings)
 }
 
-/// Fold uncorrelated `IN (SELECT ...)` subqueries into literal lists by
-/// executing them bottom-up (the engine is serial, so each fold sees a
-/// consistent snapshot). Returns a clone only when folding is needed.
-fn fold_subqueries<'s>(
-    inner: &DbInner,
-    select: &'s grfusion_sql::Select,
-    ctx: &PlannerCtx,
-) -> Result<std::borrow::Cow<'s, grfusion_sql::Select>> {
-    fold_subqueries_with(&mut |s| run_select(inner, s, ctx), select)
-}
-
-/// Runner-generic body of [`fold_subqueries`]: the locked path executes
-/// subqueries against `DbInner`, the epoch path against a pinned
-/// [`crate::epoch::Epoch`] — both share the folding logic through `run`.
-pub(crate) fn fold_subqueries_with<'s>(
-    run: &mut dyn FnMut(&grfusion_sql::Select) -> Result<ResultSet>,
-    select: &'s grfusion_sql::Select,
-) -> Result<std::borrow::Cow<'s, grfusion_sql::Select>> {
-    use std::borrow::Cow;
-    fn select_has_subquery(s: &grfusion_sql::Select) -> bool {
-        let exprs = s
-            .projections
-            .iter()
-            .filter_map(|p| match p {
-                grfusion_sql::SelectItem::Expr { expr, .. } => Some(expr),
-                _ => None,
-            })
-            .chain(s.selection.iter())
-            .chain(s.group_by.iter())
-            .chain(s.having.iter())
-            .chain(s.order_by.iter().map(|(e, _)| e));
-        exprs.into_iter().any(expr_has_subquery)
-    }
-    fn expr_has_subquery(e: &grfusion_sql::Expr) -> bool {
-        use grfusion_sql::Expr as E;
-        match e {
-            E::InSubquery { .. } => true,
-            E::Literal(_) | E::Parameter(_) | E::CompoundRef(_) => false,
-            E::Unary { expr, .. } => expr_has_subquery(expr),
-            E::Binary { left, right, .. } => expr_has_subquery(left) || expr_has_subquery(right),
-            E::InList { expr, list, .. } => {
-                expr_has_subquery(expr) || list.iter().any(expr_has_subquery)
-            }
-            E::Between {
-                expr, low, high, ..
-            } => expr_has_subquery(expr) || expr_has_subquery(low) || expr_has_subquery(high),
-            E::Function { args, .. } => args.iter().any(expr_has_subquery),
-        }
-    }
-    if !select_has_subquery(select) {
-        return Ok(Cow::Borrowed(select));
-    }
-    let mut owned = select.clone();
-    for p in &mut owned.projections {
-        if let grfusion_sql::SelectItem::Expr { expr, .. } = p {
-            fold_expr_subqueries_with(run, expr)?;
-        }
-    }
-    if let Some(sel) = &mut owned.selection {
-        fold_expr_subqueries_with(run, sel)?;
-    }
-    for g in &mut owned.group_by {
-        fold_expr_subqueries_with(run, g)?;
-    }
-    if let Some(h) = &mut owned.having {
-        fold_expr_subqueries_with(run, h)?;
-    }
-    for (e, _) in &mut owned.order_by {
-        fold_expr_subqueries_with(run, e)?;
-    }
-    Ok(Cow::Owned(owned))
-}
-
-fn fold_expr_subqueries(
-    inner: &DbInner,
-    e: &mut grfusion_sql::Expr,
-    ctx: &PlannerCtx,
+/// Fold the `IN (SELECT ...)` subqueries of an UPDATE/DELETE predicate
+/// against the writer's own view, before the statement starts mutating.
+fn fold_predicate(
+    hub: &EpochHub,
+    inner: &mut DbInner,
+    selection: &mut Option<grfusion_sql::Expr>,
 ) -> Result<()> {
-    fold_expr_subqueries_with(&mut |s| run_select(inner, s, ctx), e)
-}
-
-pub(crate) fn fold_expr_subqueries_with(
-    run: &mut dyn FnMut(&grfusion_sql::Select) -> Result<ResultSet>,
-    e: &mut grfusion_sql::Expr,
-) -> Result<()> {
-    use grfusion_sql::Expr as E;
-    match e {
-        E::InSubquery {
-            expr,
-            select,
-            negated,
-        } => {
-            fold_expr_subqueries_with(run, expr)?;
-            let rs = run(select)?;
-            if rs.schema.len() != 1 {
-                return Err(Error::analysis(format!(
-                    "IN (SELECT ...) must return exactly one column, got {}",
-                    rs.schema.len()
-                )));
-            }
-            let list = rs
-                .rows
-                .into_iter()
-                .map(|mut r| E::Literal(r.remove(0)))
-                .collect();
-            *e = E::InList {
-                expr: expr.clone(),
-                list,
-                negated: *negated,
-            };
-        }
-        E::Literal(_) | E::Parameter(_) | E::CompoundRef(_) => {}
-        E::Unary { expr, .. } => fold_expr_subqueries_with(run, expr)?,
-        E::Binary { left, right, .. } => {
-            fold_expr_subqueries_with(run, left)?;
-            fold_expr_subqueries_with(run, right)?;
-        }
-        E::InList { expr, list, .. } => {
-            fold_expr_subqueries_with(run, expr)?;
-            for i in list {
-                fold_expr_subqueries_with(run, i)?;
-            }
-        }
-        E::Between {
-            expr, low, high, ..
-        } => {
-            fold_expr_subqueries_with(run, expr)?;
-            fold_expr_subqueries_with(run, low)?;
-            fold_expr_subqueries_with(run, high)?;
-        }
-        E::Function { args, .. } => {
-            for a in args {
-                fold_expr_subqueries_with(run, a)?;
-            }
-        }
+    match selection {
+        Some(e) if has_subquery(e) => read_locked(hub, inner, |snap, cfg| snap.fold_expr(cfg, e)),
+        _ => Ok(()),
     }
-    Ok(())
-}
-
-fn run_plan(
-    inner: &DbInner,
-    plan: &crate::plan::PlanNode,
-    params: Vec<grfusion_common::Value>,
-    collect_metrics: bool,
-    force_row: bool,
-) -> Result<ResultSet> {
-    // Acquire read guards for every table and topology once; operators then
-    // work against plain references (serial execution — no per-row locks).
-    let table_names = inner.catalog.table_names();
-    let handles: Vec<(String, grfusion_storage::TableRef)> = table_names
-        .iter()
-        .map(|n| Ok((n.clone(), inner.catalog.table(n)?)))
-        .collect::<Result<_>>()?;
-    let table_guards: Vec<(String, parking_lot::RwLockReadGuard<'_, Table>)> = handles
-        .iter()
-        .map(|(n, h)| (n.clone(), h.read()))
-        .collect();
-    let topo_guards: Vec<(
-        String,
-        parking_lot::RwLockReadGuard<'_, grfusion_graph::GraphTopology>,
-    )> = inner
-        .graph_views
-        .iter()
-        .map(|(n, v)| (n.clone(), v.topology.read()))
-        .collect();
-
-    let mut tables: HashMap<String, &Table> = HashMap::new();
-    for (n, g) in &table_guards {
-        tables.insert(n.clone(), &**g);
-    }
-    let mut graphs: HashMap<String, GraphEnv<'_>> = HashMap::new();
-    for (n, g) in &topo_guards {
-        let view = &inner.graph_views[n];
-        let vertex_table = *tables
-            .get(&view.def.vertex_source)
-            .ok_or_else(|| Error::execution("missing vertex source table"))?;
-        let edge_table = *tables
-            .get(&view.def.edge_source)
-            .ok_or_else(|| Error::execution("missing edge source table"))?;
-        graphs.insert(
-            n.clone(),
-            GraphEnv {
-                def: &view.def,
-                topo: g,
-                vertex_table,
-                edge_table,
-            },
-        );
-    }
-    let env = QueryEnv {
-        tables,
-        graphs,
-        limits: inner.config.limits,
-        parallel: inner.config.parallel,
-        params,
-        gov: inner.exec_context()?,
-        // Cost-model pipeline choice: small estimated results skip batch
-        // assembly entirely (row and batch pipelines are byte-identical, so
-        // this is a pure latency decision).
-        batch: if force_row {
-            crate::config::BatchConfig::disabled()
-        } else {
-            inner.config.batch
-        },
-    };
-    let (rows, metrics) = if collect_metrics {
-        let (rows, m) = execute_plan_with_metrics(plan, &env)?;
-        (rows, Some(m))
-    } else {
-        (execute_plan(plan, &env)?, None)
-    };
-    Ok(ResultSet {
-        schema: plan.schema().clone(),
-        rows,
-        rows_affected: 0,
-        metrics,
-    })
 }

@@ -216,8 +216,7 @@ impl<'a> DmlCtx<'a> {
 /// (or nothing at all), never a catalog object.
 fn empty_env() -> QueryEnv<'static> {
     QueryEnv {
-        tables: HashMap::new(),
-        graphs: HashMap::new(),
+        snap: None,
         limits: Default::default(),
         parallel: Default::default(),
         params: Vec::new(),

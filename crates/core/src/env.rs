@@ -7,13 +7,12 @@
 //! attribute-access helpers that dereference tuple pointers during path
 //! evaluation (the O(1) topology→tuple hop of EDBT 2018 §3.2).
 
-use std::collections::HashMap;
-
 use grfusion_common::{Error, PathData, Result, Value};
 use grfusion_graph::{GraphTopology, VertexSlot};
 use grfusion_storage::Table;
 
 use crate::graph_view::GraphViewDef;
+use crate::snapshot::Snapshot;
 
 /// Lossless `usize → i64` degree conversion. Topology degrees are bounded
 /// by live row counts, so the fallible branch is unreachable in practice;
@@ -109,10 +108,10 @@ impl<'e> GraphEnv<'e> {
 
 /// All borrowed state for one query execution.
 pub struct QueryEnv<'e> {
-    /// Lowercase table name → table.
-    pub tables: HashMap<String, &'e Table>,
-    /// Lowercase graph-view name → graph environment.
-    pub graphs: HashMap<String, GraphEnv<'e>>,
+    /// The tables and graph views the query can name. `None` for DML
+    /// expressions, which read one table's row (or nothing at all), never
+    /// a catalog object.
+    pub(crate) snap: Option<&'e Snapshot<'e>>,
     /// Execution limits carried into operators.
     pub limits: crate::config::ExecLimits,
     /// Intra-query parallelism knobs for graph operators.
@@ -128,15 +127,14 @@ pub struct QueryEnv<'e> {
 
 impl<'e> QueryEnv<'e> {
     pub fn table(&self, name: &str) -> Result<&'e Table> {
-        self.tables
-            .get(name)
-            .copied()
+        self.snap
+            .and_then(|s| s.table(name))
             .ok_or_else(|| Error::execution(format!("table `{name}` not bound in query env")))
     }
 
-    pub fn graph(&self, name: &str) -> Result<&GraphEnv<'e>> {
-        self.graphs
-            .get(name)
+    pub fn graph(&self, name: &str) -> Result<&'e GraphEnv<'e>> {
+        self.snap
+            .and_then(|s| s.graph(name))
             .ok_or_else(|| Error::execution(format!("graph view `{name}` not bound in query env")))
     }
 

@@ -21,18 +21,16 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 
-use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
+use grfusion_common::{Error, Result};
 use grfusion_graph::GraphTopology;
 use grfusion_storage::Table;
 use crate::lockorder::{LockClass, OrderedMutex};
 
 use crate::config::EngineConfig;
-use crate::env::{GraphEnv, QueryEnv};
-use crate::exec::{execute_plan, execute_plan_with_metrics};
 use crate::governor::{CancelToken, ExecContext, FaultState};
 use crate::graph_view::GraphViewDef;
-use crate::planner::{plan_select, PlannerCtx};
-use crate::result::ResultSet;
+use crate::planner::PlannerCtx;
+use crate::snapshot::Snapshot;
 
 /// One graph view inside an epoch: the definition plus an immutable
 /// topology snapshot (sealed CSR shared with the live topology by `Arc`;
@@ -45,8 +43,8 @@ pub(crate) struct EpochView {
 
 /// An immutable snapshot of everything a query can observe, published
 /// after a committed statement. Tables and topologies are the very same
-/// types the executor reads on the locked path, so the whole
-/// planner/executor stack works against an epoch unchanged.
+/// types the writer holds live, so a [`Snapshot`] binds either source and
+/// the whole planner/executor stack runs over it unchanged.
 pub(crate) struct Epoch {
     /// Monotonically increasing publication number (0 = the epoch
     /// published at construction / enablement).
@@ -65,9 +63,9 @@ pub(crate) struct Epoch {
 /// A caller-held pin on one published epoch. While the handle lives, the
 /// epoch — its table snapshots and sealed topology — stays resident no
 /// matter how many times the writer re-seals and republishes; dropping the
-/// last handle reclaims it. This is the same pin a query's `ExecContext`
-/// holds internally, exposed so tests and external snapshot consumers can
-/// hold a snapshot across statements.
+/// last handle reclaims it. This is the same pin a read holds for its own
+/// duration, exposed so tests and external snapshot consumers can hold a
+/// snapshot across statements.
 #[derive(Debug, Clone)]
 pub struct EpochSnapshot {
     pub(crate) ep: Arc<Epoch>,
@@ -87,7 +85,7 @@ impl EpochSnapshot {
     /// Dump the pinned epoch's full logical state — byte-identical to what
     /// `Database::state_dump` produced when this epoch was current.
     pub fn state_dump(&self) -> String {
-        state_dump_epoch(&self.ep)
+        Snapshot::pinned(&self.ep).state_dump()
     }
 }
 
@@ -102,16 +100,47 @@ impl std::fmt::Debug for Epoch {
     }
 }
 
-/// The reader-side mirror of the engine knobs that live inside the
-/// writer's mutex: epoch readers must never take that mutex, so
-/// `set_config` / `cancel_token` / `set_fault_plan` update this copy in
-/// the same call that updates the inner state.
-pub(crate) struct ReaderShared {
+/// The engine's settings — the one copy. It lives behind `EpochHub.shared`
+/// rather than inside the writer's mutex so that epoch readers never take
+/// that mutex; the writer reads it there too (`DbInner → EpochHub.shared`
+/// is in lock order). Each read and each DML statement clones it once, so
+/// a setter takes effect on the next statement.
+#[derive(Clone)]
+pub(crate) struct Settings {
     pub config: EngineConfig,
+    /// Cancellation token, created lazily the first time a caller asks for
+    /// one. While no token has been handed out, queries run with no cancel
+    /// flag at all, so the governor stays inactive (zero overhead) unless a
+    /// deadline or memory cap is also configured.
     pub cancel: Option<CancelToken>,
+    /// Fault-injection state shared by all statements (hit counters persist
+    /// across statements so a retried statement runs past a spent rule).
     pub faults: Option<Arc<FaultState>>,
+    /// A malformed `GRFUSION_FAULTS` value, surfaced on first use rather
+    /// than silently disabling the sweep.
     pub faults_err: Option<String>,
+    /// A malformed `GRFUSION_*` engine knob (workers, batch, reseal, ...),
+    /// surfaced on the first statement rather than silently degrading to
+    /// defaults. Cleared by `set_config` (an explicit config supersedes
+    /// whatever the environment asked for).
     pub env_err: Option<String>,
+}
+
+impl Settings {
+    /// Build the per-statement resource governor from the config plus the
+    /// database-level cancel token (armed from now, so a past cancel never
+    /// bleeds into this statement), the calling thread's ambient request
+    /// scope, and the fault plan.
+    pub fn exec_context(&self) -> Result<ExecContext> {
+        if let Some(msg) = self.env_err.as_ref().or(self.faults_err.as_ref()) {
+            return Err(Error::analysis(msg.clone()));
+        }
+        Ok(ExecContext::for_query(
+            &self.config.governor,
+            self.cancel.as_ref(),
+            self.faults.clone(),
+        ))
+    }
 }
 
 /// The publication point: holds the current epoch behind a tiny mutex
@@ -125,11 +154,11 @@ pub(crate) struct EpochHub {
     /// An explicit transaction is open: reads must go down the locked path
     /// so they observe their own uncommitted writes.
     txn_open: AtomicBool,
-    shared: OrderedMutex<ReaderShared>,
+    shared: OrderedMutex<Settings>,
 }
 
 impl EpochHub {
-    pub fn new(shared: ReaderShared, enabled: bool) -> EpochHub {
+    pub fn new(shared: Settings, enabled: bool) -> EpochHub {
         EpochHub {
             current: OrderedMutex::new(LockClass::EpochCurrent, None),
             registry: OrderedMutex::new(LockClass::EpochRegistry, Vec::new()),
@@ -226,207 +255,15 @@ impl EpochHub {
         (live, retained)
     }
 
-    /// Update the reader-side mirror of config/cancel/fault state.
-    pub fn update_shared(&self, f: impl FnOnce(&mut ReaderShared)) {
-        f(&mut self.shared.lock());
+    /// Change the settings (takes effect on the next statement).
+    pub fn update_settings<T>(&self, f: impl FnOnce(&mut Settings) -> T) -> T {
+        f(&mut self.shared.lock())
     }
 
-    /// Engine config as the readers see it.
-    pub fn shared_config(&self) -> EngineConfig {
-        self.shared.lock().config
+    /// The settings as of now.
+    pub fn settings(&self) -> Settings {
+        self.shared.lock().clone()
     }
-
-    /// Build a per-query governor context from the mirrored state — the
-    /// epoch-path twin of `DbInner::exec_context`.
-    pub fn shared_exec_context(&self) -> Result<ExecContext> {
-        let s = self.shared.lock();
-        if let Some(msg) = s.env_err.as_ref().or(s.faults_err.as_ref()) {
-            return Err(Error::analysis(msg.clone()));
-        }
-        Ok(ExecContext::for_query(
-            &s.config.governor,
-            s.cancel.as_ref(),
-            s.faults.clone(),
-        ))
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Pinned-epoch query execution
-// ---------------------------------------------------------------------------
-
-/// Run a SELECT against a pinned epoch. The pin (an `Arc` clone stored in
-/// the query's `ExecContext`) keeps the epoch alive for the whole query,
-/// including any morsel workers, and is released when the query finishes —
-/// normally, by error, or by cancellation/deadline.
-pub(crate) fn run_select_epoch(
-    hub: &EpochHub,
-    ep: &Arc<Epoch>,
-    select: &grfusion_sql::Select,
-    collect_metrics: bool,
-) -> Result<ResultSet> {
-    let select = crate::db::fold_subqueries_with(
-        &mut |s| run_select_epoch(hub, ep, s, false),
-        select,
-    )?;
-    let cfg = hub.shared_config();
-    let plan = plan_select(&select, &ep.plan_ctx, &cfg.optimizer)?;
-    // Epoch twin of the locked path's cost-based re-planning: statistics
-    // come from the pinned snapshot's tables/topologies, so concurrent
-    // writers cannot skew an in-flight plan choice.
-    let (plan, estimates, force_row) = if cfg.optimizer.cost_based {
-        let catalog = cost_catalog_epoch(ep);
-        let o = crate::cost::optimize(
-            plan,
-            &catalog,
-            &ep.plan_ctx.graphs,
-            &ep.plan_ctx.tables,
-            &ep.plan_ctx.hash_indexed,
-        )?;
-        (o.plan, Some(o.estimates), o.prefer_row_pipeline)
-    } else {
-        (plan, None, false)
-    };
-    let mut rs = run_plan_epoch(hub, ep, &plan, Vec::new(), collect_metrics, force_row)?;
-    if let (Some(m), Some(est)) = (rs.metrics.as_mut(), &estimates) {
-        m.attach_estimates(est);
-    }
-    Ok(rs)
-}
-
-/// Snapshot the pinned epoch's statistics for the cost model.
-fn cost_catalog_epoch(ep: &Epoch) -> crate::cost::CostCatalog {
-    let mut cat = crate::cost::CostCatalog::new();
-    for (n, t) in &ep.tables {
-        cat.add_table(n, t.stats(), t.column_ndvs());
-    }
-    for (n, v) in &ep.views {
-        cat.add_graph(n, v.topo.stats());
-    }
-    cat
-}
-
-/// Execute a compiled plan against a pinned epoch.
-pub(crate) fn run_plan_epoch(
-    hub: &EpochHub,
-    ep: &Arc<Epoch>,
-    plan: &crate::plan::PlanNode,
-    params: Vec<Value>,
-    collect_metrics: bool,
-    force_row: bool,
-) -> Result<ResultSet> {
-    let cfg = hub.shared_config();
-    let mut gov = hub.shared_exec_context()?;
-    gov.epoch_pin = Some(ep.clone());
-    let mut tables: HashMap<String, &Table> = HashMap::new();
-    for (n, t) in &ep.tables {
-        tables.insert(n.clone(), &**t);
-    }
-    let mut graphs: HashMap<String, GraphEnv<'_>> = HashMap::new();
-    for (n, v) in &ep.views {
-        let vertex_table = *tables
-            .get(&v.def.vertex_source)
-            .ok_or_else(|| Error::execution("missing vertex source table"))?;
-        let edge_table = *tables
-            .get(&v.def.edge_source)
-            .ok_or_else(|| Error::execution("missing edge source table"))?;
-        graphs.insert(
-            n.clone(),
-            GraphEnv {
-                def: &v.def,
-                topo: &v.topo,
-                vertex_table,
-                edge_table,
-            },
-        );
-    }
-    let env = QueryEnv {
-        tables,
-        graphs,
-        limits: cfg.limits,
-        parallel: cfg.parallel,
-        params,
-        gov,
-        // Cost-model pipeline choice (see the locked path's `run_plan`).
-        batch: if force_row {
-            crate::config::BatchConfig::disabled()
-        } else {
-            cfg.batch
-        },
-    };
-    let (rows, metrics) = if collect_metrics {
-        let (rows, mut m) = execute_plan_with_metrics(plan, &env)?;
-        m.epoch = Some(ep.number);
-        (rows, Some(m))
-    } else {
-        (execute_plan(plan, &env)?, None)
-    };
-    Ok(ResultSet {
-        schema: plan.schema().clone(),
-        rows,
-        rows_affected: 0,
-        metrics,
-    })
-}
-
-/// `EXPLAIN ANALYZE` over a pinned epoch: run instrumented, discard the
-/// rows, return the annotated plan text (first line `epoch=N`).
-pub(crate) fn explain_analyze_epoch(
-    hub: &EpochHub,
-    ep: &Arc<Epoch>,
-    select: &grfusion_sql::Select,
-) -> Result<ResultSet> {
-    let rs = run_select_epoch(hub, ep, select, true)?;
-    let Some(metrics) = rs.metrics else {
-        return Err(Error::execution("instrumented run returned no metrics"));
-    };
-    let plan_schema = Arc::new(Schema::new(vec![Column::new("plan", DataType::Varchar)]));
-    let rows = metrics
-        .render()
-        .lines()
-        .map(|l| vec![Value::text(l)])
-        .collect();
-    Ok(ResultSet {
-        schema: plan_schema,
-        rows,
-        rows_affected: 0,
-        metrics: Some(metrics),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Epoch state dump
-// ---------------------------------------------------------------------------
-
-/// Deterministic dump of an epoch's observable state, byte-identical in
-/// format to `Database::state_dump` on the locked path: every table's live
-/// rows with their stable ids, then every topology, all name-sorted. Safe
-/// to call from any reader thread without stopping the writer.
-pub(crate) fn state_dump_epoch(ep: &Epoch) -> String {
-    let mut out = String::new();
-    let mut table_names: Vec<&String> = ep.tables.keys().collect();
-    table_names.sort();
-    for name in table_names {
-        let t = &ep.tables[name];
-        let mut rows: Vec<(u64, String)> = t
-            .scan()
-            .map(|(id, row)| {
-                let vals: Vec<String> = row.iter().map(|v| v.to_string()).collect();
-                (id.0, vals.join(","))
-            })
-            .collect();
-        rows.sort_unstable();
-        out.push_str(&format!("table {} rows={}\n", name, rows.len()));
-        for (id, vals) in rows {
-            out.push_str(&format!("r @{id} {vals}\n"));
-        }
-    }
-    let mut view_names: Vec<&String> = ep.views.keys().collect();
-    view_names.sort();
-    for n in view_names {
-        out.push_str(&ep.views[n].topo.topology_dump());
-    }
-    out
 }
 
 /// The dirty set of one committed statement: lowercase names of tables and

@@ -194,13 +194,15 @@ impl<'e> Op<'e> for MeteredOp<'e> {
 /// Whether the [`CheckedOp`] contract shim is active. Defaults to on in
 /// debug builds (so the whole test suite runs self-checking) and off in
 /// release builds (zero cost); `GRFUSION_CHECK_CONTRACTS=1` forces it on,
-/// `=0` forces it off.
+/// `=0` forces it off. Process-wide and read once — the first query fixes
+/// it — so a SELECT never touches the environment.
 fn contracts_enabled() -> bool {
-    match std::env::var("GRFUSION_CHECK_CONTRACTS") {
+    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *ENABLED.get_or_init(|| match std::env::var("GRFUSION_CHECK_CONTRACTS") {
         Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => false,
         Ok(_) => true,
         Err(_) => cfg!(debug_assertions),
-    }
+    })
 }
 
 /// Pre-order list of statically inferred per-node contracts, consumed by

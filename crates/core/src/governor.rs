@@ -198,13 +198,6 @@ pub struct ExecContext {
     mem_cap: Option<u64>,
     mem_used: AtomicU64,
     faults: Option<Arc<FaultState>>,
-    /// Epoch snapshot pinned for the lifetime of this query, when it runs
-    /// against published-epoch state instead of the live locked state. The
-    /// pin is what keeps a superseded epoch alive until every in-flight
-    /// reader (including morsel workers sharing this context) finishes —
-    /// dropping the context, on success, error, cancellation, or deadline,
-    /// releases it.
-    pub(crate) epoch_pin: Option<Arc<crate::epoch::Epoch>>,
 }
 
 impl Default for ExecContext {
@@ -232,17 +225,15 @@ impl ExecContext {
             mem_cap: cfg.max_memory_bytes,
             mem_used: AtomicU64::new(0),
             faults,
-            epoch_pin: None,
         }
     }
 
-    /// The per-query constructor used by both execution paths (locked and
-    /// epoch-pinned): combines the engine's configured governor with the
-    /// database-level cancel token (armed from *now*, so a past cancel
-    /// never bleeds into this query) and the calling thread's ambient
-    /// request scope, if a front-end installed one — the request deadline
-    /// tightens (never loosens) the configured one, and the per-request
-    /// token is armed from generation zero.
+    /// The per-statement constructor: combines the engine's configured
+    /// governor with the database-level cancel token (armed from *now*, so
+    /// a past cancel never bleeds into this query) and the calling
+    /// thread's ambient request scope, if a front-end installed one — the
+    /// request deadline tightens (never loosens) the configured one, and
+    /// the per-request token is armed from generation zero.
     pub(crate) fn for_query(
         cfg: &GovernorConfig,
         db_cancel: Option<&CancelToken>,

@@ -158,16 +158,6 @@ impl GraphView {
             topology: Arc::new(RwLock::new(topo)),
         })
     }
-
-    /// Deterministic dump of the materialized topology: every vertex
-    /// `(id, tuple)` and every edge `(id, from, to, tuple)` sorted by id,
-    /// independent of insertion order and internal slot layout. Two views
-    /// with equal dumps are indistinguishable to queries — the robustness
-    /// battery compares dumps before/after a faulted statement to prove
-    /// all-or-nothing maintenance.
-    pub fn topology_dump(&self) -> String {
-        self.topology.read().topology_dump()
-    }
 }
 
 /// Extract an integer id from a source column value.

@@ -63,6 +63,7 @@ pub mod parallel;
 pub mod plan;
 pub mod planner;
 pub mod result;
+mod snapshot;
 
 pub use config::{
     BatchConfig, CsrConfig, EngineConfig, EpochConfig, ExecLimits, GovernorConfig, OptimizerFlags,

@@ -1,0 +1,395 @@
+//! The one read path: every SELECT-shaped operation runs over a borrowed
+//! [`Snapshot`].
+//!
+//! A snapshot binds names to tables and graph views for the duration of one
+//! read. It has exactly two sources — a pinned [`Epoch`] (immutable, shared
+//! by `Arc`, no engine lock held) and the read guards taken under `DbInner`
+//! (the writer's in-transaction view, also what `INSERT … SELECT` and DML
+//! subquery folding read) — and everything downstream of the constructor is
+//! the same code: compile (fold subqueries → plan → optional cost-based
+//! re-planning), run, `EXPLAIN [ANALYZE]`, the cost catalog and the state
+//! dump. `Database::read` picks the source; nothing else knows which one it
+//! got, except that a pinned snapshot carries its epoch number into
+//! `EXPLAIN ANALYZE`.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::sync::Arc;
+
+use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
+use grfusion_graph::GraphTopology;
+use grfusion_sql::{Expr, Select, SelectItem};
+use grfusion_storage::{Catalog, Table};
+use parking_lot::RwLockReadGuard;
+
+use crate::config::BatchConfig;
+use crate::db::PreparedQuery;
+use crate::env::{GraphEnv, QueryEnv};
+use crate::epoch::{Epoch, Settings};
+use crate::exec::{execute_plan, execute_plan_with_metrics};
+use crate::graph_view::{GraphView, GraphViewDef};
+use crate::planner::{plan_select, PlannerCtx};
+use crate::result::ResultSet;
+
+/// Read guards on every live table and topology, taken once per read while
+/// `DbInner` is held; operators then work against plain references (serial
+/// execution — no per-row locks).
+pub(crate) struct LiveGuards<'a> {
+    tables: Vec<(&'a str, RwLockReadGuard<'a, Table>)>,
+    views: Vec<(
+        &'a str,
+        &'a GraphViewDef,
+        RwLockReadGuard<'a, GraphTopology>,
+    )>,
+}
+
+impl<'a> LiveGuards<'a> {
+    pub(crate) fn take(catalog: &'a Catalog, views: &'a HashMap<String, GraphView>) -> Self {
+        LiveGuards {
+            tables: catalog.iter().map(|(n, h)| (n, h.read())).collect(),
+            views: views
+                .iter()
+                .map(|(n, v)| (n.as_str(), &v.def, v.topology.read()))
+                .collect(),
+        }
+    }
+}
+
+/// Everything one read can observe, by lowercase name.
+pub(crate) struct Snapshot<'a> {
+    tables: HashMap<&'a str, &'a Table>,
+    graphs: HashMap<&'a str, GraphEnv<'a>>,
+    plan_ctx: &'a PlannerCtx,
+    /// Publication number when the source is a pinned epoch.
+    epoch: Option<u64>,
+}
+
+impl<'a> Snapshot<'a> {
+    /// The state published as `ep`. The caller's pin keeps the epoch alive
+    /// for as long as the snapshot borrows it — the whole read, morsel
+    /// workers included — and releases it however the read ends.
+    pub(crate) fn pinned(ep: &'a Epoch) -> Self {
+        Snapshot::bind(
+            ep.tables.iter().map(|(n, t)| (n.as_str(), &**t)),
+            ep.views.iter().map(|(n, v)| (n.as_str(), &v.def, &*v.topo)),
+            &ep.plan_ctx,
+            Some(ep.number),
+        )
+    }
+
+    /// The live state under `DbInner`, uncommitted writes of the open
+    /// transaction included.
+    pub(crate) fn locked(guards: &'a LiveGuards<'_>, plan_ctx: &'a PlannerCtx) -> Self {
+        Snapshot::bind(
+            guards.tables.iter().map(|(n, g)| (*n, &**g)),
+            guards.views.iter().map(|(n, def, g)| (*n, *def, &**g)),
+            plan_ctx,
+            None,
+        )
+    }
+
+    fn bind(
+        tables: impl Iterator<Item = (&'a str, &'a Table)>,
+        views: impl Iterator<Item = (&'a str, &'a GraphViewDef, &'a GraphTopology)>,
+        plan_ctx: &'a PlannerCtx,
+        epoch: Option<u64>,
+    ) -> Self {
+        let tables: HashMap<&str, &Table> = tables.collect();
+        // A view's sources cannot be dropped before the view, so both
+        // lookups hit; a view that somehow lost one stays unbound and a
+        // query naming it fails with "not bound in query env".
+        let graphs = views
+            .filter_map(|(name, def, topo)| {
+                let env = GraphEnv {
+                    def,
+                    topo,
+                    vertex_table: tables.get(def.vertex_source.as_str())?,
+                    edge_table: tables.get(def.edge_source.as_str())?,
+                };
+                Some((name, env))
+            })
+            .collect();
+        Snapshot {
+            tables,
+            graphs,
+            plan_ctx,
+            epoch,
+        }
+    }
+
+    pub(crate) fn table(&self, name: &str) -> Option<&'a Table> {
+        self.tables.get(name).copied()
+    }
+
+    pub(crate) fn graph(&self, name: &str) -> Option<&GraphEnv<'a>> {
+        self.graphs.get(name)
+    }
+
+    /// Compile a SELECT: fold its subqueries against this snapshot, plan it
+    /// rule-based, and — when the cost-based optimizer is on — re-plan it
+    /// against this snapshot's statistics, so a concurrent writer cannot
+    /// skew an in-flight plan choice. With the optimizer off the plan
+    /// passes through untouched and `estimates` stays `None`, keeping every
+    /// downstream byte identical.
+    pub(crate) fn compile(&self, cfg: &Settings, select: &Select) -> Result<PreparedQuery> {
+        let select = self.fold_subqueries(cfg, select)?;
+        let ctx = self.plan_ctx;
+        let plan = plan_select(&select, ctx, &cfg.config.optimizer)?;
+        if !cfg.config.optimizer.cost_based {
+            return Ok(PreparedQuery {
+                plan,
+                estimates: None,
+                prefer_row: false,
+            });
+        }
+        let o = crate::cost::optimize(
+            plan,
+            &self.cost_catalog(),
+            &ctx.graphs,
+            &ctx.tables,
+            &ctx.hash_indexed,
+        )?;
+        Ok(PreparedQuery {
+            plan: o.plan,
+            estimates: Some(o.estimates),
+            prefer_row: o.prefer_row_pipeline,
+        })
+    }
+
+    /// Execute a compiled query. With `collect_metrics` every operator is
+    /// instrumented and the result carries the metrics, annotated with the
+    /// optimizer's estimates and this snapshot's epoch number if it has
+    /// them.
+    pub(crate) fn run(
+        &self,
+        cfg: &Settings,
+        query: &PreparedQuery,
+        params: Vec<Value>,
+        collect_metrics: bool,
+    ) -> Result<ResultSet> {
+        let env = QueryEnv {
+            snap: Some(self),
+            limits: cfg.config.limits,
+            parallel: cfg.config.parallel,
+            params,
+            gov: cfg.exec_context()?,
+            // Cost-model pipeline choice: small estimated results skip batch
+            // assembly entirely (row and batch pipelines are byte-identical,
+            // so this is a pure latency decision).
+            batch: if query.prefer_row {
+                BatchConfig::disabled()
+            } else {
+                cfg.config.batch
+            },
+        };
+        let (rows, metrics) = if collect_metrics {
+            let (rows, mut m) = execute_plan_with_metrics(&query.plan, &env)?;
+            if let Some(est) = &query.estimates {
+                m.attach_estimates(est);
+            }
+            m.epoch = self.epoch;
+            (rows, Some(m))
+        } else {
+            (execute_plan(&query.plan, &env)?, None)
+        };
+        Ok(ResultSet {
+            schema: query.plan.schema().clone(),
+            rows,
+            rows_affected: 0,
+            metrics,
+        })
+    }
+
+    /// Compile and run an ad-hoc SELECT.
+    pub(crate) fn select(
+        &self,
+        cfg: &Settings,
+        select: &Select,
+        collect_metrics: bool,
+    ) -> Result<ResultSet> {
+        let query = self.compile(cfg, select)?;
+        self.run(cfg, &query, Vec::new(), collect_metrics)
+    }
+
+    /// `EXPLAIN` (the typed plan, with estimates under the cost-based
+    /// optimizer) or `EXPLAIN ANALYZE` (run instrumented, discard the rows,
+    /// return the annotated plan tree — first line `epoch=N` on a pinned
+    /// snapshot), one line per result row.
+    pub(crate) fn explain(
+        &self,
+        cfg: &Settings,
+        select: &Select,
+        analyze: bool,
+    ) -> Result<ResultSet> {
+        let (text, metrics) = if analyze {
+            let Some(m) = self.select(cfg, select, true)?.metrics else {
+                return Err(Error::execution("instrumented run returned no metrics"));
+            };
+            (m.render(), Some(m))
+        } else {
+            (self.compile(cfg, select)?.explain_typed(), None)
+        };
+        Ok(ResultSet {
+            schema: Arc::new(Schema::new(vec![Column::new("plan", DataType::Varchar)])),
+            rows: text.lines().map(|l| vec![Value::text(l)]).collect(),
+            rows_affected: 0,
+            metrics,
+        })
+    }
+
+    /// Table and topology statistics of this snapshot for the cost model.
+    fn cost_catalog(&self) -> crate::cost::CostCatalog {
+        let mut cat = crate::cost::CostCatalog::new();
+        for (name, t) in &self.tables {
+            cat.add_table(name, t.stats(), t.column_ndvs());
+        }
+        for (name, g) in &self.graphs {
+            cat.add_graph(name, g.topo.stats());
+        }
+        cat
+    }
+
+    /// Deterministic dump of all observable state: every table's live rows
+    /// with their stable row ids, then every topology, all name-sorted so
+    /// the text is independent of iteration order and of the snapshot's
+    /// source.
+    pub(crate) fn state_dump(&self) -> String {
+        let mut out = String::new();
+        let mut names: Vec<&str> = self.tables.keys().copied().collect();
+        names.sort_unstable();
+        for name in names {
+            let mut rows: Vec<(u64, String)> = self.tables[name]
+                .scan()
+                .map(|(id, row)| {
+                    let vals: Vec<String> = row.iter().map(|v| v.to_string()).collect();
+                    (id.0, vals.join(","))
+                })
+                .collect();
+            rows.sort_unstable();
+            out.push_str(&format!("table {} rows={}\n", name, rows.len()));
+            for (id, vals) in rows {
+                out.push_str(&format!("r @{id} {vals}\n"));
+            }
+        }
+        let mut names: Vec<&str> = self.graphs.keys().copied().collect();
+        names.sort_unstable();
+        for name in names {
+            out.push_str(&self.graphs[name].topo.topology_dump());
+        }
+        out
+    }
+
+    /// Fold uncorrelated `IN (SELECT ...)` subqueries into literal lists by
+    /// executing them bottom-up against this snapshot (so every fold and
+    /// the outer query see one consistent state). Returns a clone only when
+    /// folding is needed.
+    fn fold_subqueries<'s>(&self, cfg: &Settings, select: &'s Select) -> Result<Cow<'s, Select>> {
+        let exprs = select
+            .projections
+            .iter()
+            .filter_map(|p| match p {
+                SelectItem::Expr { expr, .. } => Some(expr),
+                _ => None,
+            })
+            .chain(select.selection.iter())
+            .chain(select.group_by.iter())
+            .chain(select.having.iter())
+            .chain(select.order_by.iter().map(|(e, _)| e));
+        if !exprs.into_iter().any(has_subquery) {
+            return Ok(Cow::Borrowed(select));
+        }
+        let mut owned = select.clone();
+        for p in &mut owned.projections {
+            if let SelectItem::Expr { expr, .. } = p {
+                self.fold_expr(cfg, expr)?;
+            }
+        }
+        if let Some(sel) = &mut owned.selection {
+            self.fold_expr(cfg, sel)?;
+        }
+        for g in &mut owned.group_by {
+            self.fold_expr(cfg, g)?;
+        }
+        if let Some(h) = &mut owned.having {
+            self.fold_expr(cfg, h)?;
+        }
+        for (e, _) in &mut owned.order_by {
+            self.fold_expr(cfg, e)?;
+        }
+        Ok(Cow::Owned(owned))
+    }
+
+    /// Fold the subqueries of one expression in place (also the entry point
+    /// for UPDATE/DELETE predicates).
+    pub(crate) fn fold_expr(&self, cfg: &Settings, e: &mut Expr) -> Result<()> {
+        use Expr as E;
+        match e {
+            E::InSubquery {
+                expr,
+                select,
+                negated,
+            } => {
+                self.fold_expr(cfg, expr)?;
+                let rs = self.select(cfg, select, false)?;
+                if rs.schema.len() != 1 {
+                    return Err(Error::analysis(format!(
+                        "IN (SELECT ...) must return exactly one column, got {}",
+                        rs.schema.len()
+                    )));
+                }
+                let list = rs
+                    .rows
+                    .into_iter()
+                    .map(|mut r| E::Literal(r.remove(0)))
+                    .collect();
+                *e = E::InList {
+                    expr: expr.clone(),
+                    list,
+                    negated: *negated,
+                };
+            }
+            E::Literal(_) | E::Parameter(_) | E::CompoundRef(_) => {}
+            E::Unary { expr, .. } => self.fold_expr(cfg, expr)?,
+            E::Binary { left, right, .. } => {
+                self.fold_expr(cfg, left)?;
+                self.fold_expr(cfg, right)?;
+            }
+            E::InList { expr, list, .. } => {
+                self.fold_expr(cfg, expr)?;
+                for i in list {
+                    self.fold_expr(cfg, i)?;
+                }
+            }
+            E::Between {
+                expr, low, high, ..
+            } => {
+                self.fold_expr(cfg, expr)?;
+                self.fold_expr(cfg, low)?;
+                self.fold_expr(cfg, high)?;
+            }
+            E::Function { args, .. } => {
+                for a in args {
+                    self.fold_expr(cfg, a)?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Whether `e` contains an `IN (SELECT ...)` anywhere — i.e. whether
+/// folding it needs a snapshot at all.
+pub(crate) fn has_subquery(e: &Expr) -> bool {
+    use Expr as E;
+    match e {
+        E::InSubquery { .. } => true,
+        E::Literal(_) | E::Parameter(_) | E::CompoundRef(_) => false,
+        E::Unary { expr, .. } => has_subquery(expr),
+        E::Binary { left, right, .. } => has_subquery(left) || has_subquery(right),
+        E::InList { expr, list, .. } => has_subquery(expr) || list.iter().any(has_subquery),
+        E::Between {
+            expr, low, high, ..
+        } => has_subquery(expr) || has_subquery(low) || has_subquery(high),
+        E::Function { args, .. } => args.iter().any(has_subquery),
+    }
+}

@@ -1,0 +1,326 @@
+//! One read path, two snapshot sources: the same fixture observed through
+//! the pinned-epoch constructor and through the locked constructor must
+//! yield the same rows, estimates, plans and dump — modulo the `epoch=N`
+//! line that only a pinned snapshot reports.
+
+use grfusion::{
+    Database, EngineConfig, EpochConfig, OptimizerFlags, ParallelConfig, ResultSet, Value,
+};
+
+const PREPARED: &str = "SELECT PS.EndVertex.name FROM social.Paths PS \
+                        WHERE PS.StartVertex.Id = ? AND PS.Length = 2";
+const FOLDED: &str = "SELECT name FROM users \
+                      WHERE uid IN (SELECT b FROM rel WHERE a = 1) AND age >= 30 ORDER BY name";
+const METERED: &str = "SELECT U.name, COUNT(PS) FROM users U, social.Paths PS \
+                       WHERE PS.StartVertex.Id = U.uid AND PS.Length <= 2 AND U.age = 41 \
+                       GROUP BY U.name ORDER BY U.name";
+
+/// Tables + hash index + graph view, with the cost-based optimizer on so
+/// every plan carries estimates; only `epochs` differs between lanes.
+fn fixture(epochs: bool) -> Database {
+    let db = Database::with_config(EngineConfig {
+        optimizer: OptimizerFlags::cost_based(),
+        parallel: ParallelConfig::serial(),
+        epochs: EpochConfig { enabled: epochs },
+        ..EngineConfig::default()
+    });
+    db.execute_script(
+        "CREATE TABLE users (uid INTEGER PRIMARY KEY, name VARCHAR, age INTEGER);
+         CREATE TABLE rel (rid INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE);
+         CREATE INDEX users_age ON users (age);
+         INSERT INTO users VALUES (1, 'ann', 41), (2, 'bob', 30), (3, 'cy', 41),
+                                  (4, 'dee', 25), (5, 'eve', 33), (6, 'fay', 41);
+         INSERT INTO rel VALUES (10, 1, 2, 1.0), (11, 2, 3, 2.0), (12, 3, 4, 1.5),
+                                (13, 1, 5, 0.5), (14, 5, 6, 2.5), (15, 6, 3, 1.0);
+         CREATE UNDIRECTED GRAPH VIEW social VERTEXES(ID = uid, name = name) FROM users \
+             EDGES(ID = rid, FROM = a, TO = b, w = w) FROM rel;",
+    )
+    .unwrap();
+    db
+}
+
+/// The writes the transaction lanes apply (and the committed reference
+/// replays): a new vertex, two edges reaching it, one changed attribute.
+const WRITES: [&str; 3] = [
+    "INSERT INTO users VALUES (7, 'gus', 41)",
+    "INSERT INTO rel VALUES (16, 1, 7, 1.0), (17, 7, 4, 1.0)",
+    "UPDATE users SET age = 34 WHERE uid = 2",
+];
+
+/// Everything a reader can see, with wall-clock noise removed.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    prepared_plan: String,
+    prepared_rows: Vec<Vec<Value>>,
+    folded_rows: Vec<Vec<Value>>,
+    metered_rows: Vec<Vec<Value>>,
+    /// `(label, rows, nexts, rows_est)` per plan node of the metered run.
+    metered_nodes: Vec<(String, u64, u64, Option<u64>)>,
+    explain: String,
+    /// `EXPLAIN ANALYZE` text without timings and without the epoch line.
+    analyze: String,
+    dump: String,
+}
+
+fn sorted(rs: ResultSet) -> Vec<Vec<Value>> {
+    let mut rows = rs.rows;
+    rows.sort_by_key(|r| format!("{r:?}"));
+    rows
+}
+
+/// Drop every ` time=…us` token: the only nondeterministic part of the
+/// annotated plan.
+fn without_timings(text: &str) -> String {
+    text.lines()
+        .map(|l| {
+            l.split(' ')
+                .filter(|w| !w.starts_with("time="))
+                .collect::<Vec<_>>()
+                .join(" ")
+        })
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// Observe `db` through every read entry point. Returns the observation
+/// and the epoch the instrumented reads reported (`None` = locked source).
+fn observe(db: &Database) -> (Observed, Option<u64>) {
+    let prepared = db.prepare(PREPARED).unwrap();
+    let metered = db.execute_with_metrics(METERED).unwrap();
+    let metrics = metered.metrics.clone().expect("metrics requested");
+    let analyze: Vec<String> = db
+        .execute(&format!("EXPLAIN ANALYZE {METERED}"))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r[0].to_string())
+        .collect();
+    // Only a pinned snapshot prefixes its epoch, and it is the same epoch
+    // the programmatic twin reported.
+    let (epoch_line, plan_lines) = match metrics.epoch {
+        Some(n) => {
+            assert_eq!(analyze[0], format!("epoch={n}"));
+            (Some(n), &analyze[1..])
+        }
+        None => {
+            assert!(!analyze[0].starts_with("epoch="), "{analyze:?}");
+            (None, &analyze[..])
+        }
+    };
+    let observed = Observed {
+        prepared_plan: prepared.explain(),
+        prepared_rows: sorted(
+            db.execute_prepared(&prepared, &[Value::Integer(1)])
+                .unwrap(),
+        ),
+        folded_rows: db.execute(FOLDED).unwrap().rows,
+        metered_rows: metered.rows,
+        metered_nodes: metrics
+            .nodes
+            .iter()
+            .map(|n| (n.label.clone(), n.rows, n.next_calls, n.rows_est))
+            .collect(),
+        explain: db.explain(METERED).unwrap(),
+        analyze: without_timings(&plan_lines.join("\n")),
+        dump: db.state_dump().unwrap(),
+    };
+    assert!(
+        observed.metered_nodes.iter().all(|n| n.3.is_some()),
+        "cost-based lanes must carry an estimate on every node: {:?}",
+        observed.metered_nodes
+    );
+    (observed, epoch_line)
+}
+
+#[test]
+fn pinned_and_locked_snapshots_observe_the_same_database() {
+    let (locked, no_epoch) = observe(&fixture(false));
+    assert_eq!(no_epoch, None, "epochs off reads under the writer lock");
+    assert_eq!(locked.prepared_rows.len(), 2, "{:?}", locked.prepared_rows);
+    assert_eq!(
+        locked.folded_rows,
+        vec![vec![Value::text("bob")], vec![Value::text("eve")]]
+    );
+
+    let on = fixture(true);
+    let (pinned, epoch) = observe(&on);
+    assert_eq!(
+        epoch,
+        on.current_epoch(),
+        "epochs on reads the pinned epoch"
+    );
+    assert!(epoch.is_some());
+    assert_eq!(pinned, locked);
+}
+
+#[test]
+fn open_transaction_reads_its_own_writes_while_the_published_epoch_stands() {
+    let db = fixture(true);
+    let (committed, _) = observe(&db);
+    let held = db.pin_snapshot().expect("epochs on");
+    let published = db.current_epoch();
+
+    db.execute("BEGIN").unwrap();
+    for w in WRITES {
+        db.execute(w).unwrap();
+    }
+    assert!(
+        db.pin_snapshot().is_none(),
+        "an open transaction reads under the lock"
+    );
+    assert_eq!(
+        db.current_epoch(),
+        published,
+        "nothing publishes before COMMIT"
+    );
+
+    // A second thread holding the last published epoch still reads the
+    // committed state, byte for byte, while the transaction is open.
+    let their_dump = std::thread::scope(|s| s.spawn(|| held.state_dump()).join().unwrap());
+    assert_eq!(their_dump, committed.dump);
+
+    // The session itself goes through the locked constructor and sees its
+    // uncommitted rows — exactly what a database that committed the same
+    // writes shows through either constructor.
+    let (in_txn, epoch) = observe(&db);
+    assert_eq!(epoch, None, "in-transaction reads are not pinned");
+    assert_ne!(in_txn.dump, committed.dump);
+    for epochs in [false, true] {
+        let reference = fixture(epochs);
+        for w in WRITES {
+            reference.execute(w).unwrap();
+        }
+        assert_eq!(
+            in_txn,
+            observe(&reference).0,
+            "reference with epochs={epochs}"
+        );
+    }
+
+    // ROLLBACK: back on the pinned source, back to the committed state
+    // (logically — undo leaves the touched vertexes in the delta overlay,
+    // so layout and statistics-derived estimates may differ).
+    db.execute("ROLLBACK").unwrap();
+    let (after, epoch) = observe(&db);
+    assert!(epoch > published, "ROLLBACK republishes");
+    assert_eq!(after.dump, committed.dump);
+    assert_eq!(after.prepared_rows, committed.prepared_rows);
+    assert_eq!(after.folded_rows, committed.folded_rows);
+    assert_eq!(after.metered_rows, committed.metered_rows);
+}
+
+/// The writer's own reads — `INSERT … SELECT` and the `IN (SELECT …)` of an
+/// UPDATE/DELETE predicate — go through the locked constructor under the
+/// lock the statement already holds, so inside a transaction they see the
+/// session's uncommitted rows even though epochs are on.
+#[test]
+fn writer_side_reads_see_uncommitted_rows() {
+    let db = fixture(true);
+    db.execute("CREATE TABLE seen (uid INTEGER PRIMARY KEY)")
+        .unwrap();
+    db.execute("BEGIN").unwrap();
+    db.execute(WRITES[0]).unwrap(); // gus, 41 — uncommitted
+    let n = db
+        .execute("INSERT INTO seen SELECT uid FROM users WHERE age = 41")
+        .unwrap();
+    assert_eq!(n.rows_affected, 4, "ann, cy, fay and the uncommitted gus");
+    let n = db
+        .execute("UPDATE users SET age = 42 WHERE uid IN (SELECT uid FROM seen WHERE uid >= 6)")
+        .unwrap();
+    assert_eq!(
+        n.rows_affected, 2,
+        "fay and gus, found through the uncommitted `seen` rows"
+    );
+    let n = db
+        .execute("DELETE FROM seen WHERE uid IN (SELECT uid FROM users WHERE age = 42)")
+        .unwrap();
+    assert_eq!(n.rows_affected, 2);
+    db.execute("COMMIT").unwrap();
+    let left = db
+        .execute("SELECT uid FROM seen ORDER BY uid")
+        .unwrap()
+        .rows;
+    assert_eq!(left, vec![vec![Value::Integer(1)], vec![Value::Integer(3)]]);
+}
+
+/// `Database::explain`, the `EXPLAIN` statement and a prepared query's plan
+/// all come out of the one compile function, on either source.
+#[test]
+fn explain_surfaces_share_one_compile() {
+    for epochs in [false, true] {
+        let db = fixture(epochs);
+        let statement: Vec<String> = db
+            .execute(&format!("EXPLAIN {METERED}"))
+            .unwrap()
+            .rows
+            .iter()
+            .map(|r| r[0].to_string())
+            .collect();
+        let api = db.explain(METERED).unwrap();
+        assert_eq!(
+            api.lines().collect::<Vec<_>>(),
+            statement,
+            "epochs={epochs}"
+        );
+        // The prepared plan prints untyped labels but the same estimates.
+        let estimates = |text: &str| -> Vec<String> {
+            text.lines()
+                .map(|l| l[l.find("rows_est=").expect("cost-based plan")..].to_string())
+                .collect()
+        };
+        let prepared = db.prepare(METERED).unwrap().explain();
+        assert_eq!(estimates(&prepared), estimates(&api), "epochs={epochs}");
+    }
+}
+
+/// There is one settings copy: a setter called once reaches pinned reads,
+/// locked reads and DML alike.
+#[test]
+fn one_settings_copy_reaches_every_statement_kind() {
+    use grfusion::{FaultKind, FaultPlan, ResourceKind};
+    let db = fixture(true);
+    let over_budget = |r: grfusion::Result<ResultSet>| match r {
+        Err(grfusion::Error::ResourceExhausted { kind, .. }) => kind == ResourceKind::Rows,
+        _ => false,
+    };
+
+    let mut cfg = db.config();
+    cfg.limits.max_intermediate_rows = Some(2);
+    db.set_config(cfg);
+    assert_eq!(db.config(), cfg);
+    assert!(
+        over_budget(db.execute("SELECT uid FROM users")),
+        "pinned read"
+    );
+    db.execute("BEGIN").unwrap();
+    assert!(
+        over_budget(db.execute("SELECT uid FROM users")),
+        "locked read"
+    );
+    assert!(
+        over_budget(db.execute("INSERT INTO rel SELECT uid + 100, uid, uid, 1.0 FROM users")),
+        "writer-side read"
+    );
+    db.execute("ROLLBACK").unwrap();
+    cfg.limits.max_intermediate_rows = None;
+    db.set_config(cfg);
+    assert_eq!(db.execute("SELECT uid FROM users").unwrap().rows.len(), 6);
+
+    db.set_fault_plan(Some(FaultPlan::single(
+        "dml.update.storage",
+        1,
+        FaultKind::Error,
+    )));
+    let before = db.state_dump().unwrap();
+    assert!(db
+        .execute("UPDATE users SET age = 1 WHERE uid = 1")
+        .is_err());
+    assert_eq!(
+        db.state_dump().unwrap(),
+        before,
+        "faulted statement rolled back"
+    );
+    db.set_fault_plan(None);
+    db.execute("UPDATE users SET age = 1 WHERE uid = 1")
+        .unwrap();
+}

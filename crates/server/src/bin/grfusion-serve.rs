@@ -66,11 +66,18 @@ OPTIONS:
     --global-in-flight N    global in-flight cap (default workers*4)
     --drain-ms N            graceful-drain deadline in ms (default 2000)
     --init FILE             execute a SQL script before accepting connections
-    --help                  print this help
+    --help                  print this help";
 
-Engine knobs (GRFUSION_WORKERS, GRFUSION_BATCH, GRFUSION_CSR_RESEAL,
-GRFUSION_DEADLINE_MS, GRFUSION_MEMORY_BUDGET, GRFUSION_EPOCHS,
-GRFUSION_FAULTS) are read from the environment under strict validation.";
+/// [`USAGE`] plus the engine knobs, listed from the environment parser's
+/// own table so the help text cannot name a variable nothing reads.
+fn usage() -> String {
+    let knobs: Vec<&str> = EngineConfig::env_vars().collect();
+    format!(
+        "{USAGE}\n\nEngine knobs, read from the environment under strict validation (a\n\
+         malformed value is a startup error), plus GRFUSION_FAULTS:\n    {}",
+        knobs.join("\n    ")
+    )
+}
 
 struct Args {
     cfg: ServerConfig,
@@ -94,7 +101,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag {
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Err(usage()),
             "--addr" => cfg.addr = value("--addr")?,
             "--workers" => {
                 cfg.workers = parse_num(&value("--workers")?, "--workers")?;
@@ -114,7 +121,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 cfg.drain_deadline_ms = parse_num(&value("--drain-ms")?, "--drain-ms")?;
             }
             "--init" => init = Some(value("--init")?),
-            other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
+            other => return Err(format!("unknown flag `{other}`\n\n{}", usage())),
         }
         i += 1;
     }
@@ -185,4 +192,34 @@ fn main() -> ExitCode {
         );
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn help_and_readme_list_the_knobs_the_parser_reads() {
+        // `--help` short-circuits parsing with the usage text as the "error".
+        let help = parse_args(&["--help".to_string()])
+            .err()
+            .unwrap_or_default();
+        let readme = include_str!("../../../../README.md");
+        for var in EngineConfig::env_vars() {
+            assert!(help.contains(var), "usage omits {var}:\n{help}");
+            assert!(
+                readme.contains(&format!("| `{var}` |")),
+                "README knob table omits {var}"
+            );
+        }
+        // Every GRFUSION_* name in the text is one something reads.
+        for word in help.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
+            if word.starts_with("GRFUSION_") {
+                assert!(
+                    word == "GRFUSION_FAULTS" || EngineConfig::env_vars().any(|v| v == word),
+                    "usage advertises {word}, which nothing reads"
+                );
+            }
+        }
+    }
 }

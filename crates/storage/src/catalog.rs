@@ -60,6 +60,12 @@ impl Catalog {
         self.tables.contains_key(&name.to_ascii_lowercase())
     }
 
+    /// Every table under its lowercase name, in deterministic (sorted)
+    /// order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &TableRef)> {
+        self.tables.iter().map(|(n, h)| (n.as_str(), h))
+    }
+
     /// Table names in deterministic (sorted) order.
     pub fn table_names(&self) -> Vec<String> {
         self.tables.keys().cloned().collect()
@@ -94,5 +100,21 @@ mod tests {
         c.create_table(Table::new("b", Schema::default())).unwrap();
         c.create_table(Table::new("a", Schema::default())).unwrap();
         assert_eq!(c.table_names(), vec!["a".to_string(), "b".to_string()]);
+    }
+
+    #[test]
+    fn iter_yields_lowercase_names_with_their_handles() -> Result<()> {
+        let mut c = Catalog::new();
+        c.create_table(Table::new("Zed", Schema::default()))?;
+        c.create_table(Table::new("Abe", Schema::default()))?;
+        let seen: Vec<(&str, String)> = c
+            .iter()
+            .map(|(n, h)| (n, h.read().name().to_string()))
+            .collect();
+        assert_eq!(
+            seen,
+            vec![("abe", "Abe".to_string()), ("zed", "Zed".to_string())]
+        );
+        Ok(())
     }
 }

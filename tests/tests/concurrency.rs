@@ -384,31 +384,83 @@ fn epoch_reclaimed_only_after_last_pin_drops() {
     assert_eq!(db.epoch_stats(), (1, 0));
 }
 
-/// Cancellation firing mid-read still releases the reader's epoch pin: the
-/// cancelled query's `ExecContext` drops on the error path, and with it
-/// the pinned epoch.
-#[test]
-fn cancel_mid_read_releases_epoch_pin() {
-    let db = epoch_db();
-    let token = db.cancel_token();
+/// Epochs on, over the complete directed graph on 32 vertexes: counting its
+/// simple paths of length ≤ 24 cannot finish (more than 10^30 of them), so
+/// a reader doing that runs until something aborts it — in debug and in
+/// `--release` alike.
+fn dense_epoch_db() -> Arc<Database> {
+    const N: i64 = 32;
+    let db = Database::with_config(EngineConfig {
+        csr: CsrConfig::sealed(),
+        epochs: EpochConfig::enabled(),
+        ..Default::default()
+    });
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")
+        .unwrap();
+    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
+        .unwrap();
+    db.bulk_insert("v", (0..N).map(|i| vec![Value::Integer(i)]).collect())
+        .unwrap();
+    let pairs = (0..N).flat_map(|a| (0..N).filter(move |&b| b != a).map(move |b| (a, b)));
+    let erows = pairs
+        .enumerate()
+        .map(|(id, (a, b))| {
+            vec![
+                Value::Integer(id as i64),
+                Value::Integer(a),
+                Value::Integer(b),
+            ]
+        })
+        .collect();
+    db.bulk_insert("e", erows).unwrap();
+    db.execute(
+        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v EDGES(ID = id, FROM = a, TO = b) FROM e",
+    )
+    .unwrap();
+    Arc::new(db)
+}
 
-    // Make the pinned-at-query-start epoch superseded while the reader is
-    // still running, so the only thing keeping it alive is the query pin.
+/// Start the reader that cannot finish, then commit one relink at a time
+/// until the reader has pinned an epoch *and* the writer has superseded
+/// it: two live epochs, the older kept alive by nothing but the read.
+fn reader_pinned_and_superseded(
+    db: &Arc<Database>,
+) -> std::thread::JoinHandle<grfusion::Result<grfusion::ResultSet>> {
+    assert_eq!(db.epoch_stats(), (1, 0), "baseline: current epoch only");
     let reader = {
         let db = db.clone();
         std::thread::spawn(move || {
-            // Unbounded-ish enumeration over the chain: long enough to
-            // outlive the writer + cancel sequence below.
             db.execute(
-                "SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 199",
+                "SELECT COUNT(P) FROM g.Paths P HINT(DFS) WHERE P.Length >= 1 AND P.Length <= 24",
             )
         })
     };
-    // Let the reader pin and start traversing, then overwrite and cancel.
-    std::thread::sleep(std::time::Duration::from_millis(50));
-    relink_round(&db, 1, 60);
+    let mut step = 0i64;
+    while db.epoch_stats().0 < 2 {
+        assert!(
+            !reader.is_finished(),
+            "reader ended before it was superseded"
+        );
+        // Edge 0 is 0 -> 1; move its head around 1..=31.
+        db.execute(&format!("UPDATE e SET b = {} WHERE id = 0", 1 + step % 31))
+            .unwrap();
+        step += 1;
+    }
+    reader
+}
+
+/// Cancellation firing mid-read still releases the reader's epoch pin: the
+/// pin is held by the read itself and drops on the error path.
+#[test]
+fn cancel_mid_read_releases_epoch_pin() {
+    let db = dense_epoch_db();
+    let token = db.cancel_token();
+    let reader = reader_pinned_and_superseded(&db);
     token.cancel();
-    let err = reader.join().unwrap().expect_err("reader must be cancelled");
+    let err = reader
+        .join()
+        .unwrap()
+        .expect_err("reader must be cancelled");
     assert!(
         err.to_string().contains("cancel"),
         "unexpected error: {err}"
@@ -421,22 +473,15 @@ fn cancel_mid_read_releases_epoch_pin() {
 /// A deadline abort mid-read likewise releases the pin.
 #[test]
 fn deadline_mid_read_releases_epoch_pin() {
-    let db = epoch_db();
+    let db = dense_epoch_db();
     let mut cfg = db.config();
-    cfg.governor.deadline_ms = Some(60);
+    cfg.governor.deadline_ms = Some(500);
     db.set_config(cfg);
-
-    let reader = {
-        let db = db.clone();
-        std::thread::spawn(move || {
-            db.execute(
-                "SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 199",
-            )
-        })
-    };
-    std::thread::sleep(std::time::Duration::from_millis(20));
-    relink_round(&db, 2, 60);
-    let err = reader.join().unwrap().expect_err("reader must hit the deadline");
+    let reader = reader_pinned_and_superseded(&db);
+    let err = reader
+        .join()
+        .unwrap()
+        .expect_err("reader must hit the deadline");
     assert!(
         err.to_string().contains("deadline"),
         "unexpected error: {err}"

@@ -17,7 +17,7 @@ use grfusion_bench::experiments::{self, ExperimentScale, Measurement};
 fn usage() -> ! {
     eprintln!(
         "usage: harness <experiment> [--vertices N] [--queries N] [--workers N] [--deadline-ms N] [--paper-like] [--metrics]\n\
-         experiments: table2 | fig7 | fig8 | fig9 | fig10 | table3 | csr | batch | optimizer | concurrent |\n\
+         experiments: table2 | fig7 | fig8 | fig9 | fig10 | table3 | csr | optimizer | concurrent |\n\
          \u{20}            ablate-pushdown | ablate-leninfer | ablate-lazy | ablate-traversal |\n\
          \u{20}            metrics | all\n\
          --workers N runs GRFusion's graph operators with N morsel worker\n\
@@ -108,7 +108,6 @@ fn main() -> ExitCode {
             "fig10" => experiments::fig10(scale),
             "table3" => experiments::table3(scale),
             "csr" => experiments::csr(scale),
-            "batch" => experiments::batch(scale),
             "optimizer" => experiments::optimizer(scale),
             "concurrent" => experiments::concurrent(scale),
             "ablate-pushdown" => experiments::ablate_pushdown(scale),
@@ -132,7 +131,6 @@ fn main() -> ExitCode {
             "fig9",
             "fig10",
             "csr",
-            "batch",
             "optimizer",
             "concurrent",
             "ablate-pushdown",

@@ -568,125 +568,6 @@ pub fn csr(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
 }
 
 // ---------------------------------------------------------------------------
-// Batch execution experiment — vectorized relational spine vs. row-at-a-time
-// ---------------------------------------------------------------------------
-
-/// Scan/filter, index-join, and grouped-aggregation probes on the
-/// row-at-a-time executor (`exec=row`) vs. the batch bridge
-/// (`exec=batch`), over a synthetic relational workload of
-/// `10 × scale.vertices` fact rows (20k at the default small scale).
-/// Both lanes must return identical answers — any divergence is an
-/// error, not a measurement. Expected shape: batch ≤ row on the scan and
-/// join probes — per-`next()` virtual dispatch and shim bookkeeping
-/// amortize over 1024-row batches (the gap narrows on a 1-core
-/// container, but the batch lane should not lose).
-pub fn batch(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
-    use grfusion::{BatchConfig, Database, ParallelConfig, Value};
-    // Same drift discipline as the csr experiment: lanes alternate within
-    // each point and report their best of ROUNDS passes.
-    const ROUNDS: usize = 9;
-    let fact_rows = scale.vertices.max(100) * 10;
-    let dim_rows = (fact_rows / 20).max(1);
-    let ds_label = format!("rel-{fact_rows}");
-
-    // Deterministic xorshift64* so both lanes load identical tables.
-    let mut state = scale.seed | 1;
-    let mut next_u64 = move || -> u64 {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-    };
-
-    let lanes = [
-        ("exec=row", BatchConfig::disabled()),
-        ("exec=batch", BatchConfig::enabled()),
-    ];
-    let mut fact: Vec<Vec<Value>> = Vec::with_capacity(fact_rows);
-    for id in 0..fact_rows as i64 {
-        let r = next_u64();
-        fact.push(vec![
-            Value::Integer(id),
-            Value::Integer(id % 64),
-            Value::Integer((r % dim_rows as u64) as i64),
-            Value::Double((r % 1000) as f64 / 10.0),
-        ]);
-    }
-    let dim: Vec<Vec<Value>> = (0..dim_rows as i64)
-        .map(|id| vec![Value::Integer(id), Value::Integer(id % 7)])
-        .collect();
-    let systems: Vec<(&str, Database)> = lanes
-        .into_iter()
-        .map(|(label, batch)| -> Result<(&str, Database)> {
-            let db = Database::with_config(EngineConfig {
-                batch,
-                parallel: ParallelConfig::serial(),
-                ..EngineConfig::default()
-            });
-            db.execute(
-                "CREATE TABLE fact (id INTEGER PRIMARY KEY, grp INTEGER, \
-                 dim_id INTEGER, val DOUBLE)",
-            )?;
-            db.execute("CREATE TABLE dim (id INTEGER PRIMARY KEY, tag INTEGER)")?;
-            db.bulk_insert("fact", fact.clone())?;
-            db.bulk_insert("dim", dim.clone())?;
-            Ok((label, db))
-        })
-        .collect::<Result<_>>()?;
-
-    let probes = [
-        (
-            "scan",
-            "SELECT id, val FROM fact WHERE val < 50.0 AND grp < 48".to_string(),
-        ),
-        (
-            "join",
-            "SELECT fact.id, dim.tag FROM fact JOIN dim ON fact.dim_id = dim.id".to_string(),
-        ),
-        (
-            "aggregate",
-            "SELECT grp, COUNT(*), SUM(val), AVG(val), MIN(val), MAX(val) \
-             FROM fact GROUP BY grp"
-                .to_string(),
-        ),
-    ];
-
-    let mut out = Vec::new();
-    let reps: Vec<usize> = (0..scale.queries.max(1)).collect();
-    for (x, sql) in &probes {
-        // Correctness gate before timing: the lanes must agree exactly.
-        let expect = systems[0].1.execute(sql)?.rows;
-        for (label, db) in &systems[1..] {
-            if db.execute(sql)?.rows != expect {
-                return Err(Error::execution(format!(
-                    "batch experiment: {label} diverges from {} on {x}",
-                    systems[0].0
-                )));
-            }
-        }
-        out.push(m("batch", &ds_label, "count", x, expect.len()));
-
-        let mut best = vec![f64::INFINITY; systems.len()];
-        for round in 0..ROUNDS {
-            let mut order: Vec<usize> = (0..systems.len()).collect();
-            if round % 2 == 1 {
-                order.reverse();
-            }
-            for i in order {
-                let t = time_per_item(&reps, |_| systems[i].1.execute(sql).map(drop))?;
-                if let Some(us) = t.micros() {
-                    best[i] = best[i].min(us);
-                }
-            }
-        }
-        for ((label, _), us) in systems.iter().zip(&best) {
-            out.push(m("batch", &ds_label, label, x, format!("{us:.1}")));
-        }
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // Cost-based optimizer experiment — traversal vs iterated join by fan-out
 // ---------------------------------------------------------------------------
 
@@ -1190,33 +1071,6 @@ mod tests {
                     .unwrap_or_else(|| panic!("missing {sys} row for b={b}"))
                     .value;
                 assert!(val.parse::<f64>().unwrap() > 0.0, "{sys}/b={b}: {val}");
-            }
-        }
-    }
-
-    #[test]
-    fn batch_reports_both_lanes_and_agreeing_counts() {
-        let mut scale = tiny();
-        scale.vertices = 100; // 1k fact rows — enough for shape, fast
-        let rows = batch(&scale).unwrap();
-        // batch() errors on any row/batch divergence, so reaching here
-        // already certifies agreement; assert the reporting shape.
-        for x in ["scan", "join", "aggregate"] {
-            let count: usize = rows
-                .iter()
-                .find(|r| r.system == "count" && r.x == x)
-                .unwrap()
-                .value
-                .parse()
-                .unwrap();
-            assert!(count > 0, "{x}: empty probe result");
-            for sys in ["exec=row", "exec=batch"] {
-                let val = &rows
-                    .iter()
-                    .find(|r| r.system == sys && r.x == x)
-                    .unwrap_or_else(|| panic!("missing {sys} row for {x}"))
-                    .value;
-                assert!(val.parse::<f64>().unwrap() > 0.0, "{sys}/{x}: {val}");
             }
         }
     }

@@ -141,16 +141,27 @@ impl Value {
         }
     }
 
-    /// Hashable key form for hash joins / group-by. Distinct from `Eq`
-    /// because doubles are keyed by bit pattern and NULL gets its own key.
+    /// Hashable key form for group-by, DISTINCT and hash indexes: NULL gets
+    /// its own key, and two doubles share a key exactly when `sql_eq` holds
+    /// them equal. An INTEGER and a DOUBLE never share one (`1` and `1.0`
+    /// are two groups); index probes coerce the key to the column's type
+    /// first.
     pub fn group_key(&self) -> GroupKey {
         match self {
             Value::Null => GroupKey::Null,
             Value::Integer(i) => GroupKey::Integer(*i),
             Value::Double(d) => {
-                // Normalize so 1.0 groups with integer-valued doubles and
-                // -0.0 groups with 0.0.
-                let d = if *d == 0.0 { 0.0 } else { *d };
+                // Doubles are keyed by bit pattern, so the values SQL holds
+                // equal across bit patterns are folded first: `-0.0` onto
+                // `0.0`, and every NaN — whatever its sign and payload
+                // (`inf * 0` on x86 sets the sign bit) — onto one.
+                let d = if d.is_nan() {
+                    f64::NAN
+                } else if *d == 0.0 {
+                    0.0
+                } else {
+                    *d
+                };
                 GroupKey::Double(d.to_bits())
             }
             Value::Boolean(b) => GroupKey::Boolean(*b),
@@ -393,8 +404,15 @@ mod tests {
     }
 
     #[test]
-    fn group_key_unifies_zero_signs() {
+    fn group_key_unifies_zero_signs_and_nans() {
         assert_eq!(Value::Double(0.0).group_key(), Value::Double(-0.0).group_key());
+        let x86_default_nan = f64::INFINITY * 0.0;
+        assert_ne!(f64::NAN.to_bits(), (-f64::NAN).to_bits());
+        for nan in [-f64::NAN, x86_default_nan, f64::from_bits(0x7ff0_0000_0000_0001)] {
+            assert!(nan.is_nan());
+            assert_eq!(Value::Double(nan).group_key(), Value::Double(f64::NAN).group_key());
+        }
+        assert_ne!(Value::Double(1.0).group_key(), Value::Integer(1).group_key());
     }
 
     #[test]

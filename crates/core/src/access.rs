@@ -238,12 +238,12 @@ impl AccessPath<'_> {
 }
 
 /// `column = key` through the executor's probe-key coercion. A DOUBLE key
-/// the INTEGER comparison would round matches several neighbouring
-/// integers, and a NaN key every NaN whatever its bits (a hash index keys
-/// doubles by bit pattern) — no single probe finds those: `None`.
+/// the INTEGER comparison would round (or a NaN, which it holds above
+/// every integer) matches several neighbouring integers — no single probe
+/// finds those: `None`.
 fn probe_key(ix: &Index, key: Value, ty: DataType) -> Option<Vec<RowId>> {
     if let Value::Double(d) = key {
-        if d.is_nan() || (ty == DataType::Integer && !exact_as_integer(d)) {
+        if ty == DataType::Integer && !exact_as_integer(d) {
             return None;
         }
     }

@@ -21,7 +21,7 @@
 //!    their physical implementation requires.
 //! 3. **Contract inference** ([`node_contracts`]): for each node, the
 //!    statically inferred per-column type + nullability contract that the
-//!    debug-mode `CheckedOp` shim (see `exec.rs`) asserts against every
+//!    debug-mode operator wrapper (see `exec.rs`) asserts against every
 //!    emitted tuple — turning the analyzer into a continuously
 //!    self-checking oracle across the whole test suite.
 //!
@@ -496,7 +496,7 @@ fn no_edge_attr(meta: &GraphMeta, part: &RefPart) -> Error {
 /// Static type of a compiled expression, `None` where only the runtime
 /// knows (parameters, NULL literals, and arithmetic over them). Unlike
 /// `PhysExpr::static_type` (which must produce a concrete placeholder for
-/// schema building), this is honest about unknowns — the contract shim
+/// schema building), this is honest about unknowns — the contract check
 /// only asserts columns whose type is statically certain.
 pub fn phys_type(e: &PhysExpr) -> Ty {
     match e {
@@ -756,7 +756,7 @@ fn check_agg_attr(
 }
 
 // ---------------------------------------------------------------------------
-// Per-node contracts (consumed by the CheckedOp shim and typed EXPLAIN)
+// Per-node contracts (consumed by the executor's contract check and typed EXPLAIN)
 // ---------------------------------------------------------------------------
 
 /// The statically inferred output contract of one plan node.
@@ -773,7 +773,7 @@ pub struct NodeContract {
 
 /// Contracts for every node in **pre-order** (node before children,
 /// children in `explain` order) — the same order `exec::build` walks the
-/// tree, so the shim can consume them with a cursor.
+/// tree, so the builder can hand them out in step.
 pub fn node_contracts(plan: &PlanNode) -> Vec<NodeContract> {
     let mut out = Vec::new();
     walk(plan, &mut out);

@@ -48,7 +48,7 @@ pub struct OptimizerFlags {
     /// Statistics-driven cost-based plan selection (`GRFUSION_OPTIMIZER`).
     /// When on, the rule-based plan is re-costed against enumerable
     /// alternatives (traversal mode, iterated-join rewrite, pushdown
-    /// ablation, join-order swap, row-vs-batch pipeline) using seal-time
+    /// ablation, join-order swap) using seal-time
     /// graph statistics and table row counts / NDV estimates; EXPLAIN gains
     /// per-node cardinality estimates. Off by default: the rule-based path
     /// stays byte-identical to the pre-optimizer engine.
@@ -228,58 +228,6 @@ impl Default for EpochConfig {
     }
 }
 
-/// Batch-at-a-time execution policy for the relational spine.
-///
-/// When enabled, the hot relational operators (table scan, filter, project,
-/// the join family, aggregation) pull fixed-size columnar batches instead of
-/// single tuples; graph operators keep emitting paths and a Batch↔Row
-/// adapter composes both worlds in one QEP. Off by default: the row-at-a-
-/// time volcano path stays byte-identical to the pre-batch engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BatchConfig {
-    /// Route eligible relational operators through the batch pipeline.
-    pub enabled: bool,
-    /// Rows per batch (clamped to 1..=4096).
-    pub size: usize,
-}
-
-/// Default rows per batch: large enough to amortize the per-batch virtual
-/// dispatch, small enough to stay cache-resident for typical row widths.
-pub const DEFAULT_BATCH_SIZE: usize = 1024;
-
-/// Hard ceiling on rows per batch.
-pub const MAX_BATCH_SIZE: usize = 4096;
-
-impl BatchConfig {
-    pub fn enabled() -> Self {
-        BatchConfig {
-            enabled: true,
-            size: DEFAULT_BATCH_SIZE,
-        }
-    }
-
-    pub fn disabled() -> Self {
-        BatchConfig {
-            enabled: false,
-            size: DEFAULT_BATCH_SIZE,
-        }
-    }
-
-    /// Enabled with an explicit batch size (clamped to 1..=4096).
-    pub fn with_size(size: usize) -> Self {
-        BatchConfig {
-            enabled: true,
-            size: size.clamp(1, MAX_BATCH_SIZE),
-        }
-    }
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig::disabled()
-    }
-}
-
 /// Top-level engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
@@ -289,7 +237,6 @@ pub struct EngineConfig {
     pub governor: GovernorConfig,
     pub csr: CsrConfig,
     pub epochs: EpochConfig,
-    pub batch: BatchConfig,
 }
 
 impl Default for EngineConfig {
@@ -336,7 +283,7 @@ fn limit(v: &str) -> Option<Option<u64>> {
 /// Every `GRFUSION_*` engine knob, in the order they are validated (the
 /// first malformed one is the one reported). `GRFUSION_FAULTS` is not
 /// here: `Database::with_config` owns the fault plan's lifecycle.
-static ENV_KNOBS: [EnvKnob; 8] = [
+static ENV_KNOBS: [EnvKnob; 7] = [
     // On = statistics-driven plan selection on top of the rule-based plan.
     EnvKnob {
         var: "GRFUSION_OPTIMIZER",
@@ -404,24 +351,6 @@ static ENV_KNOBS: [EnvKnob; 8] = [
             Some(())
         },
     },
-    // An on/off spelling uses the default batch size; any other integer in
-    // range is the batch size.
-    EnvKnob {
-        var: "GRFUSION_BATCH",
-        expects: "expected 1/on/true, 0/off/false, or a batch size in 1..=4096",
-        set: |c, v| {
-            c.batch = match on_off(v) {
-                Some(true) => BatchConfig::enabled(),
-                Some(false) => BatchConfig::disabled(),
-                None => BatchConfig::with_size(
-                    v.parse()
-                        .ok()
-                        .filter(|n| (1..=MAX_BATCH_SIZE).contains(n))?,
-                ),
-            };
-            Some(())
-        },
-    },
 ];
 
 impl EngineConfig {
@@ -434,7 +363,6 @@ impl EngineConfig {
             governor: GovernorConfig::default(),
             csr: CsrConfig::default(),
             epochs: EpochConfig::default(),
-            batch: BatchConfig::default(),
         }
     }
 
@@ -516,8 +444,6 @@ mod tests {
         assert_eq!(ParallelConfig::with_workers(0).workers, 1);
         assert_eq!(ParallelConfig::with_workers(4).workers, 4);
         assert!(ParallelConfig::with_workers(1 << 20).workers <= 256);
-        assert_eq!(BatchConfig::with_size(0).size, 1);
-        assert_eq!(BatchConfig::with_size(1 << 20).size, MAX_BATCH_SIZE);
         // EngineConfig::default() must always yield an executable config.
         let cfg = EngineConfig::default();
         assert!(cfg.parallel.workers >= 1);
@@ -530,7 +456,7 @@ mod tests {
     }
 
     #[test]
-    fn recognised_variables_are_the_eight_documented_ones() {
+    fn recognised_variables_are_the_seven_documented_ones() {
         let vars: Vec<&str> = EngineConfig::env_vars().collect();
         assert_eq!(
             vars,
@@ -542,7 +468,6 @@ mod tests {
                 "GRFUSION_MEMORY_BYTES",
                 "GRFUSION_CSR_RESEAL",
                 "GRFUSION_EPOCHS",
-                "GRFUSION_BATCH",
             ]
         );
     }
@@ -621,22 +546,6 @@ mod tests {
                 with(|c| c.epochs = EpochConfig::enabled()),
             ),
             ("GRFUSION_EPOCHS", &["0", "off", "false"], paper),
-            (
-                "GRFUSION_BATCH",
-                &["1", "on", "TRUE"],
-                with(|c| c.batch = BatchConfig::enabled()),
-            ),
-            ("GRFUSION_BATCH", &["0", "off", "FALSE"], paper),
-            (
-                "GRFUSION_BATCH",
-                &["256"],
-                with(|c| c.batch = BatchConfig::with_size(256)),
-            ),
-            (
-                "GRFUSION_BATCH",
-                &["4096"],
-                with(|c| c.batch = BatchConfig::with_size(4096)),
-            ),
         ];
         for (var, spellings, want) in valid {
             for s in *spellings {
@@ -644,9 +553,9 @@ mod tests {
             }
         }
 
-        // Out-of-range first, then garbage. `GRFUSION_WORKERS=1000` and
-        // `GRFUSION_BATCH=99999` used to clamp on a lenient path; that
-        // path is gone and the same inputs are strict errors.
+        // Out-of-range first, then garbage. `GRFUSION_WORKERS=1000` used
+        // to clamp on a lenient path; that path is gone and the same input
+        // is a strict error.
         let invalid: &[(&str, &[&str], &str)] = &[
             ("GRFUSION_OPTIMIZER", &["2", "fast", "yes"], ON_OFF),
             (
@@ -667,11 +576,6 @@ mod tests {
                 "fraction in (0, 1]",
             ),
             ("GRFUSION_EPOCHS", &["2", "yes please"], ON_OFF),
-            (
-                "GRFUSION_BATCH",
-                &["4097", "65536", "99999", "-4", "1.5", "nope"],
-                "1..=4096",
-            ),
         ];
         for (var, values, expects) in invalid {
             for v in *values {
@@ -687,15 +591,15 @@ mod tests {
     #[test]
     fn first_malformed_knob_in_table_order_is_reported() {
         let e = EngineConfig::from_lookup(|k| match k {
-            "GRFUSION_BATCH" => Some("nope".into()),
+            "GRFUSION_EPOCHS" => Some("nope".into()),
             "GRFUSION_WORKERS" => Some("0".into()),
-            "GRFUSION_EPOCHS" => Some("on".into()),
+            "GRFUSION_OPTIMIZER" => Some("on".into()),
             _ => None,
         })
         .unwrap_err()
         .to_string();
         assert!(
-            e.contains("GRFUSION_WORKERS") && !e.contains("GRFUSION_BATCH"),
+            e.contains("GRFUSION_WORKERS") && !e.contains("GRFUSION_EPOCHS"),
             "{e}"
         );
     }

@@ -4,8 +4,8 @@
 //! converged relational-graph setting really wants costed: traversal mode
 //! (BFS/DFS/targeted-BFS), traversal-vs-iterated-join for fixed-length path
 //! predicates (the SQLGraph-style rewrite our own Figure-7 experiment shows
-//! crossing over with branching factor), predicate pushdown, buffered-side
-//! choice for nested-loop joins, and the row-vs-batch pipeline. This module
+//! crossing over with branching factor), predicate pushdown, and
+//! buffered-side choice for nested-loop joins. This module
 //! re-costs the rule-based QEP against those enumerable alternatives using
 //! seal-time graph statistics ([`grfusion_graph::SealStats`]) and table row
 //! counts / NDV estimates, picking the cheapest plan that is **provably
@@ -54,9 +54,6 @@ const PUSHDOWN_MIN_PATHS: f64 = 8.0;
 /// Swap NLJ build sides only when the saving is clear (hysteresis keeps
 /// borderline plans on the reference shape).
 const NLJ_SWAP_RATIO: f64 = 1.5;
-/// Below this many estimated result rows the batch pipeline's per-batch
-/// overhead outweighs its amortization.
-const BATCH_MIN_ROWS: f64 = 64.0;
 /// Deepest iterated-join chain the rewrite enumerates (beyond this the
 /// intermediate result estimate is too unreliable to bet on).
 const MAX_JOIN_CHAIN: usize = 3;
@@ -338,9 +335,6 @@ pub struct Optimized {
     pub plan: PlanNode,
     /// Pre-order per-node estimates for the **final** plan.
     pub estimates: Vec<NodeEstimate>,
-    /// Whether the cost model prefers the row-at-a-time pipeline for this
-    /// query even though batch execution is enabled.
-    pub prefer_row_pipeline: bool,
     /// Human-readable decision log (one line per choice that deviated from
     /// the rule-based reference).
     pub decisions: Vec<String>,
@@ -370,16 +364,9 @@ pub fn optimize(
         crate::analyze::verify_plan(&plan, graphs, tables)?;
     }
     let estimates = estimate(&plan, catalog);
-    let root_rows = estimates.first().map_or(0.0, |e| e.rows);
-    let prefer_row_pipeline = root_rows < BATCH_MIN_ROWS;
-    if prefer_row_pipeline {
-        rw.decisions
-            .push(format!("row pipeline (est {} result rows)", root_rows.round()));
-    }
     Ok(Optimized {
         plan,
         estimates,
-        prefer_row_pipeline,
         decisions: rw.decisions,
         changed: rw.changed,
     })

@@ -57,8 +57,6 @@ pub struct PreparedQuery {
     /// Per-node cost-model estimates, captured at compile time when the
     /// cost-based optimizer is enabled (`None` on the rule-based path).
     pub(crate) estimates: Option<Vec<crate::cost::NodeEstimate>>,
-    /// Cost-model pipeline choice frozen into the stored plan.
-    pub(crate) prefer_row: bool,
 }
 
 impl PreparedQuery {
@@ -121,6 +119,7 @@ impl Database {
                     faults,
                     faults_err,
                     env_err,
+                    batch_rows: crate::spine::BATCH_ROWS,
                 },
                 config.epochs.enabled,
             ),
@@ -154,6 +153,15 @@ impl Database {
             s.faults = plan.map(|p| Arc::new(FaultState::new(p)));
             s.faults_err = None;
         });
+    }
+
+    /// Test hook: run every later query with `rows` (at least one) as its
+    /// batch size instead of the engine's constant. Answers, errors and
+    /// state must not depend on it — that is what the differential oracle
+    /// sweeps it to show.
+    #[doc(hidden)]
+    pub fn set_batch_rows(&self, rows: usize) {
+        self.hub.update_settings(|s| s.batch_rows = rows.max(1));
     }
 
     /// Replace the engine configuration (takes effect on the next

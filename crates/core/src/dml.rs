@@ -221,7 +221,7 @@ fn empty_env() -> QueryEnv<'static> {
         parallel: Default::default(),
         params: Vec::new(),
         gov: Default::default(),
-        batch: Default::default(),
+        batch_rows: crate::spine::BATCH_ROWS,
     }
 }
 
@@ -240,7 +240,7 @@ fn compile_for_table(
 /// The rows come through the access path [`access::choose`] picks for the
 /// predicate's conjuncts — index candidates re-checked against the whole
 /// predicate — whenever evaluating the predicate cannot fail on any row
-/// ([`PhysExpr::vector_safe`]). A predicate that can fail is walked over
+/// ([`PhysExpr::infallible`]). A predicate that can fail is walked over
 /// the whole table, because the statement must surface the error of the
 /// first row in scan order that raises one, candidate or not.
 fn matching_rows(
@@ -256,7 +256,7 @@ fn matching_rows(
         .transpose()?;
     let env = empty_env();
     let candidates = match &pred {
-        Some(p) if p.vector_safe() => {
+        Some(p) if p.infallible() => {
             let indexes: Vec<_> = table.indexes().map(|ix| (ix.column(), ix.kind())).collect();
             access::choose(p.conjuncts(), &indexes).candidates(&table, &env)?
         }

@@ -119,11 +119,13 @@ pub(crate) struct Settings {
     /// A malformed `GRFUSION_FAULTS` value, surfaced on first use rather
     /// than silently disabling the sweep.
     pub faults_err: Option<String>,
-    /// A malformed `GRFUSION_*` engine knob (workers, batch, reseal, ...),
+    /// A malformed `GRFUSION_*` engine knob (workers, reseal, ...),
     /// surfaced on the first statement rather than silently degrading to
     /// defaults. Cleared by `set_config` (an explicit config supersedes
     /// whatever the environment asked for).
     pub env_err: Option<String>,
+    /// Rows per batch (`spine::BATCH_ROWS` unless a test swept it).
+    pub batch_rows: usize,
 }
 
 impl Settings {

@@ -1,40 +1,46 @@
-//! Volcano-style execution of physical plans.
+//! Execution of physical plans: the entry points, the operator-tree
+//! builder with its one instrumentation wrapper, and the graph operators.
 //!
-//! Operators are pull-based (`next()` returns one row), so laziness
-//! propagates end-to-end: a `LIMIT 1` reachability query stops the
+//! Every operator implements `Operator` (see `spine.rs`, which also
+//! holds the relational operators): `next_batch(out, max_rows)` returns at
+//! most `max_rows` tuples, where `max_rows` is the consumer's demand, so
+//! laziness propagates end-to-end: a `LIMIT 1` reachability query stops the
 //! underlying graph traversal after the first qualifying path (EDBT 2018
-//! §5.1.2). Graph operators emit ordinary rows, which is how they compose
-//! with the relational operators in one pipeline (§5.2).
+//! §5.1.2). Graph operators emit ordinary tuples, which is how they compose
+//! with the relational operators in one pipeline (§5.2); they are the one
+//! place that still produces a row at a time, behind
+//! `Batch::fill_rows`, which pulls exactly as many as were asked for.
 //!
 //! The executor runs against a [`QueryEnv`] of plain references: the engine
 //! acquires read guards for every table/topology once per query (serial
 //! H-Store-style execution), so operators never lock per row.
 
-use std::cell::Cell;
-use std::cmp::Ordering;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 
-use grfusion_common::value::GroupKey;
 use grfusion_common::{Error, PathData, ResourceKind, Result, Row, Value};
 use grfusion_graph::{
     hop_minimal_path, shortest_path, shortest_path_with_stats, BfsPaths, DfsPaths, EdgeSlot,
     GraphTopology, KShortestPaths, TopologyLayout, TraversalFilter, TraversalSpec, VertexSlot,
 };
 use grfusion_sql::IndexEnd;
+use grfusion_storage::{Index, IndexKind, Table};
 
 use crate::analyze::NodeContract;
 use crate::env::{GraphEnv, QueryEnv};
-use crate::expr::{AggFunc, CmpOp, PathTarget, PhysExpr};
+use crate::expr::{CmpOp, PathTarget, PhysExpr};
 use crate::governor::{
-    path_bytes, row_bytes, ExecContext, FaultState, EXPANSION_CHECK_INTERVAL, OP_CHECK_INTERVAL,
+    path_bytes, ExecContext, FaultState, EXPANSION_CHECK_INTERVAL, OP_CHECK_INTERVAL,
 };
 use crate::metrics::{GovCounters, GraphCounters, MetricsSink, NodeSlot, QueryMetrics};
 use crate::plan::{
-    AggSpec, PathScanConfig, PlanNode, PushedAggPred, PushedPred, PushedTest, ScanMode,
-    StartSource,
+    PathScanConfig, PlanNode, PushedAggPred, PushedPred, PushedTest, ScanMode, StartSource,
+};
+use crate::spine::{
+    Admit, Aggregate, Batch, BoxOp, Cursor, Distinct, Filter, IndexJoin, IndexLookup, Limit,
+    NestedLoopJoin, Operator, Project, Sort, TableScan,
 };
 
 /// Shared row budget: reproduces the paper's temp-memory exhaustion for
@@ -42,7 +48,9 @@ use crate::plan::{
 /// always at *emission* time (when the operator yields the row up the
 /// pipeline), never during enumeration, so accounting is identical at any
 /// worker count and a `LIMIT 1` query charges one scan row whether the
-/// paths behind it were enumerated serially or by a morsel pool.
+/// paths behind it were enumerated serially or by a morsel pool. An armed
+/// budget makes every demand one row (see `QueryEnv::demand`), so a row
+/// is emitted only when its consumer is about to use it.
 ///
 /// The counter is atomic only so the budget type stays shareable across
 /// the parallel scan's scoped threads; workers never charge it.
@@ -61,17 +69,14 @@ impl RowBudget {
 
     #[inline]
     pub(crate) fn tick(&self) -> Result<()> {
+        let Some(l) = self.limit else {
+            return Ok(());
+        };
         let total = self.produced.fetch_add(1, AtomicOrdering::Relaxed) + 1;
-        if let Some(l) = self.limit {
-            if total > l {
-                return Err(Error::resource(ResourceKind::Rows, total, l));
-            }
+        if total > l {
+            return Err(Error::resource(ResourceKind::Rows, total, l));
         }
         Ok(())
-    }
-
-    pub fn produced(&self) -> u64 {
-        self.produced.load(AtomicOrdering::Relaxed)
     }
 }
 
@@ -101,101 +106,43 @@ pub(crate) fn index_probe_key(v: Value, ty: grfusion_common::DataType) -> Option
 
 /// Execute a plan to completion, materializing the result rows.
 pub fn execute_plan(plan: &PlanNode, env: &QueryEnv<'_>) -> Result<Vec<Row>> {
-    let budget = RowBudget::new(env.limits.max_intermediate_rows);
-    let contracts = contracts_enabled().then(|| ContractCtx::new(plan));
-    let batch_ok = crate::batch::batch_active(env) && !crate::batch::plan_has_limit(plan);
-    let mut op = build(plan, env, &budget, None, contracts.as_ref(), 0, batch_ok)?;
-    let mut rows = Vec::new();
-    while let Some(row) = op.next()? {
-        rows.push(row);
-    }
-    Ok(rows)
+    run(plan, env, None)
 }
 
-/// Execute a plan with per-operator instrumentation (`EXPLAIN ANALYZE`).
-/// Every operator is wrapped in a metering shim; graph operators also
-/// report traversal counters. Returns the rows plus the metrics snapshot.
+/// Execute a plan with per-operator instrumentation (`EXPLAIN ANALYZE`):
+/// every operator's batches are timed and counted, and graph operators
+/// also report traversal counters. Returns the rows plus the metrics
+/// snapshot.
 pub fn execute_plan_with_metrics(
     plan: &PlanNode,
     env: &QueryEnv<'_>,
 ) -> Result<(Vec<Row>, QueryMetrics)> {
-    let budget = RowBudget::new(env.limits.max_intermediate_rows);
     let sink = MetricsSink::new();
-    let contracts = contracts_enabled().then(|| ContractCtx::new(plan));
-    let batch_ok = crate::batch::batch_active(env) && !crate::batch::plan_has_limit(plan);
-    let rows = {
-        let mut op = build(plan, env, &budget, Some(&sink), contracts.as_ref(), 0, batch_ok)?;
-        let mut rows = Vec::new();
-        while let Some(row) = op.next()? {
-            rows.push(row);
-        }
-        rows
-    };
+    let rows = run(plan, env, Some(&sink))?;
     Ok((rows, sink.finish()))
 }
 
-/// A pull-based operator.
-pub(crate) trait Op<'e> {
-    fn next(&mut self) -> Result<Option<Row>>;
-
-    /// Cumulative graph-traversal counters, for operators that walk the
-    /// topology (`PathScan`/`PathJoin`). Relational operators return `None`.
-    fn graph_stats(&self) -> Option<GraphCounters> {
-        None
+/// Build the operator tree and drain it: the result collector is the one
+/// consumer that copies a tuple out of a batch, one allocation per result
+/// row.
+fn run(plan: &PlanNode, env: &QueryEnv<'_>, sink: Option<&MetricsSink>) -> Result<Vec<Row>> {
+    let budget = RowBudget::new(env.limits.max_intermediate_rows);
+    let contracts =
+        contracts_enabled().then(|| RefCell::new(crate::analyze::node_contracts(plan).into_iter()));
+    let mut op = build(plan, env, &budget, sink, contracts.as_ref(), 0, false)?;
+    let mut batch = Batch::default();
+    let mut rows = Vec::new();
+    while op.next_batch(&mut batch, env.batch_rows)? {
+        rows.extend((0..batch.len()).map(|i| batch.tuple(i).to_vec()));
     }
-
-    /// Cumulative resource-governor counters (bytes charged to the memory
-    /// accountant, cooperative checks performed). `None` when this operator
-    /// does neither.
-    fn governor_stats(&self) -> Option<GovCounters> {
-        None
-    }
-
-    /// Topology layout this operator traverses (sealed CSR, delta overlay,
-    /// or plain adjacency). `None` for relational operators.
-    fn layout(&self) -> Option<TopologyLayout> {
-        None
-    }
+    Ok(rows)
 }
 
-pub(crate) type BoxOp<'e> = Box<dyn Op<'e> + 'e>;
-
-/// Metering shim wrapped around every operator when metrics collection is
-/// on. Each `next()` is timed (inclusive of children, PostgreSQL-style)
-/// and counted into the shared [`NodeSlot`]; graph counters are re-read
-/// after each pull so the slot always holds the operator's running totals.
-/// The shim deliberately does NOT forward `graph_stats()`: the inner
-/// operator's counters must not be double-counted by an outer shim.
-struct MeteredOp<'e> {
-    inner: BoxOp<'e>,
-    slot: Rc<NodeSlot>,
-}
-
-impl<'e> Op<'e> for MeteredOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        let start = Instant::now();
-        let r = self.inner.next();
-        let elapsed = start.elapsed().as_nanos() as u64;
-        self.slot
-            .record_next(elapsed, matches!(r, Ok(Some(_))));
-        if let Some(g) = self.inner.graph_stats() {
-            self.slot.set_graph(g);
-        }
-        if let Some(g) = self.inner.governor_stats() {
-            self.slot.set_gov(g);
-        }
-        if let Some(l) = self.inner.layout() {
-            self.slot.set_layout(l);
-        }
-        r
-    }
-}
-
-/// Whether the [`CheckedOp`] contract shim is active. Defaults to on in
-/// debug builds (so the whole test suite runs self-checking) and off in
-/// release builds (zero cost); `GRFUSION_CHECK_CONTRACTS=1` forces it on,
-/// `=0` forces it off. Process-wide and read once — the first query fixes
-/// it — so a SELECT never touches the environment.
+/// Whether operator contracts are checked. Defaults to on in debug builds
+/// (so the whole test suite runs self-checking) and off in release builds
+/// (zero cost); `GRFUSION_CHECK_CONTRACTS=1` forces it on, `=0` forces it
+/// off. Process-wide and read once — the first query fixes it — so a
+/// SELECT never touches the environment.
 fn contracts_enabled() -> bool {
     static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     *ENABLED.get_or_init(|| match std::env::var("GRFUSION_CHECK_CONTRACTS") {
@@ -205,73 +152,16 @@ fn contracts_enabled() -> bool {
     })
 }
 
-/// Pre-order list of statically inferred per-node contracts, consumed by
-/// [`build`] with a cursor as it walks the plan in the same order.
-pub(crate) struct ContractCtx {
-    contracts: Vec<NodeContract>,
-    cursor: Cell<usize>,
-}
+/// The statically inferred per-node contracts in pre-order, handed out one
+/// by one as [`build`] walks the plan in the same order.
+type Contracts = RefCell<std::vec::IntoIter<NodeContract>>;
 
-impl ContractCtx {
-    pub(crate) fn new(plan: &PlanNode) -> ContractCtx {
-        ContractCtx {
-            contracts: crate::analyze::node_contracts(plan),
-            cursor: Cell::new(0),
-        }
-    }
-
-    pub(crate) fn next_contract(&self) -> Option<NodeContract> {
-        let i = self.cursor.get();
-        self.cursor.set(i + 1);
-        self.contracts.get(i).cloned()
-    }
-}
-
-/// Contract shim (the debug-mode twin of [`MeteredOp`]): asserts every
-/// emitted tuple against the node's statically inferred schema — arity,
-/// per-column type where statically certain, and inferred NOT NULL. A
-/// violation means the analyzer and the executor disagree; surfacing it
-/// at the offending operator beats corrupting downstream state.
-struct CheckedOp<'e> {
-    inner: BoxOp<'e>,
-    contract: NodeContract,
-    label: String,
-}
-
-impl<'e> Op<'e> for CheckedOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        let r = self.inner.next()?;
-        if let Some(row) = &r {
-            self.check(row)?;
-        }
-        Ok(r)
-    }
-
-    /// Forwarded: the metering shim sits *outside* this one and reads its
-    /// inner operator's traversal counters through it.
-    fn graph_stats(&self) -> Option<GraphCounters> {
-        self.inner.graph_stats()
-    }
-
-    fn governor_stats(&self) -> Option<GovCounters> {
-        self.inner.governor_stats()
-    }
-
-    fn layout(&self) -> Option<TopologyLayout> {
-        self.inner.layout()
-    }
-}
-
-impl CheckedOp<'_> {
-    fn check(&self, row: &Row) -> Result<()> {
-        check_row_contract(&self.contract, &self.label, row)
-    }
-}
-
-/// Assert one emitted row against a node's statically inferred contract.
-/// Shared between the row-mode [`CheckedOp`] shim and the batch pipeline's
-/// per-batch contract shim, which applies it to every row of every batch.
-pub(crate) fn check_row_contract(c: &NodeContract, label: &str, row: &Row) -> Result<()> {
+/// Assert one emitted tuple against a node's statically inferred contract
+/// — arity, per-column type where statically certain, and inferred NOT
+/// NULL. A violation means the analyzer and the executor disagree;
+/// surfacing it at the offending operator beats corrupting downstream
+/// state.
+fn check_row_contract(c: &NodeContract, label: &str, row: &[Value]) -> Result<()> {
     if row.len() != c.schema.len() {
         return Err(Error::execution(format!(
             "operator contract violation at {label}: emitted {} columns, schema declares {}",
@@ -300,143 +190,291 @@ pub(crate) fn check_row_contract(c: &NodeContract, label: &str, row: &Row) -> Re
     Ok(())
 }
 
-/// Governor shim, wrapped around every operator when the query carries an
-/// active [`ExecContext`]: polls the deadline/cancel token every
-/// [`OP_CHECK_INTERVAL`] `next()` calls, plus once when the inner operator
-/// reports exhaustion — a traversal whose filter tripped mid-walk drains to
-/// `Ok(None)`, and that final check converts the silent truncation into the
-/// governor's typed error before the consumer can mistake it for a clean
-/// end-of-stream.
-struct GovernedOp<'e> {
+/// Everything the engine observes about an operator from outside, in one
+/// wrapper that [`build`] puts around a node when any of it is switched on
+/// (and leaves out when none is, so the default release path runs bare
+/// operators). Per `next_batch`, innermost out:
+///
+/// * **fault injection** — one hit of the node's label as an injection
+///   site before the pull; the plan's matching rule (if any) converts the
+///   chosen hit into an injected error, so tests can fail a specific
+///   operator at a specific pull and prove the abort path cleans up. A
+///   fault plan makes every demand one row, so a hit is a row.
+/// * **contracts** — every emitted tuple is checked against the node's
+///   inferred schema (faults abort, they don't corrupt, so contracts only
+///   ever see real tuples).
+/// * **governor** — a deadline/cancel check falls due once per
+///   [`OP_CHECK_INTERVAL`] rows (a batch of `n` rows advances the counter
+///   by `n`, the exhausting call by one); those due in one batch are all
+///   counted and polled once. One more falls due on exhaustion: a
+///   traversal whose filter tripped mid-walk drains to "no more rows", and
+///   that final check converts the silent truncation into the governor's
+///   typed error before the consumer can mistake it for a clean end of
+///   stream.
+/// * **metrics** — the clock is read around the whole call (inclusive of
+///   children and of the overhead above, PostgreSQL-style), and the batch's
+///   rows, the operator's cumulative traversal and governor counters and
+///   its layout land in the shared [`NodeSlot`].
+struct Instrumented<'e> {
     inner: BoxOp<'e>,
-    ctx: &'e ExecContext,
+    label: String,
+    faults: Option<&'e FaultState>,
+    contract: Option<NodeContract>,
+    gov: Option<&'e ExecContext>,
     pulls: u64,
     checks: u64,
+    slot: Option<Rc<NodeSlot>>,
 }
 
-impl<'e> Op<'e> for GovernedOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        self.pulls += 1;
-        if self.pulls % OP_CHECK_INTERVAL == 0 {
-            self.checks += 1;
-            self.ctx.check_now()?;
+impl<'e> Instrumented<'e> {
+    fn pull(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
+        if let Some(faults) = self.faults {
+            faults.hit(&self.label)?;
         }
-        let r = self.inner.next()?;
-        if r.is_none() {
-            self.checks += 1;
-            self.ctx.check_now()?;
+        let more = self.inner.next_batch(out, max_rows)?;
+        if let Some(contract) = &self.contract {
+            for i in 0..out.len() {
+                check_row_contract(contract, &self.label, out.tuple(i))?;
+            }
         }
-        Ok(r)
-    }
-
-    fn graph_stats(&self) -> Option<GraphCounters> {
-        self.inner.graph_stats()
-    }
-
-    /// The inner operator's counters (bytes it charged) merged with this
-    /// shim's own check count.
-    fn governor_stats(&self) -> Option<GovCounters> {
-        let mut g = self.inner.governor_stats().unwrap_or_default();
-        g.checks += self.checks;
-        Some(g)
-    }
-
-    fn layout(&self) -> Option<TopologyLayout> {
-        self.inner.layout()
+        if let Some(ctx) = self.gov {
+            let before = self.pulls / OP_CHECK_INTERVAL;
+            self.pulls += if more { out.len() as u64 } else { 1 }; // cast-ok: usize -> u64 widening
+            let due = self.pulls / OP_CHECK_INTERVAL - before + u64::from(!more);
+            self.checks += due;
+            if due > 0 {
+                ctx.check_now()?;
+            }
+        }
+        Ok(more)
     }
 }
 
-/// Deterministic fault-injection shim (the test-harness twin of
-/// [`MeteredOp`]/[`CheckedOp`]), wrapped innermost when a fault plan is
-/// armed: every `next()` records one hit of the node's label as an
-/// injection site, and the plan's matching rule (if any) converts the
-/// chosen hit into an injected error — so tests can fail a specific
-/// operator at a specific pull count and prove the abort path cleans up.
-struct FaultOp<'e> {
-    inner: BoxOp<'e>,
-    site: String,
-    faults: &'e FaultState,
-}
-
-impl<'e> Op<'e> for FaultOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        self.faults.hit(&self.site)?;
-        self.inner.next()
-    }
-
-    fn graph_stats(&self) -> Option<GraphCounters> {
-        self.inner.graph_stats()
-    }
-
-    fn governor_stats(&self) -> Option<GovCounters> {
-        self.inner.governor_stats()
-    }
-
-    fn layout(&self) -> Option<TopologyLayout> {
-        self.inner.layout()
+impl<'e> Operator<'e> for Instrumented<'e> {
+    fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
+        let start = self.slot.is_some().then(Instant::now);
+        let r = self.pull(out, max_rows);
+        let (Some(slot), Some(start)) = (&self.slot, start) else {
+            return r;
+        };
+        let rows = if matches!(r, Ok(true)) { out.len() } else { 0 };
+        slot.record_batch(start.elapsed().as_nanos() as u64, rows as u64);
+        if let Some(g) = self.inner.graph_stats() {
+            slot.set_graph(g);
+        }
+        // The inner operator's counters (bytes it charged, expansion-hook
+        // checks) plus this wrapper's own polls.
+        let gov = self.inner.governor_stats();
+        if self.gov.is_some() || gov.is_some() {
+            let mut g = gov.unwrap_or_default();
+            g.checks += self.checks;
+            slot.set_gov(g);
+        }
+        if let Some(l) = self.inner.layout() {
+            slot.set_layout(l);
+        }
+        r
     }
 }
 
-pub(crate) fn build<'e>(
+/// The one builder: instantiate `plan`'s operator over its (recursively
+/// built) children and wrap it in [`Instrumented`] if anything observes it.
+/// `lazy`: a `Limit` above may stop pulling early, with no draining operator
+/// (aggregate, sort, nested-loop build side) in between; the index and path
+/// joins then step their outer one tuple per probe (see [`Cursor`]).
+fn build<'e>(
     plan: &'e PlanNode,
     env: &'e QueryEnv<'e>,
     budget: &'e RowBudget,
     sink: Option<&'e MetricsSink>,
-    contracts: Option<&'e ContractCtx>,
+    contracts: Option<&'e Contracts>,
     depth: usize,
-    batch_ok: bool,
+    lazy: bool,
 ) -> Result<BoxOp<'e>> {
-    // Batch interception: when batching is permitted for this query
-    // (`batch_ok` — computed once at the root: batching enabled, no row
-    // budget, no fault plan, no LIMIT anywhere in the plan) and this
-    // subtree's root is a batch-native relational operator, the whole
-    // native prefix of the subtree runs batch-at-a-time and comes back
-    // behind a Batch→Row adapter. Registration and contract consumption
-    // happen inside `build_batch` in the same pre-order walk, so EXPLAIN
-    // output and contract assignment are identical in both modes.
-    if batch_ok && crate::batch::batch_native(plan) {
-        return crate::batch::build_batch_bridge(plan, env, budget, sink, contracts, depth);
-    }
     // Register before building children so the sink's node list comes out
     // in pre-order — the same order as the `EXPLAIN` lines. The contract
     // cursor advances in the same pre-order walk.
     let slot = sink.map(|s| s.register(plan.node_label(), depth));
-    let contract = contracts.and_then(|c| c.next_contract());
-    let op = build_inner(plan, env, budget, sink, contracts, depth, batch_ok)?;
-    // Shim order, innermost out: Fault (inject at the operator itself),
-    // Checked (contracts see injected-free rows only — faults abort, they
-    // don't corrupt), Governed (deadline/cancel polling), Metered
-    // (timing includes all governance overhead, like any other cost).
-    let op = match env.gov.faults() {
-        Some(faults) => Box::new(FaultOp {
-            inner: op,
-            site: plan.node_label(),
-            faults,
-        }) as BoxOp<'e>,
-        None => op,
+    let contract = contracts.and_then(|c| c.borrow_mut().next());
+    let child = |n: &'e PlanNode, lazy| build(n, env, budget, sink, contracts, depth + 1, lazy);
+    let admit = |filter: &'e Option<PhysExpr>| Admit {
+        filter: filter.as_ref(),
+        env,
+        budget,
     };
-    let op = match contract {
-        Some(contract) => Box::new(CheckedOp {
-            inner: op,
-            contract,
-            label: plan.node_label(),
-        }) as BoxOp<'e>,
-        None => op,
+    let inner: BoxOp<'e> = match plan {
+        PlanNode::TableScan { table, filter, .. } => {
+            Box::new(TableScan::new(env.table(table)?, admit(filter)))
+        }
+        PlanNode::IndexLookup {
+            table,
+            column,
+            key,
+            filter,
+            ..
+        } => {
+            let t = env.table(table)?;
+            let ix = hash_index(t, table, *column, "lookup")?;
+            let col_ty = t.schema().column(*column).data_type;
+            let ids = match index_probe_key(key.eval(&[], env)?, col_ty) {
+                Some(k) => ix.lookup(&k),
+                None => &[],
+            };
+            Box::new(IndexLookup {
+                table: t,
+                ids: ids.iter(),
+                admit: admit(filter),
+            })
+        }
+        PlanNode::VertexScan { graph, filter, .. } => {
+            let genv = env.graph(graph)?;
+            Box::new(VertexScanOp {
+                genv,
+                slots: Box::new(genv.topo.vertex_slots()),
+                admit: admit(filter),
+            })
+        }
+        PlanNode::EdgeScan { graph, filter, .. } => {
+            let genv = env.graph(graph)?;
+            Box::new(EdgeScanOp {
+                genv,
+                slots: Box::new(genv.topo.edge_slots()),
+                admit: admit(filter),
+            })
+        }
+        PlanNode::PathScan { config, .. } => Box::new(PathScanOp {
+            config,
+            env,
+            sink,
+            inputs: PathProbe::resolve(config, &[], env)?,
+            scan: None,
+            done: false,
+            budget,
+            tracker: None,
+            layout: env.graph(&config.graph)?.topo.layout(),
+        }),
+        PlanNode::PathJoin {
+            outer,
+            config,
+            schema,
+        } => Box::new(PathJoinOp {
+            outer: Cursor::new(child(outer, lazy)?, lazy),
+            width: schema.len(),
+            current: None,
+            config,
+            env,
+            budget,
+            stats_done: GraphCounters::default(),
+            gov_done: GovCounters::default(),
+            tracker: mem_tracker(env),
+            layout: env.graph(&config.graph)?.topo.layout(),
+        }),
+        PlanNode::Filter {
+            input, predicate, ..
+        } => Box::new(Filter {
+            input: child(input, lazy)?,
+            predicate,
+            env,
+        }),
+        PlanNode::NestedLoopJoin {
+            left,
+            right,
+            condition,
+            schema,
+        } => {
+            let (l, r) = (child(left, false)?, child(right, lazy)?);
+            Box::new(NestedLoopJoin::new(
+                l,
+                left.schema().len(),
+                r,
+                schema.len(),
+                admit(condition),
+                mem_tracker(env),
+            ))
+        }
+        PlanNode::IndexJoin {
+            outer,
+            table,
+            column,
+            key,
+            filter,
+            schema,
+        } => {
+            let t = env.table(table)?;
+            Box::new(IndexJoin::new(
+                child(outer, lazy)?,
+                t,
+                hash_index(t, table, *column, "join")?,
+                key,
+                admit(filter),
+                schema.len(),
+                lazy,
+            ))
+        }
+        PlanNode::Project { input, exprs, .. } => Box::new(Project {
+            input: child(input, lazy)?,
+            rows: Batch::default(),
+            exprs,
+            env,
+        }),
+        PlanNode::Aggregate {
+            input,
+            group_exprs,
+            aggs,
+            ..
+        } => Box::new(Aggregate::new(
+            child(input, false)?,
+            group_exprs,
+            aggs,
+            env,
+            mem_tracker(env),
+        )),
+        PlanNode::Sort {
+            input,
+            keys,
+            schema,
+        } => Box::new(Sort::new(
+            child(input, false)?,
+            keys,
+            schema.len(),
+            env,
+            mem_tracker(env),
+        )),
+        PlanNode::Limit { input, limit, .. } => Box::new(Limit {
+            input: child(input, true)?,
+            remaining: *limit,
+        }),
+        PlanNode::Distinct { input, .. } => Box::new(Distinct {
+            input: child(input, lazy)?,
+            seen: Default::default(),
+            tracker: mem_tracker(env),
+        }),
     };
-    let op = if env.gov.active() {
-        Box::new(GovernedOp {
-            inner: op,
-            ctx: &env.gov,
-            pulls: 0,
-            checks: 0,
-        }) as BoxOp<'e>
-    } else {
-        op
-    };
-    Ok(match slot {
-        Some(slot) => Box::new(MeteredOp { inner: op, slot }),
-        None => op,
-    })
+    let (faults, gov) = (env.gov.faults(), env.gov.active().then_some(&env.gov));
+    if faults.is_none() && contract.is_none() && gov.is_none() && slot.is_none() {
+        return Ok(inner);
+    }
+    Ok(Box::new(Instrumented {
+        inner,
+        label: plan.node_label(),
+        faults,
+        contract,
+        gov,
+        pulls: 0,
+        checks: 0,
+        slot,
+    }))
+}
+
+/// The hash index the planner counted on for an index `lookup` or `join`.
+fn hash_index<'e>(table: &'e Table, name: &str, column: usize, planned: &str) -> Result<&'e Index> {
+    table
+        .index_on(column, Some(IndexKind::Hash))
+        .ok_or_else(|| {
+            Error::execution(format!(
+                "planned index {planned} but table `{name}` has no hash index on column {column}"
+            ))
+        })
 }
 
 /// Per-operator memory accounting handle: a local running total (surfaced
@@ -464,787 +502,72 @@ impl MemTracker<'_> {
     }
 }
 
-pub(crate) fn mem_tracker<'e>(env: &'e QueryEnv<'e>) -> Option<MemTracker<'e>> {
+fn mem_tracker<'e>(env: &'e QueryEnv<'e>) -> Option<MemTracker<'e>> {
     env.gov.active().then(|| MemTracker {
         ctx: &env.gov,
         bytes: Cell::new(0),
     })
 }
 
-fn build_inner<'e>(
-    plan: &'e PlanNode,
-    env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
-    sink: Option<&'e MetricsSink>,
-    contracts: Option<&'e ContractCtx>,
-    depth: usize,
-    batch_ok: bool,
-) -> Result<BoxOp<'e>> {
-    Ok(match plan {
-        PlanNode::TableScan { table, filter, .. } => {
-            let t = env.table(table)?;
-            Box::new(TableScanOp {
-                iter: Box::new(t.scan().map(|(_, r)| r)),
-                filter: filter.as_ref(),
-                env,
-                budget,
-            })
-        }
-        PlanNode::IndexLookup {
-            table,
-            column,
-            key,
-            filter,
-            ..
-        } => {
-            let t = env.table(table)?;
-            let col_ty = t.schema().column(*column).data_type;
-            let key_val = index_probe_key(key.eval(&Vec::new(), env)?, col_ty);
-            let ids = match t.index_on(*column, Some(grfusion_storage::IndexKind::Hash)) {
-                Some(ix) => key_val.map(|k| ix.get(&k)).unwrap_or_default(),
-                None => {
-                    return Err(Error::execution(format!(
-                        "planned index lookup but table `{table}` has no hash index on column {column}"
-                    )));
-                }
-            };
-            Box::new(IndexLookupOp {
-                table: t,
-                ids,
-                pos: 0,
-                filter: filter.as_ref(),
-                env,
-                budget,
-            })
-        }
-        PlanNode::VertexScan { graph, filter, .. } => {
-            let genv = env.graph(graph)?;
-            Box::new(VertexScanOp {
-                genv,
-                slots: Box::new(genv.topo.vertex_slots()),
-                filter: filter.as_ref(),
-                env,
-                budget,
-            })
-        }
-        PlanNode::EdgeScan { graph, filter, .. } => {
-            let genv = env.graph(graph)?;
-            Box::new(EdgeScanOp {
-                genv,
-                slots: Box::new(genv.topo.edge_slots()),
-                filter: filter.as_ref(),
-                env,
-                budget,
-            })
-        }
-        PlanNode::PathScan { config, .. } => Box::new(PathScanOp {
-            config,
-            env,
-            sink,
-            inputs: PathProbe::resolve(config, &Vec::new(), env)?,
-            scan: None,
-            budget,
-            tracker: None,
-            layout: env.graph(&config.graph)?.topo.layout(),
-        }),
-        PlanNode::PathJoin { outer, config, .. } => {
-            let outer_op = build(outer, env, budget, sink, contracts, depth + 1, batch_ok)?;
-            Box::new(PathJoinOp {
-                outer: outer_op,
-                current: None,
-                config,
-                env,
-                budget,
-                stats_done: GraphCounters::default(),
-                gov_done: GovCounters::default(),
-                tracker: mem_tracker(env),
-                layout: env.graph(&config.graph)?.topo.layout(),
-            })
-        }
-        PlanNode::Filter {
-            input, predicate, ..
-        } => Box::new(FilterOp {
-            input: build(input, env, budget, sink, contracts, depth + 1, batch_ok)?,
-            predicate,
-            env,
-        }),
-        PlanNode::NestedLoopJoin {
-            left,
-            right,
-            condition,
-            ..
-        } => Box::new(NestedLoopJoinOp {
-            left_rows: None,
-            left: Some(build(left, env, budget, sink, contracts, depth + 1, batch_ok)?),
-            right: build(right, env, budget, sink, contracts, depth + 1, batch_ok)?,
-            right_row: None,
-            left_pos: 0,
-            condition: condition.as_ref(),
-            env,
-            budget,
-            tracker: mem_tracker(env),
-        }),
-        PlanNode::IndexJoin {
-            outer,
-            table,
-            column,
-            key,
-            filter,
-            ..
-        } => {
-            let t = env.table(table)?;
-            if t.index_on(*column, Some(grfusion_storage::IndexKind::Hash))
-                .is_none()
-            {
-                return Err(Error::execution(format!(
-                    "planned index join but table `{table}` has no hash index on column {column}"
-                )));
-            }
-            Box::new(IndexJoinOp {
-                outer: build(outer, env, budget, sink, contracts, depth + 1, batch_ok)?,
-                table: t,
-                column: *column,
-                key,
-                filter: filter.as_ref(),
-                current: None,
-                env,
-                budget,
-            })
-        }
-        PlanNode::Project { input, exprs, .. } => Box::new(ProjectOp {
-            input: build(input, env, budget, sink, contracts, depth + 1, batch_ok)?,
-            exprs,
-            env,
-        }),
-        PlanNode::Aggregate {
-            input,
-            group_exprs,
-            aggs,
-            ..
-        } => Box::new(AggregateOp {
-            input: Some(build(input, env, budget, sink, contracts, depth + 1, batch_ok)?),
-            group_exprs,
-            aggs,
-            env,
-            output: Vec::new(),
-            pos: 0,
-            done: false,
-            tracker: mem_tracker(env),
-        }),
-        PlanNode::Sort { input, keys, .. } => Box::new(SortOp {
-            input: Some(build(input, env, budget, sink, contracts, depth + 1, batch_ok)?),
-            keys,
-            env,
-            rows: Vec::new(),
-            pos: 0,
-            done: false,
-            tracker: mem_tracker(env),
-        }),
-        PlanNode::Limit { input, limit, .. } => Box::new(LimitOp {
-            input: build(input, env, budget, sink, contracts, depth + 1, batch_ok)?,
-            remaining: *limit,
-        }),
-        PlanNode::Distinct { input, .. } => Box::new(DistinctOp {
-            input: build(input, env, budget, sink, contracts, depth + 1, batch_ok)?,
-            seen: std::collections::HashSet::new(),
-            tracker: mem_tracker(env),
-        }),
-    })
-}
-
-/// Streaming duplicate elimination: a row passes the first time its
-/// group-key form is seen.
-struct DistinctOp<'e> {
-    input: BoxOp<'e>,
-    seen: std::collections::HashSet<Vec<GroupKey>>,
-    tracker: Option<MemTracker<'e>>,
-}
-
-impl<'e> Op<'e> for DistinctOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(row) = self.input.next()? {
-            let key: Vec<GroupKey> = row.iter().map(|v| v.group_key()).collect();
-            if self.seen.insert(key) {
-                // The seen-set retains (a key form of) every distinct row.
-                if let Some(t) = &self.tracker {
-                    t.charge(row_bytes(&row))?;
-                }
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-
-    fn governor_stats(&self) -> Option<GovCounters> {
-        self.tracker.as_ref().map(|t| t.counters())
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Relational operators
-// ---------------------------------------------------------------------------
-
-struct TableScanOp<'e> {
-    iter: Box<dyn Iterator<Item = &'e Row> + 'e>,
-    filter: Option<&'e PhysExpr>,
-    env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
-}
-
-impl<'e> Op<'e> for TableScanOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        for row in self.iter.by_ref() {
-            if let Some(f) = self.filter {
-                if !f.matches(row, self.env)? {
-                    continue;
-                }
-            }
-            self.budget.tick()?;
-            return Ok(Some(row.clone())); // alloc-ok: Op contract returns owned rows
-        }
-        Ok(None)
-    }
-}
-
-struct IndexLookupOp<'e> {
-    table: &'e grfusion_storage::Table,
-    ids: Vec<grfusion_common::RowId>,
-    pos: usize,
-    filter: Option<&'e PhysExpr>,
-    env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
-}
-
-impl<'e> Op<'e> for IndexLookupOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        while self.pos < self.ids.len() {
-            let id = self.ids[self.pos];
-            self.pos += 1;
-            let Some(row) = self.table.get(id) else {
-                continue;
-            };
-            if let Some(f) = self.filter {
-                if !f.matches(row, self.env)? {
-                    continue;
-                }
-            }
-            self.budget.tick()?;
-            return Ok(Some(row.clone())); // alloc-ok: Op contract returns owned rows
-        }
-        Ok(None)
-    }
-}
-
-struct FilterOp<'e> {
-    input: BoxOp<'e>,
-    predicate: &'e PhysExpr,
-    env: &'e QueryEnv<'e>,
-}
-
-impl<'e> Op<'e> for FilterOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(row) = self.input.next()? {
-            if self.predicate.matches(&row, self.env)? {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
-    }
-}
-
-struct ProjectOp<'e> {
-    input: BoxOp<'e>,
-    exprs: &'e [PhysExpr],
-    env: &'e QueryEnv<'e>,
-}
-
-impl<'e> Op<'e> for ProjectOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        match self.input.next()? {
-            None => Ok(None),
-            Some(row) => {
-                let mut out = Vec::with_capacity(self.exprs.len());
-                for e in self.exprs {
-                    out.push(e.eval(&row, self.env)?);
-                }
-                Ok(Some(out))
-            }
-        }
-    }
-}
-
-struct LimitOp<'e> {
-    input: BoxOp<'e>,
-    remaining: u64,
-}
-
-impl<'e> Op<'e> for LimitOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next()? {
-            None => {
-                self.remaining = 0;
-                Ok(None)
-            }
-            Some(row) => {
-                self.remaining -= 1;
-                Ok(Some(row))
-            }
-        }
-    }
-}
-
-/// Nested-loop join: the LEFT side is buffered, the RIGHT side is streamed
-/// once. Output rows are `left ⊕ right` in right-major order. Keeping the
-/// right side streamed preserves laziness when the right side is a path
-/// scan (the common cross-model shape after the planner's reordering).
-struct NestedLoopJoinOp<'e> {
-    left: Option<BoxOp<'e>>,
-    left_rows: Option<Vec<Row>>,
-    right: BoxOp<'e>,
-    right_row: Option<Row>,
-    left_pos: usize,
-    condition: Option<&'e PhysExpr>,
-    env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
-    tracker: Option<MemTracker<'e>>,
-}
-
-impl<'e> Op<'e> for NestedLoopJoinOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if self.left_rows.is_none() {
-            let mut rows = Vec::new();
-            if let Some(mut left) = self.left.take() {
-                while let Some(r) = left.next()? {
-                    // The build side is retained for the whole join.
-                    if let Some(t) = &self.tracker {
-                        t.charge(row_bytes(&r))?;
-                    }
-                    rows.push(r);
-                }
-            }
-            self.left_rows = Some(rows);
-        }
-        let Some(left_rows) = self.left_rows.as_ref() else {
-            return Ok(None);
-        };
-        if left_rows.is_empty() {
-            return Ok(None);
-        }
-        loop {
-            if self.right_row.is_none() || self.left_pos >= left_rows.len() {
-                match self.right.next()? {
-                    None => return Ok(None),
-                    Some(r) => {
-                        self.right_row = Some(r);
-                        self.left_pos = 0;
-                    }
-                }
-            }
-            let Some(right) = self.right_row.as_ref() else {
-                return Ok(None);
-            };
-            while self.left_pos < left_rows.len() {
-                let l = &left_rows[self.left_pos];
-                self.left_pos += 1;
-                let mut out = Vec::with_capacity(l.len() + right.len());
-                out.extend_from_slice(l);
-                out.extend_from_slice(right);
-                if let Some(cond) = self.condition {
-                    if !cond.matches(&out, self.env)? {
-                        continue;
-                    }
-                }
-                self.budget.tick()?;
-                return Ok(Some(out));
-            }
-        }
-    }
-
-    fn governor_stats(&self) -> Option<GovCounters> {
-        self.tracker.as_ref().map(|t| t.counters())
-    }
-}
-
-/// Index nested-loop join: per outer row, probe the inner table's hash
-/// index and emit outer ⊕ inner. The per-hop join of SQLGraph-style
-/// relational traversal (§7.2's "one relational join per edge traversal").
-struct IndexJoinOp<'e> {
-    outer: BoxOp<'e>,
-    table: &'e grfusion_storage::Table,
-    column: usize,
-    key: &'e PhysExpr,
-    filter: Option<&'e PhysExpr>,
-    /// (outer row, matching inner row ids, cursor)
-    current: Option<(Row, Vec<grfusion_common::RowId>, usize)>,
-    env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
-}
-
-impl<'e> Op<'e> for IndexJoinOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        loop {
-            if let Some((outer_row, ids, pos)) = &mut self.current {
-                while *pos < ids.len() {
-                    let id = ids[*pos];
-                    *pos += 1;
-                    let Some(inner) = self.table.get(id) else {
-                        continue;
-                    };
-                    if let Some(f) = self.filter {
-                        if !f.matches(inner, self.env)? {
-                            continue;
-                        }
-                    }
-                    self.budget.tick()?;
-                    let mut out = Vec::with_capacity(outer_row.len() + inner.len());
-                    out.extend_from_slice(outer_row);
-                    out.extend_from_slice(inner);
-                    return Ok(Some(out));
-                }
-                self.current = None;
-            }
-            match self.outer.next()? {
-                None => return Ok(None),
-                Some(outer_row) => {
-                    let col_ty = self.table.schema().column(self.column).data_type;
-                    let key_val =
-                        index_probe_key(self.key.eval(&outer_row, self.env)?, col_ty);
-                    let ids = match key_val {
-                        None => Vec::new(), // alloc-ok: empty Vec does not allocate
-                        // The index's existence is verified at build time,
-                        // but fail the query (not the process) if that
-                        // invariant ever breaks.
-                        Some(k) => match self
-                            .table
-                            .index_on(self.column, Some(grfusion_storage::IndexKind::Hash))
-                        {
-                            Some(ix) => ix.get(&k),
-                            None => {
-                                return Err(Error::execution(
-                                    "hash index vanished between build and probe",
-                                ))
-                            }
-                        },
-                    };
-                    self.current = Some((outer_row, ids, 0));
-                }
-            }
-        }
-    }
-}
-
-struct SortOp<'e> {
-    input: Option<BoxOp<'e>>,
-    keys: &'e [(PhysExpr, bool)],
-    env: &'e QueryEnv<'e>,
-    rows: Vec<Row>,
-    pos: usize,
-    done: bool,
-    tracker: Option<MemTracker<'e>>,
-}
-
-impl<'e> Op<'e> for SortOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if !self.done {
-            let Some(mut input) = self.input.take() else {
-                return Ok(None);
-            };
-            let mut keyed: Vec<(Vec<Value>, Row)> = Vec::new();
-            while let Some(row) = input.next()? {
-                let mut key = Vec::with_capacity(self.keys.len());
-                for (e, _) in self.keys {
-                    key.push(e.eval(&row, self.env)?);
-                }
-                // The sort buffer holds every input row plus its key.
-                if let Some(t) = &self.tracker {
-                    t.charge(row_bytes(&row) + row_bytes(&key))?;
-                }
-                keyed.push((key, row));
-            }
-            let keys = self.keys;
-            keyed.sort_by(|(ka, _), (kb, _)| {
-                for (i, (_, asc)) in keys.iter().enumerate() {
-                    let ord = cmp_values_nulls_last(&ka[i], &kb[i]);
-                    let ord = if *asc { ord } else { ord.reverse() };
-                    if ord != Ordering::Equal {
-                        return ord;
-                    }
-                }
-                Ordering::Equal
-            });
-            self.rows = keyed.into_iter().map(|(_, r)| r).collect();
-            self.done = true;
-        }
-        if self.pos < self.rows.len() {
-            let r = std::mem::take(&mut self.rows[self.pos]);
-            self.pos += 1;
-            Ok(Some(r))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn governor_stats(&self) -> Option<GovCounters> {
-        self.tracker.as_ref().map(|t| t.counters())
-    }
-}
-
-/// Total order for sorting: NULLs sort last in ascending order.
-fn cmp_values_nulls_last(a: &Value, b: &Value) -> Ordering {
-    match (a.is_null(), b.is_null()) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => a.sql_cmp(b).unwrap_or(Ordering::Equal),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-pub(crate) struct AggState {
-    pub(crate) count: i64,
-    sum: f64,
-    /// Exact integer accumulator: `f64` loses precision past 2^53, so an
-    /// all-integer SUM is carried in `i128` (which cannot overflow from
-    /// summing `i64`s) and checked back into `i64` at finish.
-    isum: i128,
-    sum_is_int: bool,
-    min: Option<Value>,
-    max: Option<Value>,
-}
-
-impl AggState {
-    pub(crate) fn new() -> Self {
-        AggState {
-            count: 0,
-            sum: 0.0,
-            isum: 0,
-            sum_is_int: true,
-            min: None,
-            max: None,
-        }
-    }
-
-    pub(crate) fn update(&mut self, v: &Value) -> Result<()> {
-        if v.is_null() {
-            return Ok(());
-        }
-        self.count += 1;
-        if let Ok(d) = v.as_double() {
-            self.sum += d;
-            if let Value::Integer(i) = v {
-                self.isum += *i as i128;
-            } else {
-                self.sum_is_int = false;
-            }
-        }
-        if self
-            .min
-            .as_ref()
-            .is_none_or(|m| v.sql_cmp(m) == Some(Ordering::Less))
-        {
-            self.min = Some(v.clone());
-        }
-        if self
-            .max
-            .as_ref()
-            .is_none_or(|m| v.sql_cmp(m) == Some(Ordering::Greater))
-        {
-            self.max = Some(v.clone());
-        }
-        Ok(())
-    }
-
-    pub(crate) fn finish(&self, func: AggFunc) -> Result<Value> {
-        Ok(match func {
-            AggFunc::Count => Value::Integer(self.count),
-            AggFunc::Sum => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.sum_is_int {
-                    Value::Integer(
-                        i64::try_from(self.isum)
-                            .map_err(|_| Error::execution("integer overflow"))?,
-                    )
-                } else {
-                    Value::Double(self.sum)
-                }
-            }
-            AggFunc::Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else if self.sum_is_int {
-                    // Divide from the exact accumulator: (a+b)/2 computed
-                    // through a lossy f64 sum drifts for huge integers.
-                    Value::Double(crate::expr::integer_avg(self.isum, self.count as i128))
-                } else {
-                    Value::Double(self.sum / self.count as f64)
-                }
-            }
-            AggFunc::Min => self.min.clone().unwrap_or(Value::Null),
-            AggFunc::Max => self.max.clone().unwrap_or(Value::Null),
-        })
-    }
-}
-
-struct AggregateOp<'e> {
-    input: Option<BoxOp<'e>>,
-    group_exprs: &'e [PhysExpr],
-    aggs: &'e [AggSpec],
-    env: &'e QueryEnv<'e>,
-    output: Vec<Row>,
-    pos: usize,
-    done: bool,
-    tracker: Option<MemTracker<'e>>,
-}
-
-impl<'e> Op<'e> for AggregateOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        if !self.done {
-            let Some(mut input) = self.input.take() else {
-                return Ok(None);
-            };
-            let mut groups: HashMap<Vec<GroupKey>, (Row, Vec<AggState>)> = HashMap::new();
-            let mut order: Vec<Vec<GroupKey>> = Vec::new();
-            while let Some(row) = input.next()? {
-                let mut key = Vec::with_capacity(self.group_exprs.len());
-                let mut key_vals = Vec::with_capacity(self.group_exprs.len());
-                for g in self.group_exprs {
-                    let v = g.eval(&row, self.env)?;
-                    key.push(v.group_key());
-                    key_vals.push(v);
-                }
-                // Each new group adds its key values plus one aggregation
-                // state per aggregate to the hash table.
-                if let Some(t) = &self.tracker {
-                    if !groups.contains_key(&key) {
-                        t.charge(
-                            row_bytes(&key_vals)
-                                + (self.aggs.len() * std::mem::size_of::<AggState>()) as u64,
-                        )?;
-                    }
-                }
-                let entry = groups.entry(key.clone()).or_insert_with(|| { // alloc-ok: std entry API needs an owned key
-                    order.push(key);
-                    (key_vals, vec![AggState::new(); self.aggs.len()]) // alloc-ok: runs once per new group
-                });
-                for (i, spec) in self.aggs.iter().enumerate() {
-                    match &spec.arg {
-                        None => {
-                            // COUNT(*)
-                            entry.1[i].count += 1;
-                        }
-                        Some(e) => {
-                            let v = e.eval(&row, self.env)?;
-                            entry.1[i].update(&v)?;
-                        }
-                    }
-                }
-            }
-            if groups.is_empty() && self.group_exprs.is_empty() {
-                // Global aggregate over an empty input: one row of defaults.
-                let row: Row = self
-                    .aggs
-                    .iter()
-                    .map(|spec| AggState::new().finish(spec.func))
-                    .collect::<Result<_>>()?;
-                self.output.push(row);
-            } else {
-                for key in order {
-                    let Some((vals, states)) = groups.remove(&key) else {
-                        continue;
-                    };
-                    let mut row = vals;
-                    for (spec, st) in self.aggs.iter().zip(&states) {
-                        row.push(st.finish(spec.func)?);
-                    }
-                    self.output.push(row);
-                }
-            }
-            self.done = true;
-        }
-        if self.pos < self.output.len() {
-            let r = std::mem::take(&mut self.output[self.pos]);
-            self.pos += 1;
-            Ok(Some(r))
-        } else {
-            Ok(None)
-        }
-    }
-
-    fn governor_stats(&self) -> Option<GovCounters> {
-        self.tracker.as_ref().map(|t| t.counters())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Graph operators
+// Graph scans
 // ---------------------------------------------------------------------------
 
 struct VertexScanOp<'e> {
     genv: &'e GraphEnv<'e>,
     slots: Box<dyn Iterator<Item = VertexSlot> + 'e>,
-    filter: Option<&'e PhysExpr>,
-    env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
+    admit: Admit<'e>,
 }
 
 impl<'e> VertexScanOp<'e> {
-    fn make_row(&self, slot: VertexSlot) -> Result<Row> {
+    /// Append the next qualifying vertex tuple:
+    /// `[id, exposed attributes…, fanin, fanout]`.
+    fn next_row(&mut self, row: &mut Vec<Value>) -> Result<bool> {
         let g = self.genv;
-        let mut row = Vec::with_capacity(g.def.vertex_attrs.len() + 3);
-        row.push(Value::Integer(g.topo.vertex_id(slot)));
-        let tuple = g.topo.vertex_tuple(slot);
-        for (_, col) in &g.def.vertex_attrs {
-            row.push(
-                g.vertex_table
-                    .get_value(tuple, *col)
-                    .cloned()
-                    .ok_or_else(|| Error::execution("dangling vertex tuple pointer"))?,
-            );
+        for slot in self.slots.by_ref() {
+            let at = row.len();
+            row.push(Value::Integer(g.topo.vertex_id(slot)));
+            let tuple = g.topo.vertex_tuple(slot);
+            for (_, col) in &g.def.vertex_attrs {
+                row.push(
+                    g.vertex_table
+                        .get_value(tuple, *col)
+                        .cloned()
+                        .ok_or_else(|| Error::execution("dangling vertex tuple pointer"))?,
+                );
+            }
+            row.push(Value::Integer(crate::env::degree_i64(g.topo.fan_in(slot))));
+            row.push(Value::Integer(crate::env::degree_i64(g.topo.fan_out(slot))));
+            if self.admit.admit(&row[at..])? {
+                return Ok(true);
+            }
+            row.truncate(at);
         }
-        row.push(Value::Integer(crate::env::degree_i64(g.topo.fan_in(slot))));
-        row.push(Value::Integer(crate::env::degree_i64(g.topo.fan_out(slot))));
-        Ok(row)
+        Ok(false)
     }
 }
 
-impl<'e> Op<'e> for VertexScanOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        while let Some(slot) = self.slots.next() {
-            let row = self.make_row(slot)?;
-            if let Some(f) = self.filter {
-                if !f.matches(&row, self.env)? {
-                    continue;
-                }
-            }
-            self.budget.tick()?;
-            return Ok(Some(row));
-        }
-        Ok(None)
+impl<'e> Operator<'e> for VertexScanOp<'e> {
+    fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
+        let width = self.genv.def.vertex_attrs.len() + 3;
+        out.fill_rows(width, max_rows, |row, _| self.next_row(row))
     }
 }
 
 struct EdgeScanOp<'e> {
     genv: &'e GraphEnv<'e>,
     slots: Box<dyn Iterator<Item = EdgeSlot> + 'e>,
-    filter: Option<&'e PhysExpr>,
-    env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
+    admit: Admit<'e>,
 }
 
-impl<'e> Op<'e> for EdgeScanOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl<'e> EdgeScanOp<'e> {
+    /// Append the next qualifying edge tuple:
+    /// `[id, from, to, exposed attributes…]`.
+    fn next_row(&mut self, row: &mut Vec<Value>) -> Result<bool> {
+        let g = self.genv;
         for slot in self.slots.by_ref() {
-            let g = self.genv;
+            let at = row.len();
             let (from, to) = g.topo.edge_endpoints(slot);
-            let mut row = Vec::with_capacity(g.def.edge_attrs.len() + 3);
             row.push(Value::Integer(g.topo.edge_id(slot)));
             row.push(Value::Integer(g.topo.vertex_id(from)));
             row.push(Value::Integer(g.topo.vertex_id(to)));
@@ -1257,15 +580,19 @@ impl<'e> Op<'e> for EdgeScanOp<'e> {
                         .ok_or_else(|| Error::execution("dangling edge tuple pointer"))?,
                 );
             }
-            if let Some(f) = self.filter {
-                if !f.matches(&row, self.env)? {
-                    continue;
-                }
+            if self.admit.admit(&row[at..])? {
+                return Ok(true);
             }
-            self.budget.tick()?;
-            return Ok(Some(row));
+            row.truncate(at);
         }
-        Ok(None)
+        Ok(false)
+    }
+}
+
+impl<'e> Operator<'e> for EdgeScanOp<'e> {
+    fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
+        let width = self.genv.def.edge_attrs.len() + 3;
+        out.fill_rows(width, max_rows, |row, _| self.next_row(row))
     }
 }
 
@@ -1515,7 +842,7 @@ fn resolve_attr(genv: &GraphEnv<'_>, target: PathTarget, attr: &str) -> Result<A
 /// Bind pushed predicates against one outer row.
 pub(crate) fn bind_filter<'e>(
     config: &PathScanConfig,
-    outer_row: &Row,
+    outer_row: &[Value],
     env: &'e QueryEnv<'e>,
     genv: &'e GraphEnv<'e>,
 ) -> Result<EngineFilter<'e>> {
@@ -1739,7 +1066,7 @@ impl PathProbe {
     /// vertex, so no path matches.
     fn resolve<'e>(
         config: &PathScanConfig,
-        outer_row: &Row,
+        outer_row: &[Value],
         env: &'e QueryEnv<'e>,
     ) -> Result<Option<ProbeInputs<'e>>> {
         let genv = env.graph(&config.graph)?;
@@ -1779,7 +1106,7 @@ impl PathProbe {
 
     fn start<'e>(
         config: &PathScanConfig,
-        outer_row: &Row,
+        outer_row: &[Value],
         env: &'e QueryEnv<'e>,
     ) -> Result<ActiveScan<'e>> {
         match Self::resolve(config, outer_row, env)? {
@@ -1926,14 +1253,16 @@ struct PathScanOp<'e> {
     env: &'e QueryEnv<'e>,
     sink: Option<&'e MetricsSink>,
     /// The probe's filter and anchors, resolved (and so validated) while
-    /// the operator tree is built; taken by the first `next()`.
+    /// the operator tree is built; taken by the first pull.
     inputs: Option<ProbeInputs<'e>>,
-    /// `None` until the first `next()`: the traversal (a whole
+    /// `None` until the first pull: the traversal (a whole
     /// point-to-point search, an eager materialization, or a morsel
     /// fan-out) starts there and not while the operator tree is built, so
     /// its time lands on this operator's clock and a parent that never
     /// pulls never pays for it.
     scan: Option<ActiveScan<'e>>,
+    /// The traversal reported its end; it is not pulled again.
+    done: bool,
     budget: &'e RowBudget,
     /// Emission-side byte accounting for in-flight (lazy serial) scans;
     /// `None` for buffered/parallel variants, whose bytes were charged
@@ -1986,24 +1315,29 @@ impl<'e> PathScanOp<'e> {
     }
 }
 
-impl<'e> Op<'e> for PathScanOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
-        let scan = match &mut self.scan {
-            Some(scan) => scan,
-            None => self.start()?,
-        };
-        match scan.next_path()? {
-            None => Ok(None),
-            Some(p) => {
-                // The row budget is charged here, at emission, for every
-                // variant — identical accounting at any worker count.
-                self.budget.tick()?;
-                if let Some(t) = &self.tracker {
-                    t.charge(path_bytes(&p))?;
-                }
-                Ok(Some(vec![Value::Path(std::sync::Arc::new(p))]))
+impl<'e> Operator<'e> for PathScanOp<'e> {
+    fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
+        out.fill_rows(1, max_rows, |row, _| {
+            if self.done {
+                return Ok(false);
             }
-        }
+            let scan = match &mut self.scan {
+                Some(scan) => scan,
+                None => self.start()?,
+            };
+            let Some(p) = scan.next_path()? else {
+                self.done = true;
+                return Ok(false);
+            };
+            // The row budget is charged here, at emission, for every
+            // variant — identical accounting at any worker count.
+            self.budget.tick()?;
+            if let Some(t) = &self.tracker {
+                t.charge(path_bytes(&p))?;
+            }
+            row.push(Value::Path(std::sync::Arc::new(p)));
+            Ok(true)
+        })
     }
 
     fn graph_stats(&self) -> Option<GraphCounters> {
@@ -2025,8 +1359,10 @@ impl<'e> Op<'e> for PathScanOp<'e> {
 }
 
 struct PathJoinOp<'e> {
-    outer: BoxOp<'e>,
-    current: Option<(Row, ActiveScan<'e>)>,
+    /// Positioned on the outer row `current` probes from.
+    outer: Cursor<'e>,
+    width: usize,
+    current: Option<ActiveScan<'e>>,
     config: &'e PathScanConfig,
     env: &'e QueryEnv<'e>,
     budget: &'e RowBudget,
@@ -2040,10 +1376,13 @@ struct PathJoinOp<'e> {
     layout: TopologyLayout,
 }
 
-impl<'e> Op<'e> for PathJoinOp<'e> {
-    fn next(&mut self) -> Result<Option<Row>> {
+impl<'e> PathJoinOp<'e> {
+    /// Append the next `outer ⊕ path` tuple. A probe starts only when its
+    /// outer row is reached; the outer is asked for no more rows than the
+    /// consumer still wants, and for one per probe under a `LIMIT`.
+    fn next_row(&mut self, row: &mut Vec<Value>, remaining: usize) -> Result<bool> {
         loop {
-            if let Some((outer_row, scan)) = &mut self.current {
+            if let Some(scan) = &mut self.current {
                 if let Some(p) = scan.next_path()? {
                     self.budget.tick()?;
                     // Buffered probes (reachability / eager ablation)
@@ -2053,28 +1392,30 @@ impl<'e> Op<'e> for PathJoinOp<'e> {
                             t.charge(path_bytes(&p))?;
                         }
                     }
-                    let mut out = Vec::with_capacity(outer_row.len() + 1);
-                    out.extend_from_slice(outer_row);
-                    out.push(Value::Path(std::sync::Arc::new(p)));
-                    return Ok(Some(out));
+                    row.extend_from_slice(self.outer.tuple());
+                    row.push(Value::Path(std::sync::Arc::new(p)));
+                    return Ok(true);
                 }
                 self.stats_done.merge(&scan.graph_counters());
                 self.gov_done.merge(&scan.gov_counters());
                 self.current = None;
             }
-            match self.outer.next()? {
-                None => return Ok(None),
-                Some(outer_row) => {
-                    let scan = PathProbe::start(self.config, &outer_row, self.env)?;
-                    self.current = Some((outer_row, scan));
-                }
+            if !self.outer.advance(remaining)? {
+                return Ok(false);
             }
+            self.current = Some(PathProbe::start(self.config, self.outer.tuple(), self.env)?);
         }
+    }
+}
+
+impl<'e> Operator<'e> for PathJoinOp<'e> {
+    fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
+        out.fill_rows(self.width, max_rows, |row, left| self.next_row(row, left))
     }
 
     fn graph_stats(&self) -> Option<GraphCounters> {
         let mut total = self.stats_done;
-        if let Some((_, scan)) = &self.current {
+        if let Some(scan) = &self.current {
             total.merge(&scan.graph_counters());
         }
         Some(total)
@@ -2084,7 +1425,7 @@ impl<'e> Op<'e> for PathJoinOp<'e> {
         // As for PathScanOp: tracker presence == governor active.
         let t = self.tracker.as_ref()?;
         let mut total = self.gov_done;
-        if let Some((_, scan)) = &self.current {
+        if let Some(scan) = &self.current {
             total.merge(&scan.gov_counters());
         }
         total.merge(&t.counters());

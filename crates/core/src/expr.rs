@@ -16,12 +16,13 @@
 //! Comparison evaluation follows SQL three-valued logic; filters accept
 //! only `TRUE`.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use grfusion_common::value::ArithOp;
-use grfusion_common::{DataType, Error, PathData, Result, Row, Schema, Value};
+use grfusion_common::{DataType, Error, PathData, Result, Schema, Value};
 use grfusion_sql::{BinaryOp, Expr, IndexEnd, RefPart, UnaryOp};
 
 use crate::env::{GraphEnv, QueryEnv};
@@ -422,8 +423,34 @@ impl PhysExpr {
         }
     }
 
+    /// The value a bare operand (literal, bound parameter, column) denotes,
+    /// read in place.
+    #[inline]
+    fn operand<'a>(&'a self, row: &'a [Value], env: &'a QueryEnv<'_>) -> Option<&'a Value> {
+        match self {
+            PhysExpr::Literal(v) => Some(v),
+            PhysExpr::Param { index } => env.params.get(*index),
+            PhysExpr::Column { index, .. } => Some(&row[*index]),
+            _ => None,
+        }
+    }
+
+    /// [`PhysExpr::eval`] that borrows bare operands instead of cloning
+    /// them — what comparisons, group keys and aggregate arguments read.
+    #[inline]
+    pub(crate) fn eval_ref<'a>(
+        &'a self,
+        row: &'a [Value],
+        env: &'a QueryEnv<'_>,
+    ) -> Result<Cow<'a, Value>> {
+        match self.operand(row, env) {
+            Some(v) => Ok(Cow::Borrowed(v)),
+            None => self.eval(row, env).map(Cow::Owned),
+        }
+    }
+
     /// Evaluate against a combined row.
-    pub fn eval(&self, row: &Row, env: &QueryEnv<'_>) -> Result<Value> {
+    pub fn eval(&self, row: &[Value], env: &QueryEnv<'_>) -> Result<Value> {
         match self {
             PhysExpr::Literal(v) => Ok(v.clone()),
             PhysExpr::Param { index } => {
@@ -459,11 +486,11 @@ impl PhysExpr {
             PhysExpr::And(a, b) => {
                 // Kleene AND.
                 let va = a.eval(row, env)?;
-                if va == Value::Boolean(false) {
+                if matches!(va, Value::Boolean(false)) {
                     return Ok(Value::Boolean(false));
                 }
                 let vb = b.eval(row, env)?;
-                if vb == Value::Boolean(false) {
+                if matches!(vb, Value::Boolean(false)) {
                     return Ok(Value::Boolean(false));
                 }
                 if va.is_null() || vb.is_null() {
@@ -473,11 +500,11 @@ impl PhysExpr {
             }
             PhysExpr::Or(a, b) => {
                 let va = a.eval(row, env)?;
-                if va == Value::Boolean(true) {
+                if matches!(va, Value::Boolean(true)) {
                     return Ok(Value::Boolean(true));
                 }
                 let vb = b.eval(row, env)?;
-                if vb == Value::Boolean(true) {
+                if matches!(vb, Value::Boolean(true)) {
                     return Ok(Value::Boolean(true));
                 }
                 if va.is_null() || vb.is_null() {
@@ -486,8 +513,8 @@ impl PhysExpr {
                 Ok(Value::Boolean(va.as_boolean()? || vb.as_boolean()?))
             }
             PhysExpr::Cmp { op, left, right } => {
-                let l = left.eval(row, env)?;
-                let r = right.eval(row, env)?;
+                let l = left.eval_ref(row, env)?;
+                let r = right.eval_ref(row, env)?;
                 Ok(op.test(l.sql_cmp(&r)))
             }
             PhysExpr::Arith { op, left, right } => {
@@ -500,13 +527,13 @@ impl PhysExpr {
                 list,
                 negated,
             } => {
-                let v = expr.eval(row, env)?;
+                let v = expr.eval_ref(row, env)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
                 let mut saw_unknown = false;
                 for item in list {
-                    let iv = item.eval(row, env)?;
+                    let iv = item.eval_ref(row, env)?;
                     match v.sql_eq(&iv) {
                         Some(true) => {
                             return Ok(Value::Boolean(!negated));
@@ -527,9 +554,9 @@ impl PhysExpr {
                 high,
                 negated,
             } => {
-                let v = expr.eval(row, env)?;
-                let lo = low.eval(row, env)?;
-                let hi = high.eval(row, env)?;
+                let v = expr.eval_ref(row, env)?;
+                let lo = low.eval_ref(row, env)?;
+                let hi = high.eval_ref(row, env)?;
                 let ge = CmpOp::GtEq.test(v.sql_cmp(&lo));
                 let le = CmpOp::LtEq.test(v.sql_cmp(&hi));
                 let both = match (ge, le) {
@@ -560,172 +587,36 @@ impl PhysExpr {
     }
 
     /// Evaluate as a filter predicate: only TRUE passes (SQL semantics).
-    pub fn matches(&self, row: &Row, env: &QueryEnv<'_>) -> Result<bool> {
+    pub fn matches(&self, row: &[Value], env: &QueryEnv<'_>) -> Result<bool> {
         Ok(self.eval(row, env)?.is_truthy())
     }
 
-    /// Whether this expression can be evaluated columnarly over a batch
-    /// with results identical to per-row [`PhysExpr::eval`].
-    ///
-    /// The bar is *provable infallibility*: scalar AND/OR short-circuit
-    /// (Kleene `false AND err` returns false without surfacing `err`), so a
-    /// columnar kernel that evaluates both sides everywhere is only
-    /// equivalent when no subtree can error on any row. That admits
+    /// Whether evaluating this expression provably cannot fail on any row:
     /// literals, columns, comparisons, BETWEEN/IN over those, and boolean
-    /// combinators whose operands are statically boolean — and excludes
-    /// arithmetic (overflow, division by zero), parameters (arity errors),
-    /// and every path accessor (graph lookups can fail). Fallible trees
-    /// take the batch executor's row-major fallback instead.
-    pub(crate) fn vector_safe(&self) -> bool {
+    /// combinators whose operands are statically boolean. Arithmetic
+    /// (overflow, division by zero), parameters (arity errors) and every
+    /// path accessor (graph lookups) can fail. UPDATE/DELETE may only skip
+    /// rows through an index when the predicate is infallible — otherwise
+    /// the statement must surface the error of the first row in scan order
+    /// that raises one.
+    pub(crate) fn infallible(&self) -> bool {
         match self {
             PhysExpr::Literal(_) | PhysExpr::Column { .. } => true,
-            PhysExpr::Not(e) => e.vector_safe() && e.static_type() == DataType::Boolean,
+            PhysExpr::Not(e) => e.infallible() && e.static_type() == DataType::Boolean,
             PhysExpr::And(a, b) | PhysExpr::Or(a, b) => {
-                a.vector_safe()
-                    && b.vector_safe()
+                a.infallible()
+                    && b.infallible()
                     && a.static_type() == DataType::Boolean
                     && b.static_type() == DataType::Boolean
             }
-            PhysExpr::Cmp { left, right, .. } => left.vector_safe() && right.vector_safe(),
+            PhysExpr::Cmp { left, right, .. } => left.infallible() && right.infallible(),
             PhysExpr::Between {
                 expr, low, high, ..
-            } => expr.vector_safe() && low.vector_safe() && high.vector_safe(),
+            } => expr.infallible() && low.infallible() && high.infallible(),
             PhysExpr::InList { expr, list, .. } => {
-                expr.vector_safe() && list.iter().all(|e| e.vector_safe())
+                expr.infallible() && list.iter().all(|e| e.infallible())
             }
             _ => false,
-        }
-    }
-
-    /// Columnar twin of [`PhysExpr::eval`]: evaluate over a whole batch
-    /// (column-major `cols`, `len` rows) in one pass per subexpression.
-    /// Only called on [`PhysExpr::vector_safe`] trees, whose per-row
-    /// results provably match scalar evaluation (same Kleene logic, and no
-    /// subtree can error, so eager both-sides evaluation is unobservable).
-    pub(crate) fn eval_vector(
-        &self,
-        cols: &[Vec<Value>],
-        len: usize,
-        env: &QueryEnv<'_>,
-    ) -> Result<Vec<Value>> {
-        match self {
-            PhysExpr::Literal(v) => Ok(vec![v.clone(); len]),
-            PhysExpr::Column { index, .. } => Ok(cols[*index][..len].to_vec()),
-            PhysExpr::Not(e) => {
-                let mut vs = e.eval_vector(cols, len, env)?;
-                for v in &mut vs {
-                    let negated = match &*v {
-                        Value::Null => Value::Null,
-                        other => Value::Boolean(!other.as_boolean()?),
-                    };
-                    *v = negated;
-                }
-                Ok(vs)
-            }
-            PhysExpr::And(a, b) => {
-                let va = a.eval_vector(cols, len, env)?;
-                let vb = b.eval_vector(cols, len, env)?;
-                va.into_iter()
-                    .zip(vb)
-                    .map(|(x, y)| {
-                        Ok(if x == Value::Boolean(false) || y == Value::Boolean(false) {
-                            Value::Boolean(false)
-                        } else if x.is_null() || y.is_null() {
-                            Value::Null
-                        } else {
-                            Value::Boolean(x.as_boolean()? && y.as_boolean()?)
-                        })
-                    })
-                    .collect()
-            }
-            PhysExpr::Or(a, b) => {
-                let va = a.eval_vector(cols, len, env)?;
-                let vb = b.eval_vector(cols, len, env)?;
-                va.into_iter()
-                    .zip(vb)
-                    .map(|(x, y)| {
-                        Ok(if x == Value::Boolean(true) || y == Value::Boolean(true) {
-                            Value::Boolean(true)
-                        } else if x.is_null() || y.is_null() {
-                            Value::Null
-                        } else {
-                            Value::Boolean(x.as_boolean()? || y.as_boolean()?)
-                        })
-                    })
-                    .collect()
-            }
-            PhysExpr::Cmp { op, left, right } => {
-                let l = left.eval_vector(cols, len, env)?;
-                let r = right.eval_vector(cols, len, env)?;
-                Ok(l.into_iter()
-                    .zip(r)
-                    .map(|(x, y)| op.test(x.sql_cmp(&y)))
-                    .collect())
-            }
-            PhysExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let v = expr.eval_vector(cols, len, env)?;
-                let lo = low.eval_vector(cols, len, env)?;
-                let hi = high.eval_vector(cols, len, env)?;
-                Ok(v.into_iter()
-                    .zip(lo)
-                    .zip(hi)
-                    .map(|((x, l), h)| {
-                        let ge = CmpOp::GtEq.test(x.sql_cmp(&l));
-                        let le = CmpOp::LtEq.test(x.sql_cmp(&h));
-                        let both = match (ge, le) {
-                            (Value::Boolean(false), _) | (_, Value::Boolean(false)) => {
-                                Value::Boolean(false)
-                            }
-                            (Value::Null, _) | (_, Value::Null) => Value::Null,
-                            _ => Value::Boolean(true),
-                        };
-                        match both {
-                            Value::Boolean(b) => Value::Boolean(b != *negated),
-                            other => other,
-                        }
-                    })
-                    .collect())
-            }
-            PhysExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = expr.eval_vector(cols, len, env)?;
-                let items: Vec<Vec<Value>> = list
-                    .iter()
-                    .map(|e| e.eval_vector(cols, len, env))
-                    .collect::<Result<_>>()?;
-                Ok(v.into_iter()
-                    .enumerate()
-                    .map(|(i, x)| {
-                        if x.is_null() {
-                            return Value::Null;
-                        }
-                        let mut saw_unknown = false;
-                        for item in &items {
-                            match x.sql_eq(&item[i]) {
-                                Some(true) => return Value::Boolean(!negated),
-                                Some(false) => {}
-                                None => saw_unknown = true,
-                            }
-                        }
-                        if saw_unknown {
-                            Value::Null
-                        } else {
-                            Value::Boolean(*negated)
-                        }
-                    })
-                    .collect())
-            }
-            other => Err(Error::execution(format!(
-                "expression is not vectorizable: {other:?}"
-            ))),
         }
     }
 }
@@ -884,7 +775,7 @@ fn eval_quant(
     end: IndexEnd,
     attr: &str,
     test: &QuantTest,
-    row: &Row,
+    row: &[Value],
     env: &QueryEnv<'_>,
     genv: &GraphEnv<'_>,
 ) -> Result<Value> {

@@ -18,7 +18,7 @@
 //!
 //! Cancellation is *cooperative*, not preemptive: operators and traversal
 //! filters poll [`ExecContext::check_now`] at periodic checkpoints (every
-//! [`OP_CHECK_INTERVAL`] `next()` calls in volcano operators, every
+//! [`OP_CHECK_INTERVAL`] rows an operator hands up, every
 //! [`EXPANSION_CHECK_INTERVAL`] vertex/edge expansions inside traversal
 //! loops, and at every morsel boundary in the parallel pool). Preempting a
 //! thread mid-mutation could leave shared state half-written; polling at
@@ -42,9 +42,9 @@ use grfusion_common::{Error, PathData, ResourceKind, Result, Value};
 
 use crate::config::GovernorConfig;
 
-/// Volcano operators poll the governor every this many `next()` calls
-/// (plus once on exhaustion, so a truncated stream can never read as a
-/// clean end-of-stream).
+/// Operators poll the governor every this many rows they hand up (plus
+/// once on exhaustion, so a truncated stream can never read as a clean
+/// end-of-stream).
 pub const OP_CHECK_INTERVAL: u64 = 64;
 
 /// Traversal filters poll the governor every this many vertex/edge
@@ -260,8 +260,8 @@ impl ExecContext {
         ExecContext::new(&effective, watches, faults)
     }
 
-    /// Whether any guard is configured. When false the executor skips the
-    /// governed-operator shim entirely, keeping the default path zero-cost.
+    /// Whether any guard is configured. When false the executor skips its
+    /// governor polls entirely, keeping the default path zero-cost.
     pub fn active(&self) -> bool {
         self.deadline.is_some() || !self.cancel.is_empty() || self.mem_cap.is_some()
     }

@@ -14,7 +14,7 @@
 //!   in the FROM clause, indexed path references, path aggregates.
 //! * **Cross-model query pipelines** (§5): `VertexScan`, `EdgeScan`, and
 //!   lazy `PathScan` operators co-exist with relational operators in one
-//!   volcano pipeline ([`exec`]); vertexes/edges/paths are extended tuples.
+//!   pull-based pipeline ([`exec`]); vertexes/edges/paths are extended tuples.
 //! * **Query optimization** (§6): path-length inference, predicate pushdown
 //!   ahead of path scans, and logical→physical traversal-operator mapping
 //!   (DFS/BFS/shortest-path with the `F < L` memory heuristic)
@@ -45,7 +45,6 @@
 
 mod access;
 pub mod analyze;
-pub mod batch;
 pub mod config;
 pub mod cost;
 pub mod db;
@@ -64,9 +63,10 @@ pub mod plan;
 pub mod planner;
 pub mod result;
 mod snapshot;
+mod spine;
 
 pub use config::{
-    BatchConfig, CsrConfig, EngineConfig, EpochConfig, ExecLimits, GovernorConfig, OptimizerFlags,
+    CsrConfig, EngineConfig, EpochConfig, ExecLimits, GovernorConfig, OptimizerFlags,
     ParallelConfig, TraversalChoice,
 };
 pub use db::{Database, PreparedQuery};

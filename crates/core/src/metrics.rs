@@ -14,8 +14,8 @@
 //! always-on counters are plain (non-atomic) `u64` fields that the
 //! traversal iterators already maintain for the ablation experiments
 //! (`edges_examined`, `max_frontier`, ...); reading them costs nothing when
-//! nobody asks. When metrics are on, each operator is wrapped in a metering
-//! shim that owns a [`NodeSlot`] of `Cell<u64>` counters — the executor is
+//! nobody asks. When metrics are on, each operator's instrumentation
+//! wrapper owns a [`NodeSlot`] of `Cell<u64>` counters — the executor is
 //! single-threaded, so no atomics are involved on the serial path. Parallel
 //! path-scan workers accumulate their counters thread-locally and merge
 //! them once at join time.
@@ -79,7 +79,7 @@ pub struct OpMetrics {
     pub depth: usize,
     /// Rows this node produced.
     pub rows: u64,
-    /// `next()` calls the parent issued (rows + the exhausting pull).
+    /// `next_batch` calls the parent issued (batches + the exhausting call).
     pub next_calls: u64,
     /// Cumulative wall time inside this node *including* its children
     /// (PostgreSQL-style inclusive timing).
@@ -91,9 +91,6 @@ pub struct OpMetrics {
     /// Topology layout the operator traversed (sealed CSR / delta overlay /
     /// plain adjacency); `None` for relational operators.
     pub layout: Option<TopologyLayout>,
-    /// Configured batch size when this operator ran batch-at-a-time;
-    /// `None` on the row-at-a-time path.
-    pub batch: Option<u64>,
     /// Optimizer cardinality estimate for this node (rows), attached after
     /// execution when the cost-based optimizer planned the query; `None`
     /// on the rule-based path.
@@ -134,8 +131,7 @@ impl QueryMetrics {
     }
 
     /// Attach per-node optimizer cardinality estimates (pre-order, as
-    /// produced by `cost::estimate`). A length mismatch — e.g. batch
-    /// interception registered a different operator tree — attaches
+    /// produced by `cost::estimate`). A length mismatch attaches
     /// nothing: actual-vs-estimate is an annotation, never a panic, and a
     /// node without an estimate simply omits the suffix (no `rows_est=?`).
     pub fn attach_estimates(&mut self, estimates: &[crate::cost::NodeEstimate]) {
@@ -188,9 +184,6 @@ impl QueryMetrics {
             if let Some(l) = &n.layout {
                 out.push_str(&format!(" (layout={l})"));
             }
-            if let Some(b) = &n.batch {
-                out.push_str(&format!(" (layout=batch({b}))"));
-            }
             if let Some(g) = &n.gov {
                 out.push_str(&format!(" (bytes={} checks={})", g.bytes, g.checks));
             }
@@ -218,9 +211,9 @@ fn format_us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1_000.0)
 }
 
-/// Mutable per-node counter slot shared between the metering shim (which
+/// Mutable per-node counter slot shared between the operator's wrapper (which
 /// bumps it) and the sink (which reads it at the end). `Cell` suffices:
-/// the volcano executor is single-threaded.
+/// the executor is single-threaded.
 #[derive(Debug)]
 pub struct NodeSlot {
     label: String,
@@ -231,35 +224,16 @@ pub struct NodeSlot {
     graph: Cell<Option<GraphCounters>>,
     gov: Cell<Option<GovCounters>>,
     layout: Cell<Option<TopologyLayout>>,
-    batch: Cell<Option<u64>>,
 }
 
 impl NodeSlot {
+    /// One `next_batch` call that took `elapsed_ns` and produced `rows`
+    /// rows (0 = exhausted or errored).
     #[inline]
-    pub(crate) fn record_next(&self, elapsed_ns: u64, produced: bool) {
+    pub(crate) fn record_batch(&self, elapsed_ns: u64, rows: u64) {
         self.next_calls.set(self.next_calls.get() + 1);
         self.time_ns.set(self.time_ns.get() + elapsed_ns);
-        if produced {
-            self.rows.set(self.rows.get() + 1);
-        }
-    }
-
-    /// Batch-mode twin of [`NodeSlot::record_next`]: one `next_batch()`
-    /// call that produced `rows` rows (`None` = exhausted or errored).
-    #[inline]
-    pub(crate) fn record_batch(&self, elapsed_ns: u64, rows: Option<u64>) {
-        self.next_calls.set(self.next_calls.get() + 1);
-        self.time_ns.set(self.time_ns.get() + elapsed_ns);
-        if let Some(n) = rows {
-            self.rows.set(self.rows.get() + n);
-        }
-    }
-
-    /// Record the configured batch size for an operator running
-    /// batch-at-a-time (stable for the whole query, so any write wins).
-    #[inline]
-    pub(crate) fn set_batch(&self, size: u64) {
-        self.batch.set(Some(size));
+        self.rows.set(self.rows.get() + rows);
     }
 
     /// Overwrite the node's graph counters with the operator's cumulative
@@ -293,7 +267,6 @@ impl NodeSlot {
             graph: self.graph.get(),
             gov: self.gov.get(),
             layout: self.layout.get(),
-            batch: self.batch.get(),
             rows_est: None,
         }
     }
@@ -323,7 +296,6 @@ impl MetricsSink {
             graph: Cell::new(None),
             gov: Cell::new(None),
             layout: Cell::new(None),
-            batch: Cell::new(None),
         });
         self.nodes.borrow_mut().push(slot.clone());
         slot
@@ -351,9 +323,9 @@ mod tests {
         let sink = MetricsSink::new();
         let a = sink.register("Project(1 cols)".into(), 0);
         let b = sink.register("TableScan(t)".into(), 1);
-        a.record_next(1_500, true);
-        a.record_next(500, false);
-        b.record_next(1_000, true);
+        a.record_batch(1_500, 1);
+        a.record_batch(500, 0);
+        b.record_batch(1_000, 1);
         b.set_graph(GraphCounters {
             vertices_visited: 3,
             edges_expanded: 5,
@@ -384,20 +356,5 @@ mod tests {
         assert!(m.nodes[0].layout.is_none());
         assert_eq!(m.nodes[1].layout, Some(TopologyLayout::Delta(2)));
         assert!(text.contains("(layout=delta(2))"), "{text}");
-    }
-
-    #[test]
-    fn batch_counters_render() {
-        let sink = MetricsSink::new();
-        let a = sink.register("TableScan(t)".into(), 0);
-        a.record_batch(2_000, Some(3));
-        a.record_batch(1_000, None);
-        a.set_batch(1024);
-        let m = sink.finish();
-        assert_eq!(m.nodes[0].rows, 3);
-        assert_eq!(m.nodes[0].next_calls, 2);
-        assert_eq!(m.nodes[0].time_ns, 3_000);
-        assert_eq!(m.nodes[0].batch, Some(1024));
-        assert!(m.render().contains("(layout=batch(1024))"), "{}", m.render());
     }
 }

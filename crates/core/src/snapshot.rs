@@ -22,7 +22,6 @@ use grfusion_sql::{Expr, Select, SelectItem};
 use grfusion_storage::{Catalog, Table};
 use parking_lot::RwLockReadGuard;
 
-use crate::config::BatchConfig;
 use crate::db::PreparedQuery;
 use crate::env::{GraphEnv, QueryEnv};
 use crate::epoch::{Epoch, Settings};
@@ -139,7 +138,6 @@ impl<'a> Snapshot<'a> {
             return Ok(PreparedQuery {
                 plan,
                 estimates: None,
-                prefer_row: false,
             });
         }
         let o = crate::cost::optimize(
@@ -152,7 +150,6 @@ impl<'a> Snapshot<'a> {
         Ok(PreparedQuery {
             plan: o.plan,
             estimates: Some(o.estimates),
-            prefer_row: o.prefer_row_pipeline,
         })
     }
 
@@ -167,20 +164,14 @@ impl<'a> Snapshot<'a> {
         params: Vec<Value>,
         collect_metrics: bool,
     ) -> Result<ResultSet> {
+        let gov = cfg.exec_context()?;
         let env = QueryEnv {
             snap: Some(self),
             limits: cfg.config.limits,
             parallel: cfg.config.parallel,
             params,
-            gov: cfg.exec_context()?,
-            // Cost-model pipeline choice: small estimated results skip batch
-            // assembly entirely (row and batch pipelines are byte-identical,
-            // so this is a pure latency decision).
-            batch: if query.prefer_row {
-                BatchConfig::disabled()
-            } else {
-                cfg.config.batch
-            },
+            batch_rows: QueryEnv::demand(&cfg.config.limits, &gov, cfg.batch_rows),
+            gov,
         };
         let (rows, metrics) = if collect_metrics {
             let (rows, mut m) = execute_plan_with_metrics(&query.plan, &env)?;

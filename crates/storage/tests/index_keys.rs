@@ -154,3 +154,29 @@ fn zeros_and_nans_of_either_sign_are_one_key_each() {
     unique.insert(&pos, RowId(0)).unwrap();
     assert!(unique.insert(&neg, RowId(1)).is_err());
 }
+
+/// A hash index keys a DOUBLE by `Value::group_key`, which must fold the
+/// same spellings: a column holding `+NaN` and the sign-bit-set NaN x86
+/// computes for `inf * 0` is probed with either and finds both.
+#[test]
+fn hash_index_holds_every_nan_and_both_zeros_under_one_key() {
+    let computed = std::hint::black_box(f64::INFINITY) * std::hint::black_box(0.0);
+    let stored = [f64::NAN, -f64::NAN, computed, 0.0, -0.0, 1.0];
+    let mut ix = Index::new("h", 0, false, IndexKind::Hash);
+    for (row, v) in (0u64..).zip(stored) {
+        ix.insert(&Value::Double(v), RowId(row)).unwrap();
+    }
+    for nan in [f64::NAN, -f64::NAN, computed] {
+        assert_eq!(ix.get(&Value::Double(nan)), vec![RowId(0), RowId(1), RowId(2)]);
+    }
+    for zero in [0.0, -0.0] {
+        assert_eq!(ix.get(&Value::Double(zero)), vec![RowId(3), RowId(4)]);
+    }
+    assert_eq!(ix.distinct_keys(), 3);
+    ix.remove(&Value::Double(-f64::NAN), RowId(0));
+    assert_eq!(ix.lookup(&Value::Double(f64::NAN)), [RowId(1), RowId(2)]);
+
+    let mut unique = Index::new("u", 0, true, IndexKind::Hash);
+    unique.insert(&Value::Double(f64::NAN), RowId(0)).unwrap();
+    assert!(unique.insert(&Value::Double(-f64::NAN), RowId(1)).is_err());
+}

@@ -4,7 +4,7 @@
 //! * **Positive**: every query of the fig7–fig10 / metrics-battery
 //!   families is accepted, executes with zero runtime type errors, and
 //!   every emitted row matches the statically inferred result schema —
-//!   with the `CheckedOp` contract shim forced on, serially and at
+//!   with the executor's contract check forced on, serially and at
 //!   `workers = 4`.
 //! * **Negative**: ill-typed queries are rejected *at plan time* with an
 //!   `Error::Analysis` carrying the 1-based `line:col` of the offending
@@ -13,7 +13,7 @@
 use grfusion::{Database, ParallelConfig};
 use grfusion_common::Error;
 
-/// Force the contract shim on for this test binary regardless of build
+/// Force the contract check on for this test binary regardless of build
 /// profile (it already defaults to on under `debug_assertions`).
 fn shim_on() {
     static ONCE: std::sync::Once = std::sync::Once::new();

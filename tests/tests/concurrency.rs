@@ -456,7 +456,19 @@ fn cancel_mid_read_releases_epoch_pin() {
     let db = dense_epoch_db();
     let token = db.cancel_token();
     let reader = reader_pinned_and_superseded(&db);
-    token.cancel();
+    // A cancel aborts the statements running when it fires. The reader has
+    // pinned its epoch, but under load it may not have armed its cancel
+    // watch yet — and its query cannot end on its own, so one missed cancel
+    // would hang the join below. Fire until it ends, for a bounded time.
+    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !reader.is_finished() {
+        assert!(
+            std::time::Instant::now() < give_up,
+            "reader ignored 30 s of cancels"
+        );
+        token.cancel();
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
     let err = reader
         .join()
         .unwrap()

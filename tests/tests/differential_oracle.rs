@@ -24,7 +24,7 @@
 //! variant feeds the same checker so proptest's own shrinking covers
 //! shapes the seeded families miss.
 
-use grfusion::{BatchConfig, CsrConfig, Database, EngineConfig, EpochConfig, ParallelConfig, Value};
+use grfusion::{CsrConfig, Database, EngineConfig, EpochConfig, ParallelConfig, Value};
 use grfusion_baselines::{GraphSystem, SqlGraphSystem};
 use grfusion_datasets::{Dataset, DatasetKind};
 use proptest::prelude::*;
@@ -193,34 +193,40 @@ fn build_engine(csr: CsrConfig, w: &Workload) -> Database {
 }
 
 fn build_engine_with(csr: CsrConfig, w: &Workload, epochs: EpochConfig) -> Database {
-    // Batching off explicitly (not from the environment): these lanes are
-    // the row-at-a-time reference the batch lane is compared against.
-    build_engine_cfg(
+    // One row per batch: every operator hands over exactly the row its
+    // consumer is about to use. This is the reference the batch-size lane
+    // is compared against.
+    let db = build_engine_cfg(
         EngineConfig {
             csr,
             parallel: ParallelConfig::serial(),
             epochs,
-            batch: BatchConfig::disabled(),
             ..Default::default()
         },
         w,
-    )
+    );
+    db.set_batch_rows(1);
+    db
 }
 
-/// The batch lane: sealed CSR like the reference, but the relational spine
-/// runs batch-at-a-time.
+/// The batch-size lane: sealed CSR like the reference, at the engine's own
+/// batch size until the checker sweeps it.
 fn build_engine_batched(w: &Workload) -> Database {
     build_engine_cfg(
         EngineConfig {
             csr: CsrConfig::sealed(),
             parallel: ParallelConfig::serial(),
             epochs: EpochConfig::disabled(),
-            batch: BatchConfig::enabled(),
             ..Default::default()
         },
         w,
     )
 }
+
+/// Batch sizes the lane compares against the one-row reference: the
+/// engine's constant plus small sizes that make batch boundaries fall
+/// inside every operator's input.
+const BATCH_ROWS: [usize; 4] = [2, 3, 7, 1024];
 
 fn build_engine_cfg(cfg: EngineConfig, w: &Workload) -> Database {
     let db = Database::with_config(cfg);
@@ -344,24 +350,49 @@ fn check(w: &Workload) -> Result<(), String> {
         return Err(format!("state_dump divergence:\n--- sealed\n{sd}\n--- batch\n{bd}"));
     }
 
-    // Batch lane: relational answers over the final state must be
-    // byte-identical to the row reference — these plans are all
-    // batch-native (scan/filter/join/aggregate), so this is the spine the
-    // batch executor actually rewires.
-    let relational = [
+    // Batch-size lane: answers *and errors* over the final state must not
+    // depend on how many rows an operator hands over at once — scans,
+    // filters, joins, aggregates, sorts, early-stopping LIMITs over
+    // relational and path inputs, and a projection that fails part-way.
+    let sized = [
         "SELECT id FROM v WHERE id >= 1",
         "SELECT id, a, b, w FROM e WHERE a <> b AND w > 1.0",
         "SELECT COUNT(*), MIN(a), MAX(b), SUM(w), AVG(w) FROM e",
         "SELECT a, COUNT(*) FROM e GROUP BY a",
         "SELECT e.id, v.id FROM e JOIN v ON e.a = v.id",
+        "SELECT DISTINCT a FROM e ORDER BY a DESC",
+        "SELECT e.id, v.id FROM e, v WHERE e.b < v.id LIMIT 5",
+        "SELECT id FROM v WHERE id >= 1 LIMIT 2",
+        "SELECT PS.PathString FROM g.Paths PS HINT(DFS) \
+         WHERE PS.Length >= 1 AND PS.Length <= 3 LIMIT 4",
+        "SELECT v.id, PS.Length FROM v, g.Paths PS \
+         WHERE PS.StartVertex.Id = v.id AND PS.Length <= 2 LIMIT 3",
+        "SELECT 6 / (id - 2) FROM v",
     ];
-    for sql in relational {
-        let want = rows_exact(&sealed, sql)?;
-        let got = rows_exact(&batch, sql)?;
-        if got != want {
-            return Err(format!(
-                "batch lane diverges on `{sql}`:\n  got {got:?}\n  want {want:?}"
-            ));
+    // A join whose outer row can match many times, under a LIMIT the
+    // first outer row may fill on its own, with an outer filter that fails
+    // on the second (`id = 1`): the outer must not be pulled ahead of need.
+    // `e.a` gets a non-unique hash index for the index-join form (every
+    // lane, so later comparisons still see one state).
+    for db in [&sealed, &plain, &batch] {
+        db.execute("CREATE INDEX ix_ea ON e (a)")
+            .map_err(|e| format!("create index: {e}"))?;
+    }
+    let fan_out = [
+        "SELECT v.id, e.id FROM v, e WHERE e.a = v.id AND 10 / (1 - v.id) > 0 LIMIT 2",
+        "SELECT v.id, PS.Length FROM v, g.Paths PS WHERE PS.StartVertex.Id = v.id \
+         AND PS.Length >= 1 AND PS.Length <= 2 AND 10 / (1 - v.id) > 0 LIMIT 2",
+    ];
+    for sql in sized.into_iter().chain(fan_out) {
+        let want = rows_exact(&sealed, sql);
+        for rows in BATCH_ROWS {
+            batch.set_batch_rows(rows);
+            let got = rows_exact(&batch, sql);
+            if got != want {
+                return Err(format!(
+                    "batch_rows={rows} diverges on `{sql}`:\n  got {got:?}\n  want {want:?}"
+                ));
+            }
         }
     }
 
@@ -856,8 +887,7 @@ const OPTIMIZER_QUERIES: [&str; 5] = [
      WHERE PS.StartVertex.Id = 0 AND PS.Length <= 2 LIMIT 3",
 ];
 
-/// Build one optimizer-lane engine: sealed CSR, batch pipeline on (so the
-/// cost model's row-pipeline preference actually ablates something), and a
+/// Build one optimizer-lane engine: sealed CSR and a
 /// hash index on the edge table's FROM column (so the iterated-join
 /// rewrite can fire and must then stay correct while DML churns the index
 /// and the topology).
@@ -866,7 +896,6 @@ fn build_engine_optimizer(w: &Workload, cost_based: bool) -> Database {
         csr: CsrConfig::sealed(),
         parallel: ParallelConfig::serial(),
         epochs: EpochConfig::disabled(),
-        batch: BatchConfig::enabled(),
         ..Default::default()
     };
     cfg.optimizer.cost_based = cost_based;

@@ -1,7 +1,7 @@
 //! Tier-1 enforcement of the grfusion-analyze suite: `cargo test` fails if
 //! any pass regresses — a panic/lossy-cast/hot-loop-alloc count grows past
 //! its committed baseline under `xtask/baselines/`, or a zero-tolerance
-//! pass (lock-order, shim-stack) finds anything at all. The same gate is
+//! pass (lock-order) finds anything at all. The same gate is
 //! available standalone as `cargo run -p xtask -- analyze`; deliberate
 //! burn-down moves regenerate baselines with `analyze --update`.
 

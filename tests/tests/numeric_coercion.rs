@@ -1,6 +1,6 @@
-//! Numeric-coercion boundary regressions and row/batch agreement.
+//! Numeric-coercion boundary regressions and batch-size agreement.
 //!
-//! Three coercion bugs are pinned here so they cannot regress:
+//! Four coercion bugs are pinned here so they cannot regress:
 //!
 //! 1. **Index-probe saturation at 2^63** — `index_probe_key` admitted the
 //!    DOUBLE `9223372036854775808.0` (= 2^63, the rounded value of
@@ -15,25 +15,33 @@
 //!    dividing; AVG over {2^60, 128, 1} came out 384307168202282432
 //!    instead of 384307168202282368.
 //!
+//! 4. **NaN keyed by bit pattern** — `Value::group_key` folded `-0.0` onto
+//!    `0.0` but left every NaN bit pattern its own key, so `+NaN` and the
+//!    x86 default NaN (`inf * 0`, sign bit set) — equal under `sql_eq` —
+//!    were two groups, two DISTINCT rows and two hash-index keys.
+//!
 //! The proptest sweeps integers around the 2^53 (f64 exactness) and 2^63
 //! (i64 range) boundaries through inserts, DOUBLE-literal comparisons, and
-//! aggregates, on a row engine and a batch engine, and requires
-//! byte-identical answers.
+//! aggregates, at one row per batch and at larger batch sizes, and
+//! requires byte-identical answers.
 
-use grfusion::{BatchConfig, Database, EngineConfig, ParallelConfig, Value};
+use grfusion::{Database, EngineConfig, ParallelConfig, Value};
 use proptest::prelude::*;
 
-/// Engine config immune to environment variables, with batching as given.
-fn config_with_batch(batch: BatchConfig) -> EngineConfig {
-    let mut cfg = EngineConfig::default();
-    cfg.parallel = ParallelConfig::serial();
-    cfg.batch = batch;
-    cfg
+/// An engine immune to environment variables whose operators hand over
+/// `batch_rows` rows at a time.
+fn db_with_batch_rows(batch_rows: usize) -> Database {
+    let db = Database::with_config(EngineConfig {
+        parallel: ParallelConfig::serial(),
+        ..Default::default()
+    });
+    db.set_batch_rows(batch_rows);
+    db
 }
 
 /// A single-column PK table holding `ids` (hash-indexed on `id`).
-fn ids_db(cfg: EngineConfig, ids: &[i64]) -> Database {
-    let db = Database::with_config(cfg);
+fn ids_db(batch_rows: usize, ids: &[i64]) -> Database {
+    let db = db_with_batch_rows(batch_rows);
     db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)").unwrap();
     db.bulk_insert("t", ids.iter().map(|i| vec![Value::Integer(*i)]).collect())
         .unwrap();
@@ -57,10 +65,7 @@ fn ids_for(db: &Database, sql: &str) -> Vec<i64> {
 /// instead of saturating onto `i64::MAX`.
 #[test]
 fn index_probe_rejects_double_two_pow_63() {
-    let db = ids_db(
-        config_with_batch(BatchConfig::disabled()),
-        &[0, 7, i64::MAX],
-    );
+    let db = ids_db(1, &[0, 7, i64::MAX]);
     let sql = "SELECT id FROM t WHERE id = 9223372036854775808.0";
     // The probe path (not the scan filter) must be what's exercised.
     let plan = db.explain(sql).unwrap();
@@ -76,8 +81,8 @@ fn index_probe_boundaries_at_two_pow_53_and_two_pow_63() {
     const P53: i64 = 1 << 53; // 9007199254740992
     const BELOW_P63: i64 = 9_223_372_036_854_774_784; // largest f64 < 2^63
     let rows = [P53, -P53, BELOW_P63, i64::MIN, 42];
-    for batch in [BatchConfig::disabled(), BatchConfig::enabled()] {
-        let db = ids_db(config_with_batch(batch), &rows);
+    for batch_rows in [1, 1024] {
+        let db = ids_db(batch_rows, &rows);
         let cases: [(&str, &[i64]); 6] = [
             ("9007199254740992.0", &[P53]),
             ("-9007199254740992.0", &[-P53]),
@@ -98,8 +103,8 @@ fn index_probe_boundaries_at_two_pow_53_and_two_pow_63() {
 /// 384307168202282368.
 #[test]
 fn integer_avg_is_exact_past_two_pow_53() {
-    for batch in [BatchConfig::disabled(), BatchConfig::enabled()] {
-        let db = Database::with_config(config_with_batch(batch));
+    for batch_rows in [1, 1024] {
+        let db = db_with_batch_rows(batch_rows);
         db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)")
             .unwrap();
         db.bulk_insert(
@@ -120,7 +125,7 @@ fn integer_avg_is_exact_past_two_pow_53() {
 /// (`AVG(PS.Edges.attr)` over an all-INTEGER edge attribute).
 #[test]
 fn path_aggregate_avg_is_exact_past_two_pow_53() {
-    let db = Database::with_config(config_with_batch(BatchConfig::disabled()));
+    let db = db_with_batch_rows(1);
     db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
     db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w INTEGER)")
         .unwrap();
@@ -156,29 +161,70 @@ fn path_aggregate_avg_is_exact_past_two_pow_53() {
     assert_eq!(rs.rows[0][0], Value::Double(384_307_168_202_282_368.0));
 }
 
+/// Regression (pre-fix: two groups of NaNs, two DISTINCT NaN rows, and an
+/// indexed probe that found only the NaNs spelled like its key): every NaN
+/// is one group, one distinct row and one hash-index key, as `sql_eq`
+/// holds them all equal.
+#[test]
+fn every_nan_is_one_group_one_distinct_row_and_one_hash_key() {
+    let computed = std::hint::black_box(f64::INFINITY) * std::hint::black_box(0.0);
+    let nans = [
+        f64::NAN,
+        -f64::NAN,
+        computed,
+        f64::from_bits(0x7ff0_0000_0000_0001),
+    ];
+    assert!(nans.iter().all(|d| d.is_nan()));
+    assert_ne!(nans[0].to_bits(), nans[1].to_bits());
+    for batch_rows in [1, 1024] {
+        let db = db_with_batch_rows(batch_rows);
+        db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, x DOUBLE)")
+            .unwrap();
+        db.execute("CREATE INDEX t_x ON t (x)").unwrap();
+        let rows = nans.iter().chain(&[1.5]).zip(0i64..);
+        db.bulk_insert(
+            "t",
+            rows.map(|(x, id)| vec![Value::Integer(id), Value::Double(*x)])
+                .collect(),
+        )
+        .unwrap();
+
+        let groups = db.execute("SELECT COUNT(*) FROM t GROUP BY x").unwrap();
+        assert_eq!(
+            groups.rows,
+            [vec![Value::Integer(4)], vec![Value::Integer(1)]]
+        );
+        let distinct = db.execute("SELECT DISTINCT x FROM t").unwrap();
+        assert_eq!(distinct.rows.len(), 2, "{:?}", distinct.rows);
+
+        // NaN has no literal; a constant expression computes one (on x86,
+        // the sign-bit-set default NaN) and still probes the hash index.
+        let sql = "SELECT id FROM t WHERE x = (1e308 * 10) * 0";
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains("IndexLookup"), "{plan}");
+        assert_eq!(ids_for(&db, sql), [0, 1, 2, 3]);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Integers around the 2^53/2^62 boundaries, inserted and then read
     /// back through DOUBLE-literal equality/range probes and the aggregate
-    /// battery, must produce byte-identical results on a row engine and a
-    /// batch engine — and the equality probe must hit exactly the rows
-    /// whose integer is exactly the DOUBLE's value.
+    /// battery, must produce byte-identical results at one row per batch
+    /// and at larger batch sizes — and the equality probe must hit exactly
+    /// the rows whose integer is exactly the DOUBLE's value.
     #[test]
-    fn boundary_round_trips_agree_between_row_and_batch(
+    fn boundary_round_trips_agree_across_batch_sizes(
         base_ix in 0usize..4,
         off in -3i64..4,
-        size_ix in 0usize..3,
+        size_ix in 0usize..4,
     ) {
         let base: i64 = [1 << 53, -(1 << 53), 1 << 62, -(1 << 62)][base_ix];
         let pivot = base + off;
         let ids = [pivot, pivot - 1, pivot + 1, 0, 7];
-        let batch_size = [1usize, 3, 1024][size_ix];
-        let row = ids_db(config_with_batch(BatchConfig::disabled()), &ids);
-        let batch = ids_db(
-            config_with_batch(BatchConfig::with_size(batch_size)),
-            &ids,
-        );
+        let row = ids_db(1, &ids);
+        let batch = ids_db([2usize, 3, 7, 1024][size_ix], &ids);
 
         let lit = format!("{:.1}", pivot as f64);
         for sql in [

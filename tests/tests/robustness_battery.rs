@@ -33,7 +33,6 @@ fn base_config() -> EngineConfig {
         governor: GovernorConfig::default(),
         csr: CsrConfig::sealed(),
         epochs: Default::default(),
-        batch: Default::default(),
     }
 }
 
@@ -317,6 +316,146 @@ proptest! {
             (Err(se), Err(pe)) => prop_assert_eq!(se.to_string(), pe.to_string()),
             (s, p) => prop_assert!(false, "diverged: serial {:?} vs parallel {:?}",
                                    s.map(|r| r.rows.len()), p.map(|r| r.rows.len())),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Demand: a LIMIT reaches the traversal through every operator between
+// ---------------------------------------------------------------------------
+
+/// Operators hand over batches, and a batch is sized by what the consumer
+/// asked for: `LIMIT k` asks for `k`, and projections, filters and path
+/// joins pass that down. On the 12-clique — whose bounded simple-path
+/// enumeration (~10^10 paths) cannot finish — every form below must return,
+/// having expanded exactly the edges the row-at-a-time executor expanded
+/// (the counts are the parent commit's, taken before batches existed). The
+/// last three are the benchmark's `graph_prepared` probe forms.
+#[test]
+fn limit_is_a_demand_the_traversal_sees() {
+    let db = clique_db(12, base_config());
+    // (sql, rows, vertices visited, edges expanded, tuple derefs)
+    let cases: [(&str, usize, u64, u64, u64); 7] = [
+        (
+            "SELECT P.PathString FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 8 LIMIT 1",
+            1,
+            2,
+            1,
+            0,
+        ),
+        // A residual filter keeps asking for one path until one passes.
+        (
+            "SELECT P.PathString FROM g.Paths P HINT(DFS) WHERE P.Length >= 1 \
+             AND P.Length <= 8 AND P.Edges[2].EndVertex = 7 LIMIT 1",
+            1,
+            43534,
+            91574,
+            0,
+        ),
+        // A path join starts one probe, for the first outer row only.
+        (
+            "SELECT v.id, P.Length FROM v, g.Paths P WHERE P.StartVertex.Id = v.id \
+             AND P.Length >= 2 AND P.Length <= 8 LIMIT 1",
+            1,
+            3,
+            2,
+            0,
+        ),
+        (
+            "SELECT P.PathString FROM g.Paths P HINT(DFS) WHERE P.Length >= 1 \
+             AND P.Length <= 8 LIMIT 5",
+            5,
+            6,
+            6,
+            0,
+        ),
+        (
+            "SELECT PS.Length FROM g.Paths PS WHERE PS.StartVertex.Id = 0 \
+             AND PS.EndVertex.Id = 5 AND PS.Length <= 4 LIMIT 1",
+            1,
+            6,
+            5,
+            0,
+        ),
+        (
+            "SELECT PS.Length FROM g.Paths PS WHERE PS.StartVertex.Id = 0 \
+             AND PS.EndVertex.Id = 5 AND PS.Length <= 4 AND PS.Edges[0..*].w < 2.0 LIMIT 1",
+            1,
+            6,
+            5,
+            5,
+        ),
+        (
+            "SELECT PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
+             WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 5 LIMIT 1",
+            1,
+            6,
+            55,
+            0,
+        ),
+    ];
+    for (sql, rows, vertices, edges, derefs) in cases {
+        let rs = db.execute_with_metrics(sql).unwrap();
+        assert_eq!(rs.rows.len(), rows, "{sql}");
+        let g = rs.metrics.expect("metrics requested").graph_totals();
+        assert_eq!(
+            (g.vertices_visited, g.edges_expanded, g.tuple_derefs),
+            (vertices, edges, derefs),
+            "{sql}"
+        );
+    }
+}
+
+/// A join whose outer row can match many times does not know how many
+/// outer rows a `LIMIT k` needs, so under a LIMIT it must pull them one
+/// per probe: an outer row past the one the query stops at is never
+/// evaluated, at any batch size. Here the second outer row fails its
+/// filter with a division by zero; the first alone fills the LIMIT.
+#[test]
+fn limit_never_evaluates_an_outer_row_past_the_one_it_stops_at() {
+    let db = db_with(base_config());
+    db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, k INTEGER, x INTEGER)")
+        .unwrap();
+    db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, k INTEGER, t INTEGER)")
+        .unwrap();
+    db.execute("CREATE INDEX b_k ON b (k)").unwrap();
+    db.execute("INSERT INTO a VALUES (1, 10, 1), (2, 10, 0)")
+        .unwrap();
+    db.execute("INSERT INTO b VALUES (1, 10, 2), (2, 10, 3), (3, 10, 4)")
+        .unwrap();
+    // b as a graph: 10 -> 2, 10 -> 3, 10 -> 4 (three one-hop paths from 10).
+    db.execute("CREATE TABLE n (id INTEGER PRIMARY KEY)").unwrap();
+    db.execute("INSERT INTO n VALUES (2), (3), (4), (10)").unwrap();
+    db.execute(
+        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM n \
+         EDGES(ID = id, FROM = k, TO = t) FROM b",
+    )
+    .unwrap();
+
+    let index_join = "SELECT a.id, b.id FROM a, b WHERE b.k = a.k AND 10 / a.x > 0";
+    let path_join = "SELECT a.id, P.EndVertex.Id FROM a, g.Paths P \
+                     WHERE P.StartVertex.Id = a.k AND P.Length = 1 AND 10 / a.x > 0";
+    for (sql, node) in [(index_join, "IndexJoin"), (path_join, "PathJoin")] {
+        let plan = db.explain(&format!("{sql} LIMIT 2")).unwrap();
+        assert!(plan.contains(node), "{sql}:\n{plan}");
+        // LIMIT 3 at batch size 2 asks for a full batch first: a LIMIT is
+        // early-stopping whatever its size.
+        for (limit, batch_rows) in [(2, 1), (2, 2), (2, 1024), (3, 2), (3, 1024)] {
+            db.set_batch_rows(batch_rows);
+            let rs = db
+                .execute(&format!("{sql} LIMIT {limit}"))
+                .unwrap_or_else(|e| panic!("{sql} LIMIT {limit} @ {batch_rows}: {e}"));
+            assert_eq!(rs.rows.len(), limit, "{sql} LIMIT {limit} @ {batch_rows}");
+            assert!(rs.rows.iter().all(|r| r[0] == Value::Integer(1)));
+        }
+        // Without the LIMIT (or with one the first outer row cannot fill)
+        // the second outer row is reached and fails, at every size.
+        for tail in ["", " LIMIT 4"] {
+            for batch_rows in [1, 2, 1024] {
+                db.set_batch_rows(batch_rows);
+                let err = db.execute(&format!("{sql}{tail}")).unwrap_err();
+                assert!(err.to_string().contains("division by zero"), "{err}");
+            }
         }
     }
 }

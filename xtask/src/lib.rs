@@ -4,13 +4,12 @@
 //! Grown out of the original single-purpose panic census (PR 3), this is
 //! now a shared source model — file walker, comment/string-stripping
 //! tokenizer, function/loop scanners — plus one baseline format and
-//! ratchet engine that every pass reuses. Five passes ship today:
+//! ratchet engine that every pass reuses. Four passes ship today:
 //!
 //! | pass             | gate             | what it checks                             |
 //! |------------------|------------------|--------------------------------------------|
 //! | `panic`          | per-crate ratchet | unwrap/expect/panic!/unreachable! sites   |
 //! | `lock-order`     | zero tolerance   | DbInner-outside / EpochHub-leaf nesting    |
-//! | `shim-stack`     | zero tolerance   | canonical operator shim wrap order         |
 //! | `lossy-cast`     | per-file ratchet | numeric `as` casts (`// cast-ok:` audits)  |
 //! | `hot-loop-alloc` | per-file ratchet | allocations in next()/traversal loops      |
 //!

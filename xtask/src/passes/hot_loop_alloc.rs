@@ -1,14 +1,15 @@
 //! Pass 4: hot-loop allocation census (per-file ratchet).
 //!
-//! Volcano `next()` methods and the graph traversal kernels are the
-//! engine's innermost loops; an allocation per iteration there dominates
-//! wall-clock long before anything else does (PR 7's batch mode exists
-//! precisely to amortize per-row costs). The pass flags allocating calls
-//! inside loop bodies of:
+//! Operator `next_batch()` methods and the graph traversal kernels are
+//! the engine's innermost loops; an allocation per iteration there
+//! dominates wall-clock long before anything else does. The pass flags
+//! allocating calls inside loop bodies of:
 //!
-//! * any `fn next` / `fn next_batch` body, in every crate (the volcano
-//!   and batch operator surfaces), and
-//! * *every* function in the traversal kernels
+//! * any `fn next` / `fn next_batch` body, in every crate (iterators and
+//!   the operator surface), and
+//! * *every* function in the relational operators
+//!   (`crates/core/src/spine.rs`: their per-tuple loops also live in
+//!   build helpers), in the traversal kernels
 //!   (`crates/graph/src/traverse.rs`, `crates/graph/src/dijkstra.rs`,
 //!   `crates/graph/src/p2p.rs`, `crates/graph/src/search.rs`) and in the
 //!   DML statement bodies (`crates/core/src/dml.rs`), whose loops run once
@@ -39,6 +40,7 @@ const ALLOC: &[&str] = &[
 
 /// Files where *every* function body is considered hot.
 const HOT_FILES: &[&str] = &[
+    "crates/core/src/spine.rs",
     "crates/graph/src/traverse.rs",
     "crates/graph/src/dijkstra.rs",
     "crates/graph/src/p2p.rs",

@@ -7,7 +7,6 @@ pub mod hot_loop_alloc;
 pub mod lock_order;
 pub mod lossy_cast;
 pub mod panic;
-pub mod shim_stack;
 
 use crate::findings::Finding;
 use crate::model::SourceModel;
@@ -33,7 +32,6 @@ pub fn registry() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(panic::PanicCensus),
         Box::new(lock_order::LockOrder),
-        Box::new(shim_stack::ShimStack),
         Box::new(lossy_cast::LossyCast),
         Box::new(hot_loop_alloc::HotLoopAlloc),
     ]

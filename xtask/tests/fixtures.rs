@@ -55,18 +55,6 @@ fn lock_order_fixture_pair() {
 }
 
 #[test]
-fn shim_stack_fixture_pair() {
-    assert_eq!(findings("shim-stack", "clean", "exec.rs"), Vec::<String>::new());
-    assert_eq!(
-        findings("shim-stack", "violation", "exec.rs"),
-        vec![
-            "xtask/fixtures/shim-stack/violation/exec.rs:2: `fn build` never constructs \
-             `CheckedOp` — the exec.rs chain skips a shim layer"
-        ]
-    );
-}
-
-#[test]
 fn lossy_cast_fixture_pair() {
     assert_eq!(findings("lossy-cast", "clean", "lib.rs"), Vec::<String>::new());
     assert_eq!(
@@ -120,7 +108,7 @@ fn hot_loop_alloc_dml_statement_body_fixture_pair() {
     );
 }
 
-/// Every registered pass has a fixture pair on disk — adding a sixth pass
+/// Every registered pass has a fixture pair on disk — adding a fifth pass
 /// without fixtures fails here, not in review.
 #[test]
 fn every_pass_has_fixtures() {

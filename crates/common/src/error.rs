@@ -44,7 +44,7 @@ pub enum Error {
         limit: u64,
     },
     /// The server shed this request before executing it: a per-tenant
-    /// quota or the global worker pool is saturated. Retryable by
+    /// quota or the global in-flight cap is saturated. Retryable by
     /// contract — the client should back off at least `retry_after_ms`
     /// before resubmitting. Shedding at admission (instead of queueing
     /// unboundedly) is what keeps server memory flat under overload.

@@ -8,7 +8,7 @@
 //! a client `Shutdown` frame both trigger the graceful drain.
 //!
 //! ```text
-//! grfusion-serve [--addr HOST:PORT] [--workers N] [--max-concurrent N]
+//! grfusion-serve [--addr HOST:PORT] [--max-concurrent N]
 //!                [--max-queued-bytes N] [--global-in-flight N]
 //!                [--drain-ms N] [--init FILE]
 //! ```
@@ -60,10 +60,9 @@ USAGE:
 
 OPTIONS:
     --addr HOST:PORT        bind address (default 127.0.0.1:7432; port 0 = ephemeral)
-    --workers N             worker pool size (default 2)
     --max-concurrent N      per-tenant concurrent-query quota (default 4)
     --max-queued-bytes N    per-tenant queued-SQL-bytes quota (default 1048576)
-    --global-in-flight N    global in-flight cap (default workers*4)
+    --global-in-flight N    global in-flight cap (default 8)
     --drain-ms N            graceful-drain deadline in ms (default 2000)
     --init FILE             execute a SQL script before accepting connections
     --help                  print this help";
@@ -103,9 +102,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         match flag {
             "--help" | "-h" => return Err(usage()),
             "--addr" => cfg.addr = value("--addr")?,
-            "--workers" => {
-                cfg.workers = parse_num(&value("--workers")?, "--workers")?;
-            }
             "--max-concurrent" => {
                 quota.max_concurrent = parse_num(&value("--max-concurrent")?, "--max-concurrent")?;
             }
@@ -183,9 +179,7 @@ fn main() -> ExitCode {
         std::thread::sleep(Duration::from_millis(100));
     }
     println!("grfusion-serve: draining");
-    let stats = handle.stats();
-    handle.shutdown();
-    for t in stats {
+    for t in handle.shutdown() {
         println!(
             "grfusion-serve: tenant {} admitted={} shed={}",
             t.tenant, t.admitted, t.shed

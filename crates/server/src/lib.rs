@@ -1,20 +1,23 @@
 //! Hardened network front-end for GRFusion.
 //!
 //! A std-only TCP server (no async runtime, no external crates — the
-//! registry is offline) speaking a length-prefixed binary protocol over a
-//! fixed worker pool, designed around the failure modes a serving layer
-//! actually meets:
+//! registry is offline) speaking a length-prefixed binary protocol, each
+//! connection's thread running its own statements over blocking I/O,
+//! designed around the failure modes a serving layer actually meets:
 //!
 //! * **Admission control** ([`tenant`]): every query passes per-tenant
 //!   concurrency and queued-bytes quotas plus a global in-flight cap;
 //!   saturation sheds immediately with a typed, retryable
 //!   `Error::Overloaded { retry_after_ms }` instead of queueing without
-//!   bound. Server memory stays flat no matter how hard one tenant pushes.
+//!   bound. Server memory stays flat no matter how hard one tenant pushes,
+//!   and the global cap is the one ceiling on concurrency in the engine.
 //! * **Deadline & cancel propagation** ([`server`]): a deadline in the
 //!   `Query` frame header tightens the engine governor's budget; a client
 //!   that disconnects mid-query trips a per-request cancel token so the
 //!   engine stops at its next checkpoint. Graceful shutdown drains
-//!   in-flight work under a deadline, then cancels the rest.
+//!   in-flight work under a deadline, then cancels the rest. A statement
+//!   that panics answers a typed non-retryable error and costs only its
+//!   own connection.
 //! * **Hostile-input framing** ([`wire`]): length prefixes are capped
 //!   before allocation, payloads decode through a bounds-checked cursor,
 //!   and forged element counts are rejected against the bytes actually

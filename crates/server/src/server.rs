@@ -1,26 +1,33 @@
-//! The hardened network front-end: acceptor, connection threads, and a
-//! fixed worker pool over one shared [`Database`].
+//! The hardened network front-end: an acceptor, one thread per connection
+//! that runs its own statements, and one disconnect watcher, over one
+//! shared [`Database`].
 //!
-//! Threading model (std-only, no async):
+//! Threading model (std-only, no async, nothing polls a socket to wait):
 //!
-//! * **Acceptor** — one thread polling a nonblocking `TcpListener`; every
-//!   accepted socket gets its own connection thread.
+//! * **Acceptor** — one thread blocked in `accept`; every accepted socket
+//!   gets its own connection thread and an entry in the watch list (a
+//!   `try_clone` of the socket, the connection's in-flight slot, its join
+//!   handle).
 //! * **Connection threads** — run the handshake (`Hello` → tenant
-//!   validation → `HelloAck`), then a request loop: read a `Query` frame,
-//!   pass admission control, submit the job to the worker pool, and wait
-//!   for the result while *watching the socket* — a client that hangs up
-//!   mid-query trips the per-request cancel token, so its work stops at
-//!   the engine's next checkpoint instead of running to completion for
-//!   nobody.
-//! * **Workers** — a fixed pool of `cfg.workers` threads draining a shared
-//!   job queue and calling [`Database::execute_script_with_request`]. The
-//!   pool is the concurrency ceiling on the engine; admission control is
-//!   the queue-depth ceiling in front of it.
+//!   validation → `HelloAck`), then a request loop over blocking I/O: read
+//!   a `Query` frame, pass admission control, call
+//!   [`Database::execute_script_with_request`] *on this thread*, write the
+//!   response. Admission control is the one concurrency ceiling on the
+//!   engine; there is no queue and no hand-off between frame decode and
+//!   the engine call.
+//! * **Watcher** — one thread sweeping the watch list every [`SWEEP`]. A
+//!   request still in flight at its second sweep has its socket peeked: a
+//!   client that hung up mid-query trips the per-request cancel token, so
+//!   its work stops at the engine's next checkpoint instead of running to
+//!   completion for nobody. The same sweep joins connection threads that
+//!   have finished.
 //!
 //! Shutdown is a drain state machine: set `draining` (new queries are
 //! refused with [`Error::ShuttingDown`]), wait up to `drain_deadline_ms`
-//! for in-flight queries to finish, then cancel whatever is left through
-//! the database's cancel token and join the pool.
+//! for in-flight queries to finish, cancel whatever is left through the
+//! database's cancel token, then wake every blocked thread through its
+//! socket — a self-connect for the acceptor, `shutdown(Read)` on the watch
+//! list for idle connections — and join them all.
 //!
 //! Fault injection: the `GRFUSION_FAULTS` sweep extends to the network
 //! layer with `net.*` sites (`net.accept`, `net.read_frame`,
@@ -28,20 +35,28 @@
 //! server-wide through the same deterministic [`FaultState`] machinery the
 //! engine uses for DML sites.
 
-use std::collections::VecDeque;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::Write;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use grfusion::{CancelToken, Database, FaultPlan, FaultState, RequestOptions, ResultSet};
+use grfusion::{CancelToken, Database, FaultPlan, FaultState, RequestOptions};
 use grfusion_common::{Error, Result};
 
 use crate::tenant::{TenantQuota, TenantRegistry, TenantStats};
 use crate::wire::{self, Frame};
+
+/// Cadence of the watcher's sweep, of the drain's in-flight check, and the
+/// back-off after a failed `accept`. A hang-up during a running statement
+/// is noticed within two sweeps.
+const SWEEP: Duration = Duration::from_millis(10);
+
+/// How long shutdown lets a connection finish writing a response it
+/// already owes before cutting the socket's write half too.
+const FLUSH_GRACE: Duration = Duration::from_millis(250);
 
 /// Server tuning knobs. `Default` is sized for tests and small
 /// deployments; `grfusion-serve` maps its CLI flags onto this.
@@ -50,19 +65,16 @@ pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port (the bound address is
     /// reported by [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker pool size: queries executing concurrently inside the engine.
-    pub workers: usize,
     /// Per-tenant admission quotas.
     pub quota: TenantQuota,
-    /// Global in-flight cap across all tenants; `0` derives `workers * 4`.
+    /// Global in-flight cap across all tenants: statements executing
+    /// concurrently inside the engine.
     pub global_in_flight: usize,
     /// `retry_after_ms` hint carried by admission sheds.
     pub retry_after_ms: u64,
     /// How long graceful shutdown waits for in-flight queries before
     /// cancelling them.
     pub drain_deadline_ms: u64,
-    /// Poll cadence for disconnect detection and drain/idle checks.
-    pub poll_ms: u64,
     /// Stall injected by the `net.slow_client` fault site.
     pub slow_client_ms: u64,
     /// Network fault plan. `None` reads `GRFUSION_FAULTS` from the
@@ -75,27 +87,46 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 2,
             quota: TenantQuota::default(),
-            global_in_flight: 0,
+            global_in_flight: 8,
             retry_after_ms: 25,
             drain_deadline_ms: 2_000,
-            poll_ms: 10,
             slow_client_ms: 50,
             faults: None,
         }
     }
 }
 
-/// One queued query: SQL plus the request scope it executes under and the
-/// channel its result goes back on.
-struct Job {
-    sql: String,
-    opts: RequestOptions,
-    resp: mpsc::Sender<Result<ResultSet>>,
+/// The request a connection is running right now.
+struct InFlight {
+    token: CancelToken,
+    /// Already in flight at the previous sweep: only then is the socket
+    /// peeked, so a microsecond statement never costs a syscall.
+    swept: bool,
 }
 
-/// State shared by the acceptor, every connection thread, and the workers.
+/// A connection's in-flight slot: set and cleared around the engine call,
+/// never held across it. While it is `Some` the owner is inside the engine,
+/// not in `read` or `write`, so whoever holds the lock may touch the
+/// socket.
+type Slot = Mutex<Option<InFlight>>;
+
+/// One watch-list entry.
+struct Conn {
+    /// `try_clone` of the connection's socket: what the watcher peeks and
+    /// shutdown uses to wake the owner out of a blocking `read`.
+    stream: TcpStream,
+    slot: Arc<Slot>,
+    thread: JoinHandle<()>,
+}
+
+/// The watch list and every slot guard single assignments and pushes, so
+/// the data behind a poisoned lock is still valid.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// State shared by the acceptor, the watcher and every connection thread.
 struct Shared {
     db: Arc<Database>,
     /// Database-wide cancel token, materialized before the first query so
@@ -106,16 +137,14 @@ struct Shared {
     cfg: ServerConfig,
     /// Draining: new queries are refused with `ShuttingDown`.
     draining: AtomicBool,
-    /// Stopped: acceptor exits; idle connection threads exit at the next
-    /// frame boundary.
+    /// Stopped: the acceptor and the watcher exit at their next wake-up.
     stopped: AtomicBool,
     /// Set when a client sends a `Shutdown` frame; the embedding binary
     /// polls this and runs the drain.
     shutdown_requested: AtomicBool,
-    /// Bounded job queue feeding the worker pool. `None` once the pool is
-    /// being torn down.
-    jobs: Mutex<Option<VecDeque<Job>>>,
-    jobs_ready: Condvar,
+    /// Every connection whose thread has not been joined yet. A leaf lock,
+    /// like the slots: never held across an engine call.
+    conns: Mutex<Vec<Conn>>,
 }
 
 impl Shared {
@@ -127,45 +156,13 @@ impl Shared {
             None => false,
         }
     }
-
-    fn submit(&self, job: Job) -> Result<()> {
-        let mut q = self.jobs.lock().expect("job queue poisoned");
-        match q.as_mut() {
-            Some(queue) => {
-                queue.push_back(job);
-                self.jobs_ready.notify_one();
-                Ok(())
-            }
-            None => Err(Error::ShuttingDown),
-        }
-    }
-
-    /// Worker side: block for the next job; `None` means the pool is done.
-    fn next_job(&self) -> Option<Job> {
-        let mut q = self.jobs.lock().expect("job queue poisoned");
-        loop {
-            match q.as_mut() {
-                Some(queue) => match queue.pop_front() {
-                    Some(job) => return Some(job),
-                    None => {
-                        q = self
-                            .jobs_ready
-                            .wait_timeout(q, Duration::from_millis(50))
-                            .expect("job queue poisoned")
-                            .0;
-                    }
-                },
-                None => return None,
-            }
-        }
-    }
 }
 
 /// A running server. Dropping the handle performs a graceful shutdown.
 pub struct Server;
 
 impl Server {
-    /// Bind, spawn the worker pool and acceptor, and return the handle.
+    /// Bind, spawn the acceptor and the watcher, and return the handle.
     pub fn start(db: Arc<Database>, cfg: ServerConfig) -> Result<ServerHandle> {
         let faults = match &cfg.faults {
             Some(plan) => Some(Arc::new(FaultState::new(plan.clone()))),
@@ -176,23 +173,18 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| Error::unavailable(format!("local_addr: {e}")))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| Error::unavailable(format!("set_nonblocking: {e}")))?;
 
-        let workers = cfg.workers.max(1);
-        let global = if cfg.global_in_flight == 0 {
-            workers * 4
-        } else {
-            cfg.global_in_flight
-        };
-        let registry = Arc::new(TenantRegistry::new(cfg.quota, global, cfg.retry_after_ms));
+        let registry = Arc::new(TenantRegistry::new(
+            cfg.quota,
+            cfg.global_in_flight,
+            cfg.retry_after_ms,
+        ));
         // Materialize the database-wide cancel token *before* serving: the
         // token is created lazily and only queries issued after it exists
         // watch it, so a drain must not be the first caller.
         let db_cancel = db.cancel_token();
         let shared = Arc::new(Shared {
-            db: db.clone(),
+            db,
             db_cancel,
             registry,
             faults,
@@ -200,34 +192,30 @@ impl Server {
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
-            jobs: Mutex::new(Some(VecDeque::new())),
-            jobs_ready: Condvar::new(),
+            conns: Mutex::new(Vec::new()),
         });
 
-        let mut pool = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let s = shared.clone();
-            let handle = thread::Builder::new()
-                .name(format!("grfusion-worker-{i}"))
-                .spawn(move || worker_loop(&s))
-                .map_err(|e| Error::unavailable(format!("spawn worker: {e}")))?;
-            pool.push(handle);
-        }
-        let acceptor = {
-            let s = shared.clone();
-            thread::Builder::new()
-                .name("grfusion-acceptor".to_string())
-                .spawn(move || acceptor_loop(listener, &s))
-                .map_err(|e| Error::unavailable(format!("spawn acceptor: {e}")))?
-        };
-
-        Ok(ServerHandle {
+        let mut handle = ServerHandle {
             addr,
-            shared,
-            acceptor: Some(acceptor),
-            pool,
-        })
+            shared: shared.clone(),
+            acceptor: None,
+            watcher: None,
+        };
+        // An early return drops `handle`, which stops whatever did start.
+        let watched = shared.clone();
+        handle.watcher = Some(spawn("grfusion-watcher", move || watcher_loop(&watched))?);
+        handle.acceptor = Some(spawn("grfusion-acceptor", move || {
+            acceptor_loop(listener, &shared)
+        })?);
+        Ok(handle)
     }
+}
+
+fn spawn(name: &str, body: impl FnOnce() + Send + 'static) -> Result<JoinHandle<()>> {
+    thread::Builder::new()
+        .name(name.to_string())
+        .spawn(body)
+        .map_err(|e| Error::unavailable(format!("spawn {name}: {e}")))
 }
 
 /// Handle to a running server: address, stats, and graceful shutdown.
@@ -235,7 +223,8 @@ pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    pool: Vec<JoinHandle<()>>,
+    /// `None` once shut down.
+    watcher: Option<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -257,36 +246,56 @@ impl ServerHandle {
 
     /// Graceful shutdown: refuse new queries, drain in-flight work for up
     /// to `drain_deadline_ms`, cancel stragglers through the database's
-    /// cancel token, then join the pool.
-    pub fn shutdown(mut self) {
-        self.shutdown_impl();
+    /// cancel token, then wake and join every thread the server started.
+    /// Returns the final per-tenant counters, statements that finished
+    /// during the drain included.
+    pub fn shutdown(mut self) -> Vec<TenantStats> {
+        self.shutdown_impl()
     }
 
-    fn shutdown_impl(&mut self) {
-        if self.acceptor.is_none() {
-            return;
+    fn shutdown_impl(&mut self) -> Vec<TenantStats> {
+        let shared = &self.shared;
+        let Some(watcher) = self.watcher.take() else {
+            return shared.registry.stats();
+        };
+        shared.draining.store(true, Ordering::Release);
+        let deadline = Instant::now() + Duration::from_millis(shared.cfg.drain_deadline_ms);
+        while shared.registry.total_in_flight() > 0 && Instant::now() < deadline {
+            thread::sleep(SWEEP);
         }
-        self.shared.draining.store(true, Ordering::Release);
-        let poll = Duration::from_millis(self.shared.cfg.poll_ms.max(1));
-        let deadline = Instant::now() + Duration::from_millis(self.shared.cfg.drain_deadline_ms);
-        while self.shared.registry.total_in_flight() > 0 && Instant::now() < deadline {
-            thread::sleep(poll);
-        }
-        if self.shared.registry.total_in_flight() > 0 {
+        if shared.registry.total_in_flight() > 0 {
             // Drain deadline expired: in-flight queries abort at their next
             // checkpoint with a typed cancellation error.
-            self.shared.db_cancel.cancel();
+            shared.db_cancel.cancel();
         }
-        self.shared.stopped.store(true, Ordering::Release);
-        // Closing the queue wakes the workers; they exit once it reads None.
-        *self.shared.jobs.lock().expect("job queue poisoned") = None;
-        self.shared.jobs_ready.notify_all();
-        for w in self.pool.drain(..) {
-            let _ = w.join();
+        shared.stopped.store(true, Ordering::Release);
+        // The acceptor is blocked in `accept`; a connection to ourselves
+        // wakes it. Should that fail it stays blocked, so it is not joined.
+        if let Some(acceptor) = self.acceptor.take() {
+            if TcpStream::connect(self.addr).is_ok() {
+                let _ = acceptor.join();
+            }
         }
-        if let Some(a) = self.acceptor.take() {
-            let _ = a.join();
+        watcher.thread().unpark();
+        let _ = watcher.join();
+        // With the acceptor and the watcher gone the list is final. Closing
+        // the read half wakes every connection blocked in `read` with EOF
+        // and leaves the write half to a straggler that still owes its
+        // client the typed cancellation; one stuck writing to a client that
+        // stopped reading is cut off after the grace.
+        let conns = std::mem::take(&mut *lock(&shared.conns));
+        for c in &conns {
+            let _ = c.stream.shutdown(Shutdown::Read);
         }
+        let cutoff = Instant::now() + FLUSH_GRACE;
+        for c in conns {
+            while !c.thread.is_finished() && Instant::now() < cutoff {
+                thread::sleep(Duration::from_millis(1));
+            }
+            let _ = c.stream.shutdown(Shutdown::Both);
+            let _ = c.thread.join();
+        }
+        shared.registry.stats()
     }
 }
 
@@ -296,107 +305,96 @@ impl Drop for ServerHandle {
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    while let Some(job) = shared.next_job() {
-        let result = shared.db.execute_script_with_request(&job.sql, &job.opts);
-        // A dead receiver means the connection is gone; the result is
-        // simply dropped (its effects are already committed or rolled
-        // back — the engine's transaction boundary, not the socket, is
-        // the unit of atomicity).
-        let _ = job.resp.send(result);
-    }
-}
-
 fn acceptor_loop(listener: TcpListener, shared: &Arc<Shared>) {
-    let poll = Duration::from_millis(shared.cfg.poll_ms.max(1));
     let mut conn_id: u64 = 0;
     loop {
+        let accepted = listener.accept();
         if shared.stopped.load(Ordering::Acquire) {
             return;
         }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if shared.net_fault("net.accept") {
-                    // Injected accept failure: drop the connection on the
-                    // floor; the client sees EOF during handshake.
-                    drop(stream);
-                    continue;
-                }
-                conn_id += 1;
-                let s = shared.clone();
-                let _ = thread::Builder::new()
-                    .name(format!("grfusion-conn-{conn_id}"))
-                    .spawn(move || connection_loop(stream, &s));
+        let stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                // A failing `accept` (descriptor exhaustion, a handshake
+                // aborted in the backlog) must not spin.
+                thread::sleep(SWEEP);
+                continue;
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => thread::sleep(poll),
-            Err(_) => thread::sleep(poll),
+        };
+        if shared.net_fault("net.accept") {
+            // Injected accept failure: drop the connection on the floor;
+            // the client sees EOF during handshake.
+            continue;
+        }
+        // A socket that cannot be watched cannot be woken at shutdown.
+        let Ok(watched) = stream.try_clone() else {
+            continue;
+        };
+        conn_id += 1;
+        let slot = Arc::new(Slot::default());
+        let (s, own_slot) = (shared.clone(), slot.clone());
+        if let Ok(thread) = spawn(&format!("grfusion-conn-{conn_id}"), move || {
+            connection_loop(stream, &own_slot, &s)
+        }) {
+            lock(&shared.conns).push(Conn {
+                stream: watched,
+                slot,
+                thread,
+            });
         }
     }
 }
 
-/// Read one frame, polling `stop` while idle at a frame boundary.
-/// `Ok(None)` covers both clean client EOF and a stop signal observed
-/// before any frame bytes arrived. A stop signal observed *mid-frame*
-/// aborts with `Unavailable`: a draining server does not wait out a
-/// half-sent frame.
-fn read_frame_idle(stream: &mut TcpStream, stop: &dyn Fn() -> bool) -> Result<Option<Frame>> {
-    let mut header = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match stream.read(&mut header[filled..]) {
-            Ok(0) => {
-                return if filled == 0 {
-                    Ok(None)
-                } else {
-                    Err(Error::unavailable("connection closed inside frame header"))
+/// Sweep the watch list every [`SWEEP`]: join the connections that have
+/// finished, and cancel the request of every client that hung up while its
+/// statement was running.
+fn watcher_loop(shared: &Shared) {
+    while !shared.stopped.load(Ordering::Acquire) {
+        thread::park_timeout(SWEEP);
+        let mut conns = lock(&shared.conns);
+        let mut i = 0;
+        while i < conns.len() {
+            if conns[i].thread.is_finished() {
+                // Dropping the entry closes the last handle on its socket.
+                let _ = conns.swap_remove(i).thread.join();
+                continue;
+            }
+            if let Some(request) = lock(&conns[i].slot).as_mut() {
+                if !request.swept {
+                    request.swept = true;
+                } else if hung_up(&conns[i].stream) {
+                    request.token.cancel();
                 }
             }
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop() {
-                    return if filled == 0 {
-                        Ok(None)
-                    } else {
-                        Err(Error::unavailable("server draining inside frame header"))
-                    };
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(Error::unavailable(format!("read failed: {e}"))),
+            i += 1;
         }
     }
-    let len = u32::from_le_bytes(header) as usize; // cast-ok: u32 always fits usize here
-    if len == 0 {
-        return Err(Error::protocol("zero-length frame"));
+}
+
+/// Whether the peer has closed or reset the connection. A pipelined next
+/// request (bytes waiting) is not a hang-up. The socket's nonblocking flag
+/// is shared with the owner's handle, so the caller holds the connection's
+/// slot lock with a request in it: the owner is then inside the engine,
+/// not in `read` or `write`.
+fn hung_up(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
     }
-    if len > wire::MAX_FRAME_BYTES {
-        return Err(Error::protocol(format!(
-            "frame length {len} exceeds cap {}",
-            wire::MAX_FRAME_BYTES
-        )));
+    let peeked = stream.peek(&mut [0u8; 1]);
+    let _ = stream.set_nonblocking(false);
+    match peeked {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
     }
-    let mut payload = vec![0u8; len];
-    let mut filled = 0usize;
-    while filled < len {
-        match stream.read(&mut payload[filled..]) {
-            Ok(0) => return Err(Error::unavailable("connection closed inside frame body")),
-            Ok(n) => filled += n,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop() {
-                    return Err(Error::unavailable("server draining inside frame body"));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(Error::unavailable(format!("read failed: {e}"))),
-        }
-    }
-    wire::decode_payload(&payload).map(Some)
+}
+
+/// Run one statement with a panic contained at the request boundary: the
+/// `Err` is the typed, non-retryable answer its client gets.
+fn contain_panic<T>(statement: impl FnOnce() -> T) -> std::result::Result<T, Error> {
+    catch_unwind(AssertUnwindSafe(statement)).map_err(|payload| match Error::from_panic(payload) {
+        Error::Execution(what) => Error::Execution(format!("internal error: {what}")),
+        other => other,
+    })
 }
 
 /// Write a response frame, acting out the `net.write_frame` fault: on a
@@ -413,40 +411,36 @@ fn write_response(stream: &mut TcpStream, frame: &Frame, shared: &Shared) -> Res
     wire::write_frame(stream, frame)
 }
 
-fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
-    let _ = stream.set_nodelay(true);
-    let poll = Duration::from_millis(shared.cfg.poll_ms.max(1));
-    if stream.set_read_timeout(Some(poll)).is_err() {
-        return;
-    }
-    let stop = {
-        let s = shared.clone();
-        move || s.stopped.load(Ordering::Acquire)
-    };
+fn write_error(stream: &mut TcpStream, id: u64, error: Error, shared: &Shared) -> Result<()> {
+    write_response(stream, &Frame::Err { id, error }, shared)
+}
 
+fn connection_loop(mut stream: TcpStream, slot: &Slot, shared: &Shared) {
+    let _ = stream.set_nodelay(true);
+    serve(&mut stream, slot, shared);
+    // The watch list holds a clone of this socket until the next sweep;
+    // close both directions now so the peer sees EOF without waiting for it.
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+fn serve(stream: &mut TcpStream, slot: &Slot, shared: &Shared) {
     // Handshake: exactly one Hello, answered with HelloAck. Tenant ids are
     // validated at decode; anything else on a fresh connection is a
     // protocol error.
-    let tenant = match read_frame_idle(&mut stream, &stop) {
+    let tenant = match wire::read_frame(stream) {
         Ok(Some(Frame::Hello { tenant })) => tenant,
         Ok(Some(_)) => {
-            let _ = write_response(
-                &mut stream,
-                &Frame::Err {
-                    id: 0,
-                    error: Error::protocol("expected Hello as the first frame"),
-                },
-                shared,
-            );
+            let error = Error::protocol("expected Hello as the first frame");
+            let _ = write_error(stream, 0, error, shared);
             return;
         }
         Ok(None) => return,
         Err(e) => {
-            let _ = write_response(&mut stream, &Frame::Err { id: 0, error: e }, shared);
+            let _ = write_error(stream, 0, e, shared);
             return;
         }
     };
-    if write_response(&mut stream, &Frame::HelloAck, shared).is_err() {
+    if write_response(stream, &Frame::HelloAck, shared).is_err() {
         return;
     }
 
@@ -456,13 +450,15 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
             // A stalled client ties up only its own connection thread.
             thread::sleep(Duration::from_millis(shared.cfg.slow_client_ms));
         }
-        let frame = match read_frame_idle(&mut stream, &stop) {
+        let frame = match wire::read_frame(stream) {
             Ok(Some(f)) => f,
+            // The client hung up between requests, or shutdown closed the
+            // read half under an idle connection.
             Ok(None) => return,
             Err(e) => {
                 // Torn/malformed request: report if the socket still
                 // works, then close — request framing is unrecoverable.
-                let _ = write_response(&mut stream, &Frame::Err { id: 0, error: e }, shared);
+                let _ = write_error(stream, 0, e, shared);
                 return;
             }
         };
@@ -482,115 +478,84 @@ fn connection_loop(mut stream: TcpStream, shared: &Arc<Shared>) {
                 return;
             }
             _ => {
-                let _ = write_response(
-                    &mut stream,
-                    &Frame::Err {
-                        id: 0,
-                        error: Error::protocol("expected Query or Shutdown"),
-                    },
-                    shared,
-                );
+                let error = Error::protocol("expected Query or Shutdown");
+                let _ = write_error(stream, 0, error, shared);
                 return;
             }
         };
         if shared.draining.load(Ordering::Acquire) {
-            let _ = write_response(
-                &mut stream,
-                &Frame::Err {
-                    id,
-                    error: Error::ShuttingDown,
-                },
-                shared,
-            );
+            let _ = write_error(stream, id, Error::ShuttingDown, shared);
             continue;
         }
 
-        // Admission control: shed before the job can queue.
+        // Admission control: shed instead of running.
         let permit = match shared.registry.admit(&tenant, sql.len()) {
             Ok(p) => p,
             Err(e) => {
-                if write_response(&mut stream, &Frame::Err { id, error: e }, shared).is_err() {
+                if write_error(stream, id, e, shared).is_err() {
                     return;
                 }
                 continue;
             }
         };
 
-        // Per-request cancel token: armed from generation zero so a
-        // disconnect observed while the job is still queued is not lost.
+        // Per-request cancel token, published in the slot so the watcher
+        // can trip it if the client hangs up while the statement runs.
         let token = CancelToken::default();
         let opts = RequestOptions {
             deadline_ms: (deadline_ms > 0).then_some(deadline_ms),
             cancel: Some(token.clone()),
         };
-        let (resp_tx, resp_rx) = mpsc::channel();
-        if let Err(e) = shared.submit(Job {
-            sql,
-            opts,
-            resp: resp_tx,
-        }) {
-            drop(permit);
-            let _ = write_response(&mut stream, &Frame::Err { id, error: e }, shared);
-            continue;
-        }
-
-        let mut disconnected = false;
+        *lock(slot) = Some(InFlight {
+            token: token.clone(),
+            swept: false,
+        });
         if shared.net_fault("net.disconnect") {
             // Injected abrupt client death mid-query: cancel and close
             // without a response. The committed prefix stays committed;
             // the statement in flight aborts at its next checkpoint.
             token.cancel();
-            disconnected = true;
         }
-
-        // Wait for the worker, watching the socket: a zero-byte peek is
-        // the client hanging up, which cancels the running query.
-        let result = loop {
-            match resp_rx.recv_timeout(poll) {
-                Ok(r) => break r,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if disconnected {
-                        continue;
-                    }
-                    let mut probe = [0u8; 1];
-                    match stream.peek(&mut probe) {
-                        Ok(0) => {
-                            token.cancel();
-                            disconnected = true;
-                        }
-                        Ok(_) => {}
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut => {}
-                        Err(_) => {
-                            token.cancel();
-                            disconnected = true;
-                        }
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => break Err(Error::ShuttingDown),
-            }
-        };
+        let outcome = contain_panic(|| shared.db.execute_script_with_request(&sql, &opts));
+        *lock(slot) = None;
         drop(permit);
-        if disconnected {
+        if token.is_cancelled() {
+            // The client is gone. Its effects are already committed or
+            // rolled back — the engine's transaction boundary, not the
+            // socket, is the unit of atomicity.
             return;
         }
-        let frame = match result {
+        let panicked = outcome.is_err();
+        let frame = match outcome.unwrap_or_else(Err) {
             Ok(rs) => Frame::Rows {
                 id,
-                columns: rs
-                    .schema
-                    .columns()
-                    .iter()
-                    .map(|c| c.name.clone())
-                    .collect(),
+                columns: rs.schema.columns().iter().map(|c| c.name.clone()).collect(),
                 rows: rs.rows,
                 rows_affected: rs.rows_affected,
             },
             Err(error) => Frame::Err { id, error },
         };
-        if write_response(&mut stream, &frame, shared).is_err() {
+        // After a panic, answer and close: whatever thread-local engine
+        // state the unwind skipped dies with this thread.
+        if write_response(stream, &frame, shared).is_err() || panicked {
             return;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_panicking_statement_is_a_typed_non_retryable_error() {
+        let ok: std::result::Result<Result<u8>, Error> = contain_panic(|| Ok(7));
+        assert_eq!(ok, Ok(Ok(7)));
+        let err = contain_panic(|| -> u8 { panic!("boom") }).unwrap_err();
+        assert!(
+            matches!(&err, Error::Execution(m) if m.starts_with("internal error: ") && m.ends_with("boom")),
+            "{err:?}"
+        );
+        assert!(!err.is_retryable());
     }
 }

@@ -1,16 +1,16 @@
 //! Per-tenant admission control.
 //!
 //! Every connection authenticates a tenant id at handshake; every query
-//! then passes through [`TenantRegistry::admit`] before it may queue for a
-//! worker. Admission enforces two per-tenant quotas — concurrent
-//! in-flight queries and queued SQL bytes — plus a global in-flight cap
-//! sized to the worker pool. When any of the three is saturated the
-//! request is *shed* immediately with a typed, retryable
-//! [`Error::Overloaded`] carrying a `retry_after_ms` hint, instead of
-//! queueing unboundedly. Shedding at admission is the memory-flatness
-//! guarantee: a saturating client holds at most `max_concurrent` slots
-//! and `max_queued_bytes` of SQL in the server, no matter how fast it
-//! submits.
+//! then passes through [`TenantRegistry::admit`] before its connection
+//! thread may run it. Admission enforces two per-tenant quotas —
+//! concurrent in-flight queries and in-flight SQL bytes — plus a global
+//! in-flight cap, the one ceiling on statements executing inside the
+//! engine at once. When any of the three is saturated the request is
+//! *shed* immediately with a typed, retryable [`Error::Overloaded`]
+//! carrying a `retry_after_ms` hint, instead of waiting for a slot.
+//! Shedding at admission is the memory-flatness guarantee: a saturating
+//! client holds at most `max_concurrent` slots and `max_queued_bytes` of
+//! SQL in the server, no matter how fast it submits.
 //!
 //! Locking: the registry's mutex is [`LockClass::TenantRegistry`], the
 //! strict *leaf* of the engine's documented lock order. Admission
@@ -27,9 +27,9 @@ use grfusion_common::{Error, Result};
 /// Per-tenant admission quotas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TenantQuota {
-    /// Maximum queries a tenant may have in flight (queued + executing).
+    /// Maximum queries a tenant may have in flight.
     pub max_concurrent: usize,
-    /// Maximum bytes of SQL a tenant may have queued or executing.
+    /// Maximum bytes of SQL a tenant may have in flight.
     pub max_queued_bytes: usize,
 }
 
@@ -61,13 +61,21 @@ pub struct TenantStats {
     pub shed: u64,
 }
 
+/// Everything the registry lock guards: the per-tenant counters and the
+/// running sum of their `in_flight`.
+#[derive(Default)]
+struct Admission {
+    by_tenant: HashMap<String, TenantState>,
+    in_flight: usize,
+}
+
 /// The admission registry shared by every connection thread.
 pub struct TenantRegistry {
-    tenants: OrderedMutex<HashMap<String, TenantState>>,
+    tenants: OrderedMutex<Admission>,
     quota: TenantQuota,
-    /// Global in-flight cap across all tenants, sized to the worker pool;
-    /// the backstop that keeps the job queue bounded even with many
-    /// tenants each inside their own quota.
+    /// Global in-flight cap across all tenants; the backstop that bounds
+    /// the engine's concurrency even with many tenants each inside their
+    /// own quota.
     global_limit: usize,
     retry_after_ms: u64,
 }
@@ -75,7 +83,7 @@ pub struct TenantRegistry {
 impl TenantRegistry {
     pub fn new(quota: TenantQuota, global_limit: usize, retry_after_ms: u64) -> TenantRegistry {
         TenantRegistry {
-            tenants: OrderedMutex::new(LockClass::TenantRegistry, HashMap::new()),
+            tenants: OrderedMutex::new(LockClass::TenantRegistry, Admission::default()),
             quota,
             global_limit: global_limit.max(1),
             retry_after_ms,
@@ -85,14 +93,13 @@ impl TenantRegistry {
     /// Admit one query of `sql_bytes` for `tenant`, or shed with
     /// [`Error::Overloaded`]. On admission the returned [`Permit`] holds
     /// the slot; dropping it releases the slot (response written, client
-    /// gone, or worker panicked — the RAII guard covers every exit path).
+    /// gone, or statement panicked — the RAII guard covers every exit path).
     pub fn admit(self: &Arc<Self>, tenant: &str, sql_bytes: usize) -> Result<Permit> {
         let mut tenants = self.tenants.lock();
-        let global_in_flight: usize = tenants.values().map(|t| t.in_flight).sum();
-        let st = tenants.entry(tenant.to_string()).or_default();
+        let over_global = tenants.in_flight >= self.global_limit;
+        let st = tenants.by_tenant.entry(tenant.to_string()).or_default();
         let over_tenant = st.in_flight >= self.quota.max_concurrent
             || st.queued_bytes.saturating_add(sql_bytes) > self.quota.max_queued_bytes;
-        let over_global = global_in_flight >= self.global_limit;
         if over_tenant || over_global {
             st.shed += 1;
             return Err(Error::overloaded(self.retry_after_ms));
@@ -100,6 +107,7 @@ impl TenantRegistry {
         st.in_flight += 1;
         st.queued_bytes += sql_bytes;
         st.admitted += 1;
+        tenants.in_flight += 1;
         drop(tenants);
         Ok(Permit {
             registry: self.clone(),
@@ -110,9 +118,10 @@ impl TenantRegistry {
 
     fn release(&self, tenant: &str, sql_bytes: usize) {
         let mut tenants = self.tenants.lock();
-        if let Some(st) = tenants.get_mut(tenant) {
+        if let Some(st) = tenants.by_tenant.get_mut(tenant) {
             st.in_flight = st.in_flight.saturating_sub(1);
             st.queued_bytes = st.queued_bytes.saturating_sub(sql_bytes);
+            tenants.in_flight = tenants.in_flight.saturating_sub(1);
         }
     }
 
@@ -120,6 +129,7 @@ impl TenantRegistry {
     pub fn stats(&self) -> Vec<TenantStats> {
         let tenants = self.tenants.lock();
         let mut out: Vec<TenantStats> = tenants
+            .by_tenant
             .iter()
             .map(|(name, st)| TenantStats {
                 tenant: name.clone(),
@@ -133,9 +143,9 @@ impl TenantRegistry {
         out
     }
 
-    /// Total queries currently in flight (queued + executing).
+    /// Total queries currently in flight.
     pub fn total_in_flight(&self) -> usize {
-        self.tenants.lock().values().map(|t| t.in_flight).sum()
+        self.tenants.lock().in_flight
     }
 }
 

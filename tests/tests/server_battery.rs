@@ -154,7 +154,6 @@ fn tenant_quota_sheds_with_retryable_overloaded() {
     let handle = start(
         db,
         ServerConfig {
-            workers: 2,
             quota: TenantQuota {
                 max_concurrent: 1,
                 max_queued_bytes: 1 << 20,
@@ -374,7 +373,6 @@ fn chaos_soak_with_net_faults_matches_serial_replay() {
     let handle = start(
         db.clone(),
         ServerConfig {
-            workers: 4,
             quota: TenantQuota {
                 max_concurrent: 2,
                 max_queued_bytes: 1 << 16,
@@ -478,7 +476,6 @@ fn saturating_tenant_is_shed_not_buffered() {
     let handle = start(
         db,
         ServerConfig {
-            workers: 2,
             quota: TenantQuota {
                 max_concurrent: 1,
                 max_queued_bytes: 256,
@@ -528,5 +525,174 @@ fn saturating_tenant_is_shed_not_buffered() {
     assert_eq!(h.queued_bytes, 0);
     assert_eq!(h.admitted, total_done);
     assert_eq!(h.shed, total_shed);
+    handle.shutdown();
+}
+
+/// Handshake a raw connection (no `Client`, so the test controls every byte).
+fn raw_hello(handle: &ServerHandle, tenant: &str) -> TcpStream {
+    let mut raw = TcpStream::connect(handle.addr()).unwrap();
+    wire::write_frame(
+        &mut raw,
+        &wire::Frame::Hello {
+            tenant: tenant.to_string(),
+        },
+    )
+    .unwrap();
+    assert!(matches!(
+        wire::read_frame(&mut raw).unwrap(),
+        Some(wire::Frame::HelloAck)
+    ));
+    raw
+}
+
+/// Bytes waiting behind a running statement are the next request, not a
+/// hang-up: the first of two pipelined queries runs long enough for the
+/// disconnect watcher to peek its socket several times, and must still
+/// answer with rows.
+#[test]
+fn pipelined_queries_answer_in_order_and_the_first_is_not_cancelled() {
+    let db = fresh_db();
+    load_clique(&db, 10);
+    let long = "SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 5";
+    let expected = db.execute(long).unwrap().rows;
+    let handle = start(
+        db,
+        ServerConfig {
+            faults: no_faults(),
+            ..ServerConfig::default()
+        },
+    );
+    let mut raw = raw_hello(&handle, "t");
+    let mut both = wire::encode_frame(&wire::Frame::Query {
+        id: 1,
+        deadline_ms: 0,
+        sql: long.to_string(),
+    });
+    both.extend(wire::encode_frame(&wire::Frame::Query {
+        id: 2,
+        deadline_ms: 0,
+        sql: "SELECT COUNT(*) FROM v".to_string(),
+    }));
+    let sent = Instant::now();
+    std::io::Write::write_all(&mut raw, &both).unwrap();
+    match wire::read_frame(&mut raw).unwrap() {
+        Some(wire::Frame::Rows { id: 1, rows, .. }) => assert_eq!(rows, expected),
+        other => panic!("first response: {other:?}"),
+    }
+    assert!(
+        sent.elapsed() > Duration::from_millis(50),
+        "the first statement must outlast several watcher sweeps, took {:?}",
+        sent.elapsed()
+    );
+    match wire::read_frame(&mut raw).unwrap() {
+        Some(wire::Frame::Rows { id: 2, rows, .. }) => {
+            assert_eq!(rows, vec![vec![Value::Integer(10)]]);
+        }
+        other => panic!("second response: {other:?}"),
+    }
+    handle.shutdown();
+}
+
+/// Shutdown wakes connections blocked in `read` — idle at a frame boundary
+/// or inside a half-sent frame — without waiting out any deadline, and
+/// joins every thread it started.
+#[test]
+fn shutdown_wakes_idle_and_half_sent_connections_and_joins_them() {
+    let db = fresh_db();
+    let handle = start(
+        db.clone(),
+        ServerConfig {
+            drain_deadline_ms: 5_000,
+            faults: no_faults(),
+            ..ServerConfig::default()
+        },
+    );
+    let mut idle: Vec<TcpStream> = (0..3).map(|_| raw_hello(&handle, "idle")).collect();
+    let mut torn = raw_hello(&handle, "torn");
+    let frame = wire::encode_frame(&wire::Frame::Query {
+        id: 1,
+        deadline_ms: 0,
+        sql: "SELECT 1".to_string(),
+    });
+    std::io::Write::write_all(&mut torn, &frame[..frame.len() / 2]).unwrap();
+    // Let every connection thread reach its blocking read.
+    thread::sleep(Duration::from_millis(50));
+
+    let begun = Instant::now();
+    let stats = handle.shutdown();
+    assert!(
+        begun.elapsed() < Duration::from_millis(1_000),
+        "shutdown waited {:?} with nothing in flight",
+        begun.elapsed()
+    );
+    assert!(stats.iter().all(|t| t.in_flight == 0), "{stats:?}");
+    // Every server thread held the database through the shared state; all
+    // of them have been joined, so only this test's handle is left.
+    assert_eq!(Arc::strong_count(&db), 1);
+    for c in &mut idle {
+        assert!(
+            wire::read_frame(c).unwrap().is_none(),
+            "idle client wants EOF"
+        );
+    }
+    // The half-sent frame is answered with a retryable refusal, then EOF.
+    match wire::read_frame(&mut torn) {
+        Ok(Some(wire::Frame::Err { error, .. })) => assert!(error.is_retryable(), "{error:?}"),
+        Ok(None) | Err(Error::Unavailable(_)) => {}
+        other => panic!("half-sent frame: {other:?}"),
+    }
+}
+
+/// Failed accepts neither spin the acceptor nor delay the connects behind
+/// them: each dropped connection costs its client one retry, nothing more.
+#[test]
+fn accept_faults_do_not_stall_later_connects() {
+    let db = fresh_db();
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")
+        .unwrap();
+    let rule = |nth| FaultRule {
+        site: "net.accept".into(),
+        nth,
+        kind: FaultKind::Error,
+    };
+    let handle = start(
+        db,
+        ServerConfig {
+            faults: Some(FaultPlan {
+                seed: 0,
+                rules: vec![rule(1), rule(2), rule(3)],
+            }),
+            ..ServerConfig::default()
+        },
+    );
+    let mut refused = 0;
+    let mut served = 0;
+    let begun = Instant::now();
+    while served < 8 {
+        let attempt = Instant::now();
+        match Client::connect(handle.addr(), "t") {
+            Ok(mut c) => {
+                c.query("SELECT COUNT(*) FROM v").unwrap();
+                served += 1;
+            }
+            Err(e) => {
+                assert!(e.is_retryable(), "{e:?}");
+                refused += 1;
+            }
+        }
+        assert!(
+            attempt.elapsed() < Duration::from_millis(500),
+            "connect stalled {:?}",
+            attempt.elapsed()
+        );
+    }
+    // A hit that fires a rule is not counted by the rules after it, so the
+    // three rules drop accepts 1, 3 and 5.
+    assert_eq!(refused, 3);
+    assert!(
+        begun.elapsed() < Duration::from_secs(2),
+        "{:?}",
+        begun.elapsed()
+    );
     handle.shutdown();
 }

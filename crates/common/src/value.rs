@@ -166,7 +166,7 @@ impl Value {
             }
             Value::Boolean(b) => GroupKey::Boolean(*b),
             Value::Text(s) => GroupKey::Text(s.clone()),
-            Value::Path(p) => GroupKey::Path(p.edges.clone()),
+            Value::Path(p) => GroupKey::Path(p.edges().to_vec()),
         }
     }
 }

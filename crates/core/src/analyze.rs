@@ -35,7 +35,9 @@ use grfusion_common::{DataType, Error, Result, Schema, Value};
 use grfusion_sql::{BinaryOp, Expr, RefPart, Select, SelectItem, UnaryOp};
 
 use crate::expr::{AggFunc, BindingKind, GraphMeta, Namespace, PathProp, PhysExpr};
-use crate::plan::{AggSpec, PathScanConfig, PlanNode, PushedAggPred, PushedPred, ScanMode, StartSource};
+use crate::plan::{
+    AggSpec, Emit, PathScanConfig, PlanNode, PushedAggPred, PushedPred, ScanMode, StartSource,
+};
 
 /// The analyzer's type domain: `None` is "unknown" (parameters and NULL
 /// literals), which unifies with every concrete type — exactly the values
@@ -554,13 +556,23 @@ pub fn verify_plan(
             require_graph(graphs, graph).map(|_| ())
         }
         PlanNode::PathScan { config, schema } => {
-            if schema.len() != 1 || schema.column(0).data_type != DataType::Path {
-                return Err(plan_bug(plan, "path scan must emit exactly one PATH column"));
+            let all = |ty| schema.columns().iter().all(|c| c.data_type == ty);
+            match config.emit {
+                Emit::Paths if schema.len() != 1 || !all(DataType::Path) => {
+                    return Err(plan_bug(plan, "path scan must emit exactly one PATH column"));
+                }
+                Emit::Count if schema.is_empty() || !all(DataType::Integer) => {
+                    return Err(plan_bug(plan, "counting path scan must emit INTEGER columns"));
+                }
+                _ => {}
             }
             check_config(plan, config, graphs)
         }
         PlanNode::PathJoin { outer, config, schema } => {
             verify_plan(outer, graphs, tables)?;
+            if config.emit != Emit::Paths {
+                return Err(plan_bug(plan, "path join cannot count: it emits outer ⊕ path"));
+            }
             expect_width(plan, schema.len(), outer.schema().len() + 1)?;
             if schema.column(schema.len() - 1).data_type != DataType::Path {
                 return Err(plan_bug(plan, "path join must append a PATH column"));

@@ -12,8 +12,8 @@
 //! byte-identical** to the reference plan:
 //!
 //! * every rewrite is gated on a context where result bytes cannot change
-//!   (an order-insensitive aggregate above, or a residual filter the
-//!   planner is documented to keep), and
+//!   (an order-insensitive aggregate above — a counting scan is its own —
+//!   or a residual filter the planner is documented to keep), and
 //! * the differential oracle's optimizer lane replays 200 seeded workloads
 //!   against the rule-based engine to enforce the contract empirically.
 //!
@@ -27,8 +27,8 @@ use grfusion_common::{DataType, Result, Schema, Value};
 use grfusion_graph::GraphStats;
 use grfusion_storage::TableStats;
 
-use crate::expr::{AggFunc, CmpOp, GraphMeta, PathProp, PhysExpr};
-use crate::plan::{AggSpec, PathScanConfig, PlanNode, ScanMode, StartSource};
+use crate::expr::{AggFunc, CmpOp, GraphMeta, PhysExpr};
+use crate::plan::{AggSpec, Emit, PathScanConfig, PlanNode, ScanMode, StartSource};
 
 // ---- cost model constants --------------------------------------------------
 //
@@ -219,7 +219,14 @@ fn estimate_into(plan: &PlanNode, catalog: &CostCatalog, out: &mut Vec<NodeEstim
             let sel = if filter.is_some() { FILTER_SELECTIVITY } else { 1.0 };
             NodeEstimate { rows: g.edges * sel, cost: g.edges }
         }
-        PlanNode::PathScan { config, .. } => path_scan_estimate(config, catalog, 1.0),
+        PlanNode::PathScan { config, .. } => {
+            let paths = path_scan_estimate(config, catalog, 1.0);
+            match config.emit {
+                Emit::Paths => paths,
+                // The same walk, one row out.
+                Emit::Count => NodeEstimate { rows: 1.0, ..paths },
+            }
+        }
         PlanNode::PathJoin { outer, config, .. } => {
             let o = estimate_into(outer, catalog, out);
             let per_probe = path_scan_estimate(config, catalog, 1.0);
@@ -388,20 +395,19 @@ impl<'a> Rewriter<'a> {
         match plan {
             PlanNode::Aggregate { input, group_exprs, aggs, schema } => {
                 let oi = group_exprs.is_empty() && aggs.iter().all(agg_order_insensitive);
-                // The iterated-join rewrite consumes the whole
-                // Aggregate(Filter(PathScan)) pattern at once.
-                if oi {
-                    if let Some(rewritten) =
-                        self.try_iterated_join(&input, &group_exprs, &aggs, &schema)
-                    {
-                        return rewritten;
-                    }
-                }
                 let input = Box::new(self.rewrite(*input, order_free || oi));
                 PlanNode::Aggregate { input, group_exprs, aggs, schema }
             }
             PlanNode::PathScan { config, schema } => {
-                let config = self.rewrite_path_config(config, order_free);
+                // A counting scan is its own order-insensitive aggregate,
+                // and the one shape the iterated-join rewrite replaces.
+                let counts = config.emit == Emit::Count;
+                if counts {
+                    if let Some(rewritten) = self.try_iterated_join(&config, &schema) {
+                        return rewritten;
+                    }
+                }
+                let config = self.rewrite_path_config(config, order_free || counts);
                 PlanNode::PathScan { config, schema }
             }
             PlanNode::PathJoin { outer, config, schema } => {
@@ -548,37 +554,18 @@ impl<'a> Rewriter<'a> {
         PlanNode::Project { input: Box::new(inner), exprs, schema }
     }
 
-    /// The SQLGraph-style rewrite: `COUNT(*)` over paths of one exact
-    /// length from one constant anchor becomes a chain of index joins over
-    /// the edge source plus a simple-path distinctness filter. Applies only
-    /// when every byte-identity condition holds *and* the cost model says
-    /// the join side wins (high effective fan-out).
+    /// The SQLGraph-style rewrite: a scan counting the paths of one exact
+    /// length from one constant anchor becomes `COUNT(*)` over a chain of
+    /// index joins over the edge source plus a simple-path distinctness
+    /// filter. Applies only when every byte-identity condition holds *and*
+    /// the cost model says the join side wins (high effective fan-out). The
+    /// planner consumed the anchor and length conjuncts into `config`, so
+    /// a scan with no filter above it is constrained by nothing else.
     fn try_iterated_join(
         &mut self,
-        input: &PlanNode,
-        group_exprs: &[PhysExpr],
-        aggs: &[AggSpec],
+        config: &PathScanConfig,
         agg_schema: &Arc<Schema>,
     ) -> Option<PlanNode> {
-        if !group_exprs.is_empty() {
-            return None;
-        }
-        // COUNT(*) only: the replacement subtree has edge-row schema, so no
-        // aggregate argument may reference the path column.
-        if !aggs.iter().all(|a| a.func == AggFunc::Count && a.arg.is_none()) {
-            return None;
-        }
-        // Accept Aggregate(Filter(PathScan)) — the planner always leaves
-        // the anchor/length conjuncts in a residual filter — and prove that
-        // filter fully implied by the scan config before dropping it.
-        let (config, residual) = match input {
-            PlanNode::Filter { input, predicate, .. } => match &**input {
-                PlanNode::PathScan { config, .. } => (config, Some(predicate)),
-                _ => return None,
-            },
-            PlanNode::PathScan { config, .. } => (config, None),
-            _ => return None,
-        };
         let meta = self.graphs.get(&config.graph)?;
         if !meta.def.directed {
             return None; // join over (from, to) misses reverse hops
@@ -600,12 +587,6 @@ impl<'a> Rewriter<'a> {
             StartSource::Constant(PhysExpr::Literal(Value::Integer(s))) => *s,
             _ => return None,
         };
-        // Every residual conjunct must be implied by the scan config.
-        if let Some(pred) = residual {
-            if !pred.conjuncts().into_iter().all(|c| conjunct_implied(c, start, k)) {
-                return None;
-            }
-        }
         // The chain needs a hash index on the edge-source from-column.
         let edge_table = &meta.def.edge_source;
         if !self
@@ -696,7 +677,7 @@ impl<'a> Rewriter<'a> {
         Some(PlanNode::Aggregate {
             input: Box::new(joined),
             group_exprs: Vec::new(),
-            aggs: aggs.to_vec(),
+            aggs: vec![AggSpec { func: AggFunc::Count, arg: None }; agg_schema.len()],
             schema: agg_schema.clone(),
         })
     }
@@ -712,26 +693,6 @@ fn agg_order_insensitive(spec: &AggSpec) -> bool {
             .arg
             .as_ref()
             .is_some_and(|a| a.static_type() == DataType::Integer),
-    }
-}
-
-/// Whether one residual conjunct is implied by a path scan anchored at
-/// `start` with an exact length-`k` window (so dropping it cannot change
-/// the result). Only the two conjunct shapes the planner emits for those
-/// anchors are recognized; anything else keeps the rewrite off.
-fn conjunct_implied(pred: &PhysExpr, start: i64, k: usize) -> bool {
-    let PhysExpr::Cmp { op: CmpOp::Eq, left, right } = pred else {
-        return false;
-    };
-    match (&**left, &**right) {
-        (
-            PhysExpr::PathProp { prop: PathProp::StartVertexId, .. },
-            PhysExpr::Literal(Value::Integer(s)),
-        ) => *s == start,
-        (PhysExpr::PathProp { prop: PathProp::Length, .. }, PhysExpr::Literal(Value::Integer(l))) => {
-            u64::try_from(*l).is_ok_and(|l| l == k as u64) // cast-ok: k <= 3
-        }
-        _ => false,
     }
 }
 
@@ -903,32 +864,4 @@ mod tests {
         assert!(!agg_order_insensitive(&dbl_sum), "f64 accumulation is order-sensitive");
     }
 
-    #[test]
-    fn conjunct_proofs() {
-        let start_eq = PhysExpr::Cmp {
-            op: CmpOp::Eq,
-            left: Box::new(PhysExpr::PathProp {
-                col: 0,
-                prop: PathProp::StartVertexId,
-                ty: DataType::Integer,
-            }),
-            right: Box::new(PhysExpr::Literal(Value::Integer(7))),
-        };
-        assert!(conjunct_implied(&start_eq, 7, 2));
-        assert!(!conjunct_implied(&start_eq, 8, 2));
-        let len_eq = PhysExpr::Cmp {
-            op: CmpOp::Eq,
-            left: Box::new(PhysExpr::PathProp {
-                col: 0,
-                prop: PathProp::Length,
-                ty: DataType::Integer,
-            }),
-            right: Box::new(PhysExpr::Literal(Value::Integer(2))),
-        };
-        assert!(conjunct_implied(&len_eq, 7, 2));
-        assert!(!conjunct_implied(&len_eq, 7, 3));
-        // Anything unrecognized keeps the rewrite off.
-        let other = PhysExpr::Literal(Value::Boolean(true));
-        assert!(!conjunct_implied(&other, 7, 2));
-    }
 }

@@ -77,31 +77,31 @@ impl<'e> GraphEnv<'e> {
 
     /// Attribute of the edge at path position `pos`, with
     /// traversal-direction semantics for `StartVertex`/`EndVertex`: the
-    /// start of hop `i` is `path.vertexes[i]` and its end is
-    /// `path.vertexes[i+1]` (this is what makes Listing 4's triangle
+    /// start of hop `i` is `path.vertexes()[i]` and its end is
+    /// `path.vertexes()[i+1]` (this is what makes Listing 4's triangle
     /// predicate `P.Edges[2].EndVertex = P.Edges[0].StartVertex` work on
     /// undirected graphs).
     pub fn path_edge_attr(&self, path: &PathData, pos: usize, attr: &str) -> Result<Value> {
-        if pos >= path.edges.len() {
+        if pos >= path.edges().len() {
             return Ok(Value::Null);
         }
         if attr.eq_ignore_ascii_case("startvertex") {
-            return Ok(Value::Integer(path.vertexes[pos]));
+            return Ok(Value::Integer(path.vertexes()[pos]));
         }
         if attr.eq_ignore_ascii_case("endvertex") {
-            return Ok(Value::Integer(path.vertexes[pos + 1]));
+            return Ok(Value::Integer(path.vertexes()[pos + 1]));
         }
-        let slot = self.topo.edge_slot(path.edges[pos])?;
+        let slot = self.topo.edge_slot(path.edges()[pos])?;
         self.edge_attr(slot, attr)
     }
 
     /// Attribute of the vertex at path position `pos` (position 0 is the
     /// start vertex).
     pub fn path_vertex_attr(&self, path: &PathData, pos: usize, attr: &str) -> Result<Value> {
-        if pos >= path.vertexes.len() {
+        if pos >= path.vertexes().len() {
             return Ok(Value::Null);
         }
-        let slot = self.topo.vertex_slot(path.vertexes[pos])?;
+        let slot = self.topo.vertex_slot(path.vertexes()[pos])?;
         self.vertex_attr(slot, attr)
     }
 }

@@ -32,11 +32,11 @@ use crate::analyze::NodeContract;
 use crate::env::{GraphEnv, QueryEnv};
 use crate::expr::{CmpOp, PathTarget, PhysExpr};
 use crate::governor::{
-    path_bytes, ExecContext, FaultState, EXPANSION_CHECK_INTERVAL, OP_CHECK_INTERVAL,
+    path_bytes, path_bytes_at, ExecContext, FaultState, EXPANSION_CHECK_INTERVAL, OP_CHECK_INTERVAL,
 };
 use crate::metrics::{GovCounters, GraphCounters, MetricsSink, NodeSlot, QueryMetrics};
 use crate::plan::{
-    PathScanConfig, PlanNode, PushedAggPred, PushedPred, PushedTest, ScanMode, StartSource,
+    Emit, PathScanConfig, PlanNode, PushedAggPred, PushedPred, PushedTest, ScanMode, StartSource,
 };
 use crate::spine::{
     Admit, Aggregate, Batch, BoxOp, Cursor, Distinct, Filter, IndexJoin, IndexLookup, Limit,
@@ -239,7 +239,9 @@ impl<'e> Instrumented<'e> {
         }
         if let Some(ctx) = self.gov {
             let before = self.pulls / OP_CHECK_INTERVAL;
-            self.pulls += if more { out.len() as u64 } else { 1 }; // cast-ok: usize -> u64 widening
+            // A counting scan's one row stands for the paths it counted.
+            let rows = self.inner.counted().unwrap_or(out.len() as u64); // cast-ok: usize -> u64 widening
+            self.pulls += if more { rows } else { 1 };
             let due = self.pulls / OP_CHECK_INTERVAL - before + u64::from(!more);
             self.checks += due;
             if due > 0 {
@@ -261,6 +263,9 @@ impl<'e> Operator<'e> for Instrumented<'e> {
         slot.record_batch(start.elapsed().as_nanos() as u64, rows as u64);
         if let Some(g) = self.inner.graph_stats() {
             slot.set_graph(g);
+        }
+        if let Some(n) = self.inner.counted() {
+            slot.set_paths(n);
         }
         // The inner operator's counters (bytes it charged, expansion-hook
         // checks) plus this wrapper's own polls.
@@ -342,13 +347,15 @@ fn build<'e>(
                 admit: admit(filter),
             })
         }
-        PlanNode::PathScan { config, .. } => Box::new(PathScanOp {
+        PlanNode::PathScan { config, schema } => Box::new(PathScanOp {
             config,
+            width: schema.len(),
             env,
             sink,
             inputs: PathProbe::resolve(config, &[], env)?,
             scan: None,
             done: false,
+            counted: 0,
             budget,
             tracker: None,
             layout: env.graph(&config.graph)?.topo.layout(),
@@ -783,7 +790,7 @@ impl<'e> TraversalFilter for EngineFilter<'e> {
             let mut sum = 0.0f64;
             match p.target {
                 PathTarget::Edges => {
-                    for &eid in &path.edges {
+                    for &eid in path.edges() {
                         if let Ok(slot) = g.edge_slot(eid) {
                             if let Ok(d) = self.fetch_edge(g, slot, p.access).as_double() {
                                 sum += d;
@@ -792,7 +799,7 @@ impl<'e> TraversalFilter for EngineFilter<'e> {
                     }
                 }
                 PathTarget::Vertexes => {
-                    for &vid in &path.vertexes {
+                    for &vid in path.vertexes() {
                         if let Ok(slot) = g.vertex_slot(vid) {
                             if let Ok(d) = self.fetch_vertex(g, slot, p.access).as_double() {
                                 sum += d;
@@ -943,12 +950,14 @@ enum ActiveScan<'e> {
         stats: GraphCounters,
         gov: GovCounters,
     },
-    /// Parallel fan-out result: materialized and merged in serial order.
-    /// The workers charged each path's bytes to the memory accountant
-    /// while enumerating; the row budget is charged at emission like every
-    /// other variant.
+    /// Parallel fan-out result: materialized and merged in serial order —
+    /// or, for a counting scan, only counted (`counted` paths no worker
+    /// materialized, and an empty `iter`). The workers charged each path's
+    /// bytes to the memory accountant while enumerating; the row budget is
+    /// charged at emission like every other variant.
     Parallel {
         iter: std::vec::IntoIter<PathData>,
+        counted: u64,
         stats: GraphCounters,
         gov: GovCounters,
     },
@@ -976,6 +985,20 @@ impl<'e> ActiveScan<'e> {
             ActiveScan::Parallel { iter, .. } => Ok(iter.next()),
             ActiveScan::Empty => Ok(None),
         }
+    }
+
+    /// Step to the next path without materializing it where the traversal
+    /// allows (DFS/BFS), and report its length — all a counting scan needs.
+    fn advance(&mut self) -> Result<Option<usize>> {
+        Ok(match self {
+            ActiveScan::Dfs(it) => it.advance().then(|| it.depth()),
+            ActiveScan::Bfs(it) => it.advance().then(|| it.depth()),
+            ActiveScan::Parallel { counted, .. } if *counted > 0 => {
+                *counted -= 1;
+                Some(0) // the workers charged its bytes; the length is not read
+            }
+            scan => scan.next_path()?.map(|p| p.length()),
+        })
     }
 
     /// The scan's cumulative traversal counters so far.
@@ -1072,12 +1095,13 @@ impl PathProbe {
         let genv = env.graph(&config.graph)?;
         let topo = genv.topo;
         let filter = bind_filter(config, outer_row, env, genv)?;
+        // The vertex an anchor value names, under SQL's `id = value`: the
+        // planner drops the start-anchor conjunct from the residual filter,
+        // so a value no INTEGER id can equal (NULL, 1.5, a string) must
+        // resolve to no vertex rather than be rounded onto one.
         let anchor = |e: &PhysExpr| -> Result<Option<VertexSlot>> {
-            let v = e.eval(outer_row, env)?;
-            if v.is_null() {
-                return Ok(None);
-            }
-            Ok(topo.vertex_slot(v.as_integer()?).ok())
+            let id = index_probe_key(e.eval(outer_row, env)?, grfusion_common::DataType::Integer);
+            Ok(id.and_then(|id| topo.vertex_slot(id.as_integer().ok()?).ok()))
         };
 
         let seeds: Vec<VertexSlot> = match &config.start {
@@ -1250,6 +1274,8 @@ impl PathProbe {
 
 struct PathScanOp<'e> {
     config: &'e PathScanConfig,
+    /// Output columns: the path, or one count per aggregate call.
+    width: usize,
     env: &'e QueryEnv<'e>,
     sink: Option<&'e MetricsSink>,
     /// The probe's filter and anchors, resolved (and so validated) while
@@ -1263,6 +1289,8 @@ struct PathScanOp<'e> {
     scan: Option<ActiveScan<'e>>,
     /// The traversal reported its end; it is not pulled again.
     done: bool,
+    /// Paths a counting scan ([`Emit::Count`]) has stepped over.
+    counted: u64,
     budget: &'e RowBudget,
     /// Emission-side byte accounting for in-flight (lazy serial) scans;
     /// `None` for buffered/parallel variants, whose bytes were charged
@@ -1296,6 +1324,7 @@ impl<'e> PathScanOp<'e> {
                 }
                 ActiveScan::Parallel {
                     iter: outcome.paths.into_iter(),
+                    counted: outcome.counted,
                     stats,
                     gov: outcome.gov,
                 }
@@ -1313,10 +1342,48 @@ impl<'e> PathScanOp<'e> {
         }
         Ok(self.scan.insert(scan))
     }
+
+    /// Run the whole traversal, counting its paths instead of emitting
+    /// them. Each is accounted exactly as its emission would be — a row
+    /// budget tick, its bytes from its length — but none is materialized.
+    fn count(&mut self) -> Result<()> {
+        let view_name_len = self.env.graph(&self.config.graph)?.topo.name().len();
+        self.start()?;
+        let (Some(scan), budget) = (&mut self.scan, self.budget) else {
+            return Err(Error::execution("counting scan did not start"));
+        };
+        while let Some(length) = scan.advance()? {
+            budget.tick()?;
+            if let Some(t) = &self.tracker {
+                t.charge(path_bytes_at(view_name_len, length))?;
+            }
+            self.counted += 1;
+        }
+        // A tripped traversal filter drains the walk early; re-derive the
+        // governor's error rather than hand up a count of the part walked.
+        if self.env.gov.active() {
+            self.env.gov.check_now()?;
+        }
+        Ok(())
+    }
 }
 
 impl<'e> Operator<'e> for PathScanOp<'e> {
     fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
+        if self.config.emit == Emit::Count {
+            let width = self.width;
+            return out.fill_rows(width, max_rows, |row, _| {
+                if self.done {
+                    return Ok(false);
+                }
+                self.done = true;
+                self.count()?;
+                let n = i64::try_from(self.counted)
+                    .map_err(|_| Error::execution("path count exceeds INTEGER range"))?;
+                row.extend(std::iter::repeat_n(Value::Integer(n), width));
+                Ok(true)
+            });
+        }
         out.fill_rows(1, max_rows, |row, _| {
             if self.done {
                 return Ok(false);
@@ -1342,6 +1409,10 @@ impl<'e> Operator<'e> for PathScanOp<'e> {
 
     fn graph_stats(&self) -> Option<GraphCounters> {
         Some(self.scan.as_ref().map(ActiveScan::graph_counters).unwrap_or_default())
+    }
+
+    fn counted(&self) -> Option<u64> {
+        (self.config.emit == Emit::Count).then_some(self.counted)
     }
 
     fn governor_stats(&self) -> Option<GovCounters> {

@@ -621,9 +621,10 @@ impl PhysExpr {
     }
 }
 
-fn eval_path_prop(path: &PathData, prop: &PathProp, env: &QueryEnv<'_>) -> Result<Value> {
+fn eval_path_prop(path: &Arc<PathData>, prop: &PathProp, env: &QueryEnv<'_>) -> Result<Value> {
     Ok(match prop {
-        PathProp::Whole => Value::Path(Arc::new(path.clone())),
+        // The row's own path: a refcount, not a copy.
+        PathProp::Whole => Value::Path(path.clone()),
         PathProp::Length => Value::Integer(crate::env::degree_i64(path.length())),
         PathProp::PathString => Value::text(path.path_string()),
         PathProp::Cost => Value::Double(path.cost),
@@ -635,7 +636,7 @@ fn eval_path_prop(path: &PathData, prop: &PathProp, env: &QueryEnv<'_>) -> Resul
         }
         PathProp::EndVertexAttr(attr) => {
             let genv = env.graph_of_path(path)?;
-            genv.path_vertex_attr(path, path.vertexes.len() - 1, attr)?
+            genv.path_vertex_attr(path, path.length(), attr)?
         }
         PathProp::EdgeAttrAt(i, attr) => {
             let genv = env.graph_of_path(path)?;
@@ -646,11 +647,11 @@ fn eval_path_prop(path: &PathData, prop: &PathProp, env: &QueryEnv<'_>) -> Resul
             genv.path_vertex_attr(path, *i as usize, attr)?
         }
         PathProp::EdgeIdAt(i) => path
-            .edges
+            .edges()
             .get(*i as usize)
             .map_or(Value::Null, |&e| Value::Integer(e)),
         PathProp::VertexIdAt(i) => path
-            .vertexes
+            .vertexes()
             .get(*i as usize)
             .map_or(Value::Null, |&v| Value::Integer(v)),
     })
@@ -682,8 +683,8 @@ pub fn eval_path_agg(
     genv: &GraphEnv<'_>,
 ) -> Result<Value> {
     let count = match target {
-        PathTarget::Edges => path.edges.len(),
-        PathTarget::Vertexes => path.vertexes.len(),
+        PathTarget::Edges => path.edges().len(),
+        PathTarget::Vertexes => path.vertexes().len(),
     };
     if func == AggFunc::Count {
         return Ok(Value::Integer(crate::env::degree_i64(count)));
@@ -780,8 +781,8 @@ fn eval_quant(
     genv: &GraphEnv<'_>,
 ) -> Result<Value> {
     let len = match target {
-        PathTarget::Edges => path.edges.len(),
-        PathTarget::Vertexes => path.vertexes.len(),
+        PathTarget::Edges => path.edges().len(),
+        PathTarget::Vertexes => path.vertexes().len(),
     } as u64;
     // Determine the positions the predicate quantifies over. `[i]` and
     // `[i..j]` require the positions to exist; `[i..*]` is vacuous when the

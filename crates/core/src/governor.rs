@@ -329,14 +329,23 @@ impl ExecContext {
 // Byte estimators
 // ---------------------------------------------------------------------------
 
-/// Estimated resident bytes of one materialized path: the struct itself
-/// plus its id vectors and view-name string. Deterministic, so tests can
+/// Fixed part of a materialized path's byte estimate. Pinned, not
+/// `size_of::<PathData>()`, so the estimate a scan charges stays the same
+/// when the struct's layout changes.
+const PATH_HEADER_BYTES: usize = 80;
+
+/// Estimated resident bytes of one materialized path: a fixed header plus
+/// its id vectors and view-name string. Deterministic, so tests can
 /// predict exactly what a scan charges.
 pub fn path_bytes(p: &PathData) -> u64 {
-    (std::mem::size_of::<PathData>()
-        + p.graph_view.len()
-        + p.vertexes.len() * std::mem::size_of::<i64>()
-        + p.edges.len() * std::mem::size_of::<i64>()) as u64
+    path_bytes_at(p.graph_view.len(), p.length())
+}
+
+/// [`path_bytes`] of a path of `length` edges over a view whose name has
+/// `view_name_len` bytes — what a scan that counts paths without
+/// materializing them charges for each.
+pub fn path_bytes_at(view_name_len: usize, length: usize) -> u64 {
+    (PATH_HEADER_BYTES + view_name_len + (2 * length + 1) * std::mem::size_of::<i64>()) as u64
 }
 
 /// Estimated resident bytes of one value (inline enum + owned heap).
@@ -698,13 +707,8 @@ mod tests {
 
     #[test]
     fn byte_estimators_are_deterministic() {
-        let p = PathData {
-            graph_view: "g".into(),
-            vertexes: vec![1, 2, 3],
-            edges: vec![10, 11],
-            cost: 0.0,
-        };
-        let expect = (std::mem::size_of::<PathData>() + 1 + 3 * 8 + 2 * 8) as u64;
+        let p = PathData::from_ids("g".into(), vec![1, 2, 3, 10, 11], 0.0);
+        let expect = (80 + 1 + 3 * 8 + 2 * 8) as u64;
         assert_eq!(path_bytes(&p), expect);
         assert_eq!(
             value_bytes(&Value::Path(std::sync::Arc::new(p))),

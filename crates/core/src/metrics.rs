@@ -79,6 +79,9 @@ pub struct OpMetrics {
     pub depth: usize,
     /// Rows this node produced.
     pub rows: u64,
+    /// Paths a counting scan (`emit=count`) counted into its one row;
+    /// `None` for every other operator.
+    pub paths: Option<u64>,
     /// `next_batch` calls the parent issued (batches + the exhausting call).
     pub next_calls: u64,
     /// Cumulative wall time inside this node *including* its children
@@ -169,9 +172,12 @@ impl QueryMetrics {
                 out.push_str("  ");
             }
             out.push_str(&n.label);
+            out.push_str(&format!(" (rows={}", n.rows));
+            if let Some(paths) = n.paths {
+                out.push_str(&format!(" paths={paths}"));
+            }
             out.push_str(&format!(
-                " (rows={} nexts={} time={}us)",
-                n.rows,
+                " nexts={} time={}us)",
                 n.next_calls,
                 format_us(n.time_ns)
             ));
@@ -219,6 +225,7 @@ pub struct NodeSlot {
     label: String,
     depth: usize,
     rows: Cell<u64>,
+    paths: Cell<Option<u64>>,
     next_calls: Cell<u64>,
     time_ns: Cell<u64>,
     graph: Cell<Option<GraphCounters>>,
@@ -243,6 +250,12 @@ impl NodeSlot {
         self.graph.set(Some(g));
     }
 
+    /// Overwrite the paths a counting scan has counted (cumulative).
+    #[inline]
+    pub(crate) fn set_paths(&self, n: u64) {
+        self.paths.set(Some(n));
+    }
+
     /// Overwrite the node's governor counters with cumulative totals (same
     /// last-write-wins contract as [`NodeSlot::set_graph`]).
     #[inline]
@@ -262,6 +275,7 @@ impl NodeSlot {
             label: self.label.clone(),
             depth: self.depth,
             rows: self.rows.get(),
+            paths: self.paths.get(),
             next_calls: self.next_calls.get(),
             time_ns: self.time_ns.get(),
             graph: self.graph.get(),
@@ -291,6 +305,7 @@ impl MetricsSink {
             label,
             depth,
             rows: Cell::new(0),
+            paths: Cell::new(None),
             next_calls: Cell::new(0),
             time_ns: Cell::new(0),
             graph: Cell::new(None),

@@ -65,9 +65,9 @@ use grfusion_graph::{BfsPaths, DfsPaths, TraversalSpec, VertexSlot};
 
 use crate::env::{GraphEnv, QueryEnv};
 use crate::exec::bind_filter;
-use crate::governor::{path_bytes, ExecContext};
+use crate::governor::{path_bytes_at, ExecContext};
 use crate::metrics::{GovCounters, GraphCounters, WorkerMetrics};
-use crate::plan::{PathScanConfig, ScanMode, StartSource};
+use crate::plan::{Emit, PathScanConfig, ScanMode, StartSource};
 
 /// Traversal mode after `Auto` resolution, shared read-only by all workers.
 enum ResolvedMode {
@@ -80,6 +80,9 @@ enum ResolvedMode {
 /// `EXPLAIN ANALYZE` can report fan-out balance.
 pub(crate) struct ParallelScanResult {
     pub paths: Vec<PathData>,
+    /// Paths a counting scan's workers stepped over without materializing
+    /// (`paths` is then empty); 0 otherwise.
+    pub counted: u64,
     pub workers: Vec<WorkerMetrics>,
     /// Governor work done during the fan-out: bytes the workers charged to
     /// the memory accountant and cooperative checks they performed.
@@ -93,8 +96,9 @@ pub(crate) struct ParallelScanResult {
 /// seed set that fits in a single morsel — all cases where there is nothing
 /// to fan out and the serial probe's streaming (a `LIMIT` parent stops it
 /// early) beats materializing. Otherwise returns every qualifying path,
-/// merged into the serial emission order; the row budget is charged later,
-/// at emission, by `PathScanOp`.
+/// merged into the serial emission order — or, for a counting scan, just
+/// how many there are; the row budget is charged later, at emission, by
+/// `PathScanOp`.
 pub(crate) fn try_parallel_path_scan<'e>(
     config: &PathScanConfig,
     env: &'e QueryEnv<'e>,
@@ -196,9 +200,9 @@ pub(crate) fn try_parallel_path_scan<'e>(
                         }))
                         .unwrap_or_else(|payload| Err(Error::from_panic(payload)));
                         match r {
-                            Ok((paths, counters, morsel_gov)) => {
+                            Ok((paths, counted, counters, morsel_gov)) => {
                                 wm.morsels += 1;
-                                wm.paths += paths.len() as u64;
+                                wm.paths += paths.len() as u64 + counted;
                                 wm.counters.merge(&counters);
                                 gov.merge(&morsel_gov);
                                 done.push((idx, Ok(paths)));
@@ -242,22 +246,27 @@ pub(crate) fn try_parallel_path_scan<'e>(
     }
     Ok(Some(ParallelScanResult {
         paths: merged,
+        counted: match config.emit {
+            Emit::Count => workers.iter().map(|w| w.paths).sum(),
+            Emit::Paths => 0,
+        },
         workers,
         gov,
     }))
 }
 
 /// Enumerate every qualifying path for one morsel of seeds, charging each
-/// materialized path's estimated bytes against the shared memory
-/// accountant. Also returns the traversal and governor counters of this
-/// morsel's enumeration.
+/// path's estimated bytes against the shared memory accountant. A counting
+/// scan steps over its paths and returns how many; any other materializes
+/// them. Also returns the traversal and governor counters of this morsel's
+/// enumeration.
 fn run_morsel<'e>(
     config: &PathScanConfig,
     env: &'e QueryEnv<'e>,
     genv: &'e GraphEnv<'e>,
     seeds: &[VertexSlot],
     mode: &ResolvedMode,
-) -> Result<(Vec<PathData>, GraphCounters, GovCounters)> {
+) -> Result<(Vec<PathData>, u64, GraphCounters, GovCounters)> {
     let topo = genv.topo;
     let outer_row: Row = Vec::new();
     // Traversal iterators consume the filter by value, so each morsel
@@ -273,21 +282,32 @@ fn run_morsel<'e>(
     let track = gov.active();
     let mut bytes = 0u64;
     let mut out = Vec::new();
-    let mut drain = |it: &mut dyn Iterator<Item = PathData>| -> Result<()> {
-        for p in it {
+    let mut counted = 0u64;
+    let count_only = config.emit == Emit::Count;
+    let view_name_len = topo.name().len();
+    // `step` moves to the next path and hands back its length, plus the
+    // path itself unless the scan only counts.
+    let mut drain = |step: &mut dyn FnMut() -> Option<(usize, Option<PathData>)>| -> Result<()> {
+        while let Some((length, path)) = step() {
             if track {
-                let b = path_bytes(&p);
+                let b = path_bytes_at(view_name_len, length);
                 bytes += b;
                 gov.charge_bytes(b)?;
             }
-            out.push(p);
+            match path {
+                Some(p) => out.push(p),
+                None => counted += 1,
+            }
         }
         Ok(())
     };
     let (counters, checks) = match mode {
         ResolvedMode::Dfs => {
             let mut it = DfsPaths::new(topo, seeds.to_vec(), spec, filter);
-            drain(&mut it)?;
+            drain(&mut || {
+                it.advance()
+                    .then(|| (it.depth(), (!count_only).then(|| it.current())))
+            })?;
             (
                 GraphCounters {
                     vertices_visited: it.vertices_visited(),
@@ -299,7 +319,10 @@ fn run_morsel<'e>(
         }
         ResolvedMode::Bfs => {
             let mut it = BfsPaths::new(topo, seeds.to_vec(), spec, filter);
-            drain(&mut it)?;
+            drain(&mut || {
+                it.advance()
+                    .then(|| (it.depth(), (!count_only).then(|| it.current())))
+            })?;
             (
                 GraphCounters {
                     vertices_visited: it.vertices_visited(),
@@ -316,7 +339,7 @@ fn run_morsel<'e>(
     if track {
         gov.check_now()?;
     }
-    Ok((out, counters, GovCounters { bytes, checks }))
+    Ok((out, counted, counters, GovCounters { bytes, checks }))
 }
 
 #[cfg(test)]

@@ -50,6 +50,8 @@ pub enum PlanNode {
         filter: Option<PhysExpr>,
     },
     /// Standalone `gv.PATHS` scan (seeds are constants or all vertexes).
+    /// Emits one PATH column, or — with [`Emit::Count`] — one row of
+    /// INTEGER columns.
     PathScan {
         config: PathScanConfig,
         schema: Arc<Schema>,
@@ -160,12 +162,13 @@ impl PlanNode {
             PlanNode::VertexScan { graph, .. } => format!("VertexScan({graph})"),
             PlanNode::EdgeScan { graph, .. } => format!("EdgeScan({graph})"),
             PlanNode::PathScan { config, .. } => format!(
-                "PathScan({}, {:?}, len {}..={}{})",
+                "PathScan({}, {:?}, len {}..={}{}{})",
                 config.graph,
                 config.mode,
                 config.min_len,
                 config.max_len,
-                if config.reachability { ", reachability" } else { "" }
+                if config.reachability { ", reachability" } else { "" },
+                if config.emit == Emit::Count { ", emit=count" } else { "" }
             ),
             PlanNode::PathJoin { config, .. } => format!(
                 "PathJoin({}, {:?}, len {}..={}{})",
@@ -292,6 +295,17 @@ pub struct PushedAggPred {
     pub rhs: PhysExpr,
 }
 
+/// What a path scan hands its consumer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Emit {
+    /// One row per path, carrying the path.
+    Paths,
+    /// One row in all: the number of paths, once per output column. The
+    /// planner's form of an ungrouped `COUNT(*)`/`COUNT(P)` directly over
+    /// the scan — the traversal runs in full, but no path is materialized.
+    Count,
+}
+
 /// Everything a path scan needs at execution time.
 #[derive(Debug, Clone)]
 pub struct PathScanConfig {
@@ -308,7 +322,7 @@ pub struct PathScanConfig {
     pub explicit_max_len: bool,
     pub start: StartSource,
     /// Target anchor (`PS.EndVertex.Id = ...`) — required by
-    /// `ShortestPath`, unused by DFS/BFS (kept residual there).
+    /// `ShortestPath`, unused by DFS/BFS; always kept residual too.
     pub end: Option<PhysExpr>,
     /// Pushed traversal predicates (§6.2). Empty when pushdown is off.
     pub edge_preds: Vec<PushedPred>,
@@ -326,6 +340,8 @@ pub struct PathScanConfig {
     /// queries at depth 20 in milliseconds, §7.2). Residual predicates are
     /// still applied above the scan, so this is semantics-preserving.
     pub reachability: bool,
+    /// Always [`Emit::Paths`] under a [`PlanNode::PathJoin`].
+    pub emit: Emit,
 }
 
 #[cfg(test)]

@@ -11,7 +11,16 @@
 //! * **Predicate pushdown** (§6.2): single-path edge/vertex predicates and
 //!   bounded path aggregates are copied into the scan's traversal filters.
 //!   Pushed predicates are *also* kept in the residual filter, so turning
-//!   pushdown off (ablation) never changes results.
+//!   pushdown off (ablation) never changes results. So is the end anchor.
+//! * **Consumed conjuncts**: the start anchor the scan is seeded from and
+//!   every `PS.Length` bound folded into its window leave the residual
+//!   filter — the scan enforces them by construction in every mode (it
+//!   starts nowhere else and emits no other length), exactly as a table
+//!   leaf consumes the conjuncts pushed onto it. A filter left with no
+//!   conjunct is not emitted.
+//! * **Counting scans**: an ungrouped aggregate whose calls are all
+//!   `COUNT(*)`/`COUNT(P)`, directly over a standalone path scan, is
+//!   planned as that scan with [`Emit::Count`] (under `aggregate_pushdown`).
 //! * **Logical→physical mapping** (§6.3): `HINT(...)` picks
 //!   DFS/BFS/SPScan; otherwise `ScanMode::Auto` defers the `BFS iff F < L`
 //!   decision to execution time where the fan-out statistic lives.
@@ -28,10 +37,10 @@ use grfusion_storage::IndexKind;
 use crate::access::{choose, AccessPath};
 use crate::config::OptimizerFlags;
 use crate::expr::{
-    compile, AggFunc, BindingKind, CmpOp, GraphMeta, Namespace, PathTarget, PhysExpr,
+    compile, AggFunc, BindingKind, CmpOp, GraphMeta, Namespace, PathProp, PathTarget, PhysExpr,
 };
 use crate::plan::{
-    AggSpec, PathScanConfig, PlanNode, PushedAggPred, PushedPred, PushedTest, ScanMode,
+    AggSpec, Emit, PathScanConfig, PlanNode, PushedAggPred, PushedPred, PushedTest, ScanMode,
     StartSource,
 };
 
@@ -175,6 +184,7 @@ impl<'a> Planner<'a> {
                 &binding_name,
                 hint.as_ref(),
                 &conjuncts,
+                &mut consumed,
                 select.limit == Some(1),
             )?;
             let path_schema: Arc<Schema> = Schema::new(vec![Column::new(
@@ -285,11 +295,26 @@ impl<'a> Planner<'a> {
                 aggs.push(spec);
             }
             let schema = Schema::new(cols).shared();
-            plan = PlanNode::Aggregate {
-                input: Box::new(plan),
-                group_exprs,
-                aggs,
-                schema: schema.clone(),
+            plan = match plan {
+                // Every call counts every path of a standalone scan: the
+                // scan counts inside the traversal and emits the one row.
+                PlanNode::PathScan { mut config, .. }
+                    if self.flags.aggregate_pushdown
+                        && group_exprs.is_empty()
+                        && aggs.iter().all(counts_every_path) =>
+                {
+                    config.emit = Emit::Count;
+                    PlanNode::PathScan {
+                        config,
+                        schema: schema.clone(),
+                    }
+                }
+                input => PlanNode::Aggregate {
+                    input: Box::new(input),
+                    group_exprs,
+                    aggs,
+                    schema: schema.clone(),
+                },
             };
             post_agg_schema = Some(schema);
 
@@ -600,13 +625,15 @@ impl<'a> Planner<'a> {
     }
 
     /// Analyze the conjuncts that constrain one path binding and build its
-    /// scan configuration.
+    /// scan configuration. The conjuncts the scan enforces by construction
+    /// — its start anchor and its length window — are marked consumed.
     fn path_scan_config(
         &self,
         graph: &str,
         binding: &str,
         hint: Option<&PathHint>,
         conjuncts: &[Expr],
+        consumed: &mut [bool],
         limit1: bool,
     ) -> Result<PathScanConfig> {
         // The namespace visible to anchor/pushdown right-hand sides: the
@@ -641,8 +668,8 @@ impl<'a> Planner<'a> {
         // ---- length window (§6.1) ----
         let (mut min_len, mut max_len) = (0usize, None::<usize>);
         if self.flags.length_inference {
-            for c in conjuncts {
-                apply_length_bounds(c, binding, &mut min_len, &mut max_len);
+            for (c, done) in conjuncts.iter().zip(consumed.iter_mut()) {
+                *done |= apply_length_bounds(c, binding, &mut min_len, &mut max_len);
             }
         }
         let explicit_max_len = max_len.is_some();
@@ -654,7 +681,7 @@ impl<'a> Planner<'a> {
 
         // ---- anchors ----
         let mut start = StartSource::AllVertexes;
-        for c in conjuncts {
+        for (c, done) in conjuncts.iter().zip(consumed.iter_mut()) {
             if let Some(rhs) = anchor_rhs(c, binding, true) {
                 if let Ok(pe) = compile(rhs, outer_ns) {
                     start = if pe.is_constant() {
@@ -662,6 +689,7 @@ impl<'a> Planner<'a> {
                     } else {
                         StartSource::Probe(pe)
                     };
+                    *done = true;
                     break;
                 }
             }
@@ -736,6 +764,7 @@ impl<'a> Planner<'a> {
             agg_preds,
             lazy: self.flags.lazy_path_scan,
             reachability,
+            emit: Emit::Paths,
         })
     }
 
@@ -794,6 +823,19 @@ impl<'a> Planner<'a> {
             arg: Some(arg),
         })
     }
+}
+
+/// `COUNT(*)`, or `COUNT(P)` of a path binding (never NULL): over a path
+/// scan's one-column rows, the number of paths.
+fn counts_every_path(spec: &AggSpec) -> bool {
+    spec.func == AggFunc::Count
+        && matches!(
+            spec.arg,
+            None | Some(PhysExpr::PathProp {
+                prop: PathProp::Whole,
+                ..
+            })
+        )
 }
 
 /// Derive an output column name from a projection expression.
@@ -1113,34 +1155,51 @@ fn mentions_binding(expr: &Expr, binding: &str) -> bool {
     }
 }
 
+/// Intersect the length window with `lo..=hi` (either side open). A
+/// negative upper bound admits no length at all: the window becomes the
+/// empty `1..=0`, so it stays exact.
+fn narrow(min_len: &mut usize, max_len: &mut Option<usize>, lo: Option<i64>, hi: Option<i64>) {
+    if let Some(lo) = lo {
+        *min_len = (*min_len).max(usize::try_from(lo).unwrap_or(0));
+    }
+    if let Some(hi) = hi {
+        let hi = usize::try_from(hi).unwrap_or_else(|_| {
+            *min_len = (*min_len).max(1);
+            0
+        });
+        *max_len = Some(max_len.map_or(hi, |m| m.min(hi)));
+    }
+}
+
 /// Update `[min, max]` length bounds from one conjunct (§6.1): explicit
 /// `ps.Length` comparisons with integer literals, plus implicit bounds from
 /// indexed references anywhere in the conjunct. Returns `true` iff the
-/// conjunct was recognized as an *explicit* length constraint.
+/// conjunct was recognized as an *explicit* length constraint — one the
+/// window then expresses exactly, so a scan over it need not re-check it.
 fn apply_length_bounds(
     conjunct: &Expr,
     binding: &str,
     min_len: &mut usize,
     max_len: &mut Option<usize>,
 ) -> bool {
+    let is_len_ref = |e: &Expr| -> bool {
+        matches!(e, Expr::CompoundRef(parts)
+            if parts.len() == 2
+                && parts[0].name.eq_ignore_ascii_case(binding)
+                && parts[1].name.eq_ignore_ascii_case("length")
+                && parts.iter().all(|p| p.index.is_none()))
+    };
+    let as_lit = |e: &Expr| -> Option<i64> {
+        match e {
+            Expr::Literal(grfusion_common::Value::Integer(i)) => Some(*i),
+            _ => None,
+        }
+    };
     // Explicit PS.Length op literal.
     if let Expr::Binary { left, op, right } = conjunct {
-        let as_len_ref = |e: &Expr| -> bool {
-            matches!(e, Expr::CompoundRef(parts)
-                if parts.len() == 2
-                    && parts[0].name.eq_ignore_ascii_case(binding)
-                    && parts[1].name.eq_ignore_ascii_case("length")
-                    && parts.iter().all(|p| p.index.is_none()))
-        };
-        let as_lit = |e: &Expr| -> Option<i64> {
-            match e {
-                Expr::Literal(grfusion_common::Value::Integer(i)) => Some(*i),
-                _ => None,
-            }
-        };
-        let (len_side, lit, op) = if as_len_ref(left) {
-            (true, as_lit(right), *op)
-        } else if as_len_ref(right) {
+        let (lit, op) = if is_len_ref(left) {
+            (as_lit(right), *op)
+        } else if is_len_ref(right) {
             // mirror the operator: lit OP len  ≡  len OP' lit
             let mirrored = match op {
                 BinaryOp::Lt => BinaryOp::Gt,
@@ -1149,29 +1208,21 @@ fn apply_length_bounds(
                 BinaryOp::GtEq => BinaryOp::LtEq,
                 other => *other,
             };
-            (true, as_lit(left), mirrored)
+            (as_lit(left), mirrored)
         } else {
-            (false, None, *op)
+            (None, *op)
         };
-        if len_side {
-            if let Some(k) = lit {
-                let k = k.max(0) as usize;
-                match op {
-                    BinaryOp::Eq => {
-                        *min_len = (*min_len).max(k);
-                        *max_len = Some(max_len.map_or(k, |m| m.min(k)));
-                    }
-                    BinaryOp::LtEq => *max_len = Some(max_len.map_or(k, |m| m.min(k))),
-                    BinaryOp::Lt => {
-                        let k = k.saturating_sub(1);
-                        *max_len = Some(max_len.map_or(k, |m| m.min(k)));
-                    }
-                    BinaryOp::GtEq => *min_len = (*min_len).max(k),
-                    BinaryOp::Gt => *min_len = (*min_len).max(k + 1),
-                    _ => return false, // e.g. Length <> k: not a window bound
-                }
-                return true;
-            }
+        if let Some(k) = lit {
+            let (lo, hi) = match op {
+                BinaryOp::Eq => (Some(k), Some(k)),
+                BinaryOp::LtEq => (None, Some(k)),
+                BinaryOp::Lt => (None, Some(k.saturating_sub(1))),
+                BinaryOp::GtEq => (Some(k), None),
+                BinaryOp::Gt => (Some(k.saturating_add(1)), None),
+                _ => return false, // e.g. Length <> k: not a window bound
+            };
+            narrow(min_len, max_len, lo, hi);
+            return true;
         }
     }
     // PS.Length BETWEEN a AND b.
@@ -1182,21 +1233,9 @@ fn apply_length_bounds(
         negated: false,
     } = conjunct
     {
-        if matches!(expr.as_ref(), Expr::CompoundRef(parts)
-            if parts.len() == 2
-                && parts[0].name.eq_ignore_ascii_case(binding)
-                && parts[1].name.eq_ignore_ascii_case("length"))
-        {
-            if let (
-                Expr::Literal(grfusion_common::Value::Integer(a)),
-                Expr::Literal(grfusion_common::Value::Integer(b)),
-            ) = (low.as_ref(), high.as_ref())
-            {
-                *min_len = (*min_len).max((*a).max(0) as usize);
-                let b = (*b).max(0) as usize;
-                *max_len = Some(max_len.map_or(b, |m| m.min(b)));
-                return true;
-            }
+        if let (true, Some(a), Some(b)) = (is_len_ref(expr), as_lit(low), as_lit(high)) {
+            narrow(min_len, max_len, Some(a), Some(b));
+            return true;
         }
     }
     // Implicit minimums from indexed references anywhere in the conjunct.

@@ -169,6 +169,14 @@ pub(crate) trait Operator<'e> {
         None
     }
 
+    /// Paths a counting scan (`Emit::Count`) has folded into its one row:
+    /// the cardinality `EXPLAIN ANALYZE` prints as `paths=`, and what the
+    /// governor's per-row check clock advances by. `None` for every
+    /// operator that emits what it enumerates.
+    fn counted(&self) -> Option<u64> {
+        None
+    }
+
     /// Cumulative bytes this operator charged to the memory accountant and
     /// governor checks it performed itself. `None` when it does neither.
     fn governor_stats(&self) -> Option<GovCounters> {

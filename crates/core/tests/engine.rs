@@ -764,6 +764,49 @@ fn ablation_flags_do_not_change_results() {
     }
 }
 
+/// The start anchor and the `Length` bounds are consumed by the scan — no
+/// residual filter re-checks them — so the scan must enforce them exactly
+/// as the filter would have, including at the values a seed lookup or a
+/// `usize` window could round: a non-integral or NULL anchor names no
+/// vertex, a negative upper bound admits no length, a negative lower bound
+/// admits every length. With `length_inference` off the bounds are checked
+/// by the residual filter instead; the two must agree.
+#[test]
+fn consumed_anchor_and_length_conjuncts_are_exact() {
+    let cases: [(&str, &[&str]); 10] = [
+        ("PS.StartVertex.Id = 4", &["4", "4->5"]),
+        ("PS.StartVertex.Id = 4.0", &["4", "4->5"]),
+        ("4 = PS.StartVertex.Id AND PS.Length >= 1", &["4->5"]),
+        ("PS.StartVertex.Id = 4.5", &[]),
+        ("PS.StartVertex.Id = NULL", &[]),
+        ("PS.StartVertex.Id = 4 AND PS.StartVertex.Id = 5", &[]),
+        ("PS.StartVertex.Id = 4 AND PS.Length > -1", &["4", "4->5"]),
+        ("PS.StartVertex.Id = 4 AND PS.Length < 0", &[]),
+        ("PS.StartVertex.Id = 4 AND PS.Length BETWEEN -2 AND 0", &["4"]),
+        ("PS.StartVertex.Id = 4 AND -1 >= PS.Length", &[]),
+    ];
+    for length_inference in [true, false] {
+        let db = road_db();
+        let mut cfg = db.config();
+        cfg.optimizer.length_inference = length_inference;
+        db.set_config(cfg);
+        for (predicate, expected) in cases {
+            let paths: Vec<String> = expected.iter().map(|p| p.to_string()).collect();
+            for (select, want) in [
+                ("PS.PathString", paths.clone()),
+                ("COUNT(PS)", vec![paths.len().to_string()]),
+            ] {
+                let sql = format!("SELECT {select} FROM RoadNetwork.Paths PS WHERE {predicate}");
+                assert_eq!(
+                    texts(&db.execute(&sql).unwrap()),
+                    want,
+                    "length_inference={length_inference}: {sql}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn explain_shows_cross_model_pipeline() {
     let db = social_db();

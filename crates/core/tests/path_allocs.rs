@@ -1,0 +1,146 @@
+//! Heap allocations per statement on the path pipeline, as an exact,
+//! repeatable count.
+//!
+//! A path scan used to pay four allocations for every path it produced (the
+//! view-name `String`, two id vectors, the `Arc`), BFS two more per
+//! expanded hop (the forked prefix), and `COUNT(P)` four again to deep-copy
+//! a value the row already held. Now a scan that only counts materializes
+//! nothing — its allocations do not depend on how many paths it counts —
+//! and a path that is emitted costs two (one id buffer, the `Arc`) and
+//! nothing per hop. This test pins both, on a fixture of `legs` two-hop
+//! legs out of one hub (`hub -> leaf_i -> tail_i`), so the anchored scan
+//! finds `legs` one-hop and `legs` two-hop paths.
+//!
+//! Everything runs in one `#[test]` on one thread, and the counter is
+//! thread-local, so other tests' allocations never leak in.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use grfusion::{Database, Value};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: defers every operation to `System` unchanged; the only addition
+// is a thread-local counter bump, which neither allocates nor unwinds
+// (`try_with` declines quietly while the thread's locals are torn down).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: same layout, forwarded.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: `ptr` came from `System.alloc` with this layout.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations a statement may cost whatever it finds: the operator tree
+/// (one box per node, plus its contract and label in debug builds), the
+/// bound filter, the seed list, the traversal's stacks, and the doublings
+/// of the few vectors that grow with the result (the batch arena, the
+/// result vector, BFS's 20-byte-per-path arena) up to the largest fixture.
+const C: u64 = 64;
+
+/// `hub(0) -> leaf_i -> tail_i` for `i` in `1..=legs`.
+fn fixture(legs: i64) -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")
+        .unwrap();
+    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
+        .unwrap();
+    let vertexes = (0..=2 * legs).map(|id| vec![Value::Integer(id)]).collect();
+    let edges = (1..=legs)
+        .flat_map(|i| [(i, 0, i), (legs + i, i, legs + i)])
+        .map(|(id, a, b)| vec![Value::Integer(id), Value::Integer(a), Value::Integer(b)])
+        .collect();
+    db.bulk_insert("v", vertexes).unwrap();
+    db.bulk_insert("e", edges).unwrap();
+    db.execute(
+        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v EDGES(ID = id, FROM = a, TO = b) FROM e",
+    )
+    .unwrap();
+    db
+}
+
+/// Allocations inside `execute_prepared`, checked to repeat exactly, and
+/// the statement's rows.
+fn allocations(db: &Database, sql: &str) -> (u64, Vec<Vec<Value>>) {
+    let query = db.prepare(sql).unwrap();
+    let mut runs = Vec::new();
+    for _ in 0..2 {
+        let before = ALLOCATIONS.with(Cell::get);
+        let rs = db.execute_prepared(&query, &[]).unwrap();
+        let spent = ALLOCATIONS.with(Cell::get) - before;
+        runs.push((spent, rs.rows));
+    }
+    assert_eq!(runs[0], runs[1], "{sql}: count does not repeat");
+    runs.swap_remove(0)
+}
+
+#[test]
+fn counting_allocates_nothing_per_path_and_emitting_two() {
+    let count = |hint: &str| {
+        format!(
+            "SELECT COUNT(P) FROM g.Paths P {hint} \
+             WHERE P.StartVertex.Id = 0 AND P.Length >= 1 AND P.Length <= 2"
+        )
+    };
+    let neighbours =
+        "SELECT PS.EndVertex.Id FROM g.Paths PS WHERE PS.StartVertex.Id = 0 AND PS.Length = 1";
+
+    let mut dfs_counts = Vec::new();
+    for legs in [5i64, 50, 500] {
+        let db = fixture(legs);
+        let paths = 2 * legs as u64;
+
+        // DFS holds one stack however many paths pass over it: the same
+        // allocations at 10, 100 and 1000 paths.
+        let (dfs, rows) = allocations(&db, &count("HINT(DFS)"));
+        assert_eq!(rows, [[Value::Integer(2 * legs)]]);
+        dfs_counts.push(dfs);
+
+        // BFS (what the default `Auto` picks here: fan-out < 2) keeps its
+        // queue, which grows by doubling — a logarithm of the paths, not
+        // a multiple.
+        let (bfs, rows) = allocations(&db, &count(""));
+        assert_eq!(rows, [[Value::Integer(2 * legs)]]);
+        let doublings = u64::from(paths.ilog2()) + 1;
+        println!("{paths} paths counted: {dfs} allocations (DFS), {bfs} (BFS)");
+        assert!(dfs <= C, "{paths} paths counted in {dfs} allocations");
+        assert!(
+            bfs <= dfs + doublings,
+            "{paths} paths: BFS count took {bfs} allocations, DFS {dfs}, {doublings} doublings"
+        );
+
+        // Emitted paths: an id buffer and an `Arc` each, then the one
+        // allocation every result row costs at the collector.
+        let (spent, rows) = allocations(&db, neighbours);
+        let (paths, result_rows) = (legs as u64, rows.len() as u64);
+        assert_eq!(result_rows, paths);
+        println!("{paths} paths emitted: {spent} allocations for {result_rows} result rows");
+        assert!(
+            spent <= 2 * paths + result_rows + C,
+            "{spent} allocations > 2·{paths} paths + {result_rows} rows + {C}"
+        );
+    }
+    assert!(
+        dfs_counts.windows(2).all(|w| w[0] == w[1]),
+        "COUNT(P) allocations vary with the paths counted: {dfs_counts:?}"
+    );
+}

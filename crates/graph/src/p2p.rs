@@ -34,7 +34,7 @@ pub fn hop_minimal_path<F: TraversalFilter>(
     }
     stats.vertices_visited += 1;
     if source == target {
-        let seed = PathData::seed(graph.name(), graph.vertex_id(source));
+        let seed = PathData::seed(graph.shared_name(), graph.vertex_id(source));
         return (Some(seed), stats);
     }
     let found = with_scratch(|scratch| {

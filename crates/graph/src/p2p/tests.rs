@@ -60,12 +60,12 @@ fn reference_bfs<F: TraversalFilter>(
                 }
                 vs.reverse();
                 es.reverse();
-                return Some(PathData {
-                    graph_view: topo.name().to_string(),
-                    vertexes: vs.iter().map(|&s| topo.vertex_id(s)).collect(),
-                    edges: es.iter().map(|&s| topo.edge_id(s)).collect(),
-                    cost: 0.0,
-                });
+                return Some(PathData::new(
+                    topo.shared_name(),
+                    vs.iter().map(|&s| topo.vertex_id(s)),
+                    es.iter().map(|&s| topo.edge_id(s)),
+                    0.0,
+                ));
             }
             queue.push_back((t, depth + 1));
         }
@@ -174,31 +174,31 @@ fn check_path(
     max_len: usize,
     f: &Modular,
 ) -> Result<()> {
-    assert_eq!(p.vertexes.len(), p.edges.len() + 1);
+    assert_eq!(p.vertexes().len(), p.edges().len() + 1);
     assert!(p.length() <= max_len, "{} hops > {max_len}", p.length());
-    assert_eq!(p.vertexes.first(), Some(&g.vertex_id(s)));
-    assert_eq!(p.vertexes.last(), Some(&g.vertex_id(t)));
-    let mut seen = p.vertexes.clone();
+    assert_eq!(p.vertexes().first(), Some(&g.vertex_id(s)));
+    assert_eq!(p.vertexes().last(), Some(&g.vertex_id(t)));
+    let mut seen = p.vertexes().to_vec();
     seen.sort_unstable();
     seen.dedup();
     assert_eq!(
         seen.len(),
-        p.vertexes.len(),
+        p.vertexes().len(),
         "path revisits a vertex: {p:?}"
     );
-    for (i, &v) in p.vertexes.iter().enumerate() {
+    for (i, &v) in p.vertexes().iter().enumerate() {
         assert!(
             f.vertex_allowed(g, g.vertex_slot(v)?, i),
             "vertex {v} is filtered"
         );
     }
-    for (i, &eid) in p.edges.iter().enumerate() {
+    for (i, &eid) in p.edges().iter().enumerate() {
         let e = g.edge_slot(eid)?;
         assert!(f.edge_allowed(g, e, i), "edge {eid} is filtered");
         let (from, to) = g.edge_endpoints(e);
         let hop = (
-            g.vertex_slot(p.vertexes[i])?,
-            g.vertex_slot(p.vertexes[i + 1])?,
+            g.vertex_slot(p.vertexes()[i])?,
+            g.vertex_slot(p.vertexes()[i + 1])?,
         );
         assert!(
             hop == (from, to) || (!g.directed() && hop == (to, from)),

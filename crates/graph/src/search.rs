@@ -139,10 +139,10 @@ pub(crate) fn snapshot(
     edges: &[EdgeSlot],
     cost: f64,
 ) -> PathData {
-    PathData {
-        graph_view: graph.name().to_string(),
-        vertexes: vertexes.iter().map(|&s| graph.vertex_id(s)).collect(),
-        edges: edges.iter().map(|&s| graph.edge_id(s)).collect(),
+    PathData::new(
+        graph.shared_name(),
+        vertexes.iter().map(|&s| graph.vertex_id(s)),
+        edges.iter().map(|&s| graph.edge_id(s)),
         cost,
-    }
+    )
 }

@@ -138,7 +138,9 @@ impl std::fmt::Display for TopologyLayout {
 /// across the serial-execution boundary.
 #[derive(Debug, Clone)]
 pub struct GraphTopology {
-    name: String,
+    /// Shared with every path traversed from this topology
+    /// ([`GraphTopology::shared_name`]).
+    name: std::sync::Arc<str>,
     directed: bool,
     vertexes: Vec<VertexNode>,
     edges: Vec<EdgeNode>,
@@ -242,7 +244,7 @@ fn bucket_upper_degree(bucket: usize) -> usize {
 impl GraphTopology {
     pub fn new(name: impl Into<String>, directed: bool) -> Self {
         GraphTopology {
-            name: name.into(),
+            name: name.into().into(),
             directed,
             vertexes: Vec::new(),
             edges: Vec::new(),
@@ -275,6 +277,12 @@ impl GraphTopology {
 
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The view name as the handle paths carry in `PathData::graph_view`:
+    /// a refcount, not a copy.
+    pub fn shared_name(&self) -> std::sync::Arc<str> {
+        self.name.clone()
     }
 
     pub fn directed(&self) -> bool {

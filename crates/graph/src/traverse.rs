@@ -18,7 +18,8 @@
 use grfusion_common::PathData;
 
 use crate::filter::TraversalFilter;
-use crate::topology::{EdgeSlot, GraphTopology, TopologyView, VertexSlot};
+use crate::search::snapshot;
+use crate::topology::{ix, EdgeSlot, GraphTopology, TopologyView, VertexSlot};
 
 /// Traversal parameters shared by DFS and BFS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,19 +50,11 @@ impl TraversalSpec {
     }
 }
 
-/// Snapshot a slot-form path into user-id form.
-fn snapshot(
-    graph: &GraphTopology,
-    vertexes: &[VertexSlot],
-    edges: &[EdgeSlot],
-) -> PathData {
-    PathData {
-        graph_view: graph.name().to_string(),
-        vertexes: vertexes.iter().map(|&s| graph.vertex_id(s)).collect(),
-        edges: edges.iter().map(|&s| graph.edge_id(s)).collect(),
-        cost: 0.0,
-    }
-}
+// Both enumerators split a step in two. `advance()` moves to the next
+// qualifying path and does all the traversal work — adjacency walks, filter
+// calls, counters — without allocating (prefix checks aside); `current()`
+// materializes the path `advance()` stopped on. A consumer that only counts
+// paths never calls `current()`; `Iterator::next` is the two composed.
 
 // ---------------------------------------------------------------------------
 // Depth-first
@@ -83,6 +76,9 @@ pub struct DfsPaths<'g, F: TraversalFilter> {
     path_vertexes: Vec<VertexSlot>,
     path_edges: Vec<EdgeSlot>,
     cursors: Vec<usize>,
+    /// The current path as its prefix check materialized it, so `current()`
+    /// does not build it a second time.
+    checked: Option<PathData>,
     /// Peak stack depth observed (ablation metric).
     max_depth: usize,
     /// Total edges examined (work metric).
@@ -108,6 +104,7 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
             path_vertexes: Vec::new(),
             path_edges: Vec::new(),
             cursors: Vec::new(),
+            checked: None,
             max_depth: 0,
             edges_examined: 0,
             vertices_visited: 0,
@@ -141,21 +138,30 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
         }
     }
 
-    fn current_snapshot(&self) -> PathData {
-        snapshot(self.graph, &self.path_vertexes, &self.path_edges)
+    /// The path on the stack, in user-visible ids.
+    fn stacked(&self) -> PathData {
+        snapshot(self.graph, &self.path_vertexes, &self.path_edges, 0.0)
     }
-}
 
-impl<'g, F: TraversalFilter> Iterator for DfsPaths<'g, F> {
-    type Item = PathData;
+    /// Length (edges) of the path `advance()` stopped on.
+    pub fn depth(&self) -> usize {
+        self.path_edges.len()
+    }
 
-    fn next(&mut self) -> Option<PathData> {
+    /// Materialize the path `advance()` stopped on.
+    pub fn current(&mut self) -> PathData {
+        self.checked.take().unwrap_or_else(|| self.stacked())
+    }
+
+    /// Move to the next qualifying path; `false` once there is none.
+    pub fn advance(&mut self) -> bool {
+        self.checked = None;
         loop {
             // Start a new seed when the stack is empty.
             if self.path_vertexes.is_empty() {
                 let seed = loop {
                     if self.next_seed >= self.seeds.len() {
-                        return None;
+                        return false;
                     }
                     let s = self.seeds[self.next_seed];
                     self.next_seed += 1;
@@ -168,7 +174,7 @@ impl<'g, F: TraversalFilter> Iterator for DfsPaths<'g, F> {
                 self.vertices_visited += 1;
                 self.max_depth = self.max_depth.max(1);
                 if self.spec.min_len == 0 {
-                    return Some(self.current_snapshot());
+                    return true;
                 }
                 continue;
             }
@@ -206,16 +212,15 @@ impl<'g, F: TraversalFilter> Iterator for DfsPaths<'g, F> {
                     self.vertices_visited += 1;
                     self.max_depth = self.max_depth.max(self.path_vertexes.len());
                     if self.spec.check_prefixes {
-                        let snap = self.current_snapshot();
+                        let snap = self.stacked();
                         if !self.filter.prefix_allowed(self.graph, &snap) {
                             self.pop();
                             continue;
                         }
-                        if snap.length() >= self.spec.min_len {
-                            return Some(snap);
-                        }
-                    } else if self.path_edges.len() >= self.spec.min_len {
-                        return Some(self.current_snapshot());
+                        self.checked = Some(snap);
+                    }
+                    if self.path_edges.len() >= self.spec.min_len {
+                        return true;
                     }
                     extended = true;
                     break;
@@ -228,22 +233,50 @@ impl<'g, F: TraversalFilter> Iterator for DfsPaths<'g, F> {
     }
 }
 
+impl<'g, F: TraversalFilter> Iterator for DfsPaths<'g, F> {
+    type Item = PathData;
+
+    fn next(&mut self) -> Option<PathData> {
+        self.advance().then(|| self.current())
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Breadth-first
 // ---------------------------------------------------------------------------
 
+/// One enumerated path in the BFS arena: its last hop plus a pointer to the
+/// node of the path it extends, so a path costs 20 bytes however long it is.
+#[derive(Clone, Copy)]
+struct BfsNode {
+    /// Arena index of the prefix this path extends (a seed points at itself).
+    parent: u32,
+    vertex: VertexSlot,
+    /// The edge that reached `vertex` (unused on a seed).
+    edge: EdgeSlot,
+    /// Edges on the path.
+    depth: u32,
+    /// The path returned to its start vertex, so it is never extended.
+    closed: bool,
+}
+
 /// BFS over simple paths from a set of start vertexes.
 ///
-/// The queue holds compact slot-form path descriptors; its peak size is the
-/// `F^L` frontier bound from §6.3 (the reason the optimizer prefers BFS
-/// only when the fan-out is small relative to the target length).
+/// Every path enumerated so far is a node in a parent-pointer arena,
+/// appended in discovery order — which is FIFO order, so the queue is the
+/// arena's unexpanded tail `[head..]`. Its peak length is the `F^L` frontier
+/// bound from §6.3 (the reason the optimizer prefers BFS only when the
+/// fan-out is small relative to the target length).
 pub struct BfsPaths<'g, F: TraversalFilter> {
     graph: &'g GraphTopology,
     /// Unified adjacency accessor (sealed CSR or delta overlay).
     view: TopologyView<'g>,
     filter: F,
     spec: TraversalSpec,
-    queue: std::collections::VecDeque<(Vec<VertexSlot>, Vec<EdgeSlot>)>,
+    arena: Vec<BfsNode>,
+    /// Next arena node to expand; the one before it is the node
+    /// `advance()` stopped on.
+    head: usize,
     max_frontier: usize,
     edges_examined: u64,
     /// Vertexes enqueued onto the frontier (work metric).
@@ -257,20 +290,28 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
         spec: TraversalSpec,
         filter: F,
     ) -> Self {
-        let mut queue = std::collections::VecDeque::new();
+        let mut arena = Vec::with_capacity(seeds.len());
         for s in seeds {
             if filter.vertex_allowed(graph, s, 0) {
-                queue.push_back((vec![s], Vec::new())); // alloc-ok: one-time seed initialization
+                let parent = arena_index(arena.len());
+                arena.push(BfsNode {
+                    parent,
+                    vertex: s,
+                    edge: 0,
+                    depth: 0,
+                    closed: false,
+                });
             }
         }
-        let max_frontier = queue.len();
-        let vertices_visited = queue.len() as u64;
+        let max_frontier = arena.len();
+        let vertices_visited = arena.len() as u64; // cast-ok: usize -> u64 widening
         BfsPaths {
             graph,
             view: graph.view(),
             filter,
             spec,
-            queue,
+            arena,
+            head: 0,
             max_frontier,
             edges_examined: 0,
             vertices_visited,
@@ -293,57 +334,108 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
     pub fn filter(&self) -> &F {
         &self.filter
     }
+
+    /// Whether extending the path at `node` over `e` to `t` keeps it
+    /// simple — no intermediate vertex revisited, no edge reused — and if
+    /// so, whether it closes a simple cycle by returning to the start.
+    fn extension(&self, mut node: BfsNode, e: EdgeSlot, t: VertexSlot) -> Option<bool> {
+        let mut edge_reused = false;
+        while node.depth > 0 {
+            if node.vertex == t {
+                return None;
+            }
+            edge_reused |= node.edge == e;
+            node = self.arena[ix(node.parent)];
+        }
+        let closes = node.vertex == t;
+        (!(closes && edge_reused)).then_some(closes)
+    }
+
+    /// The path ending at arena node `at`, in user-visible ids: the parent
+    /// chain is walked once, filling the id buffer from the back.
+    fn path_at(&self, at: usize) -> PathData {
+        let mut node = self.arena[at];
+        let len = ix(node.depth);
+        let mut ids = vec![0; 2 * len + 1];
+        for i in (1..=len).rev() {
+            ids[i] = self.graph.vertex_id(node.vertex);
+            ids[len + i] = self.graph.edge_id(node.edge);
+            node = self.arena[ix(node.parent)];
+        }
+        ids[0] = self.graph.vertex_id(node.vertex);
+        PathData::from_ids(self.graph.shared_name(), ids, 0.0)
+    }
+
+    /// Length (edges) of the path `advance()` stopped on.
+    pub fn depth(&self) -> usize {
+        ix(self.arena[self.head - 1].depth)
+    }
+
+    /// Materialize the path `advance()` stopped on.
+    pub fn current(&self) -> PathData {
+        self.path_at(self.head - 1)
+    }
+
+    /// Move to the next qualifying path; `false` once there is none.
+    pub fn advance(&mut self) -> bool {
+        while let Some(&node) = self.arena.get(self.head) {
+            let at = self.head;
+            self.head += 1;
+            let depth = ix(node.depth);
+            // Expand children first so the emitted path's successors are
+            // queued even when we return below. Closed paths (returned to
+            // their start) are never extended.
+            if depth < self.spec.max_len && !node.closed {
+                for (e, t) in self.view.out_hops(node.vertex) {
+                    self.edges_examined += 1;
+                    if !self.filter.edge_allowed(self.graph, e, depth) {
+                        continue;
+                    }
+                    let Some(closed) = self.extension(node, e, t) else {
+                        continue;
+                    };
+                    if !self.filter.vertex_allowed(self.graph, t, depth + 1) {
+                        continue;
+                    }
+                    self.arena.push(BfsNode {
+                        parent: arena_index(at),
+                        vertex: t,
+                        edge: e,
+                        depth: node.depth + 1,
+                        closed,
+                    });
+                    if self.spec.check_prefixes {
+                        let snap = self.path_at(self.arena.len() - 1);
+                        if !self.filter.prefix_allowed(self.graph, &snap) {
+                            self.arena.pop();
+                            continue;
+                        }
+                    }
+                    self.vertices_visited += 1;
+                }
+                self.max_frontier = self.max_frontier.max(self.arena.len() - self.head);
+            }
+            if depth >= self.spec.min_len {
+                return true;
+            }
+        }
+        false
+    }
 }
 
 impl<'g, F: TraversalFilter> Iterator for BfsPaths<'g, F> {
     type Item = PathData;
 
     fn next(&mut self) -> Option<PathData> {
-        while let Some((vertexes, edges)) = self.queue.pop_front() {
-            let depth = edges.len();
-            // Expand children first so the emitted path's successors are
-            // queued even when we return below. Closed paths (returned to
-            // their start) are never extended.
-            let v = *vertexes.last().expect("non-empty path");
-            let is_closed = depth > 0 && v == vertexes[0];
-            if depth < self.spec.max_len && !is_closed {
-                for (e, t) in self.view.out_hops(v) {
-                    self.edges_examined += 1;
-                    if !self.filter.edge_allowed(self.graph, e, depth) {
-                        continue;
-                    }
-                    // Simple paths: no intermediate revisit, no edge reuse;
-                    // returning to the start closes a simple cycle.
-                    if vertexes[1..].contains(&t) {
-                        continue;
-                    }
-                    if t == vertexes[0] && edges.contains(&e) {
-                        continue;
-                    }
-                    if !self.filter.vertex_allowed(self.graph, t, depth + 1) {
-                        continue;
-                    }
-                    let mut cv = vertexes.clone(); // alloc-ok: PATH output forks the prefix per expansion
-                    cv.push(t);
-                    let mut ce = edges.clone(); // alloc-ok: PATH output forks the prefix per expansion
-                    ce.push(e);
-                    if self.spec.check_prefixes {
-                        let snap = snapshot(self.graph, &cv, &ce);
-                        if !self.filter.prefix_allowed(self.graph, &snap) {
-                            continue;
-                        }
-                    }
-                    self.vertices_visited += 1;
-                    self.queue.push_back((cv, ce));
-                }
-                self.max_frontier = self.max_frontier.max(self.queue.len());
-            }
-            if depth >= self.spec.min_len {
-                return Some(snapshot(self.graph, &vertexes, &edges));
-            }
-        }
-        None
+        self.advance().then(|| self.current())
     }
+}
+
+/// An arena position as a parent pointer. The arena holds one node per
+/// enumerated path; a traversal that outgrows `u32` positions has long
+/// since exhausted memory, so overflow is a broken invariant, not an input.
+fn arena_index(at: usize) -> u32 {
+    u32::try_from(at).expect("BFS arena outgrew u32 parent pointers")
 }
 
 #[cfg(test)]

@@ -35,9 +35,9 @@ proptest! {
         let seed = g.vertex_slot(0).unwrap();
         let spec = TraversalSpec::new(0, max);
         let mut dfs: Vec<Vec<i64>> =
-            DfsPaths::new(&g, vec![seed], spec, NoFilter).map(|p| p.edges).collect();
+            DfsPaths::new(&g, vec![seed], spec, NoFilter).map(|p| p.edges().to_vec()).collect();
         let mut bfs: Vec<Vec<i64>> =
-            BfsPaths::new(&g, vec![seed], spec, NoFilter).map(|p| p.edges).collect();
+            BfsPaths::new(&g, vec![seed], spec, NoFilter).map(|p| p.edges().to_vec()).collect();
         dfs.sort();
         bfs.sort();
         prop_assert_eq!(dfs, bfs);

@@ -291,6 +291,30 @@ fn dataset_of(db: &Database, directed: bool) -> Dataset {
     }
 }
 
+/// Ungrouped `COUNT`s directly over a path scan. The first six plan as
+/// counting scans (`emit=count`: the traversal counts, no path is built);
+/// the pushed predicate of the last stays residual, so it keeps its
+/// aggregate. Every lane below replays them; the layout × worker lane
+/// compares them against the plan that materializes every path.
+const COUNT_QUERIES: [&str; 7] = [
+    "SELECT COUNT(P) FROM g.Paths P WHERE P.StartVertex.Id = 0 AND P.Length >= 1 AND P.Length <= 2",
+    "SELECT COUNT(*) FROM g.Paths P HINT(DFS) WHERE P.StartVertex.Id = 1 AND P.Length <= 3",
+    "SELECT COUNT(P), COUNT(*) FROM g.Paths P HINT(BFS) \
+     WHERE P.StartVertex.Id = 1 AND P.Length >= 2 AND P.Length <= 3",
+    "SELECT COUNT(P) FROM g.Paths P HINT(DFS) WHERE P.Length >= 1 AND P.Length <= 2",
+    "SELECT COUNT(*) FROM g.Paths P HINT(BFS) WHERE P.Length = 2",
+    "SELECT COUNT(P) FROM g.Paths P WHERE P.Length = 3 AND P.Length = 2",
+    "SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 2 AND P.Edges[0..*].w < 4.0",
+];
+
+/// Switch `aggregate_pushdown` (on by default): off, an ungrouped `COUNT`
+/// aggregates materialized paths instead of counting inside the scan.
+fn set_aggregate_pushdown(db: &Database, on: bool) {
+    let mut cfg = db.config();
+    cfg.optimizer.aggregate_pushdown = on;
+    db.set_config(cfg);
+}
+
 fn set_parallel(db: &Database, workers: usize, morsel_size: usize) {
     let mut cfg = db.config();
     cfg.parallel = ParallelConfig {
@@ -383,7 +407,7 @@ fn check(w: &Workload) -> Result<(), String> {
         "SELECT v.id, PS.Length FROM v, g.Paths PS WHERE PS.StartVertex.Id = v.id \
          AND PS.Length >= 1 AND PS.Length <= 2 AND 10 / (1 - v.id) > 0 LIMIT 2",
     ];
-    for sql in sized.into_iter().chain(fan_out) {
+    for sql in sized.into_iter().chain(fan_out).chain(COUNT_QUERIES) {
         let want = rows_exact(&sealed, sql);
         for rows in BATCH_ROWS {
             batch.set_batch_rows(rows);
@@ -407,8 +431,11 @@ fn check(w: &Workload) -> Result<(), String> {
         "SELECT PS.PathString, PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
          WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 1",
     ];
-    for sql in queries {
-        let reference = rows_exact(&sealed, sql)?;
+    for sql in queries.into_iter().chain(COUNT_QUERIES) {
+        set_aggregate_pushdown(&sealed, false);
+        let reference = rows_exact(&sealed, sql);
+        set_aggregate_pushdown(&sealed, true);
+        let reference = reference?;
         for (lane, db) in [("sealed", &sealed), ("plain", &plain), ("batch", &batch)] {
             for workers in [1usize, 4] {
                 set_parallel(db, workers, 2);
@@ -948,7 +975,7 @@ fn check_optimizer(w: &Workload) -> Result<(), String> {
             optimized.explain(sql).unwrap_or_else(|e| e.to_string()),
         )
     };
-    for sql in ORACLE_QUERIES.iter().chain(OPTIMIZER_QUERIES.iter()) {
+    for sql in ORACLE_QUERIES.iter().chain(&OPTIMIZER_QUERIES).chain(&COUNT_QUERIES) {
         let want = rows_exact(&reference, sql)?;
         for workers in [1usize, 4] {
             set_parallel(&optimized, workers, 2);

@@ -215,10 +215,12 @@ fn explain_cost_format_pinned_on_diamond() {
              WHERE PS.StartVertex.Id = 1 AND PS.Length = 2",
         )
         .unwrap();
+    // No Filter line: the anchor seeds the scan and `Length = 2` is its
+    // window, so both conjuncts are consumed; Project = scan rows (2) at
+    // scan cost (5) + one visit per row.
     let expected = "\
-Project(1 cols) :: (id INTEGER) rows_est=1 cost=7
-  Filter :: (ps PATH) rows_est=1 cost=7
-    PathScan(g, Auto, len 2..=2) :: (ps PATH) rows_est=2 cost=5
+Project(1 cols) :: (id INTEGER) rows_est=2 cost=7
+  PathScan(g, Auto, len 2..=2) :: (ps PATH) rows_est=2 cost=5
 ";
     assert_eq!(plan, expected);
 }

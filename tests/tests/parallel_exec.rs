@@ -120,6 +120,52 @@ fn relational_composition_runs_parallel() {
     }
 }
 
+/// Counting scans (`emit=count`) at 4 workers: the workers step over their
+/// morsels' paths and the per-worker counts are summed. The answer, the
+/// counted cardinality and the traversal counters must be the serial
+/// counting scan's — and the serial and parallel *materializing* plan's
+/// (`aggregate_pushdown` off), which enumerates the same paths.
+#[test]
+fn counting_scans_run_parallel() {
+    let db = follower_db();
+    let run = |sql: &str, workers: usize, pushdown: bool| {
+        let mut cfg = db.config();
+        cfg.optimizer.aggregate_pushdown = pushdown;
+        db.set_config(cfg);
+        set_workers(&db, workers);
+        let rs = db.execute_with_metrics(sql).unwrap();
+        let m = rs.metrics.expect("metrics requested");
+        let scan = m.node("PathScan").expect("no PathScan node").clone();
+        assert_eq!(scan.label.ends_with("emit=count)"), pushdown, "{sql}: {}", scan.label);
+        let by_workers: u64 = m.workers.iter().map(|w| w.paths).sum();
+        (rs.rows, scan.graph, scan.paths, by_workers)
+    };
+    for sql in [
+        "SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 2",
+        "SELECT COUNT(*) FROM g.Paths P HINT(DFS) WHERE P.Length >= 1 AND P.Length <= 3",
+        "SELECT COUNT(*), COUNT(P) FROM g.Paths P HINT(BFS) WHERE P.Length = 2",
+        // Anchored: one seed, one morsel — the pool declines, the serial
+        // counting scan runs.
+        "SELECT COUNT(P) FROM g.Paths P HINT(BFS) \
+         WHERE P.StartVertex.Id = 0 AND P.Length >= 1 AND P.Length <= 4",
+    ] {
+        let (rows, graph, paths, _) = run(sql, 1, true);
+        let n = rows[0][0].to_string().parse::<u64>().unwrap();
+        assert!(n > 0, "{sql}");
+        assert_eq!(paths, Some(n), "{sql}");
+
+        let (par_rows, par_graph, par_paths, by_workers) = run(sql, 4, true);
+        assert_eq!((&par_rows, par_graph, par_paths), (&rows, graph, paths), "{sql}");
+        let fanned_out = !sql.contains("StartVertex");
+        assert_eq!(by_workers, if fanned_out { n } else { 0 }, "{sql}: per-worker counts");
+
+        for workers in [1, 4] {
+            let (mat_rows, mat_graph, mat_paths, _) = run(sql, workers, false);
+            assert_eq!((&mat_rows, mat_graph, mat_paths), (&rows, graph, None), "{sql}@{workers}");
+        }
+    }
+}
+
 #[test]
 fn prepared_statements_run_parallel() {
     let db = follower_db();

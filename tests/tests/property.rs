@@ -142,21 +142,21 @@ proptest! {
         for row in &rs.rows {
             let p = row[0].as_path().unwrap();
             prop_assert!(p.length() >= 1 && p.length() <= 4);
-            prop_assert_eq!(p.vertexes.len(), p.edges.len() + 1);
+            prop_assert_eq!(p.vertexes().len(), p.edges().len() + 1);
             // intermediates unique; start may be repeated only as the end
-            let interior = &p.vertexes[1..];
+            let interior = &p.vertexes()[1..];
             let mut seen = std::collections::HashSet::new();
             for (i, v) in interior.iter().enumerate() {
-                if i == interior.len() - 1 && *v == p.vertexes[0] {
+                if i == interior.len() - 1 && *v == p.vertexes()[0] {
                     continue; // closing a cycle
                 }
                 prop_assert!(seen.insert(*v), "repeated intermediate {} in {}", v, p.path_string());
-                prop_assert!(*v != p.vertexes[0], "start revisited mid-path in {}", p.path_string());
+                prop_assert!(*v != p.vertexes()[0], "start revisited mid-path in {}", p.path_string());
             }
-            let mut e = p.edges.clone();
+            let mut e = p.edges().to_vec();
             e.sort_unstable();
             e.dedup();
-            prop_assert_eq!(e.len(), p.edges.len(), "edge reused");
+            prop_assert_eq!(e.len(), p.edges().len(), "edge reused");
         }
     }
 

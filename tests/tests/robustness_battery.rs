@@ -108,23 +108,28 @@ fn deadline_smoke(workers: usize) {
     let n = 12i64;
     let db = clique_db(n, cfg);
 
-    let start = Instant::now();
-    let err = db.execute(CLIQUE_BOMB).unwrap_err();
-    let elapsed = start.elapsed();
-    assert!(
-        matches!(
-            err,
-            Error::ResourceExhausted {
-                kind: ResourceKind::Deadline,
-                ..
-            }
-        ),
-        "workers={workers}: expected deadline abort, got {err:?}"
-    );
-    assert!(
-        elapsed < Duration::from_millis(2 * deadline_ms),
-        "workers={workers}: abort took {elapsed:?}, over 2x the {deadline_ms}ms deadline"
-    );
+    // The bomb is a counting scan; under `LIMIT 1` nothing above it pulls
+    // a second time, so the scan itself must turn a walk the deadline cut
+    // short into the typed error, never into the count of the part walked.
+    for sql in [CLIQUE_BOMB.to_string(), format!("{CLIQUE_BOMB} LIMIT 1")] {
+        let start = Instant::now();
+        let err = db.execute(&sql).unwrap_err();
+        let elapsed = start.elapsed();
+        assert!(
+            matches!(
+                err,
+                Error::ResourceExhausted {
+                    kind: ResourceKind::Deadline,
+                    ..
+                }
+            ),
+            "workers={workers}: expected deadline abort, got {err:?}"
+        );
+        assert!(
+            elapsed < Duration::from_millis(2 * deadline_ms),
+            "workers={workers}: abort took {elapsed:?}, over 2x the {deadline_ms}ms deadline"
+        );
+    }
 
     // The same database, deadline cleared, answers correctly: the abort
     // left no poisoned locks, leaked worker threads, or half-built state.
@@ -316,6 +321,115 @@ proptest! {
             (Err(se), Err(pe)) => prop_assert_eq!(se.to_string(), pe.to_string()),
             (s, p) => prop_assert!(false, "diverged: serial {:?} vs parallel {:?}",
                                    s.map(|r| r.rows.len()), p.map(|r| r.rows.len())),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Counting scans: COUNT inside the traversal is the materializing plan's
+// work and accounting, minus the paths
+// ---------------------------------------------------------------------------
+
+/// Ten ungrouped `COUNT` forms over a standalone path scan: `{C}` is the
+/// aggregate call, `{H}` the traversal hint. The first eight become
+/// counting scans; the last two carry a pushed predicate, which stays in
+/// the residual filter (the pushdown-ablation promise), so they keep the
+/// materializing plan whatever `aggregate_pushdown` says.
+fn count_forms() -> Vec<String> {
+    let anchored = "SELECT {C} FROM g.Paths P {H} \
+                    WHERE P.StartVertex.Id = 0 AND P.Length >= 1 AND P.Length <= 3";
+    let all = "SELECT {C} FROM g.Paths P {H} WHERE P.Length >= 1 AND P.Length <= 2";
+    let pushed = " AND P.Edges[0..*].w < 5.0";
+    let mut forms = Vec::new();
+    for shape in [anchored, all] {
+        for hint in ["HINT(DFS)", "HINT(BFS)"] {
+            for call in ["COUNT(*)", "COUNT(P)"] {
+                forms.push(shape.replace("{C}", call).replace("{H}", hint));
+            }
+        }
+    }
+    forms.push(format!("{anchored}{pushed}").replace("{C}", "COUNT(P)").replace("{H}", "HINT(DFS)"));
+    forms.push(format!("{all}{pushed}").replace("{C}", "COUNT(*)").replace("{H}", "HINT(BFS)"));
+    forms
+}
+
+/// Undirected, with a 2-cycle (two parallel edges 0–1) so closing a cycle
+/// and the no-edge-reuse rule are both on the counted paths, and one heavy
+/// edge for the pushed predicate to prune.
+fn two_cycle_db(cfg: EngineConfig) -> Database {
+    let db = db_with(cfg);
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
+    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE)")
+        .unwrap();
+    let vrows: Vec<Vec<Value>> = (0..6).map(|i| vec![Value::Integer(i)]).collect();
+    db.bulk_insert("v", vrows).unwrap();
+    let edges = [(0, 1, 1.0), (1, 0, 2.0), (1, 2, 1.0), (2, 3, 9.0), (2, 0, 1.0), (3, 4, 1.0), (4, 5, 1.0), (5, 3, 1.0)];
+    let erows: Vec<Vec<Value>> = edges
+        .iter()
+        .enumerate()
+        .map(|(id, &(a, b, w))| {
+            vec![Value::Integer(id as i64), Value::Integer(a), Value::Integer(b), Value::Double(w)]
+        })
+        .collect();
+    db.bulk_insert("e", erows).unwrap();
+    db.execute(
+        "CREATE UNDIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v \
+         EDGES(ID = id, FROM = a, TO = b, w = w) FROM e",
+    )
+    .unwrap();
+    db
+}
+
+#[test]
+fn counting_scan_matches_the_materializing_plan() {
+    // A memory cap nothing reaches: the governor is active, so every scan
+    // reports `checks=` and `bytes=`.
+    let mut cfg = base_config();
+    cfg.governor.max_memory_bytes = Some(1 << 40);
+    let db = two_cycle_db(cfg);
+    let set = |pushdown: bool, budget: Option<u64>| {
+        let mut cfg = db.config();
+        cfg.optimizer.aggregate_pushdown = pushdown;
+        cfg.limits.max_intermediate_rows = budget;
+        db.set_config(cfg);
+    };
+    for sql in count_forms() {
+        // The answer, and everything EXPLAIN ANALYZE says about the scan.
+        let scan_of = |pushdown: bool| {
+            set(pushdown, None);
+            let rs = db.execute_with_metrics(&sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            let m = rs.metrics.expect("metrics requested");
+            let scan = m.node("PathScan").unwrap_or_else(|| panic!("{sql}:\n{}", m.render())).clone();
+            (rs.rows, scan)
+        };
+        let (counted, counting) = scan_of(true);
+        let (expected, materializing) = scan_of(false);
+        let counts = !sql.contains("Edges[");
+        assert_eq!(counting.label.ends_with("emit=count)"), counts, "{sql}: {}", counting.label);
+        assert!(!materializing.label.contains("emit="), "{sql}: {}", materializing.label);
+        assert_eq!(counted, expected, "{sql}");
+        let Value::Integer(n) = counted[0][0] else {
+            panic!("{sql}: COUNT answered {:?}", counted[0][0]);
+        };
+        assert!(n > 3, "{sql}: fixture too small to tell plans apart ({n} paths)");
+        if counts {
+            assert_eq!((counting.rows, counting.paths), (1, Some(n as u64)), "{sql}");
+            assert_eq!((materializing.rows, materializing.paths), (n as u64, None), "{sql}");
+        }
+        assert_eq!(counting.graph, materializing.graph, "{sql}: traversal work");
+        assert_eq!(counting.gov, materializing.gov, "{sql}: governor checks / bytes");
+        assert!(counting.gov.is_some_and(|g| g.bytes > 0), "{sql}: {:?}", counting.gov);
+
+        // The row budget trips at the same path with the same error: a
+        // budget of `n` rows passes, `n - 1` does not, in either plan.
+        for budget in [0, n as u64 / 2, n as u64 - 1, n as u64] {
+            let outcome = |pushdown: bool| {
+                set(pushdown, Some(budget));
+                db.execute(&sql).map(|rs| rs.rows).map_err(|e| e.to_string())
+            };
+            let (counting, materializing) = (outcome(true), outcome(false));
+            assert_eq!(counting, materializing, "{sql}: budget {budget}");
+            assert_eq!(counting.is_ok(), budget == n as u64, "{sql}: budget {budget} of {n} paths");
         }
     }
 }

@@ -176,26 +176,61 @@ mod parallel_shape {
 /// type/nullability inference. These run on every `cargo test`.
 mod typed_explain_shape {
     use super::parallel_shape::diamond_db;
+    use grfusion::{Database, OptimizerFlags};
 
-    fn explain_lines(sql: &str) -> Vec<String> {
-        let db = diamond_db();
+    fn explain_lines_on(db: &Database, sql: &str) -> Vec<String> {
         db.explain(sql).unwrap().lines().map(str::to_string).collect()
     }
+
+    fn explain_lines(sql: &str) -> Vec<String> {
+        explain_lines_on(&diamond_db(), sql)
+    }
+
+    /// The diamond with one optimizer flag changed from the default.
+    fn diamond_with(change: impl FnOnce(&mut OptimizerFlags)) -> Database {
+        let db = diamond_db();
+        let mut cfg = db.config();
+        change(&mut cfg.optimizer);
+        db.set_config(cfg);
+        db
+    }
+
+    const ENUMERATION: &str = "SELECT PS.PathString, PS.Length FROM g.Paths PS HINT(DFS) \
+         WHERE PS.StartVertex.Id = 1 AND PS.Length >= 1 AND PS.Length <= 3 \
+         ORDER BY PS.Length LIMIT 5";
+    const ANCHORED_COUNT: &str = "SELECT COUNT(PS) FROM g.Paths PS \
+         WHERE PS.StartVertex.Id = 1 AND PS.Length >= 1 AND PS.Length <= 2";
 
     #[test]
     fn path_enumeration_schema_is_locked() {
         assert_eq!(
-            explain_lines(
-                "SELECT PS.PathString, PS.Length FROM g.Paths PS HINT(DFS) \
-                 WHERE PS.StartVertex.Id = 1 AND PS.Length >= 1 AND PS.Length <= 3 \
-                 ORDER BY PS.Length LIMIT 5"
-            ),
+            explain_lines(ENUMERATION),
             [
                 "Limit(5) :: (pathstring VARCHAR, length INTEGER)",
                 "  Project(2 cols) :: (pathstring VARCHAR, length INTEGER)",
                 "    Sort(1 keys) :: (ps PATH)",
-                "      Filter :: (ps PATH)",
-                "        PathScan(g, Dfs, len 1..=3) :: (ps PATH)",
+                "      PathScan(g, Dfs, len 1..=3) :: (ps PATH)",
+            ],
+            "no Filter: the scan is seeded at vertex 1 (start anchor consumed) and its \
+             window is exactly 1..=3 (both Length bounds consumed), so no conjunct is left"
+        );
+    }
+
+    #[test]
+    fn length_inference_off_keeps_the_length_filter() {
+        // Ablation: without §6.1 the window is the default cap, so the
+        // Length bounds are not the scan's to enforce and stay residual.
+        // The start anchor seeds the scan either way and is still consumed.
+        let db = diamond_with(|o| o.length_inference = false);
+        let cap = db.config().optimizer.default_max_path_len;
+        assert_eq!(
+            explain_lines_on(&db, ENUMERATION),
+            [
+                "Limit(5) :: (pathstring VARCHAR, length INTEGER)".to_string(),
+                "  Project(2 cols) :: (pathstring VARCHAR, length INTEGER)".to_string(),
+                "    Sort(1 keys) :: (ps PATH)".to_string(),
+                "      Filter :: (ps PATH)".to_string(),
+                format!("        PathScan(g, Dfs, len 0..={cap}) :: (ps PATH)"),
             ]
         );
     }
@@ -210,10 +245,76 @@ mod typed_explain_shape {
             [
                 "Project(2 cols) :: (length INTEGER, count INTEGER)",
                 "  Aggregate(1 groups, 1 aggs) :: (_g0 INTEGER, _a0 INTEGER)",
-                "    Filter :: (ps PATH)",
-                "      PathScan(g, Auto, len 1..=2) :: (ps PATH)",
+                "    PathScan(g, Auto, len 1..=2) :: (ps PATH)",
+            ],
+            "no Filter: both Length bounds are the window 1..=2; no emit=count: a \
+             grouped aggregate reads each path's Length, so the paths are materialized"
+        );
+    }
+
+    #[test]
+    fn ungrouped_count_is_a_counting_scan() {
+        assert_eq!(
+            explain_lines(ANCHORED_COUNT),
+            [
+                "Project(1 cols) :: (count INTEGER)",
+                "  PathScan(g, Auto, len 1..=2, emit=count) :: (_a0 INTEGER)",
+            ],
+            "anchor and both Length bounds are consumed, which leaves COUNT(PS) directly \
+             over a standalone scan: the scan counts and emits the aggregate's one row"
+        );
+        // COUNT(*), and both at once, take the same shape; one column each.
+        assert_eq!(
+            explain_lines(
+                "SELECT COUNT(*), COUNT(PS) FROM g.Paths PS HINT(BFS) WHERE PS.Length = 2"
+            ),
+            [
+                "Project(2 cols) :: (count INTEGER, count INTEGER)",
+                "  PathScan(g, Bfs, len 2..=2, emit=count) :: (_a0 INTEGER, _a1 INTEGER)",
             ]
         );
+        // A conjunct the scan does not enforce by construction (the end
+        // anchor is only ever residual) keeps the materializing plan.
+        assert_eq!(
+            explain_lines(
+                "SELECT COUNT(PS) FROM g.Paths PS \
+                 WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 4 AND PS.Length = 2"
+            ),
+            [
+                "Project(1 cols) :: (count INTEGER)",
+                "  Aggregate(0 groups, 1 aggs) :: (_a0 INTEGER)",
+                "    Filter :: (ps PATH)",
+                "      PathScan(g, Auto, len 2..=2) :: (ps PATH)",
+            ]
+        );
+    }
+
+    #[test]
+    fn aggregate_pushdown_off_keeps_the_aggregate() {
+        let db = diamond_with(|o| o.aggregate_pushdown = false);
+        assert_eq!(
+            explain_lines_on(&db, ANCHORED_COUNT),
+            [
+                "Project(1 cols) :: (count INTEGER)",
+                "  Aggregate(0 groups, 1 aggs) :: (_a0 INTEGER)",
+                "    PathScan(g, Auto, len 1..=2) :: (ps PATH)",
+            ]
+        );
+    }
+
+    #[test]
+    fn explain_analyze_keeps_the_counted_cardinality() {
+        let db = diamond_db();
+        let rs = db.execute(&format!("EXPLAIN ANALYZE {ANCHORED_COUNT}")).unwrap();
+        let text: Vec<String> = rs.rows.iter().map(|r| r[0].to_string()).collect();
+        let scan = text
+            .iter()
+            .find(|l| l.trim_start().starts_with("PathScan("))
+            .unwrap_or_else(|| panic!("no PathScan line in {text:?}"));
+        // 1->2, 1->3, 1->2->4, 1->3->4.
+        assert!(scan.contains("(rows=1 paths=4 nexts=2 "), "{scan}");
+        // Only a counting scan prints it.
+        assert!(!text.iter().any(|l| l.contains("Project") && l.contains("paths=")), "{text:?}");
     }
 
     #[test]
@@ -239,10 +340,11 @@ mod typed_explain_shape {
             ),
             [
                 "Project(2 cols) :: (id INTEGER?, length INTEGER)",
-                "  Filter :: (id INTEGER?, ps PATH)",
-                "    PathJoin(g, Auto, len 1..=1) :: (id INTEGER?, ps PATH)",
-                "      TableScan(v) :: (id INTEGER?)",
-            ]
+                "  PathJoin(g, Auto, len 1..=1) :: (id INTEGER?, ps PATH)",
+                "    TableScan(v) :: (id INTEGER?)",
+            ],
+            "no Filter: each probe is seeded from v.id (the start-anchor conjunct is the \
+             join's probe key) and walks exactly one hop (Length = 1 is the window)"
         );
     }
 }
@@ -353,12 +455,12 @@ mod explain_analyze_shape {
         let expected: u64 = paths
             .iter()
             .map(|(vs, es)| {
-                path_bytes(&PathData {
-                    graph_view: "g".into(),
-                    vertexes: vs.to_vec(),
-                    edges: es.to_vec(),
-                    cost: es.len() as f64,
-                })
+                path_bytes(&PathData::new(
+                    "g".into(),
+                    vs.iter().copied(),
+                    es.iter().copied(),
+                    es.len() as f64,
+                ))
             })
             .sum();
         let scan = m.node("PathScan").expect("no PathScan node");

@@ -4,8 +4,14 @@
 //! and executes SQL statements **serially** — the H-Store/VoltDB
 //! single-partition execution model the paper builds on (§7.2 credits part
 //! of GRFusion's speedups to this lock-free-by-construction concurrency
-//! model). `Database` is `Send + Sync`; concurrent callers simply queue on
-//! the internal mutex.
+//! model). The writer's mutex (`DbInner`) owns every live table and
+//! topology *by value*: holding it is the only way to reach one, so there
+//! is no lock below it — a statement borrows what it writes `&mut`, a read
+//! under the lock borrows it shared, and the borrow checker proves the
+//! exclusion. The engine's whole lock order is `DbInner` → `EpochHub`
+//! (settings and the published epoch; epoch readers take it alone).
+//! `Database` is `Send + Sync` (asserted below); concurrent callers simply
+//! queue on the writer's mutex.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,15 +23,16 @@ use grfusion_storage::{Catalog, IndexKind, Table};
 use crate::lockorder::{LockClass, OrderedMutex};
 
 use crate::config::EngineConfig;
-use crate::dml::{self, DmlCtx, Journal};
+use crate::dml::{self, Checks, DmlCtx, Journal};
 use crate::epoch::{DirtySet, EpochHub, EpochView, Settings};
 use crate::governor::{CancelToken, ExecContext, FaultPlan, FaultState};
 use crate::expr::GraphMeta;
 use crate::graph_view::{GraphView, GraphViewDef};
 use crate::planner::PlannerCtx;
 use crate::result::ResultSet;
-use crate::snapshot::{has_subquery, LiveGuards, Snapshot};
+use crate::snapshot::{has_subquery, Snapshot};
 
+/// Everything the writer's mutex guards — and owns.
 struct DbInner {
     catalog: Catalog,
     /// Lowercase graph-view name → view object (singleton topology).
@@ -46,10 +53,17 @@ pub struct Database {
     inner: OrderedMutex<DbInner>,
     /// Epoch publication point and the engine's settings. Lives *outside*
     /// `inner`: epoch readers pin the current snapshot and copy the
-    /// settings through the hub's tiny mutexes and never contend with the
+    /// settings through the hub's tiny mutex and never contend with the
     /// writer holding `inner`.
     hub: EpochHub,
 }
+
+// Server connections and reader threads share one `Database` by reference.
+// `Sync` derives from the two mutexes alone — nothing below them is shared.
+const _: () = {
+    const fn send_and_sync<T: Send + Sync>() {}
+    send_and_sync::<Database>()
+};
 
 /// A compiled SELECT statement (see [`Database::prepare`]).
 pub struct PreparedQuery {
@@ -193,7 +207,7 @@ impl Database {
     /// which is how a reader inside `BEGIN …` sees its own writes.
     fn read<T>(&self, f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>) -> Result<T> {
         match self.hub.pin() {
-            Some(ep) => f(&Snapshot::pinned(&ep), &self.hub.settings()),
+            Some((ep, settings)) => f(&Snapshot::pinned(&ep), &settings),
             None => read_locked(&self.hub, &mut self.inner.lock(), f),
         }
     }
@@ -223,9 +237,12 @@ impl Database {
 
     /// Execute a semicolon-separated script, returning the last result.
     pub fn execute_script(&self, sql: &str) -> Result<ResultSet> {
-        let stmts = parse_statements(sql)?;
+        self.run_script(&parse_statements(sql)?)
+    }
+
+    fn run_script(&self, stmts: &[Statement]) -> Result<ResultSet> {
         let mut last = ResultSet::empty();
-        for s in &stmts {
+        for s in stmts {
             last = self.execute_statement(s)?;
         }
         Ok(last)
@@ -236,24 +253,33 @@ impl Database {
     /// deadline) and a request-scoped cancel token a front-end trips on
     /// client disconnect. This is the network server's entry point; the
     /// options hold for the whole statement, including subquery folding.
+    ///
+    /// Transaction control is refused here (see
+    /// [`refuse_transaction_control`]): each served statement is its own
+    /// transaction.
     pub fn execute_with_request(
         &self,
         sql: &str,
         opts: &crate::governor::RequestOptions,
     ) -> Result<ResultSet> {
         let _guard = crate::governor::enter_request(opts);
-        self.execute(sql)
+        let stmt = parse_statement(sql)?;
+        refuse_transaction_control(std::slice::from_ref(&stmt))?;
+        self.execute_statement(&stmt)
     }
 
     /// [`Database::execute_script`] under per-request options; the whole
-    /// script shares one deadline budget.
+    /// script shares one deadline budget, and is refused as a whole — before
+    /// its first statement runs — if any statement is transaction control.
     pub fn execute_script_with_request(
         &self,
         sql: &str,
         opts: &crate::governor::RequestOptions,
     ) -> Result<ResultSet> {
         let _guard = crate::governor::enter_request(opts);
-        self.execute_script(sql)
+        let stmts = parse_statements(sql)?;
+        refuse_transaction_control(&stmts)?;
+        self.run_script(&stmts)
     }
 
     /// Execute a parsed statement.
@@ -350,19 +376,8 @@ impl Database {
                 let Some(mut journal) = inner.txn.take() else {
                     return Err(Error::transaction("no transaction in progress"));
                 };
-                {
-                    let inner = &mut *inner;
-                    let ctx = DmlCtx {
-                        catalog: &inner.catalog,
-                        graph_views: &inner.graph_views,
-                        source_map: &inner.source_map,
-                        // Rollback is the recovery path: never inject into
-                        // it, and never let a cancel/deadline interrupt it.
-                        faults: None,
-                        gov: None,
-                    };
-                    journal.rollback_to(&ctx, 0)?;
-                }
+                let live = &mut *inner;
+                journal.rollback_to(&mut live.catalog, &mut live.graph_views, 0)?;
                 self.hub.set_txn_open(false);
                 // DML was undone, but DDL survives a rollback — republish
                 // so readers see the post-rollback catalog.
@@ -446,7 +461,7 @@ impl Database {
             .graph_views
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| Error::catalog(format!("graph view `{name}` does not exist")))?;
-        let mut stats = view.topology.read().stats();
+        let mut stats = view.topology.stats();
         let (live_epochs, retained_bytes) = self.hub.live_stats();
         stats.live_epochs = live_epochs;
         stats.retained_bytes = retained_bytes;
@@ -469,7 +484,7 @@ impl Database {
     /// Row count of a table.
     pub fn table_len(&self, name: &str) -> Result<usize> {
         let inner = self.inner.lock();
-        Ok(inner.catalog.table(name)?.read().len())
+        Ok(inner.catalog.table(name)?.len())
     }
 
     /// Deterministic dump of all observable state: every table's rows (with
@@ -496,7 +511,7 @@ impl Database {
     /// every observed snapshot equals the serial state after some committed
     /// statement prefix. `None` when reads are not routing through epochs.
     pub fn snapshot_dump(&self) -> Option<(u64, String)> {
-        let ep = self.hub.pin()?;
+        let (ep, _) = self.hub.pin()?;
         Some((ep.number, Snapshot::pinned(&ep).state_dump()))
     }
 
@@ -505,13 +520,35 @@ impl Database {
     /// `None` when reads are not routing through epochs (publication off,
     /// or an explicit transaction is open on this connection).
     pub fn pin_snapshot(&self) -> Option<crate::epoch::EpochSnapshot> {
-        self.hub.pin().map(|ep| crate::epoch::EpochSnapshot { ep })
+        self.hub
+            .pin()
+            .map(|(ep, _)| crate::epoch::EpochSnapshot { ep })
     }
 
     /// `(live epochs, retained bytes)` — see [`GraphStats::live_epochs`].
     pub fn epoch_stats(&self) -> (usize, usize) {
         self.hub.live_stats()
     }
+}
+
+/// Refuse transaction control arriving through a request.
+///
+/// The open transaction is one slot per `Database`, and served connections
+/// share the `Database`: a `BEGIN` would outlive the request that sent it,
+/// capture every other connection's acknowledged writes in its journal, and
+/// let any connection's `ROLLBACK` erase them. In-process callers own their
+/// `Database` and keep `BEGIN … COMMIT`.
+fn refuse_transaction_control(stmts: &[Statement]) -> Result<()> {
+    let control = |s: &Statement| {
+        matches!(s, Statement::Begin | Statement::Commit | Statement::Rollback)
+    };
+    if stmts.iter().any(control) {
+        return Err(Error::transaction(
+            "BEGIN / COMMIT / ROLLBACK are not available to a served request: \
+             connections share one database, so each served statement is its own transaction",
+        ));
+    }
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -561,8 +598,7 @@ fn create_table(inner: &mut DbInner, ct: &CreateTable) -> Result<()> {
 }
 
 fn create_index(inner: &mut DbInner, ci: &CreateIndex) -> Result<()> {
-    let handle = inner.catalog.table(&ci.table)?;
-    let mut table = handle.write();
+    let table = inner.catalog.table_mut(&ci.table)?;
     let col = table.schema().resolve(&ci.column)?;
     let kind = if ci.ordered {
         IndexKind::Ordered
@@ -585,12 +621,12 @@ fn create_graph_view(
         )));
     }
     let def = GraphViewDef::resolve(cgv, &inner.catalog)?;
-    let view = GraphView::materialize(def, &inner.catalog)?;
+    let mut view = GraphView::materialize(def, &inner.catalog)?;
     // Compact the freshly built adjacency into sealed CSR arrays right
     // away: materialization is the one moment the topology is complete and
     // overlay-free, so the seal is a straight copy.
     if seal {
-        view.topology.write().seal();
+        view.topology.seal();
     }
     // Register the view with each of its sources (§3.3: a source knows the
     // views it feeds). A table used for both roles is registered once.
@@ -638,18 +674,20 @@ fn drop_table(inner: &mut DbInner, name: &str) -> Result<()> {
 
 fn run_dml<F>(hub: &EpochHub, inner: &mut DbInner, f: F) -> Result<ResultSet>
 where
-    F: FnOnce(&DmlCtx<'_>, &mut Journal) -> Result<u64>,
+    F: FnOnce(&mut DmlCtx<'_>, &mut Journal) -> Result<u64>,
 {
     let settings = hub.settings();
     // Governor context for cancellation/deadline checkpoints and re-seal
     // byte accounting (also where a malformed `GRFUSION_*` value surfaces).
     let gov = settings.exec_context()?;
-    let ctx = DmlCtx {
-        catalog: &inner.catalog,
-        graph_views: &inner.graph_views,
+    let mut ctx = DmlCtx {
+        catalog: &mut inner.catalog,
+        graph_views: &mut inner.graph_views,
         source_map: &inner.source_map,
-        faults: settings.faults,
-        gov: if gov.active() { Some(&gov) } else { None },
+        checks: Checks {
+            faults: settings.faults.as_deref(),
+            gov: gov.active().then_some(&gov),
+        },
     };
     let csr = settings.config.csr;
     match &mut inner.txn {
@@ -658,13 +696,13 @@ where
             // Nothing publishes until COMMIT — readers keep the previous
             // epoch.
             let sp = journal.savepoint();
-            match f(&ctx, journal).and_then(|n| {
-                maybe_reseal(&ctx, csr, &gov)?;
+            match f(&mut ctx, journal).and_then(|n| {
+                maybe_reseal(&mut ctx, csr, &gov)?;
                 Ok(n)
             }) {
                 Ok(n) => Ok(ResultSet::affected(n)),
                 Err(e) => {
-                    journal.rollback_to(&ctx, sp)?;
+                    journal.rollback_to(ctx.catalog, ctx.graph_views, sp)?;
                     Err(e)
                 }
             }
@@ -673,8 +711,8 @@ where
             // Implicit (auto-commit) transaction.
             let mut journal = Journal::new();
             let mut resealed: Vec<String> = Vec::new();
-            match f(&ctx, &mut journal).and_then(|n| {
-                resealed = maybe_reseal(&ctx, csr, &gov)?;
+            match f(&mut ctx, &mut journal).and_then(|n| {
+                resealed = maybe_reseal(&mut ctx, csr, &gov)?;
                 Ok(n)
             }) {
                 Ok(n) => {
@@ -690,7 +728,7 @@ where
                 Err(e) => {
                     // The statement rolled back: publish nothing — every
                     // published epoch is some *committed* prefix.
-                    journal.rollback_to(&ctx, 0)?;
+                    journal.rollback_to(ctx.catalog, ctx.graph_views, 0)?;
                     Err(e)
                 }
             }
@@ -709,7 +747,7 @@ where
 /// build-then-swap, so a failure before the swap leaves the topology on
 /// its previous layout — never half-compacted.
 fn maybe_reseal(
-    ctx: &DmlCtx<'_>,
+    ctx: &mut DmlCtx<'_>,
     csr: crate::config::CsrConfig,
     gov: &ExecContext,
 ) -> Result<Vec<String>> {
@@ -719,24 +757,20 @@ fn maybe_reseal(
     }
     // Sorted order: with several views due at once, the fault-site hit
     // sequence (and thus a sweep's nth-hit selection) must be stable.
-    let mut names: Vec<&String> = ctx.graph_views.keys().collect();
-    names.sort();
-    for name in names {
-        let view = &ctx.graph_views[name];
-        let estimate = {
-            let topo = view.topology.read();
-            if !(topo.is_sealed() && topo.overlay_fraction() >= csr.reseal_fraction) {
-                continue;
-            }
-            topo.sealed_bytes_estimate()
-        };
-        ctx.fault("dml.seal")?;
+    let mut views: Vec<(&String, &mut GraphView)> = ctx.graph_views.iter_mut().collect();
+    views.sort_unstable_by_key(|(name, _)| *name);
+    for (name, view) in views {
+        let topo = &mut view.topology;
+        if !(topo.is_sealed() && topo.overlay_fraction() >= csr.reseal_fraction) {
+            continue;
+        }
+        ctx.checks.fault("dml.seal")?;
         // Charge the compacted arrays before building them, so a cap
         // violation surfaces while the topology is still untouched.
         if gov.active() {
-            gov.charge_bytes(estimate as u64)?;
+            gov.charge_bytes(topo.sealed_bytes_estimate() as u64)?;
         }
-        view.topology.write().seal();
+        topo.seal();
         resealed.push(name.clone());
     }
     Ok(resealed)
@@ -766,20 +800,17 @@ fn publish_epoch(hub: &EpochHub, inner: &mut DbInner, dirty: DirtySet) -> Result
     };
     let mut bytes = 0usize;
     let mut tables = HashMap::new();
-    for name in inner.catalog.table_names() {
-        let reused = if is_clean(dirty.map(|(t, _)| t), &name) {
-            prev.as_ref().and_then(|p| p.tables.get(&name).cloned())
+    for (name, table) in inner.catalog.iter() {
+        let reused = if is_clean(dirty.map(|(t, _)| t), name) {
+            prev.as_ref().and_then(|p| p.tables.get(name).cloned())
         } else {
             None
         };
-        let t = match reused {
-            Some(t) => t,
-            None => Arc::new(inner.catalog.table(&name)?.read().snapshot()),
-        };
+        let t = reused.unwrap_or_else(|| Arc::new(table.snapshot()));
         // Coarse size estimate: slots dominate; good enough for the
         // retained-bytes gauge (not an allocator-accurate count).
         bytes += t.slot_count() * 48;
-        tables.insert(name, t);
+        tables.insert(name.to_string(), t);
     }
     let mut views = HashMap::new();
     for (name, view) in &inner.graph_views {
@@ -788,10 +819,7 @@ fn publish_epoch(hub: &EpochHub, inner: &mut DbInner, dirty: DirtySet) -> Result
         } else {
             None
         };
-        let topo = match reused {
-            Some(t) => t,
-            None => Arc::new(view.topology.read().snapshot()),
-        };
+        let topo = reused.unwrap_or_else(|| Arc::new(view.topology.snapshot()));
         bytes += topo.memory_bytes();
         views.insert(
             name.clone(),
@@ -818,27 +846,23 @@ fn cached_planner_ctx(inner: &mut DbInner) -> Result<Arc<PlannerCtx>> {
 fn planner_ctx(inner: &DbInner) -> Result<PlannerCtx> {
     let mut tables = HashMap::new();
     let mut hash_indexed = HashMap::new();
-    for name in inner.catalog.table_names() {
-        let handle = inner.catalog.table(&name)?;
-        let t = handle.read();
-        tables.insert(name.clone(), t.schema().clone());
+    for (name, t) in inner.catalog.iter() {
+        tables.insert(name.to_string(), t.schema().clone());
         let cols: Vec<usize> = t
             .indexes()
             .filter(|ix| ix.kind() == IndexKind::Hash)
             .map(|ix| ix.column())
             .collect();
         if !cols.is_empty() {
-            hash_indexed.insert(name.clone(), cols);
+            hash_indexed.insert(name.to_string(), cols);
         }
     }
     let mut graphs = HashMap::new();
     let mut vertex_scan_schemas = HashMap::new();
     let mut edge_scan_schemas = HashMap::new();
     for (name, view) in &inner.graph_views {
-        let vh = inner.catalog.table(&view.def.vertex_source)?;
-        let eh = inner.catalog.table(&view.def.edge_source)?;
-        let vt = vh.read();
-        let et = eh.read();
+        let vt = inner.catalog.table(&view.def.vertex_source)?;
+        let et = inner.catalog.table(&view.def.edge_source)?;
         graphs.insert(
             name.clone(),
             GraphMeta {
@@ -847,8 +871,8 @@ fn planner_ctx(inner: &DbInner) -> Result<PlannerCtx> {
                 edge_schema: et.schema().clone(),
             },
         );
-        vertex_scan_schemas.insert(name.clone(), Arc::new(view.def.vertex_scan_schema(&vt)));
-        edge_scan_schemas.insert(name.clone(), Arc::new(view.def.edge_scan_schema(&et)));
+        vertex_scan_schemas.insert(name.clone(), Arc::new(view.def.vertex_scan_schema(vt)));
+        edge_scan_schemas.insert(name.clone(), Arc::new(view.def.edge_scan_schema(et)));
     }
     Ok(PlannerCtx {
         tables,
@@ -867,9 +891,8 @@ fn read_locked<T>(
     f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>,
 ) -> Result<T> {
     let plan_ctx = cached_planner_ctx(inner)?;
-    let settings = hub.settings();
-    let guards = LiveGuards::take(&inner.catalog, &inner.graph_views);
-    f(&Snapshot::locked(&guards, &plan_ctx), &settings)
+    let snap = Snapshot::locked(&inner.catalog, &inner.graph_views, &plan_ctx);
+    f(&snap, &hub.settings())
 }
 
 /// Fold the `IN (SELECT ...)` subqueries of an UPDATE/DELETE predicate

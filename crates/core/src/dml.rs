@@ -88,11 +88,7 @@ impl Journal {
         let mut views = HashSet::new();
         for entry in &self.entries[savepoint.min(self.entries.len())..] {
             let (set, name) = match entry {
-                EngineUndo::Storage(
-                    UndoOp::Insert { table, .. }
-                    | UndoOp::Delete { table, .. }
-                    | UndoOp::Update { table, .. },
-                ) => (&mut tables, table),
+                EngineUndo::Storage(op) => (&mut tables, op.table()),
                 EngineUndo::Graph { gv, .. } => (&mut views, gv),
             };
             if !set.contains(&**name) {
@@ -115,30 +111,25 @@ impl Journal {
     }
 
     /// Roll back to `savepoint`, undoing storage and topology actions in
-    /// reverse order.
-    pub fn rollback_to(&mut self, ctx: &DmlCtx<'_>, savepoint: usize) -> Result<()> {
+    /// reverse order. This is the recovery path: it hits no fault site and
+    /// polls no governor, so nothing can interrupt it.
+    pub fn rollback_to(
+        &mut self,
+        catalog: &mut Catalog,
+        graph_views: &mut HashMap<String, GraphView>,
+        savepoint: usize,
+    ) -> Result<()> {
         while self.entries.len() > savepoint {
             let Some(entry) = self.entries.pop() else {
                 break;
             };
             match entry {
-                EngineUndo::Storage(op) => match op {
-                    UndoOp::Insert { table, row } => {
-                        ctx.catalog.table(&table)?.write().delete(row)?;
-                    }
-                    UndoOp::Delete { table, row, old } => {
-                        ctx.catalog.table(&table)?.write().restore(row, old)?;
-                    }
-                    UndoOp::Update { table, row, old } => {
-                        ctx.catalog.table(&table)?.write().update(row, old)?;
-                    }
-                },
+                EngineUndo::Storage(op) => op.undo(catalog)?,
                 EngineUndo::Graph { gv, op } => {
-                    let view = ctx
-                        .graph_views
-                        .get(&*gv)
-                        .ok_or_else(|| Error::catalog(format!("graph view `{gv}` missing")))?; // alloc-ok: error path
-                    let mut topo = view.topology.write();
+                    let topo = &mut graph_views
+                        .get_mut(&*gv)
+                        .ok_or_else(|| Error::catalog(format!("graph view `{gv}` missing")))? // alloc-ok: error path
+                        .topology;
                     match op {
                         GraphUndo::AddedVertex { id } => {
                             topo.remove_vertex(id)?;
@@ -167,33 +158,32 @@ impl Journal {
     }
 }
 
-/// Read-only context handed to DML executors.
+/// The live state a DML statement writes, borrowed from the writer's
+/// mutex for the statement: the `&mut`s are the proof that nothing else
+/// reads or writes a table or a topology meanwhile.
 pub struct DmlCtx<'a> {
-    pub catalog: &'a Catalog,
+    pub catalog: &'a mut Catalog,
     /// Lowercase name → graph view.
-    pub graph_views: &'a HashMap<String, GraphView>,
+    pub graph_views: &'a mut HashMap<String, GraphView>,
     /// Lowercase table name → graph views that use it as a source.
     pub source_map: &'a HashMap<String, Vec<Arc<str>>>,
-    /// Armed fault-injection plan (`None` on the rollback path and for
-    /// databases without one — every `fault(..)` call is then a no-op).
-    pub faults: Option<Arc<FaultState>>,
+    pub checks: Checks<'a>,
+}
+
+/// A statement's abort points. Shared and `Copy`, so a check never
+/// conflicts with a `&mut Table` or `&mut GraphView` held across rows.
+#[derive(Clone, Copy)]
+pub struct Checks<'a> {
+    /// Armed fault-injection plan (`None` for databases without one —
+    /// every `fault(..)` call is then a no-op).
+    pub faults: Option<&'a FaultState>,
     /// Per-statement governor, polled at every fault site so a client
     /// disconnect or deadline expiry aborts a long DML statement at the
     /// next maintenance step (the journal then rolls the prefix back).
-    /// `None` on the rollback/recovery path: an abort signal must never
-    /// interrupt undo, or atomicity would be lost.
     pub gov: Option<&'a ExecContext>,
 }
 
-impl<'a> DmlCtx<'a> {
-    /// Graph views using `table` as a source, in registration order.
-    fn views_of(&self, table: &str) -> &'a [Arc<str>] {
-        self.source_map
-            .get(table)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
-    }
-
+impl Checks<'_> {
     /// Hit a named fault-injection site (see [`crate::governor::DML_FAULT_SITES`]).
     /// Doubles as the DML cancellation/deadline checkpoint: sites sit at
     /// every maintenance step, which is exactly the granularity at which a
@@ -205,10 +195,49 @@ impl<'a> DmlCtx<'a> {
                 gov.check_now()?;
             }
         }
-        match &self.faults {
+        match self.faults {
             Some(f) => f.hit(site),
             None => Ok(()),
         }
+    }
+}
+
+/// One statement's write side, split off the [`DmlCtx`] beside the
+/// catalog: the journal, the abort points, and the views the target table
+/// feeds — each borrowed once and held across the statement's rows.
+struct Writer<'s> {
+    checks: Checks<'s>,
+    journal: &'s mut Journal,
+    /// Lowercase name of the table being written.
+    table: Arc<str>,
+    /// The views it feeds, in registration order.
+    views: Vec<(&'s Arc<str>, &'s mut GraphView)>,
+}
+
+impl<'s> Writer<'s> {
+    fn open(
+        ctx: &'s mut DmlCtx<'_>,
+        journal: &'s mut Journal,
+        table: &str,
+    ) -> (&'s mut Catalog, Writer<'s>) {
+        let table: Arc<str> = table.to_ascii_lowercase().into();
+        let fed = ctx.source_map.get(&*table).map_or(&[][..], |v| v);
+        // `iter_mut` is what hands out several views at once; its order is
+        // the hasher's, so put them back in registration order — the
+        // fault-site hit sequence depends on it.
+        let mut views: Vec<(&Arc<str>, &mut GraphView)> = ctx
+            .graph_views
+            .iter_mut()
+            .filter_map(|(name, view)| Some((fed.iter().find(|f| ***f == **name)?, view)))
+            .collect();
+        views.sort_unstable_by_key(|(name, _)| fed.iter().position(|f| Arc::ptr_eq(f, name)));
+        let writer = Writer {
+            checks: ctx.checks,
+            journal,
+            table,
+            views,
+        };
+        (&mut *ctx.catalog, writer)
     }
 }
 
@@ -244,12 +273,10 @@ fn compile_for_table(
 /// the whole table, because the statement must surface the error of the
 /// first row in scan order that raises one, candidate or not.
 fn matching_rows(
-    ctx: &DmlCtx<'_>,
+    table: &Table,
     table_name: &str,
     selection: &Option<Expr>,
 ) -> Result<Vec<(RowId, Row)>> {
-    let handle = ctx.catalog.table(table_name)?;
-    let table = handle.read();
     let pred = selection
         .as_ref()
         .map(|e| compile_for_table(e, table_name, table.schema().clone()))
@@ -258,11 +285,11 @@ fn matching_rows(
     let candidates = match &pred {
         Some(p) if p.infallible() => {
             let indexes: Vec<_> = table.indexes().map(|ix| (ix.column(), ix.kind())).collect();
-            access::choose(p.conjuncts(), &indexes).candidates(&table, &env)?
+            access::choose(p.conjuncts(), &indexes).candidates(table, &env)?
         }
         _ => None,
     };
-    select_rows(&table, pred.as_ref(), &env, candidates)
+    select_rows(table, pred.as_ref(), &env, candidates)
 }
 
 /// The rows among `candidates` (`None` = every live row) that satisfy
@@ -296,7 +323,7 @@ fn select_rows(
 /// Execute an `INSERT ... VALUES`, maintaining affected graph views
 /// (§3.3.2). `INSERT ... SELECT` is evaluated by the engine layer, which
 /// feeds the materialized rows to [`execute_insert_rows`].
-pub fn execute_insert(ctx: &DmlCtx<'_>, journal: &mut Journal, ins: &Insert) -> Result<u64> {
+pub fn execute_insert(ctx: &mut DmlCtx<'_>, journal: &mut Journal, ins: &Insert) -> Result<u64> {
     let grfusion_sql::InsertSource::Values(value_rows) = &ins.source else {
         return Err(Error::execution(
             "INSERT ... SELECT must be evaluated by the engine layer",
@@ -305,11 +332,9 @@ pub fn execute_insert(ctx: &DmlCtx<'_>, journal: &mut Journal, ins: &Insert) -> 
     // Static typecheck before any evaluation: arity per row, and each
     // statically certain value type must be admissible in its column.
     {
-        let table_name = ins.table.to_ascii_lowercase();
-        let handle = ctx.catalog.table(&table_name)?;
-        let schema = handle.read().schema().clone();
-        let positions = insert_positions(&schema, &ins.columns)?;
-        crate::analyze::check_insert_values(&schema, &positions, value_rows)?;
+        let schema = ctx.catalog.table(&ins.table.to_ascii_lowercase())?.schema();
+        let positions = insert_positions(schema, &ins.columns)?;
+        crate::analyze::check_insert_values(schema, &positions, value_rows)?;
     }
     // A literal is its own value; anything else is a constant expression
     // compiled against nothing. One namespace and environment serve the
@@ -346,16 +371,16 @@ fn insert_positions(
 /// Insert pre-evaluated value rows, honoring an optional column list
 /// (missing columns become NULL).
 pub fn execute_insert_rows(
-    ctx: &DmlCtx<'_>,
+    ctx: &mut DmlCtx<'_>,
     journal: &mut Journal,
     table: &str,
     columns: &Option<Vec<String>>,
     rows: Vec<Row>,
 ) -> Result<u64> {
-    let table_name: Arc<str> = table.to_ascii_lowercase().into();
-    let handle = ctx.catalog.table(&table_name)?;
-    let schema = handle.read().schema().clone();
-    let positions = insert_positions(&schema, columns)?;
+    let (catalog, mut w) = Writer::open(ctx, journal, table);
+    let table = catalog.table_mut(&w.table)?;
+    let width = table.schema().len();
+    let positions = insert_positions(table.schema(), columns)?;
 
     let mut n = 0u64;
     for value_row in rows {
@@ -366,15 +391,15 @@ pub fn execute_insert_rows(
         let row = if columns.is_none() {
             value_row
         } else {
-            let mut row: Row = vec![Value::Null; schema.len()]; // alloc-ok: the row being inserted
+            let mut row: Row = vec![Value::Null; width]; // alloc-ok: the row being inserted
             for (pos, v) in positions.iter().zip(value_row) {
                 row[*pos] = v;
             }
             row
         };
-        ctx.fault("dml.insert.row")?;
-        insert_row(ctx, journal, &handle, &table_name, row)?;
-        ctx.fault("dml.insert.post")?;
+        w.checks.fault("dml.insert.row")?;
+        w.insert_row(table, row)?;
+        w.checks.fault("dml.insert.post")?;
         n += 1;
     }
     Ok(n)
@@ -384,74 +409,156 @@ fn arity_error(expected: usize, got: usize) -> Error {
     Error::execution(format!("INSERT expects {expected} values, got {got}"))
 }
 
-/// Store one row, journal it and maintain the views its table feeds.
-fn insert_row(
-    ctx: &DmlCtx<'_>,
-    journal: &mut Journal,
-    handle: &grfusion_storage::TableRef,
-    table: &Arc<str>,
-    row: Row,
-) -> Result<()> {
-    let views = ctx.views_of(table);
-    // Maintenance reads the row after storage has taken it: keep a copy
-    // only when some view will look.
-    let kept = if views.is_empty() { None } else { Some(row.clone()) };
-    let row_id = handle.write().insert(row)?;
-    journal.record_storage(UndoOp::Insert {
-        table: table.clone(), // alloc-ok: Arc bump
-        row: row_id,
-    });
-    match kept {
-        Some(row) => maintain_insert(ctx, journal, views, table, row_id, &row),
-        None => Ok(()),
-    }
-}
-
-/// Topology maintenance for one inserted row.
-fn maintain_insert(
-    ctx: &DmlCtx<'_>,
-    journal: &mut Journal,
-    views: &[Arc<str>],
-    table: &str,
-    row_id: RowId,
-    row: &Row,
-) -> Result<()> {
-    for gv_name in views {
-        ctx.fault("dml.insert.maintain")?;
-        let view = &ctx.graph_views[&**gv_name];
-        if view.def.vertex_source == table {
-            let id = id_value(&row[view.def.vertex_id_col], "vertex")?;
-            view.topology.write().add_vertex(id, row_id)?;
-            journal.record_graph(gv_name, GraphUndo::AddedVertex { id });
-        }
-        if view.def.edge_source == table {
-            let id = id_value(&row[view.def.edge_id_col], "edge")?;
-            let from = id_value(&row[view.def.edge_from_col], "edge FROM")?;
-            let to = id_value(&row[view.def.edge_to_col], "edge TO")?;
-            view.topology.write().add_edge(id, from, to, row_id)?;
-            journal.record_graph(gv_name, GraphUndo::AddedEdge { id });
-        }
-    }
-    Ok(())
-}
-
 /// Bulk-insert pre-built rows (the loader fast path — VoltDB similarly
 /// ships a bulk loader that bypasses per-statement SQL processing). Graph
 /// views are maintained exactly as for SQL INSERTs.
 pub fn execute_bulk_insert(
-    ctx: &DmlCtx<'_>,
+    ctx: &mut DmlCtx<'_>,
     journal: &mut Journal,
     table: &str,
     rows: Vec<Row>,
 ) -> Result<u64> {
-    let table_name: Arc<str> = table.to_ascii_lowercase().into();
-    let handle = ctx.catalog.table(&table_name)?;
+    let (catalog, mut w) = Writer::open(ctx, journal, table);
+    let table = catalog.table_mut(&w.table)?;
     let mut n = 0u64;
     for row in rows {
-        insert_row(ctx, journal, &handle, &table_name, row)?;
+        w.insert_row(table, row)?;
         n += 1;
     }
     Ok(n)
+}
+
+impl Writer<'_> {
+    /// Store one row, journal it and maintain the views its table feeds.
+    /// Maintenance reads the row where storage put it.
+    fn insert_row(&mut self, table: &mut Table, row: Row) -> Result<()> {
+        let row_id = table.insert(row)?;
+        self.journal.record_storage(UndoOp::Insert {
+            table: self.table.clone(), // alloc-ok: Arc bump
+            row: row_id,
+        });
+        if self.views.is_empty() {
+            return Ok(());
+        }
+        let row = table
+            .get(row_id)
+            .ok_or_else(|| Error::execution("inserted row is not live"))?;
+        for (gv_name, view) in &mut self.views {
+            self.checks.fault("dml.insert.maintain")?;
+            let def = &view.def;
+            if def.vertex_source == *self.table {
+                let id = id_value(&row[def.vertex_id_col], "vertex")?;
+                view.topology.add_vertex(id, row_id)?;
+                self.journal.record_graph(gv_name, GraphUndo::AddedVertex { id });
+            }
+            if def.edge_source == *self.table {
+                let id = id_value(&row[def.edge_id_col], "edge")?;
+                let from = id_value(&row[def.edge_from_col], "edge FROM")?;
+                let to = id_value(&row[def.edge_to_col], "edge TO")?;
+                view.topology.add_edge(id, from, to, row_id)?;
+                self.journal.record_graph(gv_name, GraphUndo::AddedEdge { id });
+            }
+        }
+        Ok(())
+    }
+
+    /// Topology maintenance for one row about to be deleted.
+    fn maintain_delete(&mut self, row: &Row) -> Result<()> {
+        for (gv_name, view) in &mut self.views {
+            self.checks.fault("dml.delete.maintain")?;
+            let def = &view.def;
+            if def.edge_source == *self.table {
+                let id = id_value(&row[def.edge_id_col], "edge")?;
+                let from = id_value(&row[def.edge_from_col], "edge FROM")?;
+                let to = id_value(&row[def.edge_to_col], "edge TO")?;
+                let tuple = view.topology.remove_edge(id)?;
+                self.journal
+                    .record_graph(gv_name, GraphUndo::RemovedEdge { id, from, to, tuple });
+            }
+            if def.vertex_source == *self.table {
+                let id = id_value(&row[def.vertex_id_col], "vertex")?;
+                let tuple = view.topology.remove_vertex(id)?;
+                self.journal
+                    .record_graph(gv_name, GraphUndo::RemovedVertex { id, tuple });
+            }
+        }
+        Ok(())
+    }
+
+    /// Topology and identifier maintenance for one row about to be
+    /// rewritten (§3.3.1). Takes the catalog, not the target table: a
+    /// vertex-id change cascades into the edge source, which may be any
+    /// table — the target included.
+    fn maintain_update(
+        &mut self,
+        catalog: &mut Catalog,
+        row_id: RowId,
+        old_row: &Row,
+        new_row: &Row,
+    ) -> Result<()> {
+        let changed = |col: usize| old_row[col].sql_eq(&new_row[col]) != Some(true);
+        let checks = self.checks;
+        for (gv_name, view) in &mut self.views {
+            checks.fault("dml.update.maintain")?;
+            let def = &view.def;
+            if def.vertex_source == *self.table && changed(def.vertex_id_col) {
+                let old_id = id_value(&old_row[def.vertex_id_col], "vertex")?;
+                let new_id = id_value(&new_row[def.vertex_id_col], "vertex")?;
+                view.topology.rename_vertex(old_id, new_id)?;
+                self.journal.record_graph(
+                    gv_name,
+                    GraphUndo::RenamedVertex {
+                        from: old_id,
+                        to: new_id,
+                    },
+                );
+                // Cascade the new id into the edges relational-source (§3.3.1:
+                // referential integrity of the edge source on vertex-id update).
+                cascade_vertex_id(checks, self.journal, catalog, view, old_id, new_id)?;
+            }
+            if def.edge_source == *self.table {
+                let id_changed = changed(def.edge_id_col);
+                let endpoint_changed = changed(def.edge_from_col) || changed(def.edge_to_col);
+                if id_changed {
+                    let old_id = id_value(&old_row[def.edge_id_col], "edge")?;
+                    let new_id = id_value(&new_row[def.edge_id_col], "edge")?;
+                    view.topology.rename_edge(old_id, new_id)?;
+                    self.journal.record_graph(
+                        gv_name,
+                        GraphUndo::RenamedEdge {
+                            from: old_id,
+                            to: new_id,
+                        },
+                    );
+                }
+                if endpoint_changed {
+                    // Re-link: drop the old edge and add the new one.
+                    let cur_id = id_value(&new_row[def.edge_id_col], "edge")?;
+                    let old_from = id_value(&old_row[def.edge_from_col], "edge FROM")?;
+                    let old_to = id_value(&old_row[def.edge_to_col], "edge TO")?;
+                    let new_from = id_value(&new_row[def.edge_from_col], "edge FROM")?;
+                    let new_to = id_value(&new_row[def.edge_to_col], "edge TO")?;
+                    let tuple = view.topology.remove_edge(cur_id)?;
+                    self.journal.record_graph(
+                        gv_name,
+                        GraphUndo::RemovedEdge {
+                            id: cur_id,
+                            from: old_from,
+                            to: old_to,
+                            tuple,
+                        },
+                    );
+                    // The nastiest crash point: the edge is gone from the
+                    // topology but not yet re-added — rollback must restore it.
+                    checks.fault("dml.update.relink")?;
+                    view.topology.add_edge(cur_id, new_from, new_to, row_id)?;
+                    self.journal
+                        .record_graph(gv_name, GraphUndo::AddedEdge { id: cur_id });
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -459,56 +566,28 @@ pub fn execute_bulk_insert(
 // ---------------------------------------------------------------------------
 
 /// Execute a DELETE, maintaining affected graph views.
-pub fn execute_delete(ctx: &DmlCtx<'_>, journal: &mut Journal, del: &Delete) -> Result<u64> {
-    let table_name: Arc<str> = del.table.to_ascii_lowercase().into();
+pub fn execute_delete(ctx: &mut DmlCtx<'_>, journal: &mut Journal, del: &Delete) -> Result<u64> {
+    let (catalog, mut w) = Writer::open(ctx, journal, &del.table);
+    let table = catalog.table_mut(&w.table)?;
     // Static typecheck: the WHERE clause must be BOOLEAN.
-    {
-        let schema = ctx.catalog.table(&table_name)?.read().schema().clone();
-        crate::analyze::check_delete(&table_name, schema, &del.selection)?;
-    }
-    let victims = matching_rows(ctx, &table_name, &del.selection)?;
-    let handle = ctx.catalog.table(&table_name)?;
+    crate::analyze::check_delete(&w.table, table.schema().clone(), &del.selection)?;
+    let victims = matching_rows(table, &w.table, &del.selection)?;
     let mut n = 0u64;
     for (row_id, row) in victims {
         // Topology first: a vertex with incident edges refuses deletion,
         // aborting the statement before storage is touched for this row.
-        maintain_delete(ctx, journal, &table_name, &row)?;
-        ctx.fault("dml.delete.storage")?;
-        let old = handle.write().delete(row_id)?;
-        journal.record_storage(UndoOp::Delete {
-            table: table_name.clone(), // alloc-ok: Arc bump
+        w.maintain_delete(&row)?;
+        w.checks.fault("dml.delete.storage")?;
+        let old = table.delete(row_id)?;
+        w.journal.record_storage(UndoOp::Delete {
+            table: w.table.clone(), // alloc-ok: Arc bump
             row: row_id,
             old,
         });
-        ctx.fault("dml.delete.post")?;
+        w.checks.fault("dml.delete.post")?;
         n += 1;
     }
     Ok(n)
-}
-
-fn maintain_delete(
-    ctx: &DmlCtx<'_>,
-    journal: &mut Journal,
-    table: &str,
-    row: &Row,
-) -> Result<()> {
-    for gv_name in ctx.views_of(table) {
-        ctx.fault("dml.delete.maintain")?;
-        let view = &ctx.graph_views[&**gv_name];
-        if view.def.edge_source == table {
-            let id = id_value(&row[view.def.edge_id_col], "edge")?;
-            let from = id_value(&row[view.def.edge_from_col], "edge FROM")?;
-            let to = id_value(&row[view.def.edge_to_col], "edge TO")?;
-            let tuple = view.topology.write().remove_edge(id)?;
-            journal.record_graph(gv_name, GraphUndo::RemovedEdge { id, from, to, tuple });
-        }
-        if view.def.vertex_source == table {
-            let id = id_value(&row[view.def.vertex_id_col], "vertex")?;
-            let tuple = view.topology.write().remove_vertex(id)?;
-            journal.record_graph(gv_name, GraphUndo::RemovedVertex { id, tuple });
-        }
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -516,23 +595,23 @@ fn maintain_delete(
 // ---------------------------------------------------------------------------
 
 /// Execute an UPDATE, maintaining affected graph views (§3.3.1).
-pub fn execute_update(ctx: &DmlCtx<'_>, journal: &mut Journal, upd: &Update) -> Result<u64> {
-    let table_name: Arc<str> = upd.table.to_ascii_lowercase().into();
-    let handle = ctx.catalog.table(&table_name)?;
-    let schema = handle.read().schema().clone();
+pub fn execute_update(ctx: &mut DmlCtx<'_>, journal: &mut Journal, upd: &Update) -> Result<u64> {
+    let (catalog, mut w) = Writer::open(ctx, journal, &upd.table);
+    let table = catalog.table(&w.table)?;
+    let schema = table.schema().clone();
 
     // Static typecheck: assignment types and a BOOLEAN WHERE clause.
-    crate::analyze::check_update(&table_name, schema.clone(), &upd.assignments, &upd.selection)?;
+    crate::analyze::check_update(&w.table, schema.clone(), &upd.assignments, &upd.selection)?;
 
     // Compile assignments once.
     let mut compiled: Vec<(usize, PhysExpr)> = Vec::with_capacity(upd.assignments.len());
     for (col, expr) in &upd.assignments {
         let pos = schema.resolve(col)?;
         let schema = schema.clone(); // alloc-ok: Arc bump, per assignment
-        compiled.push((pos, compile_for_table(expr, &table_name, schema)?));
+        compiled.push((pos, compile_for_table(expr, &w.table, schema)?));
     }
 
-    let victims = matching_rows(ctx, &table_name, &upd.selection)?;
+    let victims = matching_rows(table, &w.table, &upd.selection)?;
     let env = empty_env();
 
     let mut n = 0u64;
@@ -542,89 +621,19 @@ pub fn execute_update(ctx: &DmlCtx<'_>, journal: &mut Journal, upd: &Update) -> 
             new_row[*pos] = expr.eval(&old_row, &env)?;
         }
         // Topology / identifier consistency before the storage write.
-        maintain_update(ctx, journal, &table_name, row_id, &old_row, &new_row)?;
-        ctx.fault("dml.update.storage")?;
-        let old = handle.write().update(row_id, new_row)?;
-        journal.record_storage(UndoOp::Update {
-            table: table_name.clone(), // alloc-ok: Arc bump
+        w.maintain_update(catalog, row_id, &old_row, &new_row)?;
+        w.checks.fault("dml.update.storage")?;
+        // Resolved per row: the cascade above may have written this table.
+        let old = catalog.table_mut(&w.table)?.update(row_id, new_row)?;
+        w.journal.record_storage(UndoOp::Update {
+            table: w.table.clone(), // alloc-ok: Arc bump
             row: row_id,
             old,
         });
-        ctx.fault("dml.update.post")?;
+        w.checks.fault("dml.update.post")?;
         n += 1;
     }
     Ok(n)
-}
-
-fn maintain_update(
-    ctx: &DmlCtx<'_>,
-    journal: &mut Journal,
-    table: &str,
-    row_id: RowId,
-    old_row: &Row,
-    new_row: &Row,
-) -> Result<()> {
-    let changed = |col: usize| old_row[col].sql_eq(&new_row[col]) != Some(true);
-    for gv_name in ctx.views_of(table) {
-        ctx.fault("dml.update.maintain")?;
-        let view = &ctx.graph_views[&**gv_name];
-        if view.def.vertex_source == table && changed(view.def.vertex_id_col) {
-            let old_id = id_value(&old_row[view.def.vertex_id_col], "vertex")?;
-            let new_id = id_value(&new_row[view.def.vertex_id_col], "vertex")?;
-            view.topology.write().rename_vertex(old_id, new_id)?;
-            journal.record_graph(
-                gv_name,
-                GraphUndo::RenamedVertex {
-                    from: old_id,
-                    to: new_id,
-                },
-            );
-            // Cascade the new id into the edges relational-source (§3.3.1:
-            // referential integrity of the edge source on vertex-id update).
-            cascade_vertex_id(ctx, journal, view, old_id, new_id)?;
-        }
-        if view.def.edge_source == table {
-            let id_changed = changed(view.def.edge_id_col);
-            let endpoint_changed =
-                changed(view.def.edge_from_col) || changed(view.def.edge_to_col);
-            if id_changed {
-                let old_id = id_value(&old_row[view.def.edge_id_col], "edge")?;
-                let new_id = id_value(&new_row[view.def.edge_id_col], "edge")?;
-                view.topology.write().rename_edge(old_id, new_id)?;
-                journal.record_graph(
-                    gv_name,
-                    GraphUndo::RenamedEdge {
-                        from: old_id,
-                        to: new_id,
-                    },
-                );
-            }
-            if endpoint_changed {
-                // Re-link: drop the old edge and add the new one.
-                let cur_id = id_value(&new_row[view.def.edge_id_col], "edge")?;
-                let old_from = id_value(&old_row[view.def.edge_from_col], "edge FROM")?;
-                let old_to = id_value(&old_row[view.def.edge_to_col], "edge TO")?;
-                let new_from = id_value(&new_row[view.def.edge_from_col], "edge FROM")?;
-                let new_to = id_value(&new_row[view.def.edge_to_col], "edge TO")?;
-                let tuple = view.topology.write().remove_edge(cur_id)?;
-                journal.record_graph(
-                    gv_name,
-                    GraphUndo::RemovedEdge {
-                        id: cur_id,
-                        from: old_from,
-                        to: old_to,
-                        tuple,
-                    },
-                );
-                // The nastiest crash point: the edge is gone from the
-                // topology but not yet re-added — rollback must restore it.
-                ctx.fault("dml.update.relink")?;
-                view.topology.write().add_edge(cur_id, new_from, new_to, row_id)?;
-                journal.record_graph(gv_name, GraphUndo::AddedEdge { id: cur_id });
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Propagate a vertex-id change into every edge-source row that references
@@ -637,57 +646,52 @@ fn maintain_update(
 /// `new_id`). They are visited in ascending `RowId` order — the scan's —
 /// and each is still checked to name `old_id` before it is rewritten.
 fn cascade_vertex_id(
-    ctx: &DmlCtx<'_>,
+    checks: Checks<'_>,
     journal: &mut Journal,
+    catalog: &mut Catalog,
     view: &GraphView,
     old_id: i64,
     new_id: i64,
 ) -> Result<()> {
     let (from_col, to_col) = (view.def.edge_from_col, view.def.edge_to_col);
     let names_old = |v: &Value| matches!(v, Value::Integer(i) if *i == old_id);
-    let (mut incident, edges): (Vec<RowId>, usize) = {
-        let topo = view.topology.read();
-        let slot = topo.vertex_slot(new_id)?;
-        // Undirected views list every incident edge as outgoing.
-        let incident = topo
-            .out_edges(slot)
-            .iter()
-            .chain(topo.in_edges(slot))
-            .map(|&e| topo.edge_tuple(e))
-            .collect();
-        (incident, topo.edge_count())
-    };
+    let topo = &view.topology;
+    let slot = topo.vertex_slot(new_id)?;
+    // Undirected views list every incident edge as outgoing.
+    let mut incident: Vec<RowId> = topo
+        .out_edges(slot)
+        .iter()
+        .chain(topo.in_edges(slot))
+        .map(|&e| topo.edge_tuple(e))
+        .collect();
     incident.sort_unstable();
     incident.dedup(); // a self-loop is both outgoing and incoming
     let table: Arc<str> = view.def.edge_source.as_str().into();
-    let handle = ctx.catalog.table(&table)?;
+    let edges = catalog.table_mut(&table)?;
     // There is no scan to fall back on, so a view that covered only part of
     // its edge source (a filter, a row maintenance skipped) would make the
     // cascade miss referencing rows silently: say so instead.
     debug_assert_eq!(
-        handle.read().len(),
-        edges,
+        edges.len(),
+        topo.edge_count(),
         "graph view `{}`: edge-source rows and topology edges are not one to one",
         view.def.name
     );
-    // Collect first (cannot mutate while reading).
-    let touched: Vec<(RowId, Row)> = {
-        let t = handle.read();
-        incident
-            .into_iter()
-            .filter_map(|id| t.get(id).map(|row| (id, row)))
-            .filter(|(_, row)| names_old(&row[from_col]) || names_old(&row[to_col]))
-            .map(|(id, row)| (id, row.clone()))
-            .collect()
-    };
-    for (row_id, mut new_row) in touched {
-        ctx.fault("dml.update.cascade")?;
+    for row_id in incident {
+        let Some(row) = edges.get(row_id) else {
+            continue;
+        };
+        if !(names_old(&row[from_col]) || names_old(&row[to_col])) {
+            continue;
+        }
+        let mut new_row = row.clone(); // alloc-ok: the row being written
+        checks.fault("dml.update.cascade")?;
         for col in [from_col, to_col] {
             if names_old(&new_row[col]) {
                 new_row[col] = Value::Integer(new_id);
             }
         }
-        let old = handle.write().update(row_id, new_row)?;
+        let old = edges.update(row_id, new_row)?;
         journal.record_storage(UndoOp::Update {
             table: table.clone(), // alloc-ok: Arc bump
             row: row_id,

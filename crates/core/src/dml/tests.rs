@@ -6,7 +6,6 @@
 //! identical `(RowId, Row)` list in the identical order.
 
 use std::cell::Cell;
-use std::collections::HashMap;
 
 use grfusion_common::{DataType, Row, RowId, Schema, Value};
 use grfusion_sql::{parse_statement, Statement};
@@ -188,29 +187,13 @@ fn predicate(rng: &mut Rng) -> String {
 
 struct Fixture {
     catalog: Catalog,
-    views: HashMap<String, GraphView>,
-    sources: HashMap<String, Vec<Arc<str>>>,
 }
 
 impl Fixture {
     fn new(table: Table) -> TestResult<Fixture> {
         let mut catalog = Catalog::new();
         catalog.create_table(table)?;
-        Ok(Fixture {
-            catalog,
-            views: HashMap::new(),
-            sources: HashMap::new(),
-        })
-    }
-
-    fn ctx(&self) -> DmlCtx<'_> {
-        DmlCtx {
-            catalog: &self.catalog,
-            graph_views: &self.views,
-            source_map: &self.sources,
-            faults: None,
-            gov: None,
-        }
+        Ok(Fixture { catalog })
     }
 
     /// `(what matching_rows returns, the scanning reference, whether an
@@ -225,17 +208,14 @@ impl Fixture {
         else {
             return Err(format!("{pred}: not a DELETE with a WHERE clause").into());
         };
-        let handle = self.catalog.table("t")?;
-        let table = handle.read();
+        let table = self.catalog.table("t")?;
         let compiled = compile_for_table(selection, "t", table.schema().clone())?;
         let env = empty_env();
-        let reference = select_rows(&table, Some(&compiled), &env, None).map_err(|e| e.to_string());
+        let reference = select_rows(table, Some(&compiled), &env, None).map_err(|e| e.to_string());
         let live = u64::try_from(table.len())?;
-        drop(table);
         let mut got = Ok(Vec::new());
         let examined = examined_by(|| {
-            got = matching_rows(&self.ctx(), "t", &Some(selection.clone()))
-                .map_err(|e| e.to_string());
+            got = matching_rows(table, "t", &Some(selection.clone())).map_err(|e| e.to_string());
         });
         Ok((got, reference, examined < live))
     }

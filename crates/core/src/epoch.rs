@@ -10,6 +10,10 @@
 //! any lock the writer holds; a superseded epoch is reclaimed when its
 //! last reader drops the pin.
 //!
+//! The publication point is [`EpochHub`]: one mutex over the current
+//! epoch, the registry of weak handles and the engine's settings — rank 1
+//! of the engine's two-lock order, after the writer's `DbInner`.
+//!
 //! Lifecycle: seal → publish → overlay → re-seal → reclaim. The writer
 //! builds the next delta inside the existing savepoint + fault-site
 //! machinery (`dml.seal` faults and governor pre-charges still abort the
@@ -100,11 +104,11 @@ impl std::fmt::Debug for Epoch {
     }
 }
 
-/// The engine's settings — the one copy. It lives behind `EpochHub.shared`
-/// rather than inside the writer's mutex so that epoch readers never take
-/// that mutex; the writer reads it there too (`DbInner → EpochHub.shared`
-/// is in lock order). Each read and each DML statement clones it once, so
-/// a setter takes effect on the next statement.
+/// The engine's settings — the one copy. It lives behind the `EpochHub`
+/// mutex rather than inside the writer's so that epoch readers never take
+/// the writer's; the writer reads it there too (`DbInner → EpochHub` is in
+/// lock order). Each read and each DML statement clones it once, so a
+/// setter takes effect on the next statement.
 #[derive(Clone)]
 pub(crate) struct Settings {
     pub config: EngineConfig,
@@ -145,29 +149,41 @@ impl Settings {
     }
 }
 
-/// The publication point: holds the current epoch behind a tiny mutex
-/// (lock → `Arc` clone → unlock; the writer swaps, readers pin) plus a
-/// registry of weak handles for live-epoch accounting.
+/// Everything the hub's one mutex guards.
+struct HubState {
+    settings: Settings,
+    current: Option<Arc<Epoch>>,
+    /// Weak handles to every published epoch, for live-epoch accounting.
+    registry: Vec<Weak<Epoch>>,
+}
+
+/// The publication point and the settings, behind one tiny mutex (lock →
+/// clone → unlock; the writer swaps, readers pin). `enabled` and `txn_open`
+/// are atomics so that a read on the default engine (epochs off) learns it
+/// must take the writer's lock without taking this one first.
 pub(crate) struct EpochHub {
-    current: OrderedMutex<Option<Arc<Epoch>>>,
-    registry: OrderedMutex<Vec<Weak<Epoch>>>,
+    state: OrderedMutex<HubState>,
     next: AtomicU64,
     enabled: AtomicBool,
     /// An explicit transaction is open: reads must go down the locked path
     /// so they observe their own uncommitted writes.
     txn_open: AtomicBool,
-    shared: OrderedMutex<Settings>,
 }
 
 impl EpochHub {
-    pub fn new(shared: Settings, enabled: bool) -> EpochHub {
+    pub fn new(settings: Settings, enabled: bool) -> EpochHub {
         EpochHub {
-            current: OrderedMutex::new(LockClass::EpochCurrent, None),
-            registry: OrderedMutex::new(LockClass::EpochRegistry, Vec::new()),
+            state: OrderedMutex::new(
+                LockClass::EpochHub,
+                HubState {
+                    settings,
+                    current: None,
+                    registry: Vec::new(),
+                },
+            ),
             next: AtomicU64::new(0),
             enabled: AtomicBool::new(enabled),
             txn_open: AtomicBool::new(false),
-            shared: OrderedMutex::new(LockClass::EpochShared, shared),
         }
     }
 
@@ -181,7 +197,7 @@ impl EpochHub {
     pub fn set_enabled(&self, on: bool) {
         self.enabled.store(on, Ordering::Release);
         if !on {
-            *self.current.lock() = None;
+            self.state.lock().current = None;
         }
     }
 
@@ -189,26 +205,28 @@ impl EpochHub {
         self.txn_open.store(open, Ordering::Release);
     }
 
-    /// Pin the current epoch for a read, if reads should route through
-    /// epochs right now (publication enabled, an epoch exists, and no
-    /// explicit transaction is open).
-    pub fn pin(&self) -> Option<Arc<Epoch>> {
+    /// Pin the current epoch for a read and copy the settings it runs
+    /// under, in one acquisition — if reads should route through epochs
+    /// right now (publication enabled, an epoch exists, and no explicit
+    /// transaction is open).
+    pub fn pin(&self) -> Option<(Arc<Epoch>, Settings)> {
         if !self.enabled() || self.txn_open.load(Ordering::Acquire) {
             return None;
         }
-        self.current.lock().clone()
+        let state = self.state.lock();
+        Some((state.current.clone()?, state.settings.clone()))
     }
 
     /// Number of the current epoch, if one is published.
     pub fn current_number(&self) -> Option<u64> {
-        self.current.lock().as_ref().map(|e| e.number)
+        self.current_arc().map(|e| e.number)
     }
 
     /// The current epoch regardless of transaction state — used by the
     /// writer to reuse clean table/view `Arc`s when publishing the next
     /// epoch (unlike [`EpochHub::pin`], which gates on `txn_open`).
     pub fn current_arc(&self) -> Option<Arc<Epoch>> {
-        self.current.lock().clone()
+        self.state.lock().current.clone()
     }
 
     /// Publish a new epoch: assign its number, swap it in as current, and
@@ -227,12 +245,10 @@ impl EpochHub {
             plan_ctx,
             bytes,
         });
-        {
-            let mut reg = self.registry.lock();
-            reg.retain(|w| w.strong_count() > 0);
-            reg.push(Arc::downgrade(&ep));
-        }
-        *self.current.lock() = Some(ep.clone());
+        let mut state = self.state.lock();
+        state.registry.retain(|w| w.strong_count() > 0);
+        state.registry.push(Arc::downgrade(&ep));
+        state.current = Some(ep.clone());
         ep
     }
 
@@ -241,17 +257,15 @@ impl EpochHub {
     /// — kept alive only by reader pins — still hold. Retained bytes
     /// return to 0 once every old reader has dropped.
     pub fn live_stats(&self) -> (usize, usize) {
-        let current = self.current_number();
-        let mut reg = self.registry.lock();
-        reg.retain(|w| w.strong_count() > 0);
+        let mut state = self.state.lock();
+        let current = state.current.as_ref().map(|e| e.number);
+        state.registry.retain(|w| w.strong_count() > 0);
         let mut live = 0usize;
         let mut retained = 0usize;
-        for w in reg.iter() {
-            if let Some(ep) = w.upgrade() {
-                live += 1;
-                if Some(ep.number) != current {
-                    retained += ep.bytes;
-                }
+        for ep in state.registry.iter().filter_map(Weak::upgrade) {
+            live += 1;
+            if Some(ep.number) != current {
+                retained += ep.bytes;
             }
         }
         (live, retained)
@@ -259,12 +273,12 @@ impl EpochHub {
 
     /// Change the settings (takes effect on the next statement).
     pub fn update_settings<T>(&self, f: impl FnOnce(&mut Settings) -> T) -> T {
-        f(&mut self.shared.lock())
+        f(&mut self.state.lock().settings)
     }
 
     /// The settings as of now.
     pub fn settings(&self) -> Settings {
-        self.shared.lock().clone()
+        self.state.lock().settings.clone()
     }
 }
 

@@ -695,12 +695,6 @@ pub struct EngineFilter<'e> {
 }
 
 impl<'e> EngineFilter<'e> {
-    /// Whether any running-aggregate predicates were pushed down (they
-    /// require prefix checks during traversal).
-    pub(crate) fn has_agg_preds(&self) -> bool {
-        !self.agg_preds.is_empty()
-    }
-
     /// Tuple-pointer dereferences performed so far.
     pub(crate) fn derefs(&self) -> u64 {
         self.derefs.get()
@@ -1188,31 +1182,7 @@ impl PathProbe {
             });
         }
 
-        // Resolve the physical mode (§6.3): hint > flags; Auto applies the
-        // `BFS iff F < L` heuristic with the view's fan-out statistic.
-        let mode = match &config.mode {
-            ScanMode::Auto => {
-                let f = topo.avg_fan_out();
-                // `u32 → f64` is exact; a length cap beyond u32::MAX (never
-                // inferable from a real query) means L is effectively
-                // unbounded, so the `F < L` test always picks BFS rather
-                // than comparing against a rounded `usize as f64`.
-                let cap = u32::try_from(config.max_len)
-                    .map(f64::from)
-                    .unwrap_or(f64::INFINITY);
-                if f < cap {
-                    ScanMode::Bfs
-                } else {
-                    ScanMode::Dfs
-                }
-            }
-            m => m.clone(),
-        };
-
-        let mut spec = TraversalSpec::new(config.min_len, config.max_len);
-        if !filter.agg_preds.is_empty() {
-            spec = spec.with_prefix_checks();
-        }
+        let (mode, spec) = resolve_traversal(config, topo);
 
         let mut scan = match mode {
             ScanMode::Dfs => ActiveScan::Dfs(DfsPaths::new(topo, seeds, spec, filter)),
@@ -1270,6 +1240,39 @@ impl PathProbe {
         }
         Ok(scan)
     }
+}
+
+/// §6.3's logical→physical mapping, decided here for the serial probe and
+/// the morsel workers alike: the traversal a scan runs — never `Auto`,
+/// which resolves to `BFS iff F < L` against the view's fan-out statistic —
+/// and the window it explores.
+pub(crate) fn resolve_traversal(
+    config: &PathScanConfig,
+    topo: &GraphTopology,
+) -> (ScanMode, TraversalSpec) {
+    let mode = match &config.mode {
+        ScanMode::Auto => {
+            // `u32 → f64` is exact; a length cap beyond u32::MAX (never
+            // inferable from a real query) means L is effectively
+            // unbounded, so the `F < L` test always picks BFS rather
+            // than comparing against a rounded `usize as f64`.
+            let cap = u32::try_from(config.max_len)
+                .map(f64::from)
+                .unwrap_or(f64::INFINITY);
+            if topo.avg_fan_out() < cap {
+                ScanMode::Bfs
+            } else {
+                ScanMode::Dfs
+            }
+        }
+        m => m.clone(),
+    };
+    let mut spec = TraversalSpec::new(config.min_len, config.max_len);
+    // Running-aggregate predicates are checked on every prefix.
+    if !config.agg_preds.is_empty() {
+        spec = spec.with_prefix_checks();
+    }
+    (mode, spec)
 }
 
 struct PathScanOp<'e> {

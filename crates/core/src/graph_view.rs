@@ -1,12 +1,9 @@
 //! Graph views as database objects (EDBT 2018 §3).
 
-use std::sync::Arc;
-
 use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
 use grfusion_graph::GraphTopology;
 use grfusion_sql::CreateGraphView;
 use grfusion_storage::{Catalog, Table};
-use parking_lot::RwLock;
 
 /// Resolved definition of a graph view: which relational sources feed it
 /// and how source columns map to exposed vertex/edge attributes.
@@ -37,12 +34,8 @@ pub struct GraphViewDef {
 impl GraphViewDef {
     /// Resolve a `CREATE GRAPH VIEW` statement against the catalog.
     pub fn resolve(stmt: &CreateGraphView, catalog: &Catalog) -> Result<GraphViewDef> {
-        let vertex_table = catalog.table(&stmt.vertex_source)?;
-        let edge_table = catalog.table(&stmt.edge_source)?;
-        let vt = vertex_table.read();
-        let et = edge_table.read();
-        let vs = vt.schema();
-        let es = et.schema();
+        let vs = catalog.table(&stmt.vertex_source)?.schema();
+        let es = catalog.table(&stmt.edge_source)?.schema();
 
         let resolve_col = |schema: &Schema, col: &str, clause: &str| -> Result<usize> {
             schema.index_of(col).ok_or_else(|| {
@@ -124,11 +117,12 @@ impl GraphViewDef {
 }
 
 /// A graph view: the resolved definition plus the singleton materialized
-/// topology (shared by every query that references the view, §3.2).
+/// topology (shared by every query that references the view, §3.2). The
+/// view owns its topology; whoever holds `&mut GraphView` is its writer.
 #[derive(Debug)]
 pub struct GraphView {
     pub def: GraphViewDef,
-    pub topology: Arc<RwLock<GraphTopology>>,
+    pub topology: GraphTopology,
 }
 
 impl GraphView {
@@ -136,10 +130,8 @@ impl GraphView {
     /// then a single pass over the edges source (§3.2). Edge endpoints must
     /// exist in the vertex set.
     pub fn materialize(def: GraphViewDef, catalog: &Catalog) -> Result<GraphView> {
-        let vertex_table = catalog.table(&def.vertex_source)?;
-        let edge_table = catalog.table(&def.edge_source)?;
-        let vt = vertex_table.read();
-        let et = edge_table.read();
+        let vt = catalog.table(&def.vertex_source)?;
+        let et = catalog.table(&def.edge_source)?;
 
         let mut topo =
             GraphTopology::with_capacity(def.name.clone(), def.directed, vt.len(), et.len());
@@ -155,7 +147,7 @@ impl GraphView {
         }
         Ok(GraphView {
             def,
-            topology: Arc::new(RwLock::new(topo)),
+            topology: topo,
         })
     }
 }
@@ -261,14 +253,13 @@ mod tests {
         let c = catalog_with_social()?;
         let def = social_def(&c)?;
         let gv = GraphView::materialize(def, &c)?;
-        let topo = gv.topology.read();
+        let topo = &gv.topology;
         assert_eq!(topo.vertex_count(), 2);
         assert_eq!(topo.edge_count(), 1);
         // tuple pointer of vertex 1 dereferences to the Smith row
         let slot = topo.vertex_slot(1)?;
-        let users = c.table("users")?;
-        let users = users.read();
-        let row = users
+        let row = c
+            .table("users")?
             .get(topo.vertex_tuple(slot))
             .ok_or_else(|| Error::execution("tuple pointer dangles"))?;
         assert_eq!(row[1], Value::text("Smith"));
@@ -277,10 +268,9 @@ mod tests {
 
     #[test]
     fn materialize_rejects_dangling_edges() -> Result<()> {
-        let c = catalog_with_social()?;
+        let mut c = catalog_with_social()?;
         // add an edge to a nonexistent vertex
-        let rel = c.table("relationships")?;
-        rel.write().insert(vec![
+        c.table_mut("relationships")?.insert(vec![
             Value::Integer(11),
             Value::Integer(1),
             Value::Integer(99),
@@ -295,12 +285,10 @@ mod tests {
     fn scan_schemas() -> Result<()> {
         let c = catalog_with_social()?;
         let def = social_def(&c)?;
-        let users = c.table("users")?;
-        let vs = def.vertex_scan_schema(&users.read());
+        let vs = def.vertex_scan_schema(c.table("users")?);
         let names: Vec<&str> = vs.columns().iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["id", "lstname", "birthdate", "fanin", "fanout"]);
-        let rel = c.table("relationships")?;
-        let es = def.edge_scan_schema(&rel.read());
+        let es = def.edge_scan_schema(c.table("relationships")?);
         let names: Vec<&str> = es.columns().iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["id", "from", "to", "relative"]);
         assert_eq!(es.column(3).data_type, DataType::Boolean);

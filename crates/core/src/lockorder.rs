@@ -10,10 +10,13 @@
 //! [`OrderedMutex`] wraps `parking_lot::Mutex` with a [`LockClass`]; each
 //! thread keeps a stack of held classes, and acquiring a class whose rank
 //! is ≤ the innermost held rank panics with both class names. The
-//! documented order (DESIGN.md):
+//! documented order (DESIGN.md) is the whole of [`LockClass::ALL`]:
 //!
-//! `DbInner` (0) → `EpochHub.shared` (1) → `EpochHub.registry` (2) →
-//! `EpochHub.current` (3) → topology rwlock (4).
+//! `DbInner` (0) → `EpochHub` (1) → `TenantRegistry` (2).
+//!
+//! Tables and graph topologies are not in it: `DbInner` owns them by value,
+//! so reaching one *is* holding rank 0, and epoch readers see immutable
+//! `Arc` snapshots.
 //!
 //! Gating mirrors `GRFUSION_CHECK_CONTRACTS`: on by default in debug
 //! builds (the whole test suite cross-validates), off in release;
@@ -25,17 +28,16 @@ use std::sync::OnceLock;
 
 use parking_lot::{Mutex, MutexGuard};
 
-/// Ranked lock classes, mirroring the static pass's table exactly.
+/// Ranked lock classes. `tests/tests/lint_gate.rs` holds this table equal,
+/// row for row, to the static pass's `CLASSES`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum LockClass {
-    /// `Database.inner` — the outermost engine lock.
+    /// `Database.inner` — the outermost engine lock, and the owner of every
+    /// live table and topology.
     DbInner,
-    /// `EpochHub.shared` — reader-visible config/stats.
-    EpochShared,
-    /// `EpochHub.registry` — weak refs to published epochs.
-    EpochRegistry,
-    /// `EpochHub.current` — the published epoch slot.
-    EpochCurrent,
+    /// `EpochHub.state` — the settings, the published epoch slot and the
+    /// registry of weak epoch handles.
+    EpochHub,
     /// The network front-end's tenant admission registry
     /// (`grfusion-server`). A strict leaf: admission bookkeeping must
     /// never be held across a call into the engine (which starts at
@@ -45,24 +47,25 @@ pub enum LockClass {
 }
 
 impl LockClass {
+    /// Every class, in rank order.
+    pub const ALL: [LockClass; 3] = [
+        LockClass::DbInner,
+        LockClass::EpochHub,
+        LockClass::TenantRegistry,
+    ];
+
     pub fn rank(self) -> u8 {
         match self {
             LockClass::DbInner => 0,
-            LockClass::EpochShared => 1,
-            LockClass::EpochRegistry => 2,
-            LockClass::EpochCurrent => 3,
-            // Rank 4 is the topology rwlock (tracked only by the static
-            // pass); the tenant registry leaf sits after it.
-            LockClass::TenantRegistry => 5,
+            LockClass::EpochHub => 1,
+            LockClass::TenantRegistry => 2,
         }
     }
 
     pub fn name(self) -> &'static str {
         match self {
             LockClass::DbInner => "DbInner",
-            LockClass::EpochShared => "EpochHub.shared",
-            LockClass::EpochRegistry => "EpochHub.registry",
-            LockClass::EpochCurrent => "EpochHub.current",
+            LockClass::EpochHub => "EpochHub",
             LockClass::TenantRegistry => "TenantRegistry",
         }
     }
@@ -90,13 +93,15 @@ pub(crate) fn note_acquire(class: LockClass) -> Result<(), String> {
     HELD.with(|held| {
         let mut held = held.borrow_mut();
         if let Some(&worst) = held.iter().filter(|h| h.rank() >= class.rank()).max_by_key(|h| h.rank()) {
+            let order: Vec<&str> = LockClass::ALL.iter().map(|c| c.name()).collect();
             return Err(format!(
                 "lock-order violation: acquiring `{}` (rank {}) while holding `{}` (rank {}); \
-                 documented order is DbInner -> EpochHub.shared -> EpochHub.registry -> EpochHub.current",
+                 documented order is {}",
                 class.name(),
                 class.rank(),
                 worst.name(),
-                worst.rank()
+                worst.rank(),
+                order.join(" -> ")
             ));
         }
         held.push(class);
@@ -183,43 +188,47 @@ mod tests {
     fn conforming_nesting_is_accepted() {
         drain_held();
         assert!(note_acquire(LockClass::DbInner).is_ok());
-        assert!(note_acquire(LockClass::EpochRegistry).is_ok());
-        assert!(note_acquire(LockClass::EpochCurrent).is_ok());
-        note_release(LockClass::EpochCurrent);
-        note_release(LockClass::EpochRegistry);
+        assert!(note_acquire(LockClass::EpochHub).is_ok());
+        assert!(note_acquire(LockClass::TenantRegistry).is_ok());
+        note_release(LockClass::TenantRegistry);
+        note_release(LockClass::EpochHub);
         note_release(LockClass::DbInner);
     }
 
     #[test]
     fn inversion_is_rejected_with_both_class_names() {
         drain_held();
-        assert!(note_acquire(LockClass::EpochCurrent).is_ok());
+        assert!(note_acquire(LockClass::EpochHub).is_ok());
         let err = note_acquire(LockClass::DbInner).unwrap_err();
         assert!(err.contains("`DbInner` (rank 0)"), "{err}");
-        assert!(err.contains("`EpochHub.current` (rank 3)"), "{err}");
-        note_release(LockClass::EpochCurrent);
+        assert!(err.contains("`EpochHub` (rank 1)"), "{err}");
+        assert!(
+            err.ends_with("documented order is DbInner -> EpochHub -> TenantRegistry"),
+            "{err}"
+        );
+        note_release(LockClass::EpochHub);
     }
 
     #[test]
     fn same_class_recursion_is_rejected() {
         drain_held();
-        assert!(note_acquire(LockClass::EpochShared).is_ok());
-        assert!(note_acquire(LockClass::EpochShared).is_err());
-        note_release(LockClass::EpochShared);
+        assert!(note_acquire(LockClass::EpochHub).is_ok());
+        assert!(note_acquire(LockClass::EpochHub).is_err());
+        note_release(LockClass::EpochHub);
     }
 
     #[test]
     fn release_unwinds_and_reacquire_is_clean() {
         drain_held();
-        assert!(note_acquire(LockClass::EpochCurrent).is_ok());
-        note_release(LockClass::EpochCurrent);
+        assert!(note_acquire(LockClass::EpochHub).is_ok());
+        note_release(LockClass::EpochHub);
         assert!(note_acquire(LockClass::DbInner).is_ok());
         note_release(LockClass::DbInner);
     }
 
     #[test]
     fn ordered_mutex_roundtrip() {
-        let m = OrderedMutex::new(LockClass::EpochCurrent, 41);
+        let m = OrderedMutex::new(LockClass::EpochHub, 41);
         {
             let mut g = m.lock();
             *g += 1;

@@ -64,16 +64,10 @@ use grfusion_common::{Error, PathData, Result, Row};
 use grfusion_graph::{BfsPaths, DfsPaths, TraversalSpec, VertexSlot};
 
 use crate::env::{GraphEnv, QueryEnv};
-use crate::exec::bind_filter;
+use crate::exec::{bind_filter, resolve_traversal};
 use crate::governor::{path_bytes_at, ExecContext};
 use crate::metrics::{GovCounters, GraphCounters, WorkerMetrics};
 use crate::plan::{Emit, PathScanConfig, ScanMode, StartSource};
-
-/// Traversal mode after `Auto` resolution, shared read-only by all workers.
-enum ResolvedMode {
-    Dfs,
-    Bfs,
-}
 
 /// A completed parallel scan: the merged path buffer plus per-worker
 /// counters (morsels claimed, paths enumerated, traversal work) so
@@ -121,26 +115,8 @@ pub(crate) fn try_parallel_path_scan<'e>(
         StartSource::Constant(_) | StartSource::Probe(_) => return Ok(None),
     };
 
-    // Resolve the physical mode with the same §6.3 heuristic as the serial
-    // probe.
-    let mode = match &config.mode {
-        ScanMode::Auto => {
-            if topo.avg_fan_out() < config.max_len as f64 {
-                ResolvedMode::Bfs
-            } else {
-                ResolvedMode::Dfs
-            }
-        }
-        ScanMode::Dfs => ResolvedMode::Dfs,
-        ScanMode::Bfs => ResolvedMode::Bfs,
-        // Guarded by the early return above; if a future edit breaks that,
-        // fail the query instead of the process.
-        ScanMode::ShortestPath { .. } => {
-            return Err(Error::plan(
-                "shortest-path scan reached the morsel pool (serial-only mode)",
-            ))
-        }
-    };
+    // The serial probe's own §6.3 resolution, made once for every worker.
+    let (mode, spec) = resolve_traversal(config, topo);
 
     // Partition seeds into contiguous morsels. A single morsel (anchored
     // start, tiny seed set) has nothing to fan out — the serial probe
@@ -196,7 +172,7 @@ pub(crate) fn try_parallel_path_scan<'e>(
                             }
                         }
                         let r = catch_unwind(AssertUnwindSafe(|| {
-                            run_morsel(config, env, genv, &morsels[idx], mode)
+                            run_morsel(config, env, genv, &morsels[idx], mode, spec)
                         }))
                         .unwrap_or_else(|payload| Err(Error::from_panic(payload)));
                         match r {
@@ -239,7 +215,7 @@ pub(crate) fn try_parallel_path_scan<'e>(
     for (_, r) in slots {
         merged.extend(r?);
     }
-    if matches!(mode, ResolvedMode::Bfs) {
+    if mode == ScanMode::Bfs {
         // Stable by-length sort turns per-morsel level order into the
         // global (length, seed, discovery) order of the serial scan.
         merged.sort_by_key(|p| p.length());
@@ -265,7 +241,8 @@ fn run_morsel<'e>(
     env: &'e QueryEnv<'e>,
     genv: &'e GraphEnv<'e>,
     seeds: &[VertexSlot],
-    mode: &ResolvedMode,
+    mode: &ScanMode,
+    spec: TraversalSpec,
 ) -> Result<(Vec<PathData>, u64, GraphCounters, GovCounters)> {
     let topo = genv.topo;
     let outer_row: Row = Vec::new();
@@ -273,10 +250,6 @@ fn run_morsel<'e>(
     // rebinds it (binding is cheap: predicate RHS evaluation only). The
     // bound filter carries this morsel's per-expansion governor hook.
     let filter = bind_filter(config, &outer_row, env, genv)?;
-    let mut spec = TraversalSpec::new(config.min_len, config.max_len);
-    if filter.has_agg_preds() {
-        spec = spec.with_prefix_checks();
-    }
 
     let gov: &ExecContext = &env.gov;
     let track = gov.active();
@@ -302,7 +275,7 @@ fn run_morsel<'e>(
         Ok(())
     };
     let (counters, checks) = match mode {
-        ResolvedMode::Dfs => {
+        ScanMode::Dfs => {
             let mut it = DfsPaths::new(topo, seeds.to_vec(), spec, filter);
             drain(&mut || {
                 it.advance()
@@ -317,7 +290,7 @@ fn run_morsel<'e>(
                 DfsPaths::filter(&it).gov_checks(),
             )
         }
-        ResolvedMode::Bfs => {
+        ScanMode::Bfs => {
             let mut it = BfsPaths::new(topo, seeds.to_vec(), spec, filter);
             drain(&mut || {
                 it.advance()
@@ -331,6 +304,14 @@ fn run_morsel<'e>(
                 },
                 BfsPaths::filter(&it).gov_checks(),
             )
+        }
+        // Shortest-path scans never reach the pool and `Auto` is resolved
+        // before it starts; if a future edit breaks either, fail the
+        // query instead of the process.
+        ScanMode::ShortestPath { .. } | ScanMode::Auto => {
+            return Err(Error::plan(
+                "only DFS and BFS scans run in the morsel pool",
+            ))
         }
     };
     // A tripped filter drains its traversal without enumerating further;

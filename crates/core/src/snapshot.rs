@@ -3,9 +3,10 @@
 //!
 //! A snapshot binds names to tables and graph views for the duration of one
 //! read. It has exactly two sources — a pinned [`Epoch`] (immutable, shared
-//! by `Arc`, no engine lock held) and the read guards taken under `DbInner`
-//! (the writer's in-transaction view, also what `INSERT … SELECT` and DML
-//! subquery folding read) — and everything downstream of the constructor is
+//! by `Arc`, no engine lock held) and the tables and topologies `DbInner`
+//! owns, borrowed while the writer's mutex is held (the writer's
+//! in-transaction view, also what `INSERT … SELECT` and DML subquery
+//! folding read) — and everything downstream of the constructor is
 //! the same code: compile (fold subqueries → plan → optional cost-based
 //! re-planning), run, `EXPLAIN [ANALYZE]`, the cost catalog and the state
 //! dump. `Database::read` picks the source; nothing else knows which one it
@@ -20,7 +21,6 @@ use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
 use grfusion_graph::GraphTopology;
 use grfusion_sql::{Expr, Select, SelectItem};
 use grfusion_storage::{Catalog, Table};
-use parking_lot::RwLockReadGuard;
 
 use crate::db::PreparedQuery;
 use crate::env::{GraphEnv, QueryEnv};
@@ -29,30 +29,6 @@ use crate::exec::{execute_plan, execute_plan_with_metrics};
 use crate::graph_view::{GraphView, GraphViewDef};
 use crate::planner::{plan_select, PlannerCtx};
 use crate::result::ResultSet;
-
-/// Read guards on every live table and topology, taken once per read while
-/// `DbInner` is held; operators then work against plain references (serial
-/// execution — no per-row locks).
-pub(crate) struct LiveGuards<'a> {
-    tables: Vec<(&'a str, RwLockReadGuard<'a, Table>)>,
-    views: Vec<(
-        &'a str,
-        &'a GraphViewDef,
-        RwLockReadGuard<'a, GraphTopology>,
-    )>,
-}
-
-impl<'a> LiveGuards<'a> {
-    pub(crate) fn take(catalog: &'a Catalog, views: &'a HashMap<String, GraphView>) -> Self {
-        LiveGuards {
-            tables: catalog.iter().map(|(n, h)| (n, h.read())).collect(),
-            views: views
-                .iter()
-                .map(|(n, v)| (n.as_str(), &v.def, v.topology.read()))
-                .collect(),
-        }
-    }
-}
 
 /// Everything one read can observe, by lowercase name.
 pub(crate) struct Snapshot<'a> {
@@ -76,12 +52,18 @@ impl<'a> Snapshot<'a> {
         )
     }
 
-    /// The live state under `DbInner`, uncommitted writes of the open
-    /// transaction included.
-    pub(crate) fn locked(guards: &'a LiveGuards<'_>, plan_ctx: &'a PlannerCtx) -> Self {
+    /// The live state the writer's mutex owns, uncommitted writes of the
+    /// open transaction included. The shared borrows are the whole
+    /// protocol: nothing can write a table or a topology while the snapshot
+    /// lives.
+    pub(crate) fn locked(
+        catalog: &'a Catalog,
+        views: &'a HashMap<String, GraphView>,
+        plan_ctx: &'a PlannerCtx,
+    ) -> Self {
         Snapshot::bind(
-            guards.tables.iter().map(|(n, g)| (*n, &**g)),
-            guards.views.iter().map(|(n, def, g)| (*n, *def, &**g)),
+            catalog.iter(),
+            views.iter().map(|(n, v)| (n.as_str(), &v.def, &v.topology)),
             plan_ctx,
             None,
         )

@@ -520,9 +520,11 @@ fn serve(stream: &mut TcpStream, slot: &Slot, shared: &Shared) {
         *lock(slot) = None;
         drop(permit);
         if token.is_cancelled() {
-            // The client is gone. Its effects are already committed or
-            // rolled back — the engine's transaction boundary, not the
-            // socket, is the unit of atomicity.
+            // The client is gone. Every statement of its script is already
+            // committed or rolled back: a served statement is its own
+            // transaction (`execute_script_with_request` refuses BEGIN /
+            // COMMIT / ROLLBACK), so nothing it did can outlive the request
+            // half-open.
             return;
         }
         let panicked = outcome.is_err();

@@ -1,25 +1,37 @@
 //! The table catalog.
+//!
+//! The catalog owns its tables by value. Whoever holds `&mut Catalog` — in
+//! the engine, the one thread inside the writer's mutex — is the only
+//! writer, and the borrow checker proves it: there is no per-table lock
+//! (the paper's "low-overhead concurrency model", §7.2, is H-Store's serial
+//! execution, and serial execution needs none).
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use grfusion_common::{Error, Result};
-use parking_lot::RwLock;
 
 use crate::table::Table;
-
-/// Shared handle to a table. Readers (executor operators, graph traversals
-/// dereferencing tuple pointers) take read locks; the single-writer engine
-/// takes write locks for DML. With H-Store-style serial execution there is
-/// no lock contention — the lock exists for memory safety, matching the
-/// paper's "low-overhead concurrency model" observation (§7.2).
-pub type TableRef = Arc<RwLock<Table>>;
 
 /// Named collection of tables. Names are case-insensitive (normalized to
 /// lowercase).
 #[derive(Debug, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, TableRef>,
+    tables: BTreeMap<String, Table>,
+}
+
+/// The catalog key of `name`: borrowed when it already is lowercase (what
+/// every DML caller passes), allocated only otherwise.
+fn key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
+
+fn missing(name: &str) -> Error {
+    Error::catalog(format!("table `{name}` does not exist"))
 }
 
 impl Catalog {
@@ -28,42 +40,40 @@ impl Catalog {
     }
 
     /// Register a new table. Fails if the name is taken.
-    pub fn create_table(&mut self, table: Table) -> Result<TableRef> {
-        let key = table.name().to_ascii_lowercase();
-        if self.tables.contains_key(&key) {
-            return Err(Error::catalog(format!(
+    pub fn create_table(&mut self, table: Table) -> Result<&mut Table> {
+        use std::collections::btree_map::Entry;
+        match self.tables.entry(table.name().to_ascii_lowercase()) {
+            Entry::Occupied(_) => Err(Error::catalog(format!(
                 "table `{}` already exists",
                 table.name()
-            )));
+            ))),
+            Entry::Vacant(slot) => Ok(slot.insert(table)),
         }
-        let handle: TableRef = Arc::new(RwLock::new(table));
-        self.tables.insert(key, handle.clone());
-        Ok(handle)
     }
 
     /// Remove a table from the catalog.
-    pub fn drop_table(&mut self, name: &str) -> Result<TableRef> {
-        self.tables
-            .remove(&name.to_ascii_lowercase())
-            .ok_or_else(|| Error::catalog(format!("table `{name}` does not exist")))
+    pub fn drop_table(&mut self, name: &str) -> Result<Table> {
+        self.tables.remove(&*key(name)).ok_or_else(|| missing(name))
     }
 
     /// Look up a table by name.
-    pub fn table(&self, name: &str) -> Result<TableRef> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| Error::catalog(format!("table `{name}` does not exist")))
+    pub fn table(&self, name: &str) -> Result<&Table> {
+        self.tables.get(&*key(name)).ok_or_else(|| missing(name))
+    }
+
+    /// Look up a table by name, for writing.
+    pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
+        self.tables.get_mut(&*key(name)).ok_or_else(|| missing(name))
     }
 
     pub fn contains(&self, name: &str) -> bool {
-        self.tables.contains_key(&name.to_ascii_lowercase())
+        self.tables.contains_key(&*key(name))
     }
 
     /// Every table under its lowercase name, in deterministic (sorted)
     /// order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &TableRef)> {
-        self.tables.iter().map(|(n, h)| (n.as_str(), h))
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &Table)> {
+        self.tables.iter().map(|(n, t)| (n.as_str(), t))
     }
 
     /// Table names in deterministic (sorted) order.
@@ -78,39 +88,38 @@ mod tests {
     use grfusion_common::{DataType, Schema};
 
     #[test]
-    fn create_lookup_drop() {
+    fn create_lookup_drop() -> Result<()> {
         let mut c = Catalog::new();
         let t = Table::new("Users", Schema::from_pairs(&[("id", DataType::Integer)]));
-        c.create_table(t).unwrap();
+        c.create_table(t)?;
         assert!(c.contains("users"));
         assert!(c.contains("USERS"));
-        let h = c.table("uSeRs").unwrap();
-        assert_eq!(h.read().name(), "Users");
+        assert_eq!(c.table("uSeRs")?.name(), "Users");
+        assert_eq!(c.table_mut("USERS")?.name(), "Users");
         // duplicate
         let t2 = Table::new("USERS", Schema::default());
         assert!(c.create_table(t2).is_err());
-        c.drop_table("users").unwrap();
+        c.drop_table("Users")?;
         assert!(c.table("users").is_err());
         assert!(c.drop_table("users").is_err());
+        Ok(())
     }
 
     #[test]
-    fn names_sorted() {
+    fn names_sorted() -> Result<()> {
         let mut c = Catalog::new();
-        c.create_table(Table::new("b", Schema::default())).unwrap();
-        c.create_table(Table::new("a", Schema::default())).unwrap();
+        c.create_table(Table::new("b", Schema::default()))?;
+        c.create_table(Table::new("a", Schema::default()))?;
         assert_eq!(c.table_names(), vec!["a".to_string(), "b".to_string()]);
+        Ok(())
     }
 
     #[test]
-    fn iter_yields_lowercase_names_with_their_handles() -> Result<()> {
+    fn iter_yields_lowercase_names_with_their_tables() -> Result<()> {
         let mut c = Catalog::new();
         c.create_table(Table::new("Zed", Schema::default()))?;
         c.create_table(Table::new("Abe", Schema::default()))?;
-        let seen: Vec<(&str, String)> = c
-            .iter()
-            .map(|(n, h)| (n, h.read().name().to_string()))
-            .collect();
+        let seen: Vec<(&str, String)> = c.iter().map(|(n, t)| (n, t.name().to_string())).collect();
         assert_eq!(
             seen,
             vec![("abe", "Abe".to_string()), ("zed", "Zed".to_string())]

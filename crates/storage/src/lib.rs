@@ -18,10 +18,10 @@ pub mod stats;
 pub mod table;
 pub mod undo;
 
-pub use catalog::{Catalog, TableRef};
+pub use catalog::Catalog;
 pub use index::{Index, IndexKind, OrdKey};
 pub use stats::TableStats;
 pub use table::Table;
-pub use undo::{UndoLog, UndoOp};
+pub use undo::UndoOp;
 
 pub use grfusion_common::RowId;

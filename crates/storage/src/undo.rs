@@ -3,10 +3,11 @@
 //! VoltDB/H-Store executes single-partition transactions serially, so
 //! isolation is trivial; atomicity comes from an undo log that rolls the
 //! partition back if a statement aborts mid-transaction. We mirror that:
-//! every storage mutation appends an [`UndoOp`]; rollback replays them in
-//! reverse. The engine layer extends the same log with graph-topology undo
-//! actions so that graph-view maintenance (§3.3) is atomic with the
-//! triggering DML.
+//! every storage mutation yields an [`UndoOp`], and [`UndoOp::undo`]
+//! reverses one. The log itself lives in the engine layer (`core::dml`'s
+//! journal), which interleaves these ops with graph-topology undo actions
+//! so that graph-view maintenance (§3.3) is atomic with the triggering DML
+//! and rolls both back newest-first.
 
 use std::sync::Arc;
 
@@ -34,57 +35,26 @@ pub enum UndoOp {
     },
 }
 
-/// Append-only log of reversible actions for one transaction.
-#[derive(Debug, Default)]
-pub struct UndoLog {
-    ops: Vec<UndoOp>,
-}
-
-impl UndoLog {
-    pub fn new() -> Self {
-        UndoLog::default()
-    }
-
-    pub fn record(&mut self, op: UndoOp) {
-        self.ops.push(op);
-    }
-
-    pub fn len(&self) -> usize {
-        self.ops.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
-    }
-
-    /// Number of ops currently logged — used as a savepoint marker.
-    pub fn savepoint(&self) -> usize {
-        self.ops.len()
-    }
-
-    /// Roll back everything after `savepoint` (0 = whole transaction),
-    /// applying ops newest-first against the catalog's tables.
-    pub fn rollback_to(&mut self, catalog: &Catalog, savepoint: usize) -> Result<()> {
-        while self.ops.len() > savepoint {
-            let op = self.ops.pop().expect("len checked");
-            match op {
-                UndoOp::Insert { table, row } => {
-                    catalog.table(&table)?.write().delete(row)?;
-                }
-                UndoOp::Delete { table, row, old } => {
-                    catalog.table(&table)?.write().restore(row, old)?;
-                }
-                UndoOp::Update { table, row, old } => {
-                    catalog.table(&table)?.write().update(row, old)?;
-                }
-            }
+impl UndoOp {
+    /// Lowercase name of the table this op acted on.
+    pub fn table(&self) -> &Arc<str> {
+        match self {
+            UndoOp::Insert { table, .. }
+            | UndoOp::Delete { table, .. }
+            | UndoOp::Update { table, .. } => table,
         }
-        Ok(())
     }
 
-    /// Commit: drop the log.
-    pub fn clear(&mut self) {
-        self.ops.clear();
+    /// Reverse this op against the catalog's tables — the one place the
+    /// three storage-undo arms are spelled. A log is rolled back by undoing
+    /// its ops newest-first.
+    pub fn undo(self, catalog: &mut Catalog) -> Result<()> {
+        let table = catalog.table_mut(self.table())?;
+        match self {
+            UndoOp::Insert { row, .. } => table.delete(row).map(drop),
+            UndoOp::Delete { row, old, .. } => table.restore(row, old),
+            UndoOp::Update { row, old, .. } => table.update(row, old).map(drop),
+        }
     }
 }
 
@@ -94,104 +64,105 @@ mod tests {
     use crate::table::Table;
     use grfusion_common::{DataType, Schema, Value};
 
-    fn setup() -> (Catalog, RowId) {
+    fn setup() -> Result<(Catalog, RowId)> {
         let mut c = Catalog::new();
         let t = Table::new(
             "t",
             Schema::from_pairs(&[("id", DataType::Integer), ("v", DataType::Varchar)]),
         );
-        let h = c.create_table(t).unwrap();
-        let r0 = h
-            .write()
-            .insert(vec![Value::Integer(0), Value::text("base")])
-            .unwrap();
-        (c, r0)
+        let r0 = c
+            .create_table(t)?
+            .insert(vec![Value::Integer(0), Value::text("base")])?;
+        Ok((c, r0))
+    }
+
+    /// Undo `log` newest-first down to `savepoint` entries.
+    fn rollback_to(log: &mut Vec<UndoOp>, c: &mut Catalog, savepoint: usize) -> Result<()> {
+        for op in log.drain(savepoint..).rev() {
+            op.undo(c)?;
+        }
+        Ok(())
     }
 
     #[test]
-    fn rollback_insert() {
-        let (c, _r0) = setup();
-        let mut log = UndoLog::new();
-        let h = c.table("t").unwrap();
-        let r = h
-            .write()
-            .insert(vec![Value::Integer(1), Value::text("x")])
-            .unwrap();
-        log.record(UndoOp::Insert {
+    fn rollback_insert() -> Result<()> {
+        let (mut c, _r0) = setup()?;
+        let mut log = Vec::new();
+        let r = c
+            .table_mut("t")?
+            .insert(vec![Value::Integer(1), Value::text("x")])?;
+        log.push(UndoOp::Insert {
             table: "t".into(),
             row: r,
         });
-        log.rollback_to(&c, 0).unwrap();
-        assert!(h.read().get(r).is_none());
-        assert_eq!(h.read().len(), 1);
+        rollback_to(&mut log, &mut c, 0)?;
+        let t = c.table("t")?;
+        assert!(t.get(r).is_none());
+        assert_eq!(t.len(), 1);
+        Ok(())
     }
 
     #[test]
-    fn rollback_delete_and_update() {
-        let (c, r0) = setup();
-        let mut log = UndoLog::new();
-        let h = c.table("t").unwrap();
+    fn rollback_delete_and_update() -> Result<()> {
+        let (mut c, r0) = setup()?;
+        let mut log = Vec::new();
+        let t = c.table_mut("t")?;
 
-        let old = h
-            .write()
-            .update(r0, vec![Value::Integer(0), Value::text("changed")])
-            .unwrap();
-        log.record(UndoOp::Update {
+        let old = t
+            .update(r0, vec![Value::Integer(0), Value::text("changed")])?;
+        log.push(UndoOp::Update {
             table: "t".into(),
             row: r0,
             old,
         });
-        let old = h.write().delete(r0).unwrap();
-        log.record(UndoOp::Delete {
+        let old = t.delete(r0)?;
+        log.push(UndoOp::Delete {
             table: "t".into(),
             row: r0,
             old,
         });
 
-        log.rollback_to(&c, 0).unwrap();
-        let t = h.read();
-        assert_eq!(t.get(r0).unwrap()[1], Value::text("base"));
+        rollback_to(&mut log, &mut c, 0)?;
+        let t = c.table("t")?;
+        assert_eq!(t.get(r0).map(|r| &r[1]), Some(&Value::text("base")));
+        Ok(())
     }
 
     #[test]
-    fn partial_rollback_to_savepoint() {
-        let (c, _r0) = setup();
-        let mut log = UndoLog::new();
-        let h = c.table("t").unwrap();
+    fn partial_rollback_to_savepoint() -> Result<()> {
+        let (mut c, _r0) = setup()?;
+        let mut log = Vec::new();
+        let t = c.table_mut("t")?;
 
-        let r1 = h
-            .write()
-            .insert(vec![Value::Integer(1), Value::text("a")])
-            .unwrap();
-        log.record(UndoOp::Insert {
+        let r1 = t.insert(vec![Value::Integer(1), Value::text("a")])?;
+        log.push(UndoOp::Insert {
             table: "t".into(),
             row: r1,
         });
-        let sp = log.savepoint();
-        let r2 = h
-            .write()
-            .insert(vec![Value::Integer(2), Value::text("b")])
-            .unwrap();
-        log.record(UndoOp::Insert {
+        let sp = log.len();
+        let r2 = t.insert(vec![Value::Integer(2), Value::text("b")])?;
+        log.push(UndoOp::Insert {
             table: "t".into(),
             row: r2,
         });
 
-        log.rollback_to(&c, sp).unwrap();
-        assert!(h.read().get(r1).is_some());
-        assert!(h.read().get(r2).is_none());
+        rollback_to(&mut log, &mut c, sp)?;
+        let t = c.table("t")?;
+        assert!(t.get(r1).is_some());
+        assert!(t.get(r2).is_none());
         assert_eq!(log.len(), sp);
+        Ok(())
     }
 
     #[test]
-    fn clear_commits() {
-        let (_c, _r0) = setup();
-        let mut log = UndoLog::new();
-        log.record(UndoOp::Insert {
+    fn undo_of_a_dropped_table_is_an_error() -> Result<()> {
+        let (mut c, r0) = setup()?;
+        c.drop_table("t")?;
+        let op = UndoOp::Insert {
             table: "t".into(),
-            row: RowId(0),
-        });
-        log.clear();
-        assert!(log.is_empty());
+            row: r0,
+        };
+        assert!(op.undo(&mut c).is_err());
+        Ok(())
     }
 }

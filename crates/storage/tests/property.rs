@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use grfusion_common::{DataType, Schema, Value};
-use grfusion_storage::{Catalog, IndexKind, Table, UndoLog, UndoOp};
+use grfusion_storage::{Catalog, IndexKind, Table, UndoOp};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -103,35 +103,28 @@ proptest! {
     #[test]
     fn undo_log_round_trips_random_transactions(ops in arb_ops()) {
         let mut catalog = Catalog::new();
-        catalog.create_table(make_table()).unwrap();
-        let handle = catalog.table("t").unwrap();
+        let t = catalog.create_table(make_table()).unwrap();
 
         // Seed some committed rows.
         let mut live: Vec<(grfusion_common::RowId, i64)> = Vec::new();
         for k in 0..10 {
-            let rid = handle
-                .write()
+            let rid = t
                 .insert(vec![Value::Integer(k), Value::Integer(k * 100)])
                 .unwrap();
             live.push((rid, k));
         }
-        let snapshot: Vec<(grfusion_common::RowId, Vec<Value>)> = handle
-            .read()
-            .scan()
-            .map(|(r, row)| (r, row.clone()))
-            .collect();
+        let snapshot: Vec<(grfusion_common::RowId, Vec<Value>)> =
+            t.scan().map(|(r, row)| (r, row.clone())).collect();
 
         // Run the ops inside an undo-logged transaction.
-        let mut log = UndoLog::new();
+        let mut log: Vec<UndoOp> = Vec::new();
         let mut txn_live = live.clone();
         for op in ops {
             match op {
                 Op::Insert { key, payload } => {
-                    let r = handle
-                        .write()
-                        .insert(vec![Value::Integer(key + 1000), Value::Integer(payload)]);
+                    let r = t.insert(vec![Value::Integer(key + 1000), Value::Integer(payload)]);
                     if let Ok(rid) = r {
-                        log.record(UndoOp::Insert { table: "t".into(), row: rid });
+                        log.push(UndoOp::Insert { table: "t".into(), row: rid });
                         txn_live.push((rid, key + 1000));
                     }
                 }
@@ -139,26 +132,29 @@ proptest! {
                     if txn_live.is_empty() { continue; }
                     let i = pick % txn_live.len();
                     let (rid, _) = txn_live.remove(i);
-                    let old = handle.write().delete(rid).unwrap();
-                    log.record(UndoOp::Delete { table: "t".into(), row: rid, old });
+                    let old = t.delete(rid).unwrap();
+                    log.push(UndoOp::Delete { table: "t".into(), row: rid, old });
                 }
                 Op::Update { pick, payload } => {
                     if txn_live.is_empty() { continue; }
                     let i = pick % txn_live.len();
                     let (rid, k) = txn_live[i];
-                    let old = handle
-                        .write()
+                    let old = t
                         .update(rid, vec![Value::Integer(k), Value::Integer(payload)])
                         .unwrap();
-                    log.record(UndoOp::Update { table: "t".into(), row: rid, old });
+                    log.push(UndoOp::Update { table: "t".into(), row: rid, old });
                 }
             }
         }
 
-        // Roll everything back: the table must equal the snapshot exactly.
-        log.rollback_to(&catalog, 0).unwrap();
-        let after: Vec<(grfusion_common::RowId, Vec<Value>)> = handle
-            .read()
+        // Roll everything back, newest first: the table must equal the
+        // snapshot exactly.
+        while let Some(op) = log.pop() {
+            op.undo(&mut catalog).unwrap();
+        }
+        let after: Vec<(grfusion_common::RowId, Vec<Value>)> = catalog
+            .table("t")
+            .unwrap()
             .scan()
             .map(|(r, row)| (r, row.clone()))
             .collect();

@@ -189,10 +189,6 @@ fn gen_workload(seed: u64) -> Workload {
 // ---------------------------------------------------------------------------
 
 fn build_engine(csr: CsrConfig, w: &Workload) -> Database {
-    build_engine_with(csr, w, EpochConfig::disabled())
-}
-
-fn build_engine_with(csr: CsrConfig, w: &Workload, epochs: EpochConfig) -> Database {
     // One row per batch: every operator hands over exactly the row its
     // consumer is about to use. This is the reference the batch-size lane
     // is compared against.
@@ -200,7 +196,7 @@ fn build_engine_with(csr: CsrConfig, w: &Workload, epochs: EpochConfig) -> Datab
         EngineConfig {
             csr,
             parallel: ParallelConfig::serial(),
-            epochs,
+            epochs: EpochConfig::disabled(),
             ..Default::default()
         },
         w,
@@ -706,7 +702,8 @@ fn capture_reference(db: &Database) -> Result<PrefixRef, String> {
     })
 }
 
-/// Run one workload with epoch publication on: a single writer replays the
+/// Run one workload with epoch publication on, under the engine
+/// configuration `live_cfg`: a single writer replays the
 /// DML script while `readers` threads hammer full path enumerations. Every
 /// read must be byte-identical to a serial run against exactly the epoch
 /// it pinned (identified via the `epoch` annotation in query metrics), and
@@ -714,12 +711,13 @@ fn capture_reference(db: &Database) -> Result<PrefixRef, String> {
 ///
 /// Failure strings name the `(script-prefix, query)` pair so the minimizer
 /// output pinpoints the diverging snapshot.
-fn check_concurrent(w: &Workload, readers: usize) -> Result<(), String> {
+fn check_concurrent(w: &Workload, readers: usize, live_cfg: EngineConfig) -> Result<(), String> {
     use std::collections::HashMap;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Mutex;
 
-    let live = build_engine_with(CsrConfig::sealed(), w, EpochConfig::enabled());
+    assert!(live_cfg.epochs.enabled, "the concurrent oracle reads through epochs");
+    let live = build_engine_cfg(live_cfg, w);
     let reference = build_engine(CsrConfig::sealed(), w);
 
     // prefix 0 = the state right after setup, before any script DML.
@@ -864,22 +862,59 @@ fn check_concurrent(w: &Workload, readers: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// The concurrent headline oracle: the same 200 seeded workloads, read by
-/// 4 concurrent reader threads while the writer replays the script. On
+/// The concurrent lane's engine: the serial reference's configuration
+/// (sealed CSR, one worker, rule-based plans) plus epoch publication.
+fn epochs_only() -> EngineConfig {
+    EngineConfig {
+        csr: CsrConfig::sealed(),
+        parallel: ParallelConfig::serial(),
+        epochs: EpochConfig::enabled(),
+        ..Default::default()
+    }
+}
+
+/// Every default-off execution feature at once: epochs, sealed CSR, the
+/// cost-based optimizer, and four workers over two-seed morsels (so the
+/// unanchored enumerations really fan out on these small graphs).
+fn everything_on() -> EngineConfig {
+    let mut cfg = epochs_only();
+    cfg.optimizer.cost_based = true;
+    cfg.parallel = ParallelConfig {
+        workers: 4,
+        morsel_size: 2,
+    };
+    cfg
+}
+
+/// The 200 seeded workloads, read by 4 concurrent reader threads while
+/// the writer replays the script on an engine configured as `live_cfg`. On
 /// failure the greedy minimizer re-runs the *concurrent* checker and the
 /// panic names the failing (script-prefix, query) pair.
-#[test]
-fn concurrent_oracle_200_seeded_workloads() {
+fn concurrent_oracle(live_cfg: EngineConfig) {
     for seed in 0..200u64 {
         let w = gen_workload(seed);
-        if check_concurrent(&w, 4).is_err() {
-            let (min, err) = minimize_with(w, |w| check_concurrent(w, 4));
+        if check_concurrent(&w, 4, live_cfg).is_err() {
+            let (min, err) = minimize_with(w, |w| check_concurrent(w, 4, live_cfg));
             panic!(
                 "concurrent epoch oracle failed (minimized):\n{}\n{err}",
                 min.render()
             );
         }
     }
+}
+
+/// The concurrent headline oracle.
+#[test]
+fn concurrent_oracle_200_seeded_workloads() {
+    concurrent_oracle(epochs_only());
+}
+
+/// The fifth lane, in process: the configuration the roadmap wants to
+/// become the default — everything on at once — against the same serial,
+/// rule-based, epoch-free reference.
+#[test]
+fn concurrent_oracle_200_seeded_workloads_everything_on() {
+    concurrent_oracle(everything_on());
 }
 
 /// Reclamation under load: after the writer finishes and readers stop, no
@@ -889,7 +924,7 @@ fn concurrent_oracle_200_seeded_workloads() {
 fn concurrent_oracle_reclaims_epochs() {
     for seed in [0u64, 7, 42] {
         let w = gen_workload(seed);
-        check_concurrent(&w, 2).unwrap();
+        check_concurrent(&w, 2, epochs_only()).unwrap();
     }
 }
 

@@ -58,3 +58,20 @@ fn ratchet_baseline_files_exist() {
         }
     }
 }
+
+/// The lock order has one rank table kept in two places — the static pass
+/// reads source text, the runtime validator wraps the mutexes — and they
+/// must agree row for row, or the two would police different orders.
+#[test]
+fn static_and_runtime_lock_rank_tables_agree() {
+    let runtime: Vec<(u8, &str)> = grfusion::lockorder::LockClass::ALL
+        .iter()
+        .map(|c| (c.rank(), c.name()))
+        .collect();
+    let statik: Vec<(u8, &str)> = xtask::passes::lock_order::CLASSES
+        .iter()
+        .map(|&(_, rank, class)| (rank, class))
+        .collect();
+    assert_eq!(statik, runtime);
+    assert_eq!(runtime.len(), 3);
+}

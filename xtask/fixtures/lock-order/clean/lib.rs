@@ -2,8 +2,8 @@
 impl Hub {
     fn publish(&self) {
         let mut inner = self.inner.lock();
-        let mut reg = self.registry.lock();
-        *self.current.lock() = None;
-        let _ = (&mut inner, &mut reg);
+        let mut hub = self.state.lock();
+        self.tenants.lock().clear();
+        let _ = (&mut inner, &mut hub);
     }
 }

@@ -1,8 +1,8 @@
-//! Fixture: takes `DbInner` while holding `EpochHub.current` — inverted.
+//! Fixture: takes `DbInner` while holding `EpochHub` — inverted.
 impl Hub {
     fn republish(&self) {
-        let cur = self.current.lock();
+        let hub = self.state.lock();
         let inner = self.inner.lock();
-        let _ = (cur, inner);
+        let _ = (hub, inner);
     }
 }

@@ -2,19 +2,20 @@
 //!
 //! The engine's documented discipline (see `crates/core/src/db.rs` and
 //! DESIGN.md): `Database.inner` — the big `DbInner` mutex — is the
-//! *outermost* lock; the `EpochHub` mutexes (`shared`, `registry`,
-//! `current`) are leaves taken while `DbInner` is held on the publish
-//! path; per-view topology rwlocks nest innermost. Readers pin epochs via
-//! `hub.current` alone and never touch `DbInner`. Ranks therefore ascend
-//! inward:
+//! *outermost* lock and owns every live table and topology by value, so
+//! those need no lock of their own; the `EpochHub` mutex (settings,
+//! published epoch, registry) is taken while `DbInner` is held on the
+//! publish path, and by readers alone to pin an epoch; the server's tenant
+//! registry is a leaf never held across a call into the engine. Ranks
+//! ascend inward — the table is [`CLASSES`], and
+//! `tests/tests/lint_gate.rs` holds it equal to the runtime validator's
+//! `LockClass`:
 //!
-//! | rank | lock                | receiver ident |
-//! |------|---------------------|----------------|
-//! | 0    | `DbInner`           | `inner`        |
-//! | 1    | `EpochHub.shared`   | `shared`       |
-//! | 2    | `EpochHub.registry` | `registry`     |
-//! | 3    | `EpochHub.current`  | `current`      |
-//! | 4    | topology rwlock     | `topology`     |
+//! | rank | lock             | receiver ident |
+//! |------|------------------|----------------|
+//! | 0    | `DbInner`        | `inner`        |
+//! | 1    | `EpochHub`       | `state`        |
+//! | 2    | `TenantRegistry` | `tenants`      |
 //!
 //! Within each function we replay acquisitions in source order: a
 //! `let g = <chain>.lock();` binding holds its lock until its block closes
@@ -33,17 +34,14 @@ use crate::findings::Finding;
 use crate::model::{functions, ident_before, next_nonspace, SourceFile, SourceModel};
 use crate::passes::Pass;
 
-/// Receiver ident → (rank, class name). Idents not listed are locks
-/// outside the documented order (table handles, caches) and are ignored.
-const CLASSES: &[(&str, u8, &str)] = &[
+/// Receiver ident → (rank, class name), in rank order. Idents not listed
+/// are locks outside the documented order (caches, stdin) and are ignored.
+pub const CLASSES: &[(&str, u8, &str)] = &[
     ("inner", 0, "DbInner"),
-    ("shared", 1, "EpochHub.shared"),
-    ("registry", 2, "EpochHub.registry"),
-    ("current", 3, "EpochHub.current"),
-    ("topology", 4, "topology rwlock"),
+    ("state", 1, "EpochHub"),
     // grfusion-server's tenant admission registry: a strict leaf, never
     // held across a call into the engine.
-    ("tenants", 5, "TenantRegistry"),
+    ("tenants", 2, "TenantRegistry"),
 ];
 
 fn classify(ident: &str) -> Option<(u8, &'static str)> {
@@ -172,13 +170,14 @@ fn analyze_fn(file: &SourceFile, f: &crate::model::FnSpan, out: &mut Vec<Finding
                 Event::Acquire(rank, class, name, site) => {
                     if let Some(worst) = held.iter().filter(|h| h.rank >= *rank).max_by_key(|h| h.rank)
                     {
+                        let order: Vec<&str> = CLASSES.iter().map(|c| c.2).collect();
                         out.push(Finding {
                             file: file.rel.clone(),
                             line: file.line_of(*site),
                             key: file.rel.clone(),
                             message: format!(
-                                "lock-order violation in fn `{}`: acquires `{}` (rank {}) while holding `{}` (rank {}); documented order is DbInner -> EpochHub.shared -> EpochHub.registry -> EpochHub.current -> topology",
-                                f.name, class, rank, worst.class, worst.rank
+                                "lock-order violation in fn `{}`: acquires `{}` (rank {}) while holding `{}` (rank {}); documented order is {}",
+                                f.name, class, rank, worst.class, worst.rank, order.join(" -> ")
                             ),
                         });
                     }
@@ -274,24 +273,27 @@ mod tests {
 
     #[test]
     fn conforming_order_is_clean() {
-        let src = "fn publish(&self) {\n    let mut inner = self.inner.lock();\n    let mut reg = self.registry.lock();\n    *self.current.lock() = None;\n}\n";
+        let src = "fn admit(&self) {\n    let mut inner = self.inner.lock();\n    let mut hub = self.state.lock();\n    self.tenants.lock().clear();\n}\n";
         assert!(scan(src).is_empty());
     }
 
     #[test]
     fn inverted_order_is_flagged() {
-        let src = "fn bad(&self) {\n    let cur = self.current.lock();\n    let mut inner = self.inner.lock();\n}\n";
+        let src = "fn bad(&self) {\n    let hub = self.state.lock();\n    let mut inner = self.inner.lock();\n}\n";
         let found = scan(src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 3);
         assert!(found[0].message.contains("`DbInner` (rank 0)"));
-        assert!(found[0].message.contains("`EpochHub.current` (rank 3)"));
+        assert!(found[0].message.contains("`EpochHub` (rank 1)"));
+        assert!(found[0]
+            .message
+            .ends_with("documented order is DbInner -> EpochHub -> TenantRegistry"));
     }
 
     #[test]
     fn scope_exit_and_drop_release() {
-        // Block scope releases `reg`; drop releases `inner`.
-        let src = "fn ok(&self) {\n    {\n        let reg = self.registry.lock();\n    }\n    let s = self.shared.lock();\n    drop(s);\n    let inner = self.inner.lock();\n    drop(inner);\n    let s2 = self.shared.lock();\n}\n";
+        // Block scope releases `t`; drop releases `inner`.
+        let src = "fn ok(&self) {\n    {\n        let t = self.tenants.lock();\n    }\n    let s = self.state.lock();\n    drop(s);\n    let inner = self.inner.lock();\n    drop(inner);\n    let s2 = self.state.lock();\n}\n";
         assert!(scan(src).is_empty());
     }
 
@@ -305,7 +307,7 @@ mod tests {
 
     #[test]
     fn dbinner_param_implies_held() {
-        let src = "fn publish_epoch(hub: &EpochHub, inner: &mut DbInner) {\n    let mut reg = hub.registry.lock();\n}\nfn bad_helper(inner: &mut DbInner, db: &Database) {\n    let g = db.inner.lock();\n}\n";
+        let src = "fn publish_epoch(hub: &EpochHub, inner: &mut DbInner) {\n    let mut st = hub.state.lock();\n}\nfn bad_helper(inner: &mut DbInner, db: &Database) {\n    let g = db.inner.lock();\n}\n";
         let found = scan(src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 5);
@@ -314,7 +316,7 @@ mod tests {
 
     #[test]
     fn transient_acquisitions_checked_not_held() {
-        let src = "fn peek(&self) -> u64 {\n    self.current.lock().number;\n    let inner = self.inner.lock();\n    0\n}\n";
+        let src = "fn peek(&self) -> u64 {\n    self.state.lock().number;\n    let inner = self.inner.lock();\n    0\n}\n";
         assert!(scan(src).is_empty());
     }
 }

@@ -16,12 +16,10 @@ use grfusion_bench::experiments::{self, ExperimentScale, Measurement};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: harness <experiment> [--vertices N] [--queries N] [--workers N] [--deadline-ms N] [--paper-like] [--metrics]\n\
+        "usage: harness <experiment> [--vertices N] [--queries N] [--seed N] [--deadline-ms N] [--paper-like] [--metrics]\n\
          experiments: table2 | fig7 | fig8 | fig9 | fig10 | table3 | csr | optimizer | concurrent |\n\
          \u{20}            ablate-pushdown | ablate-leninfer | ablate-lazy | ablate-traversal |\n\
          \u{20}            metrics | all\n\
-         --workers N runs GRFusion's graph operators with N morsel worker\n\
-         threads (default 1 = serial; answers are identical either way)\n\
          --deadline-ms N arms the per-query resource governor: any query\n\
          exceeding the wall-clock deadline aborts cleanly (reported as DNF)\n\
          --metrics additionally dumps per-operator EXPLAIN ANALYZE counters\n\
@@ -68,26 +66,15 @@ fn main() -> ExitCode {
                     .unwrap_or_else(|| usage());
                 i += 2;
             }
-            "--workers" => {
-                let workers: usize = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                // Engine construction reads GRFUSION_WORKERS through
-                // `EngineConfig::default()`, so setting it before any
-                // system loads routes every GRFusion query through the
-                // morsel pool without plumbing a flag into each experiment.
-                std::env::set_var("GRFUSION_WORKERS", workers.to_string());
-                i += 2;
-            }
             "--deadline-ms" => {
                 let ms: u64 = args
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
-                // Same route as --workers: EngineConfig::default() reads
-                // GRFUSION_DEADLINE_MS, so every engine the experiments
-                // construct gets the deadline without extra plumbing.
+                // EngineConfig::default() reads GRFUSION_DEADLINE_MS, so
+                // setting it before any system loads gives every engine
+                // the experiments construct the deadline without extra
+                // plumbing.
                 std::env::set_var("GRFUSION_DEADLINE_MS", ms.to_string());
                 i += 2;
             }

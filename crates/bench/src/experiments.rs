@@ -583,7 +583,7 @@ pub fn csr(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
 /// timing, and the plan the optimizer actually chose is reported as its
 /// own row so the crossover is visible in the TSV, not inferred.
 pub fn optimizer(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
-    use grfusion::{Database, ParallelConfig, Value};
+    use grfusion::{Database, Value};
     const ROUNDS: usize = 9;
     let n = scale.vertices.clamp(256, 4096);
     let anchors: Vec<usize> = (0..scale.queries.max(3)).map(|i| (i * 97) % n).collect();
@@ -627,10 +627,7 @@ pub fn optimizer(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
 
         let mut lanes: Vec<(&str, Database)> = Vec::new();
         for (label, cost_based) in [("optimizer=off", false), ("optimizer=on", true)] {
-            let mut cfg = EngineConfig {
-                parallel: ParallelConfig::serial(),
-                ..EngineConfig::default()
-            };
+            let mut cfg = EngineConfig::default();
             cfg.optimizer.cost_based = cost_based;
             let db = Database::with_config(cfg);
             db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")?;
@@ -914,18 +911,6 @@ pub fn metrics(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
                         g.tuple_derefs,
                     ));
                 }
-            }
-            for w in &qm.workers {
-                let wk = format!("{family}/worker{}", w.worker);
-                out.push(m("metrics", name, "grfusion", format!("{wk}:morsels"), w.morsels));
-                out.push(m("metrics", name, "grfusion", format!("{wk}:paths"), w.paths));
-                out.push(m(
-                    "metrics",
-                    name,
-                    "grfusion",
-                    format!("{wk}:edges"),
-                    w.counters.edges_expanded,
-                ));
             }
         }
     }

@@ -136,11 +136,11 @@ impl Error {
         )
     }
 
-    /// Convert a worker-thread panic payload (as returned by
-    /// `std::panic::catch_unwind` or `JoinHandle::join`) into a clean
-    /// execution error, preserving the panic message when it is a string.
-    /// Parallel graph operators use this so a bug in one morsel surfaces to
-    /// the caller as a single `Err` instead of tearing down the process.
+    /// Convert a panic payload (as returned by `std::panic::catch_unwind`
+    /// or `JoinHandle::join`) into a clean execution error, preserving the
+    /// panic message when it is a string. The server contains a panicking
+    /// statement with this so its client gets one typed `Err` instead of
+    /// a torn-down connection.
     pub fn from_panic(payload: Box<dyn std::any::Any + Send>) -> Self {
         let msg = if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
@@ -149,7 +149,7 @@ impl Error {
         } else {
             "non-string panic payload".to_string()
         };
-        Error::Execution(format!("worker thread panicked: {msg}"))
+        Error::Execution(format!("panicked: {msg}"))
     }
 }
 
@@ -240,9 +240,9 @@ mod tests {
 
     #[test]
     fn panic_payloads_become_execution_errors() {
-        let p = std::panic::catch_unwind(|| panic!("morsel 3 exploded")).unwrap_err();
+        let p = std::panic::catch_unwind(|| panic!("statement 3 exploded")).unwrap_err();
         let e = Error::from_panic(p);
-        assert!(matches!(&e, Error::Execution(m) if m.contains("morsel 3 exploded")));
+        assert!(matches!(&e, Error::Execution(m) if m.contains("statement 3 exploded")));
 
         let p = std::panic::catch_unwind(|| panic!("{} bad slots", 7)).unwrap_err();
         assert!(Error::from_panic(p).to_string().contains("7 bad slots"));

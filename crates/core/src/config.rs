@@ -94,49 +94,6 @@ pub struct ExecLimits {
     pub max_intermediate_rows: Option<u64>,
 }
 
-/// Intra-query parallelism knobs for the graph operators.
-///
-/// `workers = 1` (the default) is byte-for-byte today's serial execution
-/// path. With `workers > 1`, standalone `PathScan`/`SPScan` seed sets are
-/// split into `morsel_size` chunks and fanned out over scoped worker
-/// threads; results are merged in deterministic seed order so rows are
-/// bit-identical to serial execution. The row budget is charged on
-/// *emission* (when the scan operator yields a path up the pipeline), never
-/// during enumeration, so budget accounting is identical at any worker
-/// count; the physical cost of morsels enumerating eagerly is bounded by
-/// the governor's memory accountant and deadline instead
-/// ([`GovernorConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelConfig {
-    /// Worker threads for graph operators (1 = serial).
-    pub workers: usize,
-    /// Seed vertexes per morsel handed to a worker.
-    pub morsel_size: usize,
-}
-
-impl ParallelConfig {
-    /// Serial execution (the engine default).
-    pub fn serial() -> Self {
-        ParallelConfig {
-            workers: 1,
-            morsel_size: 64,
-        }
-    }
-
-    pub fn with_workers(workers: usize) -> Self {
-        ParallelConfig {
-            workers: workers.clamp(1, 256),
-            ..ParallelConfig::serial()
-        }
-    }
-}
-
-impl Default for ParallelConfig {
-    fn default() -> Self {
-        ParallelConfig::serial()
-    }
-}
-
 /// Runtime resource-governor limits, enforced per query by the
 /// `governor::ExecContext` threaded through every operator and traversal
 /// loop. Both limits default to off (None): governance is opt-in so the
@@ -233,7 +190,6 @@ impl Default for EpochConfig {
 pub struct EngineConfig {
     pub optimizer: OptimizerFlags,
     pub limits: ExecLimits,
-    pub parallel: ParallelConfig,
     pub governor: GovernorConfig,
     pub csr: CsrConfig,
     pub epochs: EpochConfig,
@@ -241,8 +197,8 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     /// The strict parse of the `GRFUSION_*` knobs (`ENV_KNOBS`) — that
-    /// hook is what lets CI run the whole suite down the parallel or
-    /// governed path without code changes — or the paper's configuration
+    /// hook is what lets CI run the whole suite down the epoch, optimizer
+    /// or governed path without code changes — or the paper's configuration
     /// when a knob is malformed. The failure is not lost: `Database`
     /// surfaces [`EngineConfig::env_error`] on the first statement.
     fn default() -> Self {
@@ -283,29 +239,13 @@ fn limit(v: &str) -> Option<Option<u64>> {
 /// Every `GRFUSION_*` engine knob, in the order they are validated (the
 /// first malformed one is the one reported). `GRFUSION_FAULTS` is not
 /// here: `Database::with_config` owns the fault plan's lifecycle.
-static ENV_KNOBS: [EnvKnob; 7] = [
+static ENV_KNOBS: [EnvKnob; 5] = [
     // On = statistics-driven plan selection on top of the rule-based plan.
     EnvKnob {
         var: "GRFUSION_OPTIMIZER",
         expects: ON_OFF,
         set: |c, v| {
             c.optimizer.cost_based = on_off(v)?;
-            Some(())
-        },
-    },
-    EnvKnob {
-        var: "GRFUSION_WORKERS",
-        expects: "expected an integer in 1..=256",
-        set: |c, v| {
-            c.parallel.workers = v.parse().ok().filter(|n| (1..=256).contains(n))?;
-            Some(())
-        },
-    },
-    EnvKnob {
-        var: "GRFUSION_MORSEL_SIZE",
-        expects: "expected a positive integer",
-        set: |c, v| {
-            c.parallel.morsel_size = v.parse().ok().filter(|&n| n >= 1)?;
             Some(())
         },
     },
@@ -359,7 +299,6 @@ impl EngineConfig {
         EngineConfig {
             optimizer: OptimizerFlags::default(),
             limits: ExecLimits::default(),
-            parallel: ParallelConfig::default(),
             governor: GovernorConfig::default(),
             csr: CsrConfig::default(),
             epochs: EpochConfig::default(),
@@ -433,21 +372,14 @@ mod tests {
                 max_memory_bytes: None
             }
         );
-        // ParallelConfig::default() is serial regardless of environment;
-        // only EngineConfig::default() consults GRFUSION_WORKERS.
-        assert_eq!(ParallelConfig::default().workers, 1);
-        assert!(ParallelConfig::default().morsel_size >= 1);
     }
 
     #[test]
     fn constructors_sanitize_inputs() {
-        assert_eq!(ParallelConfig::with_workers(0).workers, 1);
-        assert_eq!(ParallelConfig::with_workers(4).workers, 4);
-        assert!(ParallelConfig::with_workers(1 << 20).workers <= 256);
-        // EngineConfig::default() must always yield an executable config.
-        let cfg = EngineConfig::default();
-        assert!(cfg.parallel.workers >= 1);
-        assert!(cfg.parallel.morsel_size >= 1);
+        let sealed = CsrConfig::default();
+        assert!(sealed.sealed && sealed.reseal_fraction > 0.0 && sealed.reseal_fraction <= 1.0);
+        assert!(!CsrConfig::adjacency_only().sealed);
+        assert!(!EpochConfig::default().enabled && EpochConfig::enabled().enabled);
     }
 
     /// Parse an environment in which only `var` is set.
@@ -456,14 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn recognised_variables_are_the_seven_documented_ones() {
+    fn recognised_variables_are_the_five_documented_ones() {
         let vars: Vec<&str> = EngineConfig::env_vars().collect();
         assert_eq!(
             vars,
             [
                 "GRFUSION_OPTIMIZER",
-                "GRFUSION_WORKERS",
-                "GRFUSION_MORSEL_SIZE",
                 "GRFUSION_DEADLINE_MS",
                 "GRFUSION_MEMORY_BYTES",
                 "GRFUSION_CSR_RESEAL",
@@ -498,24 +428,8 @@ mod tests {
             ),
             ("GRFUSION_OPTIMIZER", &["0", "off", "FALSE"], paper),
             (
-                "GRFUSION_WORKERS",
-                &["4", " 4 "],
-                with(|c| c.parallel.workers = 4),
-            ),
-            ("GRFUSION_WORKERS", &["1"], paper),
-            (
-                "GRFUSION_WORKERS",
-                &["256"],
-                with(|c| c.parallel.workers = 256),
-            ),
-            (
-                "GRFUSION_MORSEL_SIZE",
-                &["16"],
-                with(|c| c.parallel.morsel_size = 16),
-            ),
-            (
                 "GRFUSION_DEADLINE_MS",
-                &["50"],
+                &["50", " 50 "],
                 with(|c| c.governor.deadline_ms = Some(50)),
             ),
             ("GRFUSION_DEADLINE_MS", &["0"], paper),
@@ -553,21 +467,9 @@ mod tests {
             }
         }
 
-        // Out-of-range first, then garbage. `GRFUSION_WORKERS=1000` used
-        // to clamp on a lenient path; that path is gone and the same input
-        // is a strict error.
+        // Out-of-range first, then garbage.
         let invalid: &[(&str, &[&str], &str)] = &[
             ("GRFUSION_OPTIMIZER", &["2", "fast", "yes"], ON_OFF),
-            (
-                "GRFUSION_WORKERS",
-                &["0", "257", "1000", "1048576", "-1", "2.5", "abc"],
-                "1..=256",
-            ),
-            (
-                "GRFUSION_MORSEL_SIZE",
-                &["0", "-3", "nope"],
-                "positive integer",
-            ),
             ("GRFUSION_DEADLINE_MS", &["-1", "1.5", "fast"], LIMIT),
             ("GRFUSION_MEMORY_BYTES", &["-1", "64MB"], LIMIT),
             (
@@ -592,14 +494,14 @@ mod tests {
     fn first_malformed_knob_in_table_order_is_reported() {
         let e = EngineConfig::from_lookup(|k| match k {
             "GRFUSION_EPOCHS" => Some("nope".into()),
-            "GRFUSION_WORKERS" => Some("0".into()),
+            "GRFUSION_DEADLINE_MS" => Some("-1".into()),
             "GRFUSION_OPTIMIZER" => Some("on".into()),
             _ => None,
         })
         .unwrap_err()
         .to_string();
         assert!(
-            e.contains("GRFUSION_WORKERS") && !e.contains("GRFUSION_EPOCHS"),
+            e.contains("GRFUSION_DEADLINE_MS") && !e.contains("GRFUSION_EPOCHS"),
             "{e}"
         );
     }

@@ -115,8 +115,8 @@ impl Database {
             Ok(plan) => (plan.map(|p| Arc::new(FaultState::new(p))), None),
             Err(e) => (None, Some(e.to_string())),
         };
-        // Same contract for the engine knobs: a typo'd GRFUSION_WORKERS
-        // must fail the first statement, not silently run serial.
+        // Same contract for the engine knobs: a typo'd GRFUSION_DEADLINE_MS
+        // must fail the first statement, not silently run ungoverned.
         let env_err = EngineConfig::env_error();
         let db = Database {
             inner: OrderedMutex::new(LockClass::DbInner, DbInner {

@@ -247,7 +247,6 @@ fn empty_env() -> QueryEnv<'static> {
     QueryEnv {
         snap: None,
         limits: Default::default(),
-        parallel: Default::default(),
         params: Vec::new(),
         gov: Default::default(),
         batch_rows: crate::spine::BATCH_ROWS,

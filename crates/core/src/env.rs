@@ -114,8 +114,6 @@ pub struct QueryEnv<'e> {
     pub(crate) snap: Option<&'e Snapshot<'e>>,
     /// Execution limits carried into operators.
     pub limits: crate::config::ExecLimits,
-    /// Intra-query parallelism knobs for graph operators.
-    pub parallel: crate::config::ParallelConfig,
     /// Bound parameter values for prepared statements (empty otherwise).
     pub params: Vec<grfusion_common::Value>,
     /// Per-query resource governor (deadline / cancellation / memory

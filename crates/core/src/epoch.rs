@@ -123,7 +123,7 @@ pub(crate) struct Settings {
     /// A malformed `GRFUSION_FAULTS` value, surfaced on first use rather
     /// than silently disabling the sweep.
     pub faults_err: Option<String>,
-    /// A malformed `GRFUSION_*` engine knob (workers, reseal, ...),
+    /// A malformed `GRFUSION_*` engine knob (deadline, reseal, ...),
     /// surfaced on the first statement rather than silently degrading to
     /// defaults. Cleared by `set_config` (an explicit config supersedes
     /// whatever the environment asked for).

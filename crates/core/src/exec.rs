@@ -17,7 +17,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::time::Instant;
 
 use grfusion_common::{Error, PathData, ResourceKind, Result, Row, Value};
@@ -46,23 +45,22 @@ use crate::spine::{
 /// Shared row budget: reproduces the paper's temp-memory exhaustion for
 /// join-heavy plans (§7.2). Every row produced by a scan or join ticks it —
 /// always at *emission* time (when the operator yields the row up the
-/// pipeline), never during enumeration, so accounting is identical at any
-/// worker count and a `LIMIT 1` query charges one scan row whether the
-/// paths behind it were enumerated serially or by a morsel pool. An armed
-/// budget makes every demand one row (see `QueryEnv::demand`), so a row
-/// is emitted only when its consumer is about to use it.
+/// pipeline), never during enumeration, so a `LIMIT 1` query charges one
+/// scan row however many paths the traversal behind it stepped over. An
+/// armed budget makes every demand one row (see `QueryEnv::demand`), so a
+/// row is emitted only when its consumer is about to use it.
 ///
-/// The counter is atomic only so the budget type stays shareable across
-/// the parallel scan's scoped threads; workers never charge it.
+/// `Cell`: every operator of the query shares the budget by reference on
+/// the one thread that runs it.
 pub struct RowBudget {
-    produced: AtomicU64,
+    produced: Cell<u64>,
     limit: Option<u64>,
 }
 
 impl RowBudget {
     pub fn new(limit: Option<u64>) -> Self {
         RowBudget {
-            produced: AtomicU64::new(0),
+            produced: Cell::new(0),
             limit,
         }
     }
@@ -72,7 +70,8 @@ impl RowBudget {
         let Some(l) = self.limit else {
             return Ok(());
         };
-        let total = self.produced.fetch_add(1, AtomicOrdering::Relaxed) + 1;
+        let total = self.produced.get() + 1;
+        self.produced.set(total);
         if total > l {
             return Err(Error::resource(ResourceKind::Rows, total, l));
         }
@@ -351,7 +350,6 @@ fn build<'e>(
             config,
             width: schema.len(),
             env,
-            sink,
             inputs: PathProbe::resolve(config, &[], env)?,
             scan: None,
             done: false,
@@ -687,8 +685,7 @@ pub struct EngineFilter<'e> {
     vertex_preds: Vec<BoundPred>,
     agg_preds: Vec<BoundAggPred>,
     /// Tuple-pointer dereferences into the source tables (the §6.2 cost
-    /// the paper plots). `Cell`: the fetches take `&self`, and each
-    /// parallel worker binds its own filter, so no atomics are needed.
+    /// the paper plots). `Cell`: the fetches take `&self`.
     derefs: Cell<u64>,
     /// Present iff the query's governor is active.
     gov: Option<FilterGov<'e>>,
@@ -841,7 +838,7 @@ fn resolve_attr(genv: &GraphEnv<'_>, target: PathTarget, attr: &str) -> Result<A
 }
 
 /// Bind pushed predicates against one outer row.
-pub(crate) fn bind_filter<'e>(
+fn bind_filter<'e>(
     config: &PathScanConfig,
     outer_row: &[Value],
     env: &'e QueryEnv<'e>,
@@ -944,17 +941,6 @@ enum ActiveScan<'e> {
         stats: GraphCounters,
         gov: GovCounters,
     },
-    /// Parallel fan-out result: materialized and merged in serial order —
-    /// or, for a counting scan, only counted (`counted` paths no worker
-    /// materialized, and an empty `iter`). The workers charged each path's
-    /// bytes to the memory accountant while enumerating; the row budget is
-    /// charged at emission like every other variant.
-    Parallel {
-        iter: std::vec::IntoIter<PathData>,
-        counted: u64,
-        stats: GraphCounters,
-        gov: GovCounters,
-    },
     /// A probe whose start vertex does not exist (no matches).
     Empty,
 }
@@ -976,7 +962,6 @@ impl<'e> ActiveScan<'e> {
                 Ok(None)
             }
             ActiveScan::Buffered { iter, .. } => Ok(iter.next()),
-            ActiveScan::Parallel { iter, .. } => Ok(iter.next()),
             ActiveScan::Empty => Ok(None),
         }
     }
@@ -987,10 +972,6 @@ impl<'e> ActiveScan<'e> {
         Ok(match self {
             ActiveScan::Dfs(it) => it.advance().then(|| it.depth()),
             ActiveScan::Bfs(it) => it.advance().then(|| it.depth()),
-            ActiveScan::Parallel { counted, .. } if *counted > 0 => {
-                *counted -= 1;
-                Some(0) // the workers charged its bytes; the length is not read
-            }
             scan => scan.next_path()?.map(|p| p.length()),
         })
     }
@@ -1013,7 +994,7 @@ impl<'e> ActiveScan<'e> {
                 edges_expanded: iter.edges_examined(),
                 tuple_derefs: iter.filter().derefs(),
             },
-            ActiveScan::Buffered { stats, .. } | ActiveScan::Parallel { stats, .. } => *stats,
+            ActiveScan::Buffered { stats, .. } => *stats,
             ActiveScan::Empty => GraphCounters::default(),
         }
     }
@@ -1035,18 +1016,15 @@ impl<'e> ActiveScan<'e> {
                 bytes: 0,
                 checks: iter.filter().gov_checks(),
             },
-            ActiveScan::Buffered { gov, .. } | ActiveScan::Parallel { gov, .. } => *gov,
+            ActiveScan::Buffered { gov, .. } => *gov,
             ActiveScan::Empty => GovCounters::default(),
         }
     }
 
     /// Whether path bytes should be charged as paths are emitted. False
-    /// for materialized variants, which charged during enumeration.
+    /// for the materialized variant, which charged during enumeration.
     fn charges_on_emission(&self) -> bool {
-        !matches!(
-            self,
-            ActiveScan::Buffered { .. } | ActiveScan::Parallel { .. }
-        )
+        !matches!(self, ActiveScan::Buffered { .. })
     }
 }
 
@@ -1242,14 +1220,10 @@ impl PathProbe {
     }
 }
 
-/// §6.3's logical→physical mapping, decided here for the serial probe and
-/// the morsel workers alike: the traversal a scan runs — never `Auto`,
-/// which resolves to `BFS iff F < L` against the view's fan-out statistic —
-/// and the window it explores.
-pub(crate) fn resolve_traversal(
-    config: &PathScanConfig,
-    topo: &GraphTopology,
-) -> (ScanMode, TraversalSpec) {
+/// §6.3's logical→physical mapping: the traversal a scan runs — never
+/// `Auto`, which resolves to `BFS iff F < L` against the view's fan-out
+/// statistic — and the window it explores.
+fn resolve_traversal(config: &PathScanConfig, topo: &GraphTopology) -> (ScanMode, TraversalSpec) {
     let mode = match &config.mode {
         ScanMode::Auto => {
             // `u32 → f64` is exact; a length cap beyond u32::MAX (never
@@ -1280,24 +1254,23 @@ struct PathScanOp<'e> {
     /// Output columns: the path, or one count per aggregate call.
     width: usize,
     env: &'e QueryEnv<'e>,
-    sink: Option<&'e MetricsSink>,
     /// The probe's filter and anchors, resolved (and so validated) while
     /// the operator tree is built; taken by the first pull.
     inputs: Option<ProbeInputs<'e>>,
     /// `None` until the first pull: the traversal (a whole
-    /// point-to-point search, an eager materialization, or a morsel
-    /// fan-out) starts there and not while the operator tree is built, so
-    /// its time lands on this operator's clock and a parent that never
-    /// pulls never pays for it.
+    /// point-to-point search or an eager materialization) starts there
+    /// and not while the operator tree is built, so its time lands on
+    /// this operator's clock and a parent that never pulls never pays
+    /// for it.
     scan: Option<ActiveScan<'e>>,
     /// The traversal reported its end; it is not pulled again.
     done: bool,
     /// Paths a counting scan ([`Emit::Count`]) has stepped over.
     counted: u64,
     budget: &'e RowBudget,
-    /// Emission-side byte accounting for in-flight (lazy serial) scans;
-    /// `None` for buffered/parallel variants, whose bytes were charged
-    /// during materialization.
+    /// Emission-side byte accounting for in-flight (lazy) scans; `None`
+    /// for the buffered variant, whose bytes were charged during
+    /// materialization.
     tracker: Option<MemTracker<'e>>,
     /// Topology layout captured at build time (the topology is locked for
     /// the whole query, so it cannot change underneath the scan).
@@ -1306,40 +1279,12 @@ struct PathScanOp<'e> {
 
 impl<'e> PathScanOp<'e> {
     fn start(&mut self) -> Result<&mut ActiveScan<'e>> {
-        // With workers > 1 the seed set is fanned out over a morsel pool;
-        // the merged buffer comes back in serial order with its bytes
-        // already charged by the workers (the row budget is charged at
-        // emission, like every serial variant). Scans the pool cannot take
-        // (reachability fast path) fall back to the serial probe.
-        let parallel = if self.env.parallel.workers > 1 {
-            crate::parallel::try_parallel_path_scan(self.config, self.env)?
-        } else {
-            None
+        let scan = match self.inputs.take() {
+            Some(inputs) => PathProbe::run(self.config, self.env, inputs)?,
+            None => ActiveScan::Empty,
         };
-        let scan = match parallel {
-            Some(outcome) => {
-                let mut stats = GraphCounters::default();
-                for w in &outcome.workers {
-                    stats.merge(&w.counters);
-                }
-                if let Some(s) = self.sink {
-                    s.record_workers(outcome.workers);
-                }
-                ActiveScan::Parallel {
-                    iter: outcome.paths.into_iter(),
-                    counted: outcome.counted,
-                    stats,
-                    gov: outcome.gov,
-                }
-            }
-            None => match self.inputs.take() {
-                Some(inputs) => PathProbe::run(self.config, self.env, inputs)?,
-                None => ActiveScan::Empty,
-            },
-        };
-        // Buffered/parallel variants charged their bytes while
-        // materializing; a tracker here would double-charge them at
-        // emission.
+        // The buffered variant charged its bytes while materializing; a
+        // tracker here would double-charge them at emission.
         if scan.charges_on_emission() {
             self.tracker = mem_tracker(self.env);
         }

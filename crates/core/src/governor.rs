@@ -3,7 +3,7 @@
 //! The paper is explicit that unbounded path enumeration is combinatorially
 //! explosive (EDBT 2018 §6.1 motivates length inference with exactly that
 //! risk). The row budget bounds *result* volume, but a hostile query can
-//! still pin a worker for arbitrary wall time (filters rejecting every path
+//! still pin a thread for arbitrary wall time (filters rejecting every path
 //! keep the traversal running without producing rows) or exhaust memory in
 //! materializing operators. The [`ExecContext`] created per query carries
 //! the three guards that close those holes:
@@ -20,12 +20,11 @@
 //! filters poll [`ExecContext::check_now`] at periodic checkpoints (every
 //! [`OP_CHECK_INTERVAL`] rows an operator hands up, every
 //! [`EXPANSION_CHECK_INTERVAL`] vertex/edge expansions inside traversal
-//! loops, and at every morsel boundary in the parallel pool). Preempting a
-//! thread mid-mutation could leave shared state half-written; polling at
-//! safe points guarantees the abort path is an ordinary `Err` that unwinds
-//! through the same all-or-nothing rollback machinery as any other error —
-//! storage, indexes, and every `GraphTopology` stay untouched, and all
-//! worker threads are joined before the error surfaces.
+//! loops). Preempting a thread mid-mutation could leave shared state
+//! half-written; polling at safe points guarantees the abort path is an
+//! ordinary `Err` that unwinds through the same all-or-nothing rollback
+//! machinery as any other error — storage, indexes, and every
+//! `GraphTopology` stay untouched.
 //!
 //! The same module hosts the **deterministic fault-injection plan**
 //! (`GRFUSION_FAULTS=<seed>:<spec>`): a list of rules, each matching a site
@@ -34,6 +33,7 @@
 //! operator `next()` call or DML maintenance step and prove the
 //! crash-consistency invariants hold.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -148,8 +148,7 @@ pub(crate) struct RequestScope {
 }
 
 thread_local! {
-    /// Statement execution is synchronous on the calling thread (morsel
-    /// workers receive `&ExecContext`, built before they spawn), so an
+    /// Statement execution is synchronous on the calling thread, so an
     /// ambient thread-local carries the request scope into every
     /// `ExecContext` construction — including subquery folds and the
     /// epoch read path — without threading a parameter through each
@@ -186,9 +185,10 @@ fn current_request() -> Option<RequestScope> {
     REQUEST.with(|r| r.borrow().clone())
 }
 
-/// Per-query governor state, carried by `QueryEnv` into every operator and
-/// (by reference) into every parallel worker. All shared fields are atomic,
-/// so one context serves the serial executor and the morsel pool alike.
+/// Per-query governor state, carried by `QueryEnv` into every operator of
+/// the one thread that runs the query. Only the cancel watches are shared
+/// with other threads (they trip the token); the memory accountant is a
+/// `Cell`.
 #[derive(Debug)]
 pub struct ExecContext {
     started: Instant,
@@ -196,7 +196,7 @@ pub struct ExecContext {
     deadline_ms: u64,
     cancel: Vec<CancelWatch>,
     mem_cap: Option<u64>,
-    mem_used: AtomicU64,
+    mem_used: Cell<u64>,
     faults: Option<Arc<FaultState>>,
 }
 
@@ -223,7 +223,7 @@ impl ExecContext {
             deadline_ms: cfg.deadline_ms.unwrap_or(0),
             cancel,
             mem_cap: cfg.max_memory_bytes,
-            mem_used: AtomicU64::new(0),
+            mem_used: Cell::new(0),
             faults,
         }
     }
@@ -297,17 +297,16 @@ impl ExecContext {
         Ok(())
     }
 
-    /// Charge `n` bytes against the memory cap. Without a cap this is free
-    /// (no shared-state traffic); with one, the accountant is a relaxed
-    /// atomic so parallel workers charge the same pool. Accounting is
-    /// charge-only (a high-water estimate of materialized bytes): the
-    /// buffers being charged — path buffers, sort/aggregation/join builds —
-    /// live until the query ends anyway.
+    /// Charge `n` bytes against the memory cap. Without a cap this is
+    /// free. Accounting is charge-only (a high-water estimate of
+    /// materialized bytes): the buffers being charged — path buffers,
+    /// sort/aggregation/join builds — live until the query ends anyway.
     pub fn charge_bytes(&self, n: u64) -> Result<()> {
         let Some(cap) = self.mem_cap else {
             return Ok(());
         };
-        let total = self.mem_used.fetch_add(n, Ordering::Relaxed) + n;
+        let total = self.mem_used.get() + n;
+        self.mem_used.set(total);
         if total > cap {
             return Err(Error::resource(ResourceKind::Bytes, total, cap));
         }
@@ -316,7 +315,7 @@ impl ExecContext {
 
     /// Bytes charged so far (0 when no cap is configured).
     pub fn bytes_charged(&self) -> u64 {
-        self.mem_used.load(Ordering::Relaxed)
+        self.mem_used.get()
     }
 
     /// The active fault plan, if any.

@@ -58,7 +58,6 @@ pub mod governor;
 pub mod graph_view;
 pub mod lockorder;
 pub mod metrics;
-pub mod parallel;
 pub mod plan;
 pub mod planner;
 pub mod result;
@@ -67,14 +66,14 @@ mod spine;
 
 pub use config::{
     CsrConfig, EngineConfig, EpochConfig, ExecLimits, GovernorConfig, OptimizerFlags,
-    ParallelConfig, TraversalChoice,
+    TraversalChoice,
 };
 pub use db::{Database, PreparedQuery};
 pub use governor::{
     enter_request, CancelToken, FaultKind, FaultPlan, FaultRule, FaultState, RequestGuard,
     RequestOptions, DML_FAULT_SITES,
 };
-pub use metrics::{GovCounters, GraphCounters, OpMetrics, QueryMetrics, WorkerMetrics};
+pub use metrics::{GovCounters, GraphCounters, OpMetrics, QueryMetrics};
 pub use result::ResultSet;
 
 pub use grfusion_common::{Error, ResourceKind, Result, Value};

@@ -15,10 +15,8 @@
 //! traversal iterators already maintain for the ablation experiments
 //! (`edges_examined`, `max_frontier`, ...); reading them costs nothing when
 //! nobody asks. When metrics are on, each operator's instrumentation
-//! wrapper owns a [`NodeSlot`] of `Cell<u64>` counters — the executor is
-//! single-threaded, so no atomics are involved on the serial path. Parallel
-//! path-scan workers accumulate their counters thread-locally and merge
-//! them once at join time.
+//! wrapper owns a [`NodeSlot`] of `Cell<u64>` counters — a query runs on
+//! its caller's thread, so no atomics are involved.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -100,26 +98,11 @@ pub struct OpMetrics {
     pub rows_est: Option<u64>,
 }
 
-/// Per-worker counters of a morsel-parallel path scan (fan-out balance).
-#[derive(Debug, Clone, Default)]
-pub struct WorkerMetrics {
-    /// Worker index within the pool.
-    pub worker: usize,
-    /// Morsels this worker claimed and completed.
-    pub morsels: u64,
-    /// Paths this worker enumerated.
-    pub paths: u64,
-    /// Traversal work done by this worker.
-    pub counters: GraphCounters,
-}
-
 /// Structured metrics for one executed query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryMetrics {
     /// Plan nodes in pre-order (same order as `EXPLAIN` lines).
     pub nodes: Vec<OpMetrics>,
-    /// Morsel-worker counters, when the query ran a parallel path scan.
-    pub workers: Vec<WorkerMetrics>,
     /// Number of the published epoch this query read, when it ran against a
     /// pinned epoch snapshot rather than the live locked state. `None` on
     /// the locked path (epochs disabled, or a transaction was open).
@@ -197,17 +180,6 @@ impl QueryMetrics {
                 out.push_str(&format!(" (rows_est={est})"));
             }
             out.push('\n');
-        }
-        for w in &self.workers {
-            out.push_str(&format!(
-                "worker {}: morsels={} paths={} vertices={} edges={} derefs={}\n",
-                w.worker,
-                w.morsels,
-                w.paths,
-                w.counters.vertices_visited,
-                w.counters.edges_expanded,
-                w.counters.tuple_derefs
-            ));
         }
         out
     }
@@ -292,7 +264,6 @@ impl NodeSlot {
 #[derive(Debug, Default)]
 pub struct MetricsSink {
     nodes: RefCell<Vec<Rc<NodeSlot>>>,
-    workers: RefCell<Vec<WorkerMetrics>>,
 }
 
 impl MetricsSink {
@@ -316,14 +287,9 @@ impl MetricsSink {
         slot
     }
 
-    pub(crate) fn record_workers(&self, workers: Vec<WorkerMetrics>) {
-        self.workers.borrow_mut().extend(workers);
-    }
-
     pub(crate) fn finish(&self) -> QueryMetrics {
         QueryMetrics {
             nodes: self.nodes.borrow().iter().map(|s| s.snapshot()).collect(),
-            workers: self.workers.borrow().clone(),
             epoch: None,
         }
     }

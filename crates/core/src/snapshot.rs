@@ -41,8 +41,8 @@ pub(crate) struct Snapshot<'a> {
 
 impl<'a> Snapshot<'a> {
     /// The state published as `ep`. The caller's pin keeps the epoch alive
-    /// for as long as the snapshot borrows it — the whole read, morsel
-    /// workers included — and releases it however the read ends.
+    /// for as long as the snapshot borrows it — the whole read — and
+    /// releases it however the read ends.
     pub(crate) fn pinned(ep: &'a Epoch) -> Self {
         Snapshot::bind(
             ep.tables.iter().map(|(n, t)| (n.as_str(), &**t)),
@@ -150,7 +150,6 @@ impl<'a> Snapshot<'a> {
         let env = QueryEnv {
             snap: Some(self),
             limits: cfg.config.limits,
-            parallel: cfg.config.parallel,
             params,
             batch_rows: QueryEnv::demand(&cfg.config.limits, &gov, cfg.batch_rows),
             gov,

@@ -16,7 +16,6 @@ fn env() -> QueryEnv<'static> {
     QueryEnv {
         snap: None,
         limits: Default::default(),
-        parallel: Default::default(),
         params: Vec::new(),
         gov: Default::default(),
         batch_rows: BATCH_ROWS,

@@ -3,9 +3,7 @@
 //! yield the same rows, estimates, plans and dump — modulo the `epoch=N`
 //! line that only a pinned snapshot reports.
 
-use grfusion::{
-    Database, EngineConfig, EpochConfig, OptimizerFlags, ParallelConfig, ResultSet, Value,
-};
+use grfusion::{Database, EngineConfig, EpochConfig, OptimizerFlags, ResultSet, Value};
 
 const PREPARED: &str = "SELECT PS.EndVertex.name FROM social.Paths PS \
                         WHERE PS.StartVertex.Id = ? AND PS.Length = 2";
@@ -20,7 +18,6 @@ const METERED: &str = "SELECT U.name, COUNT(PS) FROM users U, social.Paths PS \
 fn fixture(epochs: bool) -> Database {
     let db = Database::with_config(EngineConfig {
         optimizer: OptimizerFlags::cost_based(),
-        parallel: ParallelConfig::serial(),
         epochs: EpochConfig { enabled: epochs },
         ..EngineConfig::default()
     });

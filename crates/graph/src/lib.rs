@@ -41,20 +41,17 @@ pub use topology::{
 };
 pub use traverse::{BfsPaths, DfsPaths, TraversalSpec};
 
-// Thread-safety contract: the morsel-driven parallel executor in the core
-// crate shares one read-only `GraphTopology` across scoped worker threads,
-// each running its own traversal iterator. These bounds are load-bearing —
-// adding interior mutability (Cell/RefCell/Rc) to the topology or the
-// traversal state would break compilation here rather than at the distant
-// executor call site.
+// Thread-safety contract: the core crate's published epochs share one
+// read-only `GraphTopology` (behind an `Arc`) across every reader thread
+// pinning that epoch, each running its own traversal. These bounds are
+// load-bearing — adding interior mutability (Cell/RefCell/Rc) to the
+// topology would break compilation here rather than at the distant epoch
+// call site.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
-    const fn assert_send<T: Send>() {}
     assert_sync_send::<GraphTopology>();
     assert_sync_send::<TopologyView<'static>>();
     assert_sync_send::<NoFilter>();
-    assert_send::<DfsPaths<'static, NoFilter>>();
-    assert_send::<BfsPaths<'static, NoFilter>>();
 };
 
 #[cfg(test)]
@@ -63,8 +60,8 @@ mod thread_safety_tests {
     use grfusion_common::RowId;
 
     /// Many reader threads traversing one shared topology concurrently
-    /// must agree with a serial traversal (smoke test for the executor's
-    /// shared-read-only-topology assumption).
+    /// must agree with a single-threaded traversal (smoke test for the
+    /// epoch readers' shared-read-only-topology assumption).
     #[test]
     fn concurrent_readers_match_serial_traversal() {
         let mut g = GraphTopology::new("g", true);

@@ -1000,9 +1000,9 @@ impl GraphTopology {
     }
 }
 
-/// Unified adjacency read path for traversal kernels (serial DFS/BFS,
-/// point-to-point search, Dijkstra/top-k, and the morsel-parallel workers all
-/// expand frontiers through this one accessor), so every kernel resolves
+/// Unified adjacency read path for traversal kernels (DFS/BFS,
+/// point-to-point search and Dijkstra/top-k all expand frontiers through
+/// this one accessor), so every kernel resolves
 /// the sealed-CSR vs. delta-overlay split in exactly one place.
 ///
 /// `Copy` over a shared borrow: cloning a view is free, and a view pins the

@@ -4,13 +4,12 @@
 //! * **Positive**: every query of the fig7–fig10 / metrics-battery
 //!   families is accepted, executes with zero runtime type errors, and
 //!   every emitted row matches the statically inferred result schema —
-//!   with the executor's contract check forced on, serially and at
-//!   `workers = 4`.
+//!   with the executor's contract check forced on.
 //! * **Negative**: ill-typed queries are rejected *at plan time* with an
 //!   `Error::Analysis` carrying the 1-based `line:col` of the offending
 //!   token.
 
-use grfusion::{Database, ParallelConfig};
+use grfusion::Database;
 use grfusion_common::Error;
 
 /// Force the contract check on for this test binary regardless of build
@@ -56,15 +55,6 @@ fn fixture_db() -> Database {
     db.execute("INSERT INTO t VALUES (2, NULL, 'q', 1.5)").unwrap();
     db.execute("INSERT INTO t VALUES (3, -3, 'r', 2.5)").unwrap();
     db
-}
-
-fn set_parallel(db: &Database, workers: usize, morsel_size: usize) {
-    let mut cfg = db.config();
-    cfg.parallel = ParallelConfig {
-        workers,
-        morsel_size,
-    };
-    db.set_config(cfg);
 }
 
 /// The fig7–fig10 / metrics-battery query families: reachability,
@@ -131,15 +121,6 @@ fn assert_rows_match_schema(sql: &str, db: &Database) {
 #[test]
 fn positive_battery_serial() {
     let db = fixture_db();
-    for sql in POSITIVE {
-        assert_rows_match_schema(sql, &db);
-    }
-}
-
-#[test]
-fn positive_battery_parallel() {
-    let db = fixture_db();
-    set_parallel(&db, 4, 2);
     for sql in POSITIVE {
         assert_rows_match_schema(sql, &db);
     }

@@ -4,7 +4,9 @@
 
 use std::sync::Arc;
 
-use grfusion::{CsrConfig, Database, EngineConfig, EpochConfig, ExecLimits, ParallelConfig, Value};
+use grfusion::{
+    CsrConfig, Database, EngineConfig, EpochConfig, Error, ExecLimits, ResourceKind, Value,
+};
 
 fn seeded_db() -> Arc<Database> {
     seeded_db_with(Database::new())
@@ -115,23 +117,14 @@ fn concurrent_writers_and_readers_serialize() {
     assert_eq!(s.edge_count, 299);
 }
 
-/// Many caller threads, each running morsel-parallel scans against the
-/// same shared `GraphTopology`: worker threads inside worker threads must
-/// neither deadlock nor diverge from the serial answer.
+/// Many caller threads, each running unanchored scans against the same
+/// shared `GraphTopology`: they must neither deadlock nor diverge from the
+/// answer of a fresh database nobody else is reading.
 #[test]
 fn parallel_scans_hammer_shared_topology() {
     let db = seeded_db();
-    let mut cfg = db.config();
-    cfg.parallel = ParallelConfig {
-        workers: 4,
-        morsel_size: 16,
-    };
-    db.set_config(cfg);
-    // Reference answer computed serially (on a fresh DB so the parallel
-    // config above stays in force for the hammering threads).
-    let serial_db = seeded_db();
     let sql = "SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 3";
-    let expected = serial_db
+    let expected = seeded_db()
         .execute(sql)
         .unwrap()
         .scalar()
@@ -160,42 +153,36 @@ fn parallel_scans_hammer_shared_topology() {
     }
 }
 
-/// A row-budget violation inside a worker thread must surface as one clean
-/// `Err` — same variant and message as serial execution — with no panic,
-/// deadlock, or poisoned state; the database stays usable afterwards.
+/// A row-budget violation mid-scan must surface as one clean typed `Err`
+/// with no panic, deadlock, or poisoned state; the database stays usable
+/// afterwards under the same budget.
 #[test]
 fn worker_budget_error_propagates_cleanly() {
-    let limited = |workers| EngineConfig {
+    let sql = "SELECT PS.PathString FROM g.Paths PS WHERE PS.Length >= 1 AND PS.Length <= 4";
+    let db = seeded_db();
+    db.set_config(EngineConfig {
         limits: ExecLimits {
             max_intermediate_rows: Some(50),
         },
-        parallel: ParallelConfig {
-            workers,
-            morsel_size: 8,
-        },
         ..EngineConfig::default()
-    };
-    let sql = "SELECT PS.PathString FROM g.Paths PS WHERE PS.Length >= 1 AND PS.Length <= 4";
+    });
+    let err = db.execute(sql).expect_err("run must exceed budget");
+    assert!(
+        matches!(err, Error::ResourceExhausted { kind: ResourceKind::Rows, .. }),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("resource exhausted"));
 
-    let db = seeded_db();
-    db.set_config(limited(1));
-    let serial_err = db.execute(sql).expect_err("serial run must exceed budget");
-
-    db.set_config(limited(4));
-    let parallel_err = db.execute(sql).expect_err("parallel run must exceed budget");
-    assert_eq!(parallel_err, serial_err);
-    assert!(parallel_err.to_string().contains("resource exhausted"));
-
-    // The engine is not poisoned: a cheap query still works in parallel mode.
+    // The engine is not poisoned: a cheap query still works.
     let rs = db
         .execute("SELECT COUNT(P) FROM g.Paths P WHERE P.StartVertex.Id = 0 AND P.Length = 1")
         .unwrap();
     assert_eq!(rs.scalar().unwrap().as_integer().unwrap(), 1);
 }
 
-/// An evaluation error raised mid-traversal inside a worker (negative edge
-/// cost during shortest-path enumeration) propagates as the same clean
-/// `Err` the serial scan produces.
+/// An evaluation error raised mid-traversal (negative edge cost during
+/// shortest-path enumeration) propagates as one clean execution `Err`,
+/// the same on every run, and leaves the database usable.
 #[test]
 fn worker_traversal_error_matches_serial() {
     let db = seeded_db();
@@ -206,16 +193,16 @@ fn worker_traversal_error_matches_serial() {
     let sql = "SELECT PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
                WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 5 AND PS.Length <= 6";
 
-    let serial_err = db.execute(sql).expect_err("negative cost must error");
-
-    let mut cfg = db.config();
-    cfg.parallel = ParallelConfig {
-        workers: 4,
-        morsel_size: 8,
-    };
-    db.set_config(cfg);
-    let parallel_err = db.execute(sql).expect_err("negative cost must error in parallel");
-    assert_eq!(parallel_err, serial_err);
+    let err = db.execute(sql).expect_err("negative cost must error");
+    assert!(
+        matches!(&err, Error::Execution(m) if m.contains("non-negative edge cost")),
+        "{err:?}"
+    );
+    assert_eq!(db.execute(sql).expect_err("the error is deterministic"), err);
+    let rs = db
+        .execute("SELECT COUNT(P) FROM g.Paths P WHERE P.StartVertex.Id = 0 AND P.Length = 1")
+        .unwrap();
+    assert_eq!(rs.scalar().unwrap().as_integer().unwrap(), 2);
 }
 
 #[test]

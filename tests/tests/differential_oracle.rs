@@ -12,8 +12,7 @@
 //!   loaded from the final table state.
 //!
 //! The two engine lanes must be *byte-identical* on full DFS/BFS path
-//! enumerations and shortest-path probes, at both `workers = 1` and
-//! `workers = 4` — the physical layout and the scheduling must both be
+//! enumerations and shortest-path probes — the physical layout must be
 //! invisible. The SQLGraph lane pins down reachability booleans from the
 //! outside, so a bug shared by both engine lanes (they share the
 //! maintenance code) still gets caught.
@@ -24,7 +23,7 @@
 //! variant feeds the same checker so proptest's own shrinking covers
 //! shapes the seeded families miss.
 
-use grfusion::{CsrConfig, Database, EngineConfig, EpochConfig, ParallelConfig, Value};
+use grfusion::{CsrConfig, Database, EngineConfig, EpochConfig, Value};
 use grfusion_baselines::{GraphSystem, SqlGraphSystem};
 use grfusion_datasets::{Dataset, DatasetKind};
 use proptest::prelude::*;
@@ -195,7 +194,6 @@ fn build_engine(csr: CsrConfig, w: &Workload) -> Database {
     let db = build_engine_cfg(
         EngineConfig {
             csr,
-            parallel: ParallelConfig::serial(),
             epochs: EpochConfig::disabled(),
             ..Default::default()
         },
@@ -211,7 +209,6 @@ fn build_engine_batched(w: &Workload) -> Database {
     build_engine_cfg(
         EngineConfig {
             csr: CsrConfig::sealed(),
-            parallel: ParallelConfig::serial(),
             epochs: EpochConfig::disabled(),
             ..Default::default()
         },
@@ -308,15 +305,6 @@ const COUNT_QUERIES: [&str; 7] = [
 fn set_aggregate_pushdown(db: &Database, on: bool) {
     let mut cfg = db.config();
     cfg.optimizer.aggregate_pushdown = on;
-    db.set_config(cfg);
-}
-
-fn set_parallel(db: &Database, workers: usize, morsel_size: usize) {
-    let mut cfg = db.config();
-    cfg.parallel = ParallelConfig {
-        workers,
-        morsel_size,
-    };
     db.set_config(cfg);
 }
 
@@ -417,8 +405,7 @@ fn check(w: &Workload) -> Result<(), String> {
     }
 
     // Full path enumerations and shortest-path probes, byte-compared
-    // across layout × worker-count. Emission order is part of the
-    // contract (morsel-parallel scans promise serial-equivalent order).
+    // across layouts. Emission order is part of the contract.
     let queries = [
         "SELECT PS.PathString, PS.Length FROM g.Paths PS HINT(DFS) \
          WHERE PS.Length >= 1 AND PS.Length <= 3",
@@ -433,15 +420,11 @@ fn check(w: &Workload) -> Result<(), String> {
         set_aggregate_pushdown(&sealed, true);
         let reference = reference?;
         for (lane, db) in [("sealed", &sealed), ("plain", &plain), ("batch", &batch)] {
-            for workers in [1usize, 4] {
-                set_parallel(db, workers, 2);
-                let got = rows_exact(db, sql)?;
-                set_parallel(db, 1, 1024);
-                if got != reference {
-                    return Err(format!(
-                        "{lane}@workers={workers} diverges on `{sql}`:\n  got {got:?}\n  want {reference:?}"
-                    ));
-                }
+            let got = rows_exact(db, sql)?;
+            if got != reference {
+                return Err(format!(
+                    "{lane} diverges on `{sql}`:\n  got {got:?}\n  want {reference:?}"
+                ));
             }
         }
     }
@@ -863,26 +846,20 @@ fn check_concurrent(w: &Workload, readers: usize, live_cfg: EngineConfig) -> Res
 }
 
 /// The concurrent lane's engine: the serial reference's configuration
-/// (sealed CSR, one worker, rule-based plans) plus epoch publication.
+/// (sealed CSR, rule-based plans) plus epoch publication.
 fn epochs_only() -> EngineConfig {
     EngineConfig {
         csr: CsrConfig::sealed(),
-        parallel: ParallelConfig::serial(),
         epochs: EpochConfig::enabled(),
         ..Default::default()
     }
 }
 
-/// Every default-off execution feature at once: epochs, sealed CSR, the
-/// cost-based optimizer, and four workers over two-seed morsels (so the
-/// unanchored enumerations really fan out on these small graphs).
+/// Every default-off execution feature at once: epochs, sealed CSR and
+/// the cost-based optimizer.
 fn everything_on() -> EngineConfig {
     let mut cfg = epochs_only();
     cfg.optimizer.cost_based = true;
-    cfg.parallel = ParallelConfig {
-        workers: 4,
-        morsel_size: 2,
-    };
     cfg
 }
 
@@ -956,7 +933,6 @@ const OPTIMIZER_QUERIES: [&str; 5] = [
 fn build_engine_optimizer(w: &Workload, cost_based: bool) -> Database {
     let mut cfg = EngineConfig {
         csr: CsrConfig::sealed(),
-        parallel: ParallelConfig::serial(),
         epochs: EpochConfig::disabled(),
         ..Default::default()
     };
@@ -971,7 +947,7 @@ fn build_engine_optimizer(w: &Workload, cost_based: bool) -> Database {
 /// statement, the final state dumps must be byte-identical, and every
 /// oracle query — the order-sensitive HINT enumerations (which the
 /// optimizer must leave alone) and the re-plannable aggregates — must
-/// return byte-identical rows at `workers = 1` and `workers = 4`.
+/// return byte-identical rows.
 ///
 /// Divergence reports embed both lanes' EXPLAIN text so the minimized
 /// failure names the *chosen plan*, not just the rows.
@@ -1012,17 +988,13 @@ fn check_optimizer(w: &Workload) -> Result<(), String> {
     };
     for sql in ORACLE_QUERIES.iter().chain(&OPTIMIZER_QUERIES).chain(&COUNT_QUERIES) {
         let want = rows_exact(&reference, sql)?;
-        for workers in [1usize, 4] {
-            set_parallel(&optimized, workers, 2);
-            let got = rows_exact(&optimized, sql)?;
-            set_parallel(&optimized, 1, 1024);
-            if got != want {
-                return Err(format!(
-                    "cost-based lane @workers={workers} diverges on `{sql}`:\n  \
-                     got {got:?}\n  want {want:?}\n{}",
-                    plans(sql)
-                ));
-            }
+        let got = rows_exact(&optimized, sql)?;
+        if got != want {
+            return Err(format!(
+                "cost-based lane diverges on `{sql}`:\n  \
+                 got {got:?}\n  want {want:?}\n{}",
+                plans(sql)
+            ));
         }
     }
     Ok(())

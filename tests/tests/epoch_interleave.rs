@@ -13,9 +13,7 @@
 
 use std::collections::BTreeMap;
 
-use grfusion::{
-    CsrConfig, Database, EngineConfig, EpochConfig, EpochSnapshot, ParallelConfig, Value,
-};
+use grfusion::{CsrConfig, Database, EngineConfig, EpochConfig, EpochSnapshot, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -23,7 +21,6 @@ use rand::{Rng, SeedableRng};
 fn tiny_db() -> Database {
     let db = Database::with_config(EngineConfig {
         csr: CsrConfig::sealed(),
-        parallel: ParallelConfig::serial(),
         epochs: EpochConfig::enabled(),
         ..Default::default()
     });

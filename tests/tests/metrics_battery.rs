@@ -5,7 +5,7 @@
 //! graph counters are populated — a zeroed or missing counter means the
 //! instrumentation regressed even if results are still correct.
 
-use grfusion::{Database, ParallelConfig, QueryMetrics, Value};
+use grfusion::{Database, QueryMetrics, Value};
 
 /// Weighted directed diamond-with-tail plus a back edge so `Length = 3`
 /// cycles (the fig-10 triangle shape) exist: 1->2, 1->3, 2->4, 3->4,
@@ -67,7 +67,7 @@ fn collect(db: &Database, family: &str, sql: &str, expect_graph_work: bool) -> Q
         );
     }
     // The same query through the SQL front-end: EXPLAIN ANALYZE must print
-    // an annotated tree, one plan line per metrics node plus worker lines.
+    // an annotated tree, one plan line per metrics node.
     let rs = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
     let text: Vec<String> = rs.rows.iter().map(|r| r[0].to_string()).collect();
     // When epoch publication is on (GRFUSION_EPOCHS=1) the annotated tree is
@@ -76,7 +76,7 @@ fn collect(db: &Database, family: &str, sql: &str, expect_graph_work: bool) -> Q
     assert!(epoch_lines <= 1, "{family}: repeated epoch annotation");
     assert_eq!(
         text.len(),
-        m.nodes.len() + m.workers.len() + epoch_lines,
+        m.nodes.len() + epoch_lines,
         "{family}: EXPLAIN ANALYZE line count"
     );
     assert!(
@@ -158,9 +158,14 @@ fn reach_probe_time_lands_on_the_pathscan_operator() {
 
 /// Fig 8 family — constrained reachability: the pushed edge predicate must
 /// show up as tuple-pointer dereferences (§6.2's per-hop attribute cost).
+/// Pinned to the rule-based planner, which always pushes the predicate; on
+/// a graph this small the cost-based planner checks it residually instead.
 #[test]
 fn fig8_constrained_counts_derefs() {
     let db = fixture_db();
+    let mut cfg = db.config();
+    cfg.optimizer.cost_based = false;
+    db.set_config(cfg);
     let m = collect(
         &db,
         "fig8",
@@ -228,36 +233,6 @@ fn scan_sources_are_metered() {
     );
     let scan = m.node("EdgeScan").expect("no EdgeScan node");
     assert_eq!(scan.rows, 7);
-}
-
-/// The workers = 4 battery: a multi-morsel unanchored scan must surface
-/// per-worker morsel/path/traversal counters, and their sums must agree
-/// with the result set.
-#[test]
-fn parallel_scan_reports_worker_metrics() {
-    let db = fixture_db();
-    let mut cfg = db.config();
-    cfg.parallel = ParallelConfig {
-        workers: 4,
-        morsel_size: 2,
-    };
-    db.set_config(cfg);
-    let rs = db
-        .execute_with_metrics(
-            "SELECT PS.PathString FROM g.Paths PS \
-             WHERE PS.Length >= 1 AND PS.Length <= 3",
-        )
-        .unwrap();
-    let m = rs.metrics.unwrap();
-    assert!(!m.workers.is_empty(), "no worker metrics from parallel scan");
-    assert_eq!(m.workers.iter().map(|w| w.morsels).sum::<u64>(), 3);
-    assert_eq!(
-        m.workers.iter().map(|w| w.paths).sum::<u64>(),
-        rs.rows.len() as u64
-    );
-    assert!(m.workers.iter().map(|w| w.counters.edges_expanded).sum::<u64>() > 0);
-    // Worker lines make it into the rendered plan too.
-    assert!(m.render().contains("worker"), "{}", m.render());
 }
 
 /// Metrics off (the default execute path) must leave `metrics` unset — the

@@ -25,16 +25,12 @@
 //! aggregates, at one row per batch and at larger batch sizes, and
 //! requires byte-identical answers.
 
-use grfusion::{Database, EngineConfig, ParallelConfig, Value};
+use grfusion::{Database, Value};
 use proptest::prelude::*;
 
-/// An engine immune to environment variables whose operators hand over
-/// `batch_rows` rows at a time.
+/// An engine whose operators hand over `batch_rows` rows at a time.
 fn db_with_batch_rows(batch_rows: usize) -> Database {
-    let db = Database::with_config(EngineConfig {
-        parallel: ParallelConfig::serial(),
-        ..Default::default()
-    });
+    let db = Database::new();
     db.set_batch_rows(batch_rows);
     db
 }

@@ -197,7 +197,7 @@ fn sparse_chain_keeps_traversal() {
     assert_eq!(rows(&db, sql), vec!["1".to_string()]);
 }
 
-/// The diamond fixture from the parallel shape locks, with the optimizer
+/// The diamond fixture from the emission-order shape locks, with the optimizer
 /// on: EXPLAIN must carry ` rows_est=N cost=C` on **every** line, and the
 /// exact formatting is pinned so estimate/annotation drift is a reviewed
 /// change, not an accident.

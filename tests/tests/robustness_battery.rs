@@ -5,9 +5,8 @@
 //!
 //! * **Bounded abort**: a hostile query (unbounded enumeration on a clique)
 //!   aborts with a typed `ResourceExhausted` error within 2× the configured
-//!   deadline, serially and with 4 morsel workers, and the engine remains
-//!   fully usable afterwards — no poisoned locks, no leaked threads, no
-//!   half-built state.
+//!   deadline, and the engine remains fully usable afterwards — no
+//!   poisoned locks, no half-built state.
 //! * **Crash consistency**: for every DML fault-injection site, a fault
 //!   driven into the middle of INSERT/UPDATE/DELETE graph-view maintenance
 //!   leaves storage, indexes, and every topology byte-identical to never
@@ -19,8 +18,8 @@
 use std::time::{Duration, Instant};
 
 use grfusion::{
-    CsrConfig, Database, EngineConfig, Error, FaultKind, FaultPlan, GovernorConfig,
-    ParallelConfig, ResourceKind, Value, DML_FAULT_SITES,
+    CsrConfig, Database, EngineConfig, Error, FaultKind, FaultPlan, GovernorConfig, ResourceKind,
+    Value, DML_FAULT_SITES,
 };
 use proptest::prelude::*;
 
@@ -29,7 +28,6 @@ fn base_config() -> EngineConfig {
     EngineConfig {
         optimizer: Default::default(),
         limits: Default::default(),
-        parallel: ParallelConfig::serial(),
         governor: GovernorConfig::default(),
         csr: CsrConfig::sealed(),
         epochs: Default::default(),
@@ -97,14 +95,11 @@ fn assert_engine_usable(db: &Database, n: i64) {
     assert_eq!(rs.rows[0][0].to_string(), "1");
 }
 
-fn deadline_smoke(workers: usize) {
+#[test]
+fn deadline_bounds_hostile_enumeration_serial() {
     let deadline_ms = 100u64;
     let mut cfg = base_config();
     cfg.governor.deadline_ms = Some(deadline_ms);
-    cfg.parallel = ParallelConfig {
-        workers,
-        morsel_size: 4,
-    };
     let n = 12i64;
     let db = clique_db(n, cfg);
 
@@ -123,30 +118,20 @@ fn deadline_smoke(workers: usize) {
                     ..
                 }
             ),
-            "workers={workers}: expected deadline abort, got {err:?}"
+            "{sql}: expected deadline abort, got {err:?}"
         );
         assert!(
             elapsed < Duration::from_millis(2 * deadline_ms),
-            "workers={workers}: abort took {elapsed:?}, over 2x the {deadline_ms}ms deadline"
+            "{sql}: abort took {elapsed:?}, over 2x the {deadline_ms}ms deadline"
         );
     }
 
     // The same database, deadline cleared, answers correctly: the abort
-    // left no poisoned locks, leaked worker threads, or half-built state.
+    // left no poisoned locks or half-built state.
     let mut cfg = db.config();
     cfg.governor.deadline_ms = None;
     db.set_config(cfg);
     assert_engine_usable(&db, n);
-}
-
-#[test]
-fn deadline_bounds_hostile_enumeration_serial() {
-    deadline_smoke(1);
-}
-
-#[test]
-fn deadline_bounds_hostile_enumeration_parallel() {
-    deadline_smoke(4);
 }
 
 #[test]
@@ -222,67 +207,51 @@ fn cancellation_from_another_thread() {
 }
 
 // ---------------------------------------------------------------------------
-// Row-budget emission accounting (serial/parallel equivalence)
+// Row-budget emission accounting
 // ---------------------------------------------------------------------------
 
 #[test]
-fn limit_query_budget_is_worker_count_independent() {
+fn limit_query_budget_is_charged_on_emission() {
     // The budget is charged on emission, never during enumeration: a
-    // LIMIT 1 query that fits a tiny row budget serially must also fit it
-    // with 4 workers eagerly enumerating whole morsels.
+    // LIMIT 1 query fits a tiny row budget however many paths the clique
+    // holds, and answers the unbudgeted query's first row.
     let sql = "SELECT P.PathString FROM g.Paths P HINT(DFS) \
                WHERE P.Length >= 1 AND P.Length <= 3 LIMIT 1";
     let mut cfg = base_config();
     cfg.limits.max_intermediate_rows = Some(10);
     let db = clique_db(8, cfg);
-    let serial = db.execute(sql).unwrap().rows;
-    assert_eq!(serial.len(), 1);
-
-    let mut cfg = db.config();
-    cfg.parallel = ParallelConfig {
-        workers: 4,
-        morsel_size: 2,
-    };
-    db.set_config(cfg);
-    let parallel = db.execute(sql).unwrap().rows;
-    assert_eq!(parallel, serial, "parallel budget accounting diverged");
+    let budgeted = db.execute(sql).unwrap().rows;
+    assert_eq!(budgeted.len(), 1);
+    let unbudgeted = clique_db(8, base_config()).execute(sql).unwrap().rows;
+    assert_eq!(budgeted, unbudgeted, "the budget changed the LIMIT 1 answer");
 
     // Without the LIMIT the same budget does trip — at emission, with the
-    // typed rows error, at any worker count.
-    for workers in [1usize, 4] {
-        let mut cfg = db.config();
-        cfg.parallel = ParallelConfig {
-            workers,
-            morsel_size: 2,
-        };
-        db.set_config(cfg);
-        let err = db
-            .execute(
-                "SELECT P.PathString FROM g.Paths P HINT(DFS) \
-                 WHERE P.Length >= 1 AND P.Length <= 3",
-            )
-            .unwrap_err();
-        assert!(
-            matches!(
-                err,
-                Error::ResourceExhausted {
-                    kind: ResourceKind::Rows,
-                    ..
-                }
-            ),
-            "workers={workers}: expected rows abort, got {err:?}"
-        );
-    }
+    // typed rows error.
+    let err = db
+        .execute(
+            "SELECT P.PathString FROM g.Paths P HINT(DFS) \
+             WHERE P.Length >= 1 AND P.Length <= 3",
+        )
+        .unwrap_err();
+    assert!(
+        matches!(
+            err,
+            Error::ResourceExhausted {
+                kind: ResourceKind::Rows,
+                ..
+            }
+        ),
+        "expected rows abort, got {err:?}"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Satellite lock for emission-time budget accounting: on random small
-    /// graphs, a LIMIT 1 enumeration under a tight row budget either
-    /// succeeds on both serial and 4-worker execution with identical rows,
-    /// or fails on both with the same typed error — worker count can never
-    /// change budget semantics.
+    /// graphs, a LIMIT 1 enumeration under a tight row budget answers
+    /// exactly what the same enumeration without a budget answers (or
+    /// fails with the same error) — the budget sees only emitted rows.
     #[test]
     fn limit_one_budget_serial_equivalence(
         (n, edges) in (3usize..8).prop_flat_map(|n| {
@@ -311,16 +280,16 @@ proptest! {
 
         let sql = "SELECT P.PathString FROM g.Paths P HINT(DFS) \
                    WHERE P.Length >= 1 AND P.Length <= 3 LIMIT 1";
-        let serial = db.execute(sql);
-        let mut pcfg = db.config();
-        pcfg.parallel = ParallelConfig { workers: 4, morsel_size: 2 };
-        db.set_config(pcfg);
-        let parallel = db.execute(sql);
-        match (serial, parallel) {
-            (Ok(s), Ok(p)) => prop_assert_eq!(s.rows, p.rows),
-            (Err(se), Err(pe)) => prop_assert_eq!(se.to_string(), pe.to_string()),
-            (s, p) => prop_assert!(false, "diverged: serial {:?} vs parallel {:?}",
-                                   s.map(|r| r.rows.len()), p.map(|r| r.rows.len())),
+        let budgeted = db.execute(sql);
+        let mut ucfg = db.config();
+        ucfg.limits.max_intermediate_rows = None;
+        db.set_config(ucfg);
+        let unbudgeted = db.execute(sql);
+        match (budgeted, unbudgeted) {
+            (Ok(b), Ok(u)) => prop_assert_eq!(b.rows, u.rows),
+            (Err(be), Err(ue)) => prop_assert_eq!(be.to_string(), ue.to_string()),
+            (b, u) => prop_assert!(false, "diverged: budgeted {:?} vs unbudgeted {:?}",
+                                   b.map(|r| r.rows.len()), u.map(|r| r.rows.len())),
         }
     }
 }
@@ -632,13 +601,8 @@ fn assert_reextraction_consistent(db: &Database) {
 /// Drive `kind` into `site` on its first hit; the statement must be
 /// all-or-nothing, the retry must succeed, and the final topology must
 /// match a fresh re-extraction.
-fn run_site(site: &str, kind: &str, workers: usize) {
-    let mut cfg = base_config();
-    cfg.parallel = ParallelConfig {
-        workers,
-        morsel_size: 4,
-    };
-    let db = social_db(cfg);
+fn run_site(site: &str, kind: &str) {
+    let db = social_db(base_config());
     let stmt = statement_for(site);
     let before = db.state_dump().unwrap();
 
@@ -655,7 +619,7 @@ fn run_site(site: &str, kind: &str, workers: usize) {
     assert_eq!(
         db.state_dump().unwrap(),
         before,
-        "site {site} ({kind}, workers={workers}): faulted statement was not all-or-nothing"
+        "site {site} ({kind}): faulted statement was not all-or-nothing"
     );
 
     // Retry: the rule already fired, so the same statement now succeeds and
@@ -668,21 +632,14 @@ fn run_site(site: &str, kind: &str, workers: usize) {
 #[test]
 fn fault_sweep_every_dml_site_serial() {
     for site in DML_FAULT_SITES {
-        run_site(site, "error", 1);
-    }
-}
-
-#[test]
-fn fault_sweep_every_dml_site_parallel_config() {
-    for site in DML_FAULT_SITES {
-        run_site(site, "error", 4);
+        run_site(site, "error");
     }
 }
 
 #[test]
 fn fault_kinds_all_roll_back() {
     for kind in ["error", "alloc", "deadline"] {
-        run_site("dml.update.relink", kind, 1);
+        run_site("dml.update.relink", kind);
     }
 }
 
@@ -768,7 +725,7 @@ fn seal_fault_kinds_all_roll_back() {
     // any fault kind driven into `dml.seal` must abort the whole statement
     // all-or-nothing, exactly like the other maintenance sites.
     for kind in ["error", "alloc", "deadline"] {
-        run_site("dml.seal", kind, 1);
+        run_site("dml.seal", kind);
     }
 }
 
@@ -812,15 +769,11 @@ fn memory_cap_abort_mid_seal_leaves_engine_usable() {
 }
 
 #[test]
-fn cancel_during_sealed_parallel_bfs() {
-    // Cooperative cancellation must reach morsel workers traversing the
-    // sealed CSR arrays just as it reaches the adjacency path.
+fn cancel_during_sealed_bfs() {
+    // Cooperative cancellation must reach a BFS traversing the sealed CSR
+    // arrays just as it reaches the adjacency path.
     let mut cfg = base_config();
     cfg.optimizer.default_max_path_len = 10;
-    cfg.parallel = ParallelConfig {
-        workers: 4,
-        morsel_size: 4,
-    };
     let db = clique_db(12, cfg);
     let stats = db.graph_stats("g").unwrap();
     assert!(stats.sealed_bytes > 0, "fixture topology is not sealed");
@@ -846,7 +799,7 @@ fn cancel_during_sealed_parallel_bfs() {
                     ..
                 }
             ),
-            "expected cancellation on sealed parallel BFS, got {err:?}"
+            "expected cancellation on sealed BFS, got {err:?}"
         );
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -904,16 +857,16 @@ fn malformed_faults_env_surfaces_instead_of_disabling() {
 
 #[test]
 fn malformed_engine_env_knob_surfaces_instead_of_degrading() {
-    // A typo'd GRFUSION_WORKERS must not silently run the suite serial:
-    // the database remembers the malformed value at construction and
-    // fails the first statement that builds an execution context.
-    std::env::set_var("GRFUSION_WORKERS", "lots");
+    // A typo'd GRFUSION_EPOCHS must not silently run the suite without
+    // epochs: the database remembers the malformed value at construction
+    // and fails the first statement that builds an execution context.
+    std::env::set_var("GRFUSION_EPOCHS", "lots");
     let db = Database::with_config(base_config());
-    std::env::remove_var("GRFUSION_WORKERS");
+    std::env::remove_var("GRFUSION_EPOCHS");
     db.execute("CREATE TABLE t (x INTEGER)").unwrap(); // DDL: no governor
     let err = db.execute("INSERT INTO t VALUES (1)").unwrap_err();
     assert!(
-        err.to_string().contains("GRFUSION_WORKERS"),
+        err.to_string().contains("GRFUSION_EPOCHS"),
         "typo must surface with the variable name: {err:?}"
     );
     assert!(

@@ -9,13 +9,11 @@ use std::time::Instant;
 use grfusion_baselines::{GrFusionSystem, GrailSystem, GraphSystem, SqlGraphSystem};
 use grfusion_datasets::{pairs_at_distance, protein, random_connected_pairs, Adjacency};
 
-/// Row-shape and ordering locks for the morsel-parallel PathScan (these
-/// run on every `cargo test`, no `--ignored` needed): the exact rows and
-/// their exact order on a fixed diamond-chain graph must not move, at any
-/// worker count, and the serial `workers = 1` fallback must stay
-/// bit-identical to the historical serial output.
-mod parallel_shape {
-    use grfusion::{Database, ParallelConfig, Value};
+/// Row-shape and emission-order locks for PathScan (these run on every
+/// `cargo test`, no `--ignored` needed): the exact rows and their exact
+/// order on a fixed diamond-chain graph must not move.
+mod emission_order_shape {
+    use grfusion::{Database, Value};
 
     /// Fixed topology: 1->2, 1->3, 2->4, 3->4, 4->5, 5->6 (directed).
     pub(super) fn diamond_db() -> Database {
@@ -46,15 +44,6 @@ mod parallel_shape {
         db
     }
 
-    pub(super) fn set_parallel(db: &Database, workers: usize, morsel_size: usize) {
-        let mut cfg = db.config();
-        cfg.parallel = ParallelConfig {
-            workers,
-            morsel_size,
-        };
-        db.set_config(cfg);
-    }
-
     /// Rows rendered `col|col|...` in emission order (never sorted).
     fn rows(db: &Database, sql: &str) -> Vec<String> {
         db.execute(sql)
@@ -70,15 +59,9 @@ mod parallel_shape {
             .collect()
     }
 
-    /// Run `sql` at every worker count and assert the locked output.
-    /// `morsel_size = 2` forces multiple morsels on the 6-vertex graph.
+    /// Run `sql` on the diamond and assert the locked output.
     fn assert_locked(sql: &str, expected: &[&str]) {
-        let db = diamond_db();
-        for workers in [1usize, 2, 4, 8] {
-            set_parallel(&db, workers, 2);
-            let got = rows(&db, sql);
-            assert_eq!(got, expected, "workers={workers} sql={sql}");
-        }
+        assert_eq!(rows(&diamond_db(), sql), expected, "sql={sql}");
     }
 
     #[test]
@@ -116,7 +99,7 @@ mod parallel_shape {
     #[test]
     fn dfs_all_vertexes_order_is_locked() {
         // Multi-seed scan: seed order is vertex insertion order, and DFS
-        // drains each seed before the next — morsel merge must keep that.
+        // drains each seed before the next.
         assert_locked(
             "SELECT PS.PathString FROM g.Paths PS HINT(DFS) \
              WHERE PS.Length >= 1 AND PS.Length <= 1",
@@ -149,8 +132,7 @@ mod parallel_shape {
 
     #[test]
     fn shortest_path_row_is_locked() {
-        // Bounded SHORTESTPATH uses the enumerative SPScan (single morsel
-        // through the pool when workers > 1).
+        // Bounded SHORTESTPATH uses the enumerative SPScan.
         assert_locked(
             "SELECT PS.PathString, PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
              WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 5 AND PS.Length <= 4 LIMIT 1",
@@ -159,9 +141,9 @@ mod parallel_shape {
     }
 
     #[test]
-    fn reachability_fallback_shape_unchanged() {
-        // The planner-proven reachability fast path stays serial even with
-        // workers > 1 (the pool declines it); shape must be identical.
+    fn reachability_fast_path_shape_is_locked() {
+        // The planner-proven reachability fast path: one point-to-point
+        // search answers the LIMIT 1.
         assert_locked(
             "SELECT PS.Length FROM g.Paths PS \
              WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 6 AND PS.Length <= 10 LIMIT 1",
@@ -175,7 +157,7 @@ mod parallel_shape {
 /// must not drift — these lock both the plan shape *and* the analyzer's
 /// type/nullability inference. These run on every `cargo test`.
 mod typed_explain_shape {
-    use super::parallel_shape::diamond_db;
+    use super::emission_order_shape::diamond_db;
     use grfusion::{Database, OptimizerFlags};
 
     fn explain_lines_on(db: &Database, sql: &str) -> Vec<String> {
@@ -183,13 +165,16 @@ mod typed_explain_shape {
     }
 
     fn explain_lines(sql: &str) -> Vec<String> {
-        explain_lines_on(&diamond_db(), sql)
+        explain_lines_on(&diamond_with(|_| {}), sql)
     }
 
-    /// The diamond with one optimizer flag changed from the default.
+    /// The diamond on the rule-based planner — these lines lock its output,
+    /// and a cost-based EXPLAIN appends estimates — with one more optimizer
+    /// flag changed from the default.
     fn diamond_with(change: impl FnOnce(&mut OptimizerFlags)) -> Database {
         let db = diamond_db();
         let mut cfg = db.config();
+        cfg.optimizer.cost_based = false;
         change(&mut cfg.optimizer);
         db.set_config(cfg);
         db
@@ -354,7 +339,7 @@ mod typed_explain_shape {
 /// rows / vertices visited / edges expanded signals a traversal or
 /// instrumentation regression. These run on every `cargo test`.
 mod explain_analyze_shape {
-    use super::parallel_shape::{diamond_db, set_parallel};
+    use super::emission_order_shape::diamond_db;
 
     /// Anchored BFS from vertex 1, window 1..=3 on the diamond graph:
     /// paths 1-2, 1-3, 1-2-4, 1-3-4, 1-2-4-5, 1-3-4-5.
@@ -386,9 +371,14 @@ mod explain_analyze_shape {
         }
     }
 
+    /// Rule-based planner: it always pushes the predicate, where on a graph
+    /// this small the cost-based one checks it residually.
     #[test]
     fn pushed_predicate_counts_tuple_derefs() {
         let db = diamond_db();
+        let mut cfg = db.config();
+        cfg.optimizer.cost_based = false;
+        db.set_config(cfg);
         let rs = db
             .execute_with_metrics(
                 "SELECT PS.PathString FROM g.Paths PS \
@@ -417,12 +407,11 @@ mod explain_analyze_shape {
         assert!(!plain.join("\n").contains("rows="), "EXPLAIN must not run the query");
     }
 
-    /// Governor-counter lock (serial only: worker morsel-claim checks vary
-    /// with thread interleaving, but serial counters are fully
-    /// deterministic). With a memory cap armed, every node performs exactly
-    /// one cooperative check on the diamond fixture (the end-of-stream
-    /// check; pull counts never reach the 64-pull interval), and the
-    /// PathScan charges exactly the sum of `path_bytes` over its six paths.
+    /// Governor-counter lock (the counters are fully deterministic). With
+    /// a memory cap armed, every node performs exactly one cooperative
+    /// check on the diamond fixture (the end-of-stream check; pull counts
+    /// never reach the 64-pull interval), and the PathScan charges exactly
+    /// the sum of `path_bytes` over its six paths.
     #[test]
     fn governor_counters_are_locked() {
         use grfusion::governor::path_bytes;
@@ -486,25 +475,6 @@ mod explain_analyze_shape {
             "inactive governor must not annotate the plan"
         );
     }
-
-    #[test]
-    fn parallel_worker_metrics_are_locked() {
-        let db = diamond_db();
-        set_parallel(&db, 4, 2);
-        let rs = db
-            .execute_with_metrics(
-                "SELECT PS.PathString FROM g.Paths PS WHERE PS.Length <= 2",
-            )
-            .unwrap();
-        let total_rows = rs.rows.len() as u64;
-        let m = rs.metrics.unwrap();
-        assert!(!m.workers.is_empty(), "parallel scan reported no workers");
-        // 6 seeds at morsel_size 2 = 3 morsels, every one claimed once.
-        assert_eq!(m.workers.iter().map(|w| w.morsels).sum::<u64>(), 3);
-        assert_eq!(m.workers.iter().map(|w| w.paths).sum::<u64>(), total_rows);
-        let visited: u64 = m.workers.iter().map(|w| w.counters.vertices_visited).sum();
-        assert!(visited > 0, "workers reported zero traversal work");
-    }
 }
 
 /// Estimate-annotation stability locks (the cost-based optimizer's
@@ -515,7 +485,7 @@ mod explain_analyze_shape {
 /// to the pre-optimizer engine.
 mod optimizer_estimate_shape {
     use super::explain_analyze_shape_anchored as anchored;
-    use super::parallel_shape::diamond_db;
+    use super::emission_order_shape::diamond_db;
     use grfusion::Database;
 
     fn set_optimizer(db: &Database, on: bool) {
@@ -543,7 +513,15 @@ mod optimizer_estimate_shape {
         let db = diamond_db();
         set_optimizer(&db, true);
         let analyzed = explain(&db, &format!("EXPLAIN ANALYZE {}", anchored()));
-        for line in analyzed.lines() {
+        // Under epoch publication the tree is prefixed by exactly one
+        // `epoch=<n>` line naming the pinned snapshot.
+        let mut lines = analyzed.lines().peekable();
+        if let Some(n) = lines.peek().and_then(|l| l.strip_prefix("epoch=")) {
+            let digits = !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit());
+            assert!(digits, "malformed epoch line:\n{analyzed}");
+            lines.next();
+        }
+        for line in lines {
             assert!(line.contains("rows="), "actuals missing:\n{analyzed}");
             assert!(line.contains("(rows_est="), "estimates missing:\n{analyzed}");
         }
@@ -596,7 +574,7 @@ fn explain_analyze_shape_anchored() -> &'static str {
 /// signals a change to the CSR memory layout (and to what the governor
 /// charges for it). These run on every `cargo test`.
 mod csr_layout_shape {
-    use super::parallel_shape::diamond_db;
+    use super::emission_order_shape::diamond_db;
 
     const ANCHORED: &str = "SELECT PS.PathString FROM g.Paths PS \
                             WHERE PS.StartVertex.Id = 1 \

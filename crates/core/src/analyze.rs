@@ -685,6 +685,17 @@ fn check_config(
     if config.reachability && config.end.is_none() {
         return Err(Error::plan("reachability scan without end anchor"));
     }
+    if config.closing {
+        if config.min_len != config.max_len || config.min_len == 0 {
+            return Err(plan_bug(plan, "closing scan without an exact length window"));
+        }
+        if matches!(config.mode, ScanMode::ShortestPath { .. }) {
+            return Err(plan_bug(plan, "closing SHORTESTPATH scan"));
+        }
+        if config.reachability {
+            return Err(plan_bug(plan, "closing reachability scan"));
+        }
+    }
 
     for (label, anchor) in [
         ("start", start_expr(&config.start)),

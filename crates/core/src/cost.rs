@@ -42,6 +42,9 @@ const TRAVERSAL_PATH_BASE: f64 = 1.0;
 /// Traversal cost that grows with fan-out (frontier pressure, per-hop
 /// overlay dispatch).
 const TRAVERSAL_FANOUT_FACTOR: f64 = 0.5;
+/// Cost of one last-hop edge of a closing scan: a slot compare against the
+/// start vertex, with no tuple dereference and no path built.
+const CLOSING_HOP_COST: f64 = 0.25;
 /// Cost of emitting one joined row through an index nested-loop probe.
 const JOIN_ROW_COST: f64 = 4.0;
 /// Flat cost per index probe stage.
@@ -317,8 +320,18 @@ fn path_scan_estimate(config: &PathScanConfig, catalog: &CostCatalog, _probes: f
             paths += level;
         }
     }
-    let mut rows = seeds * paths;
-    let mut cost = seeds * work * (TRAVERSAL_PATH_BASE + TRAVERSAL_FANOUT_FACTOR * f);
+    let per_path = TRAVERSAL_PATH_BASE + TRAVERSAL_FANOUT_FACTOR * f;
+    let (mut rows, mut cost) = if config.closing {
+        // The window is exact, so `paths` is the open paths at depth L; a
+        // uniform last hop lands on the start with probability 1/|V|, and
+        // examining it costs a compare, not an extension.
+        (
+            seeds * paths / g.vertices.max(1.0),
+            seeds * ((work - level) * per_path + level * CLOSING_HOP_COST),
+        )
+    } else {
+        (seeds * paths, seeds * work * per_path)
+    };
     if config.reachability {
         // Point-to-point search: at most one row, work bounded by the component.
         rows = rows.min(1.0);
@@ -489,7 +502,10 @@ impl<'a> Rewriter<'a> {
         // worth it only when so few paths survive that per-hop checks cost
         // more than the residual pass. Never on the reachability fast path,
         // whose first-hit semantics depend on pruned traversal.
+        // A closing scan's few rows say nothing about the open prefixes the
+        // pushed predicates prune, so it keeps them.
         if !config.reachability
+            && !config.closing
             && (!config.edge_preds.is_empty()
                 || !config.vertex_preds.is_empty()
                 || !config.agg_preds.is_empty())
@@ -570,7 +586,9 @@ impl<'a> Rewriter<'a> {
         if !meta.def.directed {
             return None; // join over (from, to) misses reverse hops
         }
+        // The chain counts open paths; it has no closing test.
         if config.reachability
+            || config.closing
             || config.end.is_some()
             || !config.edge_preds.is_empty()
             || !config.vertex_preds.is_empty()

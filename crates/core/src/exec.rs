@@ -1246,6 +1246,9 @@ fn resolve_traversal(config: &PathScanConfig, topo: &GraphTopology) -> (ScanMode
     if !config.agg_preds.is_empty() {
         spec = spec.with_prefix_checks();
     }
+    if config.closing {
+        spec = spec.closing();
+    }
     (mode, spec)
 }
 

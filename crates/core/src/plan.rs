@@ -162,21 +162,23 @@ impl PlanNode {
             PlanNode::VertexScan { graph, .. } => format!("VertexScan({graph})"),
             PlanNode::EdgeScan { graph, .. } => format!("EdgeScan({graph})"),
             PlanNode::PathScan { config, .. } => format!(
-                "PathScan({}, {:?}, len {}..={}{}{})",
+                "PathScan({}, {:?}, len {}..={}{}{}{})",
                 config.graph,
                 config.mode,
                 config.min_len,
                 config.max_len,
                 if config.reachability { ", reachability" } else { "" },
+                if config.closing { ", closing" } else { "" },
                 if config.emit == Emit::Count { ", emit=count" } else { "" }
             ),
             PlanNode::PathJoin { config, .. } => format!(
-                "PathJoin({}, {:?}, len {}..={}{})",
+                "PathJoin({}, {:?}, len {}..={}{}{})",
                 config.graph,
                 config.mode,
                 config.min_len,
                 config.max_len,
-                if config.reachability { ", reachability" } else { "" }
+                if config.reachability { ", reachability" } else { "" },
+                if config.closing { ", closing" } else { "" }
             ),
             PlanNode::Filter { .. } => "Filter".to_string(),
             PlanNode::NestedLoopJoin { condition, .. } => format!(
@@ -340,6 +342,11 @@ pub struct PathScanConfig {
     /// queries at depth 20 in milliseconds, §7.2). Residual predicates are
     /// still applied above the scan, so this is semantics-preserving.
     pub reachability: bool,
+    /// The planner consumed a cycle-closing conjunct (`PS.Edges[L-1].EndVertex
+    /// = PS.Edges[0].StartVertex`, or `PS.EndVertex.Id = PS.StartVertex.Id`)
+    /// over an exact window `L..=L`: the scan emits only paths that return to
+    /// their start vertex. Only DFS, BFS and Auto scans carry it.
+    pub closing: bool,
     /// Always [`Emit::Paths`] under a [`PlanNode::PathJoin`].
     pub emit: Emit,
 }

@@ -18,6 +18,11 @@
 //!   starts nowhere else and emits no other length), exactly as a table
 //!   leaf consumes the conjuncts pushed onto it. A filter left with no
 //!   conjunct is not emitted.
+//! * **Cycle closure**: over an exact window `L..=L` (DFS/BFS/Auto), a
+//!   conjunct equating the start and end vertexes (`PS.Edges[L-1].EndVertex
+//!   = PS.Edges[0].StartVertex`, `PS.EndVertex.Id = PS.StartVertex.Id`) is
+//!   consumed as [`PathScanConfig::closing`]: the traversal's last hop
+//!   only lands on the start vertex.
 //! * **Counting scans**: an ungrouped aggregate whose calls are all
 //!   `COUNT(*)`/`COUNT(P)`, directly over a standalone path scan, is
 //!   planned as that scan with [`Emit::Count`] (under `aggregate_pushdown`).
@@ -716,6 +721,21 @@ impl<'a> Planner<'a> {
             }
         }
 
+        // ---- cycle closure ----
+        // Over an exact window `L..=L` a conjunct equating the start and end
+        // vertexes keeps exactly the paths the traversal can close on its
+        // last hop. KShortestPaths ignores the traversal spec, so a
+        // SHORTESTPATH scan keeps the conjunct residual.
+        let mut closing = false;
+        if min_len == max_len && min_len >= 1 && !is_sp {
+            for (c, done) in conjuncts.iter().zip(consumed.iter_mut()) {
+                if !*done && closes_cycle(c, binding, max_len) {
+                    *done = true;
+                    closing = true;
+                }
+            }
+        }
+
         // ---- pushdown (§6.2) ----
         let mut edge_preds = Vec::new();
         let mut vertex_preds = Vec::new();
@@ -764,6 +784,7 @@ impl<'a> Planner<'a> {
             agg_preds,
             lazy: self.flags.lazy_path_scan,
             reachability,
+            closing,
             emit: Emit::Paths,
         })
     }
@@ -1127,6 +1148,64 @@ fn anchor_rhs<'e>(conjunct: &'e Expr, binding: &str, start: bool) -> Option<&'e 
         }
     }
     None
+}
+
+/// The path position (0 = start, `len` = end) of the vertex whose id a
+/// reference on `binding` names, for every spelling `compile` accepts for a
+/// vertex id: `StartVertex[.Id]`, `EndVertex[.Id]`, `StartVertexId`,
+/// `EndVertexId`, `Vertexes[i][.Id]` and `Edges[i].StartVertex` /
+/// `Edges[i].EndVertex` (positions `i` / `i + 1` in traversal direction).
+fn vertex_position(expr: &Expr, binding: &str, len: usize) -> Option<usize> {
+    let Expr::CompoundRef(parts) = expr else {
+        return None;
+    };
+    if is_vertex_anchor_ref(parts, binding, true) {
+        return Some(0);
+    }
+    if is_vertex_anchor_ref(parts, binding, false) {
+        return Some(len);
+    }
+    if parts.len() < 2
+        || !parts[0].name.eq_ignore_ascii_case(binding)
+        || parts[0].index.is_some()
+        || parts[2..].iter().any(|p| p.index.is_some())
+    {
+        return None;
+    }
+    let range = parts[1].index?;
+    if range.end != IndexEnd::At {
+        return None;
+    }
+    let i = usize::try_from(range.start).ok()?;
+    let attr = parts.get(2).map(|p| p.name.to_ascii_lowercase());
+    match (parts[1].name.to_ascii_lowercase().as_str(), parts.len(), attr.as_deref()) {
+        ("vertexes" | "vertices", 2, None) | ("vertexes" | "vertices", 3, Some("id")) => Some(i),
+        // `Edges[i]` is NULL past the path's last edge.
+        ("edges", 3, Some("startvertex")) if i < len => Some(i),
+        ("edges", 3, Some("endvertex")) if i < len => Some(i + 1),
+        _ => None,
+    }
+}
+
+/// Does `conjunct` equate the start and end vertexes of a `binding` path of
+/// exactly `len` edges (`PS.Edges[len-1].EndVertex = PS.Edges[0].StartVertex`,
+/// `PS.EndVertex.Id = PS.StartVertex.Id`, either side)?
+fn closes_cycle(conjunct: &Expr, binding: &str, len: usize) -> bool {
+    let Expr::Binary {
+        left,
+        op: BinaryOp::Eq,
+        right,
+    } = conjunct
+    else {
+        return false;
+    };
+    match (
+        vertex_position(left, binding, len),
+        vertex_position(right, binding, len),
+    ) {
+        (Some(a), Some(b)) => a.min(b) == 0 && a.max(b) == len,
+        _ => false,
+    }
 }
 
 /// Does the expression reference the given path binding anywhere?

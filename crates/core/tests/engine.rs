@@ -132,29 +132,28 @@ fn listing3_reachability_with_edge_type_filter() {
     assert_eq!(rs.rows.len(), 1);
 }
 
+/// Listing 4's statement: the cycle-closing conjunct is consumed into the
+/// scan (`closing`), so nothing is left to filter and the count is taken
+/// inside the traversal.
+const LISTING4: &str = "SELECT COUNT(P) FROM SocialNetwork.Paths P WHERE P.Length = 3 \
+                        AND P.Edges[2].EndVertex = P.Edges[0].StartVertex";
+
 #[test]
 fn listing4_triangle_counting() {
     let db = social_db();
+    let plan = db.explain(LISTING4).unwrap();
+    assert!(plan.contains("len 3..=3, closing, emit=count)"), "{plan}");
+    assert!(!plan.contains("Filter"), "{plan}");
     // Triangles in the social network: 1-2-3-4-1? No: a triangle needs a
     // 3-cycle; edges 10 (1-2), 11 (2-3), 12 (3-4), 13 (1-4) form a 4-cycle,
     // so triangle count must be 0.
-    let rs = db
-        .execute(
-            "SELECT COUNT(P) FROM SocialNetwork.Paths P WHERE P.Length = 3 \
-             AND P.Edges[2].EndVertex = P.Edges[0].StartVertex",
-        )
-        .unwrap();
+    let rs = db.execute(LISTING4).unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Integer(0)));
     // Add the chord 1-3: the 4-cycle 1-2-3-4 plus chord yields TWO
     // triangles, {1,2,3} and {1,3,4}.
     db.execute("INSERT INTO Relationships VALUES (14, 3, 1, 2011, false)")
         .unwrap();
-    let rs = db
-        .execute(
-            "SELECT COUNT(P) FROM SocialNetwork.Paths P WHERE P.Length = 3 \
-             AND P.Edges[2].EndVertex = P.Edges[0].StartVertex",
-        )
-        .unwrap();
+    let rs = db.execute(LISTING4).unwrap();
     // Undirected: each triangle is traversed from 3 start vertexes × 2
     // directions = 6 closed 3-paths; 2 triangles → 12.
     assert_eq!(rs.scalar(), Some(&Value::Integer(12)));
@@ -168,6 +167,16 @@ fn listing4_triangle_counting() {
         .unwrap();
     // Triangle {1,2,3} traversed with edge 10 first: 1-2-3-1 and 2-1-3-2.
     assert_eq!(rs.scalar(), Some(&Value::Integer(2)));
+    // The pushed edge predicate stays residual, the closing conjunct does not.
+    let plan = db
+        .explain(
+            "SELECT COUNT(P) FROM SocialNetwork.Paths P WHERE P.Length = 3 \
+             AND P.Edges[0].Id = 10 \
+             AND P.Edges[2].EndVertex = P.Edges[0].StartVertex",
+        )
+        .unwrap();
+    assert!(plan.contains("len 3..=3, closing)"), "{plan}");
+    assert!(plan.contains("Filter"), "{plan}");
 }
 
 #[test]
@@ -800,6 +809,54 @@ fn consumed_anchor_and_length_conjuncts_are_exact() {
                 assert_eq!(
                     texts(&db.execute(&sql).unwrap()),
                     want,
+                    "length_inference={length_inference}: {sql}"
+                );
+            }
+        }
+    }
+}
+
+/// A conjunct equating the start and end vertexes over an exact window is
+/// consumed as a closing scan, in every spelling `compile` accepts for
+/// those ids; the scan must count exactly what the residual filter would.
+/// On the social graph plus chord 1–3 (triangles {1,2,3} and {1,3,4}, one
+/// 4-cycle) each triangle closes from 3 seeds × 2 directions.
+#[test]
+fn consumed_closing_conjunct_is_exact() {
+    let cases: [(&str, bool, i64); 12] = [
+        ("P.Length = 3 AND P.Edges[2].EndVertex = P.Edges[0].StartVertex", true, 12),
+        ("P.Edges[0].StartVertex = P.Edges[2].EndVertex AND P.Length = 3", true, 12),
+        ("P.Length = 3 AND P.EndVertex.Id = P.StartVertex.Id", true, 12),
+        ("P.Length = 3 AND P.StartVertexId = P.EndVertex", true, 12),
+        ("P.Length = 3 AND P.Vertexes[3].Id = P.Vertexes[0]", true, 12),
+        ("P.Length = 4 AND P.Edges[3].EndVertex = P.StartVertex.Id", true, 8),
+        ("P.StartVertex.Id = 1 AND P.Length = 3 AND P.EndVertex = P.StartVertex", true, 4),
+        ("P.Length = 3 AND P.EndVertex.Id = 1 AND P.StartVertex.Id = P.EndVertex.Id", true, 4),
+        // Not the last hop, not an exact window, no window at all.
+        ("P.Length = 3 AND P.Edges[1].EndVertex = P.Edges[0].StartVertex", false, 0),
+        ("P.Length >= 2 AND P.Length <= 3 AND P.EndVertex.Id = P.StartVertex.Id", false, 12),
+        ("P.Edges[2].EndVertex = P.Edges[0].StartVertex", false, 12),
+        ("P.Length = 3 AND P.EndVertex.Id = P.StartVertex.Id + 0", false, 12),
+    ];
+    for length_inference in [true, false] {
+        let db = social_db();
+        db.execute("INSERT INTO Relationships VALUES (14, 3, 1, 2011, false)")
+            .unwrap();
+        let mut cfg = db.config();
+        cfg.optimizer.length_inference = length_inference;
+        db.set_config(cfg);
+        for (predicate, closes, want) in cases {
+            for hint in ["", "HINT(DFS)", "HINT(BFS)"] {
+                let sql = format!("SELECT COUNT(P) FROM SocialNetwork.Paths P {hint} WHERE {predicate}");
+                let plan = db.explain(&sql).unwrap();
+                assert_eq!(
+                    plan.contains(", closing"),
+                    closes && length_inference,
+                    "length_inference={length_inference}: {sql}\n{plan}"
+                );
+                assert_eq!(
+                    db.execute(&sql).unwrap().scalar(),
+                    Some(&Value::Integer(want)),
                     "length_inference={length_inference}: {sql}"
                 );
             }

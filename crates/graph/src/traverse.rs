@@ -33,6 +33,10 @@ pub struct TraversalSpec {
     /// a materialized [`PathData`] after each extension (needed for running
     /// path aggregates; costs one allocation per expansion, so it is opt-in).
     pub check_prefixes: bool,
+    /// Only cycles back to the start vertex are wanted: on the last hop
+    /// (`depth + 1 == max_len`) a target other than the start is skipped
+    /// before the edge filter runs, so it costs no tuple dereference.
+    pub closing: bool,
 }
 
 impl TraversalSpec {
@@ -41,12 +45,24 @@ impl TraversalSpec {
             min_len,
             max_len,
             check_prefixes: false,
+            closing: false,
         }
     }
 
     pub fn with_prefix_checks(mut self) -> Self {
         self.check_prefixes = true;
         self
+    }
+
+    pub fn closing(mut self) -> Self {
+        self.closing = true;
+        self
+    }
+
+    /// Whether a hop from `depth` is the last hop of a closing scan, which
+    /// may only land on the start vertex.
+    fn closes_at(&self, depth: usize) -> bool {
+        self.closing && depth + 1 == self.max_len
     }
 }
 
@@ -187,10 +203,14 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
             let mut extended = false;
             if depth < self.spec.max_len && !closed {
                 let out_len = self.view.out_len(v);
+                let must_reach = self.spec.closes_at(depth).then_some(self.path_vertexes[0]);
                 while self.cursors[depth] < out_len {
                     let (e, t) = self.view.out_hop(v, self.cursors[depth]);
                     self.cursors[depth] += 1;
                     self.edges_examined += 1;
+                    if must_reach.is_some_and(|s| t != s) {
+                        continue;
+                    }
                     if !self.filter.edge_allowed(self.graph, e, depth) {
                         continue;
                     }
@@ -351,6 +371,14 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
         (!(closes && edge_reused)).then_some(closes)
     }
 
+    /// The start vertex of the path ending at `node`.
+    fn seed_of(&self, mut node: BfsNode) -> VertexSlot {
+        while node.depth > 0 {
+            node = self.arena[ix(node.parent)];
+        }
+        node.vertex
+    }
+
     /// The path ending at arena node `at`, in user-visible ids: the parent
     /// chain is walked once, filling the id buffer from the back.
     fn path_at(&self, at: usize) -> PathData {
@@ -386,8 +414,12 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
             // queued even when we return below. Closed paths (returned to
             // their start) are never extended.
             if depth < self.spec.max_len && !node.closed {
+                let must_reach = self.spec.closes_at(depth).then(|| self.seed_of(node));
                 for (e, t) in self.view.out_hops(node.vertex) {
                     self.edges_examined += 1;
+                    if must_reach.is_some_and(|s| t != s) {
+                        continue;
+                    }
                     if !self.filter.edge_allowed(self.graph, e, depth) {
                         continue;
                     }
@@ -616,6 +648,40 @@ mod tests {
             NoFilter,
         ));
         assert_eq!(paths, vec!["1->2->1", "1->2->1"]);
+    }
+
+    #[test]
+    fn closing_keeps_only_cycles_and_skips_the_edge_filter_on_misses() -> grfusion_common::Result<()> {
+        // Triangle 1->2->3->1 plus a chord 3->4, all seeds.
+        let mut g = GraphTopology::new("g", true);
+        for v in 1..=4 {
+            g.add_vertex(v, RowId(0))?;
+        }
+        for (id, a, b) in [(10, 1, 2), (11, 2, 3), (12, 3, 1), (13, 3, 4)] {
+            g.add_edge(id, a, b, RowId(0))?;
+        }
+        let seeds = (1..=4).map(|v| g.vertex_slot(v)).collect::<grfusion_common::Result<Vec<_>>>()?;
+        let cycles = vec!["1->2->3->1", "2->3->1->2", "3->1->2->3"];
+        let open = path_strings(DfsPaths::new(&g, seeds.clone(), TraversalSpec::new(3, 3), NoFilter));
+        let closed: Vec<String> = open
+            .into_iter()
+            .filter(|p| p.split("->").next() == p.split("->").last())
+            .collect();
+        assert_eq!(closed, cycles);
+        // Count last-hop filter calls: only hops onto the start reach it.
+        let calls = std::cell::Cell::new(0usize);
+        let f = || {
+            edge_filter(|_: &GraphTopology, _, hop| {
+                calls.set(calls.get() + usize::from(hop == 2));
+                true
+            })
+        };
+        let spec = TraversalSpec::new(3, 3).closing();
+        assert_eq!(path_strings(DfsPaths::new(&g, seeds.clone(), spec, f())), cycles);
+        assert_eq!(calls.replace(0), 3);
+        assert_eq!(path_strings(BfsPaths::new(&g, seeds, spec, f())), cycles);
+        assert_eq!(calls.get(), 3);
+        Ok(())
     }
 
     #[test]

@@ -203,14 +203,17 @@ fn fig10_triangle_counters() {
              WHERE PS.Length = 3 AND PS.StartVertex.Id = PS.EndVertex.Id",
         )
         .unwrap();
-    // 2->4->1->2, 4->1->2->4 etc.: the 2-4-1 cycle seen from each seed that
-    // survives the simple-path window.
-    assert!(matches!(rs.rows[0][0], Value::Integer(n) if n > 0));
+    // The cycles 1->2->4->1 and 1->3->4->1, each seen from its 3 seeds.
+    assert_eq!(rs.rows, vec![vec![Value::Integer(6)]]);
     let m = rs.metrics.unwrap();
     let g = m.graph_totals();
     assert!(g.vertices_visited > 0 && g.edges_expanded > 0);
-    let agg = m.node("Aggregate").expect("no Aggregate node");
-    assert_eq!(agg.rows, 1);
+    // The closing conjunct is consumed, so no filter is left and the scan
+    // counts: one row, six paths, no Aggregate above it.
+    let scan = m.node("PathScan").expect("no PathScan node");
+    assert!(scan.label.ends_with("closing, emit=count)"), "{}", scan.label);
+    assert_eq!((scan.rows, scan.paths), (1, Some(6)));
+    assert!(m.node("Aggregate").is_none() && m.node("Filter").is_none(), "{}", m.render());
 }
 
 /// Plain scan sources — vertex and edge scans over the graph view.

@@ -127,6 +127,25 @@ fn high_fanout_clique_picks_iterated_join() {
     assert_eq!(lanes[0], vec!["64".to_string()]);
 }
 
+/// The same fixture and count, closed into 2-cycles: the closing conjunct
+/// is consumed into the scan, and the iterated join — which counts open
+/// paths and has no closing test — must not take it over. Both lanes keep
+/// the closing PathScan and count the 8 cycles 0→x→0.
+#[test]
+fn closing_count_keeps_the_traversal() {
+    let sql = "SELECT COUNT(*) FROM g.Paths PS WHERE PS.StartVertex.Id = 0 \
+               AND PS.Length = 2 AND PS.Edges[1].EndVertex = PS.Edges[0].StartVertex";
+    for on in [false, true] {
+        let db = db_with_optimizer(on);
+        load_graph(&db, 9, &clique_edges(9));
+        db.execute("CREATE INDEX ix_ea ON e (a)").unwrap();
+        let plan = db.explain(sql).unwrap();
+        assert!(plan.contains("closing, emit=count"), "optimizer {on} plan:\n{plan}");
+        assert!(!plan.contains("IndexJoin"), "optimizer {on} plan:\n{plan}");
+        assert_eq!(rows(&db, sql), vec!["8".to_string()], "optimizer {on}");
+    }
+}
+
 /// Shape lock 2 — physical traversal choice from the degree histogram:
 /// the star's *average* out-degree (≈1) says BFS, but the seal-time
 /// distribution exposes the 63-way hub, pushing the effective fan-out

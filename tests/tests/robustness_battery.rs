@@ -299,18 +299,19 @@ proptest! {
 // work and accounting, minus the paths
 // ---------------------------------------------------------------------------
 
-/// Ten ungrouped `COUNT` forms over a standalone path scan: `{C}` is the
-/// aggregate call, `{H}` the traversal hint. The first eight become
-/// counting scans; the last two carry a pushed predicate, which stays in
-/// the residual filter (the pushdown-ablation promise), so they keep the
-/// materializing plan whatever `aggregate_pushdown` says.
+/// Fourteen ungrouped `COUNT` forms over a standalone path scan: `{C}` is
+/// the aggregate call, `{H}` the traversal hint. The first twelve become
+/// counting scans (the last four of those close 2-cycles); the last two
+/// carry a pushed predicate, which stays in the residual filter (the
+/// pushdown-ablation promise), so they keep the materializing plan
+/// whatever `aggregate_pushdown` says.
 fn count_forms() -> Vec<String> {
     let anchored = "SELECT {C} FROM g.Paths P {H} \
                     WHERE P.StartVertex.Id = 0 AND P.Length >= 1 AND P.Length <= 3";
     let all = "SELECT {C} FROM g.Paths P {H} WHERE P.Length >= 1 AND P.Length <= 2";
     let pushed = " AND P.Edges[0..*].w < 5.0";
     let mut forms = Vec::new();
-    for shape in [anchored, all] {
+    for shape in [anchored, all, CLOSING_COUNT] {
         for hint in ["HINT(DFS)", "HINT(BFS)"] {
             for call in ["COUNT(*)", "COUNT(P)"] {
                 forms.push(shape.replace("{C}", call).replace("{H}", hint));
@@ -321,6 +322,10 @@ fn count_forms() -> Vec<String> {
     forms.push(format!("{all}{pushed}").replace("{C}", "COUNT(*)").replace("{H}", "HINT(BFS)"));
     forms
 }
+
+/// Unanchored 2-cycles: the closing conjunct is consumed into the scan.
+const CLOSING_COUNT: &str =
+    "SELECT {C} FROM g.Paths P {H} WHERE P.Length = 2 AND P.EndVertex.Id = P.StartVertex.Id";
 
 /// Undirected, with a 2-cycle (two parallel edges 0–1) so closing a cycle
 /// and the no-edge-reuse rule are both on the counted paths, and one heavy
@@ -399,6 +404,27 @@ fn counting_scan_matches_the_materializing_plan() {
             let (counting, materializing) = (outcome(true), outcome(false));
             assert_eq!(counting, materializing, "{sql}: budget {budget}");
             assert_eq!(counting.is_ok(), budget == n as u64, "{sql}: budget {budget} of {n} paths");
+        }
+    }
+}
+
+/// On the 2-cycle fixture the parallel edges 0–1 close 0→1→0 and 1→0→1
+/// two ways each (4 cycles); no edge closes a cycle with itself, though
+/// every one of the eight edges would if it could. The residual plan
+/// (`length_inference` off: no consumed window, so no closing scan) agrees.
+#[test]
+fn closing_count_uses_parallel_edges_never_the_same_edge() {
+    let db = two_cycle_db(base_config());
+    for hint in ["HINT(DFS)", "HINT(BFS)"] {
+        let sql = CLOSING_COUNT.replace("{C}", "COUNT(*)").replace("{H}", hint);
+        for inference in [true, false] {
+            let mut cfg = db.config();
+            cfg.optimizer.length_inference = inference;
+            db.set_config(cfg);
+            let plan = db.explain(&sql).unwrap();
+            assert_eq!(plan.contains("closing, emit=count"), inference, "{sql}:\n{plan}");
+            let rows = db.execute(&sql).unwrap().rows;
+            assert_eq!(rows, vec![vec![Value::Integer(4)]], "{sql}, length_inference {inference}");
         }
     }
 }

@@ -4,7 +4,7 @@
 //! assert on shapes) and the harness binary prints them. Workloads are
 //! seeded and deterministic.
 
-use grfusion::{CsrConfig, EngineConfig, EpochConfig, OptimizerFlags, TraversalChoice};
+use grfusion::{CsrConfig, EngineConfig, OptimizerFlags, TraversalChoice};
 use grfusion_baselines::{
     GrFusionSystem, GrailSystem, GraphSystem, NeoDb, SqlGraphSystem, TitanDb,
 };
@@ -699,111 +699,6 @@ pub fn optimizer(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
         }
         for ((label, _), us) in lanes.iter().zip(&best) {
             out.push(m("optimizer", &ds_label, label, branch, format!("{us:.1}")));
-        }
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Concurrent-reader experiment — epoch snapshots vs. the writer's lock
-// ---------------------------------------------------------------------------
-
-/// Reader latency under a live writer, at 1/2/4/8 reader threads, with
-/// epoch publication on (`epochs=on`: readers pin an immutable snapshot
-/// and never touch the writer's mutex) and off (`epochs=off`: every read
-/// serializes behind the single writer). The writer relinks road edges in
-/// a tight loop the whole time; its committed-statement count is reported
-/// alongside so the lanes' reader numbers are comparable under similar
-/// write pressure. Expected shape: `epochs=on` holds roughly flat µs/read
-/// as readers scale, `epochs=off` degrades once readers contend with the
-/// writer for the engine lock.
-pub fn concurrent(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-    use std::time::Instant;
-
-    const READS_PER_THREAD: usize = 256;
-    let mut out = Vec::new();
-    let ds = roads(scale.vertices, scale.seed);
-    let adj = Adjacency::build(&ds);
-    let len = 6usize;
-    let pairs = pairs_at_distance(&ds, &adj, len as u32, scale.queries.max(4), scale.seed);
-    if pairs.is_empty() {
-        return Ok(out);
-    }
-    let n_vertices = ds.vertices.len() as i64;
-    let n_edges = ds.edges.len() as i64;
-
-    let lanes = [
-        ("epochs=on", EpochConfig::enabled()),
-        ("epochs=off", EpochConfig::disabled()),
-    ];
-    for (label, epochs) in lanes {
-        for readers in [1usize, 2, 4, 8] {
-            // Fresh engine per point: the writer mutates the graph, and a
-            // clean load keeps every point's starting topology identical.
-            let grf = GrFusionSystem::load_with(
-                &ds,
-                EngineConfig {
-                    csr: CsrConfig::sealed(),
-                    epochs,
-                    ..EngineConfig::default()
-                },
-            )?;
-            let stop = AtomicBool::new(false);
-            let writes = AtomicU64::new(0);
-            let mut micros_per_read = vec![0f64; readers];
-            std::thread::scope(|scope| {
-                // The live writer: relink one edge per statement, cycling
-                // targets so the overlay keeps churning (and re-sealing).
-                let writer = scope.spawn(|| {
-                    let db = grf.db();
-                    let mut k = 0i64;
-                    while !stop.load(Ordering::Acquire) {
-                        let stmt = format!(
-                            "UPDATE e_src SET dst = {} WHERE id = {}",
-                            (k * 31 + 7) % n_vertices,
-                            k % n_edges
-                        );
-                        if db.execute(&stmt).is_ok() {
-                            writes.fetch_add(1, Ordering::Relaxed);
-                        }
-                        k += 1;
-                    }
-                });
-                let handles: Vec<_> = (0..readers)
-                    .map(|r| {
-                        let (grf, pairs) = (&grf, &pairs);
-                        scope.spawn(move || {
-                            let start = Instant::now();
-                            for i in 0..READS_PER_THREAD {
-                                let (s, t) = pairs[(r + i) % pairs.len()];
-                                let _ = grf.reachable(s, t, len, None);
-                            }
-                            start.elapsed().as_secs_f64() * 1e6 / READS_PER_THREAD as f64
-                        })
-                    })
-                    .collect();
-                for (r, h) in handles.into_iter().enumerate() {
-                    micros_per_read[r] = h.join().expect("reader panicked");
-                }
-                stop.store(true, Ordering::Release);
-                writer.join().expect("writer panicked");
-            });
-            let mean = micros_per_read.iter().sum::<f64>() / readers as f64;
-            out.push(m(
-                "concurrent",
-                ds.kind.label(),
-                label,
-                format!("readers={readers}"),
-                format!("{mean:.1}"),
-            ));
-            out.push(m(
-                "concurrent",
-                ds.kind.label(),
-                label,
-                format!("writer-stmts@readers={readers}"),
-                writes.load(Ordering::Relaxed),
-            ));
         }
     }
     Ok(out)

@@ -115,73 +115,33 @@ pub struct GovernorConfig {
 /// When sealing is on (the default), every graph view compacts its
 /// adjacency into contiguous CSR arrays right after materialization, and
 /// post-seal DML maintenance diverts touched vertexes to a small delta
-/// overlay that traversals merge on the fly. Once the overlaid share of
-/// the vertex set exceeds `reseal_fraction`, the next DML statement
-/// re-seals the view (inside the statement's atomicity scope, so a fault
-/// or memory-cap abort during the re-seal rolls the statement back).
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// overlay that traversals merge on the fly. Once a quarter of the vertex
+/// set is overlaid, the next DML statement re-seals the view (inside the
+/// statement's atomicity scope, so a fault or memory-cap abort during the
+/// re-seal rolls the statement back).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CsrConfig {
     /// Seal topologies into CSR arrays. Off = pure adjacency-list layout
     /// (the pre-CSR engine; also the differential oracle's "delta only"
     /// lane).
     pub sealed: bool,
-    /// Overlaid-vertex fraction (of live vertexes) above which a DML
-    /// statement triggers an automatic re-seal.
-    pub reseal_fraction: f64,
 }
 
 impl CsrConfig {
-    /// The engine default: sealing on, re-seal at 25% overlay.
+    /// The engine default: sealing on.
     pub fn sealed() -> Self {
-        CsrConfig {
-            sealed: true,
-            reseal_fraction: 0.25,
-        }
+        CsrConfig { sealed: true }
     }
 
     /// Sealing disabled: topologies stay on per-vertex adjacency lists.
     pub fn adjacency_only() -> Self {
-        CsrConfig {
-            sealed: false,
-            reseal_fraction: 0.25,
-        }
+        CsrConfig { sealed: false }
     }
 }
 
 impl Default for CsrConfig {
     fn default() -> Self {
         CsrConfig::sealed()
-    }
-}
-
-/// Epoch-publication policy (MVCC-lite snapshot isolation).
-///
-/// When enabled, every committed statement publishes an immutable `Epoch`
-/// — copy-on-write snapshots of all tables plus every graph view's sealed
-/// CSR + delta topology — behind an atomically-swapped `Arc`. Reader
-/// threads pin the current epoch for a whole query and never take the
-/// writer's lock; superseded epochs are reclaimed when their last reader
-/// drops. Off by default: the serial locked path stays byte-identical to
-/// the pre-epoch engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpochConfig {
-    /// Publish epochs and route SELECTs through the pinned snapshot.
-    pub enabled: bool,
-}
-
-impl EpochConfig {
-    pub fn enabled() -> Self {
-        EpochConfig { enabled: true }
-    }
-
-    pub fn disabled() -> Self {
-        EpochConfig { enabled: false }
-    }
-}
-
-impl Default for EpochConfig {
-    fn default() -> Self {
-        EpochConfig::disabled()
     }
 }
 
@@ -192,13 +152,12 @@ pub struct EngineConfig {
     pub limits: ExecLimits,
     pub governor: GovernorConfig,
     pub csr: CsrConfig,
-    pub epochs: EpochConfig,
 }
 
 impl Default for EngineConfig {
     /// The strict parse of the `GRFUSION_*` knobs (`ENV_KNOBS`) — that
-    /// hook is what lets CI run the whole suite down the epoch, optimizer
-    /// or governed path without code changes — or the paper's configuration
+    /// hook is what lets CI run the whole suite down the optimizer or
+    /// governed path without code changes — or the paper's configuration
     /// when a knob is malformed. The failure is not lost: `Database`
     /// surfaces [`EngineConfig::env_error`] on the first statement.
     fn default() -> Self {
@@ -239,7 +198,7 @@ fn limit(v: &str) -> Option<Option<u64>> {
 /// Every `GRFUSION_*` engine knob, in the order they are validated (the
 /// first malformed one is the one reported). `GRFUSION_FAULTS` is not
 /// here: `Database::with_config` owns the fault plan's lifecycle.
-static ENV_KNOBS: [EnvKnob; 5] = [
+static ENV_KNOBS: [EnvKnob; 3] = [
     // On = statistics-driven plan selection on top of the rule-based plan.
     EnvKnob {
         var: "GRFUSION_OPTIMIZER",
@@ -265,32 +224,6 @@ static ENV_KNOBS: [EnvKnob; 5] = [
             Some(())
         },
     },
-    // `0`/`off` never seals (the escape hatch); a fraction overrides the
-    // re-seal threshold.
-    EnvKnob {
-        var: "GRFUSION_CSR_RESEAL",
-        expects: "expected `0`/`off` or a fraction in (0, 1]",
-        set: |c, v| {
-            c.csr = if v == "0" || v.eq_ignore_ascii_case("off") {
-                CsrConfig::adjacency_only()
-            } else {
-                let reseal_fraction = v.parse().ok().filter(|&f| f > 0.0 && f <= 1.0)?;
-                CsrConfig {
-                    sealed: true,
-                    reseal_fraction,
-                }
-            };
-            Some(())
-        },
-    },
-    EnvKnob {
-        var: "GRFUSION_EPOCHS",
-        expects: ON_OFF,
-        set: |c, v| {
-            c.epochs.enabled = on_off(v)?;
-            Some(())
-        },
-    },
 ];
 
 impl EngineConfig {
@@ -301,7 +234,6 @@ impl EngineConfig {
             limits: ExecLimits::default(),
             governor: GovernorConfig::default(),
             csr: CsrConfig::default(),
-            epochs: EpochConfig::default(),
         }
     }
 
@@ -376,10 +308,8 @@ mod tests {
 
     #[test]
     fn constructors_sanitize_inputs() {
-        let sealed = CsrConfig::default();
-        assert!(sealed.sealed && sealed.reseal_fraction > 0.0 && sealed.reseal_fraction <= 1.0);
+        assert!(CsrConfig::default().sealed);
         assert!(!CsrConfig::adjacency_only().sealed);
-        assert!(!EpochConfig::default().enabled && EpochConfig::enabled().enabled);
     }
 
     /// Parse an environment in which only `var` is set.
@@ -388,7 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn recognised_variables_are_the_five_documented_ones() {
+    fn recognised_variables_are_the_three_documented_ones() {
         let vars: Vec<&str> = EngineConfig::env_vars().collect();
         assert_eq!(
             vars,
@@ -396,8 +326,6 @@ mod tests {
                 "GRFUSION_OPTIMIZER",
                 "GRFUSION_DEADLINE_MS",
                 "GRFUSION_MEMORY_BYTES",
-                "GRFUSION_CSR_RESEAL",
-                "GRFUSION_EPOCHS",
             ]
         );
     }
@@ -439,27 +367,6 @@ mod tests {
                 with(|c| c.governor.max_memory_bytes = Some(1_048_576)),
             ),
             ("GRFUSION_MEMORY_BYTES", &["0"], paper),
-            (
-                "GRFUSION_CSR_RESEAL",
-                &["0", "off", "OFF"],
-                with(|c| c.csr = CsrConfig::adjacency_only()),
-            ),
-            (
-                "GRFUSION_CSR_RESEAL",
-                &["0.5"],
-                with(|c| c.csr.reseal_fraction = 0.5),
-            ),
-            (
-                "GRFUSION_CSR_RESEAL",
-                &["1", "1.0"],
-                with(|c| c.csr.reseal_fraction = 1.0),
-            ),
-            (
-                "GRFUSION_EPOCHS",
-                &["1", "on", "TRUE"],
-                with(|c| c.epochs = EpochConfig::enabled()),
-            ),
-            ("GRFUSION_EPOCHS", &["0", "off", "false"], paper),
         ];
         for (var, spellings, want) in valid {
             for s in *spellings {
@@ -472,12 +379,6 @@ mod tests {
             ("GRFUSION_OPTIMIZER", &["2", "fast", "yes"], ON_OFF),
             ("GRFUSION_DEADLINE_MS", &["-1", "1.5", "fast"], LIMIT),
             ("GRFUSION_MEMORY_BYTES", &["-1", "64MB"], LIMIT),
-            (
-                "GRFUSION_CSR_RESEAL",
-                &["0.0", "7", "-1", "NaN", "nope"],
-                "fraction in (0, 1]",
-            ),
-            ("GRFUSION_EPOCHS", &["2", "yes please"], ON_OFF),
         ];
         for (var, values, expects) in invalid {
             for v in *values {
@@ -493,7 +394,7 @@ mod tests {
     #[test]
     fn first_malformed_knob_in_table_order_is_reported() {
         let e = EngineConfig::from_lookup(|k| match k {
-            "GRFUSION_EPOCHS" => Some("nope".into()),
+            "GRFUSION_MEMORY_BYTES" => Some("nope".into()),
             "GRFUSION_DEADLINE_MS" => Some("-1".into()),
             "GRFUSION_OPTIMIZER" => Some("on".into()),
             _ => None,
@@ -501,7 +402,7 @@ mod tests {
         .unwrap_err()
         .to_string();
         assert!(
-            e.contains("GRFUSION_DEADLINE_MS") && !e.contains("GRFUSION_EPOCHS"),
+            e.contains("GRFUSION_DEADLINE_MS") && !e.contains("GRFUSION_MEMORY_BYTES"),
             "{e}"
         );
     }

@@ -111,8 +111,7 @@ impl GraphCost {
 }
 
 /// Statistics catalog the optimizer reads. Built by the engine layer from
-/// live tables and topologies (or from a pinned epoch's snapshots) right
-/// before planning.
+/// live tables and topologies right before planning.
 #[derive(Debug, Clone, Default)]
 pub struct CostCatalog {
     tables: HashMap<String, TableCost>,

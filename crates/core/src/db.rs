@@ -8,8 +8,10 @@
 //! topology *by value*: holding it is the only way to reach one, so there
 //! is no lock below it — a statement borrows what it writes `&mut`, a read
 //! under the lock borrows it shared, and the borrow checker proves the
-//! exclusion. The engine's whole lock order is `DbInner` → `EpochHub`
-//! (settings and the published epoch; epoch readers take it alone).
+//! exclusion. Every read — ad hoc, prepared, `EXPLAIN`, the state dump —
+//! binds that live state under that lock, so a read inside an open
+//! transaction sees the transaction's writes. The engine's whole lock order
+//! is `DbInner` → `Settings` (a setter takes the settings mutex alone).
 //! `Database` is `Send + Sync` (asserted below); concurrent callers simply
 //! queue on the writer's mutex.
 
@@ -24,12 +26,12 @@ use crate::lockorder::{LockClass, OrderedMutex};
 
 use crate::config::EngineConfig;
 use crate::dml::{self, Checks, DmlCtx, Journal};
-use crate::epoch::{DirtySet, EpochHub, EpochView, Settings};
 use crate::governor::{CancelToken, ExecContext, FaultPlan, FaultState};
 use crate::expr::GraphMeta;
 use crate::graph_view::{GraphView, GraphViewDef};
 use crate::planner::PlannerCtx;
 use crate::result::ResultSet;
+use crate::settings::Settings;
 use crate::snapshot::{has_subquery, Snapshot};
 
 /// Everything the writer's mutex guards — and owns.
@@ -51,11 +53,9 @@ struct DbInner {
 /// An in-memory relational database with native graph support.
 pub struct Database {
     inner: OrderedMutex<DbInner>,
-    /// Epoch publication point and the engine's settings. Lives *outside*
-    /// `inner`: epoch readers pin the current snapshot and copy the
-    /// settings through the hub's tiny mutex and never contend with the
-    /// writer holding `inner`.
-    hub: EpochHub,
+    /// The engine's settings. Outside `inner`, so a setter or
+    /// `cancel_token()` never waits behind a running statement.
+    settings: OrderedMutex<Settings>,
 }
 
 // Server connections and reader threads share one `Database` by reference.
@@ -118,7 +118,7 @@ impl Database {
         // Same contract for the engine knobs: a typo'd GRFUSION_DEADLINE_MS
         // must fail the first statement, not silently run ungoverned.
         let env_err = EngineConfig::env_error();
-        let db = Database {
+        Database {
             inner: OrderedMutex::new(LockClass::DbInner, DbInner {
                 catalog: Catalog::new(),
                 graph_views: HashMap::new(),
@@ -126,26 +126,25 @@ impl Database {
                 txn: None,
                 plan_ctx: None,
             }),
-            hub: EpochHub::new(
-                Settings {
-                    config,
-                    cancel: None,
-                    faults,
-                    faults_err,
-                    env_err,
-                    batch_rows: crate::spine::BATCH_ROWS,
-                },
-                config.epochs.enabled,
-            ),
-        };
-        if config.epochs.enabled {
-            // Publish epoch 0 (the empty catalog) so readers always have a
-            // snapshot to pin.
-            let mut inner = db.inner.lock();
-            let _ = publish_epoch(&db.hub, &mut inner, None);
-            drop(inner);
+            settings: OrderedMutex::new(LockClass::Settings, Settings {
+                config,
+                cancel: None,
+                faults,
+                faults_err,
+                env_err,
+                batch_rows: crate::spine::BATCH_ROWS,
+            }),
         }
-        db
+    }
+
+    /// The settings as of now (each statement takes one copy).
+    fn settings(&self) -> Settings {
+        self.settings.lock().clone()
+    }
+
+    /// Change the settings (takes effect on the next statement).
+    fn update_settings<T>(&self, f: impl FnOnce(&mut Settings) -> T) -> T {
+        f(&mut self.settings.lock())
     }
 
     /// Handle for cancelling in-flight queries from another thread.
@@ -155,15 +154,14 @@ impl Database {
     /// what arms the cooperative checks; a database nobody can cancel pays
     /// nothing for the feature.
     pub fn cancel_token(&self) -> CancelToken {
-        self.hub
-            .update_settings(|s| s.cancel.get_or_insert_with(CancelToken::default).clone())
+        self.update_settings(|s| s.cancel.get_or_insert_with(CancelToken::default).clone())
     }
 
     /// Install (or with `None` clear) a deterministic fault-injection plan.
     /// Replaces any plan read from `GRFUSION_FAULTS` and resets all hit
     /// counters.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        self.hub.update_settings(|s| {
+        self.update_settings(|s| {
             s.faults = plan.map(|p| Arc::new(FaultState::new(p)));
             s.faults_err = None;
         });
@@ -175,58 +173,27 @@ impl Database {
     /// sweeps it to show.
     #[doc(hidden)]
     pub fn set_batch_rows(&self, rows: usize) {
-        self.hub.update_settings(|s| s.batch_rows = rows.max(1));
+        self.update_settings(|s| s.batch_rows = rows.max(1));
     }
 
     /// Replace the engine configuration (takes effect on the next
     /// statement).
     pub fn set_config(&self, config: EngineConfig) {
-        let mut inner = self.inner.lock();
-        self.hub.update_settings(|s| {
+        self.update_settings(|s| {
             s.config = config;
             s.env_err = None;
         });
-        self.hub.set_enabled(config.epochs.enabled);
-        // (Re)publish immediately so readers see the current committed
-        // state under the new configuration — this is also how enabling
-        // epochs mid-session seeds the first snapshot.
-        if config.epochs.enabled && inner.txn.is_none() {
-            let _ = publish_epoch(&self.hub, &mut inner, None);
-        }
     }
 
     /// Current configuration.
     pub fn config(&self) -> EngineConfig {
-        self.hub.settings().config
+        self.settings.lock().config
     }
 
-    /// Run `f` over a consistent snapshot of the database — the one place a
-    /// read chooses its source. With epochs on and no transaction open on
-    /// this connection that is the pinned current epoch, and the writer's
-    /// lock is never taken; otherwise it is the live state under that lock,
-    /// which is how a reader inside `BEGIN …` sees its own writes.
+    /// Run `f` over the live state under the writer's lock — the one read
+    /// source, uncommitted writes of an open transaction included.
     fn read<T>(&self, f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>) -> Result<T> {
-        match self.hub.pin() {
-            Some((ep, settings)) => f(&Snapshot::pinned(&ep), &settings),
-            None => read_locked(&self.hub, &mut self.inner.lock(), f),
-        }
-    }
-
-    /// Run a DDL statement: it invalidates the cached planner context and
-    /// publishes a full snapshot (DDL changes the catalog shape, so nothing
-    /// can be reused) — unless a transaction is open, in which case
-    /// visibility waits for COMMIT/ROLLBACK.
-    fn ddl(
-        &self,
-        inner: &mut DbInner,
-        f: impl FnOnce(&mut DbInner) -> Result<()>,
-    ) -> Result<ResultSet> {
-        f(inner)?;
-        inner.plan_ctx = None;
-        if inner.txn.is_none() {
-            publish_epoch(&self.hub, inner, None)?;
-        }
-        Ok(ResultSet::empty())
+        self.read_locked(&mut self.inner.lock(), f)
     }
 
     /// Execute one SQL statement.
@@ -290,25 +257,25 @@ impl Database {
                 self.read(|snap, cfg| snap.explain(cfg, select, *analyze))
             }
             Statement::CreateTable(ct) => {
-                self.ddl(&mut self.inner.lock(), |inner| create_table(inner, ct))
+                ddl(&mut self.inner.lock(), |inner| create_table(inner, ct))
             }
             Statement::CreateIndex(ci) => {
-                self.ddl(&mut self.inner.lock(), |inner| create_index(inner, ci))
+                ddl(&mut self.inner.lock(), |inner| create_index(inner, ci))
             }
-            Statement::CreateGraphView(cgv) => self.ddl(&mut self.inner.lock(), |inner| {
+            Statement::CreateGraphView(cgv) => ddl(&mut self.inner.lock(), |inner| {
                 create_graph_view(inner, cgv, self.config().csr.sealed)
             }),
             Statement::DropTable { name } => {
-                self.ddl(&mut self.inner.lock(), |inner| drop_table(inner, name))
+                ddl(&mut self.inner.lock(), |inner| drop_table(inner, name))
             }
             Statement::DropGraphView { name } => {
-                self.ddl(&mut self.inner.lock(), |inner| drop_graph_view(inner, name))
+                ddl(&mut self.inner.lock(), |inner| drop_graph_view(inner, name))
             }
             Statement::Insert(ins) => {
                 let mut inner = self.inner.lock();
                 match &ins.source {
                     grfusion_sql::InsertSource::Values(_) => {
-                        run_dml(&self.hub, &mut inner, |ctx, journal| {
+                        self.run_dml(&mut inner, |ctx, journal| {
                             dml::execute_insert(ctx, journal, ins)
                         })
                     }
@@ -317,10 +284,10 @@ impl Database {
                         // (the engine is serial, so this is a consistent
                         // snapshot), then insert through the normal
                         // maintenance path.
-                        let rs = read_locked(&self.hub, &mut inner, |snap, cfg| {
+                        let rs = self.read_locked(&mut inner, |snap, cfg| {
                             snap.select(cfg, select, false)
                         })?;
-                        run_dml(&self.hub, &mut inner, |ctx, journal| {
+                        self.run_dml(&mut inner, |ctx, journal| {
                             dml::execute_insert_rows(
                                 ctx,
                                 journal,
@@ -335,16 +302,16 @@ impl Database {
             Statement::Update(upd) => {
                 let mut upd = upd.clone();
                 let mut inner = self.inner.lock();
-                fold_predicate(&self.hub, &mut inner, &mut upd.selection)?;
-                run_dml(&self.hub, &mut inner, move |ctx, journal| {
+                self.fold_predicate(&mut inner, &mut upd.selection)?;
+                self.run_dml(&mut inner, move |ctx, journal| {
                     dml::execute_update(ctx, journal, &upd)
                 })
             }
             Statement::Delete(del) => {
                 let mut del = del.clone();
                 let mut inner = self.inner.lock();
-                fold_predicate(&self.hub, &mut inner, &mut del.selection)?;
-                run_dml(&self.hub, &mut inner, move |ctx, journal| {
+                self.fold_predicate(&mut inner, &mut del.selection)?;
+                self.run_dml(&mut inner, move |ctx, journal| {
                     dml::execute_delete(ctx, journal, &del)
                 })
             }
@@ -354,21 +321,12 @@ impl Database {
                     return Err(Error::transaction("transaction already in progress"));
                 }
                 inner.txn = Some(Journal::new());
-                // Reads now need the locked path to observe their own
-                // uncommitted writes; readers pinning the previous epoch
-                // keep seeing the last committed state (snapshot isolation).
-                self.hub.set_txn_open(true);
                 Ok(ResultSet::empty())
             }
             Statement::Commit => {
-                let mut inner = self.inner.lock();
-                if inner.txn.take().is_none() {
+                if self.inner.lock().txn.take().is_none() {
                     return Err(Error::transaction("no transaction in progress"));
                 }
-                self.hub.set_txn_open(false);
-                // The whole transaction becomes visible in one publication
-                // (full snapshot: mid-transaction DDL is not journaled).
-                publish_epoch(&self.hub, &mut inner, None)?;
                 Ok(ResultSet::empty())
             }
             Statement::Rollback => {
@@ -378,10 +336,6 @@ impl Database {
                 };
                 let live = &mut *inner;
                 journal.rollback_to(&mut live.catalog, &mut live.graph_views, 0)?;
-                self.hub.set_txn_open(false);
-                // DML was undone, but DDL survives a rollback — republish
-                // so readers see the post-rollback catalog.
-                publish_epoch(&self.hub, &mut inner, None)?;
                 Ok(ResultSet::empty())
             }
         }
@@ -390,8 +344,7 @@ impl Database {
     /// Bulk-insert pre-built rows into a table (loader fast path; maintains
     /// graph views and transactional semantics exactly like SQL INSERT).
     pub fn bulk_insert(&self, table: &str, rows: Vec<grfusion_common::Row>) -> Result<u64> {
-        let mut inner = self.inner.lock();
-        let rs = run_dml(&self.hub, &mut inner, |ctx, journal| {
+        let rs = self.run_dml(&mut self.inner.lock(), |ctx, journal| {
             dml::execute_bulk_insert(ctx, journal, table, rows)
         })?;
         Ok(rs.rows_affected)
@@ -461,11 +414,7 @@ impl Database {
             .graph_views
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| Error::catalog(format!("graph view `{name}` does not exist")))?;
-        let mut stats = view.topology.stats();
-        let (live_epochs, retained_bytes) = self.hub.live_stats();
-        stats.live_epochs = live_epochs;
-        stats.retained_bytes = retained_bytes;
-        Ok(stats)
+        Ok(view.topology.stats())
     }
 
     /// Names of all graph views (sorted).
@@ -494,40 +443,7 @@ impl Database {
     /// dumps prove the statement was all-or-nothing across storage, indexes,
     /// and topologies.
     pub fn state_dump(&self) -> Result<String> {
-        // With epochs on this dumps the pinned snapshot: safe from any
-        // reader thread, never blocks on (or observes partial work of) the
-        // writer.
         self.read(|snap, _| Ok(snap.state_dump()))
-    }
-
-    /// Number of the currently published epoch (`None` when epoch
-    /// publication is off or nothing has been published yet).
-    pub fn current_epoch(&self) -> Option<u64> {
-        self.hub.current_number()
-    }
-
-    /// Atomically pin the current epoch and dump it: `(epoch number, state
-    /// dump)`. The concurrent differential oracle uses this to assert that
-    /// every observed snapshot equals the serial state after some committed
-    /// statement prefix. `None` when reads are not routing through epochs.
-    pub fn snapshot_dump(&self) -> Option<(u64, String)> {
-        let (ep, _) = self.hub.pin()?;
-        Some((ep.number, Snapshot::pinned(&ep).state_dump()))
-    }
-
-    /// Pin the current epoch and hold it: the returned handle keeps the
-    /// snapshot resident across any number of later writes until dropped.
-    /// `None` when reads are not routing through epochs (publication off,
-    /// or an explicit transaction is open on this connection).
-    pub fn pin_snapshot(&self) -> Option<crate::epoch::EpochSnapshot> {
-        self.hub
-            .pin()
-            .map(|(ep, _)| crate::epoch::EpochSnapshot { ep })
-    }
-
-    /// `(live epochs, retained bytes)` — see [`GraphStats::live_epochs`].
-    pub fn epoch_stats(&self) -> (usize, usize) {
-        self.hub.live_stats()
     }
 }
 
@@ -554,6 +470,13 @@ fn refuse_transaction_control(stmts: &[Statement]) -> Result<()> {
 // ---------------------------------------------------------------------------
 // DDL
 // ---------------------------------------------------------------------------
+
+/// Run a DDL statement: it invalidates the cached planner context.
+fn ddl(inner: &mut DbInner, f: impl FnOnce(&mut DbInner) -> Result<()>) -> Result<ResultSet> {
+    f(inner)?;
+    inner.plan_ctx = None;
+    Ok(ResultSet::empty())
+}
 
 fn map_type(t: TypeName) -> DataType {
     match t {
@@ -672,72 +595,75 @@ fn drop_table(inner: &mut DbInner, name: &str) -> Result<()> {
 // DML with transactions
 // ---------------------------------------------------------------------------
 
-fn run_dml<F>(hub: &EpochHub, inner: &mut DbInner, f: F) -> Result<ResultSet>
-where
-    F: FnOnce(&mut DmlCtx<'_>, &mut Journal) -> Result<u64>,
-{
-    let settings = hub.settings();
-    // Governor context for cancellation/deadline checkpoints and re-seal
-    // byte accounting (also where a malformed `GRFUSION_*` value surfaces).
-    let gov = settings.exec_context()?;
-    let mut ctx = DmlCtx {
-        catalog: &mut inner.catalog,
-        graph_views: &mut inner.graph_views,
-        source_map: &inner.source_map,
-        checks: Checks {
-            faults: settings.faults.as_deref(),
-            gov: gov.active().then_some(&gov),
-        },
-    };
-    let csr = settings.config.csr;
-    match &mut inner.txn {
-        Some(journal) => {
-            // Explicit transaction: statement-level atomicity via savepoint.
-            // Nothing publishes until COMMIT — readers keep the previous
-            // epoch.
-            let sp = journal.savepoint();
-            match f(&mut ctx, journal).and_then(|n| {
-                maybe_reseal(&mut ctx, csr, &gov)?;
-                Ok(n)
-            }) {
-                Ok(n) => Ok(ResultSet::affected(n)),
-                Err(e) => {
-                    journal.rollback_to(ctx.catalog, ctx.graph_views, sp)?;
-                    Err(e)
-                }
+/// Overlaid share of a sealed view's live vertexes at which the next DML
+/// statement re-seals it.
+const RESEAL_FRACTION: f64 = 0.25;
+
+impl Database {
+    /// Run one DML statement atomically: inside an open transaction behind
+    /// a savepoint in its journal, otherwise in a journal of its own
+    /// (auto-commit). A failure rolls back exactly the statement's changes.
+    fn run_dml<F>(&self, inner: &mut DbInner, f: F) -> Result<ResultSet>
+    where
+        F: FnOnce(&mut DmlCtx<'_>, &mut Journal) -> Result<u64>,
+    {
+        let settings = self.settings();
+        // Governor context for cancellation/deadline checkpoints and re-seal
+        // byte accounting (also where a malformed `GRFUSION_*` value surfaces).
+        let gov = settings.exec_context()?;
+        let mut ctx = DmlCtx {
+            catalog: &mut inner.catalog,
+            graph_views: &mut inner.graph_views,
+            source_map: &inner.source_map,
+            checks: Checks {
+                faults: settings.faults.as_deref(),
+                gov: gov.active().then_some(&gov),
+            },
+        };
+        let mut auto_commit = Journal::new();
+        let journal = inner.txn.as_mut().unwrap_or(&mut auto_commit);
+        let sp = journal.savepoint();
+        match f(&mut ctx, journal).and_then(|n| {
+            maybe_reseal(&mut ctx, settings.config.csr.sealed, &gov)?;
+            Ok(n)
+        }) {
+            Ok(n) => Ok(ResultSet::affected(n)),
+            Err(e) => {
+                journal.rollback_to(ctx.catalog, ctx.graph_views, sp)?;
+                Err(e)
             }
         }
-        None => {
-            // Implicit (auto-commit) transaction.
-            let mut journal = Journal::new();
-            let mut resealed: Vec<String> = Vec::new();
-            match f(&mut ctx, &mut journal).and_then(|n| {
-                resealed = maybe_reseal(&mut ctx, csr, &gov)?;
-                Ok(n)
-            }) {
-                Ok(n) => {
-                    if hub.enabled() {
-                        // Publish exactly the statement's dirty set: tables
-                        // and views it journaled plus any view it re-sealed.
-                        let (dirty_tables, mut dirty_views) = journal.dirty_since(0);
-                        dirty_views.extend(resealed);
-                        publish_epoch(hub, inner, Some((&dirty_tables, &dirty_views)))?;
-                    }
-                    Ok(ResultSet::affected(n))
-                }
-                Err(e) => {
-                    // The statement rolled back: publish nothing — every
-                    // published epoch is some *committed* prefix.
-                    journal.rollback_to(ctx.catalog, ctx.graph_views, 0)?;
-                    Err(e)
-                }
+    }
+
+    /// [`Database::read`] for a caller that already holds the writer's lock.
+    fn read_locked<T>(
+        &self,
+        inner: &mut DbInner,
+        f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>,
+    ) -> Result<T> {
+        let plan_ctx = cached_planner_ctx(inner)?;
+        let snap = Snapshot::locked(&inner.catalog, &inner.graph_views, &plan_ctx);
+        f(&snap, &self.settings())
+    }
+
+    /// Fold the `IN (SELECT ...)` subqueries of an UPDATE/DELETE predicate
+    /// against the writer's own view, before the statement starts mutating.
+    fn fold_predicate(
+        &self,
+        inner: &mut DbInner,
+        selection: &mut Option<grfusion_sql::Expr>,
+    ) -> Result<()> {
+        match selection {
+            Some(e) if has_subquery(e) => {
+                self.read_locked(inner, |snap, cfg| snap.fold_expr(cfg, e))
             }
+            _ => Ok(()),
         }
     }
 }
 
-/// Re-seal every sealed graph view whose delta overlay outgrew the
-/// configured fraction of its vertex set.
+/// Re-seal every sealed graph view whose delta overlay reached
+/// [`RESEAL_FRACTION`] of its vertex set.
 ///
 /// Runs inside the calling statement's atomicity scope, *after* the
 /// statement's own maintenance succeeded: an injected fault at `dml.seal`
@@ -746,22 +672,17 @@ where
 /// a sealed topology via the delta overlay). The seal itself is
 /// build-then-swap, so a failure before the swap leaves the topology on
 /// its previous layout — never half-compacted.
-fn maybe_reseal(
-    ctx: &mut DmlCtx<'_>,
-    csr: crate::config::CsrConfig,
-    gov: &ExecContext,
-) -> Result<Vec<String>> {
-    let mut resealed = Vec::new();
-    if !csr.sealed {
-        return Ok(resealed);
+fn maybe_reseal(ctx: &mut DmlCtx<'_>, sealed: bool, gov: &ExecContext) -> Result<()> {
+    if !sealed {
+        return Ok(());
     }
     // Sorted order: with several views due at once, the fault-site hit
     // sequence (and thus a sweep's nth-hit selection) must be stable.
     let mut views: Vec<(&String, &mut GraphView)> = ctx.graph_views.iter_mut().collect();
     views.sort_unstable_by_key(|(name, _)| *name);
-    for (name, view) in views {
+    for (_, view) in views {
         let topo = &mut view.topology;
-        if !(topo.is_sealed() && topo.overlay_fraction() >= csr.reseal_fraction) {
+        if !(topo.is_sealed() && topo.overlay_fraction() >= RESEAL_FRACTION) {
             continue;
         }
         ctx.checks.fault("dml.seal")?;
@@ -771,67 +692,13 @@ fn maybe_reseal(
             gov.charge_bytes(topo.sealed_bytes_estimate() as u64)?;
         }
         topo.seal();
-        resealed.push(name.clone());
     }
-    Ok(resealed)
-}
-
-// ---------------------------------------------------------------------------
-// Epoch publication, planner context, and the writer's own reads
-// ---------------------------------------------------------------------------
-
-/// Publish a new epoch from the writer's committed state.
-///
-/// `dirty` is `None` for a full publication (DDL, COMMIT, ROLLBACK,
-/// enablement) or `Some((tables, views))` listing exactly what the last
-/// auto-committed statement touched — everything else reuses the previous
-/// epoch's `Arc`s, so a point update re-snapshots one table, not the whole
-/// database. Must never run while `inner.txn` is open: the live tables
-/// would contain uncommitted changes.
-fn publish_epoch(hub: &EpochHub, inner: &mut DbInner, dirty: DirtySet) -> Result<()> {
-    if !hub.enabled() {
-        return Ok(());
-    }
-    debug_assert!(inner.txn.is_none(), "publishing mid-transaction");
-    let plan_ctx = cached_planner_ctx(inner)?;
-    let prev = hub.current_arc();
-    let is_clean = |set: Option<&std::collections::HashSet<String>>, name: &str| {
-        matches!(set, Some(s) if !s.contains(name))
-    };
-    let mut bytes = 0usize;
-    let mut tables = HashMap::new();
-    for (name, table) in inner.catalog.iter() {
-        let reused = if is_clean(dirty.map(|(t, _)| t), name) {
-            prev.as_ref().and_then(|p| p.tables.get(name).cloned())
-        } else {
-            None
-        };
-        let t = reused.unwrap_or_else(|| Arc::new(table.snapshot()));
-        // Coarse size estimate: slots dominate; good enough for the
-        // retained-bytes gauge (not an allocator-accurate count).
-        bytes += t.slot_count() * 48;
-        tables.insert(name.to_string(), t);
-    }
-    let mut views = HashMap::new();
-    for (name, view) in &inner.graph_views {
-        let reused = if is_clean(dirty.map(|(_, v)| v), name) {
-            prev.as_ref().and_then(|p| p.views.get(name).map(|v| v.topo.clone()))
-        } else {
-            None
-        };
-        let topo = reused.unwrap_or_else(|| Arc::new(view.topology.snapshot()));
-        bytes += topo.memory_bytes();
-        views.insert(
-            name.clone(),
-            EpochView {
-                def: view.def.clone(),
-                topo,
-            },
-        );
-    }
-    hub.install(tables, views, plan_ctx, bytes);
     Ok(())
 }
+
+// ---------------------------------------------------------------------------
+// Planner context
+// ---------------------------------------------------------------------------
 
 /// Get the cached planner context, building it on first use after DDL.
 fn cached_planner_ctx(inner: &mut DbInner) -> Result<Arc<PlannerCtx>> {
@@ -881,29 +748,4 @@ fn planner_ctx(inner: &DbInner) -> Result<PlannerCtx> {
         vertex_scan_schemas,
         edge_scan_schemas,
     })
-}
-
-/// [`Database::read`] for a caller that already holds the writer's lock:
-/// the snapshot is the live state, uncommitted writes included.
-fn read_locked<T>(
-    hub: &EpochHub,
-    inner: &mut DbInner,
-    f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>,
-) -> Result<T> {
-    let plan_ctx = cached_planner_ctx(inner)?;
-    let snap = Snapshot::locked(&inner.catalog, &inner.graph_views, &plan_ctx);
-    f(&snap, &hub.settings())
-}
-
-/// Fold the `IN (SELECT ...)` subqueries of an UPDATE/DELETE predicate
-/// against the writer's own view, before the statement starts mutating.
-fn fold_predicate(
-    hub: &EpochHub,
-    inner: &mut DbInner,
-    selection: &mut Option<grfusion_sql::Expr>,
-) -> Result<()> {
-    match selection {
-        Some(e) if has_subquery(e) => read_locked(hub, inner, |snap, cfg| snap.fold_expr(cfg, e)),
-        _ => Ok(()),
-    }
 }

@@ -17,7 +17,7 @@
 //!   edge; updating any other attribute touches only the relational store
 //!   (the topology holds tuple pointers, which stay valid across updates).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use grfusion_common::{Error, Result, Row, RowId, Value};
@@ -78,24 +78,6 @@ impl Journal {
 
     pub fn savepoint(&self) -> usize {
         self.entries.len()
-    }
-
-    /// Lowercase names of the tables and graph views touched by entries at
-    /// or after `savepoint` — the dirty set epoch publication uses to
-    /// re-snapshot only what a statement actually changed.
-    pub(crate) fn dirty_since(&self, savepoint: usize) -> (HashSet<String>, HashSet<String>) {
-        let mut tables = HashSet::new();
-        let mut views = HashSet::new();
-        for entry in &self.entries[savepoint.min(self.entries.len())..] {
-            let (set, name) = match entry {
-                EngineUndo::Storage(op) => (&mut tables, op.table()),
-                EngineUndo::Graph { gv, .. } => (&mut views, gv),
-            };
-            if !set.contains(&**name) {
-                set.insert(name.to_string()); // alloc-ok: once per distinct name
-            }
-        }
-        (tables, views)
     }
 
     pub fn len(&self) -> usize {

@@ -150,9 +150,8 @@ pub(crate) struct RequestScope {
 thread_local! {
     /// Statement execution is synchronous on the calling thread, so an
     /// ambient thread-local carries the request scope into every
-    /// `ExecContext` construction — including subquery folds and the
-    /// epoch read path — without threading a parameter through each
-    /// planner/executor layer.
+    /// `ExecContext` construction — including subquery folds — without
+    /// threading a parameter through each planner/executor layer.
     static REQUEST: std::cell::RefCell<Option<RequestScope>> =
         const { std::cell::RefCell::new(None) };
 }

@@ -50,8 +50,6 @@ pub mod cost;
 pub mod db;
 pub mod dml;
 pub mod env;
-pub mod epoch;
-pub use epoch::EpochSnapshot;
 pub mod exec;
 pub mod expr;
 pub mod governor;
@@ -61,12 +59,12 @@ pub mod metrics;
 pub mod plan;
 pub mod planner;
 pub mod result;
+mod settings;
 mod snapshot;
 mod spine;
 
 pub use config::{
-    CsrConfig, EngineConfig, EpochConfig, ExecLimits, GovernorConfig, OptimizerFlags,
-    TraversalChoice,
+    CsrConfig, EngineConfig, ExecLimits, GovernorConfig, OptimizerFlags, TraversalChoice,
 };
 pub use db::{Database, PreparedQuery};
 pub use governor::{

@@ -12,11 +12,10 @@
 //! is ≤ the innermost held rank panics with both class names. The
 //! documented order (DESIGN.md) is the whole of [`LockClass::ALL`]:
 //!
-//! `DbInner` (0) → `EpochHub` (1) → `TenantRegistry` (2).
+//! `DbInner` (0) → `Settings` (1) → `TenantRegistry` (2).
 //!
 //! Tables and graph topologies are not in it: `DbInner` owns them by value,
-//! so reaching one *is* holding rank 0, and epoch readers see immutable
-//! `Arc` snapshots.
+//! so reaching one *is* holding rank 0.
 //!
 //! Gating mirrors `GRFUSION_CHECK_CONTRACTS`: on by default in debug
 //! builds (the whole test suite cross-validates), off in release;
@@ -35,9 +34,8 @@ pub enum LockClass {
     /// `Database.inner` — the outermost engine lock, and the owner of every
     /// live table and topology.
     DbInner,
-    /// `EpochHub.state` — the settings, the published epoch slot and the
-    /// registry of weak epoch handles.
-    EpochHub,
+    /// `Database.settings` — the engine's one settings copy.
+    Settings,
     /// The network front-end's tenant admission registry
     /// (`grfusion-server`). A strict leaf: admission bookkeeping must
     /// never be held across a call into the engine (which starts at
@@ -50,14 +48,14 @@ impl LockClass {
     /// Every class, in rank order.
     pub const ALL: [LockClass; 3] = [
         LockClass::DbInner,
-        LockClass::EpochHub,
+        LockClass::Settings,
         LockClass::TenantRegistry,
     ];
 
     pub fn rank(self) -> u8 {
         match self {
             LockClass::DbInner => 0,
-            LockClass::EpochHub => 1,
+            LockClass::Settings => 1,
             LockClass::TenantRegistry => 2,
         }
     }
@@ -65,7 +63,7 @@ impl LockClass {
     pub fn name(self) -> &'static str {
         match self {
             LockClass::DbInner => "DbInner",
-            LockClass::EpochHub => "EpochHub",
+            LockClass::Settings => "Settings",
             LockClass::TenantRegistry => "TenantRegistry",
         }
     }
@@ -188,47 +186,47 @@ mod tests {
     fn conforming_nesting_is_accepted() {
         drain_held();
         assert!(note_acquire(LockClass::DbInner).is_ok());
-        assert!(note_acquire(LockClass::EpochHub).is_ok());
+        assert!(note_acquire(LockClass::Settings).is_ok());
         assert!(note_acquire(LockClass::TenantRegistry).is_ok());
         note_release(LockClass::TenantRegistry);
-        note_release(LockClass::EpochHub);
+        note_release(LockClass::Settings);
         note_release(LockClass::DbInner);
     }
 
     #[test]
     fn inversion_is_rejected_with_both_class_names() {
         drain_held();
-        assert!(note_acquire(LockClass::EpochHub).is_ok());
+        assert!(note_acquire(LockClass::Settings).is_ok());
         let err = note_acquire(LockClass::DbInner).unwrap_err();
         assert!(err.contains("`DbInner` (rank 0)"), "{err}");
-        assert!(err.contains("`EpochHub` (rank 1)"), "{err}");
+        assert!(err.contains("`Settings` (rank 1)"), "{err}");
         assert!(
-            err.ends_with("documented order is DbInner -> EpochHub -> TenantRegistry"),
+            err.ends_with("documented order is DbInner -> Settings -> TenantRegistry"),
             "{err}"
         );
-        note_release(LockClass::EpochHub);
+        note_release(LockClass::Settings);
     }
 
     #[test]
     fn same_class_recursion_is_rejected() {
         drain_held();
-        assert!(note_acquire(LockClass::EpochHub).is_ok());
-        assert!(note_acquire(LockClass::EpochHub).is_err());
-        note_release(LockClass::EpochHub);
+        assert!(note_acquire(LockClass::Settings).is_ok());
+        assert!(note_acquire(LockClass::Settings).is_err());
+        note_release(LockClass::Settings);
     }
 
     #[test]
     fn release_unwinds_and_reacquire_is_clean() {
         drain_held();
-        assert!(note_acquire(LockClass::EpochHub).is_ok());
-        note_release(LockClass::EpochHub);
+        assert!(note_acquire(LockClass::Settings).is_ok());
+        note_release(LockClass::Settings);
         assert!(note_acquire(LockClass::DbInner).is_ok());
         note_release(LockClass::DbInner);
     }
 
     #[test]
     fn ordered_mutex_roundtrip() {
-        let m = OrderedMutex::new(LockClass::EpochHub, 41);
+        let m = OrderedMutex::new(LockClass::Settings, 41);
         {
             let mut g = m.lock();
             *g += 1;

@@ -103,10 +103,6 @@ pub struct OpMetrics {
 pub struct QueryMetrics {
     /// Plan nodes in pre-order (same order as `EXPLAIN` lines).
     pub nodes: Vec<OpMetrics>,
-    /// Number of the published epoch this query read, when it ran against a
-    /// pinned epoch snapshot rather than the live locked state. `None` on
-    /// the locked path (epochs disabled, or a transaction was open).
-    pub epoch: Option<u64>,
 }
 
 impl QueryMetrics {
@@ -147,9 +143,6 @@ impl QueryMetrics {
     /// Render the annotated plan tree (the `EXPLAIN ANALYZE` output).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        if let Some(n) = self.epoch {
-            out.push_str(&format!("epoch={n}\n"));
-        }
         for n in &self.nodes {
             for _ in 0..n.depth {
                 out.push_str("  ");
@@ -290,7 +283,6 @@ impl MetricsSink {
     pub(crate) fn finish(&self) -> QueryMetrics {
         QueryMetrics {
             nodes: self.nodes.borrow().iter().map(|s| s.snapshot()).collect(),
-            epoch: None,
         }
     }
 }

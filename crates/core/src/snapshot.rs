@@ -2,56 +2,38 @@
 //! [`Snapshot`].
 //!
 //! A snapshot binds names to tables and graph views for the duration of one
-//! read. It has exactly two sources — a pinned [`Epoch`] (immutable, shared
-//! by `Arc`, no engine lock held) and the tables and topologies `DbInner`
-//! owns, borrowed while the writer's mutex is held (the writer's
-//! in-transaction view, also what `INSERT … SELECT` and DML subquery
-//! folding read) — and everything downstream of the constructor is
-//! the same code: compile (fold subqueries → plan → optional cost-based
-//! re-planning), run, `EXPLAIN [ANALYZE]`, the cost catalog and the state
-//! dump. `Database::read` picks the source; nothing else knows which one it
-//! got, except that a pinned snapshot carries its epoch number into
-//! `EXPLAIN ANALYZE`.
+//! read. Its one source is the tables and topologies `DbInner` owns,
+//! borrowed while the writer's mutex is held — so a read inside an open
+//! transaction sees its writes, and `INSERT … SELECT` and DML subquery
+//! folding read the same way — and everything downstream of the
+//! constructor is the same code: compile (fold subqueries → plan → optional
+//! cost-based re-planning), run, `EXPLAIN [ANALYZE]`, the cost catalog and
+//! the state dump.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
-use grfusion_graph::GraphTopology;
 use grfusion_sql::{Expr, Select, SelectItem};
 use grfusion_storage::{Catalog, Table};
 
 use crate::db::PreparedQuery;
 use crate::env::{GraphEnv, QueryEnv};
-use crate::epoch::{Epoch, Settings};
 use crate::exec::{execute_plan, execute_plan_with_metrics};
-use crate::graph_view::{GraphView, GraphViewDef};
+use crate::graph_view::GraphView;
 use crate::planner::{plan_select, PlannerCtx};
 use crate::result::ResultSet;
+use crate::settings::Settings;
 
 /// Everything one read can observe, by lowercase name.
 pub(crate) struct Snapshot<'a> {
     tables: HashMap<&'a str, &'a Table>,
     graphs: HashMap<&'a str, GraphEnv<'a>>,
     plan_ctx: &'a PlannerCtx,
-    /// Publication number when the source is a pinned epoch.
-    epoch: Option<u64>,
 }
 
 impl<'a> Snapshot<'a> {
-    /// The state published as `ep`. The caller's pin keeps the epoch alive
-    /// for as long as the snapshot borrows it — the whole read — and
-    /// releases it however the read ends.
-    pub(crate) fn pinned(ep: &'a Epoch) -> Self {
-        Snapshot::bind(
-            ep.tables.iter().map(|(n, t)| (n.as_str(), &**t)),
-            ep.views.iter().map(|(n, v)| (n.as_str(), &v.def, &*v.topo)),
-            &ep.plan_ctx,
-            Some(ep.number),
-        )
-    }
-
     /// The live state the writer's mutex owns, uncommitted writes of the
     /// open transaction included. The shared borrows are the whole
     /// protocol: nothing can write a table or a topology while the snapshot
@@ -61,40 +43,26 @@ impl<'a> Snapshot<'a> {
         views: &'a HashMap<String, GraphView>,
         plan_ctx: &'a PlannerCtx,
     ) -> Self {
-        Snapshot::bind(
-            catalog.iter(),
-            views.iter().map(|(n, v)| (n.as_str(), &v.def, &v.topology)),
-            plan_ctx,
-            None,
-        )
-    }
-
-    fn bind(
-        tables: impl Iterator<Item = (&'a str, &'a Table)>,
-        views: impl Iterator<Item = (&'a str, &'a GraphViewDef, &'a GraphTopology)>,
-        plan_ctx: &'a PlannerCtx,
-        epoch: Option<u64>,
-    ) -> Self {
-        let tables: HashMap<&str, &Table> = tables.collect();
+        let tables: HashMap<&str, &Table> = catalog.iter().collect();
         // A view's sources cannot be dropped before the view, so both
         // lookups hit; a view that somehow lost one stays unbound and a
         // query naming it fails with "not bound in query env".
         let graphs = views
-            .filter_map(|(name, def, topo)| {
+            .iter()
+            .filter_map(|(name, v)| {
                 let env = GraphEnv {
-                    def,
-                    topo,
-                    vertex_table: tables.get(def.vertex_source.as_str())?,
-                    edge_table: tables.get(def.edge_source.as_str())?,
+                    def: &v.def,
+                    topo: &v.topology,
+                    vertex_table: tables.get(v.def.vertex_source.as_str())?,
+                    edge_table: tables.get(v.def.edge_source.as_str())?,
                 };
-                Some((name, env))
+                Some((name.as_str(), env))
             })
             .collect();
         Snapshot {
             tables,
             graphs,
             plan_ctx,
-            epoch,
         }
     }
 
@@ -108,8 +76,7 @@ impl<'a> Snapshot<'a> {
 
     /// Compile a SELECT: fold its subqueries against this snapshot, plan it
     /// rule-based, and — when the cost-based optimizer is on — re-plan it
-    /// against this snapshot's statistics, so a concurrent writer cannot
-    /// skew an in-flight plan choice. With the optimizer off the plan
+    /// against this snapshot's statistics. With the optimizer off the plan
     /// passes through untouched and `estimates` stays `None`, keeping every
     /// downstream byte identical.
     pub(crate) fn compile(&self, cfg: &Settings, select: &Select) -> Result<PreparedQuery> {
@@ -137,8 +104,7 @@ impl<'a> Snapshot<'a> {
 
     /// Execute a compiled query. With `collect_metrics` every operator is
     /// instrumented and the result carries the metrics, annotated with the
-    /// optimizer's estimates and this snapshot's epoch number if it has
-    /// them.
+    /// optimizer's estimates if it has them.
     pub(crate) fn run(
         &self,
         cfg: &Settings,
@@ -159,7 +125,6 @@ impl<'a> Snapshot<'a> {
             if let Some(est) = &query.estimates {
                 m.attach_estimates(est);
             }
-            m.epoch = self.epoch;
             (rows, Some(m))
         } else {
             (execute_plan(&query.plan, &env)?, None)
@@ -185,8 +150,7 @@ impl<'a> Snapshot<'a> {
 
     /// `EXPLAIN` (the typed plan, with estimates under the cost-based
     /// optimizer) or `EXPLAIN ANALYZE` (run instrumented, discard the rows,
-    /// return the annotated plan tree — first line `epoch=N` on a pinned
-    /// snapshot), one line per result row.
+    /// return the annotated plan tree), one line per result row.
     pub(crate) fn explain(
         &self,
         cfg: &Settings,
@@ -223,8 +187,7 @@ impl<'a> Snapshot<'a> {
 
     /// Deterministic dump of all observable state: every table's live rows
     /// with their stable row ids, then every topology, all name-sorted so
-    /// the text is independent of iteration order and of the snapshot's
-    /// source.
+    /// the text is independent of iteration order.
     pub(crate) fn state_dump(&self) -> String {
         let mut out = String::new();
         let mut names: Vec<&str> = self.tables.keys().copied().collect();

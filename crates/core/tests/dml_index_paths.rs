@@ -4,7 +4,7 @@
 //! and fault-site hits now that it walks incident edges instead of the
 //! edge source.
 
-use grfusion::{Database, EngineConfig, EpochConfig, FaultKind, FaultPlan, Value};
+use grfusion::{Database, FaultKind, FaultPlan, Value};
 
 fn ints(db: &Database, sql: &str) -> Vec<Vec<i64>> {
     db.execute(sql)
@@ -18,11 +18,8 @@ fn ints(db: &Database, sql: &str) -> Vec<Vec<i64>> {
 /// Vertices 0..=9, edges 100..=119 (a ring and its chords), an ordered
 /// index on `w` beside the hash primary key, and edge 1105 in the way of
 /// `id + 1000`.
-fn ring_db(epochs: EpochConfig) -> Database {
-    let db = Database::with_config(EngineConfig {
-        epochs,
-        ..EngineConfig::default()
-    });
+fn ring_db() -> Database {
+    let db = Database::new();
     db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")
         .unwrap();
     db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w INTEGER)")
@@ -83,51 +80,47 @@ fn probes(db: &Database) -> String {
 /// topology edges have already moved.
 #[test]
 fn failed_key_rewriting_update_rolls_back_table_index_and_topology() {
-    for epochs in [EpochConfig::disabled(), EpochConfig::enabled()] {
-        for in_txn in [false, true] {
-            let case = format!("epochs={} in_txn={in_txn}", epochs.enabled);
-            let db = ring_db(epochs);
-            if in_txn {
-                db.execute("BEGIN").unwrap();
-                db.execute("UPDATE e SET w = 7 WHERE id = 119").unwrap();
-            }
-            // Inside a transaction the published snapshot lags by design;
-            // read the writer's own state through SQL as well.
-            let before = (db.state_dump().unwrap(), probes(&db));
-            let err = db
-                .execute("UPDATE e SET id = id + 1000 WHERE id >= 100 AND id < 110")
-                .unwrap_err();
-            assert!(err.to_string().contains("1105"), "{case}: {err}");
-            assert_eq!((db.state_dump().unwrap(), probes(&db)), before, "{case}");
-            // The engine is usable and the same statement succeeds once the
-            // obstacle is gone.
-            db.execute("DELETE FROM e WHERE id = 1105").unwrap();
-            let n = db
-                .execute("UPDATE e SET id = id + 1000 WHERE id >= 100 AND id < 110")
-                .unwrap()
-                .rows_affected;
-            assert_eq!(n, 10, "{case}");
-            if in_txn {
-                db.execute("ROLLBACK").unwrap();
-                let pristine = ring_db(epochs);
-                assert_eq!(
-                    (db.state_dump().unwrap(), probes(&db)),
-                    (pristine.state_dump().unwrap(), probes(&pristine)),
-                    "{case}: after ROLLBACK"
-                );
-            } else {
-                assert_eq!(
-                    ints(
-                        &db,
-                        "SELECT id FROM e WHERE id >= 1100 AND id < 1110 ORDER BY id"
-                    )
-                    .len(),
-                    10,
-                    "{case}"
-                );
-                let stats = db.graph_stats("g").unwrap();
-                assert_eq!((stats.vertex_count, stats.edge_count), (10, 20), "{case}");
-            }
+    for in_txn in [false, true] {
+        let case = format!("in_txn={in_txn}");
+        let db = ring_db();
+        if in_txn {
+            db.execute("BEGIN").unwrap();
+            db.execute("UPDATE e SET w = 7 WHERE id = 119").unwrap();
+        }
+        let before = (db.state_dump().unwrap(), probes(&db));
+        let err = db
+            .execute("UPDATE e SET id = id + 1000 WHERE id >= 100 AND id < 110")
+            .unwrap_err();
+        assert!(err.to_string().contains("1105"), "{case}: {err}");
+        assert_eq!((db.state_dump().unwrap(), probes(&db)), before, "{case}");
+        // The engine is usable and the same statement succeeds once the
+        // obstacle is gone.
+        db.execute("DELETE FROM e WHERE id = 1105").unwrap();
+        let n = db
+            .execute("UPDATE e SET id = id + 1000 WHERE id >= 100 AND id < 110")
+            .unwrap()
+            .rows_affected;
+        assert_eq!(n, 10, "{case}");
+        if in_txn {
+            db.execute("ROLLBACK").unwrap();
+            let pristine = ring_db();
+            assert_eq!(
+                (db.state_dump().unwrap(), probes(&db)),
+                (pristine.state_dump().unwrap(), probes(&pristine)),
+                "{case}: after ROLLBACK"
+            );
+        } else {
+            assert_eq!(
+                ints(
+                    &db,
+                    "SELECT id FROM e WHERE id >= 1100 AND id < 1110 ORDER BY id"
+                )
+                .len(),
+                10,
+                "{case}"
+            );
+            let stats = db.graph_stats("g").unwrap();
+            assert_eq!((stats.vertex_count, stats.edge_count), (10, 20), "{case}");
         }
     }
 }
@@ -142,7 +135,7 @@ fn faults_inside_an_index_selected_update_roll_back_cleanly() {
         "dml.update.storage",
         "dml.update.post",
     ] {
-        let db = ring_db(EpochConfig::disabled());
+        let db = ring_db();
         let before = (db.state_dump().unwrap(), probes(&db));
         db.set_fault_plan(Some(FaultPlan::single(site, 4, FaultKind::Error)));
         let sql = "UPDATE e SET b = 7, id = id + 2000 WHERE id >= 100 AND id < 110";

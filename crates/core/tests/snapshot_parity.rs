@@ -1,9 +1,9 @@
-//! One read path, two snapshot sources: the same fixture observed through
-//! the pinned-epoch constructor and through the locked constructor must
-//! yield the same rows, estimates, plans and dump — modulo the `epoch=N`
-//! line that only a pinned snapshot reports.
+//! One read path, one snapshot source: every read entry point binds the
+//! live state under the writer's lock, so a read inside an open
+//! transaction — the session's own, another thread's, or the writer's own
+//! `INSERT … SELECT` and subquery folds — sees the transaction's writes.
 
-use grfusion::{Database, EngineConfig, EpochConfig, OptimizerFlags, ResultSet, Value};
+use grfusion::{Database, EngineConfig, OptimizerFlags, ResultSet, Value};
 
 const PREPARED: &str = "SELECT PS.EndVertex.name FROM social.Paths PS \
                         WHERE PS.StartVertex.Id = ? AND PS.Length = 2";
@@ -14,11 +14,10 @@ const METERED: &str = "SELECT U.name, COUNT(PS) FROM users U, social.Paths PS \
                        GROUP BY U.name ORDER BY U.name";
 
 /// Tables + hash index + graph view, with the cost-based optimizer on so
-/// every plan carries estimates; only `epochs` differs between lanes.
-fn fixture(epochs: bool) -> Database {
+/// every plan carries estimates.
+fn fixture() -> Database {
     let db = Database::with_config(EngineConfig {
         optimizer: OptimizerFlags::cost_based(),
-        epochs: EpochConfig { enabled: epochs },
         ..EngineConfig::default()
     });
     db.execute_script(
@@ -36,7 +35,7 @@ fn fixture(epochs: bool) -> Database {
     db
 }
 
-/// The writes the transaction lanes apply (and the committed reference
+/// The writes the transaction applies (and the committed reference
 /// replays): a new vertex, two edges reaching it, one changed attribute.
 const WRITES: [&str; 3] = [
     "INSERT INTO users VALUES (7, 'gus', 41)",
@@ -54,7 +53,7 @@ struct Observed {
     /// `(label, rows, nexts, rows_est)` per plan node of the metered run.
     metered_nodes: Vec<(String, u64, u64, Option<u64>)>,
     explain: String,
-    /// `EXPLAIN ANALYZE` text without timings and without the epoch line.
+    /// `EXPLAIN ANALYZE` text without timings.
     analyze: String,
     dump: String,
 }
@@ -79,9 +78,8 @@ fn without_timings(text: &str) -> String {
         .join("\n")
 }
 
-/// Observe `db` through every read entry point. Returns the observation
-/// and the epoch the instrumented reads reported (`None` = locked source).
-fn observe(db: &Database) -> (Observed, Option<u64>) {
+/// Observe `db` through every read entry point.
+fn observe(db: &Database) -> Observed {
     let prepared = db.prepare(PREPARED).unwrap();
     let metered = db.execute_with_metrics(METERED).unwrap();
     let metrics = metered.metrics.clone().expect("metrics requested");
@@ -92,18 +90,6 @@ fn observe(db: &Database) -> (Observed, Option<u64>) {
         .iter()
         .map(|r| r[0].to_string())
         .collect();
-    // Only a pinned snapshot prefixes its epoch, and it is the same epoch
-    // the programmatic twin reported.
-    let (epoch_line, plan_lines) = match metrics.epoch {
-        Some(n) => {
-            assert_eq!(analyze[0], format!("epoch={n}"));
-            (Some(n), &analyze[1..])
-        }
-        None => {
-            assert!(!analyze[0].starts_with("epoch="), "{analyze:?}");
-            (None, &analyze[..])
-        }
-    };
     let observed = Observed {
         prepared_plan: prepared.explain(),
         prepared_rows: sorted(
@@ -118,88 +104,58 @@ fn observe(db: &Database) -> (Observed, Option<u64>) {
             .map(|n| (n.label.clone(), n.rows, n.next_calls, n.rows_est))
             .collect(),
         explain: db.explain(METERED).unwrap(),
-        analyze: without_timings(&plan_lines.join("\n")),
+        analyze: without_timings(&analyze.join("\n")),
         dump: db.state_dump().unwrap(),
     };
     assert!(
         observed.metered_nodes.iter().all(|n| n.3.is_some()),
-        "cost-based lanes must carry an estimate on every node: {:?}",
+        "cost-based plans must carry an estimate on every node: {:?}",
         observed.metered_nodes
     );
-    (observed, epoch_line)
+    observed
 }
 
+/// Inside `BEGIN … COMMIT` every reader sees the open transaction's writes:
+/// the session itself through every entry point, exactly what a database
+/// that committed the same writes shows, and a second thread too — there is
+/// one read source. ROLLBACK returns every reader to the committed state.
 #[test]
-fn pinned_and_locked_snapshots_observe_the_same_database() {
-    let (locked, no_epoch) = observe(&fixture(false));
-    assert_eq!(no_epoch, None, "epochs off reads under the writer lock");
-    assert_eq!(locked.prepared_rows.len(), 2, "{:?}", locked.prepared_rows);
+fn open_transaction_reads_its_own_writes() {
+    let db = fixture();
+    let committed = observe(&db);
     assert_eq!(
-        locked.folded_rows,
+        committed.prepared_rows.len(),
+        2,
+        "{:?}",
+        committed.prepared_rows
+    );
+    assert_eq!(
+        committed.folded_rows,
         vec![vec![Value::text("bob")], vec![Value::text("eve")]]
     );
-
-    let on = fixture(true);
-    let (pinned, epoch) = observe(&on);
-    assert_eq!(
-        epoch,
-        on.current_epoch(),
-        "epochs on reads the pinned epoch"
-    );
-    assert!(epoch.is_some());
-    assert_eq!(pinned, locked);
-}
-
-#[test]
-fn open_transaction_reads_its_own_writes_while_the_published_epoch_stands() {
-    let db = fixture(true);
-    let (committed, _) = observe(&db);
-    let held = db.pin_snapshot().expect("epochs on");
-    let published = db.current_epoch();
 
     db.execute("BEGIN").unwrap();
     for w in WRITES {
         db.execute(w).unwrap();
     }
-    assert!(
-        db.pin_snapshot().is_none(),
-        "an open transaction reads under the lock"
-    );
-    assert_eq!(
-        db.current_epoch(),
-        published,
-        "nothing publishes before COMMIT"
-    );
-
-    // A second thread holding the last published epoch still reads the
-    // committed state, byte for byte, while the transaction is open.
-    let their_dump = std::thread::scope(|s| s.spawn(|| held.state_dump()).join().unwrap());
-    assert_eq!(their_dump, committed.dump);
-
-    // The session itself goes through the locked constructor and sees its
-    // uncommitted rows — exactly what a database that committed the same
-    // writes shows through either constructor.
-    let (in_txn, epoch) = observe(&db);
-    assert_eq!(epoch, None, "in-transaction reads are not pinned");
+    let in_txn = observe(&db);
     assert_ne!(in_txn.dump, committed.dump);
-    for epochs in [false, true] {
-        let reference = fixture(epochs);
-        for w in WRITES {
-            reference.execute(w).unwrap();
-        }
-        assert_eq!(
-            in_txn,
-            observe(&reference).0,
-            "reference with epochs={epochs}"
-        );
+    let reference = fixture();
+    for w in WRITES {
+        reference.execute(w).unwrap();
     }
+    assert_eq!(in_txn, observe(&reference));
+    let their_dump = std::thread::scope(|s| s.spawn(|| db.state_dump().unwrap()).join().unwrap());
+    assert_eq!(
+        their_dump, in_txn.dump,
+        "a second thread reads the open transaction"
+    );
 
-    // ROLLBACK: back on the pinned source, back to the committed state
-    // (logically — undo leaves the touched vertexes in the delta overlay,
-    // so layout and statistics-derived estimates may differ).
+    // ROLLBACK: back to the committed state (logically — undo leaves the
+    // touched vertexes in the delta overlay, so layout and
+    // statistics-derived estimates may differ).
     db.execute("ROLLBACK").unwrap();
-    let (after, epoch) = observe(&db);
-    assert!(epoch > published, "ROLLBACK republishes");
+    let after = observe(&db);
     assert_eq!(after.dump, committed.dump);
     assert_eq!(after.prepared_rows, committed.prepared_rows);
     assert_eq!(after.folded_rows, committed.folded_rows);
@@ -207,12 +163,12 @@ fn open_transaction_reads_its_own_writes_while_the_published_epoch_stands() {
 }
 
 /// The writer's own reads — `INSERT … SELECT` and the `IN (SELECT …)` of an
-/// UPDATE/DELETE predicate — go through the locked constructor under the
-/// lock the statement already holds, so inside a transaction they see the
-/// session's uncommitted rows even though epochs are on.
+/// UPDATE/DELETE predicate — bind the live state under the lock the
+/// statement already holds, so inside a transaction they see the session's
+/// uncommitted rows.
 #[test]
 fn writer_side_reads_see_uncommitted_rows() {
-    let db = fixture(true);
+    let db = fixture();
     db.execute("CREATE TABLE seen (uid INTEGER PRIMARY KEY)")
         .unwrap();
     db.execute("BEGIN").unwrap();
@@ -241,41 +197,35 @@ fn writer_side_reads_see_uncommitted_rows() {
 }
 
 /// `Database::explain`, the `EXPLAIN` statement and a prepared query's plan
-/// all come out of the one compile function, on either source.
+/// all come out of the one compile function.
 #[test]
 fn explain_surfaces_share_one_compile() {
-    for epochs in [false, true] {
-        let db = fixture(epochs);
-        let statement: Vec<String> = db
-            .execute(&format!("EXPLAIN {METERED}"))
-            .unwrap()
-            .rows
-            .iter()
-            .map(|r| r[0].to_string())
-            .collect();
-        let api = db.explain(METERED).unwrap();
-        assert_eq!(
-            api.lines().collect::<Vec<_>>(),
-            statement,
-            "epochs={epochs}"
-        );
-        // The prepared plan prints untyped labels but the same estimates.
-        let estimates = |text: &str| -> Vec<String> {
-            text.lines()
-                .map(|l| l[l.find("rows_est=").expect("cost-based plan")..].to_string())
-                .collect()
-        };
-        let prepared = db.prepare(METERED).unwrap().explain();
-        assert_eq!(estimates(&prepared), estimates(&api), "epochs={epochs}");
-    }
+    let db = fixture();
+    let statement: Vec<String> = db
+        .execute(&format!("EXPLAIN {METERED}"))
+        .unwrap()
+        .rows
+        .iter()
+        .map(|r| r[0].to_string())
+        .collect();
+    let api = db.explain(METERED).unwrap();
+    assert_eq!(api.lines().collect::<Vec<_>>(), statement);
+    // The prepared plan prints untyped labels but the same estimates.
+    let estimates = |text: &str| -> Vec<String> {
+        text.lines()
+            .map(|l| l[l.find("rows_est=").expect("cost-based plan")..].to_string())
+            .collect()
+    };
+    let prepared = db.prepare(METERED).unwrap().explain();
+    assert_eq!(estimates(&prepared), estimates(&api));
 }
 
-/// There is one settings copy: a setter called once reaches pinned reads,
-/// locked reads and DML alike.
+/// There is one settings copy: a setter called once reaches reads, reads
+/// inside a transaction and DML alike.
 #[test]
 fn one_settings_copy_reaches_every_statement_kind() {
     use grfusion::{FaultKind, FaultPlan, ResourceKind};
-    let db = fixture(true);
+    let db = fixture();
     let over_budget = |r: grfusion::Result<ResultSet>| match r {
         Err(grfusion::Error::ResourceExhausted { kind, .. }) => kind == ResourceKind::Rows,
         _ => false,
@@ -285,14 +235,11 @@ fn one_settings_copy_reaches_every_statement_kind() {
     cfg.limits.max_intermediate_rows = Some(2);
     db.set_config(cfg);
     assert_eq!(db.config(), cfg);
-    assert!(
-        over_budget(db.execute("SELECT uid FROM users")),
-        "pinned read"
-    );
+    assert!(over_budget(db.execute("SELECT uid FROM users")), "read");
     db.execute("BEGIN").unwrap();
     assert!(
         over_budget(db.execute("SELECT uid FROM users")),
-        "locked read"
+        "read inside a transaction"
     );
     assert!(
         over_budget(db.execute("INSERT INTO rel SELECT uid + 100, uid, uid, 1.0 FROM users")),

@@ -41,12 +41,12 @@ pub use topology::{
 };
 pub use traverse::{BfsPaths, DfsPaths, TraversalSpec};
 
-// Thread-safety contract: the core crate's published epochs share one
-// read-only `GraphTopology` (behind an `Arc`) across every reader thread
-// pinning that epoch, each running its own traversal. These bounds are
-// load-bearing — adding interior mutability (Cell/RefCell/Rc) to the
-// topology would break compilation here rather than at the distant epoch
-// call site.
+// Thread-safety contract: the core crate's `Database` is shared across
+// threads with every topology inside its writer mutex, and a read-only
+// `GraphTopology` may be traversed from several threads at once, each
+// running its own traversal. These bounds are load-bearing — adding
+// interior mutability (Cell/RefCell/Rc) to the topology would break
+// compilation here rather than at a distant call site.
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<GraphTopology>();
@@ -61,7 +61,7 @@ mod thread_safety_tests {
 
     /// Many reader threads traversing one shared topology concurrently
     /// must agree with a single-threaded traversal (smoke test for the
-    /// epoch readers' shared-read-only-topology assumption).
+    /// shared-read-only-topology contract above).
     #[test]
     fn concurrent_readers_match_serial_traversal() {
         let mut g = GraphTopology::new("g", true);

@@ -57,7 +57,7 @@ struct EdgeNode {
 /// (`out_offsets.len() - 1` slots). Vertexes added later, and vertexes
 /// whose adjacency changed after sealing, are diverted to the delta
 /// overlay (their `VertexNode::overlaid` flag) and never read the CSR.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct CsrLayout {
     /// `len == sealed vertex arena size + 1`; prefix sums into `out_targets`.
     out_offsets: Vec<u32>,
@@ -152,10 +152,9 @@ pub struct GraphTopology {
     /// branching mass), maintained incrementally for O(1) fan-out stats.
     adjacency_entries: usize,
     /// Sealed CSR snapshot, if [`GraphTopology::seal`] has run. Vertexes
-    /// whose `overlaid` flag is set bypass it (delta overlay). Behind `Arc`
-    /// so epoch snapshots share the (immutable) sealed arrays with the live
-    /// topology: a re-seal installs a *fresh* `Arc`, never mutates one.
-    csr: Option<std::sync::Arc<CsrLayout>>,
+    /// whose `overlaid` flag is set bypass it (delta overlay); a re-seal
+    /// replaces it whole, never mutates it.
+    csr: Option<CsrLayout>,
     /// Number of vertexes currently diverted to the delta overlay; always
     /// 0 while unsealed.
     overlaid_vertexes: usize,
@@ -711,13 +710,13 @@ impl GraphTopology {
             out_offsets.push(out_targets.len() as u32); // cast-ok: adjacency_entries < 2^32 enforced in add_edge
             in_offsets.push(in_targets.len() as u32); // cast-ok: in-entries <= live_edges < 2^32
         }
-        let csr = std::sync::Arc::new(CsrLayout {
+        let csr = CsrLayout {
             out_offsets,
             out_targets,
             out_heads,
             in_offsets,
             in_targets,
-        });
+        };
         self.seal_stats = Some(self.collect_seal_stats(&csr));
         self.csr = Some(csr);
         for v in &mut self.vertexes {
@@ -826,14 +825,6 @@ impl GraphTopology {
         })
     }
 
-    /// A point-in-time copy of the topology for epoch publication: the
-    /// arenas and id maps are cloned (the overlay Vecs of sealed vertexes
-    /// are empty, so this is cheap for a mostly-sealed graph), while the
-    /// sealed CSR arrays — immutable once built — are shared by `Arc`.
-    pub fn snapshot(&self) -> GraphTopology {
-        self.clone()
-    }
-
     /// Whether a sealed CSR snapshot exists (possibly with an overlay).
     #[inline]
     pub fn is_sealed(&self) -> bool {
@@ -900,8 +891,6 @@ impl GraphTopology {
             memory_bytes: self.memory_bytes(),
             sealed_bytes: self.sealed_bytes(),
             overlay_bytes: self.overlay_bytes(),
-            live_epochs: 0,
-            retained_bytes: 0,
             seal: seal.map(|(s, _)| s),
             seal_fresh: seal.map_or(false, |(_, fresh)| fresh),
         }
@@ -1107,13 +1096,6 @@ pub struct GraphStats {
     pub sealed_bytes: usize,
     /// Bytes held by delta-overlay adjacency `Vec`s (0 while unsealed).
     pub overlay_bytes: usize,
-    /// Published epochs still alive (pinned by a reader or current); 0 when
-    /// epoch publication is disabled. Filled in by the engine layer — the
-    /// topology itself knows nothing about epochs.
-    pub live_epochs: usize,
-    /// Bytes retained by superseded epochs that readers still pin (excludes
-    /// the current epoch); 0 once every old reader has dropped its pin.
-    pub retained_bytes: usize,
     /// Seal-time distribution statistics (degree histogram, max out-degree,
     /// reachability profile); `None` until the first seal.
     pub seal: Option<SealStats>,

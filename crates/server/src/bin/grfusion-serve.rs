@@ -2,8 +2,8 @@
 //!
 //! Serves one in-memory database over the length-prefixed binary protocol
 //! with per-tenant admission control. Engine knobs come from the
-//! environment (`GRFUSION_EPOCHS`, `GRFUSION_DEADLINE_MS`, ...) under *strict*
-//! validation — a malformed value is a startup error with the variable
+//! environment (`GRFUSION_OPTIMIZER`, `GRFUSION_DEADLINE_MS`, ...) under
+//! *strict* validation — a malformed value is a startup error with the variable
 //! name and offending value, never a silent fallback. SIGTERM/SIGINT and
 //! a client `Shutdown` frame both trigger the graceful drain.
 //!

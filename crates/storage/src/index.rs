@@ -100,11 +100,7 @@ pub enum IndexKind {
 }
 
 /// A single-column secondary index.
-///
-/// `Clone` performs a deep copy of the entries; the table holds indexes
-/// behind `Arc` and clones lazily (copy-on-write) so epoch snapshots share
-/// index structures with the live table until the writer next mutates them.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Index {
     name: String,
     column: usize,
@@ -112,7 +108,7 @@ pub struct Index {
     repr: Repr,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Repr {
     Hash(HashMap<GroupKey, Vec<RowId>>),
     Ordered(BTreeMap<OrdKey, Vec<RowId>>),

@@ -7,16 +7,14 @@ use grfusion_common::{Error, Result, Row, RowId, Schema, Value};
 use crate::index::{Index, IndexKind};
 use crate::stats::TableStats;
 
-/// Slots per copy-on-write chunk (power of two so slot→chunk resolution is
+/// Slots per chunk (power of two so slot→chunk resolution is
 /// a shift and a mask on the hot tuple-pointer dereference path).
 const CHUNK_BITS: usize = 8;
 const CHUNK_SLOTS: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: usize = CHUNK_SLOTS - 1;
 
-/// A fixed-capacity run of row slots, shared between the live table and any
-/// epoch snapshots via `Arc` and cloned lazily on first write after a
-/// snapshot (`Arc::make_mut`).
-#[derive(Debug, Clone)]
+/// A fixed-capacity run of row slots.
+#[derive(Debug)]
 struct Chunk {
     slots: Vec<Option<Row>>,
 }
@@ -29,18 +27,16 @@ struct Chunk {
 /// views build on: topology nodes keep `RowId`s into their relational
 /// sources and dereference them in O(1) during traversal.
 ///
-/// The slot vector is stored as fixed-size chunks behind `Arc`, and indexes
-/// likewise, so [`Table::snapshot`] is O(chunks) reference bumps: epoch
-/// publication clones the handle, and the single writer pays a one-chunk
-/// copy on the first mutation of each shared chunk (copy-on-write).
-#[derive(Debug, Clone)]
+/// The slot vector is stored as fixed-size chunks, so growing the table
+/// never moves a stored row.
+#[derive(Debug)]
 pub struct Table {
     name: String,
     schema: Arc<Schema>,
-    chunks: Vec<Arc<Chunk>>,
+    chunks: Vec<Chunk>,
     slot_len: usize,
     live: usize,
-    indexes: Vec<Arc<Index>>,
+    indexes: Vec<Index>,
 }
 
 impl Table {
@@ -55,26 +51,18 @@ impl Table {
         }
     }
 
-    /// An immutable snapshot of the table sharing all row chunks and
-    /// indexes with the live table: O(chunks) `Arc` clones, no row copies.
-    /// Later DML on the live table copies only the chunks it touches.
-    pub fn snapshot(&self) -> Table {
-        self.clone()
-    }
-
     /// Slot contents by raw slot number (`None` = never allocated).
     #[inline]
     fn slot(&self, i: usize) -> Option<&Option<Row>> {
         self.chunks.get(i >> CHUNK_BITS).and_then(|c| c.slots.get(i & CHUNK_MASK))
     }
 
-    /// Mutable slot access; copies the owning chunk if it is shared with a
-    /// snapshot.
+    /// Mutable slot access.
     #[inline]
     fn slot_mut(&mut self, i: usize) -> Option<&mut Option<Row>> {
         self.chunks
             .get_mut(i >> CHUNK_BITS)
-            .and_then(|c| Arc::make_mut(c).slots.get_mut(i & CHUNK_MASK))
+            .and_then(|c| c.slots.get_mut(i & CHUNK_MASK))
     }
 
     pub fn name(&self) -> &str {
@@ -125,19 +113,18 @@ impl Table {
         for (slot, row) in self.scan() {
             ix.insert(&row[column], slot)?;
         }
-        self.indexes.push(Arc::new(ix));
+        self.indexes.push(ix);
         Ok(())
     }
 
     pub fn indexes(&self) -> impl Iterator<Item = &Index> + '_ {
-        self.indexes.iter().map(|ix| &**ix)
+        self.indexes.iter()
     }
 
     /// Find an index on `column`, preferring hash for point lookups.
     pub fn index_on(&self, column: usize, kind: Option<IndexKind>) -> Option<&Index> {
         self.indexes
             .iter()
-            .map(|ix| &**ix)
             .find(|i| i.column() == column && kind.is_none_or(|k| i.kind() == k))
     }
 
@@ -160,14 +147,16 @@ impl Table {
         }
         for ix in &mut self.indexes {
             let c = ix.column();
-            Arc::make_mut(ix).insert(&row[c], id)?;
+            ix.insert(&row[c], id)?;
         }
         if self.slot_len & CHUNK_MASK == 0 {
-            self.chunks.push(Arc::new(Chunk {
+            self.chunks.push(Chunk {
                 slots: Vec::with_capacity(CHUNK_SLOTS),
-            }));
+            });
         }
-        Arc::make_mut(self.chunks.last_mut().expect("chunk just ensured"))
+        self.chunks
+            .last_mut()
+            .expect("chunk just ensured")
             .slots
             .push(Some(row));
         self.slot_len += 1;
@@ -190,7 +179,7 @@ impl Table {
         let row = slot.take().expect("slot checked above");
         for ix in &mut self.indexes {
             let c = ix.column();
-            Arc::make_mut(ix).remove(&row[c], id);
+            ix.remove(&row[c], id);
         }
         self.live -= 1;
         Ok(row)
@@ -210,7 +199,7 @@ impl Table {
         }
         for ix in &mut self.indexes {
             let c = ix.column();
-            Arc::make_mut(ix).insert(&row[c], id)?;
+            ix.insert(&row[c], id)?;
         }
         *self.slot_mut(id.index()).expect("slot checked above") = Some(row);
         self.live += 1;
@@ -250,7 +239,6 @@ impl Table {
         let mut moved = 0;
         let mut failure = None;
         for (i, ix) in self.indexes.iter_mut().enumerate() {
-            let ix = Arc::make_mut(ix);
             let c = ix.column();
             ix.remove(&old[c], id);
             if let Err(e) = ix.insert(&new_row[c], id) {
@@ -261,7 +249,6 @@ impl Table {
         }
         if let Some((failed, e)) = failure {
             for (i, ix) in self.indexes.iter_mut().enumerate().take(failed + 1) {
-                let ix = Arc::make_mut(ix);
                 let c = ix.column();
                 if i < moved {
                     ix.remove(&new_row[c], id);
@@ -304,8 +291,7 @@ impl Table {
     /// written). This is the batch executor's scan surface: a block-at-a-
     /// time table scan walks each chunk's contiguous slot slice directly
     /// instead of pulling rows through a one-at-a-time iterator, so the
-    /// inner fill loop is a plain slice traversal over the same
-    /// `Arc<Chunk>` storage that epoch snapshots share.
+    /// inner fill loop is a plain slice traversal.
     pub fn chunk_slices(&self) -> impl Iterator<Item = &[Option<Row>]> + '_ {
         self.chunks.iter().map(|c| c.slots.as_slice())
     }
@@ -516,51 +502,6 @@ mod tests {
             .is_err());
         // duplicate index name fails
         assert!(t.create_index("by_name", 2, false, IndexKind::Hash).is_err());
-    }
-
-    #[test]
-    fn snapshot_is_isolated_from_later_dml() {
-        let mut t = users();
-        let r1 = t.insert(row(1, "a", 1.0)).unwrap();
-        let r2 = t.insert(row(2, "b", 2.0)).unwrap();
-        let snap = t.snapshot();
-        // Mutate the live table every way DML can.
-        t.update(r1, row(1, "a2", 9.0)).unwrap();
-        t.delete(r2).unwrap();
-        let r3 = t.insert(row(3, "c", 3.0)).unwrap();
-        // The snapshot still shows the original rows (and only them).
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap.get(r1).unwrap()[1], Value::text("a"));
-        assert_eq!(snap.get(r2).unwrap()[0], Value::Integer(2));
-        assert!(snap.get(r3).is_none());
-        // Snapshot indexes are frozen too.
-        let ix = snap.index_on(0, None).unwrap();
-        assert_eq!(ix.get(&Value::Integer(2)), vec![r2]);
-        assert!(ix.get(&Value::Integer(3)).is_empty());
-        // Live table moved on.
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.get(r1).unwrap()[1], Value::text("a2"));
-        assert!(t.get(r2).is_none());
-        let live_ix = t.index_on(0, None).unwrap();
-        assert_eq!(live_ix.get(&Value::Integer(3)), vec![r3]);
-    }
-
-    #[test]
-    fn snapshot_survives_chunk_boundary_growth() {
-        let mut t = users();
-        for i in 0..300 {
-            t.insert(row(i, "n", i as f64)).unwrap();
-        }
-        let snap = t.snapshot();
-        for i in 300..600 {
-            t.insert(row(i, "n", i as f64)).unwrap();
-        }
-        assert_eq!(snap.len(), 300);
-        assert_eq!(snap.slot_count(), 300);
-        assert_eq!(t.len(), 600);
-        assert_eq!(snap.scan().count(), 300);
-        assert!(snap.get(RowId(299)).is_some());
-        assert!(snap.get(RowId(300)).is_none());
     }
 
     #[test]

@@ -4,24 +4,10 @@
 
 use std::sync::Arc;
 
-use grfusion::{
-    CsrConfig, Database, EngineConfig, EpochConfig, Error, ExecLimits, ResourceKind, Value,
-};
+use grfusion::{Database, EngineConfig, Error, ExecLimits, ResourceKind, Value};
 
 fn seeded_db() -> Arc<Database> {
-    seeded_db_with(Database::new())
-}
-
-/// `seeded_db`, but with epoch publication on (sealed CSR, serial).
-fn epoch_db() -> Arc<Database> {
-    seeded_db_with(Database::with_config(EngineConfig {
-        csr: CsrConfig::sealed(),
-        epochs: EpochConfig::enabled(),
-        ..Default::default()
-    }))
-}
-
-fn seeded_db_with(db: Database) -> Arc<Database> {
+    let db = Database::new();
     db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
     db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE)")
         .unwrap();
@@ -235,7 +221,7 @@ fn prepared_queries_shared_across_threads() {
 }
 
 /// Many reader threads running point-to-point searches against one shared
-/// `GraphTopology` (what epoch readers do): the search state is per thread,
+/// `GraphTopology`: the search state is per thread,
 /// so every thread must get the serial answers — the very same paths, since
 /// the kernel is deterministic — for both the BFS and the Dijkstra probes
 /// that share the scratch.
@@ -291,199 +277,3 @@ fn point_to_point_probes_on_a_shared_topology_match_serial() {
     });
 }
 
-// ---------------------------------------------------------------------------
-// Epoch lifecycle: pin → survive re-seals → reclaim
-// ---------------------------------------------------------------------------
-
-/// Relink `count` chain edges to fresh distinct targets — enough overlaid
-/// vertexes to push the view past `reseal_fraction` and force a re-seal.
-/// Returns how many automatic re-seals fired (observed as the overlay
-/// shrinking across a statement).
-fn relink_round(db: &Database, round: i64, count: i64) -> usize {
-    let mut reseals = 0;
-    let mut overlay = db.graph_stats("g").unwrap().overlay_bytes;
-    for i in 0..count {
-        db.execute(&format!(
-            "UPDATE e SET b = {} WHERE id = {i}",
-            (i + 100 + round * 13) % 200
-        ))
-        .unwrap();
-        let now = db.graph_stats("g").unwrap().overlay_bytes;
-        if now < overlay {
-            reseals += 1;
-        }
-        overlay = now;
-    }
-    reseals
-}
-
-/// A held pin keeps its epoch alive through ≥3 writer re-seals; dropping
-/// the last pin returns retained bytes to the zero baseline.
-#[test]
-fn reader_pin_survives_reseals_until_dropped() {
-    let db = epoch_db();
-    assert_eq!(db.epoch_stats(), (1, 0), "baseline: current epoch only");
-
-    let snap = db.pin_snapshot().expect("epoch published after setup");
-    let pinned = snap.number();
-    let dump0 = snap.state_dump();
-
-    // Three rounds of 60 distinct relinks: each round overlays well over
-    // 25% of the 200 vertexes, so each triggers at least one re-seal.
-    for round in 0..3 {
-        let reseals = relink_round(&db, round, 60);
-        assert!(reseals >= 1, "round {round}: no automatic re-seal fired");
-        let stats = db.graph_stats("g").unwrap();
-        assert!(stats.sealed_bytes > 0, "round {round}: lost the CSR seal");
-    }
-    assert!(
-        db.current_epoch().unwrap() > pinned,
-        "writer published past the pin"
-    );
-
-    // Exactly two epochs alive: the pin and the current one. The pinned
-    // snapshot still reads as the pre-DML state, byte for byte.
-    let (live, retained) = db.epoch_stats();
-    assert_eq!(live, 2, "pinned + current");
-    assert!(retained > 0, "pinned epoch holds bytes");
-    let gstats = db.graph_stats("g").unwrap();
-    assert_eq!(gstats.live_epochs, 2);
-    assert_eq!(gstats.retained_bytes, retained);
-    assert_eq!(snap.state_dump(), dump0, "pinned snapshot mutated");
-
-    // Dropping the last pin reclaims the superseded epoch immediately.
-    drop(snap);
-    assert_eq!(db.epoch_stats(), (1, 0), "retained bytes back to baseline");
-    assert_eq!(db.graph_stats("g").unwrap().retained_bytes, 0);
-}
-
-/// A clone of a pin is a pin: reclamation waits for the *last* holder.
-#[test]
-fn epoch_reclaimed_only_after_last_pin_drops() {
-    let db = epoch_db();
-    let a = db.pin_snapshot().unwrap();
-    let b = a.clone();
-    relink_round(&db, 0, 60);
-    assert_eq!(db.epoch_stats().0, 2);
-    drop(a);
-    assert_eq!(db.epoch_stats().0, 2, "second holder still pins");
-    drop(b);
-    assert_eq!(db.epoch_stats(), (1, 0));
-}
-
-/// Epochs on, over the complete directed graph on 32 vertexes: counting its
-/// simple paths of length ≤ 24 cannot finish (more than 10^30 of them), so
-/// a reader doing that runs until something aborts it — in debug and in
-/// `--release` alike.
-fn dense_epoch_db() -> Arc<Database> {
-    const N: i64 = 32;
-    let db = Database::with_config(EngineConfig {
-        csr: CsrConfig::sealed(),
-        epochs: EpochConfig::enabled(),
-        ..Default::default()
-    });
-    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")
-        .unwrap();
-    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
-        .unwrap();
-    db.bulk_insert("v", (0..N).map(|i| vec![Value::Integer(i)]).collect())
-        .unwrap();
-    let pairs = (0..N).flat_map(|a| (0..N).filter(move |&b| b != a).map(move |b| (a, b)));
-    let erows = pairs
-        .enumerate()
-        .map(|(id, (a, b))| {
-            vec![
-                Value::Integer(id as i64),
-                Value::Integer(a),
-                Value::Integer(b),
-            ]
-        })
-        .collect();
-    db.bulk_insert("e", erows).unwrap();
-    db.execute(
-        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v EDGES(ID = id, FROM = a, TO = b) FROM e",
-    )
-    .unwrap();
-    Arc::new(db)
-}
-
-/// Start the reader that cannot finish, then commit one relink at a time
-/// until the reader has pinned an epoch *and* the writer has superseded
-/// it: two live epochs, the older kept alive by nothing but the read.
-fn reader_pinned_and_superseded(
-    db: &Arc<Database>,
-) -> std::thread::JoinHandle<grfusion::Result<grfusion::ResultSet>> {
-    assert_eq!(db.epoch_stats(), (1, 0), "baseline: current epoch only");
-    let reader = {
-        let db = db.clone();
-        std::thread::spawn(move || {
-            db.execute(
-                "SELECT COUNT(P) FROM g.Paths P HINT(DFS) WHERE P.Length >= 1 AND P.Length <= 24",
-            )
-        })
-    };
-    let mut step = 0i64;
-    while db.epoch_stats().0 < 2 {
-        assert!(
-            !reader.is_finished(),
-            "reader ended before it was superseded"
-        );
-        // Edge 0 is 0 -> 1; move its head around 1..=31.
-        db.execute(&format!("UPDATE e SET b = {} WHERE id = 0", 1 + step % 31))
-            .unwrap();
-        step += 1;
-    }
-    reader
-}
-
-/// Cancellation firing mid-read still releases the reader's epoch pin: the
-/// pin is held by the read itself and drops on the error path.
-#[test]
-fn cancel_mid_read_releases_epoch_pin() {
-    let db = dense_epoch_db();
-    let token = db.cancel_token();
-    let reader = reader_pinned_and_superseded(&db);
-    // A cancel aborts the statements running when it fires. The reader has
-    // pinned its epoch, but under load it may not have armed its cancel
-    // watch yet — and its query cannot end on its own, so one missed cancel
-    // would hang the join below. Fire until it ends, for a bounded time.
-    let give_up = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    while !reader.is_finished() {
-        assert!(
-            std::time::Instant::now() < give_up,
-            "reader ignored 30 s of cancels"
-        );
-        token.cancel();
-        std::thread::sleep(std::time::Duration::from_millis(1));
-    }
-    let err = reader
-        .join()
-        .unwrap()
-        .expect_err("reader must be cancelled");
-    assert!(
-        err.to_string().contains("cancel"),
-        "unexpected error: {err}"
-    );
-
-    // The cancelled reader's pin is gone: only the current epoch survives.
-    assert_eq!(db.epoch_stats(), (1, 0), "cancelled reader leaked its pin");
-}
-
-/// A deadline abort mid-read likewise releases the pin.
-#[test]
-fn deadline_mid_read_releases_epoch_pin() {
-    let db = dense_epoch_db();
-    let mut cfg = db.config();
-    cfg.governor.deadline_ms = Some(500);
-    db.set_config(cfg);
-    let reader = reader_pinned_and_superseded(&db);
-    let err = reader
-        .join()
-        .unwrap()
-        .expect_err("reader must hit the deadline");
-    assert!(
-        err.to_string().contains("deadline"),
-        "unexpected error: {err}"
-    );
-    assert_eq!(db.epoch_stats(), (1, 0), "deadline abort leaked the pin");
-}

@@ -23,7 +23,7 @@
 //! variant feeds the same checker so proptest's own shrinking covers
 //! shapes the seeded families miss.
 
-use grfusion::{CsrConfig, Database, EngineConfig, EpochConfig, Value};
+use grfusion::{CsrConfig, Database, EngineConfig, Value};
 use grfusion_baselines::{GraphSystem, SqlGraphSystem};
 use grfusion_datasets::{Dataset, DatasetKind};
 use proptest::prelude::*;
@@ -194,7 +194,6 @@ fn build_engine(csr: CsrConfig, w: &Workload) -> Database {
     let db = build_engine_cfg(
         EngineConfig {
             csr,
-            epochs: EpochConfig::disabled(),
             ..Default::default()
         },
         w,
@@ -209,7 +208,6 @@ fn build_engine_batched(w: &Workload) -> Database {
     build_engine_cfg(
         EngineConfig {
             csr: CsrConfig::sealed(),
-            epochs: EpochConfig::disabled(),
             ..Default::default()
         },
         w,
@@ -690,7 +688,7 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Concurrent lane: epoch-published snapshot isolation
+// Concurrent lane: statement atomicity under concurrent readers
 // ---------------------------------------------------------------------------
 
 /// The three oracle queries, shared by the serial and concurrent lanes.
@@ -704,7 +702,7 @@ const ORACLE_QUERIES: [&str; 3] = [
 ];
 
 /// Per-prefix serial reference: the three query answers plus the full
-/// state dump after the first `prefix` successful script statements.
+/// state dump after the first `prefix` script statements.
 struct PrefixRef {
     rows: [Vec<Vec<String>>; 3],
     dump: String,
@@ -721,32 +719,34 @@ fn capture_reference(db: &Database) -> Result<PrefixRef, String> {
     })
 }
 
-/// Run one workload with epoch publication on, under the engine
-/// configuration `live_cfg`: a single writer replays the
-/// DML script while `readers` threads hammer full path enumerations. Every
-/// read must be byte-identical to a serial run against exactly the epoch
-/// it pinned (identified via the `epoch` annotation in query metrics), and
-/// every observed state dump must equal some committed script prefix.
+/// Run one workload on an engine configured as `live_cfg`: a single writer
+/// replays the DML script while `readers` threads hammer full path
+/// enumerations and state dumps. Every read must equal the serial reference
+/// after some script prefix `p`, with `before ≤ p ≤ after + 1`: `before`
+/// and `after` are the writer's finished-statement count read just before
+/// and just after the read, and the `+ 1` is the statement the writer may
+/// have finished on the live engine but not yet counted. A statement
+/// half-applied when a read ran matches no prefix.
+///
+/// A failed statement counts too: its rollback restores every row, but a
+/// relinked edge goes back to the end of its vertexes' adjacency, so path
+/// emission order after it can differ from before it.
 ///
 /// Failure strings name the `(script-prefix, query)` pair so the minimizer
-/// output pinpoints the diverging snapshot.
+/// output pinpoints the diverging read.
 fn check_concurrent(w: &Workload, readers: usize, live_cfg: EngineConfig) -> Result<(), String> {
-    use std::collections::HashMap;
-    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    assert!(live_cfg.epochs.enabled, "the concurrent oracle reads through epochs");
     let live = build_engine_cfg(live_cfg, w);
     let reference = build_engine(CsrConfig::sealed(), w);
 
-    // prefix 0 = the state right after setup, before any script DML.
+    // prefix 0 = the state right after setup, before any script DML. The
+    // writer pushes prefix `p + 1`'s reference before it runs that
+    // statement on the live engine, and counts it after (`Release`, paired
+    // with the readers' `Acquire` loads).
     let expected: Mutex<Vec<PrefixRef>> = Mutex::new(vec![capture_reference(&reference)?]);
-    let mut epoch_prefix: HashMap<u64, usize> = HashMap::new();
-    epoch_prefix.insert(
-        live.current_epoch().ok_or("no epoch published after setup")?,
-        0,
-    );
-    let epoch_prefix = Mutex::new(epoch_prefix);
+    let finished = AtomicUsize::new(0);
     let failure: Mutex<Option<String>> = Mutex::new(None);
     let done = AtomicBool::new(false);
 
@@ -756,23 +756,16 @@ fn check_concurrent(w: &Workload, readers: usize, live_cfg: EngineConfig) -> Res
             *f = Some(msg);
         }
     };
-    let resolve_prefix = |epoch: u64| -> Result<usize, ()> {
-        loop {
-            if let Some(p) = epoch_prefix.lock().unwrap().get(&epoch) {
-                return Ok(*p);
-            }
-            if done.load(Ordering::Acquire) {
-                // All mappings are recorded before `done`; an unmapped
-                // epoch here means the writer already bailed.
-                return Err(());
-            }
-            std::thread::yield_now();
-        }
+    // The prefix in `before ..= after + 1` whose reference `matches`.
+    let find_prefix = |before: usize, after: usize, matches: &dyn Fn(&PrefixRef) -> bool| {
+        let refs = expected.lock().unwrap();
+        (before..=after + 1).find(|&p| refs.get(p).is_some_and(matches))
     };
 
     std::thread::scope(|scope| {
         for r in 0..readers {
-            let (live, expected, failure, done) = (&live, &expected, &failure, &done);
+            let (live, finished, failure, done) = (&live, &finished, &failure, &done);
+            let (fail, find_prefix) = (&fail, &find_prefix);
             scope.spawn(move || {
                 let mut iters = 0usize;
                 // Keep reading until the writer finishes, and always do at
@@ -783,77 +776,58 @@ fn check_concurrent(w: &Workload, readers: usize, live_cfg: EngineConfig) -> Res
                         return;
                     }
                     for (qi, sql) in ORACLE_QUERIES.iter().enumerate() {
-                        let rs = match live.execute_with_metrics(sql) {
-                            Ok(rs) => rs,
-                            Err(e) => return fail(format!("reader {r}: `{sql}`: {e}")),
+                        let before = finished.load(Ordering::Acquire);
+                        let got = match rows_exact(live, sql) {
+                            Ok(rows) => rows,
+                            Err(e) => return fail(format!("reader {r}: {e}")),
                         };
-                        let Some(epoch) = rs.metrics.as_ref().and_then(|m| m.epoch) else {
+                        let after = finished.load(Ordering::Acquire);
+                        if find_prefix(before, after, &|p| p.rows[qi] == got).is_none() {
                             return fail(format!(
-                                "reader {r}: `{sql}` ran without an epoch pin"
-                            ));
-                        };
-                        let Ok(prefix) = resolve_prefix(epoch) else { return };
-                        let got: Vec<Vec<String>> = rs
-                            .rows
-                            .iter()
-                            .map(|row| row.iter().map(|v| v.to_string()).collect())
-                            .collect();
-                        let want = expected.lock().unwrap()[prefix].rows[qi].clone();
-                        if got != want {
-                            return fail(format!(
-                                "reader {r}: script-prefix {prefix}, query `{sql}`: \
-                                 epoch {epoch} read diverges from serial reference\n  \
-                                 got {got:?}\n  want {want:?}"
+                                "reader {r}: script-prefix {before}..={}, query `{sql}`: \
+                                 read matches no prefix\n  got {got:?}",
+                                after + 1
                             ));
                         }
                     }
-                    // The whole-database snapshot must also be some prefix.
-                    if let Some((epoch, dump)) = live.snapshot_dump() {
-                        let Ok(prefix) = resolve_prefix(epoch) else { return };
-                        let want = expected.lock().unwrap()[prefix].dump.clone();
-                        if dump != want {
-                            return fail(format!(
-                                "reader {r}: script-prefix {prefix}, query \
-                                 `state_dump`: epoch {epoch} dump diverges\n\
-                                 --- got\n{dump}\n--- want\n{want}"
-                            ));
-                        }
+                    // The whole-database dump must also be some prefix.
+                    let before = finished.load(Ordering::Acquire);
+                    let dump = match live.state_dump() {
+                        Ok(dump) => dump,
+                        Err(e) => return fail(format!("reader {r}: state_dump: {e}")),
+                    };
+                    let after = finished.load(Ordering::Acquire);
+                    if find_prefix(before, after, &|p| p.dump == dump).is_none() {
+                        return fail(format!(
+                            "reader {r}: script-prefix {before}..={}, query `state_dump`: \
+                             dump matches no prefix\n--- got\n{dump}",
+                            after + 1
+                        ));
                     }
                     iters += 1;
                 }
             });
         }
 
-        // The writer: replay the script statement by statement, extending
-        // the serial reference and the epoch → prefix map on each commit.
-        let mut prefix = 0usize;
-        for stmt in w.script() {
+        // The writer: replay the script statement by statement on the
+        // reference first, so the prefix a live statement produces always
+        // has its reference in place before any reader can observe it.
+        for (prefix, stmt) in w.script().iter().enumerate() {
             if failure.lock().unwrap().is_some() {
                 break;
             }
-            let a = live.execute(&stmt).map(|rs| rs.rows_affected);
-            let b = reference.execute(&stmt).map(|rs| rs.rows_affected);
-            match (&a, &b) {
-                (Ok(x), Ok(y)) if x == y => {
-                    prefix += 1;
-                    match capture_reference(&reference) {
-                        Ok(snap) => expected.lock().unwrap().push(snap),
-                        Err(e) => {
-                            fail(format!("script-prefix {prefix}: {e}"));
-                            break;
-                        }
-                    }
-                    match live.current_epoch() {
-                        Some(ep) => {
-                            epoch_prefix.lock().unwrap().insert(ep, prefix);
-                        }
-                        None => {
-                            fail(format!("script-prefix {prefix}: no epoch after commit"));
-                            break;
-                        }
-                    }
+            let b = reference.execute(stmt).map(|rs| rs.rows_affected);
+            match capture_reference(&reference) {
+                Ok(snap) => expected.lock().unwrap().push(snap),
+                Err(e) => {
+                    fail(format!("script-prefix {}: {e}", prefix + 1));
+                    break;
                 }
-                (Err(_), Err(_)) => {} // agreement: neither lane publishes
+            }
+            let a = live.execute(stmt).map(|rs| rs.rows_affected);
+            match (&a, &b) {
+                (Ok(x), Ok(y)) if x == y => {}
+                (Err(_), Err(_)) => {} // agreement: both roll back
                 _ => {
                     fail(format!(
                         "script-prefix {prefix}: DML divergence on `{stmt}`: \
@@ -862,41 +836,15 @@ fn check_concurrent(w: &Workload, readers: usize, live_cfg: EngineConfig) -> Res
                     break;
                 }
             }
+            finished.store(prefix + 1, Ordering::Release);
         }
         done.store(true, Ordering::Release);
     });
 
-    if let Some(e) = failure.into_inner().unwrap() {
-        return Err(e);
+    match failure.into_inner().unwrap() {
+        Some(e) => Err(e),
+        None => Ok(()),
     }
-
-    // Every reader has joined, so no pin outlives the scope: superseded
-    // epochs must all have been reclaimed by their last `Arc` drop.
-    let (live_epochs, retained) = live.epoch_stats();
-    if live_epochs > 1 || retained > 0 {
-        return Err(format!(
-            "epoch leak after readers stopped: {live_epochs} live, {retained} bytes retained"
-        ));
-    }
-    Ok(())
-}
-
-/// The concurrent lane's engine: the serial reference's configuration
-/// (sealed CSR, rule-based plans) plus epoch publication.
-fn epochs_only() -> EngineConfig {
-    EngineConfig {
-        csr: CsrConfig::sealed(),
-        epochs: EpochConfig::enabled(),
-        ..Default::default()
-    }
-}
-
-/// Every default-off execution feature at once: epochs, sealed CSR and
-/// the cost-based optimizer.
-fn everything_on() -> EngineConfig {
-    let mut cfg = epochs_only();
-    cfg.optimizer.cost_based = true;
-    cfg
 }
 
 /// The 200 seeded workloads, read by 4 concurrent reader threads while
@@ -909,36 +857,30 @@ fn concurrent_oracle(live_cfg: EngineConfig) {
         if check_concurrent(&w, 4, live_cfg).is_err() {
             let (min, err) = minimize_with(w, |w| check_concurrent(w, 4, live_cfg));
             panic!(
-                "concurrent epoch oracle failed (minimized):\n{}\n{err}",
+                "concurrent oracle failed (minimized):\n{}\n{err}",
                 min.render()
             );
         }
     }
 }
 
-/// The concurrent headline oracle.
+/// The concurrent headline oracle, on the default engine.
 #[test]
 fn concurrent_oracle_200_seeded_workloads() {
-    concurrent_oracle(epochs_only());
+    concurrent_oracle(EngineConfig::default());
 }
 
-/// The fifth lane, in process: the configuration the roadmap wants to
-/// become the default — everything on at once — against the same serial,
-/// rule-based, epoch-free reference.
+/// The same lane with the one default-off execution feature on: sealed CSR
+/// plus the cost-based optimizer, against the same serial, rule-based
+/// reference.
 #[test]
 fn concurrent_oracle_200_seeded_workloads_everything_on() {
-    concurrent_oracle(everything_on());
-}
-
-/// Reclamation under load: after the writer finishes and readers stop, no
-/// superseded epoch may stay resident (spot-checked on a few seeds; the
-/// dedicated lifecycle tests live in `concurrency.rs`).
-#[test]
-fn concurrent_oracle_reclaims_epochs() {
-    for seed in [0u64, 7, 42] {
-        let w = gen_workload(seed);
-        check_concurrent(&w, 2, epochs_only()).unwrap();
-    }
+    let mut cfg = EngineConfig {
+        csr: CsrConfig::sealed(),
+        ..Default::default()
+    };
+    cfg.optimizer.cost_based = true;
+    concurrent_oracle(cfg);
 }
 
 // ---------------------------------------------------------------------------
@@ -975,7 +917,6 @@ const OPTIMIZER_QUERIES: [&str; 8] = [
 fn build_engine_optimizer(w: &Workload, cost_based: bool) -> Database {
     let mut cfg = EngineConfig {
         csr: CsrConfig::sealed(),
-        epochs: EpochConfig::disabled(),
         ..Default::default()
     };
     cfg.optimizer.cost_based = cost_based;

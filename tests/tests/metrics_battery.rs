@@ -70,15 +70,7 @@ fn collect(db: &Database, family: &str, sql: &str, expect_graph_work: bool) -> Q
     // an annotated tree, one plan line per metrics node.
     let rs = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
     let text: Vec<String> = rs.rows.iter().map(|r| r[0].to_string()).collect();
-    // When epoch publication is on (GRFUSION_EPOCHS=1) the annotated tree is
-    // prefixed with one `epoch=N` line identifying the pinned snapshot.
-    let epoch_lines = text.iter().filter(|l| l.starts_with("epoch=")).count();
-    assert!(epoch_lines <= 1, "{family}: repeated epoch annotation");
-    assert_eq!(
-        text.len(),
-        m.nodes.len() + epoch_lines,
-        "{family}: EXPLAIN ANALYZE line count"
-    );
+    assert_eq!(text.len(), m.nodes.len(), "{family}: EXPLAIN ANALYZE line count");
     assert!(
         text.iter().any(|l| l.contains("rows=")),
         "{family}: plan not annotated: {text:?}"

@@ -355,102 +355,6 @@ proptest! {
         }
     }
 
-    /// Epoch publication never leaks uncommitted state: under an
-    /// interleaving of auto-committed DML, committed transactions, and
-    /// rolled-back transactions, every epoch a reader can pin dumps to
-    /// exactly some committed prefix of the statement stream — and a
-    /// rolled-back insert (poison ids ≥ 9000) is visible in none of them.
-    #[test]
-    fn epoch_readers_only_see_committed_prefixes(
-        (n, edges) in arb_graph(),
-        ops in proptest::collection::vec((0u8..6, 0usize..32), 0..14)
-    ) {
-        use grfusion::{CsrConfig, EpochConfig};
-        let cfg = EngineConfig {
-            csr: CsrConfig::sealed(),
-            epochs: EpochConfig::enabled(),
-            ..EngineConfig::default()
-        };
-        let db = build_db_with(Database::with_config(cfg), n, &edges, true);
-
-        // Committed prefixes (as state dumps) and the epoch pins observed
-        // after each step; pins are held to the end, so superseded epochs
-        // stay readable and must still dump to a committed prefix.
-        let mut committed = vec![db.state_dump().unwrap()];
-        let mut pins = vec![db.pin_snapshot().unwrap()];
-        let mut poison = 9000i64;
-        let mut next_v = n as i64;
-        let mut next_e = edges.len() as i64;
-        for (kind, x) in ops {
-            match kind {
-                0 => {
-                    next_v += 1;
-                    let st = format!("INSERT INTO v VALUES ({})", next_v - 1);
-                    if db.execute(&st).is_ok() {
-                        committed.push(db.state_dump().unwrap());
-                    }
-                }
-                1 => {
-                    let a = x as i64 % next_v;
-                    let b = (x as i64 * 7 + 1) % next_v;
-                    next_e += 1;
-                    let st = format!("INSERT INTO e VALUES ({}, {a}, {b}, 1.0)", next_e - 1);
-                    if db.execute(&st).is_ok() {
-                        committed.push(db.state_dump().unwrap());
-                    }
-                }
-                2 => {
-                    let st = format!("DELETE FROM e WHERE id = {}", x as i64 % next_e.max(1));
-                    if db.execute(&st).is_ok() {
-                        committed.push(db.state_dump().unwrap());
-                    }
-                }
-                3 => {
-                    let st = format!("DELETE FROM v WHERE id = {}", x as i64 % next_v);
-                    if db.execute(&st).is_ok() {
-                        committed.push(db.state_dump().unwrap());
-                    }
-                }
-                4 => {
-                    // Committed transaction: one epoch for the whole batch.
-                    db.execute("BEGIN").unwrap();
-                    db.execute(&format!("INSERT INTO v VALUES ({next_v})")).unwrap();
-                    next_v += 1;
-                    // Mid-transaction, reads must NOT route through epochs
-                    // (read-your-own-writes wins over snapshot reads).
-                    prop_assert!(db.pin_snapshot().is_none(), "pinned mid-txn");
-                    db.execute("COMMIT").unwrap();
-                    committed.push(db.state_dump().unwrap());
-                }
-                _ => {
-                    // Rolled-back transaction: its writes must never reach
-                    // any epoch, no matter when a reader pins.
-                    db.execute("BEGIN").unwrap();
-                    db.execute(&format!("INSERT INTO v VALUES ({poison})")).unwrap();
-                    poison += 1;
-                    prop_assert!(db.pin_snapshot().is_none(), "pinned mid-txn");
-                    db.execute("ROLLBACK").unwrap();
-                }
-            }
-            pins.push(db.pin_snapshot().unwrap());
-        }
-
-        let prefixes: std::collections::HashSet<&String> = committed.iter().collect();
-        for pin in &pins {
-            let dump = pin.state_dump();
-            for leaked in 9000..poison {
-                prop_assert!(
-                    !dump.contains(&format!(" {leaked}")),
-                    "epoch {} leaked rolled-back row {}:\n{}", pin.number(), leaked, dump
-                );
-            }
-            prop_assert!(
-                prefixes.contains(&dump),
-                "epoch {} is not any committed prefix:\n{}", pin.number(), dump
-            );
-        }
-    }
-
     /// Rollback restores tables and topology to the pre-transaction state.
     #[test]
     #[allow(clippy::explicit_counter_loop)] // ids advance independently of the loop

@@ -30,7 +30,6 @@ fn base_config() -> EngineConfig {
         limits: Default::default(),
         governor: GovernorConfig::default(),
         csr: CsrConfig::sealed(),
-        epochs: Default::default(),
     }
 }
 
@@ -883,16 +882,17 @@ fn malformed_faults_env_surfaces_instead_of_disabling() {
 
 #[test]
 fn malformed_engine_env_knob_surfaces_instead_of_degrading() {
-    // A typo'd GRFUSION_EPOCHS must not silently run the suite without
-    // epochs: the database remembers the malformed value at construction
-    // and fails the first statement that builds an execution context.
-    std::env::set_var("GRFUSION_EPOCHS", "lots");
+    // A typo'd GRFUSION_OPTIMIZER must not silently run the suite down the
+    // rule-based planner: the database remembers the malformed value at
+    // construction and fails the first statement that builds an execution
+    // context.
+    std::env::set_var("GRFUSION_OPTIMIZER", "lots");
     let db = Database::with_config(base_config());
-    std::env::remove_var("GRFUSION_EPOCHS");
+    std::env::remove_var("GRFUSION_OPTIMIZER");
     db.execute("CREATE TABLE t (x INTEGER)").unwrap(); // DDL: no governor
     let err = db.execute("INSERT INTO t VALUES (1)").unwrap_err();
     assert!(
-        err.to_string().contains("GRFUSION_EPOCHS"),
+        err.to_string().contains("GRFUSION_OPTIMIZER"),
         "typo must surface with the variable name: {err:?}"
     );
     assert!(

@@ -515,15 +515,7 @@ mod optimizer_estimate_shape {
         let db = diamond_db();
         set_optimizer(&db, true);
         let analyzed = explain(&db, &format!("EXPLAIN ANALYZE {}", anchored()));
-        // Under epoch publication the tree is prefixed by exactly one
-        // `epoch=<n>` line naming the pinned snapshot.
-        let mut lines = analyzed.lines().peekable();
-        if let Some(n) = lines.peek().and_then(|l| l.strip_prefix("epoch=")) {
-            let digits = !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit());
-            assert!(digits, "malformed epoch line:\n{analyzed}");
-            lines.next();
-        }
-        for line in lines {
+        for line in analyzed.lines() {
             assert!(line.contains("rows="), "actuals missing:\n{analyzed}");
             assert!(line.contains("(rows_est="), "estimates missing:\n{analyzed}");
         }

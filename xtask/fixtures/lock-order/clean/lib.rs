@@ -1,9 +1,9 @@
 //! Fixture: acquisitions in documented rank order — `lock-order` clean.
-impl Hub {
-    fn publish(&self) {
+impl Database {
+    fn statement(&self) {
         let mut inner = self.inner.lock();
-        let mut hub = self.state.lock();
+        let mut cfg = self.settings.lock();
         self.tenants.lock().clear();
-        let _ = (&mut inner, &mut hub);
+        let _ = (&mut inner, &mut cfg);
     }
 }

@@ -1,8 +1,8 @@
-//! Fixture: takes `DbInner` while holding `EpochHub` — inverted.
-impl Hub {
-    fn republish(&self) {
-        let hub = self.state.lock();
+//! Fixture: takes `DbInner` while holding `Settings` — inverted.
+impl Database {
+    fn reconfigure(&self) {
+        let cfg = self.settings.lock();
         let inner = self.inner.lock();
-        let _ = (hub, inner);
+        let _ = (cfg, inner);
     }
 }

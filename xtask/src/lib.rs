@@ -9,7 +9,7 @@
 //! | pass             | gate             | what it checks                             |
 //! |------------------|------------------|--------------------------------------------|
 //! | `panic`          | per-crate ratchet | unwrap/expect/panic!/unreachable! sites   |
-//! | `lock-order`     | zero tolerance   | DbInner-outside / EpochHub-leaf nesting    |
+//! | `lock-order`     | zero tolerance   | DbInner-outside / Settings-leaf nesting    |
 //! | `lossy-cast`     | per-file ratchet | numeric `as` casts (`// cast-ok:` audits)  |
 //! | `hot-loop-alloc` | per-file ratchet | allocations in next()/traversal loops      |
 //!

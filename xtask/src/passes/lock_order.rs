@@ -3,9 +3,9 @@
 //! The engine's documented discipline (see `crates/core/src/db.rs` and
 //! DESIGN.md): `Database.inner` — the big `DbInner` mutex — is the
 //! *outermost* lock and owns every live table and topology by value, so
-//! those need no lock of their own; the `EpochHub` mutex (settings,
-//! published epoch, registry) is taken while `DbInner` is held on the
-//! publish path, and by readers alone to pin an epoch; the server's tenant
+//! those need no lock of their own; the `Settings` mutex is taken while
+//! `DbInner` is held (each statement copies the settings), and by setters
+//! alone; the server's tenant
 //! registry is a leaf never held across a call into the engine. Ranks
 //! ascend inward — the table is [`CLASSES`], and
 //! `tests/tests/lint_gate.rs` holds it equal to the runtime validator's
@@ -14,7 +14,7 @@
 //! | rank | lock             | receiver ident |
 //! |------|------------------|----------------|
 //! | 0    | `DbInner`        | `inner`        |
-//! | 1    | `EpochHub`       | `state`        |
+//! | 1    | `Settings`       | `settings`     |
 //! | 2    | `TenantRegistry` | `tenants`      |
 //!
 //! Within each function we replay acquisitions in source order: a
@@ -38,7 +38,7 @@ use crate::passes::Pass;
 /// are locks outside the documented order (caches, stdin) and are ignored.
 pub const CLASSES: &[(&str, u8, &str)] = &[
     ("inner", 0, "DbInner"),
-    ("state", 1, "EpochHub"),
+    ("settings", 1, "Settings"),
     // grfusion-server's tenant admission registry: a strict leaf, never
     // held across a call into the engine.
     ("tenants", 2, "TenantRegistry"),
@@ -59,7 +59,7 @@ impl Pass for LockOrder {
     }
 
     fn description(&self) -> &'static str {
-        "DbInner-outside / EpochHub-leaf acquisition-order conformance (zero tolerance)"
+        "DbInner-outside / Settings-leaf acquisition-order conformance (zero tolerance)"
     }
 
     fn run(&self, model: &SourceModel) -> Vec<Finding> {
@@ -273,27 +273,27 @@ mod tests {
 
     #[test]
     fn conforming_order_is_clean() {
-        let src = "fn admit(&self) {\n    let mut inner = self.inner.lock();\n    let mut hub = self.state.lock();\n    self.tenants.lock().clear();\n}\n";
+        let src = "fn admit(&self) {\n    let mut inner = self.inner.lock();\n    let mut cfg = self.settings.lock();\n    self.tenants.lock().clear();\n}\n";
         assert!(scan(src).is_empty());
     }
 
     #[test]
     fn inverted_order_is_flagged() {
-        let src = "fn bad(&self) {\n    let hub = self.state.lock();\n    let mut inner = self.inner.lock();\n}\n";
+        let src = "fn bad(&self) {\n    let cfg = self.settings.lock();\n    let mut inner = self.inner.lock();\n}\n";
         let found = scan(src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 3);
         assert!(found[0].message.contains("`DbInner` (rank 0)"));
-        assert!(found[0].message.contains("`EpochHub` (rank 1)"));
+        assert!(found[0].message.contains("`Settings` (rank 1)"));
         assert!(found[0]
             .message
-            .ends_with("documented order is DbInner -> EpochHub -> TenantRegistry"));
+            .ends_with("documented order is DbInner -> Settings -> TenantRegistry"));
     }
 
     #[test]
     fn scope_exit_and_drop_release() {
         // Block scope releases `t`; drop releases `inner`.
-        let src = "fn ok(&self) {\n    {\n        let t = self.tenants.lock();\n    }\n    let s = self.state.lock();\n    drop(s);\n    let inner = self.inner.lock();\n    drop(inner);\n    let s2 = self.state.lock();\n}\n";
+        let src = "fn ok(&self) {\n    {\n        let t = self.tenants.lock();\n    }\n    let s = self.settings.lock();\n    drop(s);\n    let inner = self.inner.lock();\n    drop(inner);\n    let s2 = self.settings.lock();\n}\n";
         assert!(scan(src).is_empty());
     }
 
@@ -307,7 +307,7 @@ mod tests {
 
     #[test]
     fn dbinner_param_implies_held() {
-        let src = "fn publish_epoch(hub: &EpochHub, inner: &mut DbInner) {\n    let mut st = hub.state.lock();\n}\nfn bad_helper(inner: &mut DbInner, db: &Database) {\n    let g = db.inner.lock();\n}\n";
+        let src = "fn run_dml(db: &Database, inner: &mut DbInner) {\n    let cfg = db.settings.lock();\n}\nfn bad_helper(inner: &mut DbInner, db: &Database) {\n    let g = db.inner.lock();\n}\n";
         let found = scan(src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 5);
@@ -316,7 +316,7 @@ mod tests {
 
     #[test]
     fn transient_acquisitions_checked_not_held() {
-        let src = "fn peek(&self) -> u64 {\n    self.state.lock().number;\n    let inner = self.inner.lock();\n    0\n}\n";
+        let src = "fn peek(&self) -> u64 {\n    self.settings.lock().config;\n    let inner = self.inner.lock();\n    0\n}\n";
         assert!(scan(src).is_empty());
     }
 }

@@ -47,8 +47,8 @@ fn lock_order_fixture_pair() {
         findings("lock-order", "violation", "lib.rs"),
         vec![
             "xtask/fixtures/lock-order/violation/lib.rs:5: lock-order violation in fn \
-             `republish`: acquires `DbInner` (rank 0) while holding `EpochHub` (rank 1); \
-             documented order is DbInner -> EpochHub -> TenantRegistry"
+             `reconfigure`: acquires `DbInner` (rank 0) while holding `Settings` (rank 1); \
+             documented order is DbInner -> Settings -> TenantRegistry"
         ]
     );
 }

@@ -4,7 +4,8 @@
 //! speaks: SQL [`Value`]s and their comparison/arithmetic semantics,
 //! [`DataType`]s, relational [`Schema`]s, [`Row`]s, stable [`RowId`]s into
 //! the row store, the [`PathData`] payload that graph operators attach to
-//! result rows, and the workspace-wide [`Error`] type.
+//! result rows, the workspace-wide [`Error`] type, and the [`FoldState`]
+//! hasher of the maps probed per row.
 //!
 //! GRFusion's central trick (EDBT 2018, §5.2) is that vertexes, edges, and
 //! paths are *extended tuples*: a graph operator emits ordinary rows whose
@@ -14,6 +15,7 @@
 //! through a relational pipeline.
 
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod path;
 pub mod row;
@@ -21,6 +23,7 @@ pub mod schema;
 pub mod value;
 
 pub use error::{Error, ResourceKind, Result};
+pub use hash::FoldState;
 pub use ids::{EdgeId, RowId, VertexId};
 pub use path::PathData;
 pub use row::Row;

@@ -93,12 +93,6 @@ impl Value {
         }
     }
 
-    /// Truthiness under SQL three-valued logic collapsed to two values:
-    /// NULL counts as false (predicates reject rows they cannot prove).
-    pub fn is_truthy(&self) -> bool {
-        matches!(self, Value::Boolean(true))
-    }
-
     /// SQL comparison. Returns `None` when either side is NULL or the types
     /// are incomparable — predicate evaluation maps `None` to "not
     /// satisfied", mirroring SQL's UNKNOWN.
@@ -339,7 +333,6 @@ mod tests {
     fn null_comparisons_are_unknown() {
         assert_eq!(Value::Null.sql_eq(&Value::Integer(1)), None);
         assert_eq!(Value::Integer(1).sql_cmp(&Value::Null), None);
-        assert!(!Value::Null.is_truthy());
     }
 
     #[test]

@@ -247,7 +247,7 @@ fn probe_key(ix: &Index, key: Value, ty: DataType) -> Option<Vec<RowId>> {
             return None;
         }
     }
-    Some(index_probe_key(key, ty).map_or_else(Vec::new, |k| ix.get(&k)))
+    Some(index_probe_key(&key, ty).map_or_else(Vec::new, |k| ix.get(&k)))
 }
 
 /// `lo <= column <= hi` with both bounds already keys of the column.

@@ -15,6 +15,7 @@
 //! acquires read guards for every table/topology once per query (serial
 //! H-Store-style execution), so operators never lock per row.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
@@ -81,10 +82,11 @@ impl RowBudget {
 
 /// Coerce a probe key to the indexed column's type so hash lookups honor
 /// SQL's cross-numeric equality (`uId = 2.0` must find integer 2; a key of
-/// an incompatible type matches nothing).
-pub(crate) fn index_probe_key(v: Value, ty: grfusion_common::DataType) -> Option<Value> {
+/// an incompatible type matches nothing). A key already of the column's type
+/// is probed in place.
+pub(crate) fn index_probe_key(v: &Value, ty: grfusion_common::DataType) -> Option<Cow<'_, Value>> {
     use grfusion_common::DataType;
-    match (ty, &v) {
+    match (ty, v) {
         (DataType::Integer, Value::Double(d)) => {
             // Strict i64 range: the upper bound is exclusive because
             // `i64::MAX as f64` rounds up to 2^63, so `<= i64::MAX as f64`
@@ -92,13 +94,13 @@ pub(crate) fn index_probe_key(v: Value, ty: grfusion_common::DataType) -> Option
             // i64::MAX — a probe key that silently matched the wrong row.
             // `i64::MIN as f64` is exactly -(2^63) and remains inclusive.
             if d.fract() == 0.0 && *d >= i64::MIN as f64 && *d < 9_223_372_036_854_775_808.0 {
-                Some(Value::Integer(*d as i64))
+                Some(Cow::Owned(Value::Integer(*d as i64)))
             } else {
                 None
             }
         }
-        (DataType::Double, Value::Integer(i)) => Some(Value::Double(*i as f64)),
-        _ if ty.admits(&v) && !v.is_null() => Some(v),
+        (DataType::Double, Value::Integer(i)) => Some(Cow::Owned(Value::Double(*i as f64))),
+        _ if ty.admits(v) && !v.is_null() => Some(Cow::Borrowed(v)),
         _ => None,
     }
 }
@@ -320,7 +322,8 @@ fn build<'e>(
             let t = env.table(table)?;
             let ix = hash_index(t, table, *column, "lookup")?;
             let col_ty = t.schema().column(*column).data_type;
-            let ids = match index_probe_key(key.eval(&[], env)?, col_ty) {
+            let mut slot = None;
+            let ids = match index_probe_key(key.eval_ref(&[], env, &mut slot)?, col_ty) {
                 Some(k) => ix.lookup(&k),
                 None => &[],
             };
@@ -643,7 +646,7 @@ impl BoundPred {
 
     fn check(&self, v: &Value) -> bool {
         match &self.test {
-            BoundTest::Cmp { op, rhs } => op.test(v.sql_cmp(rhs)).is_truthy(),
+            BoundTest::Cmp { op, rhs } => op.test(v.sql_cmp(rhs)) == Some(true),
             BoundTest::In { list, negated } => {
                 let any = list.iter().any(|rv| v.sql_eq(rv) == Some(true));
                 any != *negated
@@ -799,7 +802,7 @@ impl<'e> TraversalFilter for EngineFilter<'e> {
                     }
                 }
             }
-            p.op.test(Value::Double(sum).sql_cmp(&p.rhs)).is_truthy()
+            p.op.test(Value::Double(sum).sql_cmp(&p.rhs)) == Some(true)
         })
     }
 }
@@ -1072,7 +1075,9 @@ impl PathProbe {
         // so a value no INTEGER id can equal (NULL, 1.5, a string) must
         // resolve to no vertex rather than be rounded onto one.
         let anchor = |e: &PhysExpr| -> Result<Option<VertexSlot>> {
-            let id = index_probe_key(e.eval(outer_row, env)?, grfusion_common::DataType::Integer);
+            let mut slot = None;
+            let key = e.eval_ref(outer_row, env, &mut slot)?;
+            let id = index_probe_key(key, grfusion_common::DataType::Integer);
             Ok(id.and_then(|id| topo.vertex_slot(id.as_integer().ok()?).ok()))
         };
 

@@ -13,10 +13,9 @@
 //! * **Path aggregates** — `SUM(PS.Edges.Weight)` is a *scalar* per path
 //!   (not a group aggregate).
 //!
-//! Comparison evaluation follows SQL three-valued logic; filters accept
-//! only `TRUE`.
+//! Predicates follow SQL's three-valued (Kleene) logic, computed as a truth
+//! value by [`PhysExpr::truth`]; filters accept only `TRUE`.
 
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -204,19 +203,17 @@ impl CmpOp {
         })
     }
 
-    /// Apply to an ordering result under three-valued logic.
-    pub fn test(self, ord: Option<Ordering>) -> Value {
-        match ord {
-            None => Value::Null,
-            Some(o) => Value::Boolean(match self {
-                CmpOp::Eq => o == Ordering::Equal,
-                CmpOp::NotEq => o != Ordering::Equal,
-                CmpOp::Lt => o == Ordering::Less,
-                CmpOp::LtEq => o != Ordering::Greater,
-                CmpOp::Gt => o == Ordering::Greater,
-                CmpOp::GtEq => o != Ordering::Less,
-            }),
-        }
+    /// Apply to an ordering result under three-valued logic: `None`
+    /// (UNKNOWN) when the operands were incomparable.
+    pub fn test(self, ord: Option<Ordering>) -> Option<bool> {
+        ord.map(|o| match self {
+            CmpOp::Eq => o == Ordering::Equal,
+            CmpOp::NotEq => o != Ordering::Equal,
+            CmpOp::Lt => o == Ordering::Less,
+            CmpOp::LtEq => o != Ordering::Greater,
+            CmpOp::Gt => o == Ordering::Greater,
+            CmpOp::GtEq => o != Ordering::Less,
+        })
     }
 }
 
@@ -435,17 +432,20 @@ impl PhysExpr {
         }
     }
 
-    /// [`PhysExpr::eval`] that borrows bare operands instead of cloning
-    /// them — what comparisons, group keys and aggregate arguments read.
+    /// [`PhysExpr::eval`] for a caller that only reads the value: a bare
+    /// operand is borrowed in place, anything else is evaluated into `slot`
+    /// — what comparisons, group keys, aggregate arguments and index probes
+    /// read. On the borrowed path nothing is built and nothing is dropped.
     #[inline]
     pub(crate) fn eval_ref<'a>(
         &'a self,
         row: &'a [Value],
         env: &'a QueryEnv<'_>,
-    ) -> Result<Cow<'a, Value>> {
+        slot: &'a mut Option<Value>,
+    ) -> Result<&'a Value> {
         match self.operand(row, env) {
-            Some(v) => Ok(Cow::Borrowed(v)),
-            None => self.eval(row, env).map(Cow::Owned),
+            Some(v) => Ok(v),
+            None => Ok(slot.insert(self.eval(row, env)?)),
         }
     }
 
@@ -476,100 +476,19 @@ impl PhysExpr {
                 let genv = env.graph_of_path(path)?;
                 eval_path_agg(path, *target, attr, *func, genv)
             }
-            PhysExpr::Not(e) => match e.eval(row, env)? {
-                Value::Null => Ok(Value::Null),
-                v => Ok(Value::Boolean(!v.as_boolean()?)),
-            },
-            PhysExpr::Neg(e) => {
-                Value::Integer(0).arith(ArithOp::Sub, &e.eval(row, env)?)
+            PhysExpr::Not(_)
+            | PhysExpr::And(..)
+            | PhysExpr::Or(..)
+            | PhysExpr::Cmp { .. }
+            | PhysExpr::InList { .. }
+            | PhysExpr::Between { .. } => {
+                Ok(self.truth(row, env)?.map_or(Value::Null, Value::Boolean))
             }
-            PhysExpr::And(a, b) => {
-                // Kleene AND.
-                let va = a.eval(row, env)?;
-                if matches!(va, Value::Boolean(false)) {
-                    return Ok(Value::Boolean(false));
-                }
-                let vb = b.eval(row, env)?;
-                if matches!(vb, Value::Boolean(false)) {
-                    return Ok(Value::Boolean(false));
-                }
-                if va.is_null() || vb.is_null() {
-                    return Ok(Value::Null);
-                }
-                Ok(Value::Boolean(va.as_boolean()? && vb.as_boolean()?))
-            }
-            PhysExpr::Or(a, b) => {
-                let va = a.eval(row, env)?;
-                if matches!(va, Value::Boolean(true)) {
-                    return Ok(Value::Boolean(true));
-                }
-                let vb = b.eval(row, env)?;
-                if matches!(vb, Value::Boolean(true)) {
-                    return Ok(Value::Boolean(true));
-                }
-                if va.is_null() || vb.is_null() {
-                    return Ok(Value::Null);
-                }
-                Ok(Value::Boolean(va.as_boolean()? || vb.as_boolean()?))
-            }
-            PhysExpr::Cmp { op, left, right } => {
-                let l = left.eval_ref(row, env)?;
-                let r = right.eval_ref(row, env)?;
-                Ok(op.test(l.sql_cmp(&r)))
-            }
+            PhysExpr::Neg(e) => Value::Integer(0).arith(ArithOp::Sub, &e.eval(row, env)?),
             PhysExpr::Arith { op, left, right } => {
                 let l = left.eval(row, env)?;
                 let r = right.eval(row, env)?;
                 l.arith(*op, &r)
-            }
-            PhysExpr::InList {
-                expr,
-                list,
-                negated,
-            } => {
-                let v = expr.eval_ref(row, env)?;
-                if v.is_null() {
-                    return Ok(Value::Null);
-                }
-                let mut saw_unknown = false;
-                for item in list {
-                    let iv = item.eval_ref(row, env)?;
-                    match v.sql_eq(&iv) {
-                        Some(true) => {
-                            return Ok(Value::Boolean(!negated));
-                        }
-                        Some(false) => {}
-                        None => saw_unknown = true,
-                    }
-                }
-                if saw_unknown {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Boolean(*negated))
-                }
-            }
-            PhysExpr::Between {
-                expr,
-                low,
-                high,
-                negated,
-            } => {
-                let v = expr.eval_ref(row, env)?;
-                let lo = low.eval_ref(row, env)?;
-                let hi = high.eval_ref(row, env)?;
-                let ge = CmpOp::GtEq.test(v.sql_cmp(&lo));
-                let le = CmpOp::LtEq.test(v.sql_cmp(&hi));
-                let both = match (ge, le) {
-                    (Value::Boolean(false), _) | (_, Value::Boolean(false)) => {
-                        Value::Boolean(false)
-                    }
-                    (Value::Null, _) | (_, Value::Null) => Value::Null,
-                    _ => Value::Boolean(true),
-                };
-                Ok(match both {
-                    Value::Boolean(b) => Value::Boolean(b != *negated),
-                    other => other,
-                })
             }
             PhysExpr::Quant {
                 col,
@@ -588,7 +507,94 @@ impl PhysExpr {
 
     /// Evaluate as a filter predicate: only TRUE passes (SQL semantics).
     pub fn matches(&self, row: &[Value], env: &QueryEnv<'_>) -> Result<bool> {
-        Ok(self.eval(row, env)?.is_truthy())
+        Ok(self.truth(row, env)? == Some(true))
+    }
+
+    /// The Kleene truth value of the expression: `Some(true)`/`Some(false)`,
+    /// or `None` for UNKNOWN. The boolean nodes and their comparisons read
+    /// bare operands in place and build no [`Value`]; every other node is
+    /// evaluated, and a value that is not a BOOLEAN has no truth value — a
+    /// filter rejects it rather than raising.
+    pub fn truth(&self, row: &[Value], env: &QueryEnv<'_>) -> Result<Option<bool>> {
+        match self {
+            PhysExpr::And(a, b) => connective(a, b, false, row, env),
+            PhysExpr::Or(a, b) => connective(a, b, true, row, env),
+            PhysExpr::Not(e) => Ok(e.side(row, env)?.known(e, row, env)?.map(|b| !b)),
+            PhysExpr::Cmp { op, left, right } => {
+                let (mut l, mut r) = (None, None);
+                let l = left.eval_ref(row, env, &mut l)?;
+                let r = right.eval_ref(row, env, &mut r)?;
+                Ok(op.test(l.sql_cmp(r)))
+            }
+            PhysExpr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let mut v = None;
+                let v = expr.eval_ref(row, env, &mut v)?;
+                if v.is_null() {
+                    return Ok(None);
+                }
+                let mut saw_unknown = false;
+                for item in list {
+                    let mut iv = None;
+                    match v.sql_eq(item.eval_ref(row, env, &mut iv)?) {
+                        Some(true) => return Ok(Some(!negated)),
+                        Some(false) => {}
+                        None => saw_unknown = true,
+                    }
+                }
+                Ok((!saw_unknown).then_some(*negated))
+            }
+            PhysExpr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => {
+                let (mut v, mut lo, mut hi) = (None, None, None);
+                let v = expr.eval_ref(row, env, &mut v)?;
+                let lo = low.eval_ref(row, env, &mut lo)?;
+                let hi = high.eval_ref(row, env, &mut hi)?;
+                let ge = CmpOp::GtEq.test(v.sql_cmp(lo));
+                let le = CmpOp::LtEq.test(v.sql_cmp(hi));
+                let both = match (ge, le) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (None, _) | (_, None) => None,
+                    _ => Some(true),
+                };
+                Ok(both.map(|b| b != *negated))
+            }
+            // A leaf: one that is not a BOOLEAN has no truth value.
+            _ => Ok(match self.side(row, env)? {
+                Side::Truth(t) => t,
+                Side::NotBoolean => None,
+            }),
+        }
+    }
+
+    /// This expression as an operand of AND, OR or NOT: a boolean node's
+    /// truth value, or a leaf's. A leaf that is not a BOOLEAN is marked, not
+    /// raised: it raises only if no sibling decides the result first.
+    fn side(&self, row: &[Value], env: &QueryEnv<'_>) -> Result<Side> {
+        if matches!(
+            self,
+            PhysExpr::And(..)
+                | PhysExpr::Or(..)
+                | PhysExpr::Not(_)
+                | PhysExpr::Cmp { .. }
+                | PhysExpr::InList { .. }
+                | PhysExpr::Between { .. }
+        ) {
+            return self.truth(row, env).map(Side::Truth);
+        }
+        let mut v = None;
+        Ok(match self.eval_ref(row, env, &mut v)? {
+            Value::Null => Side::Truth(None),
+            Value::Boolean(b) => Side::Truth(Some(*b)),
+            _ => Side::NotBoolean,
+        })
     }
 
     /// Whether evaluating this expression provably cannot fail on any row:
@@ -619,6 +625,53 @@ impl PhysExpr {
             _ => false,
         }
     }
+}
+
+/// An operand of AND, OR or NOT (see [`PhysExpr::side`]).
+#[derive(Clone, Copy, PartialEq)]
+enum Side {
+    Truth(Option<bool>),
+    NotBoolean,
+}
+
+impl Side {
+    /// The truth value of operand `e`. A non-BOOLEAN raises the error of
+    /// reading it as one; `e` is evaluated again for the message, which an
+    /// operand that evaluated once reproduces.
+    fn known(self, e: &PhysExpr, row: &[Value], env: &QueryEnv<'_>) -> Result<Option<bool>> {
+        match self {
+            Side::Truth(t) => Ok(t),
+            Side::NotBoolean => e.eval(row, env)?.as_boolean().map(Some),
+        }
+    }
+}
+
+/// Kleene AND (`decides` = false) or OR (`decides` = true): an operand
+/// equal to `decides` settles the result — the right one is not evaluated
+/// when the left settles it — then an UNKNOWN makes it UNKNOWN, and only
+/// then does a non-BOOLEAN operand raise, the left one first.
+fn connective(
+    a: &PhysExpr,
+    b: &PhysExpr,
+    decides: bool,
+    row: &[Value],
+    env: &QueryEnv<'_>,
+) -> Result<Option<bool>> {
+    let settled = Side::Truth(Some(decides));
+    let l = a.side(row, env)?;
+    if l == settled {
+        return Ok(Some(decides));
+    }
+    let r = b.side(row, env)?;
+    if r == settled {
+        return Ok(Some(decides));
+    }
+    if l == Side::Truth(None) || r == Side::Truth(None) {
+        return Ok(None);
+    }
+    l.known(a, row, env)?;
+    r.known(b, row, env)?;
+    Ok(Some(!decides))
 }
 
 fn eval_path_prop(path: &Arc<PathData>, prop: &PathProp, env: &QueryEnv<'_>) -> Result<Value> {
@@ -824,7 +877,7 @@ fn eval_quant(
             PathTarget::Vertexes => genv.path_vertex_attr(path, pos as usize, attr)?,
         };
         let ok = match test {
-            QuantTest::Cmp { op, .. } => op.test(v.sql_cmp(&rhs_vals[0])).is_truthy(),
+            QuantTest::Cmp { op, .. } => op.test(v.sql_cmp(&rhs_vals[0])) == Some(true),
             QuantTest::In { negated, .. } => {
                 let any = rhs_vals.iter().any(|rv| v.sql_eq(rv) == Some(true));
                 any != *negated
@@ -1251,5 +1304,279 @@ fn compile_path_ref(
             "unknown path property `{other}` on `{}`",
             parts[0].name
         ))),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn env() -> QueryEnv<'static> {
+        QueryEnv {
+            snap: None,
+            limits: Default::default(),
+            params: vec![Value::Integer(5)],
+            gov: Default::default(),
+            batch_rows: crate::spine::BATCH_ROWS,
+        }
+    }
+
+    /// NULL, TRUE, FALSE, 1, 1.0, NaN and 'x' as columns of the row and as
+    /// literals, and `?` bound to 5.
+    fn row() -> Vec<Value> {
+        vec![
+            Value::Null,
+            Value::Boolean(true),
+            Value::Boolean(false),
+            Value::Integer(1),
+            Value::Double(1.0),
+            Value::Double(f64::NAN),
+            Value::text("x"),
+        ]
+    }
+
+    fn operands() -> Vec<PhysExpr> {
+        let columns = row()
+            .into_iter()
+            .enumerate()
+            .map(|(index, v)| PhysExpr::Column {
+                index,
+                ty: PhysExpr::Literal(v).static_type(),
+            });
+        let mut out: Vec<PhysExpr> = columns.collect();
+        out.extend(row().into_iter().map(PhysExpr::Literal));
+        out.push(PhysExpr::Param { index: 0 });
+        out
+    }
+
+    /// The evaluator this crate shipped before [`PhysExpr::truth`], kept
+    /// verbatim as the reference for the boolean nodes (leaves go through
+    /// `eval`, which did not change).
+    fn reference(e: &PhysExpr, row: &[Value], env: &QueryEnv<'_>) -> Result<Value> {
+        let cmp = |op: CmpOp, ord: Option<Ordering>| match ord {
+            None => Value::Null,
+            Some(o) => Value::Boolean(match op {
+                CmpOp::Eq => o == Ordering::Equal,
+                CmpOp::NotEq => o != Ordering::Equal,
+                CmpOp::Lt => o == Ordering::Less,
+                CmpOp::LtEq => o != Ordering::Greater,
+                CmpOp::Gt => o == Ordering::Greater,
+                CmpOp::GtEq => o != Ordering::Less,
+            }),
+        };
+        match e {
+            PhysExpr::Not(e) => match reference(e, row, env)? {
+                Value::Null => Ok(Value::Null),
+                v => Ok(Value::Boolean(!v.as_boolean()?)),
+            },
+            PhysExpr::And(a, b) => {
+                let va = reference(a, row, env)?;
+                if matches!(va, Value::Boolean(false)) {
+                    return Ok(Value::Boolean(false));
+                }
+                let vb = reference(b, row, env)?;
+                if matches!(vb, Value::Boolean(false)) {
+                    return Ok(Value::Boolean(false));
+                }
+                if va.is_null() || vb.is_null() {
+                    return Ok(Value::Null);
+                }
+                Ok(Value::Boolean(va.as_boolean()? && vb.as_boolean()?))
+            }
+            PhysExpr::Or(a, b) => {
+                let va = reference(a, row, env)?;
+                if matches!(va, Value::Boolean(true)) {
+                    return Ok(Value::Boolean(true));
+                }
+                let vb = reference(b, row, env)?;
+                if matches!(vb, Value::Boolean(true)) {
+                    return Ok(Value::Boolean(true));
+                }
+                if va.is_null() || vb.is_null() {
+                    return Ok(Value::Null);
+                }
+                Ok(Value::Boolean(va.as_boolean()? || vb.as_boolean()?))
+            }
+            PhysExpr::Cmp { op, left, right } => {
+                let l = reference(left, row, env)?;
+                let r = reference(right, row, env)?;
+                Ok(cmp(*op, l.sql_cmp(&r)))
+            }
+            PhysExpr::InList {
+                expr,
+                list,
+                negated,
+            } => {
+                let v = reference(expr, row, env)?;
+                if v.is_null() {
+                    return Ok(Value::Null);
+                }
+                let mut saw_unknown = false;
+                for item in list {
+                    match v.sql_eq(&reference(item, row, env)?) {
+                        Some(true) => return Ok(Value::Boolean(!negated)),
+                        Some(false) => {}
+                        None => saw_unknown = true,
+                    }
+                }
+                Ok(if saw_unknown {
+                    Value::Null
+                } else {
+                    Value::Boolean(*negated)
+                })
+            }
+            PhysExpr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => {
+                let v = reference(expr, row, env)?;
+                let ge = cmp(CmpOp::GtEq, v.sql_cmp(&reference(low, row, env)?));
+                let le = cmp(CmpOp::LtEq, v.sql_cmp(&reference(high, row, env)?));
+                let both = match (ge, le) {
+                    (Value::Boolean(false), _) | (_, Value::Boolean(false)) => {
+                        Value::Boolean(false)
+                    }
+                    (Value::Null, _) | (_, Value::Null) => Value::Null,
+                    _ => Value::Boolean(true),
+                };
+                Ok(match both {
+                    Value::Boolean(b) => Value::Boolean(b != *negated),
+                    other => other,
+                })
+            }
+            leaf => leaf.eval(row, env),
+        }
+    }
+
+    /// `eval` and `matches` agree with the reference on `e`, error for error.
+    fn check(e: &PhysExpr, row: &[Value], env: &QueryEnv<'_>) {
+        let want = reference(e, row, env);
+        assert_eq!(e.eval(row, env), want, "eval of {e:?}");
+        let want_match = want.map(|v| matches!(v, Value::Boolean(true)));
+        assert_eq!(e.matches(row, env), want_match, "matches of {e:?}");
+    }
+
+    fn b(e: &PhysExpr) -> Box<PhysExpr> {
+        Box::new(e.clone())
+    }
+
+    #[test]
+    fn kleene_truth_table_matches_the_reference() {
+        let (row, env) = (row(), env());
+        let ops = operands();
+        let cmp_ops = [
+            CmpOp::Eq,
+            CmpOp::NotEq,
+            CmpOp::Lt,
+            CmpOp::LtEq,
+            CmpOp::Gt,
+            CmpOp::GtEq,
+        ];
+        let mut checked = 0;
+        for x in &ops {
+            check(x, &row, &env);
+            check(&PhysExpr::Not(b(x)), &row, &env);
+            for y in &ops {
+                check(&PhysExpr::And(b(x), b(y)), &row, &env);
+                check(&PhysExpr::Or(b(x), b(y)), &row, &env);
+                for op in cmp_ops {
+                    let c = PhysExpr::Cmp {
+                        op,
+                        left: b(x),
+                        right: b(y),
+                    };
+                    check(&c, &row, &env);
+                    check(&PhysExpr::Not(b(&c)), &row, &env);
+                }
+                for z in &ops {
+                    // A connective over a connective: the inner result is
+                    // a boolean node's, never a deferred non-BOOLEAN.
+                    check(
+                        &PhysExpr::And(b(x), Box::new(PhysExpr::Or(b(y), b(z)))),
+                        &row,
+                        &env,
+                    );
+                    check(
+                        &PhysExpr::Or(
+                            Box::new(PhysExpr::Not(b(x))),
+                            Box::new(PhysExpr::And(b(y), b(z))),
+                        ),
+                        &row,
+                        &env,
+                    );
+                    for negated in [false, true] {
+                        check(
+                            &PhysExpr::Between {
+                                expr: b(x),
+                                low: b(y),
+                                high: b(z),
+                                negated,
+                            },
+                            &row,
+                            &env,
+                        );
+                        check(
+                            &PhysExpr::InList {
+                                expr: b(x),
+                                list: vec![y.clone(), z.clone()],
+                                negated,
+                            },
+                            &row,
+                            &env,
+                        );
+                    }
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, ops.len().pow(3));
+    }
+
+    #[test]
+    fn a_non_boolean_operand_raises_only_when_no_sibling_decides() {
+        let (row, env) = (row(), env());
+        let lit = |v: Value| Box::new(PhysExpr::Literal(v));
+        let param = || Box::new(PhysExpr::Param { index: 0 });
+        let null = || lit(Value::Null);
+        let t = || lit(Value::Boolean(true));
+        let f = || lit(Value::Boolean(false));
+        let is_exec = |r: Result<Value>| matches!(r, Err(Error::Execution(_)));
+        // AND: FALSE on either side decides; so does a NULL beside it.
+        assert_eq!(
+            PhysExpr::And(param(), f()).eval(&row, &env),
+            Ok(Value::Boolean(false))
+        );
+        assert_eq!(
+            PhysExpr::And(f(), param()).eval(&row, &env),
+            Ok(Value::Boolean(false))
+        );
+        assert_eq!(
+            PhysExpr::And(param(), null()).eval(&row, &env),
+            Ok(Value::Null)
+        );
+        assert!(is_exec(PhysExpr::And(param(), t()).eval(&row, &env)));
+        assert!(is_exec(PhysExpr::And(t(), param()).eval(&row, &env)));
+        // OR: TRUE decides.
+        assert_eq!(
+            PhysExpr::Or(param(), t()).eval(&row, &env),
+            Ok(Value::Boolean(true))
+        );
+        assert_eq!(
+            PhysExpr::Or(null(), param()).eval(&row, &env),
+            Ok(Value::Null)
+        );
+        assert!(is_exec(PhysExpr::Or(param(), f()).eval(&row, &env)));
+        // NOT has no sibling.
+        assert!(is_exec(PhysExpr::Not(param()).eval(&row, &env)));
+        assert!(PhysExpr::Not(param()).matches(&row, &env).is_err());
+        // `WHERE ?` bound to a non-BOOLEAN filters the row out.
+        assert_eq!(PhysExpr::Param { index: 0 }.matches(&row, &env), Ok(false));
+        assert_eq!(PhysExpr::Param { index: 0 }.truth(&row, &env), Ok(None));
+        // An unbound parameter is an error wherever it is read.
+        let unbound = PhysExpr::Param { index: 1 };
+        assert!(unbound.matches(&row, &env).is_err());
+        assert!(PhysExpr::Or(t(), Box::new(unbound)).matches(&row, &env) == Ok(true));
     }
 }

@@ -34,7 +34,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use grfusion_common::value::GroupKey;
-use grfusion_common::{DataType, Error, Result, Row, RowId, Value};
+use grfusion_common::{DataType, Error, FoldState, Result, Row, RowId, Value};
 use grfusion_graph::TopologyLayout;
 use grfusion_storage::{Index, Table};
 
@@ -329,7 +329,11 @@ impl<'e> Operator<'e> for Project<'e> {
         for i in 0..self.rows.len() {
             let t = self.rows.tuple(i);
             for e in self.exprs {
-                out.arena.push(e.eval_ref(t, self.env)?.into_owned());
+                // A bare operand is copied out of the tuple without a call
+                // into `eval`, which costs more than the copy.
+                let mut slot = None;
+                let v = e.eval_ref(t, self.env, &mut slot)?;
+                out.arena.push(v.clone()); // alloc-ok: the output value; a copy or a refcount bump
             }
         }
         out.owned = self.rows.len();
@@ -363,7 +367,7 @@ impl<'e> Operator<'e> for Limit<'e> {
 /// time is copied into the table.
 #[derive(Default)]
 pub(crate) struct Groups {
-    numbers: HashMap<Vec<GroupKey>, usize>,
+    numbers: HashMap<Vec<GroupKey>, usize, FoldState>,
     key: Vec<GroupKey>,
 }
 
@@ -608,7 +612,8 @@ impl<'e> Operator<'e> for IndexJoin<'e> {
                 if !self.outer.advance(max_rows - out.owned)? {
                     break;
                 }
-                let key = self.key.eval(self.outer.tuple(), self.admit.env)?;
+                let mut slot = None;
+                let key = self.key.eval_ref(self.outer.tuple(), self.admit.env, &mut slot)?;
                 self.ids = match crate::exec::index_probe_key(key, self.col_ty) {
                     Some(k) => self.index.lookup(&k).iter(),
                     None => [].iter(),
@@ -879,11 +884,17 @@ impl<'e> Aggregate<'e> {
         while input.next_batch(&mut rows, self.env.batch_rows)? {
             for i in 0..rows.len() {
                 let t = rows.tuple(i);
-                groups.key.clear();
-                for g in self.group_exprs {
-                    groups.key.push(g.eval_ref(t, self.env)?.group_key());
-                }
-                let (group, first) = groups.resolve();
+                let (group, first) = if ng == 0 {
+                    // No GROUP BY: every row folds into group 0, no key to hash.
+                    (0, states.is_empty())
+                } else {
+                    groups.key.clear();
+                    for g in self.group_exprs {
+                        let mut slot = None;
+                        groups.key.push(g.eval_ref(t, self.env, &mut slot)?.group_key());
+                    }
+                    groups.resolve()
+                };
                 if first {
                     let at = key_vals.len();
                     for g in self.group_exprs {
@@ -903,14 +914,17 @@ impl<'e> Aggregate<'e> {
                     match &spec.arg {
                         // COUNT(*)
                         None => state.count += 1,
-                        Some(e) => state.update(spec.func, &*e.eval_ref(t, self.env)?),
+                        Some(e) => {
+                            let mut slot = None;
+                            state.update(spec.func, e.eval_ref(t, self.env, &mut slot)?);
+                        }
                     }
                 }
             }
         }
         self.rows = groups.numbers.len();
-        if self.rows == 0 && ng == 0 {
-            // Global aggregate over an empty input: one row of defaults.
+        if ng == 0 {
+            // One global row, of defaults over an empty input.
             states.resize(na, AggState::new());
             self.rows = 1;
         }

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use grfusion_common::{EdgeId, Error, Result, RowId, VertexId};
+use grfusion_common::{EdgeId, Error, FoldState, Result, RowId, VertexId};
 
 /// Slot index of a vertex inside the topology's vertex arena.
 pub type VertexSlot = u32;
@@ -144,8 +144,8 @@ pub struct GraphTopology {
     directed: bool,
     vertexes: Vec<VertexNode>,
     edges: Vec<EdgeNode>,
-    vertex_by_id: HashMap<VertexId, VertexSlot>,
-    edge_by_id: HashMap<EdgeId, EdgeSlot>,
+    vertex_by_id: HashMap<VertexId, VertexSlot, FoldState>,
+    edge_by_id: HashMap<EdgeId, EdgeSlot, FoldState>,
     live_vertexes: usize,
     live_edges: usize,
     /// Total adjacency-list entries across live vertexes (the traversal
@@ -247,8 +247,8 @@ impl GraphTopology {
             directed,
             vertexes: Vec::new(),
             edges: Vec::new(),
-            vertex_by_id: HashMap::new(),
-            edge_by_id: HashMap::new(),
+            vertex_by_id: HashMap::default(),
+            edge_by_id: HashMap::default(),
             live_vertexes: 0,
             live_edges: 0,
             adjacency_entries: 0,

@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use grfusion_common::value::GroupKey;
-use grfusion_common::{Error, Result, RowId, Value};
+use grfusion_common::{Error, FoldState, Result, RowId, Value};
 
 /// Key type for ordered indexes: a total order over index-able values that
 /// agrees with `Value::sql_cmp` — equal values are one key.
@@ -110,7 +110,7 @@ pub struct Index {
 
 #[derive(Debug)]
 enum Repr {
-    Hash(HashMap<GroupKey, Vec<RowId>>),
+    Hash(HashMap<GroupKey, Vec<RowId>, FoldState>),
     Ordered(BTreeMap<OrdKey, Vec<RowId>>),
 }
 
@@ -121,7 +121,7 @@ impl Index {
             column,
             unique,
             repr: match kind {
-                IndexKind::Hash => Repr::Hash(HashMap::new()),
+                IndexKind::Hash => Repr::Hash(HashMap::default()),
                 IndexKind::Ordered => Repr::Ordered(BTreeMap::new()),
             },
         }

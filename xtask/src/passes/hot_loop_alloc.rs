@@ -6,7 +6,9 @@
 //! allocating calls inside loop bodies of:
 //!
 //! * any `fn next` / `fn next_batch` body, in every crate (iterators and
-//!   the operator surface), and
+//!   the operator surface), and any `fn matches` / `fn truth` body (the
+//!   per-row predicate evaluation every filter, scan and DML statement
+//!   runs), and
 //! * *every* function in the relational operators
 //!   (`crates/core/src/spine.rs`: their per-tuple loops also live in
 //!   build helpers), in the traversal kernels
@@ -50,7 +52,7 @@ const HOT_FILES: &[&str] = &[
     "crates/core/src/dml.rs",
 ];
 
-const HOT_FNS: &[&str] = &["next", "next_batch"];
+const HOT_FNS: &[&str] = &["next", "next_batch", "matches", "truth"];
 
 pub const MARKER: &str = "alloc-ok:";
 

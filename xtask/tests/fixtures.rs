@@ -107,6 +107,21 @@ fn hot_loop_alloc_dml_statement_body_fixture_pair() {
     );
 }
 
+/// So is per-row predicate evaluation: a copy inside a `truth` loop is
+/// flagged in any file.
+#[test]
+fn hot_loop_alloc_predicate_fixture_pair() {
+    let file = "predicate.rs";
+    assert_eq!(findings("hot-loop-alloc", "clean", file), Vec::<String>::new());
+    assert_eq!(
+        findings("hot-loop-alloc", "violation", file),
+        vec![
+            "xtask/fixtures/hot-loop-alloc/violation/predicate.rs:7: allocation `clone` in hot \
+             loop — hoist it out or audit with `// alloc-ok: <reason>`"
+        ]
+    );
+}
+
 /// Every registered pass has a fixture pair on disk — adding a fifth pass
 /// without fixtures fails here, not in review.
 #[test]

@@ -17,7 +17,7 @@ use grfusion_bench::experiments::{self, ExperimentScale, Measurement};
 fn usage() -> ! {
     eprintln!(
         "usage: harness <experiment> [--vertices N] [--queries N] [--seed N] [--deadline-ms N] [--paper-like] [--metrics]\n\
-         experiments: table2 | fig7 | fig8 | fig9 | fig10 | table3 | csr | optimizer |\n\
+         experiments: table2 | fig7 | fig8 | fig9 | fig10 | table3 |\n\
          \u{20}            ablate-pushdown | ablate-leninfer | ablate-lazy | ablate-traversal |\n\
          \u{20}            metrics | all\n\
          --deadline-ms N arms the per-query resource governor: any query\n\
@@ -94,8 +94,6 @@ fn main() -> ExitCode {
             "fig9" => experiments::fig9(scale),
             "fig10" => experiments::fig10(scale),
             "table3" => experiments::table3(scale),
-            "csr" => experiments::csr(scale),
-            "optimizer" => experiments::optimizer(scale),
             "ablate-pushdown" => experiments::ablate_pushdown(scale),
             "ablate-leninfer" => experiments::ablate_leninfer(scale),
             "ablate-lazy" => experiments::ablate_lazy(scale),
@@ -116,8 +114,6 @@ fn main() -> ExitCode {
             "fig8",
             "fig9",
             "fig10",
-            "csr",
-            "optimizer",
             "ablate-pushdown",
             "ablate-leninfer",
             "ablate-lazy",

@@ -4,7 +4,7 @@
 //! assert on shapes) and the harness binary prints them. Workloads are
 //! seeded and deterministic.
 
-use grfusion::{CsrConfig, EngineConfig, OptimizerFlags, TraversalChoice};
+use grfusion::{EngineConfig, OptimizerFlags, TraversalChoice};
 use grfusion_baselines::{
     GrFusionSystem, GrailSystem, GraphSystem, NeoDb, SqlGraphSystem, TitanDb,
 };
@@ -467,244 +467,6 @@ pub fn ablate_traversal(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
 }
 
 // ---------------------------------------------------------------------------
-// CSR layout experiment — sealed snapshots vs. pointer-linked adjacency
-// ---------------------------------------------------------------------------
-
-/// Deep traversals on the sealed-CSR layout vs. the never-sealed
-/// adjacency layout (`layout=csr` / `layout=adjacency`), plus the sealed
-/// footprint in bytes. Targeted reachability probes at the deep fig7
-/// regimes (long frontier walks on the road grid, hub fan-out on the
-/// follower graph). Expected shape: csr ≤ adjacency — frontier expansion
-/// streams two contiguous u32 arrays instead of chasing per-vertex heap
-/// allocations (the gap narrows on a 1-core/low-cache container, but the
-/// sealed lane should not lose).
-pub fn csr(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
-    // Lanes alternate within each measured point and each lane reports
-    // its best of `ROUNDS` passes: machine-load drift hits both layouts
-    // alike and the minimum discards scheduler spikes, which at µs scale
-    // otherwise dwarf the layout effect.
-    const ROUNDS: usize = 9;
-    let mut out = Vec::new();
-    for ds in [
-        roads(scale.vertices, scale.seed),
-        follower(scale.vertices, scale.seed + 3),
-    ] {
-        let adj = Adjacency::build(&ds);
-        let lanes = [
-            ("layout=csr", CsrConfig::sealed()),
-            ("layout=adjacency", CsrConfig::adjacency_only()),
-        ];
-        let systems: Vec<(&str, GrFusionSystem)> = lanes
-            .into_iter()
-            .map(|(label, layout)| {
-                GrFusionSystem::load_with(
-                    &ds,
-                    EngineConfig {
-                        csr: layout,
-                        ..EngineConfig::default()
-                    },
-                )
-                .map(|grf| (label, grf))
-            })
-            .collect::<Result<_>>()?;
-        for (label, grf) in &systems {
-            let stats = grf.db().graph_stats("g")?;
-            out.push(m(
-                "csr",
-                ds.kind.label(),
-                label,
-                "sealed-bytes",
-                stats.sealed_bytes,
-            ));
-        }
-
-        let point = |x: String,
-                         pairs: &[(i64, i64)],
-                         run: &dyn Fn(&GrFusionSystem, i64, i64) -> Result<()>|
-         -> Result<Vec<Measurement>> {
-            let mut best = vec![f64::INFINITY; systems.len()];
-            for round in 0..ROUNDS {
-                // Alternate lane order round to round so warm-up and load
-                // drift don't systematically favor whichever runs second.
-                let mut order: Vec<usize> = (0..systems.len()).collect();
-                if round % 2 == 1 {
-                    order.reverse();
-                }
-                for i in order {
-                    let (_, grf) = &systems[i];
-                    let t = time_per_item(pairs, |(s, tgt)| run(grf, *s, *tgt))?;
-                    if let Some(us) = t.micros() {
-                        best[i] = best[i].min(us);
-                    }
-                }
-            }
-            Ok(systems
-                .iter()
-                .zip(&best)
-                .map(|((label, _), us)| {
-                    m("csr", ds.kind.label(), label, &x, format!("{us:.1}"))
-                })
-                .collect())
-        };
-
-        // Deep targeted-BFS probes only: frontier expansion is the code
-        // path the sealed arrays accelerate. Full path *enumerations* are
-        // dominated by per-path allocation and show no stable layout
-        // signal (verified while building this experiment), so they would
-        // only add noise to the sealed-vs-unsealed comparison.
-        for &len in &[6usize, 10] {
-            let pairs = pairs_at_distance(&ds, &adj, len as u32, scale.queries, scale.seed);
-            if pairs.is_empty() {
-                continue;
-            }
-            out.extend(point(
-                format!("reach-{len}"),
-                &pairs,
-                &move |grf, s, tgt| grf.reachable(s, tgt, len, None).map(drop),
-            )?);
-        }
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
-// Cost-based optimizer experiment — traversal vs iterated join by fan-out
-// ---------------------------------------------------------------------------
-
-/// Fig-7-family anchored path counting on regular directed graphs at
-/// branching factors 2 / 8 / 32, with the cost-based optimizer off (the
-/// rule-based traversal plan, always) and on (free to re-plan the count
-/// as an iterated index join over the edge table once the fan-out makes
-/// the traversal's frontier more expensive than `k` hash probes per
-/// path). Both lanes carry a hash index on the edge FROM column, so the
-/// *only* difference is the plan choice. Lanes alternate within each
-/// point and report their best of ROUNDS passes; every point is
-/// correctness-gated (identical counts on every anchor) before any
-/// timing, and the plan the optimizer actually chose is reported as its
-/// own row so the crossover is visible in the TSV, not inferred.
-pub fn optimizer(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
-    use grfusion::{Database, Value};
-    const ROUNDS: usize = 9;
-    let n = scale.vertices.clamp(256, 4096);
-    let anchors: Vec<usize> = (0..scale.queries.max(3)).map(|i| (i * 97) % n).collect();
-    let mut out = Vec::new();
-
-    for &branch in &[2usize, 8, 32] {
-        let ds_label = format!("regular-{n}-b{branch}");
-        // Deterministic xorshift64*: every vertex gets exactly `branch`
-        // distinct non-self out-neighbours, identical across lanes.
-        let mut state = (scale.seed | 1) ^ branch as u64; // cast-ok: small constant
-        let mut next_u64 = move || -> u64 {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-        };
-        let mut erows: Vec<Vec<Value>> = Vec::with_capacity(n * branch);
-        for v in 0..n {
-            let mut targets = std::collections::HashSet::new();
-            while targets.len() < branch {
-                let t = (next_u64() % n as u64) as usize; // cast-ok: bounded by n <= 4096
-                if t != v {
-                    targets.insert(t);
-                }
-            }
-            let mut targets: Vec<usize> = targets.into_iter().collect();
-            targets.sort_unstable();
-            for t in targets {
-                let id = erows.len() as i64; // cast-ok: edge count well below i64::MAX
-                erows.push(vec![
-                    Value::Integer(id),
-                    Value::Integer(v as i64), // cast-ok: vertex id <= 4096
-                    Value::Integer(t as i64), // cast-ok: vertex id <= 4096
-                    Value::Double(1.0),
-                ]);
-            }
-        }
-        let vrows: Vec<Vec<Value>> = (0..n as i64) // cast-ok: n <= 4096
-            .map(|i| vec![Value::Integer(i)])
-            .collect();
-
-        let mut lanes: Vec<(&str, Database)> = Vec::new();
-        for (label, cost_based) in [("optimizer=off", false), ("optimizer=on", true)] {
-            let mut cfg = EngineConfig::default();
-            cfg.optimizer.cost_based = cost_based;
-            let db = Database::with_config(cfg);
-            db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")?;
-            db.execute(
-                "CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE)",
-            )?;
-            db.bulk_insert("v", vrows.clone())?;
-            db.bulk_insert("e", erows.clone())?;
-            db.execute("CREATE INDEX ix_ea ON e (a)")?;
-            db.execute(
-                "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v \
-                 EDGES(ID = id, FROM = a, TO = b, w = w) FROM e",
-            )?;
-            lanes.push((label, db));
-        }
-
-        let sqls: Vec<String> = anchors
-            .iter()
-            .map(|s| {
-                format!(
-                    "SELECT COUNT(*) FROM g.Paths PS \
-                     WHERE PS.StartVertex.Id = {s} AND PS.Length = 2"
-                )
-            })
-            .collect();
-
-        // Correctness gate before timing: identical counts on every anchor.
-        for sql in &sqls {
-            let want = lanes[0].1.execute(sql)?.rows;
-            let got = lanes[1].1.execute(sql)?.rows;
-            if got != want {
-                return Err(Error::execution(format!(
-                    "optimizer experiment: lanes diverge at b={branch} on `{sql}`: \
-                     {got:?} vs {want:?}"
-                )));
-            }
-        }
-
-        // Which plan did the cost model pick? (The crossover row.)
-        let plan = lanes[1].1.explain(&sqls[0])?;
-        let chosen = if plan.contains("IndexJoin") {
-            "iterated-join"
-        } else {
-            "traversal"
-        };
-        out.push(m("optimizer", &ds_label, "plan", branch, chosen));
-
-        // Time through prepared statements (the engine's stored-procedure
-        // model): plan choice is paid once at prepare, so the measured
-        // number compares the *plans*, not repeated planning overhead.
-        let prepped: Vec<Vec<grfusion::PreparedQuery>> = lanes
-            .iter()
-            .map(|(_, db)| sqls.iter().map(|sql| db.prepare(sql)).collect())
-            .collect::<Result<_>>()?;
-        let mut best = vec![f64::INFINITY; lanes.len()];
-        for round in 0..ROUNDS {
-            let mut order: Vec<usize> = (0..lanes.len()).collect();
-            if round % 2 == 1 {
-                order.reverse();
-            }
-            for i in order {
-                let t = time_per_item(&prepped[i], |q| {
-                    lanes[i].1.execute_prepared(q, &[]).map(drop)
-                })?;
-                if let Some(us) = t.micros() {
-                    best[i] = best[i].min(us);
-                }
-            }
-        }
-        for ((label, _), us) in lanes.iter().zip(&best) {
-            out.push(m("optimizer", &ds_label, label, branch, format!("{us:.1}")));
-        }
-    }
-    Ok(out)
-}
-
-// ---------------------------------------------------------------------------
 // EXPLAIN ANALYZE dump (`--metrics`) — per-operator runtime counters
 // ---------------------------------------------------------------------------
 
@@ -893,65 +655,5 @@ mod tests {
         scale.vertices = 150;
         assert!(!ablate_pushdown(&scale).unwrap().is_empty());
         assert!(!ablate_lazy(&scale).unwrap().is_empty());
-    }
-
-    #[test]
-    fn csr_reports_both_layouts() {
-        let mut scale = tiny();
-        scale.vertices = 150;
-        let rows = csr(&scale).unwrap();
-        // The sealed lane carries a real footprint; the adjacency lane
-        // reports zero (it never compacts). Timing rows exist for both
-        // layouts on the same x points (values are wall-clock and not
-        // asserted here — EXPERIMENTS.md records the expected shape).
-        let bytes = |sys: &str| -> u64 {
-            rows.iter()
-                .find(|r| r.system == sys && r.x == "sealed-bytes")
-                .unwrap()
-                .value
-                .parse()
-                .unwrap()
-        };
-        assert!(bytes("layout=csr") > 0);
-        assert_eq!(bytes("layout=adjacency"), 0);
-        for x in ["reach-6", "reach-10"] {
-            for sys in ["layout=csr", "layout=adjacency"] {
-                assert!(
-                    rows.iter().any(|r| r.system == sys && r.x == x),
-                    "missing {sys} row for {x}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn optimizer_reports_both_lanes_and_a_crossover() {
-        let mut scale = tiny();
-        scale.vertices = 256;
-        // optimizer() errors on any on/off divergence, so reaching here
-        // already certifies byte-agreement; assert the reporting shape
-        // and the plan crossover: traversal at branching 2, iterated
-        // join once the fan-out clears the cost crossover.
-        let rows = optimizer(&scale).unwrap();
-        let plan_at = |b: usize| -> &str {
-            &rows
-                .iter()
-                .find(|r| r.system == "plan" && r.x == b.to_string())
-                .unwrap_or_else(|| panic!("missing plan row for b={b}"))
-                .value
-        };
-        assert_eq!(plan_at(2), "traversal");
-        assert_eq!(plan_at(8), "iterated-join");
-        assert_eq!(plan_at(32), "iterated-join");
-        for b in [2usize, 8, 32] {
-            for sys in ["optimizer=off", "optimizer=on"] {
-                let val = &rows
-                    .iter()
-                    .find(|r| r.system == sys && r.x == b.to_string())
-                    .unwrap_or_else(|| panic!("missing {sys} row for b={b}"))
-                    .value;
-                assert!(val.parse::<f64>().unwrap() > 0.0, "{sys}/b={b}: {val}");
-            }
-        }
     }
 }

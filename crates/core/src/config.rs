@@ -1,9 +1,11 @@
 //! Engine configuration: optimizer flags and execution limits.
 //!
-//! The optimizer flags exist so the benchmark harness can ablate the
-//! paper's individual design choices (EDBT 2018 §6): each flag disables one
+//! The planner is rule-based (EDBT 2018 §6: length inference, pushdown, BFS
+//! iff F < L). The optimizer flags exist so the benchmark harness can ablate
+//! the paper's individual design choices: each flag disables one
 //! optimization while keeping results identical (the engine always applies
-//! residual predicates).
+//! residual predicates). The environment sets only the two governor limits
+//! (`ENV_KNOBS`).
 
 use grfusion_common::{Error, Result};
 
@@ -45,14 +47,6 @@ pub struct OptimizerFlags {
     /// notes most real traversal queries carry explicit length bounds; the
     /// cap keeps unbounded simple-path enumeration from exploding.
     pub default_max_path_len: usize,
-    /// Statistics-driven cost-based plan selection (`GRFUSION_OPTIMIZER`).
-    /// When on, the rule-based plan is re-costed against enumerable
-    /// alternatives (traversal mode, iterated-join rewrite, pushdown
-    /// ablation, join-order swap) using seal-time
-    /// graph statistics and table row counts / NDV estimates; EXPLAIN gains
-    /// per-node cardinality estimates. Off by default: the rule-based path
-    /// stays byte-identical to the pre-optimizer engine.
-    pub cost_based: bool,
 }
 
 impl Default for OptimizerFlags {
@@ -64,17 +58,6 @@ impl Default for OptimizerFlags {
             lazy_path_scan: true,
             traversal: TraversalChoice::Auto,
             default_max_path_len: 8,
-            cost_based: false,
-        }
-    }
-}
-
-impl OptimizerFlags {
-    /// The default rule-based configuration with cost-based selection on.
-    pub fn cost_based() -> Self {
-        OptimizerFlags {
-            cost_based: true,
-            ..OptimizerFlags::default()
         }
     }
 }
@@ -156,8 +139,8 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     /// The strict parse of the `GRFUSION_*` knobs (`ENV_KNOBS`) — that
-    /// hook is what lets CI run the whole suite down the optimizer or
-    /// governed path without code changes — or the paper's configuration
+    /// hook is what lets CI run the whole suite down the governed path
+    /// without code changes — or the paper's configuration
     /// when a knob is malformed. The failure is not lost: `Database`
     /// surfaces [`EngineConfig::env_error`] on the first statement.
     fn default() -> Self {
@@ -165,64 +148,28 @@ impl Default for EngineConfig {
     }
 }
 
-/// One engine knob read from the environment.
+/// One engine knob read from the environment: a governor limit, with `0`
+/// an explicit "off".
 struct EnvKnob {
     var: &'static str,
-    /// What the variable accepts — the tail of the malformed-value error.
-    expects: &'static str,
-    /// Strict parser + setter: stores a valid value into the config,
-    /// `None` when the value is malformed or out of range.
-    set: fn(&mut EngineConfig, &str) -> Option<()>,
+    /// Stores the parsed limit into the config.
+    set: fn(&mut EngineConfig, Option<u64>),
 }
 
-const ON_OFF: &str = "expected 1/on/true or 0/off/false";
+/// What every knob accepts — the tail of the malformed-value error.
 const LIMIT: &str = "expected a non-negative integer (0 = off)";
-
-/// `1`/`on`/`true` or `0`/`off`/`false`, case-insensitive.
-fn on_off(v: &str) -> Option<bool> {
-    let is = |words: [&str; 3]| words.iter().any(|w| v.eq_ignore_ascii_case(w));
-    if is(["1", "on", "true"]) {
-        Some(true)
-    } else if is(["0", "off", "false"]) {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// A governor limit: `0` is an explicit "off".
-fn limit(v: &str) -> Option<Option<u64>> {
-    v.parse::<u64>().ok().map(|n| (n > 0).then_some(n))
-}
 
 /// Every `GRFUSION_*` engine knob, in the order they are validated (the
 /// first malformed one is the one reported). `GRFUSION_FAULTS` is not
 /// here: `Database::with_config` owns the fault plan's lifecycle.
-static ENV_KNOBS: [EnvKnob; 3] = [
-    // On = statistics-driven plan selection on top of the rule-based plan.
-    EnvKnob {
-        var: "GRFUSION_OPTIMIZER",
-        expects: ON_OFF,
-        set: |c, v| {
-            c.optimizer.cost_based = on_off(v)?;
-            Some(())
-        },
-    },
+static ENV_KNOBS: [EnvKnob; 2] = [
     EnvKnob {
         var: "GRFUSION_DEADLINE_MS",
-        expects: LIMIT,
-        set: |c, v| {
-            c.governor.deadline_ms = limit(v)?;
-            Some(())
-        },
+        set: |c, v| c.governor.deadline_ms = v,
     },
     EnvKnob {
         var: "GRFUSION_MEMORY_BYTES",
-        expects: LIMIT,
-        set: |c, v| {
-            c.governor.max_memory_bytes = limit(v)?;
-            Some(())
-        },
+        set: |c, v| c.governor.max_memory_bytes = v,
     },
 ];
 
@@ -261,9 +208,10 @@ impl EngineConfig {
             let Some(v) = raw.as_deref().map(str::trim).filter(|t| !t.is_empty()) else {
                 continue;
             };
-            (knob.set)(&mut cfg, v).ok_or_else(|| {
-                Error::analysis(format!("invalid {} `{v}`: {}", knob.var, knob.expects))
-            })?;
+            let n: u64 = v
+                .parse()
+                .map_err(|_| Error::analysis(format!("invalid {} `{v}`: {LIMIT}", knob.var)))?;
+            (knob.set)(&mut cfg, (n > 0).then_some(n));
         }
         Ok(cfg)
     }
@@ -291,11 +239,8 @@ mod tests {
         assert!(f.predicate_pushdown);
         assert!(f.aggregate_pushdown);
         assert!(f.lazy_path_scan);
-        assert!(!f.cost_based);
         assert_eq!(f.traversal, TraversalChoice::Auto);
         assert!(f.default_max_path_len >= 1);
-        let on = OptimizerFlags::cost_based();
-        assert!(on.cost_based && on.length_inference && on.predicate_pushdown);
         assert_eq!(ExecLimits::default().max_intermediate_rows, None);
         assert_eq!(
             GovernorConfig::default(),
@@ -318,16 +263,9 @@ mod tests {
     }
 
     #[test]
-    fn recognised_variables_are_the_three_documented_ones() {
+    fn recognised_variables_are_the_two_documented_ones() {
         let vars: Vec<&str> = EngineConfig::env_vars().collect();
-        assert_eq!(
-            vars,
-            [
-                "GRFUSION_OPTIMIZER",
-                "GRFUSION_DEADLINE_MS",
-                "GRFUSION_MEMORY_BYTES",
-            ]
-        );
+        assert_eq!(vars, ["GRFUSION_DEADLINE_MS", "GRFUSION_MEMORY_BYTES"]);
     }
 
     /// Every variable × {unset, empty/whitespace, each valid spelling,
@@ -350,12 +288,6 @@ mod tests {
         };
         let valid: &[(&str, &[&str], EngineConfig)] = &[
             (
-                "GRFUSION_OPTIMIZER",
-                &["1", "on", "ON", "true", " True "],
-                with(|c| c.optimizer = OptimizerFlags::cost_based()),
-            ),
-            ("GRFUSION_OPTIMIZER", &["0", "off", "FALSE"], paper),
-            (
                 "GRFUSION_DEADLINE_MS",
                 &["50", " 50 "],
                 with(|c| c.governor.deadline_ms = Some(50)),
@@ -376,7 +308,6 @@ mod tests {
 
         // Out-of-range first, then garbage.
         let invalid: &[(&str, &[&str], &str)] = &[
-            ("GRFUSION_OPTIMIZER", &["2", "fast", "yes"], ON_OFF),
             ("GRFUSION_DEADLINE_MS", &["-1", "1.5", "fast"], LIMIT),
             ("GRFUSION_MEMORY_BYTES", &["-1", "64MB"], LIMIT),
         ];
@@ -396,7 +327,6 @@ mod tests {
         let e = EngineConfig::from_lookup(|k| match k {
             "GRFUSION_MEMORY_BYTES" => Some("nope".into()),
             "GRFUSION_DEADLINE_MS" => Some("-1".into()),
-            "GRFUSION_OPTIMIZER" => Some("on".into()),
             _ => None,
         })
         .unwrap_err()

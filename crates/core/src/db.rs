@@ -68,28 +68,17 @@ const _: () = {
 /// A compiled SELECT statement (see [`Database::prepare`]).
 pub struct PreparedQuery {
     pub(crate) plan: crate::plan::PlanNode,
-    /// Per-node cost-model estimates, captured at compile time when the
-    /// cost-based optimizer is enabled (`None` on the rule-based path).
-    pub(crate) estimates: Option<Vec<crate::cost::NodeEstimate>>,
 }
 
 impl PreparedQuery {
-    /// EXPLAIN-style plan text. When the plan was prepared under the
-    /// cost-based optimizer each line carries its cardinality estimate.
+    /// EXPLAIN-style plan text.
     pub fn explain(&self) -> String {
-        self.annotated(self.plan.explain())
+        self.plan.explain()
     }
 
     /// The `EXPLAIN` statement's text: every node with its typed schema.
     pub(crate) fn explain_typed(&self) -> String {
-        self.annotated(crate::analyze::explain_typed(&self.plan))
-    }
-
-    fn annotated(&self, text: String) -> String {
-        match &self.estimates {
-            Some(est) => crate::cost::annotate_explain(&text, est),
-            None => text,
-        }
+        crate::analyze::explain_typed(&self.plan)
     }
 }
 

@@ -46,7 +46,6 @@
 mod access;
 pub mod analyze;
 pub mod config;
-pub mod cost;
 pub mod db;
 pub mod dml;
 pub mod env;

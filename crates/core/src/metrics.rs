@@ -92,10 +92,6 @@ pub struct OpMetrics {
     /// Topology layout the operator traversed (sealed CSR / delta overlay /
     /// plain adjacency); `None` for relational operators.
     pub layout: Option<TopologyLayout>,
-    /// Optimizer cardinality estimate for this node (rows), attached after
-    /// execution when the cost-based optimizer planned the query; `None`
-    /// on the rule-based path.
-    pub rows_est: Option<u64>,
 }
 
 /// Structured metrics for one executed query.
@@ -110,23 +106,6 @@ impl QueryMetrics {
     /// and the bench harness: `metrics.node("PathScan")`).
     pub fn node(&self, prefix: &str) -> Option<&OpMetrics> {
         self.nodes.iter().find(|n| n.label.starts_with(prefix))
-    }
-
-    /// Attach per-node optimizer cardinality estimates (pre-order, as
-    /// produced by `cost::estimate`). A length mismatch attaches
-    /// nothing: actual-vs-estimate is an annotation, never a panic, and a
-    /// node without an estimate simply omits the suffix (no `rows_est=?`).
-    pub fn attach_estimates(&mut self, estimates: &[crate::cost::NodeEstimate]) {
-        if self.nodes.len() != estimates.len() {
-            return;
-        }
-        for (n, e) in self.nodes.iter_mut().zip(estimates) {
-            n.rows_est = Some(if e.rows.is_finite() && e.rows < u64::MAX as f64 { // cast-ok: range guard
-                e.rows.round().max(0.0) as u64 // cast-ok: clamped non-negative finite
-            } else {
-                u64::MAX
-            });
-        }
     }
 
     /// Sum of graph counters across all nodes.
@@ -168,9 +147,6 @@ impl QueryMetrics {
             }
             if let Some(g) = &n.gov {
                 out.push_str(&format!(" (bytes={} checks={})", g.bytes, g.checks));
-            }
-            if let Some(est) = n.rows_est {
-                out.push_str(&format!(" (rows_est={est})"));
             }
             out.push('\n');
         }
@@ -246,7 +222,6 @@ impl NodeSlot {
             graph: self.graph.get(),
             gov: self.gov.get(),
             layout: self.layout.get(),
-            rows_est: None,
         }
     }
 }

@@ -6,9 +6,8 @@
 //! borrowed while the writer's mutex is held — so a read inside an open
 //! transaction sees its writes, and `INSERT … SELECT` and DML subquery
 //! folding read the same way — and everything downstream of the
-//! constructor is the same code: compile (fold subqueries → plan → optional
-//! cost-based re-planning), run, `EXPLAIN [ANALYZE]`, the cost catalog and
-//! the state dump.
+//! constructor is the same code: compile (fold subqueries → plan), run,
+//! `EXPLAIN [ANALYZE]` and the state dump.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -74,37 +73,16 @@ impl<'a> Snapshot<'a> {
         self.graphs.get(name)
     }
 
-    /// Compile a SELECT: fold its subqueries against this snapshot, plan it
-    /// rule-based, and — when the cost-based optimizer is on — re-plan it
-    /// against this snapshot's statistics. With the optimizer off the plan
-    /// passes through untouched and `estimates` stays `None`, keeping every
-    /// downstream byte identical.
+    /// Compile a SELECT: fold its subqueries against this snapshot and plan
+    /// it with the rule-based planner.
     pub(crate) fn compile(&self, cfg: &Settings, select: &Select) -> Result<PreparedQuery> {
         let select = self.fold_subqueries(cfg, select)?;
-        let ctx = self.plan_ctx;
-        let plan = plan_select(&select, ctx, &cfg.config.optimizer)?;
-        if !cfg.config.optimizer.cost_based {
-            return Ok(PreparedQuery {
-                plan,
-                estimates: None,
-            });
-        }
-        let o = crate::cost::optimize(
-            plan,
-            &self.cost_catalog(),
-            &ctx.graphs,
-            &ctx.tables,
-            &ctx.hash_indexed,
-        )?;
-        Ok(PreparedQuery {
-            plan: o.plan,
-            estimates: Some(o.estimates),
-        })
+        let plan = plan_select(&select, self.plan_ctx, &cfg.config.optimizer)?;
+        Ok(PreparedQuery { plan })
     }
 
     /// Execute a compiled query. With `collect_metrics` every operator is
-    /// instrumented and the result carries the metrics, annotated with the
-    /// optimizer's estimates if it has them.
+    /// instrumented and the result carries the metrics.
     pub(crate) fn run(
         &self,
         cfg: &Settings,
@@ -121,10 +99,7 @@ impl<'a> Snapshot<'a> {
             gov,
         };
         let (rows, metrics) = if collect_metrics {
-            let (rows, mut m) = execute_plan_with_metrics(&query.plan, &env)?;
-            if let Some(est) = &query.estimates {
-                m.attach_estimates(est);
-            }
+            let (rows, m) = execute_plan_with_metrics(&query.plan, &env)?;
             (rows, Some(m))
         } else {
             (execute_plan(&query.plan, &env)?, None)
@@ -148,9 +123,9 @@ impl<'a> Snapshot<'a> {
         self.run(cfg, &query, Vec::new(), collect_metrics)
     }
 
-    /// `EXPLAIN` (the typed plan, with estimates under the cost-based
-    /// optimizer) or `EXPLAIN ANALYZE` (run instrumented, discard the rows,
-    /// return the annotated plan tree), one line per result row.
+    /// `EXPLAIN` (the typed plan) or `EXPLAIN ANALYZE` (run instrumented,
+    /// discard the rows, return the annotated plan tree), one line per
+    /// result row.
     pub(crate) fn explain(
         &self,
         cfg: &Settings,
@@ -171,18 +146,6 @@ impl<'a> Snapshot<'a> {
             rows_affected: 0,
             metrics,
         })
-    }
-
-    /// Table and topology statistics of this snapshot for the cost model.
-    fn cost_catalog(&self) -> crate::cost::CostCatalog {
-        let mut cat = crate::cost::CostCatalog::new();
-        for (name, t) in &self.tables {
-            cat.add_table(name, t.stats(), t.column_ndvs());
-        }
-        for (name, g) in &self.graphs {
-            cat.add_graph(name, g.topo.stats());
-        }
-        cat
     }
 
     /// Deterministic dump of all observable state: every table's live rows

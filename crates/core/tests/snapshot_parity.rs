@@ -3,7 +3,7 @@
 //! transaction — the session's own, another thread's, or the writer's own
 //! `INSERT … SELECT` and subquery folds — sees the transaction's writes.
 
-use grfusion::{Database, EngineConfig, OptimizerFlags, ResultSet, Value};
+use grfusion::{Database, ResultSet, Value};
 
 const PREPARED: &str = "SELECT PS.EndVertex.name FROM social.Paths PS \
                         WHERE PS.StartVertex.Id = ? AND PS.Length = 2";
@@ -13,13 +13,9 @@ const METERED: &str = "SELECT U.name, COUNT(PS) FROM users U, social.Paths PS \
                        WHERE PS.StartVertex.Id = U.uid AND PS.Length <= 2 AND U.age = 41 \
                        GROUP BY U.name ORDER BY U.name";
 
-/// Tables + hash index + graph view, with the cost-based optimizer on so
-/// every plan carries estimates.
+/// Tables + hash index + graph view on the default engine.
 fn fixture() -> Database {
-    let db = Database::with_config(EngineConfig {
-        optimizer: OptimizerFlags::cost_based(),
-        ..EngineConfig::default()
-    });
+    let db = Database::new();
     db.execute_script(
         "CREATE TABLE users (uid INTEGER PRIMARY KEY, name VARCHAR, age INTEGER);
          CREATE TABLE rel (rid INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE);
@@ -50,8 +46,8 @@ struct Observed {
     prepared_rows: Vec<Vec<Value>>,
     folded_rows: Vec<Vec<Value>>,
     metered_rows: Vec<Vec<Value>>,
-    /// `(label, rows, nexts, rows_est)` per plan node of the metered run.
-    metered_nodes: Vec<(String, u64, u64, Option<u64>)>,
+    /// `(label, rows, nexts)` per plan node of the metered run.
+    metered_nodes: Vec<(String, u64, u64)>,
     explain: String,
     /// `EXPLAIN ANALYZE` text without timings.
     analyze: String,
@@ -90,7 +86,7 @@ fn observe(db: &Database) -> Observed {
         .iter()
         .map(|r| r[0].to_string())
         .collect();
-    let observed = Observed {
+    Observed {
         prepared_plan: prepared.explain(),
         prepared_rows: sorted(
             db.execute_prepared(&prepared, &[Value::Integer(1)])
@@ -101,18 +97,12 @@ fn observe(db: &Database) -> Observed {
         metered_nodes: metrics
             .nodes
             .iter()
-            .map(|n| (n.label.clone(), n.rows, n.next_calls, n.rows_est))
+            .map(|n| (n.label.clone(), n.rows, n.next_calls))
             .collect(),
         explain: db.explain(METERED).unwrap(),
         analyze: without_timings(&analyze.join("\n")),
         dump: db.state_dump().unwrap(),
-    };
-    assert!(
-        observed.metered_nodes.iter().all(|n| n.3.is_some()),
-        "cost-based plans must carry an estimate on every node: {:?}",
-        observed.metered_nodes
-    );
-    observed
+    }
 }
 
 /// Inside `BEGIN … COMMIT` every reader sees the open transaction's writes:
@@ -152,8 +142,7 @@ fn open_transaction_reads_its_own_writes() {
     );
 
     // ROLLBACK: back to the committed state (logically — undo leaves the
-    // touched vertexes in the delta overlay, so layout and
-    // statistics-derived estimates may differ).
+    // touched vertexes in the delta overlay, so the layout may differ).
     db.execute("ROLLBACK").unwrap();
     let after = observe(&db);
     assert_eq!(after.dump, committed.dump);
@@ -210,14 +199,13 @@ fn explain_surfaces_share_one_compile() {
         .collect();
     let api = db.explain(METERED).unwrap();
     assert_eq!(api.lines().collect::<Vec<_>>(), statement);
-    // The prepared plan prints untyped labels but the same estimates.
-    let estimates = |text: &str| -> Vec<String> {
-        text.lines()
-            .map(|l| l[l.find("rows_est=").expect("cost-based plan")..].to_string())
-            .collect()
-    };
+    // The prepared plan prints the same nodes without their typed schemas.
+    let untyped: Vec<&str> = api
+        .lines()
+        .map(|l| l.split(" :: ").next().unwrap())
+        .collect();
     let prepared = db.prepare(METERED).unwrap().explain();
-    assert_eq!(estimates(&prepared), estimates(&api));
+    assert_eq!(prepared.lines().collect::<Vec<_>>(), untyped);
 }
 
 /// There is one settings copy: a setter called once reaches reads, reads

@@ -158,86 +158,6 @@ pub struct GraphTopology {
     /// Number of vertexes currently diverted to the delta overlay; always
     /// 0 while unsealed.
     overlaid_vertexes: usize,
-    /// Distribution statistics collected by the last [`GraphTopology::seal`]
-    /// (degree histogram, reachability samples). `None` until first sealed;
-    /// kept — but reported stale — while the delta overlay diverges from
-    /// the sealed snapshot.
-    seal_stats: Option<SealStats>,
-}
-
-/// Seal-time distribution statistics (§6.3's catalog, extended): collected
-/// in one pass over the freshly built CSR arrays, refreshed on every
-/// re-seal, and flagged stale once post-seal DML diverts vertexes to the
-/// delta overlay.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SealStats {
-    /// Log2-bucketed out-degree histogram over live vertexes: bucket 0
-    /// counts degree 0, bucket `k` (1..=14) counts degrees in
-    /// `[2^(k-1), 2^k)`, bucket 15 counts everything above.
-    pub degree_histogram: [usize; DEGREE_BUCKETS],
-    /// Largest out-degree of any live vertex at seal time.
-    pub max_out_degree: usize,
-    /// Average number of distinct vertexes reachable within `d + 1` hops
-    /// (cumulative, start excluded) from a deterministic sample of seeds.
-    pub reach_profile: [f64; REACH_DEPTHS],
-    /// Seeds the reachability profile averaged over (0 for an empty graph).
-    pub reach_samples: usize,
-    /// Live vertex / edge counts at seal time, used to detect post-seal
-    /// drift that bypasses the overlay accounting.
-    pub seal_vertexes: usize,
-    pub seal_edges: usize,
-}
-
-/// Number of log2 buckets in [`SealStats::degree_histogram`].
-pub const DEGREE_BUCKETS: usize = 16;
-/// Hop depths sampled by [`SealStats::reach_profile`] (depths 1..=4).
-pub const REACH_DEPTHS: usize = 4;
-/// Seeds sampled for the reachability profile (evenly spaced slots).
-const REACH_SAMPLE_SEEDS: usize = 16;
-/// Per-seed visited-set cap bounding seal-time sampling work.
-const REACH_SAMPLE_CAP: usize = 4096;
-
-impl SealStats {
-    /// Out-degree at or below which `quantile` of live vertexes fall —
-    /// reconstructed from the log2 histogram (upper bucket bound, so the
-    /// answer is conservative for skew detection).
-    pub fn degree_quantile(&self, quantile: f64) -> usize {
-        let total: usize = self.degree_histogram.iter().sum();
-        if total == 0 {
-            return 0;
-        }
-        let cutoff = (total as f64 * quantile.clamp(0.0, 1.0)).ceil() as usize; // cast-ok: bounded by vertex count
-        let mut seen = 0usize;
-        for (bucket, n) in self.degree_histogram.iter().enumerate() {
-            seen += n;
-            if seen >= cutoff {
-                return bucket_upper_degree(bucket).min(self.max_out_degree);
-            }
-        }
-        self.max_out_degree
-    }
-}
-
-/// Histogram bucket for an out-degree (see [`SealStats::degree_histogram`]).
-#[inline]
-fn degree_bucket(d: usize) -> usize {
-    if d == 0 {
-        0
-    } else {
-        (usize::BITS - d.leading_zeros()).min(DEGREE_BUCKETS as u32 - 1) as usize // cast-ok: bucket index < 16
-    }
-}
-
-/// Largest degree a histogram bucket can hold (`2^bucket - 1`).
-#[inline]
-fn bucket_upper_degree(bucket: usize) -> usize {
-    if bucket == 0 {
-        0
-    } else if bucket >= DEGREE_BUCKETS - 1 {
-        usize::MAX
-    } else {
-        (1usize << bucket) - 1
-    }
 }
 
 impl GraphTopology {
@@ -254,7 +174,6 @@ impl GraphTopology {
             adjacency_entries: 0,
             csr: None,
             overlaid_vertexes: 0,
-            seal_stats: None,
         }
     }
 
@@ -717,7 +636,6 @@ impl GraphTopology {
             in_offsets,
             in_targets,
         };
-        self.seal_stats = Some(self.collect_seal_stats(&csr));
         self.csr = Some(csr);
         for v in &mut self.vertexes {
             // Drop the Vec allocations outright: the overlay starts empty
@@ -727,102 +645,6 @@ impl GraphTopology {
             v.overlaid = false;
         }
         self.overlaid_vertexes = 0;
-    }
-
-    /// One-pass seal-time statistics over freshly built CSR arrays: the
-    /// out-degree histogram is exact (every live vertex), the reachability
-    /// profile averages a bounded visited-set BFS from a deterministic
-    /// sample of evenly spaced live slots. Runs before the per-vertex
-    /// overlay `Vec`s are cleared, but reads only the CSR, so it sees
-    /// exactly the sealed adjacency.
-    fn collect_seal_stats(&self, csr: &CsrLayout) -> SealStats {
-        let mut histogram = [0usize; DEGREE_BUCKETS];
-        let mut max_out = 0usize;
-        let mut live_slots: Vec<VertexSlot> = Vec::with_capacity(self.live_vertexes);
-        for (slot, node) in self.vertexes.iter().enumerate() {
-            if !node.alive {
-                continue;
-            }
-            let slot = slot as VertexSlot; // cast-ok: arena size < 2^32 enforced in add_vertex
-            let d = csr.out_range(slot).len();
-            histogram[degree_bucket(d)] += 1;
-            max_out = max_out.max(d);
-            live_slots.push(slot);
-        }
-        let mut reach = [0.0f64; REACH_DEPTHS];
-        let samples = live_slots.len().min(REACH_SAMPLE_SEEDS);
-        if samples > 0 {
-            let stride = live_slots.len() / samples;
-            for i in 0..samples {
-                let seed = live_slots[i * stride];
-                let per_seed = self.sample_reach(csr, seed);
-                for (acc, n) in reach.iter_mut().zip(per_seed) {
-                    *acc += n as f64; // cast-ok: statistic, f64 precision ample for arena sizes
-                }
-            }
-            for acc in &mut reach {
-                *acc /= samples as f64; // cast-ok: statistic, samples <= 16
-            }
-        }
-        SealStats {
-            degree_histogram: histogram,
-            max_out_degree: max_out,
-            reach_profile: reach,
-            reach_samples: samples,
-            seal_vertexes: self.live_vertexes,
-            seal_edges: self.live_edges,
-        }
-    }
-
-    /// Visited-set BFS from `seed` over the sealed arrays, depth-capped at
-    /// [`REACH_DEPTHS`] and work-capped at [`REACH_SAMPLE_CAP`] vertexes.
-    /// Returns the cumulative distinct-vertex count at each depth (seed
-    /// excluded).
-    fn sample_reach(&self, csr: &CsrLayout, seed: VertexSlot) -> [usize; REACH_DEPTHS] {
-        let mut reached = [0usize; REACH_DEPTHS];
-        let mut visited = std::collections::HashSet::with_capacity(64);
-        visited.insert(seed);
-        let mut frontier = vec![seed];
-        let mut total = 0usize;
-        for depth in 0..REACH_DEPTHS {
-            let mut next = Vec::new();
-            for &v in &frontier {
-                let r = csr.out_range(v);
-                for &head in &csr.out_heads[r] {
-                    if total >= REACH_SAMPLE_CAP {
-                        break;
-                    }
-                    if visited.insert(head) {
-                        next.push(head);
-                        total += 1;
-                    }
-                }
-            }
-            reached[depth] = total;
-            frontier = next;
-            if frontier.is_empty() {
-                break;
-            }
-        }
-        // Deeper levels that the early-exit skipped still report the
-        // cumulative total (monotone profile).
-        for d in 1..REACH_DEPTHS {
-            reached[d] = reached[d].max(reached[d - 1]);
-        }
-        reached
-    }
-
-    /// Seal-time distribution statistics, if the topology has ever been
-    /// sealed, plus whether they still describe the current graph (false
-    /// while the delta overlay or live counts have drifted from the sealed
-    /// snapshot).
-    pub fn seal_stats(&self) -> Option<(SealStats, bool)> {
-        self.seal_stats.map(|s| {
-            let fresh = self.overlaid_vertexes == 0
-                && self.live_vertexes == s.seal_vertexes
-                && self.live_edges == s.seal_edges;
-            (s, fresh)
-        })
     }
 
     /// Whether a sealed CSR snapshot exists (possibly with an overlay).
@@ -883,7 +705,6 @@ impl GraphTopology {
     /// Topology statistics: the paper's optimizer keeps average fan-out per
     /// graph view in the system catalog (§6.3) to choose BFS vs. DFS.
     pub fn stats(&self) -> GraphStats {
-        let seal = self.seal_stats();
         GraphStats {
             vertex_count: self.live_vertexes,
             edge_count: self.live_edges,
@@ -891,8 +712,6 @@ impl GraphTopology {
             memory_bytes: self.memory_bytes(),
             sealed_bytes: self.sealed_bytes(),
             overlay_bytes: self.overlay_bytes(),
-            seal: seal.map(|(s, _)| s),
-            seal_fresh: seal.map_or(false, |(_, fresh)| fresh),
         }
     }
 
@@ -1096,14 +915,6 @@ pub struct GraphStats {
     pub sealed_bytes: usize,
     /// Bytes held by delta-overlay adjacency `Vec`s (0 while unsealed).
     pub overlay_bytes: usize,
-    /// Seal-time distribution statistics (degree histogram, max out-degree,
-    /// reachability profile); `None` until the first seal.
-    pub seal: Option<SealStats>,
-    /// Whether `seal` still describes the current graph: true only while no
-    /// vertex has been diverted to the delta overlay and the live counts
-    /// match the sealed snapshot. Stale statistics remain usable as rough
-    /// guides — the cost model discounts them.
-    pub seal_fresh: bool,
 }
 
 #[cfg(test)]
@@ -1399,195 +1210,5 @@ mod tests {
         assert_eq!(g.fan_out(v1), 1);
         g.remove_edge(10).unwrap();
         assert_eq!(g.fan_out(v1), 0);
-    }
-
-    // ---- seal-time statistics -------------------------------------------------
-
-    fn chain(n: i64) -> GraphTopology {
-        let mut g = GraphTopology::new("g", true);
-        for v in 0..n {
-            g.add_vertex(v, RowId(v as u64)).unwrap(); // cast-ok: test ids are small positive
-        }
-        for v in 0..n - 1 {
-            g.add_edge(1000 + v, v, v + 1, RowId(0)).unwrap();
-        }
-        g
-    }
-
-    fn clique(n: i64) -> GraphTopology {
-        let mut g = GraphTopology::new("g", true);
-        for v in 0..n {
-            g.add_vertex(v, RowId(v as u64)).unwrap(); // cast-ok: test ids are small positive
-        }
-        let mut eid = 1000;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b {
-                    g.add_edge(eid, a, b, RowId(0)).unwrap();
-                    eid += 1;
-                }
-            }
-        }
-        g
-    }
-
-    /// Deterministic power-law-ish graph: vertex v gets roughly n/(v+1)
-    /// out-edges, so a few hubs and a long tail of low-degree vertexes.
-    fn power_law(n: i64) -> GraphTopology {
-        let mut g = GraphTopology::new("g", true);
-        for v in 0..n {
-            g.add_vertex(v, RowId(v as u64)).unwrap(); // cast-ok: test ids are small positive
-        }
-        let mut eid = 1000;
-        for v in 0..n {
-            let deg = n / (v + 1);
-            for i in 0..deg {
-                let t = (v + 1 + i) % n;
-                if t != v {
-                    g.add_edge(eid, v, t, RowId(0)).unwrap();
-                    eid += 1;
-                }
-            }
-        }
-        g
-    }
-
-    /// Naive per-vertex out-degree census to compare against the sealed
-    /// histogram: same bucketing function, but computed from the pre-seal
-    /// adjacency lists.
-    fn naive_histogram(g: &GraphTopology) -> ([usize; DEGREE_BUCKETS], usize) {
-        let mut hist = [0usize; DEGREE_BUCKETS];
-        let mut max = 0;
-        for v in g.vertex_slots() {
-            let d = g.fan_out(v);
-            hist[degree_bucket(d)] += 1;
-            max = max.max(d);
-        }
-        (hist, max)
-    }
-
-    #[test]
-    fn seal_stats_match_naive_counts() {
-        for mut g in [chain(40), clique(9), power_law(32)] {
-            let (want_hist, want_max) = naive_histogram(&g);
-            assert!(g.seal_stats().is_none(), "no stats before first seal");
-            g.seal();
-            let (s, fresh) = g.seal_stats().unwrap();
-            assert!(fresh);
-            assert_eq!(s.degree_histogram, want_hist);
-            assert_eq!(s.max_out_degree, want_max);
-            assert_eq!(s.seal_vertexes, g.vertex_count());
-            assert_eq!(s.seal_edges, g.edge_count());
-            assert_eq!(s.degree_histogram.iter().sum::<usize>(), g.vertex_count());
-            assert!(s.reach_samples > 0);
-            // Profile is monotone in depth and each value is a plausible
-            // distinct-vertex count.
-            for d in 1..REACH_DEPTHS {
-                assert!(s.reach_profile[d] >= s.reach_profile[d - 1]);
-            }
-            for &r in &s.reach_profile {
-                assert!(r.is_finite() && r >= 0.0);
-                assert!(r < g.vertex_count() as f64); // cast-ok: test sizes are small
-            }
-        }
-    }
-
-    #[test]
-    fn seal_stats_reach_profile_exact_on_fixtures() {
-        // Clique on 9: from any seed, depth 1 already reaches the other 8
-        // distinct vertexes and deeper levels add nothing.
-        let mut g = clique(9);
-        g.seal();
-        let (s, _) = g.seal_stats().unwrap();
-        for d in 0..REACH_DEPTHS {
-            assert!((s.reach_profile[d] - 8.0).abs() < 1e-12);
-        }
-        // Chain: a seed at distance >= REACH_DEPTHS from the tail reaches
-        // exactly d+1... but tail-adjacent seeds reach fewer, so only bound
-        // it: average reach at depth d is in (0, d].
-        let mut c = chain(40);
-        c.seal();
-        let (s, _) = c.seal_stats().unwrap();
-        for d in 0..REACH_DEPTHS {
-            assert!(s.reach_profile[d] > 0.0);
-            assert!(s.reach_profile[d] <= (d + 1) as f64); // cast-ok: small loop index
-        }
-    }
-
-    #[test]
-    fn seal_stats_refresh_on_reseal_and_go_stale_under_overlay() {
-        let mut g = chain(10);
-        g.seal();
-        let (first, fresh) = g.seal_stats().unwrap();
-        assert!(fresh);
-        assert!(g.stats().seal_fresh);
-
-        // Overlay growth invalidates: stats still present, marked stale.
-        g.add_vertex(100, RowId(100)).unwrap();
-        g.add_edge(9000, 9, 100, RowId(0)).unwrap();
-        let (stale, fresh) = g.seal_stats().unwrap();
-        assert!(!fresh);
-        assert_eq!(stale, first, "stale stats still describe the old seal");
-        let snap = g.stats();
-        assert!(!snap.seal_fresh);
-        assert_eq!(snap.seal, Some(first));
-
-        // Re-seal refreshes: new histogram counts the added vertex/edge.
-        g.seal();
-        let (second, fresh) = g.seal_stats().unwrap();
-        assert!(fresh);
-        assert_eq!(second.seal_vertexes, 11);
-        assert_eq!(second.seal_edges, 10);
-        assert_ne!(second, first);
-        let (want_hist, want_max) = naive_histogram(&g);
-        assert_eq!(second.degree_histogram, want_hist);
-        assert_eq!(second.max_out_degree, want_max);
-    }
-
-    #[test]
-    fn seal_stats_count_deleted_vertexes_out() {
-        let mut g = clique(5);
-        g.seal();
-        // Remove one vertex (and its incident edges) post-seal, re-seal:
-        // the refreshed histogram must be that of a 4-clique.
-        for e in g.edge_slots().collect::<Vec<_>>() {
-            let id = g.edge_id(e);
-            let (f, t) = g.edge_endpoints(e);
-            if g.vertex_id(f) == 0 || g.vertex_id(t) == 0 {
-                g.remove_edge(id).unwrap();
-            }
-        }
-        g.remove_vertex(0).unwrap();
-        g.seal();
-        let (s, fresh) = g.seal_stats().unwrap();
-        assert!(fresh);
-        assert_eq!(s.seal_vertexes, 4);
-        assert_eq!(s.max_out_degree, 3);
-        assert_eq!(s.degree_histogram.iter().sum::<usize>(), 4);
-    }
-
-    #[test]
-    fn degree_bucket_bounds() {
-        assert_eq!(degree_bucket(0), 0);
-        assert_eq!(degree_bucket(1), 1);
-        assert_eq!(degree_bucket(2), 2);
-        assert_eq!(degree_bucket(3), 2);
-        assert_eq!(degree_bucket(4), 3);
-        assert_eq!(degree_bucket(usize::MAX), DEGREE_BUCKETS - 1);
-        assert_eq!(bucket_upper_degree(0), 0);
-        assert_eq!(bucket_upper_degree(1), 1);
-        assert_eq!(bucket_upper_degree(2), 3);
-        assert_eq!(bucket_upper_degree(DEGREE_BUCKETS - 1), usize::MAX);
-    }
-
-    #[test]
-    fn degree_quantile_walks_histogram() {
-        let mut g = power_law(32);
-        g.seal();
-        let (s, _) = g.seal_stats().unwrap();
-        let p50 = s.degree_quantile(0.5);
-        let p100 = s.degree_quantile(1.0);
-        assert!(p50 <= p100);
-        assert_eq!(p100, s.max_out_degree);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Serves one in-memory database over the length-prefixed binary protocol
 //! with per-tenant admission control. Engine knobs come from the
-//! environment (`GRFUSION_OPTIMIZER`, `GRFUSION_DEADLINE_MS`, ...) under
+//! environment (`GRFUSION_DEADLINE_MS`, `GRFUSION_MEMORY_BYTES`) under
 //! *strict* validation — a malformed value is a startup error with the variable
 //! name and offending value, never a silent fallback. SIGTERM/SIGINT and
 //! a client `Shutdown` frame both trigger the graceful drain.

@@ -304,26 +304,6 @@ impl Table {
         }
     }
 
-    /// Number of distinct values in `column`, if an index over it exists to
-    /// answer in O(1). `None` means "unknown" — the cost model falls back to
-    /// a fixed selectivity guess, it does NOT mean zero.
-    pub fn column_ndv(&self, column: usize) -> Option<usize> {
-        self.index_on(column, None).map(|ix| ix.distinct_keys())
-    }
-
-    /// Distinct-value estimates for every indexed column, for the cost
-    /// catalog: `(column, ndv)` pairs, one per indexed column (first index
-    /// wins when a column carries both a hash and an ordered index).
-    pub fn column_ndvs(&self) -> Vec<(usize, usize)> {
-        let mut out: Vec<(usize, usize)> = Vec::new();
-        for ix in self.indexes() {
-            if !out.iter().any(|&(c, _)| c == ix.column()) {
-                out.push((ix.column(), ix.distinct_keys()));
-            }
-        }
-        out
-    }
-
     /// Validate arity and column types, applying int→double widening.
     fn check_row(&self, mut row: Row) -> Result<Row> {
         if row.len() != self.schema.len() {
@@ -549,27 +529,5 @@ mod tests {
             )
             .unwrap();
         assert_eq!(got, vec![ids[4], ids[6], ids[7]]);
-    }
-
-    #[test]
-    fn column_ndv_tracks_indexed_columns_through_dml() {
-        let mut t = users();
-        t.create_index("by_name", 1, false, IndexKind::Hash).unwrap();
-        assert_eq!(t.column_ndv(1), Some(0));
-        assert_eq!(t.column_ndv(2), None, "unindexed column has no estimate");
-        let mut ids = Vec::new();
-        for i in 0..10 {
-            // Five rows per name: 2 distinct names.
-            ids.push(t.insert(row(i, if i % 2 == 0 { "a" } else { "b" }, 0.0)).unwrap());
-        }
-        assert_eq!(t.column_ndv(1), Some(2));
-        t.delete(ids[1]).unwrap();
-        assert_eq!(t.column_ndv(1), Some(2), "other `b` rows keep the key live");
-        for &id in &ids {
-            let _ = t.delete(id);
-        }
-        assert_eq!(t.column_ndv(1), Some(0));
-        let pairs = t.column_ndvs();
-        assert!(pairs.iter().any(|&(c, _)| c == 1));
     }
 }

@@ -314,6 +314,22 @@ const COUNT_QUERIES: [&str; 13] = [
      WHERE P.Length = 2 AND P.StartVertex = P.EndVertex AND P.Edges[0..*].w < 6.0",
 ];
 
+/// Order-free aggregates the layout lane holds to the same references as
+/// `COUNT_QUERIES`: an anchored 2-cycle count, an anchored closing count
+/// under a pushed edge predicate, `COUNT/MIN/MAX` of the path length, an
+/// end-anchored count (a targeted BFS) and a `COUNT(*)` over an index join.
+const AGGREGATE_QUERIES: [&str; 5] = [
+    "SELECT COUNT(*) FROM g.Paths PS WHERE PS.StartVertex.Id = 0 AND PS.Length = 2 \
+     AND PS.Edges[1].EndVertex = PS.Edges[0].StartVertex",
+    "SELECT COUNT(*) FROM g.Paths PS WHERE PS.StartVertex.Id = 1 AND PS.Length = 3 \
+     AND PS.Edges[2].EndVertex = PS.Edges[0].StartVertex AND PS.Edges[0..*].w < 6.0",
+    "SELECT COUNT(*), MIN(PS.Length), MAX(PS.Length) FROM g.Paths PS \
+     WHERE PS.StartVertex.Id = 1 AND PS.Length >= 1 AND PS.Length <= 3",
+    "SELECT COUNT(*) FROM g.Paths PS \
+     WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 2 AND PS.Length = 2",
+    "SELECT COUNT(*) FROM e JOIN v ON e.b = v.id",
+];
+
 /// Switch `aggregate_pushdown` (on by default): off, an ungrouped `COUNT`
 /// aggregates materialized paths instead of counting inside the scan.
 fn set_aggregate_pushdown(db: &Database, on: bool) {
@@ -440,12 +456,14 @@ fn check(w: &Workload) -> Result<(), String> {
         "SELECT PS.PathString, PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
          WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 1",
     ];
-    for sql in queries.into_iter().chain(COUNT_QUERIES) {
+    let aggregates = COUNT_QUERIES.into_iter().chain(AGGREGATE_QUERIES);
+    for sql in queries.into_iter().chain(aggregates) {
         set_aggregate_pushdown(&sealed, false);
         let reference = rows_exact(&sealed, sql);
         set_aggregate_pushdown(&sealed, true);
         let reference = reference?;
-        if COUNT_QUERIES.contains(&sql) {
+        // The residual plan may enumerate in another order; a count cannot.
+        if !queries.contains(&sql) {
             let residual = rows_residual(&sealed, sql)?;
             if residual != reference {
                 return Err(format!(
@@ -719,7 +737,7 @@ fn capture_reference(db: &Database) -> Result<PrefixRef, String> {
     })
 }
 
-/// Run one workload on an engine configured as `live_cfg`: a single writer
+/// Run one workload on the default engine: a single writer
 /// replays the DML script while `readers` threads hammer full path
 /// enumerations and state dumps. Every read must equal the serial reference
 /// after some script prefix `p`, with `before ≤ p ≤ after + 1`: `before`
@@ -734,11 +752,11 @@ fn capture_reference(db: &Database) -> Result<PrefixRef, String> {
 ///
 /// Failure strings name the `(script-prefix, query)` pair so the minimizer
 /// output pinpoints the diverging read.
-fn check_concurrent(w: &Workload, readers: usize, live_cfg: EngineConfig) -> Result<(), String> {
+fn check_concurrent(w: &Workload, readers: usize) -> Result<(), String> {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    let live = build_engine_cfg(live_cfg, w);
+    let live = build_engine_batched(w);
     let reference = build_engine(CsrConfig::sealed(), w);
 
     // prefix 0 = the state right after setup, before any script DML. The
@@ -847,163 +865,18 @@ fn check_concurrent(w: &Workload, readers: usize, live_cfg: EngineConfig) -> Res
     }
 }
 
-/// The 200 seeded workloads, read by 4 concurrent reader threads while
-/// the writer replays the script on an engine configured as `live_cfg`. On
-/// failure the greedy minimizer re-runs the *concurrent* checker and the
-/// panic names the failing (script-prefix, query) pair.
-fn concurrent_oracle(live_cfg: EngineConfig) {
-    for seed in 0..200u64 {
-        let w = gen_workload(seed);
-        if check_concurrent(&w, 4, live_cfg).is_err() {
-            let (min, err) = minimize_with(w, |w| check_concurrent(w, 4, live_cfg));
-            panic!(
-                "concurrent oracle failed (minimized):\n{}\n{err}",
-                min.render()
-            );
-        }
-    }
-}
-
-/// The concurrent headline oracle, on the default engine.
+/// The concurrent headline oracle: the 200 seeded workloads, read by 4
+/// concurrent reader threads while the writer replays the script on the
+/// default engine. On failure the greedy minimizer re-runs the *concurrent*
+/// checker and the panic names the failing (script-prefix, query) pair.
 #[test]
 fn concurrent_oracle_200_seeded_workloads() {
-    concurrent_oracle(EngineConfig::default());
-}
-
-/// The same lane with the one default-off execution feature on: sealed CSR
-/// plus the cost-based optimizer, against the same serial, rule-based
-/// reference.
-#[test]
-fn concurrent_oracle_200_seeded_workloads_everything_on() {
-    let mut cfg = EngineConfig {
-        csr: CsrConfig::sealed(),
-        ..Default::default()
-    };
-    cfg.optimizer.cost_based = true;
-    concurrent_oracle(cfg);
-}
-
-// ---------------------------------------------------------------------------
-// Optimizer lane: cost-based plans vs the rule-based reference
-// ---------------------------------------------------------------------------
-
-/// Queries the cost-based optimizer is allowed to re-plan (order-free
-/// aggregates over anchored path scans — the traversal-vs-iterated-join,
-/// BFS/DFS/targeted-BFS, pushdown, join-swap, and row-pipeline decision
-/// surfaces) plus relational joins for the build-side swap. Every answer
-/// must be byte-identical to the rule-based engine's.
-const OPTIMIZER_QUERIES: [&str; 8] = [
-    "SELECT COUNT(*) FROM g.Paths PS \
-     WHERE PS.StartVertex.Id = 0 AND PS.Length = 2",
-    "SELECT COUNT(*) FROM g.Paths PS WHERE PS.StartVertex.Id = 0 AND PS.Length = 2 \
-     AND PS.Edges[1].EndVertex = PS.Edges[0].StartVertex",
-    "SELECT COUNT(*) FROM g.Paths PS \
-     WHERE PS.Length = 3 AND PS.EndVertex.Id = PS.StartVertex.Id",
-    "SELECT COUNT(*) FROM g.Paths PS WHERE PS.StartVertex.Id = 1 AND PS.Length = 3 \
-     AND PS.Edges[2].EndVertex = PS.Edges[0].StartVertex AND PS.Edges[0..*].w < 6.0",
-    "SELECT COUNT(*), MIN(PS.Length), MAX(PS.Length) FROM g.Paths PS \
-     WHERE PS.StartVertex.Id = 1 AND PS.Length >= 1 AND PS.Length <= 3",
-    "SELECT COUNT(*) FROM g.Paths PS \
-     WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = 2 AND PS.Length = 2",
-    "SELECT COUNT(*) FROM e JOIN v ON e.b = v.id",
-    "SELECT PS.EndVertex.Id FROM g.Paths PS \
-     WHERE PS.StartVertex.Id = 0 AND PS.Length <= 2 LIMIT 3",
-];
-
-/// Build one optimizer-lane engine: sealed CSR and a
-/// hash index on the edge table's FROM column (so the iterated-join
-/// rewrite can fire and must then stay correct while DML churns the index
-/// and the topology).
-fn build_engine_optimizer(w: &Workload, cost_based: bool) -> Database {
-    let mut cfg = EngineConfig {
-        csr: CsrConfig::sealed(),
-        ..Default::default()
-    };
-    cfg.optimizer.cost_based = cost_based;
-    let db = build_engine_cfg(cfg, w);
-    db.execute("CREATE INDEX ix_ea ON e (a)").unwrap();
-    db
-}
-
-/// The fourth oracle lane: a cost-based engine against the rule-based
-/// reference over the same workload. DML must agree statement by
-/// statement, the final state dumps must be byte-identical, and every
-/// oracle query — the order-sensitive HINT enumerations (which the
-/// optimizer must leave alone) and the re-plannable aggregates — must
-/// return byte-identical rows.
-///
-/// Divergence reports embed both lanes' EXPLAIN text so the minimized
-/// failure names the *chosen plan*, not just the rows.
-fn check_optimizer(w: &Workload) -> Result<(), String> {
-    let reference = build_engine_optimizer(w, false);
-    let optimized = build_engine_optimizer(w, true);
-
-    for stmt in w.script() {
-        let a = reference.execute(&stmt).map(|r| r.rows_affected);
-        let b = optimized.execute(&stmt).map(|r| r.rows_affected);
-        match (&a, &b) {
-            (Ok(x), Ok(y)) if x == y => {}
-            (Err(_), Err(_)) => {}
-            _ => {
-                return Err(format!(
-                    "DML divergence on `{stmt}`: rule-based {a:?} vs cost-based {b:?}"
-                ))
-            }
-        }
-    }
-
-    let (rd, od) = (
-        reference.state_dump().unwrap(),
-        optimized.state_dump().unwrap(),
-    );
-    if rd != od {
-        return Err(format!(
-            "state_dump divergence:\n--- rule-based\n{rd}\n--- cost-based\n{od}"
-        ));
-    }
-
-    let plans = |sql: &str| -> String {
-        format!(
-            "  rule-based plan:\n{}\n  cost-based plan:\n{}",
-            reference.explain(sql).unwrap_or_else(|e| e.to_string()),
-            optimized.explain(sql).unwrap_or_else(|e| e.to_string()),
-        )
-    };
-    for sql in ORACLE_QUERIES.iter().chain(&OPTIMIZER_QUERIES).chain(&COUNT_QUERIES) {
-        let want = rows_exact(&reference, sql)?;
-        let got = rows_exact(&optimized, sql)?;
-        if got != want {
-            return Err(format!(
-                "cost-based lane diverges on `{sql}`:\n  \
-                 got {got:?}\n  want {want:?}\n{}",
-                plans(sql)
-            ));
-        }
-        // The residual plan may walk in another order, which a LIMIT sees.
-        if OPTIMIZER_QUERIES.contains(sql) && !sql.contains(" LIMIT ") {
-            let residual = rows_residual(&reference, sql)?;
-            if residual != want {
-                return Err(format!(
-                    "residual plan diverges on `{sql}`:\n  got {residual:?}\n  want {want:?}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The optimizer headline oracle: the same 200 seeded workloads, replayed
-/// through the cost-based lane. On failure the greedy minimizer re-runs
-/// the optimizer checker, so the panic prints the minimal graph, the DML
-/// script, the diverging query, and both chosen plans.
-#[test]
-fn optimizer_oracle_200_seeded_workloads() {
     for seed in 0..200u64 {
         let w = gen_workload(seed);
-        if check_optimizer(&w).is_err() {
-            let (min, err) = minimize_with(w, check_optimizer);
+        if check_concurrent(&w, 4).is_err() {
+            let (min, err) = minimize_with(w, |w| check_concurrent(w, 4));
             panic!(
-                "optimizer oracle failed (minimized):\n{}\n{err}",
+                "concurrent oracle failed (minimized):\n{}\n{err}",
                 min.render()
             );
         }

@@ -75,3 +75,23 @@ fn static_and_runtime_lock_rank_tables_agree() {
     assert_eq!(statik, runtime);
     assert_eq!(runtime.len(), 3);
 }
+
+/// The README's "Engine knobs" table is the user-facing list of the
+/// environment variables the engine reads: it must name exactly
+/// `EngineConfig::env_vars()`, in the parser's validation order.
+#[test]
+fn readme_knob_table_lists_exactly_the_parsed_variables() {
+    let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README.md");
+    let section = readme
+        .split("\n### Engine knobs\n")
+        .nth(1)
+        .expect("README has an `### Engine knobs` section");
+    let section = section.split("\n#").next().unwrap_or(section);
+    let listed: Vec<&str> = section
+        .lines()
+        .filter_map(|l| l.strip_prefix("| `"))
+        .filter_map(|l| l.split('`').next())
+        .collect();
+    let parsed: Vec<&str> = grfusion::EngineConfig::env_vars().collect();
+    assert_eq!(listed, parsed, "README knob table drifted from ENV_KNOBS");
+}

@@ -150,14 +150,9 @@ fn reach_probe_time_lands_on_the_pathscan_operator() {
 
 /// Fig 8 family — constrained reachability: the pushed edge predicate must
 /// show up as tuple-pointer dereferences (§6.2's per-hop attribute cost).
-/// Pinned to the rule-based planner, which always pushes the predicate; on
-/// a graph this small the cost-based planner checks it residually instead.
 #[test]
 fn fig8_constrained_counts_derefs() {
     let db = fixture_db();
-    let mut cfg = db.config();
-    cfg.optimizer.cost_based = false;
-    db.set_config(cfg);
     let m = collect(
         &db,
         "fig8",

@@ -882,17 +882,17 @@ fn malformed_faults_env_surfaces_instead_of_disabling() {
 
 #[test]
 fn malformed_engine_env_knob_surfaces_instead_of_degrading() {
-    // A typo'd GRFUSION_OPTIMIZER must not silently run the suite down the
-    // rule-based planner: the database remembers the malformed value at
+    // A typo'd GRFUSION_DEADLINE_MS must not silently run the suite without
+    // a deadline: the database remembers the malformed value at
     // construction and fails the first statement that builds an execution
     // context.
-    std::env::set_var("GRFUSION_OPTIMIZER", "lots");
+    std::env::set_var("GRFUSION_DEADLINE_MS", "lots");
     let db = Database::with_config(base_config());
-    std::env::remove_var("GRFUSION_OPTIMIZER");
+    std::env::remove_var("GRFUSION_DEADLINE_MS");
     db.execute("CREATE TABLE t (x INTEGER)").unwrap(); // DDL: no governor
     let err = db.execute("INSERT INTO t VALUES (1)").unwrap_err();
     assert!(
-        err.to_string().contains("GRFUSION_OPTIMIZER"),
+        err.to_string().contains("GRFUSION_DEADLINE_MS"),
         "typo must surface with the variable name: {err:?}"
     );
     assert!(

@@ -170,13 +170,10 @@ mod typed_explain_shape {
         explain_lines_on(&diamond_with(|_| {}), sql)
     }
 
-    /// The diamond on the rule-based planner — these lines lock its output,
-    /// and a cost-based EXPLAIN appends estimates — with one more optimizer
-    /// flag changed from the default.
+    /// The diamond with one optimizer flag changed from the default.
     fn diamond_with(change: impl FnOnce(&mut OptimizerFlags)) -> Database {
         let db = diamond_db();
         let mut cfg = db.config();
-        cfg.optimizer.cost_based = false;
         change(&mut cfg.optimizer);
         db.set_config(cfg);
         db
@@ -373,14 +370,9 @@ mod explain_analyze_shape {
         }
     }
 
-    /// Rule-based planner: it always pushes the predicate, where on a graph
-    /// this small the cost-based one checks it residually.
     #[test]
     fn pushed_predicate_counts_tuple_derefs() {
         let db = diamond_db();
-        let mut cfg = db.config();
-        cfg.optimizer.cost_based = false;
-        db.set_config(cfg);
         let rs = db
             .execute_with_metrics(
                 "SELECT PS.PathString FROM g.Paths PS \
@@ -477,88 +469,6 @@ mod explain_analyze_shape {
             "inactive governor must not annotate the plan"
         );
     }
-}
-
-/// Estimate-annotation stability locks (the cost-based optimizer's
-/// EXPLAIN contract): actual-vs-estimated rows appear *only* on
-/// instrumented runs with the optimizer enabled, plain EXPLAIN carries
-/// numeric estimates only (a `rows_est=?` placeholder must never render
-/// anywhere), and with the optimizer off every EXPLAIN byte is identical
-/// to the pre-optimizer engine.
-mod optimizer_estimate_shape {
-    use super::explain_analyze_shape_anchored as anchored;
-    use super::emission_order_shape::diamond_db;
-    use grfusion::Database;
-
-    fn set_optimizer(db: &Database, on: bool) {
-        let mut cfg = db.config();
-        cfg.optimizer.cost_based = on;
-        db.set_config(cfg);
-    }
-
-    fn explain(db: &Database, sql: &str) -> String {
-        let rs = db.execute(sql).unwrap();
-        rs.rows
-            .iter()
-            .map(|r| r[0].to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    /// EXPLAIN ANALYZE with the optimizer on annotates **every** node with
-    /// both the actual row count and the estimate, and stays stable when
-    /// the same statement later runs without instrumentation (plain
-    /// EXPLAIN): the un-instrumented rendering keeps numeric estimates and
-    /// never degrades to a `rows_est=?` placeholder.
-    #[test]
-    fn analyze_pairs_actuals_with_estimates() {
-        let db = diamond_db();
-        set_optimizer(&db, true);
-        let analyzed = explain(&db, &format!("EXPLAIN ANALYZE {}", anchored()));
-        for line in analyzed.lines() {
-            assert!(line.contains("rows="), "actuals missing:\n{analyzed}");
-            assert!(line.contains("(rows_est="), "estimates missing:\n{analyzed}");
-        }
-        // Same statement, metrics off: estimates survive as plain numbers.
-        let plain = explain(&db, &format!("EXPLAIN {}", anchored()));
-        for line in plain.lines() {
-            assert!(line.contains("rows_est="), "estimates missing:\n{plain}");
-            assert!(line.contains("cost="), "costs missing:\n{plain}");
-        }
-        assert!(!plain.contains("next="), "plain EXPLAIN must not run the query");
-        for text in [&analyzed, &plain] {
-            assert!(!text.contains("rows_est=?"), "placeholder leaked:\n{text}");
-        }
-    }
-
-    /// With the optimizer off, both EXPLAIN flavors must be byte-free of
-    /// estimate fragments — the `GRFUSION_OPTIMIZER=0` lane renders
-    /// exactly what the pre-optimizer engine rendered.
-    #[test]
-    fn optimizer_off_explains_stay_unannotated() {
-        let db = diamond_db();
-        set_optimizer(&db, false);
-        let before = explain(&db, &format!("EXPLAIN {}", anchored()));
-        assert!(!before.contains("rows_est"), "estimate leaked:\n{before}");
-        assert!(!before.contains("cost="), "cost leaked:\n{before}");
-        let analyzed = explain(&db, &format!("EXPLAIN ANALYZE {}", anchored()));
-        assert!(!analyzed.contains("rows_est"), "estimate leaked:\n{analyzed}");
-        // Flipping the optimizer on and back off restores the exact bytes
-        // (no sticky annotation state in the cached planner context).
-        set_optimizer(&db, true);
-        let _ = explain(&db, &format!("EXPLAIN {}", anchored()));
-        set_optimizer(&db, false);
-        let after = explain(&db, &format!("EXPLAIN {}", anchored()));
-        assert_eq!(before, after, "optimizer toggle left residue in EXPLAIN");
-    }
-}
-
-/// The anchored diamond query shared with `explain_analyze_shape`
-/// (duplicated by value there as a module-private const).
-fn explain_analyze_shape_anchored() -> &'static str {
-    "SELECT PS.PathString FROM g.Paths PS \
-     WHERE PS.StartVertex.Id = 1 \
-     AND PS.Length >= 1 AND PS.Length <= 3"
 }
 
 /// Sealed-CSR layout locks: exact byte footprints of the compacted arrays

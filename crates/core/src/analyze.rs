@@ -1,25 +1,23 @@
-//! Static QEP verification: plan-time schema/type analysis.
+//! Static QEP verification: plan-time schema and contract analysis.
 //!
 //! GRFusion's cross-model QEPs compose graph operators (VertexScan /
 //! EdgeScan / PathScan) freely with relational ones, which means an
-//! ill-typed plan node — a `Paths.` attribute that doesn't resolve, a
-//! predicate comparing PATH to INTEGER — would otherwise only surface as
-//! a mid-execution `Err` deep inside the executor, after side effects and
-//! wasted traversal work. This module closes that gap with three layers:
+//! ill-formed plan node — a pushed traversal predicate on an attribute the
+//! view does not materialize, a non-numeric path anchor — would otherwise
+//! only surface as a mid-execution `Err` deep inside the executor, after
+//! side effects and wasted traversal work. Expressions are resolved and
+//! typed once, by `expr::compile`, which rejects an ill-typed query with
+//! the source span of the offending token; this module checks the plan
+//! the planner builds from them, in two layers:
 //!
-//! 1. **AST typechecking** ([`check_select`]): every expression of a
-//!    SELECT is typed with 3VL-aware inference *before* residual
-//!    compilation. Ill-typed queries are rejected at plan time with the
-//!    source span of the offending token. Unknown types (parameters, NULL
-//!    literals) unify with everything, mirroring runtime coercion.
-//! 2. **Plan verification** ([`verify_plan`]): after the planner builds a
+//! 1. **Plan verification** ([`verify_plan`]): after the planner builds a
 //!    physical tree, every node's output schema is re-derived bottom-up
 //!    and checked for width/type consistency, and graph-operator
 //!    invariants are validated statically: pushed-down predicates only
 //!    reference attributes the traversal can materialize, anchors are
 //!    numeric, and SHORTESTPATH / reachability scans carry the anchors
 //!    their physical implementation requires.
-//! 3. **Contract inference** ([`node_contracts`]): for each node, the
+//! 2. **Contract inference** ([`node_contracts`]): for each node, the
 //!    statically inferred per-column type + nullability contract that the
 //!    debug-mode operator wrapper (see `exec.rs`) asserts against every
 //!    emitted tuple — turning the analyzer into a continuously
@@ -31,497 +29,12 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use grfusion_common::{DataType, Error, Result, Schema, Value};
-use grfusion_sql::{BinaryOp, Expr, RefPart, Select, SelectItem, UnaryOp};
+use grfusion_common::{DataType, Error, Result, Schema};
 
-use crate::expr::{AggFunc, BindingKind, GraphMeta, Namespace, PathProp, PhysExpr};
+use crate::expr::{is_numeric, show, AggFunc, GraphMeta, PathProp, PhysExpr};
 use crate::plan::{
     AggSpec, Emit, PathScanConfig, PlanNode, PushedAggPred, PushedPred, ScanMode, StartSource,
 };
-
-/// The analyzer's type domain: `None` is "unknown" (parameters and NULL
-/// literals), which unifies with every concrete type — exactly the values
-/// the runtime coerces dynamically.
-pub type Ty = Option<DataType>;
-
-fn show(t: Ty) -> String {
-    match t {
-        Some(dt) => dt.to_string(),
-        None => "UNKNOWN".to_string(),
-    }
-}
-
-fn is_numeric(t: Ty) -> bool {
-    matches!(t, None | Some(DataType::Integer) | Some(DataType::Double))
-}
-
-fn is_boolean(t: Ty) -> bool {
-    matches!(t, None | Some(DataType::Boolean))
-}
-
-/// `" at line:col"` for a reference part, empty if the span is unknown.
-fn at(part: &RefPart) -> String {
-    if part.span.is_known() {
-        format!(" at {}", part.span)
-    } else {
-        String::new()
-    }
-}
-
-fn value_type(v: &Value) -> Ty {
-    match v {
-        Value::Null => None,
-        Value::Integer(_) => Some(DataType::Integer),
-        Value::Double(_) => Some(DataType::Double),
-        Value::Boolean(_) => Some(DataType::Boolean),
-        Value::Text(_) => Some(DataType::Varchar),
-        Value::Path(_) => Some(DataType::Path),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AST typechecking (runs in the planner, before residual compilation)
-// ---------------------------------------------------------------------------
-
-/// Typecheck every expression of a SELECT against the FROM namespace.
-///
-/// Acceptance is deliberately *at least* as permissive as `expr::compile`
-/// on structural matters (ranged references, aggregate placement): the
-/// compiler stays the authority there. What this pass adds is type
-/// soundness — comparisons must be comparable, arithmetic numeric,
-/// predicates boolean — and attribute resolution with source spans for
-/// forms the compiler defers to runtime (quantified-range attributes).
-pub fn check_select(select: &Select, ns: &Namespace) -> Result<()> {
-    if let Some(sel) = &select.selection {
-        expect_boolean(sel, ns, "WHERE")?;
-    }
-    for item in &select.projections {
-        if let SelectItem::Expr { expr, .. } = item {
-            infer(expr, ns)?;
-        }
-    }
-    for g in &select.group_by {
-        infer(g, ns)?;
-    }
-    if let Some(h) = &select.having {
-        expect_boolean(h, ns, "HAVING")?;
-    }
-    for (e, _) in &select.order_by {
-        infer(e, ns)?;
-    }
-    Ok(())
-}
-
-fn expect_boolean(e: &Expr, ns: &Namespace, clause: &str) -> Result<()> {
-    let t = infer(e, ns)?;
-    if !is_boolean(t) {
-        return Err(Error::analysis(format!(
-            "{clause} predicate must be BOOLEAN, got {}{}",
-            show(t),
-            e.span_suffix()
-        )));
-    }
-    Ok(())
-}
-
-/// Infer the type of an expression, rejecting ill-typed subtrees.
-pub fn infer(expr: &Expr, ns: &Namespace) -> Result<Ty> {
-    match expr {
-        Expr::Literal(v) => Ok(value_type(v)),
-        Expr::Parameter(_) => Ok(None),
-        Expr::CompoundRef(parts) => ref_type(parts, ns),
-        Expr::Unary { op: UnaryOp::Not, expr: inner } => {
-            let t = infer(inner, ns)?;
-            if !is_boolean(t) {
-                return Err(Error::analysis(format!(
-                    "NOT requires a BOOLEAN operand, got {}{}",
-                    show(t),
-                    inner.span_suffix()
-                )));
-            }
-            Ok(Some(DataType::Boolean))
-        }
-        Expr::Unary { op: UnaryOp::Neg, expr: inner } => {
-            let t = infer(inner, ns)?;
-            if !is_numeric(t) {
-                return Err(Error::analysis(format!(
-                    "unary minus requires a numeric operand, got {}{}",
-                    show(t),
-                    inner.span_suffix()
-                )));
-            }
-            Ok(t)
-        }
-        Expr::Binary { left, op, right } => {
-            let lt = infer(left, ns)?;
-            let rt = infer(right, ns)?;
-            match op {
-                BinaryOp::And | BinaryOp::Or => {
-                    for (t, side) in [(lt, &**left), (rt, &**right)] {
-                        if !is_boolean(t) {
-                            return Err(Error::analysis(format!(
-                                "{} requires BOOLEAN operands, got {}{}",
-                                if *op == BinaryOp::And { "AND" } else { "OR" },
-                                show(t),
-                                side.span_suffix()
-                            )));
-                        }
-                    }
-                    Ok(Some(DataType::Boolean))
-                }
-                BinaryOp::Eq
-                | BinaryOp::NotEq
-                | BinaryOp::Lt
-                | BinaryOp::LtEq
-                | BinaryOp::Gt
-                | BinaryOp::GtEq => {
-                    check_comparable(lt, rt, expr)?;
-                    Ok(Some(DataType::Boolean))
-                }
-                BinaryOp::Add
-                | BinaryOp::Sub
-                | BinaryOp::Mul
-                | BinaryOp::Div
-                | BinaryOp::Mod => {
-                    for (t, side) in [(lt, &**left), (rt, &**right)] {
-                        if !is_numeric(t) {
-                            return Err(Error::analysis(format!(
-                                "arithmetic requires numeric operands, got {}{}",
-                                show(t),
-                                side.span_suffix()
-                            )));
-                        }
-                    }
-                    Ok(match (lt, rt) {
-                        (Some(DataType::Integer), Some(DataType::Integer)) => {
-                            Some(DataType::Integer)
-                        }
-                        (None, _) | (_, None) => None,
-                        _ => Some(DataType::Double),
-                    })
-                }
-            }
-        }
-        Expr::InList { expr: needle, list, .. } => {
-            let t = infer(needle, ns)?;
-            for item in list {
-                let it = infer(item, ns)?;
-                check_comparable(t, it, item)?;
-            }
-            Ok(Some(DataType::Boolean))
-        }
-        Expr::InSubquery { expr: needle, .. } => {
-            // The engine folds uncorrelated subqueries into literal lists
-            // before planning; the inner SELECT is analyzed on its own
-            // pass. Only the needle is typed here.
-            infer(needle, ns)?;
-            Ok(Some(DataType::Boolean))
-        }
-        Expr::Between { expr: needle, low, high, .. } => {
-            let t = infer(needle, ns)?;
-            for bound in [&**low, &**high] {
-                let bt = infer(bound, ns)?;
-                check_comparable(t, bt, bound)?;
-            }
-            Ok(Some(DataType::Boolean))
-        }
-        Expr::Function { name, args, star } => {
-            let Some(func) = AggFunc::parse(name) else {
-                return Err(Error::analysis(format!(
-                    "unknown function `{name}`{}",
-                    expr.span_suffix()
-                )));
-            };
-            if *star {
-                return Ok(Some(DataType::Integer));
-            }
-            if args.len() != 1 {
-                return Err(Error::analysis(format!(
-                    "{name}() takes exactly one argument{}",
-                    expr.span_suffix()
-                )));
-            }
-            let arg = &args[0];
-            let t = infer(arg, ns)?;
-            match func {
-                AggFunc::Count => Ok(Some(DataType::Integer)),
-                AggFunc::Sum => {
-                    require_numeric_agg(t, "SUM", arg)?;
-                    Ok(t)
-                }
-                AggFunc::Avg => {
-                    require_numeric_agg(t, "AVG", arg)?;
-                    Ok(Some(DataType::Double))
-                }
-                AggFunc::Min | AggFunc::Max => {
-                    if t == Some(DataType::Path) {
-                        return Err(Error::analysis(format!(
-                            "{} cannot aggregate PATH values{}",
-                            name.to_ascii_uppercase(),
-                            arg.span_suffix()
-                        )));
-                    }
-                    Ok(t)
-                }
-            }
-        }
-    }
-}
-
-fn require_numeric_agg(t: Ty, func: &str, arg: &Expr) -> Result<()> {
-    if !is_numeric(t) {
-        return Err(Error::analysis(format!(
-            "{func}() requires a numeric argument, got {}{}",
-            show(t),
-            arg.span_suffix()
-        )));
-    }
-    Ok(())
-}
-
-/// Whether two operand types can meet in a comparison under the runtime's
-/// three-valued `sql_cmp`: unknowns unify with everything, INTEGER and
-/// DOUBLE cross-compare, every other pair must match exactly — and PATH
-/// values have no defined ordering at all.
-fn check_comparable(a: Ty, b: Ty, expr: &Expr) -> Result<()> {
-    let ok = match (a, b) {
-        (None, _) | (_, None) => true,
-        (Some(DataType::Path), _) | (_, Some(DataType::Path)) => false,
-        (Some(x), Some(y)) => x == y || (is_numeric(Some(x)) && is_numeric(Some(y))),
-    };
-    if !ok {
-        return Err(Error::analysis(format!(
-            "cannot compare {} with {}{}",
-            show(a),
-            show(b),
-            expr.span_suffix()
-        )));
-    }
-    Ok(())
-}
-
-/// Resolve a compound reference to its value type, validating every
-/// attribute against the namespace (tables, graph-view scan schemas, and
-/// the graph view's exposed vertex/edge attributes for path references).
-fn ref_type(parts: &[RefPart], ns: &Namespace) -> Result<Ty> {
-    if parts.len() == 1 {
-        let head = &parts[0];
-        if let Some(b) = ns.binding(&head.name) {
-            return match &b.kind {
-                BindingKind::Paths(_) => Ok(Some(DataType::Path)),
-                _ => Err(Error::analysis(format!(
-                    "binding `{}` cannot be used as a value; select its columns{}",
-                    head.name,
-                    at(head)
-                ))),
-            };
-        }
-        // Unqualified column: search every binding's schema.
-        let lower = head.name.to_ascii_lowercase();
-        let mut found: Ty = None;
-        let mut hits = 0usize;
-        for b in &ns.bindings {
-            if let Some(i) = b.schema.index_of(&lower) {
-                hits += 1;
-                found = Some(b.schema.column(i).data_type);
-            }
-        }
-        return match hits {
-            0 => Err(Error::analysis(format!(
-                "unknown column `{}`{}",
-                head.name,
-                at(head)
-            ))),
-            1 => Ok(found),
-            _ => Err(Error::analysis(format!(
-                "ambiguous column `{}`{}",
-                head.name,
-                at(head)
-            ))),
-        };
-    }
-
-    let head = &parts[0];
-    if head.index.is_some() {
-        return Err(Error::analysis(format!(
-            "cannot index binding `{}` directly{}",
-            head.name,
-            at(head)
-        )));
-    }
-    let Some(binding) = ns.binding(&head.name) else {
-        return Err(Error::analysis(format!(
-            "unknown binding `{}` in reference{}",
-            head.name,
-            at(head)
-        )));
-    };
-    match &binding.kind {
-        BindingKind::Table(_) | BindingKind::Vertexes(_) | BindingKind::Edges(_) => {
-            if parts.len() != 2 || parts[1].index.is_some() {
-                return Err(Error::analysis(format!(
-                    "invalid column reference on binding `{}`{}",
-                    head.name,
-                    at(head)
-                )));
-            }
-            let col = &parts[1];
-            match binding.schema.index_of(&col.name.to_ascii_lowercase()) {
-                Some(i) => Ok(Some(binding.schema.column(i).data_type)),
-                None => Err(Error::analysis(format!(
-                    "unknown column `{}` on binding `{}`{}",
-                    col.name,
-                    head.name,
-                    at(col)
-                ))),
-            }
-        }
-        BindingKind::Paths(graph) => {
-            let meta = ns.graphs.get(graph).ok_or_else(|| {
-                Error::analysis(format!("unknown graph view `{graph}`"))
-            })?;
-            path_ref_type(meta, parts)
-        }
-    }
-}
-
-/// Type a `PS.<property>` reference through the graph view.
-///
-/// Ranged forms (`PS.Edges[0..*].attr`) resolve to the *element* type —
-/// the compiler decides where a range is structurally legal; this pass
-/// guarantees the attribute itself exists on the view so a quantified
-/// predicate can't fail attribute resolution mid-traversal.
-fn path_ref_type(meta: &GraphMeta, parts: &[RefPart]) -> Result<Ty> {
-    let seg = &parts[1];
-    let seg_name = seg.name.to_ascii_lowercase();
-    match seg_name.as_str() {
-        "length" => Ok(Some(DataType::Integer)),
-        "pathstring" => Ok(Some(DataType::Varchar)),
-        "cost" | "totalcost" => Ok(Some(DataType::Double)),
-        "startvertexid" | "endvertexid" => Ok(Some(DataType::Integer)),
-        "startvertex" | "endvertex" => {
-            if parts.len() == 2 {
-                return Ok(Some(DataType::Integer));
-            }
-            if parts.len() != 3 || parts[2].index.is_some() {
-                return Err(Error::analysis(format!(
-                    "expected `.attribute` after StartVertex/EndVertex{}",
-                    at(seg)
-                )));
-            }
-            let attr = &parts[2];
-            vertex_attr_ty(meta, &attr.name.to_ascii_lowercase())
-                .map(Some)
-                .ok_or_else(|| no_vertex_attr(meta, attr))
-        }
-        "edges" | "vertexes" | "vertices" => {
-            let is_edges = seg_name == "edges";
-            if parts.len() == 2 {
-                // `PS.Edges[i]` (element id) or a bare/ranged element list
-                // whose structural legality the compiler decides.
-                return Ok(Some(DataType::Integer));
-            }
-            if parts.len() != 3 || parts[2].index.is_some() {
-                return Err(Error::analysis(format!(
-                    "invalid path element reference on `{}`{}",
-                    parts[0].name,
-                    at(seg)
-                )));
-            }
-            let attr = &parts[2];
-            let lower = attr.name.to_ascii_lowercase();
-            let ty = if is_edges {
-                edge_attr_ty(meta, &lower).ok_or_else(|| no_edge_attr(meta, attr))?
-            } else {
-                vertex_attr_ty(meta, &lower).ok_or_else(|| no_vertex_attr(meta, attr))?
-            };
-            Ok(Some(ty))
-        }
-        _ => Err(Error::analysis(format!(
-            "unknown path property `{}` on `{}`{}",
-            seg.name,
-            parts[0].name,
-            at(seg)
-        ))),
-    }
-}
-
-/// Vertex attribute type through the view: the synthesized `id` / `fanin`
-/// / `fanout` columns are INTEGER; everything else must be an exposed
-/// attribute backed by a live base-table column (tuple-pointer
-/// provenance).
-fn vertex_attr_ty(meta: &GraphMeta, attr: &str) -> Option<DataType> {
-    match attr {
-        "id" | "fanin" | "fanout" => Some(DataType::Integer),
-        _ => meta
-            .def
-            .vertex_attr_col(attr)
-            .map(|c| meta.vertex_schema.column(c).data_type),
-    }
-}
-
-/// Edge attribute type through the view: `id` plus the per-hop
-/// `startvertex` / `endvertex` endpoints are INTEGER; everything else
-/// resolves through the exposed edge attributes.
-fn edge_attr_ty(meta: &GraphMeta, attr: &str) -> Option<DataType> {
-    match attr {
-        "id" | "startvertex" | "endvertex" => Some(DataType::Integer),
-        _ => meta
-            .def
-            .edge_attr_col(attr)
-            .map(|c| meta.edge_schema.column(c).data_type),
-    }
-}
-
-fn no_vertex_attr(meta: &GraphMeta, part: &RefPart) -> Error {
-    Error::analysis(format!(
-        "graph view `{}` has no vertex attribute `{}`{}",
-        meta.def.name,
-        part.name,
-        at(part)
-    ))
-}
-
-fn no_edge_attr(meta: &GraphMeta, part: &RefPart) -> Error {
-    Error::analysis(format!(
-        "graph view `{}` has no edge attribute `{}`{}",
-        meta.def.name,
-        part.name,
-        at(part)
-    ))
-}
-
-// ---------------------------------------------------------------------------
-// Physical-expression typing
-// ---------------------------------------------------------------------------
-
-/// Static type of a compiled expression, `None` where only the runtime
-/// knows (parameters, NULL literals, and arithmetic over them). Unlike
-/// `PhysExpr::static_type` (which must produce a concrete placeholder for
-/// schema building), this is honest about unknowns — the contract check
-/// only asserts columns whose type is statically certain.
-pub fn phys_type(e: &PhysExpr) -> Ty {
-    match e {
-        PhysExpr::Literal(v) => value_type(v),
-        PhysExpr::Param { .. } => None,
-        PhysExpr::Column { ty, .. }
-        | PhysExpr::PathProp { ty, .. }
-        | PhysExpr::PathAgg { ty, .. } => Some(*ty),
-        PhysExpr::Not(_)
-        | PhysExpr::And(..)
-        | PhysExpr::Or(..)
-        | PhysExpr::Cmp { .. }
-        | PhysExpr::InList { .. }
-        | PhysExpr::Between { .. }
-        | PhysExpr::Quant { .. } => Some(DataType::Boolean),
-        PhysExpr::Neg(inner) => phys_type(inner),
-        PhysExpr::Arith { left, right, .. } => match (phys_type(left), phys_type(right)) {
-            (Some(DataType::Integer), Some(DataType::Integer)) => Some(DataType::Integer),
-            (None, _) | (_, None) => None,
-            _ => Some(DataType::Double),
-        },
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Plan verification (runs on every planned SELECT before execution)
@@ -605,7 +118,7 @@ pub fn verify_plan(
             verify_plan(input, graphs, tables)?;
             expect_width(plan, schema.len(), exprs.len())?;
             for (i, e) in exprs.iter().enumerate() {
-                if let Some(t) = phys_type(e) {
+                if let Some(t) = e.ty() {
                     let declared = schema.column(i).data_type;
                     if t != declared {
                         return Err(plan_bug(
@@ -702,7 +215,7 @@ fn check_config(
         ("end", config.end.as_ref()),
     ] {
         if let Some(e) = anchor {
-            let t = phys_type(e);
+            let t = e.ty();
             if !is_numeric(t) {
                 return Err(Error::analysis(format!(
                     "path {label} anchor must be a numeric vertex id, got {}",
@@ -738,12 +251,7 @@ fn check_pushed_attr(
     graph: &str,
     pred: &PushedPred,
 ) -> Result<()> {
-    use crate::expr::PathTarget;
-    let ok = match pred.target {
-        PathTarget::Edges => edge_attr_ty(meta, &pred.attr).is_some(),
-        PathTarget::Vertexes => vertex_attr_ty(meta, &pred.attr).is_some(),
-    };
-    if !ok {
+    if meta.attr_type(pred.target, &pred.attr).is_none() {
         return Err(plan_bug(
             plan,
             &format!(
@@ -761,12 +269,7 @@ fn check_agg_attr(
     graph: &str,
     pred: &PushedAggPred,
 ) -> Result<()> {
-    use crate::expr::PathTarget;
-    let ok = match pred.target {
-        PathTarget::Edges => edge_attr_ty(meta, &pred.attr).is_some(),
-        PathTarget::Vertexes => vertex_attr_ty(meta, &pred.attr).is_some(),
-    };
-    if !ok {
+    if meta.attr_type(pred.target, &pred.attr).is_none() {
         return Err(plan_bug(
             plan,
             &format!(
@@ -1045,103 +548,4 @@ fn explain_typed_into(
             explain_typed_into(input, contracts, cursor, out, depth + 1);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// DML statement checks
-// ---------------------------------------------------------------------------
-
-/// Typecheck an INSERT's literal value rows against the target schema:
-/// arity per row, and each statically certain value type must be
-/// admissible in its destination column.
-pub fn check_insert_values(
-    schema: &Schema,
-    positions: &[usize],
-    rows: &[Vec<Expr>],
-) -> Result<()> {
-    let ns = empty_namespace();
-    for row in rows {
-        if row.len() != positions.len() {
-            return Err(Error::analysis(format!(
-                "INSERT expects {} values, got {}",
-                positions.len(),
-                row.len()
-            )));
-        }
-        for (pos, e) in positions.iter().zip(row) {
-            let t = infer(e, &ns)?;
-            let col = schema.column(*pos);
-            let ok = match t {
-                None => true,
-                Some(DataType::Integer) => {
-                    matches!(col.data_type, DataType::Integer | DataType::Double)
-                }
-                Some(dt) => dt == col.data_type,
-            };
-            if !ok {
-                return Err(Error::analysis(format!(
-                    "cannot insert {} into column `{}` ({}){}",
-                    show(t),
-                    col.name,
-                    col.data_type,
-                    e.span_suffix()
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Typecheck an UPDATE's assignments and WHERE clause against the table.
-pub fn check_update(
-    table: &str,
-    schema: Arc<Schema>,
-    assignments: &[(String, Expr)],
-    selection: &Option<Expr>,
-) -> Result<()> {
-    let ns = table_namespace(table, schema.clone())?;
-    for (col, e) in assignments {
-        let pos = schema.resolve(col)?;
-        let t = infer(e, &ns)?;
-        let dest = schema.column(pos);
-        let ok = match t {
-            None => true,
-            Some(DataType::Integer) => {
-                matches!(dest.data_type, DataType::Integer | DataType::Double)
-            }
-            Some(dt) => dt == dest.data_type,
-        };
-        if !ok {
-            return Err(Error::analysis(format!(
-                "cannot assign {} to column `{}` ({}){}",
-                show(t),
-                dest.name,
-                dest.data_type,
-                e.span_suffix()
-            )));
-        }
-    }
-    if let Some(sel) = selection {
-        expect_boolean(sel, &ns, "WHERE")?;
-    }
-    Ok(())
-}
-
-/// Typecheck a DELETE's WHERE clause against the table.
-pub fn check_delete(table: &str, schema: Arc<Schema>, selection: &Option<Expr>) -> Result<()> {
-    if let Some(sel) = selection {
-        let ns = table_namespace(table, schema)?;
-        expect_boolean(sel, &ns, "WHERE")?;
-    }
-    Ok(())
-}
-
-pub(crate) fn empty_namespace() -> Namespace {
-    Namespace::new(Arc::new(HashMap::new()))
-}
-
-pub(crate) fn table_namespace(table: &str, schema: Arc<Schema>) -> Result<Namespace> {
-    let mut ns = empty_namespace();
-    ns.push(table, BindingKind::Table(table.to_string()), schema)?;
-    Ok(ns)
 }

@@ -164,7 +164,8 @@ fn comparison(rng: &mut Rng) -> String {
         // Reversed operands.
         2 | 3 => format!("{} {op} {column}", literal(rng, column)),
         // Comparands that are not constants, or columns that are not bare.
-        4 => format!("{column} {op} u"),
+        // (`name` against an INTEGER is rejected when it is compiled.)
+        4 if column != "name" => format!("{column} {op} u"),
         5 if column != "name" => format!("{column} + 1 {op} {}", literal(rng, column)),
         _ => format!("{column} {op} {}", literal(rng, column)),
     }
@@ -209,7 +210,8 @@ impl Fixture {
             return Err(format!("{pred}: not a DELETE with a WHERE clause").into());
         };
         let table = self.catalog.table("t")?;
-        let compiled = compile_for_table(selection, "t", table.schema().clone())?;
+        let ns = Namespace::table("t", table.schema().clone())?;
+        let compiled = compile(selection, &ns)?;
         let env = empty_env();
         let reference = select_rows(table, Some(&compiled), &env, None).map_err(|e| e.to_string());
         let live = u64::try_from(table.len())?;

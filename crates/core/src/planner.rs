@@ -30,7 +30,7 @@
 //!   DFS/BFS/SPScan; otherwise `ScanMode::Auto` defers the `BFS iff F < L`
 //!   decision to execution time where the fan-out statistic lives.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use grfusion_common::{Column, DataType, Error, Result, Schema};
@@ -42,7 +42,8 @@ use grfusion_storage::IndexKind;
 use crate::access::{choose, AccessPath};
 use crate::config::OptimizerFlags;
 use crate::expr::{
-    compile, AggFunc, BindingKind, CmpOp, GraphMeta, Namespace, PathProp, PathTarget, PhysExpr,
+    compile, compile_aggregate, compile_conjuncts, compile_predicate, AggFunc, BindingKind, CmpOp,
+    GraphMeta, Grouping, Namespace, PathProp, PathTarget, PhysExpr,
 };
 use crate::plan::{
     AggSpec, Emit, PathScanConfig, PlanNode, PushedAggPred, PushedPred, PushedTest, ScanMode,
@@ -108,9 +109,9 @@ impl<'a> Planner<'a> {
             }
         }
 
-        let conjuncts: Vec<Expr> = select
+        let conjuncts: Vec<&Expr> = select
             .selection
-            .clone()
+            .as_ref()
             .map(|e| e.conjuncts())
             .unwrap_or_default();
         let mut consumed = vec![false; conjuncts.len()];
@@ -239,43 +240,28 @@ impl<'a> Planner<'a> {
             return Err(Error::analysis("query requires at least one FROM source"));
         };
 
-        // ---- static typecheck -------------------------------------------------------
-        // With the namespace fully populated, type every expression of the
-        // statement (3VL-aware) so ill-typed queries are rejected here with
-        // source spans instead of failing mid-execution — or worse,
-        // silently evaluating to UNKNOWN (e.g. a PATH compared to an
-        // INTEGER).
-        crate::analyze::check_select(select, &self.ns)?;
-
         // ---- residual predicate -----------------------------------------------------
-        let residual: Vec<&Expr> = conjuncts
-            .iter()
+        // Every conjunct is compiled — resolved and typed — against the
+        // whole FROM clause, the ones the scans consumed included; the rest
+        // become the residual filter.
+        let compiled = compile_conjuncts(&conjuncts, &self.ns)?;
+        let residual = compiled
+            .into_iter()
             .zip(&consumed)
             .filter(|(_, c)| !**c)
-            .map(|(e, _)| e)
-            .collect();
-        if !residual.is_empty() {
-            let mut pred: Option<PhysExpr> = None;
-            for e in residual {
-                let compiled = compile(e, &self.ns)?;
-                pred = Some(match pred {
-                    None => compiled,
-                    Some(p) => PhysExpr::And(Box::new(p), Box::new(compiled)),
-                });
-            }
-            if let Some(predicate) = pred {
-                plan = PlanNode::Filter {
-                    schema: plan.schema().clone(),
-                    predicate,
-                    input: Box::new(plan),
-                };
-            }
+            .map(|(pe, _)| pe)
+            .reduce(|p, pe| PhysExpr::And(Box::new(p), Box::new(pe)));
+        if let Some(predicate) = residual {
+            plan = PlanNode::Filter {
+                schema: plan.schema().clone(),
+                predicate,
+                input: Box::new(plan),
+            };
         }
 
         // ---- aggregation ---------------------------------------------------------------
         let agg_calls = collect_aggregates(select)?;
         let grouped = !select.group_by.is_empty() || !agg_calls.is_empty();
-        let mut post_agg_schema: Option<Arc<Schema>> = None;
         if grouped {
             let mut group_exprs = Vec::new();
             let mut cols = Vec::new();
@@ -286,16 +272,7 @@ impl<'a> Planner<'a> {
             }
             let mut aggs = Vec::new();
             for (j, call) in agg_calls.iter().enumerate() {
-                let spec = self.compile_agg_call(call)?;
-                let ty = match spec.func {
-                    AggFunc::Count => DataType::Integer,
-                    AggFunc::Avg => DataType::Double,
-                    _ => spec
-                        .arg
-                        .as_ref()
-                        .map(|e| e.static_type())
-                        .unwrap_or(DataType::Integer),
-                };
+                let (spec, ty) = compile_aggregate(call, &self.ns)?;
                 cols.push(Column::new(format!("_a{j}"), ty));
                 aggs.push(spec);
             }
@@ -321,22 +298,15 @@ impl<'a> Planner<'a> {
                     schema: schema.clone(),
                 },
             };
-            post_agg_schema = Some(schema);
+            // From here on, expressions read the aggregate's output.
+            let mut keys = select.group_by.clone();
+            keys.extend(agg_calls);
+            self.ns.grouping = Some(Grouping { keys, schema });
 
             if let Some(having) = &select.having {
-                let agg_schema = post_agg_schema
-                    .as_ref()
-                    .ok_or_else(|| Error::plan("HAVING planned without an aggregation schema"))?;
-                let pred = rewrite_post_agg(
-                    having,
-                    &select.group_by,
-                    &agg_calls,
-                    agg_schema,
-                    &self.ns,
-                )?;
                 plan = PlanNode::Filter {
                     schema: plan.schema().clone(),
-                    predicate: pred,
+                    predicate: compile_predicate(having, &self.ns, "HAVING")?,
                     input: Box::new(plan),
                 };
             }
@@ -348,12 +318,7 @@ impl<'a> Planner<'a> {
         if !select.order_by.is_empty() {
             let mut keys = Vec::new();
             for (e, asc) in &select.order_by {
-                let pe = if let Some(schema) = &post_agg_schema {
-                    rewrite_post_agg(e, &select.group_by, &agg_calls, schema, &self.ns)?
-                } else {
-                    compile(e, &self.ns)?
-                };
-                keys.push((pe, *asc));
+                keys.push((compile(e, &self.ns)?, *asc));
             }
             plan = PlanNode::Sort {
                 schema: plan.schema().clone(),
@@ -381,11 +346,7 @@ impl<'a> Planner<'a> {
                     }
                 }
                 SelectItem::Expr { expr, alias } => {
-                    let pe = if let Some(schema) = &post_agg_schema {
-                        rewrite_post_agg(expr, &select.group_by, &agg_calls, schema, &self.ns)?
-                    } else {
-                        compile(expr, &self.ns)?
-                    };
+                    let pe = compile(expr, &self.ns)?;
                     let name = alias.clone().unwrap_or_else(|| derive_name(expr));
                     cols.push(Column::new(name, pe.static_type()));
                     exprs.push(pe);
@@ -497,7 +458,7 @@ impl<'a> Planner<'a> {
         binding_name: &str,
         kind: &BindingKind,
         schema: &Arc<Schema>,
-        conjuncts: &[Expr],
+        conjuncts: &[&Expr],
         consumed: &mut [bool],
     ) -> Result<PlanNode> {
         // Compile against a solo namespace (the leaf's own columns).
@@ -509,13 +470,12 @@ impl<'a> Planner<'a> {
             if consumed[i] {
                 continue;
             }
-            let Ok(refs) = referenced_bindings(c, &solo) else {
-                continue; // references other bindings
-            };
-            if !(refs.len() == 1 && refs.contains(binding_name)) {
+            // Compiling against the leaf alone fails when the conjunct
+            // reads another binding; a constant one is not the leaf's.
+            let Ok(pe) = compile(c, &solo) else { continue };
+            if pe.is_constant() {
                 continue;
             }
-            let Ok(pe) = compile(c, &solo) else { continue };
             consumed[i] = true;
             pushed.push(pe);
         }
@@ -577,7 +537,7 @@ impl<'a> Planner<'a> {
         binding_name: &str,
         kind: &BindingKind,
         schema: &Arc<Schema>,
-        conjuncts: &[Expr],
+        conjuncts: &[&Expr],
         consumed: &mut [bool],
     ) -> Result<Option<(usize, PhysExpr)>> {
         let BindingKind::Table(table) = kind else {
@@ -597,7 +557,7 @@ impl<'a> Planner<'a> {
                 left,
                 op: BinaryOp::Eq,
                 right,
-            } = c
+            } = *c
             else {
                 continue;
             };
@@ -637,7 +597,7 @@ impl<'a> Planner<'a> {
         graph: &str,
         binding: &str,
         hint: Option<&PathHint>,
-        conjuncts: &[Expr],
+        conjuncts: &[&Expr],
         consumed: &mut [bool],
         limit1: bool,
     ) -> Result<PathScanConfig> {
@@ -819,31 +779,6 @@ impl<'a> Planner<'a> {
         }
         false
     }
-
-    /// Compile one group-aggregate call into an [`AggSpec`].
-    fn compile_agg_call(&self, call: &Expr) -> Result<AggSpec> {
-        let Expr::Function { name, args, star } = call else {
-            return Err(Error::plan("aggregate rewrite saw a non-function call"));
-        };
-        let func = AggFunc::parse(name)
-            .ok_or_else(|| Error::analysis(format!("unknown function `{name}`")))?;
-        if *star {
-            if func != AggFunc::Count {
-                return Err(Error::analysis(format!("{name}(*) is not supported")));
-            }
-            return Ok(AggSpec { func, arg: None });
-        }
-        if args.len() != 1 {
-            return Err(Error::analysis(format!(
-                "{name}() takes exactly one argument"
-            )));
-        }
-        let arg = compile(&args[0], &self.ns)?;
-        Ok(AggSpec {
-            func,
-            arg: Some(arg),
-        })
-    }
 }
 
 /// `COUNT(*)`, or `COUNT(P)` of a path binding (never NULL): over a path
@@ -941,161 +876,6 @@ fn collect_agg_calls(expr: &Expr, out: &mut Vec<Expr>) {
             collect_agg_calls(high, out);
         }
         Expr::Literal(_) | Expr::CompoundRef(_) => {}
-    }
-}
-
-/// Rewrite an expression appearing after aggregation: occurrences of
-/// GROUP BY expressions become references to the group columns, aggregate
-/// calls become references to the aggregate columns, anything else must be
-/// built from those.
-fn rewrite_post_agg(
-    expr: &Expr,
-    group_by: &[Expr],
-    agg_calls: &[Expr],
-    agg_schema: &Arc<Schema>,
-    _ns: &Namespace,
-) -> Result<PhysExpr> {
-    if let Some(i) = group_by.iter().position(|g| g == expr) {
-        return Ok(PhysExpr::Column {
-            index: i,
-            ty: agg_schema.column(i).data_type,
-        });
-    }
-    if let Some(j) = agg_calls.iter().position(|a| a == expr) {
-        let index = group_by.len() + j;
-        return Ok(PhysExpr::Column {
-            index,
-            ty: agg_schema.column(index).data_type,
-        });
-    }
-    match expr {
-        Expr::Literal(v) => Ok(PhysExpr::Literal(v.clone())),
-        Expr::Parameter(i) => Ok(PhysExpr::Param { index: *i as usize }),
-        Expr::Unary { op, expr } => {
-            let inner = rewrite_post_agg(expr, group_by, agg_calls, agg_schema, _ns)?;
-            Ok(match op {
-                grfusion_sql::UnaryOp::Not => PhysExpr::Not(Box::new(inner)),
-                grfusion_sql::UnaryOp::Neg => PhysExpr::Neg(Box::new(inner)),
-            })
-        }
-        Expr::Binary { left, op, right } => {
-            let l = Box::new(rewrite_post_agg(left, group_by, agg_calls, agg_schema, _ns)?);
-            let r = Box::new(rewrite_post_agg(
-                right, group_by, agg_calls, agg_schema, _ns,
-            )?);
-            Ok(if let Some(cmp) = CmpOp::from_binary(*op) {
-                PhysExpr::Cmp {
-                    op: cmp,
-                    left: l,
-                    right: r,
-                }
-            } else {
-                match op {
-                    BinaryOp::And => PhysExpr::And(l, r),
-                    BinaryOp::Or => PhysExpr::Or(l, r),
-                    BinaryOp::Add => PhysExpr::Arith {
-                        op: grfusion_common::value::ArithOp::Add,
-                        left: l,
-                        right: r,
-                    },
-                    BinaryOp::Sub => PhysExpr::Arith {
-                        op: grfusion_common::value::ArithOp::Sub,
-                        left: l,
-                        right: r,
-                    },
-                    BinaryOp::Mul => PhysExpr::Arith {
-                        op: grfusion_common::value::ArithOp::Mul,
-                        left: l,
-                        right: r,
-                    },
-                    BinaryOp::Div => PhysExpr::Arith {
-                        op: grfusion_common::value::ArithOp::Div,
-                        left: l,
-                        right: r,
-                    },
-                    BinaryOp::Mod => PhysExpr::Arith {
-                        op: grfusion_common::value::ArithOp::Mod,
-                        left: l,
-                        right: r,
-                    },
-                    _ => unreachable!(),
-                }
-            })
-        }
-        other => Err(Error::analysis(format!(
-            "expression {other:?} must appear in GROUP BY or be an aggregate"
-        ))),
-    }
-}
-
-/// Bindings referenced by an expression, resolved against `ns`. Errors on
-/// unknown names so callers can treat "not resolvable here" as
-/// "references something else".
-pub fn referenced_bindings(expr: &Expr, ns: &Namespace) -> Result<HashSet<String>> {
-    let mut out = HashSet::new();
-    collect_refs(expr, ns, &mut out)?;
-    Ok(out)
-}
-
-fn collect_refs(expr: &Expr, ns: &Namespace, out: &mut HashSet<String>) -> Result<()> {
-    match expr {
-        Expr::Literal(_) | Expr::Parameter(_) => Ok(()),
-        Expr::CompoundRef(parts) => {
-            let head = &parts[0].name;
-            if let Some(b) = ns.binding(head) {
-                out.insert(b.name.clone());
-                return Ok(());
-            }
-            if parts.len() == 1 {
-                // unqualified column: find the binding(s) that contain it
-                let mut found = None;
-                for b in &ns.bindings {
-                    if b.schema.index_of(head).is_some() {
-                        if found.is_some() {
-                            return Err(Error::analysis(format!("ambiguous column `{head}`")));
-                        }
-                        found = Some(b.name.clone());
-                    }
-                }
-                match found {
-                    Some(b) => {
-                        out.insert(b);
-                        Ok(())
-                    }
-                    None => Err(Error::analysis(format!("unknown column `{head}`"))),
-                }
-            } else {
-                Err(Error::analysis(format!("unknown binding `{head}`")))
-            }
-        }
-        Expr::Unary { expr, .. } => collect_refs(expr, ns, out),
-        Expr::Binary { left, right, .. } => {
-            collect_refs(left, ns, out)?;
-            collect_refs(right, ns, out)
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_refs(expr, ns, out)?;
-            for e in list {
-                collect_refs(e, ns, out)?;
-            }
-            Ok(())
-        }
-        Expr::InSubquery { .. } => Err(Error::analysis(
-            "IN (SELECT ...) subqueries are folded before planning",
-        )),
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_refs(expr, ns, out)?;
-            collect_refs(low, ns, out)?;
-            collect_refs(high, ns, out)
-        }
-        Expr::Function { args, .. } => {
-            for a in args {
-                collect_refs(a, ns, out)?;
-            }
-            Ok(())
-        }
     }
 }
 
@@ -1431,20 +1211,16 @@ fn pushable_pred(
                 }
             }
             if let Some((target, start, end, attr)) = decompose(right) {
-                let flipped = match cmp {
-                    CmpOp::Lt => CmpOp::Gt,
-                    CmpOp::LtEq => CmpOp::GtEq,
-                    CmpOp::Gt => CmpOp::Lt,
-                    CmpOp::GtEq => CmpOp::LtEq,
-                    other => other,
-                };
                 if let Ok(rhs) = compile(left, outer_ns) {
                     return Ok(Some(PushedPred {
                         target,
                         start,
                         end,
                         attr,
-                        test: PushedTest::Cmp { op: flipped, rhs },
+                        test: PushedTest::Cmp {
+                            op: cmp.mirrored(),
+                            rhs,
+                        },
                     }));
                 }
             }

@@ -388,20 +388,24 @@ impl Expr {
         }
     }
 
-    /// Split a predicate into its top-level AND-ed conjuncts.
-    pub fn conjuncts(self) -> Vec<Expr> {
-        match self {
-            Expr::Binary {
-                left,
-                op: BinaryOp::And,
-                right,
-            } => {
-                let mut v = left.conjuncts();
-                v.extend(right.conjuncts());
-                v
+    /// Split a predicate into its top-level AND-ed conjuncts, left to right.
+    pub fn conjuncts(&self) -> Vec<&Expr> {
+        fn flatten<'e>(e: &'e Expr, out: &mut Vec<&'e Expr>) {
+            match e {
+                Expr::Binary {
+                    left,
+                    op: BinaryOp::And,
+                    right,
+                } => {
+                    flatten(left, out);
+                    flatten(right, out);
+                }
+                other => out.push(other),
             }
-            other => vec![other],
         }
+        let mut out = Vec::new();
+        flatten(self, &mut out);
+        out
     }
 }
 
@@ -423,7 +427,7 @@ mod tests {
             op: BinaryOp::And,
             right: Box::new(c.clone()),
         };
-        assert_eq!(e.conjuncts(), vec![a, b, c]);
+        assert_eq!(e.conjuncts(), vec![&a, &b, &c]);
     }
 
     #[test]
@@ -434,7 +438,7 @@ mod tests {
             op: BinaryOp::Or,
             right: Box::new(a.clone()),
         };
-        assert_eq!(e.clone().conjuncts(), vec![e]);
+        assert_eq!(e.conjuncts(), vec![&e]);
     }
 
     #[test]

@@ -1070,7 +1070,7 @@ mod tests {
         assert_eq!(s.limit, Some(1));
         assert_eq!(s.from.len(), 3);
         // find the IN predicate
-        let conj = s.selection.unwrap().conjuncts();
+        let conj = s.selection.as_ref().unwrap().conjuncts();
         assert_eq!(conj.len(), 5);
         let Expr::InList { list, negated, .. } = &conj[4] else {
             panic!("expected IN, got {:?}", conj[4]);
@@ -1094,7 +1094,7 @@ mod tests {
         assert!(!star);
         assert_eq!(args.len(), 1);
         // last conjunct compares two indexed refs
-        let conj = s.selection.unwrap().conjuncts();
+        let conj = s.selection.as_ref().unwrap().conjuncts();
         let Expr::Binary { left, op, right } = conj.last().unwrap() else {
             panic!()
         };
@@ -1248,7 +1248,7 @@ mod tests {
     #[test]
     fn not_and_between() {
         let s = sel("SELECT * FROM t WHERE NOT a = 1 AND b BETWEEN 2 AND 5 AND c NOT IN (1, 2)");
-        let conj = s.selection.unwrap().conjuncts();
+        let conj = s.selection.as_ref().unwrap().conjuncts();
         assert!(matches!(conj[0], Expr::Unary { op: UnaryOp::Not, .. }));
         assert!(matches!(
             conj[1],

@@ -14,13 +14,11 @@
 
 pub mod catalog;
 pub mod index;
-pub mod stats;
 pub mod table;
 pub mod undo;
 
 pub use catalog::Catalog;
 pub use index::{Index, IndexKind, OrdKey};
-pub use stats::TableStats;
 pub use table::Table;
 pub use undo::UndoOp;
 

@@ -5,7 +5,6 @@ use std::sync::Arc;
 use grfusion_common::{Error, Result, Row, RowId, Schema, Value};
 
 use crate::index::{Index, IndexKind};
-use crate::stats::TableStats;
 
 /// Slots per chunk (power of two so slot→chunk resolution is
 /// a shift and a mask on the hot tuple-pointer dereference path).
@@ -294,14 +293,6 @@ impl Table {
     /// inner fill loop is a plain slice traversal.
     pub fn chunk_slices(&self) -> impl Iterator<Item = &[Option<Row>]> + '_ {
         self.chunks.iter().map(|c| c.slots.as_slice())
-    }
-
-    /// Current table statistics.
-    pub fn stats(&self) -> TableStats {
-        TableStats {
-            row_count: self.live,
-            slot_count: self.slot_len,
-        }
     }
 
     /// Validate arity and column types, applying int→double widening.

@@ -312,6 +312,73 @@ pub enum PathProp {
     VertexIdAt(u64),
 }
 
+impl PathProp {
+    /// `PS.Edges[i].attr` / `PS.Vertexes[i].attr`: the element list, the
+    /// position and the attribute.
+    pub(crate) fn element(&self) -> Option<(PathTarget, u64, &str)> {
+        match self {
+            PathProp::EdgeAttrAt(i, attr) => Some((PathTarget::Edges, *i, attr)),
+            PathProp::VertexAttrAt(i, attr) => Some((PathTarget::Vertexes, *i, attr)),
+            _ => None,
+        }
+    }
+
+    /// The shortest path on which this property is not NULL: one that has
+    /// the element it reads.
+    pub(crate) fn min_length(&self) -> usize {
+        match self {
+            PathProp::EdgeAttrAt(i, _) | PathProp::EdgeIdAt(i) => {
+                length_with(PathTarget::Edges, *i)
+            }
+            PathProp::VertexAttrAt(i, _) | PathProp::VertexIdAt(i) => {
+                length_with(PathTarget::Vertexes, *i)
+            }
+            _ => 0,
+        }
+    }
+
+    /// The position (0 = start, `len` = end) of the vertex whose id this
+    /// property is, on a path of `len` edges: `StartVertex[.Id]`,
+    /// `StartVertexId`, their `End` twins, `Vertexes[i][.Id]`, and
+    /// `Edges[i].StartVertex` / `Edges[i].EndVertex` (positions `i` and
+    /// `i + 1` in traversal direction; `Edges[i]` is NULL past the last edge).
+    pub(crate) fn position_of_vertex(&self, len: usize) -> Option<usize> {
+        let at = |i: u64| usize::try_from(i).ok();
+        match self {
+            PathProp::StartVertexId => Some(0),
+            PathProp::EndVertexId => Some(len),
+            PathProp::VertexIdAt(i) => at(*i),
+            PathProp::VertexAttrAt(i, attr) if attr == "id" => at(*i),
+            PathProp::EdgeAttrAt(i, attr) => {
+                let i = at(*i).filter(|i| *i < len)?;
+                match attr.as_str() {
+                    "startvertex" => Some(i),
+                    "endvertex" => Some(i + 1),
+                    _ => None,
+                }
+            }
+            _ => None,
+        }
+    }
+}
+
+/// Whether edge attribute `attr` names an end of the hop (`StartVertex`,
+/// `EndVertex`): which end is which depends on the direction a path takes
+/// the edge in, so it is not a property of the edge alone.
+pub(crate) fn is_hop_endpoint(attr: &str) -> bool {
+    matches!(attr, "startvertex" | "endvertex")
+}
+
+/// The path length at which position `pos` of `target` exists: edge `i`
+/// needs `i + 1` edges, vertex `i` needs `i`.
+pub(crate) fn length_with(target: PathTarget, pos: u64) -> usize {
+    let pos = usize::try_from(pos).unwrap_or(usize::MAX);
+    match target {
+        PathTarget::Edges => pos.saturating_add(1),
+        PathTarget::Vertexes => pos,
+    }
+}
+
 /// Range target for quantified predicates and path aggregates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PathTarget {
@@ -324,6 +391,36 @@ pub enum PathTarget {
 pub enum QuantTest {
     Cmp { op: CmpOp, rhs: Box<PhysExpr> },
     In { list: Vec<PhysExpr>, negated: bool },
+}
+
+impl QuantTest {
+    /// The expressions the test compares an element with.
+    pub(crate) fn operands(&self) -> &[PhysExpr] {
+        match self {
+            QuantTest::Cmp { rhs, .. } => std::slice::from_ref(rhs.as_ref()),
+            QuantTest::In { list, .. } => list,
+        }
+    }
+
+    /// [`QuantTest::operands`] evaluated against one row, for
+    /// [`QuantTest::holds`].
+    pub(crate) fn bind(&self, row: &[Value], env: &QueryEnv<'_>) -> Result<Vec<Value>> {
+        self.operands().iter().map(|e| e.eval(row, env)).collect()
+    }
+
+    /// Whether element value `v` passes, against the values [`QuantTest::bind`]
+    /// returned. Only TRUE passes.
+    pub(crate) fn holds(&self, v: &Value, bound: &[Value]) -> bool {
+        match self {
+            QuantTest::Cmp { op, .. } => bound
+                .first()
+                .is_some_and(|rhs| op.test(v.sql_cmp(rhs)) == Some(true)),
+            QuantTest::In { negated, .. } => {
+                let any = bound.iter().any(|rv| v.sql_eq(rv) == Some(true));
+                any != *negated
+            }
+        }
+    }
 }
 
 /// Aggregate functions (group aggregates and path aggregates share these).
@@ -465,23 +562,127 @@ impl PhysExpr {
 
     /// Whether the expression references any column (false ⇒ constant).
     pub fn is_constant(&self) -> bool {
+        self.column_span().is_none()
+    }
+
+    /// The lowest and the highest column of the combined row the
+    /// expression reads, or `None` when it reads none.
+    pub(crate) fn column_span(&self) -> Option<(usize, usize)> {
+        let mut span = self.column().map(|c| (c, c));
+        self.for_each_operand(&mut |e| {
+            if let Some((lo, hi)) = e.column_span() {
+                span = Some(span.map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))));
+            }
+        });
+        span
+    }
+
+    /// Whether the expression reads column `c` of the combined row.
+    pub(crate) fn reads_column(&self, c: usize) -> bool {
+        let mut reads = self.column() == Some(c);
+        self.for_each_operand(&mut |e| reads |= e.reads_column(c));
+        reads
+    }
+
+    /// The expression over a row that is the slice of the combined row
+    /// starting at column `offset`. Every column it reads lies at or past
+    /// `offset`.
+    pub(crate) fn rebased(mut self, offset: usize) -> PhysExpr {
+        self.shift_down(offset);
+        self
+    }
+
+    fn shift_down(&mut self, offset: usize) {
+        if let PhysExpr::Column { index: c, .. }
+        | PhysExpr::PathProp { col: c, .. }
+        | PhysExpr::PathAgg { col: c, .. }
+        | PhysExpr::Quant { col: c, .. } = self
+        {
+            *c -= offset;
+        }
+        self.for_each_operand_mut(&mut |e| e.shift_down(offset));
+    }
+
+    /// The column a leaf reads: a column, or the path a path accessor reads.
+    fn column(&self) -> Option<usize> {
         match self {
-            PhysExpr::Literal(_) | PhysExpr::Param { .. } => true,
-            PhysExpr::Column { .. }
+            PhysExpr::Column { index: c, .. }
+            | PhysExpr::PathProp { col: c, .. }
+            | PhysExpr::PathAgg { col: c, .. }
+            | PhysExpr::Quant { col: c, .. } => Some(*c),
+            _ => None,
+        }
+    }
+
+    /// Call `f` on every direct operand, a quantified test's included.
+    fn for_each_operand(&self, f: &mut dyn FnMut(&PhysExpr)) {
+        match self {
+            PhysExpr::Literal(_)
+            | PhysExpr::Param { .. }
+            | PhysExpr::Column { .. }
             | PhysExpr::PathProp { .. }
-            | PhysExpr::PathAgg { .. }
-            | PhysExpr::Quant { .. } => false,
-            PhysExpr::Not(e) | PhysExpr::Neg(e) => e.is_constant(),
-            PhysExpr::And(a, b) | PhysExpr::Or(a, b) => a.is_constant() && b.is_constant(),
-            PhysExpr::Cmp { left, right, .. } | PhysExpr::Arith { left, right, .. } => {
-                left.is_constant() && right.is_constant()
+            | PhysExpr::PathAgg { .. } => {}
+            PhysExpr::Not(e) | PhysExpr::Neg(e) => f(e),
+            PhysExpr::And(a, b)
+            | PhysExpr::Or(a, b)
+            | PhysExpr::Cmp {
+                left: a, right: b, ..
+            }
+            | PhysExpr::Arith {
+                left: a, right: b, ..
+            } => {
+                f(a);
+                f(b);
             }
             PhysExpr::InList { expr, list, .. } => {
-                expr.is_constant() && list.iter().all(|e| e.is_constant())
+                f(expr);
+                list.iter().for_each(f);
             }
             PhysExpr::Between {
                 expr, low, high, ..
-            } => expr.is_constant() && low.is_constant() && high.is_constant(),
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            PhysExpr::Quant { test, .. } => test.operands().iter().for_each(f),
+        }
+    }
+
+    fn for_each_operand_mut(&mut self, f: &mut dyn FnMut(&mut PhysExpr)) {
+        match self {
+            PhysExpr::Literal(_)
+            | PhysExpr::Param { .. }
+            | PhysExpr::Column { .. }
+            | PhysExpr::PathProp { .. }
+            | PhysExpr::PathAgg { .. } => {}
+            PhysExpr::Not(e) | PhysExpr::Neg(e) => f(e),
+            PhysExpr::And(a, b)
+            | PhysExpr::Or(a, b)
+            | PhysExpr::Cmp {
+                left: a, right: b, ..
+            }
+            | PhysExpr::Arith {
+                left: a, right: b, ..
+            } => {
+                f(a);
+                f(b);
+            }
+            PhysExpr::InList { expr, list, .. } => {
+                f(expr);
+                list.iter_mut().for_each(f);
+            }
+            PhysExpr::Between {
+                expr, low, high, ..
+            } => {
+                f(expr);
+                f(low);
+                f(high);
+            }
+            PhysExpr::Quant { test, .. } => match test {
+                QuantTest::Cmp { rhs, .. } => f(rhs),
+                QuantTest::In { list, .. } => list.iter_mut().for_each(f),
+            },
         }
     }
 
@@ -928,27 +1129,14 @@ fn eval_quant(
             (start, len - 1)
         }
     };
-    // Pre-evaluate the right-hand side(s) once per row.
-    let rhs_vals: Vec<Value> = match test {
-        QuantTest::Cmp { rhs, .. } => vec![rhs.eval(row, env)?],
-        QuantTest::In { list, .. } => list
-            .iter()
-            .map(|e| e.eval(row, env))
-            .collect::<Result<_>>()?,
-    };
+    // Evaluate the right-hand side(s) once per row.
+    let bound = test.bind(row, env)?;
     for pos in lo..=hi {
         let v = match target {
             PathTarget::Edges => genv.path_edge_attr(path, pos as usize, attr)?,
             PathTarget::Vertexes => genv.path_vertex_attr(path, pos as usize, attr)?,
         };
-        let ok = match test {
-            QuantTest::Cmp { op, .. } => op.test(v.sql_cmp(&rhs_vals[0])) == Some(true),
-            QuantTest::In { negated, .. } => {
-                let any = rhs_vals.iter().any(|rv| v.sql_eq(rv) == Some(true));
-                any != *negated
-            }
-        };
-        if !ok {
+        if !test.holds(&v, &bound) {
             return Ok(Value::Boolean(false));
         }
     }
@@ -1373,7 +1561,7 @@ impl RangeRef {
 }
 
 /// The element list a `PS.<segment>` reference names, if any.
-fn element_target(segment: &RefPart) -> Option<PathTarget> {
+pub(crate) fn element_target(segment: &RefPart) -> Option<PathTarget> {
     match segment.name.to_ascii_lowercase().as_str() {
         "edges" => Some(PathTarget::Edges),
         "vertexes" | "vertices" => Some(PathTarget::Vertexes),

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use grfusion_common::Schema;
 use grfusion_sql::IndexEnd;
 
-use crate::expr::{AggFunc, CmpOp, PathTarget, PhysExpr};
+use crate::expr::{AggFunc, CmpOp, PathTarget, PhysExpr, QuantTest};
 
 /// A physical plan node. Every node knows its output schema.
 #[derive(Debug, Clone)]
@@ -265,9 +265,9 @@ pub enum StartSource {
     Probe(PhysExpr),
 }
 
-/// A predicate pushed into the traversal (§6.2). `rhs` expressions are
-/// compiled against the *outer* schema (empty for standalone scans) and
-/// bound to concrete values when the scan starts.
+/// A predicate pushed into the traversal (§6.2). The test's operands read
+/// only the *outer* row (none for a standalone scan) and are bound to
+/// concrete values when the scan starts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PushedPred {
     pub target: PathTarget,
@@ -277,13 +277,7 @@ pub struct PushedPred {
     /// `id`, `fanin`, `fanout`; `startvertex`/`endvertex` are not pushable
     /// because hop direction is only known per path).
     pub attr: String,
-    pub test: PushedTest,
-}
-
-#[derive(Debug, Clone, PartialEq)]
-pub enum PushedTest {
-    Cmp { op: CmpOp, rhs: PhysExpr },
-    In { list: Vec<PhysExpr>, negated: bool },
+    pub test: QuantTest,
 }
 
 /// A running path-aggregate bound pushed into traversal (§6.2):
@@ -292,7 +286,9 @@ pub enum PushedTest {
 pub struct PushedAggPred {
     pub target: PathTarget,
     pub attr: String,
-    /// `Lt` or `LtEq` only (monotone pruning for non-negative attributes).
+    /// `Lt` or `LtEq` only. A prefix over the bound only dooms its
+    /// extensions while the attribute is non-negative, so the scan stops
+    /// pruning once it finds a negative value in the attribute's column.
     pub op: CmpOp,
     pub rhs: PhysExpr,
 }

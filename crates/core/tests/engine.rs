@@ -889,6 +889,137 @@ fn consumed_closing_conjunct_is_exact() {
     }
 }
 
+/// The rows of `sql`, sorted, with one optimizer flag changed from the
+/// default by `change`.
+fn sorted_texts_with(
+    db: &Database,
+    sql: &str,
+    change: impl FnOnce(&mut grfusion::OptimizerFlags),
+) -> Vec<String> {
+    let mut cfg = db.config();
+    let saved = cfg.clone();
+    change(&mut cfg.optimizer);
+    db.set_config(cfg);
+    let rs = db.execute(sql).unwrap();
+    db.set_config(saved);
+    let mut rows: Vec<String> = rs
+        .rows
+        .iter()
+        .map(|r| {
+            r.iter()
+                .map(|v| v.to_string())
+                .collect::<Vec<_>>()
+                .join("|")
+        })
+        .collect();
+    rows.sort();
+    rows
+}
+
+/// §6.1 raises the window's minimum only from a position the conjunct
+/// cannot be TRUE without: never from one under `OR` or `NOT`, in an `IN`
+/// list, or as a `NOT BETWEEN` bound, where a missing element (NULL) can
+/// still leave the conjunct TRUE. Each query must return what it returns
+/// with length inference off.
+#[test]
+fn implicit_length_minimum_respects_or_not_and_in_lists() {
+    let db = road_db();
+    for predicate in [
+        "PS.Length <= 3 AND (PS.Edges[2].distance = 99 OR PS.Length = 1)",
+        "PS.Length <= 3 AND NOT (PS.Edges[1..*].distance > 0)",
+        "PS.Length <= 3 AND 5 IN (PS.Edges[2].distance, 5)",
+        "PS.Length <= 3 AND (PS.Edges[1..*].distance > 100 OR PS.Length = 1)",
+        "PS.Length <= 3 AND 5 NOT BETWEEN 10 AND PS.Edges[2].distance",
+    ] {
+        let sql = format!("SELECT PS.PathString FROM RoadNetwork.Paths PS WHERE {predicate}");
+        let want = sorted_texts_with(&db, &sql, |o| o.length_inference = false);
+        assert!(want.iter().any(|p| p == "1->2"), "{sql}: {want:?}");
+        assert_eq!(sorted_texts_with(&db, &sql, |_| {}), want, "{sql}");
+    }
+}
+
+/// A running-SUM bound prunes a prefix only while the attribute holds no
+/// negative value: on the chain 1->2->3->4 weighted 8, 5, −6 the prefix
+/// 8 + 5 is over the bound, yet the whole path sums to 7.
+#[test]
+fn running_sum_bound_keeps_paths_that_come_back_under_it() {
+    let db = Database::new();
+    db.execute_script(
+        "CREATE TABLE n (id INTEGER PRIMARY KEY); \
+         CREATE TABLE l (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w INTEGER); \
+         INSERT INTO n VALUES (1), (2), (3), (4); \
+         INSERT INTO l VALUES (1, 1, 2, 8), (2, 2, 3, 5), (3, 3, 4, -6); \
+         CREATE DIRECTED GRAPH VIEW chain VERTEXES(ID = id) FROM n \
+         EDGES(ID = id, FROM = a, TO = b, w = w) FROM l",
+    )
+    .unwrap();
+    for bound in [
+        "SUM(PS.Edges.w) < 10",
+        "10 > SUM(PS.Edges.w)",
+        "SUM(PS.Edges.w) <= 7",
+    ] {
+        let sql =
+            format!("SELECT PS.PathString FROM chain.Paths PS WHERE PS.Length = 3 AND {bound}");
+        assert_eq!(
+            sorted_texts_with(&db, &sql, |_| {}),
+            ["1->2->3->4"],
+            "{sql}"
+        );
+        assert_eq!(
+            sorted_texts_with(&db, &sql, |o| o.aggregate_pushdown = false),
+            ["1->2->3->4"],
+            "{sql}"
+        );
+    }
+}
+
+/// A standalone path scan (no start anchor on the outer row) binds its
+/// pushed predicates and its end anchor against no row, so a comparand
+/// that reads an outer column stays in the residual filter instead.
+#[test]
+fn outer_columns_reach_a_path_scan_only_through_its_probe() {
+    let db = social_db();
+    for sql in [
+        "SELECT U.uId, PS.PathString FROM Users U, SocialNetwork.Paths PS \
+         WHERE PS.Edges[0..*].startYear > U.uId + 1998 AND PS.Length = 1",
+        "SELECT U.uId, PS.PathString FROM Users U, SocialNetwork.Paths PS \
+         WHERE PS.StartVertex.Id = 1 AND PS.Edges[0].startYear IN (U.uId + 2000, 1) \
+         AND PS.Length = 1",
+        "SELECT U.uId, PS.PathString FROM Users U, SocialNetwork.Paths PS \
+         WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = U.uId \
+         AND SUM(PS.Edges.startYear) < U.uId * 1000 AND PS.Length <= 2",
+        "SELECT U.uId, PS.Length FROM Users U, SocialNetwork.Paths PS \
+         WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = U.uId AND U.uId = 3 LIMIT 1",
+    ] {
+        let want = sorted_texts_with(&db, sql, |o| {
+            o.predicate_pushdown = false;
+            o.aggregate_pushdown = false;
+        });
+        assert!(!want.is_empty(), "{sql}");
+        assert_eq!(sorted_texts_with(&db, sql, |_| {}), want, "{sql}");
+    }
+}
+
+/// The `LIMIT 1` reachability fast path returns the hop-minimal path, so
+/// every conjunct on the path must hold for all paths between the anchors
+/// or be enforced by the search. A vertex compared with anything but the
+/// outer row is not an anchor, and a `Length` bound is only enforced when
+/// length inference folds it into the window.
+#[test]
+fn reachability_needs_every_path_conjunct_enforced() {
+    let db = road_db();
+    // 1->4 direct (length 1), 1->2->4 and 1->3->4 (length 2).
+    let anchored = "SELECT PS.Length FROM RoadNetwork.Paths PS \
+                    WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 4";
+    let sql = format!("{anchored} AND PS.StartVertex.Id = PS.Length - 1 LIMIT 1");
+    assert_eq!(sorted_texts_with(&db, &sql, |_| {}), ["2"], "{sql}");
+    let sql = format!("{anchored} AND PS.Length >= 2 LIMIT 1");
+    for length_inference in [true, false] {
+        let rows = sorted_texts_with(&db, &sql, |o| o.length_inference = length_inference);
+        assert_eq!(rows, ["2"], "length_inference={length_inference}: {sql}");
+    }
+}
+
 #[test]
 fn explain_shows_cross_model_pipeline() {
     let db = social_db();

@@ -5,6 +5,8 @@
 //! * shortest paths: SPScan costs match Bellman-Ford on random graphs;
 //! * maintenance: a topology maintained through random DML equals a fresh
 //!   re-extraction from the final table state;
+//! * pushdown: a running-SUM bound pruned in the traversal keeps the rows
+//!   the residual filter keeps, on weights of either sign;
 //! * storage: rollback restores the exact pre-transaction state;
 //! * grouping: HAVING over an aggregate filters groups exactly as WHERE
 //!   filters a table holding the aggregate's values;
@@ -205,6 +207,30 @@ proptest! {
         // source == target: the fast path counts the zero-length path.
         let expected = if t == 0 { true } else { slow };
         prop_assert_eq!(fast, expected);
+    }
+
+    /// A running-SUM bound pushed into the traversal keeps exactly the
+    /// rows the residual filter alone keeps, on weights of either sign.
+    #[test]
+    fn running_sum_pushdown_matches_the_filter_on_signed_weights(
+        (n, edges) in arb_graph(),
+        directed in any::<bool>(),
+        m in 1i64..11,
+        c in 0i64..11,
+        k in -6i64..10,
+    ) {
+        let db = build_db(n, &edges, directed);
+        // Weights in -5..=5, scattered over the edge ids.
+        db.execute(&format!("UPDATE e SET w = (id * {m} + {c}) % 11 - 5")).unwrap();
+        let sql = format!(
+            "SELECT PS.PathString FROM g.Paths PS \
+             WHERE PS.Length <= 3 AND SUM(PS.Edges.w) < {k}"
+        );
+        let pushed = path_strings(&db, &sql);
+        let mut cfg = db.config();
+        cfg.optimizer.aggregate_pushdown = false;
+        db.set_config(cfg);
+        prop_assert_eq!(pushed, path_strings(&db, &sql));
     }
 
     /// Random DML on the sources, then: maintained topology ≡ topology

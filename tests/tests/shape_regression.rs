@@ -608,9 +608,12 @@ mod consumption_parity {
     }
 
     fn check(cases: &[(&str, &[&str])]) {
-        let db = parity_db();
+        check_on(&parity_db(), cases);
+    }
+
+    fn check_on(db: &Database, cases: &[(&str, &[&str])]) {
         for (sql, want) in cases {
-            assert_eq!(fingerprint(&db, sql), *want, "sql={sql}");
+            assert_eq!(fingerprint(db, sql), *want, "sql={sql}");
         }
     }
 
@@ -1725,6 +1728,212 @@ mod consumption_parity {
 
     /// `?` placeholders: anchors, a pushed comparand and a SUM bound bind at
     /// execution; a `?` length bound is not a window.
+    /// `parity_db` plus a view `ga` over a second vertex table whose
+    /// vertexes expose an INTEGER and a VARCHAR column and whose edges
+    /// expose `w` as `W`, every attribute read in mixed case.
+    fn attributes_db() -> Database {
+        let db = parity_db();
+        for sql in [
+            "CREATE TABLE p (pid INTEGER PRIMARY KEY, age INTEGER, name VARCHAR)",
+            "INSERT INTO p VALUES (1, 30, 'ann'), (2, 25, 'bob'), (3, 41, 'cy'), \
+             (4, 25, 'dee'), (5, 52, 'eve'), (6, 19, 'fay')",
+            "CREATE DIRECTED GRAPH VIEW ga VERTEXES(ID = pid, Age = age, nAmE = name) FROM p \
+             EDGES(ID = id, FROM = a, TO = b, W = w) FROM e",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        db
+    }
+
+    /// Every way a query reads a graph attribute, in mixed case: start and
+    /// end vertex attributes, an edge's id / hop ends / exposed attribute
+    /// and a vertex's id / degrees by position, quantified predicates kept
+    /// residual (under `OR`) and pushed (edge, vertex, degree, id; a hop
+    /// end is never pushed), path aggregates over exposed attributes,
+    /// degrees and ids, running SUM bounds, SHORTESTPATH on the exposed
+    /// cost, and a probe-bound pushed predicate. `Vertexes[0].Id` is a
+    /// pushed predicate, not a start anchor.
+    #[test]
+    fn attributes() {
+        check_on(&attributes_db(), &[
+            (
+                "SELECT PS.StartVertex.Name, PS.StartVertex.AGE, PS.EndVertex.name, PS.EndVertex.Age FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length = 2",
+                &[
+                    "Project(4 cols) :: (name VARCHAR?, age INTEGER?, name VARCHAR?, age INTEGER?)",
+                    "  PathScan(ga, Auto, len 2..=2) :: (ps PATH)",
+                    "rows: ann|30|dee|25; ann|30|dee|25",
+                    "vertices=5 edges=4 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.Edges[0].Id, PS.Edges[0].StartVertex, PS.Edges[0].EndVertex, PS.Edges[0].W, PS.Edges[1].id, PS.Edges[1].startvertex, PS.Edges[1].endVertex, PS.Edges[1].w, PS.Edges[2].W FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length = 2",
+                &[
+                    "Project(9 cols) :: (id INTEGER?, startvertex INTEGER?, endvertex INTEGER?, w DOUBLE?, id INTEGER?, startvertex INTEGER?, endvertex INTEGER?, w DOUBLE?, w DOUBLE?)",
+                    "  PathScan(ga, Auto, len 2..=2) :: (ps PATH)",
+                    "rows: 10|1|2|1|12|2|4|3|NULL; 11|1|3|2|13|3|4|4|NULL",
+                    "vertices=5 edges=4 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.Vertexes[0].Id, PS.Vertexes[1].ID, PS.Vertexes[1].FanIn, PS.Vertexes[1].FanOut, PS.Vertexes[2].fanin, PS.Vertexes[2].fanout, PS.Vertexes[2].Name, PS.Vertexes[3].Age FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length = 2",
+                &[
+                    "Project(8 cols) :: (id INTEGER?, id INTEGER?, fanin INTEGER?, fanout INTEGER?, fanin INTEGER?, fanout INTEGER?, name VARCHAR?, age INTEGER?)",
+                    "  PathScan(ga, Auto, len 2..=2) :: (ps PATH)",
+                    "rows: 1|2|1|1|2|1|dee|NULL; 1|3|1|1|2|1|dee|NULL",
+                    "vertices=5 edges=4 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.Vertexes[0].Id = 4 AND PS.Length <= 2",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 0..=2) :: (ps PATH)",
+                    "rows: 4; 4->5; 4->5->1; 4->5->6",
+                    "vertices=4 edges=3 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length <= 3 AND PS.Edges[1].EndVertex = 4",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 2..=3) :: (ps PATH)",
+                    "rows: 1->2->4; 1->2->4->5; 1->3->4; 1->3->4->5",
+                    "vertices=7 edges=6 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length <= 3 AND (PS.Edges[0..*].W < 3 OR PS.Vertexes[1..*].Name IN ('cy', 'dee'))",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 0..=3) :: (ps PATH)",
+                    "rows: 1; 1->2; 1->3; 1->3->4",
+                    "vertices=7 edges=6 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length <= 3 AND PS.Edges[0..*].W < 5 AND PS.Vertexes[1..*].Age > 20",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 1..=3) :: (ps PATH)",
+                    "rows: 1->2; 1->2->4; 1->3; 1->3->4",
+                    "vertices=5 edges=6 derefs=10",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length <= 3 AND PS.Vertexes[1].Name = 'cy' AND PS.Edges[1].Id <> 13",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 2..=3) :: (ps PATH)",
+                    "rows: ",
+                    "vertices=2 edges=3 derefs=2",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length <= 3 AND PS.Vertexes[0..*].FanOut >= 1 AND PS.Vertexes[1..*].fanin < 2 AND PS.Edges[0..*].id > 10",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 1..=3) :: (ps PATH)",
+                    "rows: 1->3",
+                    "vertices=2 edges=3 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length <= 3 AND PS.Edges[0..*].StartVertex <> 3",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 0..=3) :: (ps PATH)",
+                    "rows: 1; 1->2; 1->2->4; 1->2->4->5; 1->3",
+                    "vertices=7 edges=6 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString, SUM(PS.Edges.W), MIN(PS.Edges.w), MAX(PS.Edges.W), AVG(PS.Edges.W), COUNT(PS.Edges.W) FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length = 2",
+                &[
+                    "Project(6 cols) :: (pathstring VARCHAR, sum DOUBLE?, min DOUBLE?, max DOUBLE?, avg DOUBLE?, count INTEGER)",
+                    "  PathScan(ga, Auto, len 2..=2) :: (ps PATH)",
+                    "rows: 1->2->4|4|1|3|2|2; 1->3->4|6|2|4|3|2",
+                    "vertices=5 edges=4 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString, SUM(PS.Vertexes.Age), MIN(PS.Vertexes.Name), MAX(PS.Vertexes.name), AVG(PS.Vertexes.age), COUNT(PS.Vertexes.Name) FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length = 2",
+                &[
+                    "Project(6 cols) :: (pathstring VARCHAR, sum INTEGER?, min VARCHAR?, max VARCHAR?, avg DOUBLE?, count INTEGER)",
+                    "  PathScan(ga, Auto, len 2..=2) :: (ps PATH)",
+                    "rows: 1->2->4|80|ann|dee|26.666666666666668|3; 1->3->4|96|ann|dee|32|3",
+                    "vertices=5 edges=4 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString, SUM(PS.Vertexes.FanOut), MIN(PS.Vertexes.fanout), MAX(PS.Vertexes.FanIn), AVG(PS.Vertexes.FANOUT), COUNT(PS.Vertexes.fanout), SUM(PS.Edges.Id) FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length = 2",
+                &[
+                    "Project(7 cols) :: (pathstring VARCHAR, sum INTEGER?, min INTEGER?, max INTEGER?, avg DOUBLE?, count INTEGER, sum INTEGER?)",
+                    "  PathScan(ga, Auto, len 2..=2) :: (ps PATH)",
+                    "rows: 1->2->4|4|1|2|1.3333333333333333|3|22; 1->3->4|4|1|2|1.3333333333333333|3|24",
+                    "vertices=5 edges=4 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length <= 4 AND SUM(PS.Edges.W) < 9",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 0..=4) :: (ps PATH)",
+                    "rows: 1->2; 1->2->4; 1->3; 1->3->4",
+                    "vertices=5 edges=6 derefs=12",
+                ],
+            ),
+            (
+                "SELECT PS.PathString FROM ga.Paths PS WHERE PS.StartVertex = 1 AND PS.Length <= 4 AND SUM(PS.Vertexes.Age) <= 100 AND SUM(PS.Vertexes.FanOut) < 5",
+                &[
+                    "Project(1 cols) :: (pathstring VARCHAR)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, Auto, len 0..=4) :: (ps PATH)",
+                    "rows: 1; 1->2; 1->2->4; 1->3; 1->3->4",
+                    "vertices=5 edges=6 derefs=18",
+                ],
+            ),
+            (
+                "SELECT PS.PathString, PS.Cost FROM ga.Paths PS HINT(SHORTESTPATH(W)) WHERE PS.StartVertex = 1 AND PS.EndVertex = 6",
+                &[
+                    "Project(2 cols) :: (pathstring VARCHAR, cost DOUBLE)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, ShortestPath { cost_attr: \"w\" }, len 0..=64) :: (ps PATH)",
+                    "rows: 1->2->4->5->6|15; 1->3->4->5->6|17",
+                    "vertices=9 edges=10 derefs=0",
+                ],
+            ),
+            (
+                "SELECT PS.PathString, PS.Cost FROM ga.Paths PS HINT(SHORTESTPATH(w)) WHERE PS.StartVertex = 1 AND PS.EndVertex = 6 AND PS.Edges[0..*].W <> 2 AND PS.Vertexes[0..*].Age > 20",
+                &[
+                    "Project(2 cols) :: (pathstring VARCHAR, cost DOUBLE)",
+                    "  Filter :: (ps PATH)",
+                    "    PathScan(ga, ShortestPath { cost_attr: \"w\" }, len 0..=64) :: (ps PATH)",
+                    "rows: ",
+                    "vertices=4 edges=6 derefs=11",
+                ],
+            ),
+            (
+                "SELECT s.sid, PS.PathString FROM s, ga.Paths PS WHERE PS.StartVertex = s.vid AND PS.Length <= 2 AND PS.Edges[0..*].W < s.sid + 3 AND PS.EndVertex.Age > 20",
+                &[
+                    "Project(2 cols) :: (sid INTEGER?, pathstring VARCHAR)",
+                    "  Filter :: (sid INTEGER?, vid INTEGER?, k INTEGER?, ps PATH)",
+                    "    PathJoin(ga, Auto, len 0..=2) :: (sid INTEGER?, vid INTEGER?, k INTEGER?, ps PATH)",
+                    "      TableScan(s) :: (sid INTEGER?, vid INTEGER?, k INTEGER?)",
+                    "rows: 1|1; 1|1->2; 1|1->2->4; 1|1->3; 2|4",
+                    "vertices=5 edges=5 derefs=5",
+                ],
+            ),
+        ]);
+    }
+
     #[test]
     fn parameters() {
         let db = parity_db();

@@ -28,7 +28,7 @@ use grfusion_common::{DataType, Error, PathData, Result, Schema, Value};
 use grfusion_sql::{BinaryOp, Expr, IndexEnd, RefPart, UnaryOp};
 
 use crate::env::{GraphEnv, QueryEnv};
-use crate::graph_view::GraphViewDef;
+use crate::graph_view::{self as gv, GraphViewDef};
 use crate::plan::AggSpec;
 
 // ---------------------------------------------------------------------------
@@ -64,49 +64,68 @@ pub struct Binding {
 /// attribute types resolve statically).
 #[derive(Debug, Clone)]
 pub struct GraphMeta {
-    pub def: GraphViewDef,
+    pub def: Arc<GraphViewDef>,
     pub vertex_schema: Arc<Schema>,
     pub edge_schema: Arc<Schema>,
 }
 
 impl GraphMeta {
-    /// The type of attribute `attr` (lowercase) of the view's edges or
-    /// vertexes: the synthesized `id` — and the per-hop `startvertex` /
-    /// `endvertex` of an edge, the `fanin` / `fanout` of a vertex — is
-    /// INTEGER; anything else must be an exposed attribute backed by a
-    /// base-table column (tuple-pointer provenance).
-    pub(crate) fn attr_type(&self, target: PathTarget, attr: &str) -> Option<DataType> {
-        match (target, attr) {
-            (_, "id")
-            | (PathTarget::Edges, "startvertex" | "endvertex")
-            | (PathTarget::Vertexes, "fanin" | "fanout") => Some(DataType::Integer),
-            (PathTarget::Edges, _) => self
-                .def
-                .edge_attr_col(attr)
-                .map(|c| self.edge_schema.column(c).data_type),
-            (PathTarget::Vertexes, _) => self
-                .def
-                .vertex_attr_col(attr)
-                .map(|c| self.vertex_schema.column(c).data_type),
+    /// The one resolver of a graph attribute name: the accessor `name`
+    /// (any case) denotes on the view's edges or vertexes, with its type.
+    /// The synthesized names are INTEGER; anything else must be an exposed
+    /// attribute, read from its base-table column through the element's
+    /// tuple pointer.
+    pub(crate) fn attr_of(&self, target: PathTarget, name: &str) -> Option<(ElemAttr, DataType)> {
+        if target == PathTarget::Vertexes {
+            let (attr, ty) = self.vertex_attr_of(name)?;
+            return Some((ElemAttr::Slot(SlotAttr::Vertex(attr)), ty));
         }
+        let name = name.to_ascii_lowercase();
+        let attr = match name.as_str() {
+            gv::ID => ElemAttr::Slot(SlotAttr::Edge(EdgeAttr::Id)),
+            gv::START_VERTEX => ElemAttr::HopStart,
+            gv::END_VERTEX => ElemAttr::HopEnd,
+            _ => {
+                let c = self.def.edge_attr_col(&name)?;
+                let ty = self.edge_schema.column(c).data_type;
+                return Some((ElemAttr::Slot(SlotAttr::Edge(EdgeAttr::Col(c))), ty));
+            }
+        };
+        Some((attr, DataType::Integer))
     }
 
-    /// The attribute a reference segment names, lowercased, with its type.
-    fn attr_of(&self, target: PathTarget, part: &RefPart) -> Result<(String, DataType)> {
-        let attr = part.name.to_ascii_lowercase();
-        match self.attr_type(target, &attr) {
-            Some(ty) => Ok((attr, ty)),
-            None => Err(Error::analysis(format!(
-                "graph view `{}` has no {} attribute `{}`{}",
-                self.def.name,
-                match target {
-                    PathTarget::Edges => "edge",
-                    PathTarget::Vertexes => "vertex",
-                },
-                part.name,
-                at(part)
-            ))),
-        }
+    /// [`GraphMeta::attr_of`] on the vertexes.
+    fn vertex_attr_of(&self, name: &str) -> Option<(VertexAttr, DataType)> {
+        let name = name.to_ascii_lowercase();
+        let attr = match name.as_str() {
+            gv::ID => VertexAttr::Id,
+            gv::FANIN => VertexAttr::FanIn,
+            gv::FANOUT => VertexAttr::FanOut,
+            _ => {
+                let c = self.def.vertex_attr_col(&name)?;
+                return Some((VertexAttr::Col(c), self.vertex_schema.column(c).data_type));
+            }
+        };
+        Some((attr, DataType::Integer))
+    }
+
+    /// [`GraphMeta::attr_of`] for the reference segment `part`.
+    fn attr_at(&self, target: PathTarget, part: &RefPart) -> Result<(ElemAttr, DataType)> {
+        self.attr_of(target, &part.name)
+            .ok_or_else(|| self.no_attr(target, part))
+    }
+
+    fn no_attr(&self, target: PathTarget, part: &RefPart) -> Error {
+        Error::analysis(format!(
+            "graph view `{}` has no {} attribute `{}`{}",
+            self.def.name,
+            match target {
+                PathTarget::Edges => "edge",
+                PathTarget::Vertexes => "vertex",
+            },
+            part.name,
+            at(part)
+        ))
     }
 }
 
@@ -283,6 +302,54 @@ impl CmpOp {
     }
 }
 
+/// An edge attribute, resolved by [`GraphMeta::attr_of`]: what the edge
+/// alone determines.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeAttr {
+    Id,
+    /// An exposed attribute: this column of the edges source.
+    Col(usize),
+}
+
+/// A vertex attribute, resolved by [`GraphMeta::attr_of`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VertexAttr {
+    Id,
+    FanIn,
+    FanOut,
+    /// An exposed attribute: this column of the vertexes source.
+    Col(usize),
+}
+
+/// An attribute the element's slot alone determines: what a traversal
+/// filter can test on each hop.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotAttr {
+    Edge(EdgeAttr),
+    Vertex(VertexAttr),
+}
+
+/// The attribute a reference reads on an element of a path.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ElemAttr {
+    Slot(SlotAttr),
+    /// An edge's `StartVertex` / `EndVertex`: which end is which depends
+    /// on the direction a path takes the edge in, so it is read from the
+    /// path (positions `i` and `i + 1`), not from the edge.
+    HopStart,
+    HopEnd,
+}
+
+impl ElemAttr {
+    /// The element list the attribute is read on.
+    pub(crate) fn target(self) -> PathTarget {
+        match self {
+            ElemAttr::Slot(SlotAttr::Vertex(_)) => PathTarget::Vertexes,
+            _ => PathTarget::Edges,
+        }
+    }
+}
+
 /// A resolved path property (evaluated against a Path-typed column).
 #[derive(Debug, Clone, PartialEq)]
 pub enum PathProp {
@@ -299,13 +366,11 @@ pub enum PathProp {
     /// `PS.EndVertex` / `PS.EndVertex.Id`.
     EndVertexId,
     /// `PS.StartVertex.attr`.
-    StartVertexAttr(String),
+    StartVertexAttr(VertexAttr),
     /// `PS.EndVertex.attr`.
-    EndVertexAttr(String),
-    /// `PS.Edges[i].attr` (attr may be `StartVertex`/`EndVertex`/`Id`).
-    EdgeAttrAt(u64, String),
-    /// `PS.Vertexes[i].attr`.
-    VertexAttrAt(u64, String),
+    EndVertexAttr(VertexAttr),
+    /// `PS.Edges[i].attr` / `PS.Vertexes[i].attr`.
+    ElementAt(u64, ElemAttr),
     /// `PS.Edges[i]` — the edge id.
     EdgeIdAt(u64),
     /// `PS.Vertexes[i]` — the vertex id.
@@ -313,26 +378,13 @@ pub enum PathProp {
 }
 
 impl PathProp {
-    /// `PS.Edges[i].attr` / `PS.Vertexes[i].attr`: the element list, the
-    /// position and the attribute.
-    pub(crate) fn element(&self) -> Option<(PathTarget, u64, &str)> {
-        match self {
-            PathProp::EdgeAttrAt(i, attr) => Some((PathTarget::Edges, *i, attr)),
-            PathProp::VertexAttrAt(i, attr) => Some((PathTarget::Vertexes, *i, attr)),
-            _ => None,
-        }
-    }
-
     /// The shortest path on which this property is not NULL: one that has
     /// the element it reads.
     pub(crate) fn min_length(&self) -> usize {
         match self {
-            PathProp::EdgeAttrAt(i, _) | PathProp::EdgeIdAt(i) => {
-                length_with(PathTarget::Edges, *i)
-            }
-            PathProp::VertexAttrAt(i, _) | PathProp::VertexIdAt(i) => {
-                length_with(PathTarget::Vertexes, *i)
-            }
+            PathProp::ElementAt(i, attr) => length_with(attr.target(), *i),
+            PathProp::EdgeIdAt(i) => length_with(PathTarget::Edges, *i),
+            PathProp::VertexIdAt(i) => length_with(PathTarget::Vertexes, *i),
             _ => 0,
         }
     }
@@ -344,29 +396,17 @@ impl PathProp {
     /// `i + 1` in traversal direction; `Edges[i]` is NULL past the last edge).
     pub(crate) fn position_of_vertex(&self, len: usize) -> Option<usize> {
         let at = |i: u64| usize::try_from(i).ok();
+        let hop = |i: u64| at(i).filter(|i| *i < len);
         match self {
             PathProp::StartVertexId => Some(0),
             PathProp::EndVertexId => Some(len),
-            PathProp::VertexIdAt(i) => at(*i),
-            PathProp::VertexAttrAt(i, attr) if attr == "id" => at(*i),
-            PathProp::EdgeAttrAt(i, attr) => {
-                let i = at(*i).filter(|i| *i < len)?;
-                match attr.as_str() {
-                    "startvertex" => Some(i),
-                    "endvertex" => Some(i + 1),
-                    _ => None,
-                }
-            }
+            PathProp::VertexIdAt(i)
+            | PathProp::ElementAt(i, ElemAttr::Slot(SlotAttr::Vertex(VertexAttr::Id))) => at(*i),
+            PathProp::ElementAt(i, ElemAttr::HopStart) => hop(*i),
+            PathProp::ElementAt(i, ElemAttr::HopEnd) => hop(*i).map(|i| i + 1),
             _ => None,
         }
     }
-}
-
-/// Whether edge attribute `attr` names an end of the hop (`StartVertex`,
-/// `EndVertex`): which end is which depends on the direction a path takes
-/// the edge in, so it is not a property of the edge alone.
-pub(crate) fn is_hop_endpoint(attr: &str) -> bool {
-    matches!(attr, "startvertex" | "endvertex")
 }
 
 /// The path length at which position `pos` of `target` exists: edge `i`
@@ -464,8 +504,7 @@ pub enum PhysExpr {
     /// Scalar path aggregate, e.g. `SUM(PS.Edges.Weight)`.
     PathAgg {
         col: usize,
-        target: PathTarget,
-        attr: String,
+        attr: ElemAttr,
         func: AggFunc,
         ty: DataType,
     },
@@ -498,10 +537,9 @@ pub enum PhysExpr {
     /// `PS.<target>[start..end].attr <test>` holds for *every* position.
     Quant {
         col: usize,
-        target: PathTarget,
         start: u64,
         end: IndexEnd,
-        attr: String,
+        attr: ElemAttr,
         test: QuantTest,
     },
 }
@@ -732,15 +770,10 @@ impl PhysExpr {
                 eval_path_prop(path, prop, env)
             }
             PhysExpr::PathAgg {
-                col,
-                target,
-                attr,
-                func,
-                ..
+                col, attr, func, ..
             } => {
                 let path = row[*col].as_path()?;
-                let genv = env.graph_of_path(path)?;
-                eval_path_agg(path, *target, attr, *func, genv)
+                eval_path_agg(path, *attr, *func, env.graph_of_path(path)?)
             }
             PhysExpr::Not(_)
             | PhysExpr::And(..)
@@ -758,7 +791,6 @@ impl PhysExpr {
             }
             PhysExpr::Quant {
                 col,
-                target,
                 start,
                 end,
                 attr,
@@ -766,7 +798,7 @@ impl PhysExpr {
             } => {
                 let path = row[*col].as_path()?;
                 let genv = env.graph_of_path(path)?;
-                eval_quant(path, *target, *start, *end, attr, test, row, env, genv)
+                eval_quant(path, *start, *end, *attr, test, row, env, genv)
             }
         }
     }
@@ -949,31 +981,27 @@ fn eval_path_prop(path: &Arc<PathData>, prop: &PathProp, env: &QueryEnv<'_>) -> 
         PathProp::Cost => Value::Double(path.cost),
         PathProp::StartVertexId => Value::Integer(path.start_vertex()),
         PathProp::EndVertexId => Value::Integer(path.end_vertex()),
-        PathProp::StartVertexAttr(attr) => {
-            let genv = env.graph_of_path(path)?;
-            genv.path_vertex_attr(path, 0, attr)?
+        PathProp::StartVertexAttr(attr) | PathProp::EndVertexAttr(attr) => {
+            let end = matches!(prop, PathProp::EndVertexAttr(_));
+            let pos = if end { path.length() } else { 0 };
+            let attr = ElemAttr::Slot(SlotAttr::Vertex(*attr));
+            env.graph_of_path(path)?.element(path, pos, attr)?
         }
-        PathProp::EndVertexAttr(attr) => {
-            let genv = env.graph_of_path(path)?;
-            genv.path_vertex_attr(path, path.length(), attr)?
-        }
-        PathProp::EdgeAttrAt(i, attr) => {
-            let genv = env.graph_of_path(path)?;
-            genv.path_edge_attr(path, *i as usize, attr)?
-        }
-        PathProp::VertexAttrAt(i, attr) => {
-            let genv = env.graph_of_path(path)?;
-            genv.path_vertex_attr(path, *i as usize, attr)?
-        }
-        PathProp::EdgeIdAt(i) => path
-            .edges()
-            .get(*i as usize)
-            .map_or(Value::Null, |&e| Value::Integer(e)),
-        PathProp::VertexIdAt(i) => path
-            .vertexes()
-            .get(*i as usize)
-            .map_or(Value::Null, |&v| Value::Integer(v)),
+        PathProp::ElementAt(i, attr) => match usize::try_from(*i) {
+            Ok(i) => env.graph_of_path(path)?.element(path, i, *attr)?,
+            Err(_) => Value::Null,
+        },
+        PathProp::EdgeIdAt(i) => id_at(path.edges(), *i),
+        PathProp::VertexIdAt(i) => id_at(path.vertexes(), *i),
     })
+}
+
+/// The id at position `i` of a path's edge or vertex list; NULL past its end.
+fn id_at(ids: &[i64], i: u64) -> Value {
+    usize::try_from(i)
+        .ok()
+        .and_then(|i| ids.get(i))
+        .map_or(Value::Null, |&id| Value::Integer(id))
 }
 
 /// AVG of an exact integer sum. For sums within f64's exact-integer window
@@ -993,18 +1021,22 @@ pub(crate) fn integer_avg(isum: i128, count: i128) -> f64 {
     }
 }
 
+/// The number of elements of `target` on `path`.
+fn element_count(path: &PathData, target: PathTarget) -> usize {
+    match target {
+        PathTarget::Edges => path.edges().len(),
+        PathTarget::Vertexes => path.vertexes().len(),
+    }
+}
+
 /// Evaluate a scalar path aggregate (`SUM(PS.Edges.W)` etc., §4).
 pub fn eval_path_agg(
     path: &PathData,
-    target: PathTarget,
-    attr: &str,
+    attr: ElemAttr,
     func: AggFunc,
     genv: &GraphEnv<'_>,
 ) -> Result<Value> {
-    let count = match target {
-        PathTarget::Edges => path.edges().len(),
-        PathTarget::Vertexes => path.vertexes().len(),
-    };
+    let count = element_count(path, attr.target());
     if func == AggFunc::Count {
         return Ok(Value::Integer(crate::env::degree_i64(count)));
     }
@@ -1018,10 +1050,7 @@ pub fn eval_path_agg(
     let mut max: Option<Value> = None;
     let mut all_int = true;
     for pos in 0..count {
-        let v = match target {
-            PathTarget::Edges => genv.path_edge_attr(path, pos, attr)?,
-            PathTarget::Vertexes => genv.path_vertex_attr(path, pos, attr)?,
-        };
+        let v = genv.element(path, pos, attr)?;
         if v.is_null() {
             continue;
         }
@@ -1049,11 +1078,8 @@ pub fn eval_path_agg(
                     max = Some(v);
                 }
             }
-            AggFunc::Count => {
-                return Err(Error::execution(
-                    "COUNT does not flow through value aggregation",
-                ))
-            }
+            // Answered from `count` before the loop.
+            AggFunc::Count => {}
         }
     }
     Ok(match func {
@@ -1079,30 +1105,25 @@ pub fn eval_path_agg(
         }
         AggFunc::Min => min.unwrap_or(Value::Null),
         AggFunc::Max => max.unwrap_or(Value::Null),
-        AggFunc::Count => {
-            return Err(Error::execution(
-                "COUNT does not flow through value aggregation",
-            ))
-        }
+        AggFunc::Count => Value::Integer(crate::env::degree_i64(count)),
     })
 }
 
 #[allow(clippy::too_many_arguments)]
 fn eval_quant(
     path: &PathData,
-    target: PathTarget,
     start: u64,
     end: IndexEnd,
-    attr: &str,
+    attr: ElemAttr,
     test: &QuantTest,
     row: &[Value],
     env: &QueryEnv<'_>,
     genv: &GraphEnv<'_>,
 ) -> Result<Value> {
-    let len = match target {
-        PathTarget::Edges => path.edges().len(),
-        PathTarget::Vertexes => path.vertexes().len(),
-    } as u64;
+    let len = element_count(path, attr.target());
+    // A position past `usize` is past the end of every list.
+    let pos = |i: u64| usize::try_from(i).unwrap_or(usize::MAX);
+    let start = pos(start);
     // Determine the positions the predicate quantifies over. `[i]` and
     // `[i..j]` require the positions to exist; `[i..*]` is vacuous when the
     // path is shorter (length inference normally guarantees existence).
@@ -1114,6 +1135,7 @@ fn eval_quant(
             (start, start)
         }
         IndexEnd::Bounded(e) => {
+            let e = pos(e);
             if e >= len || start > e {
                 return Ok(Value::Boolean(false));
             }
@@ -1132,11 +1154,7 @@ fn eval_quant(
     // Evaluate the right-hand side(s) once per row.
     let bound = test.bind(row, env)?;
     for pos in lo..=hi {
-        let v = match target {
-            PathTarget::Edges => genv.path_edge_attr(path, pos as usize, attr)?,
-            PathTarget::Vertexes => genv.path_vertex_attr(path, pos as usize, attr)?,
-        };
-        if !test.holds(&v, &bound) {
+        if !test.holds(&genv.element(path, pos, attr)?, &bound) {
             return Ok(Value::Boolean(false));
         }
     }
@@ -1540,10 +1558,9 @@ fn operand(e: &Expr, ns: &Namespace) -> Result<Operand> {
 /// the element list and positions, and the attribute with its type.
 struct RangeRef {
     col: usize,
-    target: PathTarget,
     start: u64,
     end: IndexEnd,
-    attr: String,
+    attr: ElemAttr,
     ty: DataType,
 }
 
@@ -1551,7 +1568,6 @@ impl RangeRef {
     fn quant(self, test: QuantTest) -> PhysExpr {
         PhysExpr::Quant {
             col: self.col,
-            target: self.target,
             start: self.start,
             end: self.end,
             attr: self.attr,
@@ -1600,10 +1616,9 @@ fn as_range_ref(expr: &Expr, ns: &Namespace) -> Result<Option<RangeRef>> {
             at(&parts[1])
         )));
     }
-    let (attr, ty) = ns.graph_meta(graph)?.attr_of(target, &parts[2])?;
+    let (attr, ty) = ns.graph_meta(graph)?.attr_at(target, &parts[2])?;
     Ok(Some(RangeRef {
         col: binding.offset,
-        target,
         start: range.start,
         end: range.end,
         attr,
@@ -1631,11 +1646,10 @@ fn as_path_agg(arg: &Expr, func: AggFunc, name: &str, ns: &Namespace) -> Result<
     let Some(target) = element_target(&parts[1]) else {
         return Ok(None);
     };
-    let (attr, attr_ty) = ns.graph_meta(graph)?.attr_of(target, &parts[2])?;
+    let (attr, attr_ty) = ns.graph_meta(graph)?.attr_at(target, &parts[2])?;
     let ty = aggregate_type(func, name, Some(attr_ty), arg)?.unwrap_or(attr_ty);
     Ok(Some(PhysExpr::PathAgg {
         col: binding.offset,
-        target,
         attr,
         func,
         ty,
@@ -1743,18 +1757,14 @@ fn compile_path_ref(
                     at(seg)
                 )));
             }
-            let (attr, ty) = meta.attr_of(PathTarget::Vertexes, &parts[2])?;
-            if attr == "id" {
-                return Ok(mk(id, DataType::Integer));
-            }
-            Ok(mk(
-                if is_start {
-                    PathProp::StartVertexAttr(attr)
-                } else {
-                    PathProp::EndVertexAttr(attr)
-                },
-                ty,
-            ))
+            let (attr, ty) = meta
+                .vertex_attr_of(&parts[2].name)
+                .ok_or_else(|| meta.no_attr(PathTarget::Vertexes, &parts[2]))?;
+            Ok(match attr {
+                VertexAttr::Id => mk(id, DataType::Integer),
+                attr if is_start => mk(PathProp::StartVertexAttr(attr), ty),
+                attr => mk(PathProp::EndVertexAttr(attr), ty),
+            })
         }
         "edges" | "vertexes" | "vertices" => {
             let is_edges = seg_name == "edges";
@@ -1765,7 +1775,7 @@ fn compile_path_ref(
             };
             let attr = match parts {
                 [_, _] => None,
-                [_, _, attr] if attr.index.is_none() => Some(meta.attr_of(target, attr)?),
+                [_, _, attr] if attr.index.is_none() => Some(meta.attr_at(target, attr)?),
                 _ => {
                     return Err(Error::analysis(format!(
                         "invalid path element reference on `{}`{}",
@@ -1796,8 +1806,7 @@ fn compile_path_ref(
             Ok(match (attr, is_edges) {
                 (None, true) => mk(PathProp::EdgeIdAt(i), DataType::Integer),
                 (None, false) => mk(PathProp::VertexIdAt(i), DataType::Integer),
-                (Some((attr, ty)), true) => mk(PathProp::EdgeAttrAt(i, attr), ty),
-                (Some((attr, ty)), false) => mk(PathProp::VertexAttrAt(i, attr), ty),
+                (Some((attr, ty)), _) => mk(PathProp::ElementAt(i, attr), ty),
             })
         }
         _ => Err(Error::analysis(format!(

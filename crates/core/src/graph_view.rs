@@ -1,9 +1,25 @@
 //! Graph views as database objects (EDBT 2018 §3).
 
+use std::sync::Arc;
+
 use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
 use grfusion_graph::GraphTopology;
 use grfusion_sql::CreateGraphView;
 use grfusion_storage::{Catalog, Table};
+
+/// The names a view synthesizes, spelled once: every element's `id`, a
+/// vertex's `fanin` / `fanout` (§5.2), the `from` / `to` columns of
+/// `gv.EDGES`, and the `startvertex` / `endvertex` of an edge on a path.
+/// No exposed attribute may take one of its element's names.
+pub const ID: &str = "id";
+pub const FANIN: &str = "fanin";
+pub const FANOUT: &str = "fanout";
+pub const FROM: &str = "from";
+pub const TO: &str = "to";
+pub const START_VERTEX: &str = "startvertex";
+pub const END_VERTEX: &str = "endvertex";
+const VERTEX_NAMES: [&str; 3] = [ID, FANIN, FANOUT];
+const EDGE_NAMES: [&str; 5] = [ID, FROM, TO, START_VERTEX, END_VERTEX];
 
 /// Resolved definition of a graph view: which relational sources feed it
 /// and how source columns map to exposed vertex/edge attributes.
@@ -56,6 +72,21 @@ impl GraphViewDef {
         for (exposed, col) in &stmt.edge_attrs {
             edge_attrs.push((exposed.to_ascii_lowercase(), resolve_col(es, col, "EDGES")?));
         }
+        // An exposed name that repeats another, or one the view
+        // synthesizes, could not be read.
+        let vertex = ("vertex", &vertex_attrs, &VERTEX_NAMES[..]);
+        for (kind, attrs, synthesized) in [vertex, ("edge", &edge_attrs, &EDGE_NAMES[..])] {
+            for (i, (name, _)) in attrs.iter().enumerate() {
+                let repeated = attrs.iter().take(i).any(|(a, _)| a == name);
+                if repeated || synthesized.contains(&name.as_str()) {
+                    return Err(Error::analysis(format!(
+                        "graph view `{}` cannot expose {kind} attribute `{name}`: \
+                         its {kind}es already have an attribute of that name",
+                        stmt.name
+                    )));
+                }
+            }
+        }
 
         Ok(GraphViewDef {
             name: stmt.name.to_ascii_lowercase(),
@@ -75,12 +106,12 @@ impl GraphViewDef {
     /// then the graph-only `fanin`/`fanout` properties (§5.2).
     pub fn vertex_scan_schema(&self, vertex_table: &Table) -> Schema {
         let src = vertex_table.schema();
-        let mut cols = vec![Column::new("id", DataType::Integer)];
+        let mut cols = vec![Column::new(ID, DataType::Integer)];
         for (exposed, col) in &self.vertex_attrs {
             cols.push(Column::new(exposed.clone(), src.column(*col).data_type));
         }
-        cols.push(Column::new("fanin", DataType::Integer));
-        cols.push(Column::new("fanout", DataType::Integer));
+        cols.push(Column::new(FANIN, DataType::Integer));
+        cols.push(Column::new(FANOUT, DataType::Integer));
         Schema::new(cols)
     }
 
@@ -89,9 +120,9 @@ impl GraphViewDef {
     pub fn edge_scan_schema(&self, edge_table: &Table) -> Schema {
         let src = edge_table.schema();
         let mut cols = vec![
-            Column::new("id", DataType::Integer),
-            Column::new("from", DataType::Integer),
-            Column::new("to", DataType::Integer),
+            Column::new(ID, DataType::Integer),
+            Column::new(FROM, DataType::Integer),
+            Column::new(TO, DataType::Integer),
         ];
         for (exposed, col) in &self.edge_attrs {
             cols.push(Column::new(exposed.clone(), src.column(*col).data_type));
@@ -121,7 +152,9 @@ impl GraphViewDef {
 /// view owns its topology; whoever holds `&mut GraphView` is its writer.
 #[derive(Debug)]
 pub struct GraphView {
-    pub def: GraphViewDef,
+    /// Shared with the plans prepared against this view: a plan holding
+    /// another definition was prepared against a view since dropped.
+    pub def: Arc<GraphViewDef>,
     pub topology: GraphTopology,
 }
 
@@ -146,7 +179,7 @@ impl GraphView {
             topo.add_edge(id, from, to, row_id)?;
         }
         Ok(GraphView {
-            def,
+            def: Arc::new(def),
             topology: topo,
         })
     }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use grfusion_common::Schema;
 use grfusion_sql::IndexEnd;
 
-use crate::expr::{AggFunc, CmpOp, PathTarget, PhysExpr, QuantTest};
+use crate::expr::{AggFunc, CmpOp, PhysExpr, QuantTest, SlotAttr};
 
 /// A physical plan node. Every node knows its output schema.
 #[derive(Debug, Clone)]
@@ -142,6 +142,27 @@ impl PlanNode {
         }
     }
 
+    /// The node's inputs, the outer (left) one first.
+    pub fn inputs(&self) -> impl Iterator<Item = &PlanNode> {
+        let (first, second) = match self {
+            PlanNode::TableScan { .. }
+            | PlanNode::IndexLookup { .. }
+            | PlanNode::VertexScan { .. }
+            | PlanNode::EdgeScan { .. }
+            | PlanNode::PathScan { .. } => (None, None),
+            PlanNode::NestedLoopJoin { left, right, .. } => (Some(&**left), Some(&**right)),
+            PlanNode::PathJoin { outer: input, .. }
+            | PlanNode::IndexJoin { outer: input, .. }
+            | PlanNode::Filter { input, .. }
+            | PlanNode::Project { input, .. }
+            | PlanNode::Aggregate { input, .. }
+            | PlanNode::Sort { input, .. }
+            | PlanNode::Limit { input, .. }
+            | PlanNode::Distinct { input, .. } => (Some(&**input), None),
+        };
+        first.into_iter().chain(second)
+    }
+
     /// Pretty-print the plan tree (EXPLAIN-style, for docs and debugging).
     pub fn explain(&self) -> String {
         let mut out = String::new();
@@ -162,9 +183,9 @@ impl PlanNode {
             PlanNode::VertexScan { graph, .. } => format!("VertexScan({graph})"),
             PlanNode::EdgeScan { graph, .. } => format!("EdgeScan({graph})"),
             PlanNode::PathScan { config, .. } => format!(
-                "PathScan({}, {:?}, len {}..={}{}{}{})",
+                "PathScan({}, {}, len {}..={}{}{}{})",
                 config.graph,
-                config.mode,
+                config.mode.label(),
                 config.min_len,
                 config.max_len,
                 if config.reachability { ", reachability" } else { "" },
@@ -172,9 +193,9 @@ impl PlanNode {
                 if config.emit == Emit::Count { ", emit=count" } else { "" }
             ),
             PlanNode::PathJoin { config, .. } => format!(
-                "PathJoin({}, {:?}, len {}..={}{}{})",
+                "PathJoin({}, {}, len {}..={}{}{})",
                 config.graph,
-                config.mode,
+                config.mode.label(),
                 config.min_len,
                 config.max_len,
                 if config.reachability { ", reachability" } else { "" },
@@ -206,27 +227,8 @@ impl PlanNode {
         }
         out.push_str(&self.node_label());
         out.push('\n');
-        match self {
-            PlanNode::TableScan { .. }
-            | PlanNode::IndexLookup { .. }
-            | PlanNode::VertexScan { .. }
-            | PlanNode::EdgeScan { .. }
-            | PlanNode::PathScan { .. } => {}
-            PlanNode::PathJoin { outer, .. } | PlanNode::IndexJoin { outer, .. } => {
-                outer.explain_into(out, depth + 1);
-            }
-            PlanNode::NestedLoopJoin { left, right, .. } => {
-                left.explain_into(out, depth + 1);
-                right.explain_into(out, depth + 1);
-            }
-            PlanNode::Filter { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::Aggregate { input, .. }
-            | PlanNode::Sort { input, .. }
-            | PlanNode::Limit { input, .. }
-            | PlanNode::Distinct { input, .. } => {
-                input.explain_into(out, depth + 1);
-            }
+        for input in self.inputs() {
+            input.explain_into(out, depth + 1);
         }
     }
 }
@@ -248,9 +250,22 @@ pub enum ScanMode {
     Auto,
     Dfs,
     Bfs,
-    /// Dijkstra-based shortest-path scan over the named edge cost
-    /// attribute (requires start and end anchors).
-    ShortestPath { cost_attr: String },
+    /// Dijkstra-based shortest-path scan over an exposed edge attribute
+    /// (requires start and end anchors): `cost` is its column of the edges
+    /// source, `cost_attr` its name as EXPLAIN prints it.
+    ShortestPath { cost_attr: String, cost: usize },
+}
+
+impl ScanMode {
+    /// The mode as EXPLAIN prints it.
+    fn label(&self) -> String {
+        match self {
+            ScanMode::ShortestPath { cost_attr, .. } => {
+                format!("ShortestPath {{ cost_attr: {cost_attr:?} }}")
+            }
+            mode => format!("{mode:?}"),
+        }
+    }
 }
 
 /// Where a path scan's start vertexes come from.
@@ -270,13 +285,11 @@ pub enum StartSource {
 /// concrete values when the scan starts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PushedPred {
-    pub target: PathTarget,
     pub start: u64,
     pub end: IndexEnd,
-    /// Lowercase attribute name (edge/vertex attribute, or the specials
-    /// `id`, `fanin`, `fanout`; `startvertex`/`endvertex` are not pushable
-    /// because hop direction is only known per path).
-    pub attr: String,
+    /// The attribute tested (a hop's `StartVertex` / `EndVertex` is not
+    /// pushable: its direction is only known per path).
+    pub attr: SlotAttr,
     pub test: QuantTest,
 }
 
@@ -284,8 +297,7 @@ pub struct PushedPred {
 /// `SUM(PS.Edges.attr) < rhs` prunes prefixes once exceeded.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PushedAggPred {
-    pub target: PathTarget,
-    pub attr: String,
+    pub attr: SlotAttr,
     /// `Lt` or `LtEq` only. A prefix over the bound only dooms its
     /// extensions while the attribute is non-negative, so the scan stops
     /// pruning once it finds a negative value in the attribute's column.
@@ -322,9 +334,9 @@ pub struct PathScanConfig {
     /// Target anchor (`PS.EndVertex.Id = ...`) — required by
     /// `ShortestPath`, unused by DFS/BFS; always kept residual too.
     pub end: Option<PhysExpr>,
-    /// Pushed traversal predicates (§6.2). Empty when pushdown is off.
-    pub edge_preds: Vec<PushedPred>,
-    pub vertex_preds: Vec<PushedPred>,
+    /// Pushed traversal predicates (§6.2), in conjunct order. Empty when
+    /// pushdown is off.
+    pub preds: Vec<PushedPred>,
     pub agg_preds: Vec<PushedAggPred>,
     /// When false (ablation), the scan materializes all qualifying paths
     /// eagerly before emitting the first.

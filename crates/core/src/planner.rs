@@ -51,9 +51,9 @@ use grfusion_storage::IndexKind;
 use crate::access::{choose, AccessPath};
 use crate::config::OptimizerFlags;
 use crate::expr::{
-    compile, compile_aggregate, compile_conjuncts, compile_predicate, element_target,
-    is_hop_endpoint, length_with, AggFunc, Binding, BindingKind, CmpOp, GraphMeta, Grouping,
-    Namespace, PathProp, PathTarget, PhysExpr, QuantTest,
+    compile, compile_aggregate, compile_conjuncts, compile_predicate, element_target, length_with,
+    AggFunc, Binding, BindingKind, CmpOp, EdgeAttr, ElemAttr, GraphMeta, Grouping, Namespace,
+    PathProp, PathTarget, PhysExpr, QuantTest, SlotAttr,
 };
 use crate::plan::{
     AggSpec, Emit, PathScanConfig, PlanNode, PushedAggPred, PushedPred, ScanMode, StartSource,
@@ -577,13 +577,17 @@ impl<'a> Planner<'a> {
                     .graphs
                     .get(graph)
                     .ok_or_else(|| Error::analysis(format!("unknown graph view `{graph}`")))?;
-                let attr = cost_attr.to_ascii_lowercase();
-                if meta.def.edge_attr_col(&attr).is_none() {
+                let Some((ElemAttr::Slot(SlotAttr::Edge(EdgeAttr::Col(cost))), _)) =
+                    meta.attr_of(PathTarget::Edges, cost_attr)
+                else {
                     return Err(Error::analysis(format!(
                         "SHORTESTPATH hint references unknown edge attribute `{cost_attr}`"
                     )));
+                };
+                ScanMode::ShortestPath {
+                    cost_attr: cost_attr.to_ascii_lowercase(),
+                    cost,
                 }
-                ScanMode::ShortestPath { cost_attr: attr }
             }
             Some(PathHint::Dfs) => ScanMode::Dfs,
             Some(PathHint::Bfs) => ScanMode::Bfs,
@@ -677,16 +681,14 @@ impl<'a> Planner<'a> {
         }
 
         // ---- pushdown (§6.2) ----
-        let mut edge_preds = Vec::new();
-        let mut vertex_preds = Vec::new();
-        if self.flags.predicate_pushdown {
-            for p in compiled.iter().filter_map(|pe| pushed_pred(pe, col, outer)) {
-                match p.target {
-                    PathTarget::Edges => edge_preds.push(p),
-                    PathTarget::Vertexes => vertex_preds.push(p),
-                }
-            }
-        }
+        let preds = if self.flags.predicate_pushdown {
+            compiled
+                .iter()
+                .filter_map(|pe| pushed_pred(pe, col, outer))
+                .collect()
+        } else {
+            Vec::new()
+        };
         let agg_preds = if self.flags.aggregate_pushdown {
             compiled
                 .iter()
@@ -717,8 +719,7 @@ impl<'a> Planner<'a> {
             explicit_max_len,
             start,
             end,
-            edge_preds,
-            vertex_preds,
+            preds,
             agg_preds,
             lazy: self.flags.lazy_path_scan,
             reachability,
@@ -967,14 +968,14 @@ fn implied_min_len(pe: &PhysExpr, col: usize) -> usize {
     match pe {
         PhysExpr::Quant {
             col: c,
-            target,
             start,
             end,
+            attr,
             ..
         } if *c == col => match end {
             IndexEnd::Star if *start == 0 => 0,
-            IndexEnd::Star | IndexEnd::At => length_with(*target, *start),
-            IndexEnd::Bounded(b) => length_with(*target, (*b).max(*start)),
+            IndexEnd::Star | IndexEnd::At => length_with(attr.target(), *start),
+            IndexEnd::Bounded(b) => length_with(attr.target(), (*b).max(*start)),
         },
         PhysExpr::Cmp { left, right, .. } => value(left).max(value(right)),
         PhysExpr::Between {
@@ -1013,11 +1014,15 @@ fn value_min_len(pe: &PhysExpr, col: usize) -> usize {
 /// `col` (§6.2): a quantified range test, or a comparison or `IN` list on
 /// one element, whose comparands read only the first `outer` columns. A
 /// hop's `StartVertex` / `EndVertex` depend on the path's direction, so
-/// tests on them are never pushed.
+/// tests on them are never pushed: only an [`ElemAttr::Slot`] is.
 fn pushed_pred(pe: &PhysExpr, col: usize, outer: usize) -> Option<PushedPred> {
-    fn element(e: &PhysExpr, col: usize) -> Option<(PathTarget, u64, &str)> {
+    fn element(e: &PhysExpr, col: usize) -> Option<(u64, SlotAttr)> {
         match e {
-            PhysExpr::PathProp { col: c, prop, .. } if *c == col => prop.element(),
+            PhysExpr::PathProp {
+                col: c,
+                prop: PathProp::ElementAt(i, ElemAttr::Slot(attr)),
+                ..
+            } if *c == col => Some((*i, *attr)),
             _ => None,
         }
     }
@@ -1026,23 +1031,20 @@ fn pushed_pred(pe: &PhysExpr, col: usize, outer: usize) -> Option<PushedPred> {
         op,
         rhs: Box::new(rhs.clone()),
     };
-    let (target, start, end, attr, test) = match pe {
+    let (start, end, attr, test) = match pe {
         PhysExpr::Quant {
             col: c,
-            target,
             start,
             end,
-            attr,
+            attr: ElemAttr::Slot(attr),
             test,
-        } if *c == col && below(test.operands()) => {
-            (*target, *start, *end, attr.as_str(), test.clone())
-        }
+        } if *c == col && below(test.operands()) => (*start, *end, *attr, test.clone()),
         PhysExpr::Cmp { op, left, right } => match (element(left, col), element(right, col)) {
-            (Some((target, i, attr)), _) if reads_below(right, outer) => {
-                (target, i, IndexEnd::At, attr, cmp(*op, right))
+            (Some((i, attr)), _) if reads_below(right, outer) => {
+                (i, IndexEnd::At, attr, cmp(*op, right))
             }
-            (_, Some((target, i, attr))) if reads_below(left, outer) => {
-                (target, i, IndexEnd::At, attr, cmp(op.mirrored(), left))
+            (_, Some((i, attr))) if reads_below(left, outer) => {
+                (i, IndexEnd::At, attr, cmp(op.mirrored(), left))
             }
             _ => return None,
         },
@@ -1051,20 +1053,19 @@ fn pushed_pred(pe: &PhysExpr, col: usize, outer: usize) -> Option<PushedPred> {
             list,
             negated,
         } if below(list) => {
-            let (target, i, attr) = element(expr, col)?;
+            let (i, attr) = element(expr, col)?;
             let test = QuantTest::In {
                 list: list.clone(),
                 negated: *negated,
             };
-            (target, i, IndexEnd::At, attr, test)
+            (i, IndexEnd::At, attr, test)
         }
         _ => return None,
     };
-    (!is_hop_endpoint(attr)).then(|| PushedPred {
-        target,
+    Some(PushedPred {
         start,
         end,
-        attr: attr.to_string(),
+        attr,
         test,
     })
 }
@@ -1079,21 +1080,19 @@ fn pushed_sum_bound(pe: &PhysExpr, col: usize, outer: usize) -> Option<PushedAgg
     let sum = |e: &PhysExpr| match e {
         PhysExpr::PathAgg {
             col: c,
-            target,
-            attr,
+            attr: ElemAttr::Slot(attr),
             func: AggFunc::Sum,
             ..
-        } if *c == col => Some((*target, attr.clone())),
+        } if *c == col => Some(*attr),
         _ => None,
     };
-    let ((target, attr), op, rhs) = match (sum(left), op) {
+    let (attr, op, rhs) = match (sum(left), op) {
         (Some(agg), CmpOp::Lt | CmpOp::LtEq) => (agg, *op, right),
         (Some(_), _) => return None,
         (None, CmpOp::Gt | CmpOp::GtEq) => (sum(right)?, op.mirrored(), left),
         (None, _) => return None,
     };
     reads_below(rhs, outer).then(|| PushedAggPred {
-        target,
         attr,
         op,
         rhs: PhysExpr::clone(rhs),

@@ -20,10 +20,20 @@ use grfusion_storage::{Catalog, Table};
 use crate::db::PreparedQuery;
 use crate::env::{GraphEnv, QueryEnv};
 use crate::exec::{execute_plan, execute_plan_with_metrics};
-use crate::graph_view::GraphView;
+use crate::graph_view::{GraphView, GraphViewDef};
+use crate::plan::PlanNode;
 use crate::planner::{plan_select, PlannerCtx};
 use crate::result::ResultSet;
 use crate::settings::Settings;
+
+/// The tables and graph views a prepared plan reads, each held by the
+/// `Arc` that is its identity: a recreated object is a new allocation, and
+/// the held one cannot be freed and reused while the plan lives.
+#[derive(Default)]
+pub(crate) struct Sources {
+    tables: Vec<(String, Arc<Schema>)>,
+    graphs: Vec<Arc<GraphViewDef>>,
+}
 
 /// Everything one read can observe, by lowercase name.
 pub(crate) struct Snapshot<'a> {
@@ -78,7 +88,63 @@ impl<'a> Snapshot<'a> {
     pub(crate) fn compile(&self, cfg: &Settings, select: &Select) -> Result<PreparedQuery> {
         let select = self.fold_subqueries(cfg, select)?;
         let plan = plan_select(&select, self.plan_ctx, &cfg.config.optimizer)?;
-        Ok(PreparedQuery { plan })
+        let sources = Sources::default();
+        Ok(PreparedQuery { plan, sources })
+    }
+
+    /// [`Snapshot::compile`] for a statement that runs in later snapshots:
+    /// the query keeps the tables and graph views its plan reads, and
+    /// [`Snapshot::run`] refuses it once one is no longer the object of
+    /// that name.
+    pub(crate) fn prepare(&self, cfg: &Settings, select: &Select) -> Result<PreparedQuery> {
+        let PreparedQuery { plan, mut sources } = self.compile(cfg, select)?;
+        let mut nodes = vec![&plan];
+        while let Some(node) = nodes.pop() {
+            nodes.extend(node.inputs());
+            let graph = match node {
+                PlanNode::TableScan { table, .. }
+                | PlanNode::IndexLookup { table, .. }
+                | PlanNode::IndexJoin { table, .. } => {
+                    if let Some(t) = self.table(table) {
+                        sources.tables.push((table.clone(), t.schema().clone()));
+                    }
+                    continue;
+                }
+                PlanNode::VertexScan { graph, .. } | PlanNode::EdgeScan { graph, .. } => graph,
+                PlanNode::PathScan { config, .. } | PlanNode::PathJoin { config, .. } => {
+                    &config.graph
+                }
+                _ => continue,
+            };
+            if let Some(g) = self.graph(graph) {
+                sources.graphs.push(g.def.clone());
+            }
+        }
+        Ok(PreparedQuery { plan, sources })
+    }
+
+    /// Fails unless every object a prepared plan reads is still the one it
+    /// was prepared against.
+    fn check_sources(&self, sources: &Sources) -> Result<()> {
+        let stale = |object: String| {
+            Err(Error::catalog(format!(
+                "{object} was dropped or recreated after the statement was prepared; \
+                 prepare it again"
+            )))
+        };
+        for (name, schema) in &sources.tables {
+            let live = self.table(name).map(|t| t.schema());
+            if !live.is_some_and(|s| Arc::ptr_eq(s, schema)) {
+                return stale(format!("table `{name}`"));
+            }
+        }
+        for def in &sources.graphs {
+            let live = self.graph(&def.name).map(|g| g.def);
+            if !live.is_some_and(|d| Arc::ptr_eq(d, def)) {
+                return stale(format!("graph view `{}`", def.name));
+            }
+        }
+        Ok(())
     }
 
     /// Execute a compiled query. With `collect_metrics` every operator is
@@ -90,6 +156,7 @@ impl<'a> Snapshot<'a> {
         params: Vec<Value>,
         collect_metrics: bool,
     ) -> Result<ResultSet> {
+        self.check_sources(&query.sources)?;
         let gov = cfg.exec_context()?;
         let env = QueryEnv {
             snap: Some(self),

@@ -1483,3 +1483,193 @@ fn script_execution() {
         .unwrap();
     assert_eq!(rs.scalar(), Some(&Value::Integer(3)));
 }
+
+/// Prepare `sql` over `setup`, run `ddl`, and return the prepared
+/// statement's result.
+fn prepared_after_ddl(
+    setup: &[&str],
+    sql: &str,
+    params: &[Value],
+    ddl: &[&str],
+) -> Result<grfusion::ResultSet, Error> {
+    let db = Database::new();
+    for s in setup {
+        db.execute(s).unwrap();
+    }
+    let q = db.prepare(sql).unwrap();
+    for s in ddl {
+        db.execute(s).unwrap();
+    }
+    db.execute_prepared(&q, params)
+}
+
+fn assert_stale(result: Result<grfusion::ResultSet, Error>, object: &str) {
+    match result {
+        Err(Error::Catalog(msg)) => assert!(msg.contains(&format!("`{object}`")), "{msg}"),
+        other => panic!("expected a catalog error naming `{object}`, got {other:?}"),
+    }
+}
+
+const WIDE_T: &[&str] = &[
+    "CREATE TABLE t (a INTEGER, b INTEGER, c INTEGER)",
+    "INSERT INTO t VALUES (7, 0, 70)",
+];
+
+#[test]
+fn prepared_plan_over_a_narrower_recreated_table_fails_with_a_catalog_error() {
+    let ddl = [
+        "DROP TABLE t",
+        "CREATE TABLE t (a INTEGER PRIMARY KEY)",
+        "INSERT INTO t VALUES (7)",
+    ];
+    let result = prepared_after_ddl(
+        WIDE_T,
+        "SELECT a, c FROM t WHERE c > ?",
+        &[Value::Integer(1)],
+        &ddl,
+    );
+    assert_stale(result, "t");
+}
+
+#[test]
+fn prepared_plan_over_a_reordered_recreated_table_fails_with_a_catalog_error() {
+    let ddl = [
+        "DROP TABLE t",
+        "CREATE TABLE t (a INTEGER, c INTEGER, b INTEGER)",
+        "INSERT INTO t VALUES (7, 70, 0)",
+    ];
+    let result = prepared_after_ddl(
+        WIDE_T,
+        "SELECT a, c FROM t WHERE c > ?",
+        &[Value::Integer(1)],
+        &ddl,
+    );
+    assert_stale(result, "t");
+}
+
+const SWAP_G: &[&str] = &[
+    "CREATE TABLE v (id INTEGER PRIMARY KEY)",
+    "CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w INTEGER, tag VARCHAR)",
+    "INSERT INTO v VALUES (1), (2)",
+    "INSERT INTO e VALUES (10, 1, 2, 5, 'p')",
+    "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v \
+     EDGES(ID = id, FROM = a, TO = b, w = w, tag = tag) FROM e",
+];
+
+const SWAPPED: &[&str] = &[
+    "DROP GRAPH VIEW g",
+    "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v \
+     EDGES(ID = id, FROM = a, TO = b, w = tag, tag = w) FROM e",
+];
+
+#[test]
+fn prepared_edge_attribute_over_a_redefined_view_fails_with_a_catalog_error() {
+    let sql = "SELECT PS.Edges[0].w FROM g.Paths PS WHERE PS.StartVertex.Id = ? AND PS.Length = 1";
+    assert_stale(
+        prepared_after_ddl(SWAP_G, sql, &[Value::Integer(1)], SWAPPED),
+        "g",
+    );
+}
+
+#[test]
+fn prepared_shortest_path_over_a_redefined_view_fails_with_a_catalog_error() {
+    let sql = "SELECT PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
+               WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = 2";
+    assert_stale(
+        prepared_after_ddl(SWAP_G, sql, &[Value::Integer(1)], SWAPPED),
+        "g",
+    );
+}
+
+#[test]
+fn prepared_plans_survive_ddl_on_other_objects() {
+    let ddl = ["CREATE TABLE other (x INTEGER)", "DROP TABLE other"];
+    let rs = prepared_after_ddl(
+        WIDE_T,
+        "SELECT a, c FROM t WHERE c > ?",
+        &[Value::Integer(1)],
+        &ddl,
+    )
+    .unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Integer(7), Value::Integer(70)]]);
+    let mut setup = SWAP_G.to_vec();
+    setup.push("CREATE TABLE u (x INTEGER)");
+    let ddl = ["CREATE TABLE other (x INTEGER)", "DROP TABLE u"];
+    let sql = "SELECT PS.Cost, PS.Edges[0].tag FROM g.Paths PS HINT(SHORTESTPATH(w)) \
+               WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = 2";
+    let rs = prepared_after_ddl(&setup, sql, &[Value::Integer(1)], &ddl).unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Double(5.0), Value::text("p")]]);
+}
+
+/// `CREATE GRAPH VIEW` over `v(id, age, name)` and `e(id, a, b, w)` with
+/// the given mapping lists.
+fn graph_view_with(vertexes: &str, edges: &str) -> Result<grfusion::ResultSet, Error> {
+    let db = Database::new();
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY, age INTEGER, name VARCHAR)")
+        .unwrap();
+    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE)")
+        .unwrap();
+    db.execute(&format!(
+        "CREATE GRAPH VIEW g VERTEXES({vertexes}) FROM v EDGES({edges}) FROM e"
+    ))
+}
+
+#[test]
+fn graph_views_reject_exposed_names_that_shadow_synthesized_ones() {
+    let edges = "ID = id, FROM = a, TO = b";
+    for (vertexes, edges, name) in [
+        ("ID = id, fanout = name", edges, "fanout"),
+        ("ID = id, FanIn = age", edges, "fanin"),
+        (
+            "ID = id",
+            "ID = id, FROM = a, TO = b, StartVertex = w",
+            "startvertex",
+        ),
+        (
+            "ID = id",
+            "ID = id, FROM = a, TO = b, endvertex = w",
+            "endvertex",
+        ),
+    ] {
+        match graph_view_with(vertexes, edges) {
+            Err(Error::Analysis(msg)) => assert!(msg.contains(&format!("`{name}`")), "{msg}"),
+            other => panic!("{vertexes} / {edges}: expected an analysis error, got {other:?}"),
+        }
+    }
+    // The names are reserved per element kind only.
+    graph_view_with(
+        "ID = id, startvertex = age",
+        "ID = id, FROM = a, TO = b, fanout = w",
+    )
+    .unwrap();
+}
+
+#[test]
+fn graph_views_reject_an_exposed_name_used_twice() {
+    let edges = "ID = id, FROM = a, TO = b";
+    for (vertexes, edges, name) in [
+        ("ID = id, a = age, A = name", edges, "a"),
+        ("ID = id", "ID = id, FROM = a, TO = b, w = w, W = a", "w"),
+    ] {
+        match graph_view_with(vertexes, edges) {
+            Err(Error::Analysis(msg)) => assert!(msg.contains(&format!("`{name}`")), "{msg}"),
+            other => panic!("{vertexes} / {edges}: expected an analysis error, got {other:?}"),
+        }
+    }
+}
+
+/// A running SUM over a hop's end reads the path, not the edge, so it is
+/// not pushed into the traversal: it is evaluated, and answers.
+#[test]
+fn sum_over_hop_ends_is_evaluated_on_the_path() {
+    let db = social_db();
+    let rs = db
+        .execute(
+            "SELECT PS.PathString FROM SocialNetwork.Paths PS \
+             WHERE PS.StartVertex.Id = 1 AND PS.Length <= 2 AND SUM(PS.Edges.StartVertex) < 3 \
+             ORDER BY PS.PathString",
+        )
+        .unwrap();
+    let paths: Vec<String> = rs.rows.iter().map(|r| r[0].to_string()).collect();
+    assert_eq!(paths, vec!["1->2", "1->4"]);
+}

@@ -30,7 +30,12 @@ pub struct GrailSystem {
 
 impl GrailSystem {
     pub fn load(ds: &Dataset) -> Result<GrailSystem> {
-        let db = Database::with_config(EngineConfig::default());
+        Self::load_with(ds, EngineConfig::default())
+    }
+
+    /// Load under an explicit engine configuration (e.g. a deadline).
+    pub fn load_with(ds: &Dataset, config: EngineConfig) -> Result<GrailSystem> {
+        let db = Database::with_config(config);
         let mut eddl = String::from(
             "CREATE TABLE gr_adj (rowid INTEGER PRIMARY KEY, src INTEGER, dst INTEGER",
         );

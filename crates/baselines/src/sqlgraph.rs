@@ -38,12 +38,17 @@ impl SqlGraphSystem {
         ds: &Dataset,
         max_intermediate_rows: Option<u64>,
     ) -> Result<SqlGraphSystem> {
-        let db = Database::with_config(EngineConfig {
+        Self::load_with(ds, EngineConfig {
             limits: ExecLimits {
                 max_intermediate_rows,
             },
             ..Default::default()
-        });
+        })
+    }
+
+    /// Load under an explicit engine configuration (budget, deadline).
+    pub fn load_with(ds: &Dataset, config: EngineConfig) -> Result<SqlGraphSystem> {
+        let db = Database::with_config(config);
         db.execute("CREATE TABLE sg_v (id INTEGER PRIMARY KEY)")?;
         let mut eddl =
             String::from("CREATE TABLE sg_adj (rowid INTEGER PRIMARY KEY, src INTEGER, dst INTEGER");

@@ -38,6 +38,7 @@ fn main() -> ExitCode {
     let exp = args[0].clone();
     let mut scale = ExperimentScale::small();
     let mut with_metrics = false;
+    let mut deadline_ms = None;
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
@@ -71,11 +72,7 @@ fn main() -> ExitCode {
                     .get(i + 1)
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage());
-                // EngineConfig::default() reads GRFUSION_DEADLINE_MS, so
-                // setting it before any system loads gives every engine
-                // the experiments construct the deadline without extra
-                // plumbing.
-                std::env::set_var("GRFUSION_DEADLINE_MS", ms.to_string());
+                deadline_ms = (ms > 0).then_some(ms);
                 i += 2;
             }
             "--metrics" => {
@@ -85,6 +82,9 @@ fn main() -> ExitCode {
             _ => usage(),
         }
     }
+
+    // Applied after the loop so `--paper-like` cannot reset it.
+    scale.deadline_ms = deadline_ms;
 
     let run = |name: &str, scale: &ExperimentScale| -> grfusion_common::Result<Vec<Measurement>> {
         match name {

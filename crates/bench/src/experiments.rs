@@ -4,7 +4,7 @@
 //! assert on shapes) and the harness binary prints them. Workloads are
 //! seeded and deterministic.
 
-use grfusion::{EngineConfig, OptimizerFlags, TraversalChoice};
+use grfusion::{EngineConfig, ExecLimits, OptimizerFlags, TraversalChoice};
 use grfusion_baselines::{
     GrFusionSystem, GrailSystem, GraphSystem, NeoDb, SqlGraphSystem, TitanDb,
 };
@@ -32,6 +32,9 @@ pub struct ExperimentScale {
     /// SQLGraph intermediate-result budget (reproduces the paper's DNFs).
     pub sqlgraph_budget: u64,
     pub seed: u64,
+    /// Per-query wall-clock deadline for every system built on `Database`
+    /// (harness `--deadline-ms`); `None` = ungoverned.
+    pub deadline_ms: Option<u64>,
 }
 
 impl ExperimentScale {
@@ -43,6 +46,7 @@ impl ExperimentScale {
             selectivities: vec![5, 10, 20, 30, 40, 50],
             sqlgraph_budget: 2_000_000,
             seed: 42,
+            deadline_ms: None,
         }
     }
 
@@ -54,7 +58,24 @@ impl ExperimentScale {
             selectivities: vec![5, 10, 20, 30, 40, 50],
             sqlgraph_budget: 20_000_000,
             seed: 42,
+            deadline_ms: None,
         }
+    }
+
+    /// The paper's engine configuration under this scale's deadline: what
+    /// every GRFusion, Grail and SQLGraph engine here starts from.
+    pub fn engine(&self) -> EngineConfig {
+        let mut cfg = EngineConfig::default();
+        cfg.governor.deadline_ms = self.deadline_ms;
+        cfg
+    }
+
+    /// The SQLGraph baseline over `ds`, with its intermediate-result budget.
+    fn sqlgraph(&self, ds: &Dataset) -> Result<SqlGraphSystem> {
+        SqlGraphSystem::load_with(ds, EngineConfig {
+            limits: ExecLimits { max_intermediate_rows: Some(self.sqlgraph_budget) },
+            ..self.engine()
+        })
     }
 
     /// The four paper datasets at this scale.
@@ -108,15 +129,12 @@ fn m(
 /// The GRFusion configuration §7.1 prescribes for the reachability
 /// experiments: breadth-first scan, predicates NOT pushed ahead of the
 /// path scan (isolating the graph-view effect).
-fn fig7_grfusion_config() -> EngineConfig {
-    EngineConfig {
-        optimizer: OptimizerFlags {
-            traversal: TraversalChoice::Bfs,
-            predicate_pushdown: false,
-            ..Default::default()
-        },
+fn fig7_grfusion_config(scale: &ExperimentScale) -> EngineConfig {
+    flags_config(scale, OptimizerFlags {
+        traversal: TraversalChoice::Bfs,
+        predicate_pushdown: false,
         ..Default::default()
-    }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -156,8 +174,8 @@ pub fn fig7(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     for ds in scale.datasets() {
         let name = ds.kind.label();
         let adj = Adjacency::build(&ds);
-        let grf = GrFusionSystem::load_with(&ds, fig7_grfusion_config())?;
-        let sqg = SqlGraphSystem::load_with_budget(&ds, Some(scale.sqlgraph_budget))?;
+        let grf = GrFusionSystem::load_with(&ds, fig7_grfusion_config(scale))?;
+        let sqg = scale.sqlgraph(&ds)?;
         let neo = NeoDb::load(&ds);
         let titan = TitanDb::load(&ds);
         let systems: Vec<&dyn GraphSystem> = vec![&grf, &sqg, &neo, &titan];
@@ -186,8 +204,8 @@ pub fn fig8(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     let mut out = Vec::new();
     for ds in scale.datasets() {
         let name = ds.kind.label();
-        let grf = GrFusionSystem::load(&ds)?;
-        let sqg = SqlGraphSystem::load_with_budget(&ds, Some(scale.sqlgraph_budget))?;
+        let grf = GrFusionSystem::load_with(&ds, scale.engine())?;
+        let sqg = scale.sqlgraph(&ds)?;
         let neo = NeoDb::load(&ds);
         let titan = TitanDb::load(&ds);
         let systems: Vec<&dyn GraphSystem> = vec![&grf, &sqg, &neo, &titan];
@@ -219,8 +237,8 @@ pub fn fig9(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     let mut out = Vec::new();
     for ds in scale.datasets() {
         let name = ds.kind.label();
-        let grf = GrFusionSystem::load(&ds)?;
-        let grail = GrailSystem::load(&ds)?;
+        let grf = GrFusionSystem::load_with(&ds, scale.engine())?;
+        let grail = GrailSystem::load_with(&ds, scale.engine())?;
         let neo = NeoDb::load(&ds);
         let titan = TitanDb::load(&ds);
         let systems: Vec<&dyn GraphSystem> = vec![&grf, &grail, &neo, &titan];
@@ -250,8 +268,8 @@ pub fn fig10(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     let mut out = Vec::new();
     for ds in scale.datasets() {
         let name = ds.kind.label();
-        let grf = GrFusionSystem::load(&ds)?;
-        let sqg = SqlGraphSystem::load_with_budget(&ds, Some(scale.sqlgraph_budget))?;
+        let grf = GrFusionSystem::load_with(&ds, scale.engine())?;
+        let sqg = scale.sqlgraph(&ds)?;
         let neo = NeoDb::load(&ds);
         let titan = TitanDb::load(&ds);
         let systems: Vec<&dyn GraphSystem> = vec![&grf, &sqg, &neo, &titan];
@@ -287,7 +305,7 @@ pub fn table3(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     let mut out = Vec::new();
     for ds in scale.datasets() {
         let name = ds.kind.label();
-        let db = GrFusionSystem::prepare_tables(&ds, EngineConfig::default())?;
+        let db = GrFusionSystem::prepare_tables(&ds, scale.engine())?;
         let ddl = GrFusionSystem::graph_view_ddl(&ds);
         let d = time_once(|| db.execute(&ddl).map(drop))?;
         let stats = db.graph_stats("g")?;
@@ -324,10 +342,10 @@ pub fn table3(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
 // Ablations (§6 design choices)
 // ---------------------------------------------------------------------------
 
-fn flags_config(optimizer: OptimizerFlags) -> EngineConfig {
+fn flags_config(scale: &ExperimentScale, optimizer: OptimizerFlags) -> EngineConfig {
     EngineConfig {
         optimizer,
-        ..EngineConfig::default()
+        ..scale.engine()
     }
 }
 
@@ -339,7 +357,7 @@ pub fn ablate_pushdown(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     for (label, pushdown) in [("pushdown=on", true), ("pushdown=off", false)] {
         let grf = GrFusionSystem::load_with(
             &ds,
-            flags_config(OptimizerFlags {
+            flags_config(scale, OptimizerFlags {
                 predicate_pushdown: pushdown,
                 ..Default::default()
             }),
@@ -369,7 +387,7 @@ pub fn ablate_leninfer(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     for (label, inference) in [("inference=on", true), ("inference=off", false)] {
         let grf = GrFusionSystem::load_with(
             &ds,
-            flags_config(OptimizerFlags {
+            flags_config(scale, OptimizerFlags {
                 length_inference: inference,
                 default_max_path_len: 5,
                 ..Default::default()
@@ -404,7 +422,7 @@ pub fn ablate_lazy(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     for (label, lazy) in [("lazy=on", true), ("lazy=off", false)] {
         let grf = GrFusionSystem::load_with(
             &ds,
-            flags_config(OptimizerFlags {
+            flags_config(scale, OptimizerFlags {
                 lazy_path_scan: lazy,
                 ..Default::default()
             }),
@@ -440,7 +458,7 @@ pub fn ablate_traversal(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
         ] {
             let grf = GrFusionSystem::load_with(
                 &ds,
-                flags_config(OptimizerFlags {
+                flags_config(scale, OptimizerFlags {
                     traversal: choice,
                     ..Default::default()
                 }),
@@ -480,7 +498,7 @@ pub fn metrics(scale: &ExperimentScale) -> Result<Vec<Measurement>> {
     for ds in scale.datasets() {
         let name = ds.kind.label();
         let adj = Adjacency::build(&ds);
-        let grf = GrFusionSystem::load(&ds)?;
+        let grf = GrFusionSystem::load_with(&ds, scale.engine())?;
         let pair = pairs_at_distance(&ds, &adj, 4, 1, scale.seed)
             .first()
             .copied()
@@ -586,6 +604,17 @@ mod tests {
             selectivities: vec![30, 60],
             sqlgraph_budget: 500_000,
             seed: 7,
+            deadline_ms: None,
+        }
+    }
+
+    #[test]
+    fn the_deadline_reaches_every_engine_config() {
+        let mut scale = tiny();
+        assert_eq!(scale.engine(), EngineConfig::default());
+        scale.deadline_ms = Some(5);
+        for cfg in [scale.engine(), fig7_grfusion_config(&scale)] {
+            assert_eq!(cfg.governor.deadline_ms, Some(5));
         }
     }
 

@@ -4,10 +4,8 @@
 //! iff F < L). The optimizer flags exist so the benchmark harness can ablate
 //! the paper's individual design choices: each flag disables one
 //! optimization while keeping results identical (the engine always applies
-//! residual predicates). The environment sets only the two governor limits
-//! (`ENV_KNOBS`).
-
-use grfusion_common::{Error, Result};
+//! residual predicates). Nothing here reads the process environment: a
+//! deployment passes its limits in (`grfusion-serve --deadline-ms`).
 
 /// Which traversal the planner picks when the query gives no hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,104 +129,14 @@ impl Default for CsrConfig {
     }
 }
 
-/// Top-level engine configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Top-level engine configuration. The default is the paper's
+/// configuration; the caller that builds a `Database` owns every setting.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineConfig {
     pub optimizer: OptimizerFlags,
     pub limits: ExecLimits,
     pub governor: GovernorConfig,
     pub csr: CsrConfig,
-}
-
-impl Default for EngineConfig {
-    /// The strict parse of the `GRFUSION_*` knobs (`ENV_KNOBS`) — that
-    /// hook is what lets CI run the whole suite down the governed path
-    /// without code changes — or the paper's configuration
-    /// when a knob is malformed. The failure is not lost: `Database`
-    /// surfaces [`EngineConfig::env_error`] on the first statement.
-    fn default() -> Self {
-        EngineConfig::from_env_checked().unwrap_or_else(|_| EngineConfig::paper())
-    }
-}
-
-/// One engine knob read from the environment: a governor limit, with `0`
-/// an explicit "off".
-struct EnvKnob {
-    var: &'static str,
-    /// Stores the parsed limit into the config.
-    set: fn(&mut EngineConfig, Option<u64>),
-}
-
-/// What every knob accepts — the tail of the malformed-value error.
-const LIMIT: &str = "expected a non-negative integer (0 = off)";
-
-/// Every `GRFUSION_*` engine knob, in the order they are validated (the
-/// first malformed one is the one reported). `GRFUSION_FAULTS` is not
-/// here: `Database::with_config` owns the fault plan's lifecycle.
-static ENV_KNOBS: [EnvKnob; 2] = [
-    EnvKnob {
-        var: "GRFUSION_DEADLINE_MS",
-        set: |c, v| c.governor.deadline_ms = v,
-    },
-    EnvKnob {
-        var: "GRFUSION_MEMORY_BYTES",
-        set: |c, v| c.governor.max_memory_bytes = v,
-    },
-];
-
-impl EngineConfig {
-    /// The paper's configuration, with nothing read from the environment.
-    fn paper() -> EngineConfig {
-        EngineConfig {
-            optimizer: OptimizerFlags::default(),
-            limits: ExecLimits::default(),
-            governor: GovernorConfig::default(),
-            csr: CsrConfig::default(),
-        }
-    }
-
-    /// Names of the `GRFUSION_*` engine knobs the environment parser
-    /// recognises, in validation order (what `grfusion-serve --help` lists).
-    pub fn env_vars() -> impl Iterator<Item = &'static str> {
-        ENV_KNOBS.iter().map(|k| k.var)
-    }
-
-    /// The paper's configuration plus every `GRFUSION_*` engine knob set in
-    /// the environment, strictly parsed: a malformed or out-of-range value
-    /// is an error naming the variable and the value, never a silent
-    /// fallback. Unset, empty and whitespace-only all mean "not set" (the
-    /// `GRFUSION_FAULTS` convention).
-    pub fn from_env_checked() -> Result<EngineConfig> {
-        EngineConfig::from_lookup(|var| std::env::var(var).ok())
-    }
-
-    /// [`EngineConfig::from_env_checked`] over any variable source (tests
-    /// parse without mutating process-global environment state).
-    fn from_lookup(get: impl Fn(&str) -> Option<String>) -> Result<EngineConfig> {
-        let mut cfg = EngineConfig::paper();
-        for knob in &ENV_KNOBS {
-            let raw = get(knob.var);
-            let Some(v) = raw.as_deref().map(str::trim).filter(|t| !t.is_empty()) else {
-                continue;
-            };
-            let n: u64 = v
-                .parse()
-                .map_err(|_| Error::analysis(format!("invalid {} `{v}`: {LIMIT}", knob.var)))?;
-            (knob.set)(&mut cfg, (n > 0).then_some(n));
-        }
-        Ok(cfg)
-    }
-
-    /// The first malformed `GRFUSION_*` engine knob in the current
-    /// environment, rendered for the startup-error path (`None` when every
-    /// set variable parses). `Database::with_config` remembers this and
-    /// surfaces it on the first statement, the same contract as a
-    /// malformed `GRFUSION_FAULTS` spec.
-    pub fn env_error() -> Option<String> {
-        EngineConfig::from_env_checked()
-            .err()
-            .map(|e| e.to_string())
-    }
 }
 
 #[cfg(test)]
@@ -258,85 +166,5 @@ mod tests {
     fn constructors_sanitize_inputs() {
         assert!(CsrConfig::default().sealed);
         assert!(!CsrConfig::adjacency_only().sealed);
-    }
-
-    /// Parse an environment in which only `var` is set.
-    fn parse(var: &str, value: &str) -> Result<EngineConfig> {
-        EngineConfig::from_lookup(|k| (k == var).then(|| value.to_string()))
-    }
-
-    #[test]
-    fn recognised_variables_are_the_two_documented_ones() {
-        let vars: Vec<&str> = EngineConfig::env_vars().collect();
-        assert_eq!(vars, ["GRFUSION_DEADLINE_MS", "GRFUSION_MEMORY_BYTES"]);
-    }
-
-    /// Every variable × {unset, empty/whitespace, each valid spelling,
-    /// out-of-range, garbage}: the expected config, or the strict error
-    /// naming the variable, the offending value and what was expected.
-    #[test]
-    fn every_knob_every_input_class() {
-        let paper = EngineConfig::paper();
-        assert_eq!(EngineConfig::from_lookup(|_| None).unwrap(), paper);
-        for var in EngineConfig::env_vars() {
-            for blank in ["", " ", " \t "] {
-                assert_eq!(parse(var, blank).unwrap(), paper, "{var}={blank:?}");
-            }
-        }
-
-        let with = |edit: fn(&mut EngineConfig)| {
-            let mut c = paper;
-            edit(&mut c);
-            c
-        };
-        let valid: &[(&str, &[&str], EngineConfig)] = &[
-            (
-                "GRFUSION_DEADLINE_MS",
-                &["50", " 50 "],
-                with(|c| c.governor.deadline_ms = Some(50)),
-            ),
-            ("GRFUSION_DEADLINE_MS", &["0"], paper),
-            (
-                "GRFUSION_MEMORY_BYTES",
-                &["1048576"],
-                with(|c| c.governor.max_memory_bytes = Some(1_048_576)),
-            ),
-            ("GRFUSION_MEMORY_BYTES", &["0"], paper),
-        ];
-        for (var, spellings, want) in valid {
-            for s in *spellings {
-                assert_eq!(parse(var, s).unwrap(), *want, "{var}={s}");
-            }
-        }
-
-        // Out-of-range first, then garbage.
-        let invalid: &[(&str, &[&str], &str)] = &[
-            ("GRFUSION_DEADLINE_MS", &["-1", "1.5", "fast"], LIMIT),
-            ("GRFUSION_MEMORY_BYTES", &["-1", "64MB"], LIMIT),
-        ];
-        for (var, values, expects) in invalid {
-            for v in *values {
-                let e = parse(var, v).unwrap_err().to_string();
-                assert!(
-                    e.contains(&format!("invalid {var} `{v}`")) && e.contains(expects),
-                    "{var}={v}: {e}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn first_malformed_knob_in_table_order_is_reported() {
-        let e = EngineConfig::from_lookup(|k| match k {
-            "GRFUSION_MEMORY_BYTES" => Some("nope".into()),
-            "GRFUSION_DEADLINE_MS" => Some("-1".into()),
-            _ => None,
-        })
-        .unwrap_err()
-        .to_string();
-        assert!(
-            e.contains("GRFUSION_DEADLINE_MS") && !e.contains("GRFUSION_MEMORY_BYTES"),
-            "{e}"
-        );
     }
 }

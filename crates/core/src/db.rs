@@ -100,16 +100,6 @@ impl Database {
     /// Create an empty database with a custom configuration (used by the
     /// benchmark harness for optimizer ablations and resource limits).
     pub fn with_config(config: EngineConfig) -> Database {
-        // A malformed GRFUSION_FAULTS is remembered and surfaced on the
-        // first statement: `with_config` is infallible, but a typo in a
-        // fault sweep must not silently run with injection disabled.
-        let (faults, faults_err) = match FaultPlan::from_env() {
-            Ok(plan) => (plan.map(|p| Arc::new(FaultState::new(p))), None),
-            Err(e) => (None, Some(e.to_string())),
-        };
-        // Same contract for the engine knobs: a typo'd GRFUSION_DEADLINE_MS
-        // must fail the first statement, not silently run ungoverned.
-        let env_err = EngineConfig::env_error();
         Database {
             inner: OrderedMutex::new(LockClass::DbInner, DbInner {
                 catalog: Catalog::new(),
@@ -121,9 +111,7 @@ impl Database {
             settings: OrderedMutex::new(LockClass::Settings, Settings {
                 config,
                 cancel: None,
-                faults,
-                faults_err,
-                env_err,
+                faults: None,
                 batch_rows: crate::spine::BATCH_ROWS,
             }),
         }
@@ -149,14 +137,10 @@ impl Database {
         self.update_settings(|s| s.cancel.get_or_insert_with(CancelToken::default).clone())
     }
 
-    /// Install (or with `None` clear) a deterministic fault-injection plan.
-    /// Replaces any plan read from `GRFUSION_FAULTS` and resets all hit
-    /// counters.
+    /// Install (or with `None` clear) a deterministic fault-injection plan
+    /// and reset all hit counters.
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        self.update_settings(|s| {
-            s.faults = plan.map(|p| Arc::new(FaultState::new(p)));
-            s.faults_err = None;
-        });
+        self.update_settings(|s| s.faults = plan.map(|p| Arc::new(FaultState::new(p))));
     }
 
     /// Test hook: run every later query with `rows` (at least one) as its
@@ -171,10 +155,7 @@ impl Database {
     /// Replace the engine configuration (takes effect on the next
     /// statement).
     pub fn set_config(&self, config: EngineConfig) {
-        self.update_settings(|s| {
-            s.config = config;
-            s.env_err = None;
-        });
+        self.update_settings(|s| s.config = config);
     }
 
     /// Current configuration.
@@ -602,8 +583,8 @@ impl Database {
     {
         let settings = self.settings();
         // Governor context for cancellation/deadline checkpoints and re-seal
-        // byte accounting (also where a malformed `GRFUSION_*` value surfaces).
-        let gov = settings.exec_context()?;
+        // byte accounting.
+        let gov = settings.exec_context();
         let mut ctx = DmlCtx {
             catalog: &mut inner.catalog,
             graph_views: &mut inner.graph_views,

@@ -128,8 +128,10 @@ pub fn execute_plan_with_metrics(
 /// row.
 fn run(plan: &PlanNode, env: &QueryEnv<'_>, sink: Option<&MetricsSink>) -> Result<Vec<Row>> {
     let budget = RowBudget::new(env.limits.max_intermediate_rows);
-    let contracts =
-        contracts_enabled().then(|| RefCell::new(crate::analyze::node_contracts(plan).into_iter()));
+    // Debug builds check every operator's contract, so the whole test
+    // suite runs self-checking; release builds pay nothing.
+    let contracts = cfg!(debug_assertions)
+        .then(|| RefCell::new(crate::analyze::node_contracts(plan).into_iter()));
     let mut op = build(plan, env, &budget, sink, contracts.as_ref(), 0, false)?;
     let mut batch = Batch::default();
     let mut rows = Vec::new();
@@ -137,20 +139,6 @@ fn run(plan: &PlanNode, env: &QueryEnv<'_>, sink: Option<&MetricsSink>) -> Resul
         rows.extend((0..batch.len()).map(|i| batch.tuple(i).to_vec()));
     }
     Ok(rows)
-}
-
-/// Whether operator contracts are checked. Defaults to on in debug builds
-/// (so the whole test suite runs self-checking) and off in release builds
-/// (zero cost); `GRFUSION_CHECK_CONTRACTS=1` forces it on, `=0` forces it
-/// off. Process-wide and read once — the first query fixes it — so a
-/// SELECT never touches the environment.
-fn contracts_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("GRFUSION_CHECK_CONTRACTS") {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => false,
-        Ok(_) => true,
-        Err(_) => cfg!(debug_assertions),
-    })
 }
 
 /// The statically inferred per-node contracts in pre-order, handed out one

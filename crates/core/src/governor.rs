@@ -8,8 +8,8 @@
 //! materializing operators. The [`ExecContext`] created per query carries
 //! the three guards that close those holes:
 //!
-//! * a **wall-clock deadline** (`EngineConfig.governor.deadline_ms`,
-//!   `GRFUSION_DEADLINE_MS`, harness `--deadline-ms`);
+//! * a **wall-clock deadline** (`EngineConfig.governor.deadline_ms`;
+//!   `grfusion-serve --deadline-ms`, harness `--deadline-ms`);
 //! * a **cooperative cancellation token** ([`CancelToken`]) an external
 //!   thread can trip mid-query;
 //! * a **memory accountant** charging estimated bytes for path
@@ -27,7 +27,8 @@
 //! `GraphTopology` stay untouched.
 //!
 //! The same module hosts the **deterministic fault-injection plan**
-//! (`GRFUSION_FAULTS=<seed>:<spec>`): a list of rules, each matching a site
+//! (`<seed>:<spec>`, installed with `Database::set_fault_plan` or
+//! `grfusion-serve --faults`): a list of rules, each matching a site
 //! name by prefix and firing on an exact hit count, so tests can drive an
 //! error (or simulated allocation failure / deadline expiry) into a chosen
 //! operator `next()` call or DML maintenance step and prove the
@@ -385,7 +386,7 @@ pub struct FaultRule {
     pub kind: FaultKind,
 }
 
-/// A parsed `GRFUSION_FAULTS` plan. Syntax:
+/// A parsed fault-injection plan. Syntax:
 /// `<seed>:<site>[@<n>]=<error|alloc|deadline>[,...]` — e.g.
 /// `7:dml.update.relink=error,PathScan@3=alloc`. A rule without `@<n>`
 /// fires on a seed-derived hit count (deterministic per `(seed, site)`),
@@ -409,9 +410,9 @@ impl FaultPlan {
         }
     }
 
-    /// Parse the `GRFUSION_FAULTS` syntax.
+    /// Parse the plan syntax.
     pub fn parse(spec: &str) -> Result<FaultPlan> {
-        let bad = |why: &str| Error::analysis(format!("invalid GRFUSION_FAULTS `{spec}`: {why}"));
+        let bad = |why: &str| Error::analysis(format!("invalid fault plan `{spec}`: {why}"));
         let (seed_s, rules_s) = spec
             .split_once(':')
             .ok_or_else(|| bad("expected `<seed>:<rules>`"))?;
@@ -457,16 +458,6 @@ impl FaultPlan {
             return Err(bad("no rules"));
         }
         Ok(FaultPlan { seed, rules })
-    }
-
-    /// Read `GRFUSION_FAULTS` from the environment. Returns `None` when
-    /// unset; a malformed value is surfaced as an error so a typo in a test
-    /// harness does not silently disable the sweep.
-    pub fn from_env() -> Result<Option<FaultPlan>> {
-        match std::env::var("GRFUSION_FAULTS") {
-            Ok(v) if !v.trim().is_empty() => FaultPlan::parse(&v).map(Some),
-            _ => Ok(None),
-        }
     }
 }
 
@@ -570,10 +561,15 @@ mod tests {
         let b = FaultPlan::parse("9:x=deadline")?;
         assert_eq!(a.rules[0].nth, b.rules[0].nth);
         assert!((1..=4).contains(&a.rules[0].nth));
-        assert!(FaultPlan::parse("nonsense").is_err());
-        assert!(FaultPlan::parse("1:").is_err());
-        assert!(FaultPlan::parse("1:a=b").is_err());
-        assert!(FaultPlan::parse("1:@2=error").is_err());
+        for (spec, why) in [
+            ("nonsense", "expected `<seed>:<rules>`"),
+            ("1:", "no rules"),
+            ("1:a=b", "kind must be error|alloc|deadline"),
+            ("1:@2=error", "empty site pattern"),
+        ] {
+            let e = FaultPlan::parse(spec).unwrap_err().to_string();
+            assert!(e.contains(&format!("invalid fault plan `{spec}`: {why}")), "{e}");
+        }
         Ok(())
     }
 

@@ -17,13 +17,11 @@
 //! Tables and graph topologies are not in it: `DbInner` owns them by value,
 //! so reaching one *is* holding rank 0.
 //!
-//! Gating mirrors `GRFUSION_CHECK_CONTRACTS`: on by default in debug
-//! builds (the whole test suite cross-validates), off in release;
-//! `GRFUSION_LOCK_ORDER=1` forces on, `=0`/`off` forces off. When off the
-//! wrapper is a plain mutex — one branch on a cached bool per acquisition.
+//! Gating mirrors the operator contract check: on in debug builds (the
+//! whole test suite cross-validates), compiled out in release, where the
+//! wrapper is a plain mutex.
 
 use std::cell::RefCell;
-use std::sync::OnceLock;
 
 use parking_lot::{Mutex, MutexGuard};
 
@@ -67,16 +65,6 @@ impl LockClass {
             LockClass::TenantRegistry => "TenantRegistry",
         }
     }
-}
-
-/// Whether the runtime validator is active (process-wide, read once).
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("GRFUSION_LOCK_ORDER") {
-        Ok(v) if v == "0" || v.eq_ignore_ascii_case("off") => false,
-        Ok(_) => true,
-        Err(_) => cfg!(debug_assertions),
-    })
 }
 
 thread_local! {
@@ -129,13 +117,12 @@ impl<T> OrderedMutex<T> {
     }
 
     pub fn lock(&self) -> OrderedGuard<'_, T> {
-        let tracked = enabled();
-        if tracked {
+        if cfg!(debug_assertions) {
             if let Err(msg) = note_acquire(self.class) {
                 panic!("{msg}");
             }
         }
-        OrderedGuard { guard: self.inner.lock(), class: self.class, tracked }
+        OrderedGuard { guard: self.inner.lock(), class: self.class }
     }
 }
 
@@ -146,11 +133,10 @@ impl<T: std::fmt::Debug> std::fmt::Debug for OrderedMutex<T> {
 }
 
 /// Guard returned by [`OrderedMutex::lock`]; pops the held-stack entry on
-/// drop when tracking was active at acquisition.
+/// drop in debug builds.
 pub struct OrderedGuard<'a, T> {
     guard: MutexGuard<'a, T>,
     class: LockClass,
-    tracked: bool,
 }
 
 impl<T> std::ops::Deref for OrderedGuard<'_, T> {
@@ -168,7 +154,7 @@ impl<T> std::ops::DerefMut for OrderedGuard<'_, T> {
 
 impl<T> Drop for OrderedGuard<'_, T> {
     fn drop(&mut self) {
-        if self.tracked {
+        if cfg!(debug_assertions) {
             note_release(self.class);
         }
     }

@@ -4,11 +4,11 @@
 //! `Settings`, rank 1, after the writer's `DbInner`) rather than inside the
 //! writer's state, so a setter or `cancel_token()` never waits behind a
 //! running statement. Each read and each DML statement clones them once, so
-//! a setter takes effect on the next statement.
+//! a setter takes effect on the next statement. Every setting arrives
+//! through `Database::with_config` or a setter; none is read from the
+//! process environment.
 
 use std::sync::Arc;
-
-use grfusion_common::{Error, Result};
 
 use crate::config::EngineConfig;
 use crate::governor::{CancelToken, ExecContext, FaultState};
@@ -25,14 +25,6 @@ pub(crate) struct Settings {
     /// Fault-injection state shared by all statements (hit counters persist
     /// across statements so a retried statement runs past a spent rule).
     pub faults: Option<Arc<FaultState>>,
-    /// A malformed `GRFUSION_FAULTS` value, surfaced on first use rather
-    /// than silently disabling the sweep.
-    pub faults_err: Option<String>,
-    /// A malformed `GRFUSION_*` engine knob (optimizer, deadline, ...),
-    /// surfaced on the first statement rather than silently degrading to
-    /// defaults. Cleared by `set_config` (an explicit config supersedes
-    /// whatever the environment asked for).
-    pub env_err: Option<String>,
     /// Rows per batch (`spine::BATCH_ROWS` unless a test swept it).
     pub batch_rows: usize,
 }
@@ -42,14 +34,7 @@ impl Settings {
     /// database-level cancel token (armed from now, so a past cancel never
     /// bleeds into this statement), the calling thread's ambient request
     /// scope, and the fault plan.
-    pub fn exec_context(&self) -> Result<ExecContext> {
-        if let Some(msg) = self.env_err.as_ref().or(self.faults_err.as_ref()) {
-            return Err(Error::analysis(msg.clone()));
-        }
-        Ok(ExecContext::for_query(
-            &self.config.governor,
-            self.cancel.as_ref(),
-            self.faults.clone(),
-        ))
+    pub fn exec_context(&self) -> ExecContext {
+        ExecContext::for_query(&self.config.governor, self.cancel.as_ref(), self.faults.clone())
     }
 }

@@ -157,7 +157,7 @@ impl<'a> Snapshot<'a> {
         collect_metrics: bool,
     ) -> Result<ResultSet> {
         self.check_sources(&query.sources)?;
-        let gov = cfg.exec_context()?;
+        let gov = cfg.exec_context();
         let env = QueryEnv {
             snap: Some(self),
             limits: cfg.config.limits,

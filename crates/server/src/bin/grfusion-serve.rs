@@ -1,16 +1,18 @@
 //! `grfusion-serve`: stand-alone GRFusion server binary.
 //!
 //! Serves one in-memory database over the length-prefixed binary protocol
-//! with per-tenant admission control. Engine knobs come from the
-//! environment (`GRFUSION_DEADLINE_MS`, `GRFUSION_MEMORY_BYTES`) under
-//! *strict* validation — a malformed value is a startup error with the variable
-//! name and offending value, never a silent fallback. SIGTERM/SIGINT and
-//! a client `Shutdown` frame both trigger the graceful drain.
+//! with per-tenant admission control. The engine's deployment settings —
+//! deadline, memory cap, fault plan — are flags like the rest, under
+//! *strict* validation: a malformed value is a startup error (exit 2) with
+//! the flag and the offending value, never a silent fallback. The binary
+//! reads no environment variable. SIGTERM/SIGINT and a client `Shutdown`
+//! frame both trigger the graceful drain.
 //!
 //! ```text
 //! grfusion-serve [--addr HOST:PORT] [--max-concurrent N]
 //!                [--max-queued-bytes N] [--global-in-flight N]
-//!                [--drain-ms N] [--init FILE]
+//!                [--drain-ms N] [--init FILE] [--deadline-ms N]
+//!                [--memory-bytes N] [--faults SPEC]
 //! ```
 
 use std::process::ExitCode;
@@ -18,7 +20,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use grfusion::{Database, EngineConfig};
+use grfusion::{Database, EngineConfig, FaultPlan};
 use grfusion_server::{Server, ServerConfig, TenantQuota};
 
 /// Set by the SIGTERM/SIGINT handler; the main loop polls it.
@@ -60,26 +62,22 @@ USAGE:
 
 OPTIONS:
     --addr HOST:PORT        bind address (default 127.0.0.1:7432; port 0 = ephemeral)
-    --max-concurrent N      per-tenant concurrent-query quota (default 4)
-    --max-queued-bytes N    per-tenant queued-SQL-bytes quota (default 1048576)
-    --global-in-flight N    global in-flight cap (default 8)
+    --max-concurrent N      per-tenant concurrent-query quota, at least 1 (default 4)
+    --max-queued-bytes N    per-tenant queued-SQL-bytes quota, at least 1 (default 1048576)
+    --global-in-flight N    global in-flight cap, at least 1 (default 8)
     --drain-ms N            graceful-drain deadline in ms (default 2000)
     --init FILE             execute a SQL script before accepting connections
+    --deadline-ms N         per-query wall-clock deadline in ms (0 = off, the default)
+    --memory-bytes N        per-query cap on materialized bytes (0 = off, the default)
+    --faults SPEC           fault-injection plan `<seed>:<site>[@<n>]=<kind>[,...]`
+                            for the engine's and the network's sites (default none)
     --help                  print this help";
 
-/// [`USAGE`] plus the engine knobs, listed from the environment parser's
-/// own table so the help text cannot name a variable nothing reads.
-fn usage() -> String {
-    let knobs: Vec<&str> = EngineConfig::env_vars().collect();
-    format!(
-        "{USAGE}\n\nEngine knobs, read from the environment under strict validation (a\n\
-         malformed value is a startup error), plus GRFUSION_FAULTS:\n    {}",
-        knobs.join("\n    ")
-    )
-}
-
 struct Args {
+    /// Carries the fault plan too: the server's `net.*` sites read it from
+    /// here, and `main` installs the same plan in the engine.
     cfg: ServerConfig,
+    engine: EngineConfig,
     init: Option<String>,
 }
 
@@ -88,6 +86,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         addr: "127.0.0.1:7432".to_string(),
         ..ServerConfig::default()
     };
+    let mut engine = EngineConfig::default();
     let mut init = None;
     let mut quota = TenantQuota::default();
     let mut i = 0;
@@ -100,34 +99,56 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag {
-            "--help" | "-h" => return Err(usage()),
+            "--help" | "-h" => return Err(USAGE.to_string()),
             "--addr" => cfg.addr = value("--addr")?,
             "--max-concurrent" => {
-                quota.max_concurrent = parse_num(&value("--max-concurrent")?, "--max-concurrent")?;
+                quota.max_concurrent = parse_quota(&value(flag)?, flag)?;
             }
             "--max-queued-bytes" => {
-                quota.max_queued_bytes =
-                    parse_num(&value("--max-queued-bytes")?, "--max-queued-bytes")?;
+                quota.max_queued_bytes = parse_quota(&value(flag)?, flag)?;
             }
             "--global-in-flight" => {
-                cfg.global_in_flight =
-                    parse_num(&value("--global-in-flight")?, "--global-in-flight")?;
+                cfg.global_in_flight = parse_quota(&value(flag)?, flag)?;
             }
             "--drain-ms" => {
-                cfg.drain_deadline_ms = parse_num(&value("--drain-ms")?, "--drain-ms")?;
+                cfg.drain_deadline_ms = parse_num(&value(flag)?, flag)?;
             }
-            "--init" => init = Some(value("--init")?),
-            other => return Err(format!("unknown flag `{other}`\n\n{}", usage())),
+            "--init" => init = Some(value(flag)?),
+            "--deadline-ms" => {
+                engine.governor.deadline_ms = parse_limit(&value(flag)?, flag)?;
+            }
+            "--memory-bytes" => {
+                engine.governor.max_memory_bytes = parse_limit(&value(flag)?, flag)?;
+            }
+            "--faults" => {
+                let spec = value(flag)?;
+                let plan = FaultPlan::parse(&spec).map_err(|e| format!("{flag}: {e}"))?;
+                cfg.faults = Some(plan);
+            }
+            other => return Err(format!("unknown flag `{other}`\n\n{USAGE}")),
         }
         i += 1;
     }
     cfg.quota = quota;
-    Ok(Args { cfg, init })
+    Ok(Args { cfg, engine, init })
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
     s.parse()
         .map_err(|_| format!("{flag}: invalid value `{s}`"))
+}
+
+/// A governor limit: a non-negative integer, `0` meaning off.
+fn parse_limit(s: &str, flag: &str) -> Result<Option<u64>, String> {
+    parse_num::<u64>(s, flag).map(|n| (n > 0).then_some(n))
+}
+
+/// An admission quota: `0` would shed every statement, so it is refused.
+fn parse_quota(s: &str, flag: &str) -> Result<usize, String> {
+    match parse_num(s, flag)? {
+        0 => Err(format!("{flag}: invalid value `0`: must be at least 1")),
+        n => Ok(n),
+    }
 }
 
 fn main() -> ExitCode {
@@ -140,16 +161,8 @@ fn main() -> ExitCode {
         }
     };
 
-    // Strict engine-env validation: refuse to start on a malformed knob
-    // instead of serving traffic with silently-degraded configuration.
-    let engine_cfg = match EngineConfig::from_env_checked() {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("grfusion-serve: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let db = Arc::new(Database::with_config(engine_cfg));
+    let db = Arc::new(Database::with_config(args.engine));
+    db.set_fault_plan(args.cfg.faults.clone());
 
     if let Some(path) = &args.init {
         let script = match std::fs::read_to_string(path) {
@@ -192,28 +205,58 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
     #[test]
     fn help_and_readme_list_the_knobs_the_parser_reads() {
         // `--help` short-circuits parsing with the usage text as the "error".
-        let help = parse_args(&["--help".to_string()])
-            .err()
-            .unwrap_or_default();
+        let help = parse(&["--help"]).err().unwrap_or_default();
         let readme = include_str!("../../../../README.md");
-        for var in EngineConfig::env_vars() {
-            assert!(help.contains(var), "usage omits {var}:\n{help}");
-            assert!(
-                readme.contains(&format!("| `{var}` |")),
-                "README knob table omits {var}"
-            );
+        for flag in ["--deadline-ms", "--memory-bytes", "--faults"] {
+            assert!(help.contains(flag), "usage omits {flag}:\n{help}");
+            assert!(readme.contains(&format!("`{flag}")), "README omits {flag}");
         }
-        // Every GRFUSION_* name in the text is one something reads.
-        for word in help.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_')) {
-            if word.starts_with("GRFUSION_") {
-                assert!(
-                    word == "GRFUSION_FAULTS" || EngineConfig::env_vars().any(|v| v == word),
-                    "usage advertises {word}, which nothing reads"
-                );
+    }
+
+    #[test]
+    fn governor_limits_parse_strictly_with_zero_meaning_off() {
+        type Get = fn(&EngineConfig) -> Option<u64>;
+        let limits: [(&str, Get); 2] = [
+            ("--deadline-ms", |c| c.governor.deadline_ms),
+            ("--memory-bytes", |c| c.governor.max_memory_bytes),
+        ];
+        for (flag, get) in limits {
+            let limit = |args: &[&str]| parse(args).map(|a| get(&a.engine));
+            assert_eq!(limit(&[]), Ok(None), "{flag} unset");
+            assert_eq!(limit(&[flag, "50"]), Ok(Some(50)), "{flag} 50");
+            assert_eq!(limit(&[flag, "0"]), Ok(None), "{flag} 0");
+            for bad in ["lots", "-1", "1.5", ""] {
+                let e = parse(&[flag, bad]).err().unwrap_or_default();
+                assert!(e.contains(flag) && e.contains(&format!("`{bad}`")), "{flag} {bad}: {e}");
             }
+            let e = parse(&[flag]).err().unwrap_or_default();
+            assert!(e.contains(flag), "{flag} with no value: {e}");
+        }
+    }
+
+    #[test]
+    fn fault_plan_flag_parses_or_names_the_spec() {
+        let plan = |args: &[&str]| parse(args).map(|a| a.cfg.faults.map(|p| (p.seed, p.rules.len())));
+        assert_eq!(plan(&["--faults", "7:dml=error,net.accept@2=error"]), Ok(Some((7, 2))));
+        assert_eq!(plan(&[]), Ok(None));
+
+        let e = parse(&["--faults", "bogus"]).err().unwrap_or_default();
+        assert!(e.contains("--faults") && e.contains("invalid fault plan `bogus`"), "{e}");
+    }
+
+    #[test]
+    fn zero_quotas_are_refused_by_name() {
+        for flag in ["--max-concurrent", "--max-queued-bytes", "--global-in-flight"] {
+            let e = parse(&[flag, "0"]).err().unwrap_or_default();
+            assert!(e.contains(flag) && e.contains("at least 1"), "{flag} 0: {e}");
+            assert!(parse(&[flag, "1"]).is_ok(), "{flag} 1");
         }
     }
 }

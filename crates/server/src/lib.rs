@@ -23,13 +23,14 @@
 //!   and forged element counts are rejected against the bytes actually
 //!   present — malformed frames are typed `Error::Protocol` values, never
 //!   panics.
-//! * **Connection-fault injection**: the `GRFUSION_FAULTS` sweep extends
+//! * **Connection-fault injection**: the engine's fault plan extends
 //!   to `net.accept`, `net.read_frame`, `net.write_frame`,
 //!   `net.slow_client`, and `net.disconnect` sites, deterministic and
 //!   hit-counted like the engine's DML sites.
 //!
-//! The `grfusion-serve` binary wraps [`Server`] with CLI flags, strict
-//! engine-environment validation, and SIGTERM-triggered graceful drain.
+//! The `grfusion-serve` binary wraps [`Server`] with strictly validated CLI
+//! flags (the engine's deadline, memory cap and fault plan among them) and
+//! SIGTERM-triggered graceful drain.
 
 pub mod client;
 pub mod server;

@@ -29,8 +29,8 @@
 //! socket — a self-connect for the acceptor, `shutdown(Read)` on the watch
 //! list for idle connections — and join them all.
 //!
-//! Fault injection: the `GRFUSION_FAULTS` sweep extends to the network
-//! layer with `net.*` sites (`net.accept`, `net.read_frame`,
+//! Fault injection: [`ServerConfig::faults`] extends the engine's fault
+//! plan to the network layer with `net.*` sites (`net.accept`, `net.read_frame`,
 //! `net.write_frame`, `net.slow_client`, `net.disconnect`), hit-counted
 //! server-wide through the same deterministic [`FaultState`] machinery the
 //! engine uses for DML sites.
@@ -77,9 +77,7 @@ pub struct ServerConfig {
     pub drain_deadline_ms: u64,
     /// Stall injected by the `net.slow_client` fault site.
     pub slow_client_ms: u64,
-    /// Network fault plan. `None` reads `GRFUSION_FAULTS` from the
-    /// environment (a malformed value is a startup error, same contract
-    /// as the engine's DML sites).
+    /// Network fault plan (`net.*` sites); `None` means no network faults.
     pub faults: Option<FaultPlan>,
 }
 
@@ -164,10 +162,7 @@ pub struct Server;
 impl Server {
     /// Bind, spawn the acceptor and the watcher, and return the handle.
     pub fn start(db: Arc<Database>, cfg: ServerConfig) -> Result<ServerHandle> {
-        let faults = match &cfg.faults {
-            Some(plan) => Some(Arc::new(FaultState::new(plan.clone()))),
-            None => FaultPlan::from_env()?.map(|p| Arc::new(FaultState::new(p))),
-        };
+        let faults = cfg.faults.clone().map(|p| Arc::new(FaultState::new(p)));
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| Error::unavailable(format!("bind {}: {e}", cfg.addr)))?;
         let addr = listener

@@ -4,7 +4,7 @@
 //! * **Positive**: every query of the fig7–fig10 / metrics-battery
 //!   families is accepted, executes with zero runtime type errors, and
 //!   every emitted row matches the statically inferred result schema —
-//!   with the executor's contract check forced on.
+//!   with the executor's contract check on (it runs in every debug build).
 //! * **Negative**: ill-typed queries are rejected *at plan time* with an
 //!   `Error::Analysis` carrying the 1-based `line:col` of the offending
 //!   token.
@@ -12,19 +12,11 @@
 use grfusion::Database;
 use grfusion_common::Error;
 
-/// Force the contract check on for this test binary regardless of build
-/// profile (it already defaults to on under `debug_assertions`).
-fn shim_on() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| std::env::set_var("GRFUSION_CHECK_CONTRACTS", "1"));
-}
-
 /// Diamond graph (1->2, 1->3, 2->4, 3->4, 4->5, 5->6) with a VARCHAR
 /// vertex attribute and a DOUBLE edge weight, plus a plain relational
 /// table `t` with a NULL to keep nullability honest, and a table `u`
 /// that shares `t`'s column `x`.
 fn fixture_db() -> Database {
-    shim_on();
     let db = Database::new();
     db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY, name VARCHAR)")
         .unwrap();

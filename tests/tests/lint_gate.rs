@@ -76,22 +76,42 @@ fn static_and_runtime_lock_rank_tables_agree() {
     assert_eq!(runtime.len(), 3);
 }
 
-/// The README's "Engine knobs" table is the user-facing list of the
-/// environment variables the engine reads: it must name exactly
-/// `EngineConfig::env_vars()`, in the parser's validation order.
+/// The engine reads no environment: every setting comes from the caller
+/// that builds the `Database` (`EngineConfig`, `set_fault_plan`), and a
+/// deployment's settings are the server binary's flags. Library sources
+/// (`crates/*/src`, binaries under `src/bin/` excepted) may neither read
+/// nor write the process environment.
 #[test]
-fn readme_knob_table_lists_exactly_the_parsed_variables() {
-    let readme = std::fs::read_to_string(repo_root().join("README.md")).expect("README.md");
-    let section = readme
-        .split("\n### Engine knobs\n")
-        .nth(1)
-        .expect("README has an `### Engine knobs` section");
-    let section = section.split("\n#").next().unwrap_or(section);
-    let listed: Vec<&str> = section
-        .lines()
-        .filter_map(|l| l.strip_prefix("| `"))
-        .filter_map(|l| l.split('`').next())
-        .collect();
-    let parsed: Vec<&str> = grfusion::EngineConfig::env_vars().collect();
-    assert_eq!(listed, parsed, "README knob table drifted from ENV_KNOBS");
+fn library_crates_never_touch_the_process_environment() {
+    const FORBIDDEN: [&str; 5] = ["env::var", "var_os", "env::vars", "set_var", "remove_var"];
+    fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable source dir").flatten() {
+            let path = entry.path();
+            if path.is_dir() {
+                if path.file_name().is_some_and(|n| n != "bin") {
+                    walk(&path, out);
+                }
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(repo_root().join("crates")).expect("crates/").flatten() {
+        let src = krate.path().join("src");
+        if src.is_dir() {
+            walk(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 50, "scanned only {} files", files.len());
+    let mut hits = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        for (n, line) in text.lines().enumerate() {
+            if FORBIDDEN.iter().any(|f| line.contains(f)) {
+                hits.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "library code touches the environment:\n{}", hits.join("\n"));
 }

@@ -11,41 +11,21 @@
 //!   driven into the middle of INSERT/UPDATE/DELETE graph-view maintenance
 //!   leaves storage, indexes, and every topology byte-identical to never
 //!   having run the statement, and the retried statement succeeds.
-//!
-//! All fixtures build their config explicitly (never from the environment)
-//! so these tests cannot race the env-var tests in this binary.
 
 use std::time::{Duration, Instant};
 
 use grfusion::{
-    CsrConfig, Database, EngineConfig, Error, FaultKind, FaultPlan, GovernorConfig, ResourceKind,
+    Database, EngineConfig, Error, FaultKind, FaultPlan, ResourceKind,
     Value, DML_FAULT_SITES,
 };
 use proptest::prelude::*;
-
-/// Engine config immune to environment variables.
-fn base_config() -> EngineConfig {
-    EngineConfig {
-        optimizer: Default::default(),
-        limits: Default::default(),
-        governor: GovernorConfig::default(),
-        csr: CsrConfig::sealed(),
-    }
-}
-
-fn db_with(cfg: EngineConfig) -> Database {
-    let db = Database::with_config(cfg);
-    // Neutralize any GRFUSION_FAULTS another test may have set concurrently.
-    db.set_fault_plan(None);
-    db
-}
 
 /// Fully connected directed graph on `n` vertexes: unbounded simple-path
 /// enumeration on it is combinatorially explosive (n=12 has ~10^10 simple
 /// paths of length ≤ 8), which is exactly the workload the governor exists
 /// to bound.
 fn clique_db(n: i64, cfg: EngineConfig) -> Database {
-    let db = db_with(cfg);
+    let db = Database::with_config(cfg);
     db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
     db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE)")
         .unwrap();
@@ -97,7 +77,7 @@ fn assert_engine_usable(db: &Database, n: i64) {
 #[test]
 fn deadline_bounds_hostile_enumeration_serial() {
     let deadline_ms = 100u64;
-    let mut cfg = base_config();
+    let mut cfg = EngineConfig::default();
     cfg.governor.deadline_ms = Some(deadline_ms);
     let n = 12i64;
     let db = clique_db(n, cfg);
@@ -136,7 +116,7 @@ fn deadline_bounds_hostile_enumeration_serial() {
 #[test]
 fn memory_cap_bounds_materialization() {
     let n = 12i64;
-    let mut cfg = base_config();
+    let mut cfg = EngineConfig::default();
     cfg.governor.max_memory_bytes = Some(64 * 1024);
     let db = clique_db(n, cfg);
     // 13k+ paths at ~100 bytes each blow a 64 KiB cap long before the scan
@@ -162,7 +142,7 @@ fn memory_cap_bounds_materialization() {
         .execute("SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 3")
         .unwrap();
     // The count must match a never-governed database of the same shape.
-    let fresh = clique_db(n, base_config());
+    let fresh = clique_db(n, EngineConfig::default());
     let expect = fresh
         .execute("SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 3")
         .unwrap();
@@ -172,7 +152,7 @@ fn memory_cap_bounds_materialization() {
 
 #[test]
 fn cancellation_from_another_thread() {
-    let mut cfg = base_config();
+    let mut cfg = EngineConfig::default();
     cfg.optimizer.default_max_path_len = 10;
     let db = clique_db(12, cfg);
     let token = db.cancel_token();
@@ -216,12 +196,12 @@ fn limit_query_budget_is_charged_on_emission() {
     // holds, and answers the unbudgeted query's first row.
     let sql = "SELECT P.PathString FROM g.Paths P HINT(DFS) \
                WHERE P.Length >= 1 AND P.Length <= 3 LIMIT 1";
-    let mut cfg = base_config();
+    let mut cfg = EngineConfig::default();
     cfg.limits.max_intermediate_rows = Some(10);
     let db = clique_db(8, cfg);
     let budgeted = db.execute(sql).unwrap().rows;
     assert_eq!(budgeted.len(), 1);
-    let unbudgeted = clique_db(8, base_config()).execute(sql).unwrap().rows;
+    let unbudgeted = clique_db(8, EngineConfig::default()).execute(sql).unwrap().rows;
     assert_eq!(budgeted, unbudgeted, "the budget changed the LIMIT 1 answer");
 
     // Without the LIMIT the same budget does trip — at emission, with the
@@ -257,9 +237,9 @@ proptest! {
             (Just(n), proptest::collection::vec((0..n, 0..n), 1..20))
         })
     ) {
-        let mut cfg = base_config();
+        let mut cfg = EngineConfig::default();
         cfg.limits.max_intermediate_rows = Some(3);
-        let db = db_with(cfg);
+        let db = Database::with_config(cfg);
         db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
         db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)").unwrap();
         let vrows: Vec<Vec<Value>> = (0..n as i64).map(|i| vec![Value::Integer(i)]).collect();
@@ -330,7 +310,7 @@ const CLOSING_COUNT: &str =
 /// and the no-edge-reuse rule are both on the counted paths, and one heavy
 /// edge for the pushed predicate to prune.
 fn two_cycle_db(cfg: EngineConfig) -> Database {
-    let db = db_with(cfg);
+    let db = Database::with_config(cfg);
     db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
     db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE)")
         .unwrap();
@@ -357,7 +337,7 @@ fn two_cycle_db(cfg: EngineConfig) -> Database {
 fn counting_scan_matches_the_materializing_plan() {
     // A memory cap nothing reaches: the governor is active, so every scan
     // reports `checks=` and `bytes=`.
-    let mut cfg = base_config();
+    let mut cfg = EngineConfig::default();
     cfg.governor.max_memory_bytes = Some(1 << 40);
     let db = two_cycle_db(cfg);
     let set = |pushdown: bool, budget: Option<u64>| {
@@ -413,7 +393,7 @@ fn counting_scan_matches_the_materializing_plan() {
 /// (`length_inference` off: no consumed window, so no closing scan) agrees.
 #[test]
 fn closing_count_uses_parallel_edges_never_the_same_edge() {
-    let db = two_cycle_db(base_config());
+    let db = two_cycle_db(EngineConfig::default());
     for hint in ["HINT(DFS)", "HINT(BFS)"] {
         let sql = CLOSING_COUNT.replace("{C}", "COUNT(*)").replace("{H}", hint);
         for inference in [true, false] {
@@ -441,7 +421,7 @@ fn closing_count_uses_parallel_edges_never_the_same_edge() {
 /// last three are the benchmark's `graph_prepared` probe forms.
 #[test]
 fn limit_is_a_demand_the_traversal_sees() {
-    let db = clique_db(12, base_config());
+    let db = clique_db(12, EngineConfig::default());
     // (sql, rows, vertices visited, edges expanded, tuple derefs)
     let cases: [(&str, usize, u64, u64, u64); 7] = [
         (
@@ -521,7 +501,7 @@ fn limit_is_a_demand_the_traversal_sees() {
 /// filter with a division by zero; the first alone fills the LIMIT.
 #[test]
 fn limit_never_evaluates_an_outer_row_past_the_one_it_stops_at() {
-    let db = db_with(base_config());
+    let db = Database::with_config(EngineConfig::default());
     db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, k INTEGER, x INTEGER)")
         .unwrap();
     db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, k INTEGER, t INTEGER)")
@@ -579,7 +559,7 @@ const CREATE_G: &str = "CREATE DIRECTED GRAPH VIEW g \
 /// Small social fixture whose DML reaches every maintenance path: vertex
 /// source `u`, edge source `r`, ring topology 1->2->3->4->5->1.
 fn social_db(cfg: EngineConfig) -> Database {
-    let db = db_with(cfg);
+    let db = Database::with_config(cfg);
     db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY)").unwrap();
     db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
         .unwrap();
@@ -627,7 +607,7 @@ fn assert_reextraction_consistent(db: &Database) {
 /// all-or-nothing, the retry must succeed, and the final topology must
 /// match a fresh re-extraction.
 fn run_site(site: &str, kind: &str) {
-    let db = social_db(base_config());
+    let db = social_db(EngineConfig::default());
     let stmt = statement_for(site);
     let before = db.state_dump().unwrap();
 
@@ -674,7 +654,7 @@ fn seeded_fault_sweep_is_deterministic() {
     // sweep the CI recipe runs. Every seed must roll back cleanly and the
     // retry must converge to the same final state.
     for seed in [1u64, 3, 5, 7, 11] {
-        let db = social_db(base_config());
+        let db = social_db(EngineConfig::default());
         let before = db.state_dump().unwrap();
         db.set_fault_plan(Some(FaultPlan::parse(&format!("{seed}:dml=error")).unwrap()));
         // The cascading rename hits maintain, cascade (x2), storage, post —
@@ -698,7 +678,7 @@ fn explicit_transaction_survives_injected_fault() {
     // Statement-level atomicity inside an explicit transaction: the faulted
     // statement rolls back to its savepoint, earlier statements survive,
     // and COMMIT lands exactly the surviving work.
-    let db = social_db(base_config());
+    let db = social_db(EngineConfig::default());
     db.execute("BEGIN").unwrap();
     db.execute("INSERT INTO u VALUES (20)").unwrap();
     db.set_fault_plan(Some(FaultPlan::parse("0:dml.insert.maintain@1=error").unwrap()));
@@ -716,7 +696,7 @@ fn explicit_transaction_survives_injected_fault() {
 
 #[test]
 fn operator_fault_aborts_query_not_engine() {
-    let db = social_db(base_config());
+    let db = social_db(EngineConfig::default());
     let sql = "SELECT P.PathString FROM g.Paths P HINT(DFS) \
                WHERE P.Length >= 1 AND P.Length <= 2";
     let clean = db.execute(sql).unwrap().rows;
@@ -760,7 +740,7 @@ fn memory_cap_abort_mid_seal_leaves_engine_usable() {
     // builds them: with a cap below the estimate, the triggering statement
     // aborts with a typed Bytes error, rolls back all-or-nothing, and the
     // topology stays on its previous (sealed + overlay) layout.
-    let mut cfg = base_config();
+    let mut cfg = EngineConfig::default();
     cfg.governor.max_memory_bytes = Some(16);
     let db = social_db(cfg);
     let before = db.state_dump().unwrap();
@@ -797,7 +777,7 @@ fn memory_cap_abort_mid_seal_leaves_engine_usable() {
 fn cancel_during_sealed_bfs() {
     // Cooperative cancellation must reach a BFS traversing the sealed CSR
     // arrays just as it reaches the adjacency path.
-    let mut cfg = base_config();
+    let mut cfg = EngineConfig::default();
     cfg.optimizer.default_max_path_len = 10;
     let db = clique_db(12, cfg);
     let stats = db.graph_stats("g").unwrap();
@@ -836,71 +816,3 @@ fn cancel_during_sealed_bfs() {
     assert_engine_usable(&db, 12);
 }
 
-// ---------------------------------------------------------------------------
-// Environment knobs
-// ---------------------------------------------------------------------------
-
-#[test]
-fn governor_env_knobs_reach_engine_config() {
-    std::env::set_var("GRFUSION_DEADLINE_MS", "50");
-    std::env::set_var("GRFUSION_MEMORY_BYTES", "1048576");
-    let cfg = EngineConfig::default();
-    std::env::remove_var("GRFUSION_DEADLINE_MS");
-    std::env::remove_var("GRFUSION_MEMORY_BYTES");
-    assert_eq!(cfg.governor.deadline_ms, Some(50));
-    assert_eq!(cfg.governor.max_memory_bytes, Some(1_048_576));
-    // Plain defaults stay off: governance is strictly opt-in.
-    assert_eq!(GovernorConfig::default().deadline_ms, None);
-    assert_eq!(GovernorConfig::default().max_memory_bytes, None);
-}
-
-#[test]
-fn malformed_faults_env_surfaces_instead_of_disabling() {
-    std::env::set_var("GRFUSION_FAULTS", "not-a-plan");
-    let db = Database::with_config(base_config());
-    std::env::remove_var("GRFUSION_FAULTS");
-    let err = db.execute("CREATE TABLE t (x INTEGER)").err();
-    // DDL does not consult the fault plan; DML and queries do.
-    db.set_fault_plan(None);
-    db.execute("CREATE TABLE t2 (x INTEGER)").unwrap();
-    db.execute("INSERT INTO t2 VALUES (1)").unwrap();
-    drop(err);
-
-    std::env::set_var("GRFUSION_FAULTS", "also not a plan");
-    let db = Database::with_config(base_config());
-    std::env::remove_var("GRFUSION_FAULTS");
-    db.execute("CREATE TABLE t (x INTEGER)").unwrap();
-    let err = db.execute("INSERT INTO t VALUES (1)").unwrap_err();
-    assert!(
-        err.to_string().contains("GRFUSION_FAULTS"),
-        "typo must surface, not silently disable injection: {err:?}"
-    );
-    // An explicit plan (or clearing it) recovers the database.
-    db.set_fault_plan(None);
-    db.execute("INSERT INTO t VALUES (1)").unwrap();
-}
-
-#[test]
-fn malformed_engine_env_knob_surfaces_instead_of_degrading() {
-    // A typo'd GRFUSION_DEADLINE_MS must not silently run the suite without
-    // a deadline: the database remembers the malformed value at
-    // construction and fails the first statement that builds an execution
-    // context.
-    std::env::set_var("GRFUSION_DEADLINE_MS", "lots");
-    let db = Database::with_config(base_config());
-    std::env::remove_var("GRFUSION_DEADLINE_MS");
-    db.execute("CREATE TABLE t (x INTEGER)").unwrap(); // DDL: no governor
-    let err = db.execute("INSERT INTO t VALUES (1)").unwrap_err();
-    assert!(
-        err.to_string().contains("GRFUSION_DEADLINE_MS"),
-        "typo must surface with the variable name: {err:?}"
-    );
-    assert!(
-        err.to_string().contains("lots"),
-        "typo must surface the offending value: {err:?}"
-    );
-    // An explicit config supersedes the environment and recovers.
-    db.set_config(base_config());
-    db.execute("INSERT INTO t VALUES (1)").unwrap();
-    assert_eq!(db.table_len("t").unwrap(), 1);
-}

@@ -16,20 +16,8 @@ use grfusion::{Database, FaultKind, FaultPlan, FaultRule};
 use grfusion_common::{Error, ResourceKind, Value};
 use grfusion_server::{wire, Client, Server, ServerConfig, ServerHandle, TenantQuota};
 
-/// A fault-free plan: pins the server's fault state to "none" regardless
-/// of any `GRFUSION_FAULTS` the surrounding environment may carry.
-fn no_faults() -> Option<FaultPlan> {
-    Some(FaultPlan {
-        seed: 0,
-        rules: Vec::new(),
-    })
-}
-
 fn fresh_db() -> Arc<Database> {
-    let db = Database::new();
-    // Neutralize any GRFUSION_FAULTS the environment may have set.
-    db.set_fault_plan(None);
-    Arc::new(db)
+    Arc::new(Database::new())
 }
 
 /// Fully connected directed graph on `n` vertexes (same combinatorial bomb
@@ -88,10 +76,7 @@ fn loopback_roundtrip_ddl_dml_query() {
     let db = fresh_db();
     let handle = start(
         db,
-        ServerConfig {
-            faults: no_faults(),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     );
     let mut c = Client::connect(handle.addr(), "tenant-1").unwrap();
     c.query("CREATE TABLE kv (k INTEGER PRIMARY KEY, v VARCHAR)")
@@ -123,10 +108,7 @@ fn served_transaction_control_is_refused_and_acked_writes_survive() {
     let db = fresh_db();
     let handle = start(
         db.clone(),
-        ServerConfig {
-            faults: no_faults(),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     );
     let refused = |r: Result<grfusion_server::Response, Error>| {
         let err = r.unwrap_err();
@@ -164,10 +146,7 @@ fn client_deadline_expires_as_typed_resource_exhausted() {
     load_clique(&db, 12);
     let handle = start(
         db,
-        ServerConfig {
-            faults: no_faults(),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     );
     let mut c = Client::connect(handle.addr(), "t").unwrap();
     let start_at = Instant::now();
@@ -205,7 +184,6 @@ fn tenant_quota_sheds_with_retryable_overloaded() {
                 max_queued_bytes: 1 << 20,
             },
             retry_after_ms: 25,
-            faults: no_faults(),
             ..ServerConfig::default()
         },
     );
@@ -250,10 +228,7 @@ fn disconnect_mid_query_cancels_and_preserves_committed_prefix() {
         .unwrap();
     let handle = start(
         db.clone(),
-        ServerConfig {
-            faults: no_faults(),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     );
 
     // Acked work over a well-behaved connection.
@@ -321,7 +296,6 @@ fn graceful_drain_refuses_new_work_and_cancels_stragglers() {
         db,
         ServerConfig {
             drain_deadline_ms: 300,
-            faults: no_faults(),
             ..ServerConfig::default()
         },
     );
@@ -527,7 +501,6 @@ fn saturating_tenant_is_shed_not_buffered() {
                 max_queued_bytes: 256,
             },
             retry_after_ms: 10,
-            faults: no_faults(),
             ..ServerConfig::default()
         },
     );
@@ -605,10 +578,7 @@ fn pipelined_queries_answer_in_order_and_the_first_is_not_cancelled() {
     let expected = db.execute(long).unwrap().rows;
     let handle = start(
         db,
-        ServerConfig {
-            faults: no_faults(),
-            ..ServerConfig::default()
-        },
+        ServerConfig::default(),
     );
     let mut raw = raw_hello(&handle, "t");
     let mut both = wire::encode_frame(&wire::Frame::Query {
@@ -651,7 +621,6 @@ fn shutdown_wakes_idle_and_half_sent_connections_and_joins_them() {
         db.clone(),
         ServerConfig {
             drain_deadline_ms: 5_000,
-            faults: no_faults(),
             ..ServerConfig::default()
         },
     );

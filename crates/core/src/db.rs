@@ -188,29 +188,14 @@ impl Database {
         Ok(last)
     }
 
-    /// Execute one SQL statement under per-request options: a wall-clock
+    /// [`Database::execute_script`] under per-request options: a wall-clock
     /// deadline (tightening — never loosening — the configured governor
     /// deadline) and a request-scoped cancel token a front-end trips on
     /// client disconnect. This is the network server's entry point; the
-    /// options hold for the whole statement, including subquery folding.
-    ///
-    /// Transaction control is refused here (see
-    /// [`refuse_transaction_control`]): each served statement is its own
+    /// whole script shares one deadline budget, subquery folding included,
+    /// and is refused as a whole — before its first statement runs — if any
+    /// statement is transaction control: each served script is its own
     /// transaction.
-    pub fn execute_with_request(
-        &self,
-        sql: &str,
-        opts: &crate::governor::RequestOptions,
-    ) -> Result<ResultSet> {
-        let _guard = crate::governor::enter_request(opts);
-        let stmt = parse_statement(sql)?;
-        refuse_transaction_control(std::slice::from_ref(&stmt))?;
-        self.execute_statement(&stmt)
-    }
-
-    /// [`Database::execute_script`] under per-request options; the whole
-    /// script shares one deadline budget, and is refused as a whole — before
-    /// its first statement runs — if any statement is transaction control.
     pub fn execute_script_with_request(
         &self,
         sql: &str,

@@ -755,19 +755,38 @@ impl<'e> TraversalFilter for EngineFilter<'e> {
         (self.vertex_preds.iter()).all(|p| p.holds_at(position, |a| self.vertex_value(vertex, a)))
     }
 
-    fn prefix_allowed(&self, g: &GraphTopology, path: &PathData) -> bool {
-        self.agg_preds.iter().all(|p| {
-            let sum = match p.attr {
-                SlotAttr::Edge(a) => (path.edges().iter())
-                    .filter_map(|&id| g.edge_slot(id).ok())
-                    .filter_map(|e| self.edge_value(e, a).as_double().ok())
-                    .fold(0.0, |sum, d| sum + d),
-                SlotAttr::Vertex(a) => (path.vertexes().iter())
-                    .filter_map(|&id| g.vertex_slot(id).ok())
-                    .filter_map(|v| self.vertex_value(v, a).as_double().ok())
-                    .fold(0.0, |sum, d| sum + d),
+    fn running_sums(&self) -> usize {
+        self.agg_preds.len()
+    }
+
+    /// One read per bound and hop (two on the first hop of a vertex
+    /// sum, which also adds the start vertex), summed left to right as the
+    /// path lists its elements; values that are not numbers add nothing.
+    fn step_sums(
+        &self,
+        g: &GraphTopology,
+        sums: &mut [f64],
+        hop: usize,
+        from: VertexSlot,
+        edge: EdgeSlot,
+        to: VertexSlot,
+    ) -> bool {
+        self.agg_preds.iter().zip(sums).all(|(p, sum)| {
+            let mut add = |v: Cow<Value>| {
+                if let Ok(d) = v.as_double() {
+                    *sum += d;
+                }
             };
-            if p.op.test(Value::Double(sum).sql_cmp(&p.rhs)) == Some(true) {
+            match p.attr {
+                SlotAttr::Edge(a) => add(self.edge_value(edge, a)),
+                SlotAttr::Vertex(a) => {
+                    if hop == 0 {
+                        add(self.vertex_value(from, a));
+                    }
+                    add(self.vertex_value(to, a));
+                }
+            }
+            if p.op.test(Value::Double(*sum).sql_cmp(&p.rhs)) == Some(true) {
                 return true;
             }
             let prunes = p.gate.get().unwrap_or_else(|| {
@@ -1162,10 +1181,6 @@ fn resolve_traversal(config: &PathScanConfig, topo: &GraphTopology) -> (ScanMode
         m => m.clone(),
     };
     let mut spec = TraversalSpec::new(config.min_len, config.max_len);
-    // Running-aggregate predicates are checked on every prefix.
-    if !config.agg_preds.is_empty() {
-        spec = spec.with_prefix_checks();
-    }
     if config.closing {
         spec = spec.closing();
     }

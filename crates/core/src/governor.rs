@@ -313,11 +313,6 @@ impl ExecContext {
         Ok(())
     }
 
-    /// Bytes charged so far (0 when no cap is configured).
-    pub fn bytes_charged(&self) -> u64 {
-        self.mem_used.get()
-    }
-
     /// The active fault plan, if any.
     pub fn faults(&self) -> Option<&FaultState> {
         self.faults.as_deref()

@@ -38,10 +38,6 @@ pub struct GraphCounters {
 }
 
 impl GraphCounters {
-    pub fn is_zero(&self) -> bool {
-        *self == GraphCounters::default()
-    }
-
     pub fn merge(&mut self, other: &GraphCounters) {
         self.vertices_visited += other.vertices_visited;
         self.edges_expanded += other.edges_expanded;

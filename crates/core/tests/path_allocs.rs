@@ -11,8 +11,12 @@
 //! legs out of one hub (`hub -> leaf_i -> tail_i`), so the anchored scan
 //! finds `legs` one-hop and `legs` two-hop paths.
 //!
-//! Everything runs in one `#[test]` on one thread, and the counter is
-//! thread-local, so other tests' allocations never leak in.
+//! A running `SUM` bound is per-prefix state beside the traversal's own
+//! (one running sum per bound and path position), so it adds nothing per
+//! hop either; neither does k-shortest, whose prefixes are arena nodes.
+//!
+//! Each `#[test]` runs on its own thread, and the counter is thread-local,
+//! so other tests' allocations never leak in.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -57,22 +61,40 @@ static GLOBAL: Counting = Counting;
 /// result vector, BFS's 20-byte-per-path arena) up to the largest fixture.
 const C: u64 = 64;
 
-/// `hub(0) -> leaf_i -> tail_i` for `i` in `1..=legs`.
+/// `hub(0) -> leaf_i -> tail_i` for `i` in `1..=legs`. Hub-to-leaf edges
+/// and leaves weigh 1 (`w`, `c`), leaf-to-tail edges and tails 10, the hub
+/// 0: a running sum bounded below 5 keeps every one-hop path and prunes
+/// every two-hop one.
 fn fixture(legs: i64) -> Database {
     let db = Database::new();
-    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY, c DOUBLE)")
         .unwrap();
-    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
+    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE)")
         .unwrap();
-    let vertexes = (0..=2 * legs).map(|id| vec![Value::Integer(id)]).collect();
+    let weight = |id: i64| match id {
+        0 => Value::Double(0.0),
+        id if id <= legs => Value::Double(1.0),
+        _ => Value::Double(10.0),
+    };
+    let vertexes = (0..=2 * legs)
+        .map(|id| vec![Value::Integer(id), weight(id)])
+        .collect();
     let edges = (1..=legs)
         .flat_map(|i| [(i, 0, i), (legs + i, i, legs + i)])
-        .map(|(id, a, b)| vec![Value::Integer(id), Value::Integer(a), Value::Integer(b)])
+        .map(|(id, a, b)| {
+            vec![
+                Value::Integer(id),
+                Value::Integer(a),
+                Value::Integer(b),
+                weight(id),
+            ]
+        })
         .collect();
     db.bulk_insert("v", vertexes).unwrap();
     db.bulk_insert("e", edges).unwrap();
     db.execute(
-        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v EDGES(ID = id, FROM = a, TO = b) FROM e",
+        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id, c = c) FROM v \
+         EDGES(ID = id, FROM = a, TO = b, w = w) FROM e",
     )
     .unwrap();
     db
@@ -143,4 +165,56 @@ fn counting_allocates_nothing_per_path_and_emitting_two() {
         dfs_counts.windows(2).all(|w| w[0] == w[1]),
         "COUNT(P) allocations vary with the paths counted: {dfs_counts:?}"
     );
+}
+
+/// A running-SUM bound that prunes every two-hop prefix costs what the
+/// `legs` one-hop paths it emits cost, under DFS and BFS, over edges and
+/// over vertexes: the pruned prefixes allocate nothing.
+#[test]
+fn running_sum_bounds_allocate_nothing_per_prefix() {
+    for legs in [5i64, 50, 500] {
+        let db = fixture(legs);
+        for sum in ["SUM(P.Edges.w)", "SUM(P.Vertexes.c)"] {
+            for hint in ["HINT(DFS)", "HINT(BFS)"] {
+                let sql = format!(
+                    "SELECT P.EndVertex.Id FROM g.Paths P {hint} \
+                     WHERE P.StartVertex.Id = 0 AND P.Length >= 1 AND {sum} < 5"
+                );
+                let (spent, rows) = allocations(&db, &sql);
+                let (paths, result_rows) = (legs as u64, rows.len() as u64);
+                assert_eq!(result_rows, paths, "{sql}");
+                println!("{legs} legs, {sum} {hint}: {spent} allocations for {paths} paths");
+                assert!(
+                    spent <= 2 * paths + result_rows + C,
+                    "{sql}: {spent} allocations > 2·{paths} paths + {result_rows} rows + {C}"
+                );
+            }
+        }
+    }
+}
+
+/// k-shortest (`SHORTESTPATH` under an explicit hop bound) keeps its
+/// prefixes as arena nodes: its allocations grow with `legs` only by the
+/// doublings of the arena and the heap, never per expansion.
+#[test]
+fn k_shortest_allocates_nothing_per_expansion() {
+    let mut base = None;
+    for legs in [5i64, 50, 500] {
+        let db = fixture(legs);
+        let sql = format!(
+            "SELECT PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
+             WHERE PS.StartVertex.Id = 0 AND PS.EndVertex.Id = {} AND PS.Length <= 2",
+            2 * legs
+        );
+        let (spent, rows) = allocations(&db, &sql);
+        assert_eq!(rows, [[Value::Double(11.0)]]);
+        // Seed, `legs` leaves and `legs` tails; two vectors double.
+        let doublings = 2 * u64::from((2 * legs as u64 + 1).ilog2());
+        let base = *base.get_or_insert(spent);
+        println!("{legs} legs: k-shortest took {spent} allocations ({doublings} doublings)");
+        assert!(
+            spent <= base + doublings,
+            "{legs} legs: {spent} allocations > {base} at 5 legs + {doublings} doublings"
+        );
+    }
 }

@@ -8,8 +8,6 @@
 //! pointers into the relational sources; the traversal iterators here call
 //! it at every expansion step.
 
-use grfusion_common::PathData;
-
 use crate::topology::{EdgeSlot, GraphTopology, VertexSlot};
 
 /// Pruning decisions consulted during traversal.
@@ -32,11 +30,30 @@ pub trait TraversalFilter {
         true
     }
 
-    /// May this partial path still lead to results? Used for running
-    /// aggregates (e.g. `SUM(PS.Edges.Cost) < 10` prunes as soon as the
-    /// accumulated cost exceeds the bound, §6.2).
-    fn prefix_allowed(&self, graph: &GraphTopology, path: &PathData) -> bool {
-        let _ = (graph, path);
+    /// How many running sums the filter bounds — running aggregates such
+    /// as `SUM(PS.Edges.Cost) < 10`, which prune a prefix as soon as its
+    /// total leaves the bound (§6.2). The DFS and BFS enumerators keep that
+    /// many sums per prefix, and none (nor any call to
+    /// [`TraversalFilter::step_sums`]) when it is 0.
+    fn running_sums(&self) -> usize {
+        0
+    }
+
+    /// Add hop number `hop` — `edge` from `from` to `to` — to `sums`, a
+    /// copy of the running sums of the prefix it extends, and say whether
+    /// the extended prefix may still lead to results. A prefix's sums start
+    /// at 0; hop 0 also adds the start vertex `from`, which is never tested
+    /// on its own.
+    fn step_sums(
+        &self,
+        graph: &GraphTopology,
+        sums: &mut [f64],
+        hop: usize,
+        from: VertexSlot,
+        edge: EdgeSlot,
+        to: VertexSlot,
+    ) -> bool {
+        let _ = (graph, sums, hop, from, edge, to);
         true
     }
 }
@@ -48,31 +65,25 @@ pub struct NoFilter;
 impl TraversalFilter for NoFilter {}
 
 /// Filter defined by closures — convenient for tests and ad-hoc traversals.
-pub struct FnFilter<E, V, P>
+pub struct FnFilter<E, V>
 where
     E: Fn(&GraphTopology, EdgeSlot, usize) -> bool,
     V: Fn(&GraphTopology, VertexSlot, usize) -> bool,
-    P: Fn(&GraphTopology, &PathData) -> bool,
 {
     pub edge: E,
     pub vertex: V,
-    pub prefix: P,
 }
 
-impl<E, V, P> TraversalFilter for FnFilter<E, V, P>
+impl<E, V> TraversalFilter for FnFilter<E, V>
 where
     E: Fn(&GraphTopology, EdgeSlot, usize) -> bool,
     V: Fn(&GraphTopology, VertexSlot, usize) -> bool,
-    P: Fn(&GraphTopology, &PathData) -> bool,
 {
     fn edge_allowed(&self, graph: &GraphTopology, edge: EdgeSlot, hop: usize) -> bool {
         (self.edge)(graph, edge, hop)
     }
     fn vertex_allowed(&self, graph: &GraphTopology, vertex: VertexSlot, position: usize) -> bool {
         (self.vertex)(graph, vertex, position)
-    }
-    fn prefix_allowed(&self, graph: &GraphTopology, path: &PathData) -> bool {
-        (self.prefix)(graph, path)
     }
 }
 
@@ -84,7 +95,6 @@ where
     FnFilter {
         edge: f,
         vertex: |_: &GraphTopology, _: VertexSlot, _: usize| true,
-        prefix: |_: &GraphTopology, _: &PathData| true,
     }
 }
 
@@ -99,7 +109,8 @@ mod tests {
         let f = NoFilter;
         assert!(f.edge_allowed(&g, 0, 0));
         assert!(f.vertex_allowed(&g, 0, 0));
-        assert!(f.prefix_allowed(&g, &PathData::seed("g", 1)));
+        assert_eq!(f.running_sums(), 0);
+        assert!(f.step_sums(&g, &mut [], 0, 0, 0, 0));
     }
 
     #[test]

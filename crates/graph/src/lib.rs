@@ -35,7 +35,7 @@ pub use dijkstra::{shortest_path, shortest_path_with_stats, KShortestPaths};
 pub use filter::{NoFilter, TraversalFilter};
 pub use p2p::hop_minimal_path;
 pub use search::SearchStats;
-pub use topology::{EdgeSlot, GraphStats, GraphTopology, TopologyLayout, TopologyView, VertexSlot};
+pub use topology::{EdgeSlot, GraphStats, GraphTopology, TopologyLayout, VertexSlot};
 pub use traverse::{BfsPaths, DfsPaths, TraversalSpec};
 
 // Thread-safety contract: the core crate's `Database` is shared across
@@ -47,7 +47,6 @@ pub use traverse::{BfsPaths, DfsPaths, TraversalSpec};
 const _: () = {
     const fn assert_sync_send<T: Sync + Send>() {}
     assert_sync_send::<GraphTopology>();
-    assert_sync_send::<TopologyView<'static>>();
     assert_sync_send::<NoFilter>();
 };
 

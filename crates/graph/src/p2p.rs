@@ -19,8 +19,8 @@ use crate::topology::{ix, GraphTopology, VertexSlot};
 /// hops whose every vertex and edge passes `filter` (which sees exact hop
 /// positions), or `None`; plus the work the search did.
 ///
-/// The filter's `prefix_allowed` hook is not consulted: a visited-set search
-/// keeps one path per vertex, so prefix-dependent pruning would be unsound.
+/// The filter's running sums are not kept: a visited-set search keeps one
+/// path per vertex, so prefix-dependent pruning would be unsound.
 pub fn hop_minimal_path<F: TraversalFilter>(
     graph: &GraphTopology,
     source: VertexSlot,
@@ -38,7 +38,6 @@ pub fn hop_minimal_path<F: TraversalFilter>(
         return (Some(seed), stats);
     }
     let found = with_scratch(|scratch| {
-        let view = graph.view();
         let (seen, _) = scratch.begin(graph.vertex_slot_span());
         let (marks, via, front, next) = (
             &mut scratch.marks,
@@ -55,7 +54,7 @@ pub fn hop_minimal_path<F: TraversalFilter>(
             }
             next.clear();
             for &v in front.iter() {
-                for (e, w) in view.out_hops(v) {
+                for (e, w) in graph.out_hops(v) {
                     stats.edges_examined += 1;
                     if !filter.edge_allowed(graph, e, depth) {
                         continue;

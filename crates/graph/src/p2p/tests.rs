@@ -29,7 +29,6 @@ fn reference_bfs<F: TraversalFilter>(
     if seed == target {
         return Some(PathData::seed(topo.name(), topo.vertex_id(seed)));
     }
-    let view = topo.view();
     let mut parents: HashMap<VertexSlot, (VertexSlot, EdgeSlot)> = HashMap::new();
     let mut queue = VecDeque::new();
     queue.push_back((seed, 0usize));
@@ -37,7 +36,7 @@ fn reference_bfs<F: TraversalFilter>(
         if depth >= max_len {
             continue;
         }
-        for (e, t) in view.out_hops(v) {
+        for (e, t) in topo.out_hops(v) {
             if !filter.edge_allowed(topo, e, depth) {
                 continue;
             }

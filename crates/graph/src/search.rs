@@ -28,32 +28,33 @@ pub struct SearchStats {
 }
 
 /// A heap entry ordered by ascending cost (`BinaryHeap` is a max-heap, so
-/// the `Ord` impl is reversed). `seq` breaks cost ties in push order.
+/// the `Ord` impl is reversed), cost ties broken by the smaller `item`.
+/// Both searches make the item's order their push order: Dijkstra pairs
+/// each vertex with a push counter, k-shortest pushes arena indexes.
 pub(crate) struct ByCost<T> {
     pub(crate) cost: f64,
-    pub(crate) seq: u64,
     pub(crate) item: T,
 }
 
-impl<T> PartialEq for ByCost<T> {
+impl<T: Ord> PartialEq for ByCost<T> {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
     }
 }
-impl<T> Eq for ByCost<T> {}
-impl<T> PartialOrd for ByCost<T> {
+impl<T: Ord> Eq for ByCost<T> {}
+impl<T: Ord> PartialOrd for ByCost<T> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl<T> Ord for ByCost<T> {
+impl<T: Ord> Ord for ByCost<T> {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse: smaller cost = greater priority.
         other
             .cost
             .partial_cmp(&self.cost)
             .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
+            .then_with(|| other.item.cmp(&self.item))
     }
 }
 
@@ -72,9 +73,10 @@ pub(crate) struct Scratch {
     /// BFS: the level being expanded and the one being discovered.
     pub(crate) front: Vec<VertexSlot>,
     pub(crate) next: Vec<VertexSlot>,
-    /// Dijkstra: tentative distances (sized on first use) and the frontier.
+    /// Dijkstra: tentative distances (sized on first use) and the frontier
+    /// of `(push counter, vertex)` entries.
     pub(crate) dist: Vec<f64>,
-    pub(crate) heap: BinaryHeap<ByCost<VertexSlot>>,
+    pub(crate) heap: BinaryHeap<ByCost<(u64, VertexSlot)>>,
 }
 
 impl Scratch {

@@ -468,16 +468,6 @@ impl GraphTopology {
         self.edges[ix(slot)].tuple
     }
 
-    /// Update the stored tuple pointer (storage may hand the engine a new
-    /// slot if a row is deleted+reinserted by an id update).
-    pub fn set_vertex_tuple(&mut self, slot: VertexSlot, tuple: RowId) {
-        self.vertexes[ix(slot)].tuple = tuple;
-    }
-
-    pub fn set_edge_tuple(&mut self, slot: EdgeSlot, tuple: RowId) {
-        self.edges[ix(slot)].tuple = tuple;
-    }
-
     /// Endpoints of an edge, as slots.
     #[inline]
     pub fn edge_endpoints(&self, slot: EdgeSlot) -> (VertexSlot, VertexSlot) {
@@ -488,7 +478,10 @@ impl GraphTopology {
     /// Outgoing edges of a vertex (all incident edges for undirected
     /// graphs). Sealed vertexes resolve to a contiguous CSR run; overlaid
     /// (or never-sealed) vertexes to their per-vertex `Vec` — same slice
-    /// type, same order either way.
+    /// type, same order either way. With [`GraphTopology::out_hop`] and
+    /// [`GraphTopology::out_hops`], this is the adjacency read every
+    /// traversal kernel expands through, so the sealed-CSR vs.
+    /// delta-overlay split is resolved in one place.
     #[inline]
     pub fn out_edges(&self, slot: VertexSlot) -> &[EdgeSlot] {
         let node = &self.vertexes[ix(slot)];
@@ -800,58 +793,6 @@ impl GraphTopology {
         }
         out
     }
-
-    /// The read-side accessor all traversal kernels go through.
-    #[inline]
-    pub fn view(&self) -> TopologyView<'_> {
-        TopologyView { graph: self }
-    }
-}
-
-/// Unified adjacency read path for traversal kernels (DFS/BFS,
-/// point-to-point search and Dijkstra/top-k all expand frontiers through
-/// this one accessor), so every kernel resolves
-/// the sealed-CSR vs. delta-overlay split in exactly one place.
-///
-/// `Copy` over a shared borrow: cloning a view is free, and a view pins the
-/// topology read guard the query already holds — the layout cannot change
-/// underneath an in-flight traversal.
-#[derive(Clone, Copy)]
-pub struct TopologyView<'g> {
-    graph: &'g GraphTopology,
-}
-
-impl<'g> TopologyView<'g> {
-    /// The underlying topology (for id/tuple lookups and filters).
-    #[inline]
-    pub fn graph(&self) -> &'g GraphTopology {
-        self.graph
-    }
-
-    /// Outgoing edge slots of `v` (CSR run or overlay Vec).
-    #[inline]
-    pub fn out_edges(&self, v: VertexSlot) -> &'g [EdgeSlot] {
-        self.graph.out_edges(v)
-    }
-
-    /// Out-degree of `v`.
-    #[inline]
-    pub fn out_len(&self, v: VertexSlot) -> usize {
-        self.graph.out_edges(v).len()
-    }
-
-    /// Hop `i` out of `v`: `(edge, far endpoint)` — parallel-array reads
-    /// on the sealed path.
-    #[inline]
-    pub fn out_hop(&self, v: VertexSlot, i: usize) -> (EdgeSlot, VertexSlot) {
-        self.graph.out_hop(v, i)
-    }
-
-    /// Iterate `(edge, far endpoint)` hops out of `v` in traversal order.
-    #[inline]
-    pub fn out_hops(&self, v: VertexSlot) -> OutHops<'g> {
-        self.graph.out_hops(v)
-    }
 }
 
 /// Iterator over a vertex's `(edge, far endpoint)` hops — see
@@ -1057,22 +998,19 @@ mod tests {
 
     #[test]
     fn tuple_pointers_roundtrip() {
-        let mut g = diamond(true);
+        let g = diamond(true);
         let v1 = g.vertex_slot(1).unwrap();
         assert_eq!(g.vertex_tuple(v1), RowId(1));
-        g.set_vertex_tuple(v1, RowId(77));
-        assert_eq!(g.vertex_tuple(v1), RowId(77));
         let e = g.edge_slot(12).unwrap();
         assert_eq!(g.edge_tuple(e), RowId(12));
     }
 
     /// Adjacency observations that must be layout-independent.
     fn observe(g: &GraphTopology) -> Vec<(VertexId, Vec<(EdgeId, VertexId)>, usize, usize)> {
-        let view = g.view();
         let mut all: Vec<_> = g
             .vertex_slots()
             .map(|v| {
-                let hops: Vec<(EdgeId, VertexId)> = view
+                let hops: Vec<(EdgeId, VertexId)> = g
                     .out_hops(v)
                     .map(|(e, t)| (g.edge_id(e), g.vertex_id(t)))
                     .collect();
@@ -1134,7 +1072,7 @@ mod tests {
         let v5 = g.vertex_slot(5).unwrap();
         assert_eq!(g.fan_out(v4), 1);
         assert_eq!(g.fan_in(v5), 1);
-        let hops: Vec<_> = g.view().out_hops(v4).collect();
+        let hops: Vec<_> = g.out_hops(v4).collect();
         assert_eq!(hops, vec![(g.edge_slot(14).unwrap(), v5)]);
         // Re-seal folds the overlay back in.
         g.seal();

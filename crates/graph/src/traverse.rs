@@ -19,7 +19,7 @@ use grfusion_common::PathData;
 
 use crate::filter::TraversalFilter;
 use crate::search::snapshot;
-use crate::topology::{ix, EdgeSlot, GraphTopology, TopologyView, VertexSlot};
+use crate::topology::{ix, EdgeSlot, GraphTopology, VertexSlot};
 
 /// Traversal parameters shared by DFS and BFS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,10 +29,6 @@ pub struct TraversalSpec {
     /// Maximum path length (edges) to explore. Traversal never expands a
     /// path beyond this, which is the §6.1 early-pruning guarantee.
     pub max_len: usize,
-    /// When true, traversal filters receive `prefix_allowed` callbacks with
-    /// a materialized [`PathData`] after each extension (needed for running
-    /// path aggregates; costs one allocation per expansion, so it is opt-in).
-    pub check_prefixes: bool,
     /// Only cycles back to the start vertex are wanted: on the last hop
     /// (`depth + 1 == max_len`) a target other than the start is skipped
     /// before the edge filter runs, so it costs no tuple dereference.
@@ -44,14 +40,8 @@ impl TraversalSpec {
         TraversalSpec {
             min_len,
             max_len,
-            check_prefixes: false,
             closing: false,
         }
-    }
-
-    pub fn with_prefix_checks(mut self) -> Self {
-        self.check_prefixes = true;
-        self
     }
 
     pub fn closing(mut self) -> Self {
@@ -68,9 +58,57 @@ impl TraversalSpec {
 
 // Both enumerators split a step in two. `advance()` moves to the next
 // qualifying path and does all the traversal work — adjacency walks, filter
-// calls, counters — without allocating (prefix checks aside); `current()`
+// calls, running sums, counters — without allocating; `current()`
 // materializes the path `advance()` stopped on. A consumer that only counts
 // paths never calls `current()`; `Iterator::next` is the two composed.
+
+/// The running sums a filter bounds ([`TraversalFilter::running_sums`]),
+/// `width` per prefix the traversal holds: prefix `i` owns
+/// `sums[i * width..][..width]`. Each hop copies its prefix's sums and lets
+/// the filter add the hop, so a bound costs one attribute read per hop
+/// whatever the path's length. With width 0 nothing is stored or called.
+struct RunningSums {
+    sums: Vec<f64>,
+    width: usize,
+}
+
+impl RunningSums {
+    /// `prefixes` prefixes, each at its start: every sum 0.
+    fn new(width: usize, prefixes: usize) -> Self {
+        RunningSums {
+            sums: vec![0.0; width * prefixes],
+            width,
+        }
+    }
+
+    /// Hold one prefix, a seed: every sum 0.
+    fn seed(&mut self) {
+        self.sums.clear();
+        self.sums.resize(self.width, 0.0);
+    }
+
+    /// Keep the sums of the first `prefixes` prefixes only.
+    fn truncate(&mut self, prefixes: usize) {
+        self.sums.truncate(prefixes * self.width);
+    }
+
+    /// Append a copy of prefix `i`'s sums as the next prefix's, let `step`
+    /// add the hop that extends it, and keep the copy only if `step` says
+    /// the extended prefix may go on.
+    #[inline]
+    fn extend(&mut self, i: usize, step: impl FnOnce(&mut [f64]) -> bool) -> bool {
+        if self.width == 0 {
+            return true;
+        }
+        let (end, w) = (self.sums.len(), self.width);
+        self.sums.extend_from_within(i * w..(i + 1) * w);
+        let allowed = step(&mut self.sums[end..]);
+        if !allowed {
+            self.sums.truncate(end);
+        }
+        allowed
+    }
+}
 
 // ---------------------------------------------------------------------------
 // Depth-first
@@ -83,8 +121,6 @@ impl TraversalSpec {
 /// the `F·L` stack bound from §6.3.
 pub struct DfsPaths<'g, F: TraversalFilter> {
     graph: &'g GraphTopology,
-    /// Unified adjacency accessor (sealed CSR or delta overlay).
-    view: TopologyView<'g>,
     filter: F,
     spec: TraversalSpec,
     seeds: Vec<VertexSlot>,
@@ -92,9 +128,8 @@ pub struct DfsPaths<'g, F: TraversalFilter> {
     path_vertexes: Vec<VertexSlot>,
     path_edges: Vec<EdgeSlot>,
     cursors: Vec<usize>,
-    /// The current path as its prefix check materialized it, so `current()`
-    /// does not build it a second time.
-    checked: Option<PathData>,
+    /// Running sums of the prefix ending at each path position.
+    sums: RunningSums,
     /// Peak stack depth observed (ablation metric).
     max_depth: usize,
     /// Total edges examined (work metric).
@@ -112,7 +147,7 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
     ) -> Self {
         DfsPaths {
             graph,
-            view: graph.view(),
+            sums: RunningSums::new(filter.running_sums(), 0),
             filter,
             spec,
             seeds,
@@ -120,7 +155,6 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
             path_vertexes: Vec::new(),
             path_edges: Vec::new(),
             cursors: Vec::new(),
-            checked: None,
             max_depth: 0,
             edges_examined: 0,
             vertices_visited: 0,
@@ -147,16 +181,9 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
     fn pop(&mut self) {
         self.path_vertexes.pop();
         self.cursors.pop();
-        if !self.path_vertexes.is_empty() {
-            self.path_edges.pop();
-        } else {
-            self.path_edges.clear();
-        }
-    }
-
-    /// The path on the stack, in user-visible ids.
-    fn stacked(&self) -> PathData {
-        snapshot(self.graph, &self.path_vertexes, &self.path_edges, 0.0)
+        let len = self.path_vertexes.len();
+        self.path_edges.truncate(len.saturating_sub(1));
+        self.sums.truncate(len);
     }
 
     /// Length (edges) of the path `advance()` stopped on.
@@ -165,13 +192,12 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
     }
 
     /// Materialize the path `advance()` stopped on.
-    pub fn current(&mut self) -> PathData {
-        self.checked.take().unwrap_or_else(|| self.stacked())
+    pub fn current(&self) -> PathData {
+        snapshot(self.graph, &self.path_vertexes, &self.path_edges, 0.0)
     }
 
     /// Move to the next qualifying path; `false` once there is none.
     pub fn advance(&mut self) -> bool {
-        self.checked = None;
         loop {
             // Start a new seed when the stack is empty.
             if self.path_vertexes.is_empty() {
@@ -187,6 +213,7 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
                 };
                 self.path_vertexes.push(seed);
                 self.cursors.push(0);
+                self.sums.seed();
                 self.vertices_visited += 1;
                 self.max_depth = self.max_depth.max(1);
                 if self.spec.min_len == 0 {
@@ -202,10 +229,10 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
             let closed = depth > 0 && v == self.path_vertexes[0];
             let mut extended = false;
             if depth < self.spec.max_len && !closed {
-                let out_len = self.view.out_len(v);
+                let out_len = self.graph.out_edges(v).len();
                 let must_reach = self.spec.closes_at(depth).then_some(self.path_vertexes[0]);
                 while self.cursors[depth] < out_len {
-                    let (e, t) = self.view.out_hop(v, self.cursors[depth]);
+                    let (e, t) = self.graph.out_hop(v, self.cursors[depth]);
                     self.cursors[depth] += 1;
                     self.edges_examined += 1;
                     if must_reach.is_some_and(|s| t != s) {
@@ -226,19 +253,16 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
                     if !self.filter.vertex_allowed(self.graph, t, depth + 1) {
                         continue;
                     }
+                    self.vertices_visited += 1;
+                    self.max_depth = self.max_depth.max(self.path_vertexes.len() + 1);
+                    let (filter, graph) = (&self.filter, self.graph);
+                    let step = |sums: &mut [f64]| filter.step_sums(graph, sums, depth, v, e, t);
+                    if !self.sums.extend(depth, step) {
+                        continue;
+                    }
                     self.path_edges.push(e);
                     self.path_vertexes.push(t);
                     self.cursors.push(0);
-                    self.vertices_visited += 1;
-                    self.max_depth = self.max_depth.max(self.path_vertexes.len());
-                    if self.spec.check_prefixes {
-                        let snap = self.stacked();
-                        if !self.filter.prefix_allowed(self.graph, &snap) {
-                            self.pop();
-                            continue;
-                        }
-                        self.checked = Some(snap);
-                    }
                     if self.path_edges.len() >= self.spec.min_len {
                         return true;
                     }
@@ -265,19 +289,96 @@ impl<'g, F: TraversalFilter> Iterator for DfsPaths<'g, F> {
 // Breadth-first
 // ---------------------------------------------------------------------------
 
-/// One enumerated path in the BFS arena: its last hop plus a pointer to the
-/// node of the path it extends, so a path costs 20 bytes however long it is.
+/// One enumerated path in a parent-pointer arena: its last hop plus a
+/// pointer to the node of the path it extends, so a path costs 20 bytes
+/// however long it is. BFS's queue and the k-shortest frontier
+/// ([`crate::KShortestPaths`]) are both such arenas.
 #[derive(Clone, Copy)]
-struct BfsNode {
+pub(crate) struct BfsNode {
     /// Arena index of the prefix this path extends (a seed points at itself).
     parent: u32,
-    vertex: VertexSlot,
+    pub(crate) vertex: VertexSlot,
     /// The edge that reached `vertex` (unused on a seed).
     edge: EdgeSlot,
     /// Edges on the path.
-    depth: u32,
+    pub(crate) depth: u32,
     /// The path returned to its start vertex, so it is never extended.
     closed: bool,
+}
+
+impl BfsNode {
+    /// The zero-length path at `vertex`, stored at arena index `at`.
+    pub(crate) fn seed(at: usize, vertex: VertexSlot) -> Self {
+        BfsNode {
+            parent: arena_index(at),
+            vertex,
+            edge: 0,
+            depth: 0,
+            closed: false,
+        }
+    }
+
+    /// The path stored at arena index `at` extended over `edge` to `vertex`;
+    /// `closed` as [`extension`] reported it.
+    pub(crate) fn child(
+        &self,
+        at: usize,
+        edge: EdgeSlot,
+        vertex: VertexSlot,
+        closed: bool,
+    ) -> Self {
+        BfsNode {
+            parent: arena_index(at),
+            vertex,
+            edge,
+            depth: self.depth + 1,
+            closed,
+        }
+    }
+}
+
+/// Whether extending the path at `node` over `e` to `t` keeps it simple —
+/// no intermediate vertex revisited, no edge reused — and if so, whether it
+/// closes a simple cycle by returning to the start.
+pub(crate) fn extension(
+    arena: &[BfsNode],
+    mut node: BfsNode,
+    e: EdgeSlot,
+    t: VertexSlot,
+) -> Option<bool> {
+    let mut edge_reused = false;
+    while node.depth > 0 {
+        if node.vertex == t {
+            return None;
+        }
+        edge_reused |= node.edge == e;
+        node = arena[ix(node.parent)];
+    }
+    let closes = node.vertex == t;
+    (!(closes && edge_reused)).then_some(closes)
+}
+
+/// The start vertex of the path ending at `node`.
+fn seed_of(arena: &[BfsNode], mut node: BfsNode) -> VertexSlot {
+    while node.depth > 0 {
+        node = arena[ix(node.parent)];
+    }
+    node.vertex
+}
+
+/// The path ending at arena node `at`, in user-visible ids, with `cost`:
+/// the parent chain is walked once, filling the id buffer from the back.
+pub(crate) fn path_at(graph: &GraphTopology, arena: &[BfsNode], at: usize, cost: f64) -> PathData {
+    let mut node = arena[at];
+    let len = ix(node.depth);
+    let mut ids = vec![0; 2 * len + 1];
+    for i in (1..=len).rev() {
+        ids[i] = graph.vertex_id(node.vertex);
+        ids[len + i] = graph.edge_id(node.edge);
+        node = arena[ix(node.parent)];
+    }
+    ids[0] = graph.vertex_id(node.vertex);
+    PathData::from_ids(graph.shared_name(), ids, cost)
 }
 
 /// BFS over simple paths from a set of start vertexes.
@@ -289,11 +390,11 @@ struct BfsNode {
 /// fan-out is small relative to the target length).
 pub struct BfsPaths<'g, F: TraversalFilter> {
     graph: &'g GraphTopology,
-    /// Unified adjacency accessor (sealed CSR or delta overlay).
-    view: TopologyView<'g>,
     filter: F,
     spec: TraversalSpec,
     arena: Vec<BfsNode>,
+    /// Running sums of the path at each arena node.
+    sums: RunningSums,
     /// Next arena node to expand; the one before it is the node
     /// `advance()` stopped on.
     head: usize,
@@ -313,23 +414,17 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
         let mut arena = Vec::with_capacity(seeds.len());
         for s in seeds {
             if filter.vertex_allowed(graph, s, 0) {
-                let parent = arena_index(arena.len());
-                arena.push(BfsNode {
-                    parent,
-                    vertex: s,
-                    edge: 0,
-                    depth: 0,
-                    closed: false,
-                });
+                arena.push(BfsNode::seed(arena.len(), s));
             }
         }
+        let sums = RunningSums::new(filter.running_sums(), arena.len());
         let max_frontier = arena.len();
         let vertices_visited = arena.len() as u64; // cast-ok: usize -> u64 widening
         BfsPaths {
             graph,
-            view: graph.view(),
             filter,
             spec,
+            sums,
             arena,
             head: 0,
             max_frontier,
@@ -355,45 +450,6 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
         &self.filter
     }
 
-    /// Whether extending the path at `node` over `e` to `t` keeps it
-    /// simple — no intermediate vertex revisited, no edge reused — and if
-    /// so, whether it closes a simple cycle by returning to the start.
-    fn extension(&self, mut node: BfsNode, e: EdgeSlot, t: VertexSlot) -> Option<bool> {
-        let mut edge_reused = false;
-        while node.depth > 0 {
-            if node.vertex == t {
-                return None;
-            }
-            edge_reused |= node.edge == e;
-            node = self.arena[ix(node.parent)];
-        }
-        let closes = node.vertex == t;
-        (!(closes && edge_reused)).then_some(closes)
-    }
-
-    /// The start vertex of the path ending at `node`.
-    fn seed_of(&self, mut node: BfsNode) -> VertexSlot {
-        while node.depth > 0 {
-            node = self.arena[ix(node.parent)];
-        }
-        node.vertex
-    }
-
-    /// The path ending at arena node `at`, in user-visible ids: the parent
-    /// chain is walked once, filling the id buffer from the back.
-    fn path_at(&self, at: usize) -> PathData {
-        let mut node = self.arena[at];
-        let len = ix(node.depth);
-        let mut ids = vec![0; 2 * len + 1];
-        for i in (1..=len).rev() {
-            ids[i] = self.graph.vertex_id(node.vertex);
-            ids[len + i] = self.graph.edge_id(node.edge);
-            node = self.arena[ix(node.parent)];
-        }
-        ids[0] = self.graph.vertex_id(node.vertex);
-        PathData::from_ids(self.graph.shared_name(), ids, 0.0)
-    }
-
     /// Length (edges) of the path `advance()` stopped on.
     pub fn depth(&self) -> usize {
         ix(self.arena[self.head - 1].depth)
@@ -401,7 +457,7 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
 
     /// Materialize the path `advance()` stopped on.
     pub fn current(&self) -> PathData {
-        self.path_at(self.head - 1)
+        path_at(self.graph, &self.arena, self.head - 1, 0.0)
     }
 
     /// Move to the next qualifying path; `false` once there is none.
@@ -414,8 +470,11 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
             // queued even when we return below. Closed paths (returned to
             // their start) are never extended.
             if depth < self.spec.max_len && !node.closed {
-                let must_reach = self.spec.closes_at(depth).then(|| self.seed_of(node));
-                for (e, t) in self.view.out_hops(node.vertex) {
+                let must_reach = self
+                    .spec
+                    .closes_at(depth)
+                    .then(|| seed_of(&self.arena, node));
+                for (e, t) in self.graph.out_hops(node.vertex) {
                     self.edges_examined += 1;
                     if must_reach.is_some_and(|s| t != s) {
                         continue;
@@ -423,26 +482,18 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
                     if !self.filter.edge_allowed(self.graph, e, depth) {
                         continue;
                     }
-                    let Some(closed) = self.extension(node, e, t) else {
+                    let Some(closed) = extension(&self.arena, node, e, t) else {
                         continue;
                     };
                     if !self.filter.vertex_allowed(self.graph, t, depth + 1) {
                         continue;
                     }
-                    self.arena.push(BfsNode {
-                        parent: arena_index(at),
-                        vertex: t,
-                        edge: e,
-                        depth: node.depth + 1,
-                        closed,
-                    });
-                    if self.spec.check_prefixes {
-                        let snap = self.path_at(self.arena.len() - 1);
-                        if !self.filter.prefix_allowed(self.graph, &snap) {
-                            self.arena.pop();
-                            continue;
-                        }
+                    let (filter, graph, v) = (&self.filter, self.graph, node.vertex);
+                    let step = |sums: &mut [f64]| filter.step_sums(graph, sums, depth, v, e, t);
+                    if !self.sums.extend(at, step) {
+                        continue;
                     }
+                    self.arena.push(node.child(at, e, t, closed));
                     self.vertices_visited += 1;
                 }
                 self.max_frontier = self.max_frontier.max(self.arena.len() - self.head);
@@ -466,7 +517,7 @@ impl<'g, F: TraversalFilter> Iterator for BfsPaths<'g, F> {
 /// An arena position as a parent pointer. The arena holds one node per
 /// enumerated path; a traversal that outgrows `u32` positions has long
 /// since exhausted memory, so overflow is a broken invariant, not an input.
-fn arena_index(at: usize) -> u32 {
+pub(crate) fn arena_index(at: usize) -> u32 {
     u32::try_from(at).expect("BFS arena outgrew u32 parent pointers")
 }
 
@@ -720,23 +771,38 @@ mod tests {
         assert_eq!(paths, vec!["1->2", "1->2->4"]);
     }
 
+    /// A one-sum filter whose sum is the prefix's length, bounded below 2.
+    struct UnderTwoHops;
+
+    impl TraversalFilter for UnderTwoHops {
+        fn running_sums(&self) -> usize {
+            1
+        }
+        fn step_sums(
+            &self,
+            _: &GraphTopology,
+            sums: &mut [f64],
+            _: usize,
+            _: VertexSlot,
+            _: EdgeSlot,
+            _: VertexSlot,
+        ) -> bool {
+            sums[0] += 1.0;
+            sums[0] < 2.0
+        }
+    }
+
     #[test]
     fn prefix_filter_prunes_subtrees() {
         let g = sample();
         let seed = g.vertex_slot(1).unwrap();
-        // Reject any prefix that reaches vertex 4: its extensions vanish too.
-        let f = crate::filter::FnFilter {
-            edge: |_: &GraphTopology, _, _| true,
-            vertex: |_: &GraphTopology, _, _| true,
-            prefix: |_: &GraphTopology, p: &PathData| p.end_vertex() != 4,
-        };
-        let paths = path_strings(DfsPaths::new(
-            &g,
-            vec![seed],
-            TraversalSpec::new(1, 3).with_prefix_checks(),
-            f,
-        ));
-        assert_eq!(paths, vec!["1->2", "1->3"]);
+        // A prefix the running sums reject vanishes with its extensions,
+        // and each sibling starts from its own copy of its prefix's sums.
+        let spec = TraversalSpec::new(1, 3);
+        let dfs = DfsPaths::new(&g, vec![seed], spec, UnderTwoHops);
+        assert_eq!(path_strings(dfs), vec!["1->2", "1->3"]);
+        let bfs = BfsPaths::new(&g, vec![seed], spec, UnderTwoHops);
+        assert_eq!(path_strings(bfs), vec!["1->2", "1->3"]);
     }
 
     #[test]
@@ -775,7 +841,6 @@ mod tests {
             vertex: |g: &GraphTopology, v: VertexSlot, pos: usize| {
                 pos != 0 || g.vertex_id(v) != 1
             },
-            prefix: |_: &GraphTopology, _: &PathData| true,
         };
         let paths = path_strings(DfsPaths::new(&g, seeds, TraversalSpec::new(1, 1), f));
         assert_eq!(paths, vec!["2->4"]);

@@ -81,7 +81,16 @@ struct Args {
     init: Option<String>,
 }
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+/// What a well-formed command line asks for.
+enum Command {
+    Serve(Args),
+    /// `--help` / `-h`: the usage goes to stdout and the exit status is 0.
+    Help,
+}
+
+/// The command line's request, or the message (usage included where it
+/// helps) that a malformed one exits 2 with.
+fn parse_args(argv: &[String]) -> Result<Command, String> {
     let mut cfg = ServerConfig {
         addr: "127.0.0.1:7432".to_string(),
         ..ServerConfig::default()
@@ -99,7 +108,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 .ok_or_else(|| format!("{name} requires a value"))
         };
         match flag {
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Ok(Command::Help),
             "--addr" => cfg.addr = value("--addr")?,
             "--max-concurrent" => {
                 quota.max_concurrent = parse_quota(&value(flag)?, flag)?;
@@ -130,7 +139,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         i += 1;
     }
     cfg.quota = quota;
-    Ok(Args { cfg, engine, init })
+    Ok(Command::Serve(Args { cfg, engine, init }))
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
@@ -154,7 +163,11 @@ fn parse_quota(s: &str, flag: &str) -> Result<usize, String> {
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let args = match parse_args(&argv) {
-        Ok(a) => a,
+        Ok(Command::Serve(a)) => a,
+        Ok(Command::Help) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
         Err(msg) => {
             eprintln!("{msg}");
             return ExitCode::from(2);
@@ -205,17 +218,37 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Result<Args, String> {
+    fn command(args: &[&str]) -> Result<Command, String> {
         parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        match command(args)? {
+            Command::Serve(args) => Ok(args),
+            Command::Help => Err("help asked for".to_string()),
+        }
     }
 
     #[test]
     fn help_and_readme_list_the_knobs_the_parser_reads() {
-        // `--help` short-circuits parsing with the usage text as the "error".
-        let help = parse(&["--help"]).err().unwrap_or_default();
+        // `--help` / `-h` are a request (usage on stdout, exit 0) wherever
+        // they stand; a malformed flag is an error (stderr, exit 2) whose
+        // message carries the usage.
+        for args in [
+            &["--help"][..],
+            &["-h"],
+            &["--addr", "127.0.0.1:0", "--help"],
+        ] {
+            assert!(matches!(command(args), Ok(Command::Help)), "{args:?}");
+        }
+        let e = parse(&["--bogus"]).err().unwrap_or_default();
+        assert!(
+            e.contains("unknown flag `--bogus`") && e.contains(USAGE),
+            "{e}"
+        );
         let readme = include_str!("../../../../README.md");
         for flag in ["--deadline-ms", "--memory-bytes", "--faults"] {
-            assert!(help.contains(flag), "usage omits {flag}:\n{help}");
+            assert!(USAGE.contains(flag), "usage omits {flag}:\n{USAGE}");
             assert!(readme.contains(&format!("`{flag}")), "README omits {flag}");
         }
     }

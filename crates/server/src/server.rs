@@ -95,6 +95,24 @@ impl Default for ServerConfig {
     }
 }
 
+impl ServerConfig {
+    /// Refuse an admission limit of 0, which would shed every statement,
+    /// naming the field that holds it.
+    fn check(&self) -> Result<()> {
+        let limits = [
+            ("global_in_flight", self.global_in_flight),
+            ("quota.max_concurrent", self.quota.max_concurrent),
+            ("quota.max_queued_bytes", self.quota.max_queued_bytes),
+        ];
+        match limits.iter().find(|(_, n)| *n == 0) {
+            Some((field, _)) => Err(Error::analysis(format!(
+                "invalid server config: `{field}` is 0, must be at least 1"
+            ))),
+            None => Ok(()),
+        }
+    }
+}
+
 /// The request a connection is running right now.
 struct InFlight {
     token: CancelToken,
@@ -161,7 +179,10 @@ pub struct Server;
 
 impl Server {
     /// Bind, spawn the acceptor and the watcher, and return the handle.
+    /// A configuration with a zero admission limit is refused before
+    /// anything binds.
     pub fn start(db: Arc<Database>, cfg: ServerConfig) -> Result<ServerHandle> {
+        cfg.check()?;
         let faults = cfg.faults.clone().map(|p| Arc::new(FaultState::new(p)));
         let listener = TcpListener::bind(&cfg.addr)
             .map_err(|e| Error::unavailable(format!("bind {}: {e}", cfg.addr)))?;

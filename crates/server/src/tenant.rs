@@ -85,7 +85,7 @@ impl TenantRegistry {
         TenantRegistry {
             tenants: OrderedMutex::new(LockClass::TenantRegistry, Admission::default()),
             quota,
-            global_limit: global_limit.max(1),
+            global_limit,
             retry_after_ms,
         }
     }

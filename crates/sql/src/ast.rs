@@ -325,21 +325,6 @@ pub enum BinaryOp {
     Mod,
 }
 
-impl BinaryOp {
-    /// True for comparison operators (produce booleans).
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Eq
-                | BinaryOp::NotEq
-                | BinaryOp::Lt
-                | BinaryOp::LtEq
-                | BinaryOp::Gt
-                | BinaryOp::GtEq
-        )
-    }
-}
-
 impl Expr {
     /// Convenience: build `left AND right`, treating `None` as absent.
     pub fn and_opt(left: Option<Expr>, right: Option<Expr>) -> Option<Expr> {

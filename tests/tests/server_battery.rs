@@ -172,6 +172,49 @@ fn client_deadline_expires_as_typed_resource_exhausted() {
     handle.shutdown();
 }
 
+/// A zero admission limit would shed every statement as `Overloaded` (or,
+/// for the global cap, be silently raised to 1): `Server::start` refuses
+/// it with a typed, non-retryable error that names the field.
+#[test]
+fn zero_admission_limits_are_refused_at_start_by_name() {
+    let quota = |max_concurrent, max_queued_bytes| ServerConfig {
+        quota: TenantQuota {
+            max_concurrent,
+            max_queued_bytes,
+        },
+        ..ServerConfig::default()
+    };
+    let zeroed = [
+        (
+            "global_in_flight",
+            ServerConfig {
+                global_in_flight: 0,
+                ..ServerConfig::default()
+            },
+        ),
+        ("quota.max_concurrent", quota(0, 1 << 20)),
+        ("quota.max_queued_bytes", quota(4, 0)),
+    ];
+    for (field, cfg) in zeroed {
+        match Server::start(fresh_db(), cfg) {
+            Err(e @ Error::Analysis(_)) => {
+                assert!(
+                    e.to_string().contains(&format!("`{field}`")),
+                    "{field}: {e}"
+                );
+                assert!(!e.is_retryable(), "{field}: {e}");
+            }
+            Err(e) => panic!("{field} = 0: wrong error {e:?}"),
+            Ok(handle) => {
+                handle.shutdown();
+                panic!("{field} = 0: the server started");
+            }
+        }
+    }
+    let handle = start(fresh_db(), ServerConfig::default());
+    handle.shutdown();
+}
+
 #[test]
 fn tenant_quota_sheds_with_retryable_overloaded() {
     let db = fresh_db();

@@ -1195,7 +1195,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->3; 1->3->4",
-                    "vertices=5 edges=6 derefs=12",
+                    "vertices=5 edges=6 derefs=6",
                 ],
             ),
             (
@@ -1205,7 +1205,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->2->4->5; 1->3; 1->3->4",
-                    "vertices=6 edges=8 derefs=20",
+                    "vertices=6 edges=8 derefs=8",
                 ],
             ),
             (
@@ -1215,7 +1215,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->3; 1->3->4",
-                    "vertices=5 edges=6 derefs=12",
+                    "vertices=5 edges=6 derefs=6",
                 ],
             ),
             (
@@ -1225,7 +1225,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->2->4->5; 1->3; 1->3->4",
-                    "vertices=6 edges=8 derefs=20",
+                    "vertices=6 edges=8 derefs=8",
                 ],
             ),
             (
@@ -1276,7 +1276,7 @@ mod consumption_parity {
                     "    PathJoin(g, Auto, len 0..=8) :: (sid INTEGER?, vid INTEGER?, k INTEGER?, ps PATH)",
                     "      TableScan(s) :: (sid INTEGER?, vid INTEGER?, k INTEGER?)",
                     "rows: 1|1->2; 1|1->2->4; 1|1->3; 2|4->5",
-                    "vertices=6 edges=8 derefs=14",
+                    "vertices=6 edges=8 derefs=8",
                 ],
             ),
         ]);
@@ -1499,7 +1499,7 @@ mod consumption_parity {
                     "    Filter :: (ps PATH)",
                     "      PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 4",
-                    "vertices=11 edges=10 derefs=28",
+                    "vertices=11 edges=10 derefs=10",
                 ],
             ),
             (
@@ -1887,7 +1887,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(ga, Auto, len 0..=4) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->3; 1->3->4",
-                    "vertices=5 edges=6 derefs=12",
+                    "vertices=5 edges=6 derefs=6",
                 ],
             ),
             (
@@ -1897,7 +1897,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(ga, Auto, len 0..=4) :: (ps PATH)",
                     "rows: 1; 1->2; 1->2->4; 1->3; 1->3->4",
-                    "vertices=5 edges=6 derefs=18",
+                    "vertices=5 edges=6 derefs=8",
                 ],
             ),
             (

@@ -12,7 +12,7 @@
 //! Undirected datasets are encoded with both edge directions materialized
 //! (the standard relational encoding), so a hop is always `src → dst`.
 
-use grfusion::{Database, EngineConfig, ExecLimits};
+use grfusion::{Database, EngineConfig, GovernorConfig};
 use grfusion_common::{DataType, Error, Result, Row, Value};
 use grfusion_datasets::Dataset;
 
@@ -39,8 +39,9 @@ impl SqlGraphSystem {
         max_intermediate_rows: Option<u64>,
     ) -> Result<SqlGraphSystem> {
         Self::load_with(ds, EngineConfig {
-            limits: ExecLimits {
+            governor: GovernorConfig {
                 max_intermediate_rows,
+                ..Default::default()
             },
             ..Default::default()
         })

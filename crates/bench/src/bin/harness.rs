@@ -30,61 +30,60 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let exp = args[0].clone();
-    let mut scale = ExperimentScale::small();
-    let mut with_metrics = false;
-    let mut deadline_ms = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--paper-like" => {
-                scale = ExperimentScale::paper_like();
-                i += 1;
-            }
-            "--vertices" => {
-                scale.vertices = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--queries" => {
-                scale.queries = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--seed" => {
-                scale.seed = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--deadline-ms" => {
-                let ms: u64 = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage());
-                deadline_ms = (ms > 0).then_some(ms);
-                i += 2;
-            }
-            "--metrics" => {
-                with_metrics = true;
-                i += 1;
-            }
-            _ => usage(),
-        }
-    }
+/// What a well-formed command line asks for.
+#[derive(Debug)]
+struct Args {
+    experiment: String,
+    scale: ExperimentScale,
+    with_metrics: bool,
+}
 
-    // Applied after the loop so `--paper-like` cannot reset it.
-    scale.deadline_ms = deadline_ms;
+/// Parse the arguments after the program name: the experiment, then flags
+/// in any order; `None` for a malformed line. The base scale is picked
+/// first — `--paper-like` wherever it stands — and `--vertices`,
+/// `--queries`, `--seed` and `--deadline-ms` then apply on top of it.
+fn parse_args(args: &[String]) -> Option<Args> {
+    let (experiment, flags) = args.split_first()?;
+    let mut scale = if flags.iter().any(|f| f == "--paper-like") {
+        ExperimentScale::paper_like()
+    } else {
+        ExperimentScale::small()
+    };
+    let mut with_metrics = false;
+    let mut i = 0;
+    while i < flags.len() {
+        let flag = flags[i].as_str();
+        if matches!(flag, "--paper-like" | "--metrics") {
+            with_metrics |= flag == "--metrics";
+            i += 1;
+            continue;
+        }
+        let value = flags.get(i + 1)?;
+        match flag {
+            "--vertices" => scale.vertices = value.parse().ok()?,
+            "--queries" => scale.queries = value.parse().ok()?,
+            "--seed" => scale.seed = value.parse().ok()?,
+            "--deadline-ms" => {
+                let ms: u64 = value.parse().ok()?;
+                scale.deadline_ms = (ms > 0).then_some(ms);
+            }
+            _ => return None,
+        }
+        i += 2;
+    }
+    Some(Args {
+        experiment: experiment.clone(),
+        scale,
+        with_metrics,
+    })
+}
+
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some(args) = parse_args(&argv) else {
+        usage();
+    };
+    let (exp, scale) = (args.experiment, args.scale);
 
     let run = |name: &str, scale: &ExperimentScale| -> grfusion_common::Result<Vec<Measurement>> {
         match name {
@@ -123,7 +122,7 @@ fn main() -> ExitCode {
         vec![exp.as_str()]
     };
     let mut experiments_to_run = experiments_to_run;
-    if with_metrics && !experiments_to_run.contains(&"metrics") {
+    if args.with_metrics && !experiments_to_run.contains(&"metrics") {
         experiments_to_run.push("metrics");
     }
 
@@ -143,4 +142,47 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Option<Args> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn explicit_flags_win_over_paper_like_in_either_order() -> Result<(), String> {
+        for args in [
+            &["table2", "--vertices", "300", "--paper-like"][..],
+            &["table2", "--paper-like", "--vertices", "300"],
+        ] {
+            let a = parse(args).ok_or(format!("{args:?} refused"))?;
+            assert_eq!(a.scale.vertices, 300, "{args:?}");
+            assert_eq!(
+                a.scale.queries,
+                ExperimentScale::paper_like().queries,
+                "{args:?}"
+            );
+        }
+        let a = parse(&["fig7", "--seed", "7", "--deadline-ms", "0", "--metrics"]);
+        let a = a.ok_or("refused")?;
+        assert_eq!((a.experiment.as_str(), a.scale.seed), ("fig7", 7));
+        assert_eq!((a.scale.deadline_ms, a.with_metrics), (None, true));
+        assert_eq!(a.scale.vertices, ExperimentScale::small().vertices);
+        Ok(())
+    }
+
+    #[test]
+    fn malformed_lines_are_refused() {
+        for bad in [
+            &[][..],
+            &["fig7", "--vertices"],
+            &["fig7", "--queries", "x"],
+            &["fig7", "--workers", "2"],
+        ] {
+            assert!(parse(bad).is_none(), "{bad:?} accepted");
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! assert on shapes) and the harness binary prints them. Workloads are
 //! seeded and deterministic.
 
-use grfusion::{EngineConfig, ExecLimits, OptimizerFlags, TraversalChoice};
+use grfusion::{EngineConfig, OptimizerFlags, TraversalChoice};
 use grfusion_baselines::{
     GrFusionSystem, GrailSystem, GraphSystem, NeoDb, SqlGraphSystem, TitanDb,
 };
@@ -72,10 +72,9 @@ impl ExperimentScale {
 
     /// The SQLGraph baseline over `ds`, with its intermediate-result budget.
     fn sqlgraph(&self, ds: &Dataset) -> Result<SqlGraphSystem> {
-        SqlGraphSystem::load_with(ds, EngineConfig {
-            limits: ExecLimits { max_intermediate_rows: Some(self.sqlgraph_budget) },
-            ..self.engine()
-        })
+        let mut cfg = self.engine();
+        cfg.governor.max_intermediate_rows = Some(self.sqlgraph_budget);
+        SqlGraphSystem::load_with(ds, cfg)
     }
 
     /// The four paper datasets at this scale.

@@ -66,7 +66,7 @@ pub enum Error {
 /// Which budget a [`Error::ResourceExhausted`] abort tripped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResourceKind {
-    /// Intermediate-result row budget (`ExecLimits::max_intermediate_rows`).
+    /// Intermediate-result row cap (`GovernorConfig::max_intermediate_rows`).
     Rows,
     /// Memory accountant byte cap (path/sort/aggregation/join buffers).
     Bytes,

@@ -1,11 +1,15 @@
-//! Engine configuration: optimizer flags and execution limits.
+//! Engine configuration: the §6 optimizer flags, the resource governor's
+//! limits and the topology layout.
 //!
 //! The planner is rule-based (EDBT 2018 §6: length inference, pushdown, BFS
 //! iff F < L). The optimizer flags exist so the benchmark harness can ablate
 //! the paper's individual design choices: each flag disables one
 //! optimization while keeping results identical (the engine always applies
-//! residual predicates). Nothing here reads the process environment: a
-//! deployment passes its limits in (`grfusion-serve --deadline-ms`).
+//! residual predicates). Every limit a statement can abort on — row cap,
+//! deadline, byte cap — is a [`GovernorConfig`] field, enforced by one
+//! per-statement `governor::ExecContext`. Nothing here reads the process
+//! environment: a deployment passes its limits in (`grfusion-serve
+//! --deadline-ms`).
 
 /// Which traversal the planner picks when the query gives no hint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,27 +67,19 @@ impl Default for OptimizerFlags {
     }
 }
 
-/// Execution resource limits.
-///
-/// `max_intermediate_rows` reproduces the paper's observation (§7.2) that
-/// the Native Relational-Core approach dies on deep traversals because join
-/// intermediate results exhaust temp memory: when a query's operators
-/// produce more rows than the budget, execution aborts with
-/// `Error::ResourceExhausted` — the harness reports those as DNF, like the
-/// paper's Twitter plot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecLimits {
-    /// Maximum rows produced across all operators of one query
-    /// (None = unlimited).
-    pub max_intermediate_rows: Option<u64>,
-}
-
 /// Runtime resource-governor limits, enforced per query by the
 /// `governor::ExecContext` threaded through every operator and traversal
-/// loop. Both limits default to off (None): governance is opt-in so the
+/// loop. All three default to off (None): governance is opt-in so the
 /// default execution path stays zero-cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GovernorConfig {
+    /// Maximum rows produced across all operators of one query. Reproduces
+    /// the paper's observation (§7.2) that the Native Relational-Core
+    /// approach dies on deep traversals because join intermediate results
+    /// exhaust temp memory: past the cap, execution aborts with
+    /// `Error::ResourceExhausted { kind: Rows, .. }` — the harness reports
+    /// those as DNF, like the paper's Twitter plot.
+    pub max_intermediate_rows: Option<u64>,
     /// Wall-clock deadline per query, in milliseconds. Exceeding it aborts
     /// with `Error::ResourceExhausted { kind: Deadline, .. }` at the next
     /// cooperative checkpoint.
@@ -134,7 +130,6 @@ impl Default for CsrConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EngineConfig {
     pub optimizer: OptimizerFlags,
-    pub limits: ExecLimits,
     pub governor: GovernorConfig,
     pub csr: CsrConfig,
 }
@@ -152,10 +147,10 @@ mod tests {
         assert!(f.lazy_path_scan);
         assert_eq!(f.traversal, TraversalChoice::Auto);
         assert!(f.default_max_path_len >= 1);
-        assert_eq!(ExecLimits::default().max_intermediate_rows, None);
         assert_eq!(
             GovernorConfig::default(),
             GovernorConfig {
+                max_intermediate_rows: None,
                 deadline_ms: None,
                 max_memory_bytes: None
             }

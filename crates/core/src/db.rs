@@ -1,40 +1,41 @@
 //! The `Database` facade: GRFusion's public API.
 //!
-//! One object owns the catalog, the graph views, and the transaction state,
-//! and executes SQL statements **serially** — the H-Store/VoltDB
-//! single-partition execution model the paper builds on (§7.2 credits part
-//! of GRFusion's speedups to this lock-free-by-construction concurrency
-//! model). The writer's mutex (`DbInner`) owns every live table and
-//! topology *by value*: holding it is the only way to reach one, so there
-//! is no lock below it — a statement borrows what it writes `&mut`, a read
-//! under the lock borrows it shared, and the borrow checker proves the
-//! exclusion. Every read — ad hoc, prepared, `EXPLAIN`, the state dump —
-//! binds that live state under that lock, so a read inside an open
-//! transaction sees the transaction's writes. The engine's whole lock order
-//! is `DbInner` → `Settings` (a setter takes the settings mutex alone).
-//! `Database` is `Send + Sync` (asserted below); concurrent callers simply
-//! queue on the writer's mutex.
+//! One object owns the catalog, the graph views, the transaction state and
+//! the settings, and executes SQL statements **serially** — the
+//! H-Store/VoltDB single-partition execution model the paper builds on
+//! (§7.2 credits part of GRFusion's speedups to this
+//! lock-free-by-construction concurrency model). The one engine lock,
+//! `DbInner`, owns every live table, topology and setting *by value*:
+//! holding it is the only way to reach one, so there is no lock below it —
+//! a statement borrows what it writes `&mut`, a read borrows it shared, and
+//! the borrow checker proves the exclusion. A statement locks it once and
+//! runs as `DbInner` methods, which hold no `&Database` and so cannot
+//! re-lock it (the xtask `lock-order` pass refuses a `DbInner` beside a
+//! `Database`). Every read — ad hoc, prepared, `EXPLAIN`, the state dump —
+//! binds that live state, so a read inside an open transaction sees its
+//! writes. The cancel token sits beside the lock in a `OnceLock`, so
+//! `cancel_token()` never waits behind a running statement. `Database` is
+//! `Send + Sync` (asserted below); concurrent callers queue on the lock.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use grfusion_common::{DataType, Error, Result, Schema};
 use grfusion_graph::GraphStats;
 use grfusion_sql::{parse_statement, parse_statements, CreateIndex, CreateTable, Statement, TypeName};
 use grfusion_storage::{Catalog, IndexKind, Table};
-use crate::lockorder::{LockClass, OrderedMutex};
+use parking_lot::Mutex;
 
 use crate::config::EngineConfig;
-use crate::dml::{self, Checks, DmlCtx, Journal};
+use crate::dml::{self, DmlCtx, Journal};
 use crate::governor::{CancelToken, ExecContext, FaultPlan, FaultState};
 use crate::expr::GraphMeta;
 use crate::graph_view::{GraphView, GraphViewDef};
 use crate::planner::PlannerCtx;
 use crate::result::ResultSet;
-use crate::settings::Settings;
 use crate::snapshot::{has_subquery, Snapshot, Sources};
 
-/// Everything the writer's mutex guards — and owns.
+/// Everything the engine lock guards — and owns.
 struct DbInner {
     catalog: Catalog,
     /// Lowercase graph-view name → view object (singleton topology).
@@ -48,18 +49,42 @@ struct DbInner {
     /// DDL, so queries reuse it (VoltDB-style pre-compiled metadata; DDL
     /// invalidates).
     plan_ctx: Option<Arc<PlannerCtx>>,
+    settings: Settings,
+}
+
+/// What a statement runs under, besides the data it reads: set by
+/// `Database::with_config` and the setters, never by the environment.
+pub(crate) struct Settings {
+    pub config: EngineConfig,
+    /// Fault-injection state shared by all statements (hit counters persist
+    /// across statements so a retried statement runs past a spent rule).
+    pub faults: Option<Arc<FaultState>>,
+    /// Rows per batch (`spine::BATCH_ROWS` unless a test swept it).
+    pub batch_rows: usize,
+}
+
+impl Settings {
+    /// The per-statement governor: the config's limits, the database's
+    /// cancel token (armed from now, so a past cancel never bleeds into
+    /// this statement), the thread's request scope and the fault plan.
+    pub(crate) fn exec_context(&self, cancel: Option<&CancelToken>) -> ExecContext {
+        ExecContext::for_query(&self.config.governor, cancel, self.faults.clone())
+    }
 }
 
 /// An in-memory relational database with native graph support.
 pub struct Database {
-    inner: OrderedMutex<DbInner>,
-    /// The engine's settings. Outside `inner`, so a setter or
-    /// `cancel_token()` never waits behind a running statement.
-    settings: OrderedMutex<Settings>,
+    inner: Mutex<DbInner>,
+    /// Cancellation token, created the first time a caller asks for one.
+    /// While none has been handed out, statements run with no cancel watch
+    /// at all, so the governor stays inactive (zero overhead) unless a
+    /// deadline or memory cap is also configured.
+    cancel: OnceLock<CancelToken>,
 }
 
 // Server connections and reader threads share one `Database` by reference.
-// `Sync` derives from the two mutexes alone — nothing below them is shared.
+// `Sync` derives from the engine lock and the `OnceLock` alone — nothing
+// below them is shared.
 const _: () = {
     const fn send_and_sync<T: Send + Sync>() {}
     send_and_sync::<Database>()
@@ -101,30 +126,20 @@ impl Database {
     /// benchmark harness for optimizer ablations and resource limits).
     pub fn with_config(config: EngineConfig) -> Database {
         Database {
-            inner: OrderedMutex::new(LockClass::DbInner, DbInner {
+            inner: Mutex::new(DbInner {
                 catalog: Catalog::new(),
                 graph_views: HashMap::new(),
                 source_map: HashMap::new(),
                 txn: None,
                 plan_ctx: None,
+                settings: Settings {
+                    config,
+                    faults: None,
+                    batch_rows: crate::spine::BATCH_ROWS,
+                },
             }),
-            settings: OrderedMutex::new(LockClass::Settings, Settings {
-                config,
-                cancel: None,
-                faults: None,
-                batch_rows: crate::spine::BATCH_ROWS,
-            }),
+            cancel: OnceLock::new(),
         }
-    }
-
-    /// The settings as of now (each statement takes one copy).
-    fn settings(&self) -> Settings {
-        self.settings.lock().clone()
-    }
-
-    /// Change the settings (takes effect on the next statement).
-    fn update_settings<T>(&self, f: impl FnOnce(&mut Settings) -> T) -> T {
-        f(&mut self.settings.lock())
     }
 
     /// Handle for cancelling in-flight queries from another thread.
@@ -132,15 +147,15 @@ impl Database {
     /// queries running *at that moment* and nothing issued afterwards — a
     /// pooled connection's next query is unaffected. Creating the token is
     /// what arms the cooperative checks; a database nobody can cancel pays
-    /// nothing for the feature.
+    /// nothing for the feature. Never waits behind a running statement.
     pub fn cancel_token(&self) -> CancelToken {
-        self.update_settings(|s| s.cancel.get_or_insert_with(CancelToken::default).clone())
+        self.cancel.get_or_init(CancelToken::default).clone()
     }
 
     /// Install (or with `None` clear) a deterministic fault-injection plan
-    /// and reset all hit counters.
+    /// and reset all hit counters (takes effect on the next statement).
     pub fn set_fault_plan(&self, plan: Option<FaultPlan>) {
-        self.update_settings(|s| s.faults = plan.map(|p| Arc::new(FaultState::new(p))));
+        self.inner.lock().settings.faults = plan.map(|p| Arc::new(FaultState::new(p)));
     }
 
     /// Test hook: run every later query with `rows` (at least one) as its
@@ -149,24 +164,24 @@ impl Database {
     /// sweeps it to show.
     #[doc(hidden)]
     pub fn set_batch_rows(&self, rows: usize) {
-        self.update_settings(|s| s.batch_rows = rows.max(1));
+        self.inner.lock().settings.batch_rows = rows.max(1);
     }
 
     /// Replace the engine configuration (takes effect on the next
     /// statement).
     pub fn set_config(&self, config: EngineConfig) {
-        self.update_settings(|s| s.config = config);
+        self.inner.lock().settings.config = config;
     }
 
     /// Current configuration.
     pub fn config(&self) -> EngineConfig {
-        self.settings.lock().config
+        self.inner.lock().settings.config
     }
 
-    /// Run `f` over the live state under the writer's lock — the one read
+    /// Run `f` over the live state under the engine lock — the one read
     /// source, uncommitted writes of an open transaction included.
-    fn read<T>(&self, f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>) -> Result<T> {
-        self.read_locked(&mut self.inner.lock(), f)
+    fn read<T>(&self, f: impl FnOnce(&Snapshot<'_>) -> Result<T>) -> Result<T> {
+        self.inner.lock().read(self.cancel.get(), f)
     }
 
     /// Execute one SQL statement.
@@ -209,102 +224,18 @@ impl Database {
 
     /// Execute a parsed statement.
     pub fn execute_statement(&self, stmt: &Statement) -> Result<ResultSet> {
-        match stmt {
-            Statement::Select(select) => self.read(|snap, cfg| snap.select(cfg, select, false)),
-            Statement::Explain { analyze, select } => {
-                self.read(|snap, cfg| snap.explain(cfg, select, *analyze))
-            }
-            Statement::CreateTable(ct) => {
-                ddl(&mut self.inner.lock(), |inner| create_table(inner, ct))
-            }
-            Statement::CreateIndex(ci) => {
-                ddl(&mut self.inner.lock(), |inner| create_index(inner, ci))
-            }
-            Statement::CreateGraphView(cgv) => ddl(&mut self.inner.lock(), |inner| {
-                create_graph_view(inner, cgv, self.config().csr.sealed)
-            }),
-            Statement::DropTable { name } => {
-                ddl(&mut self.inner.lock(), |inner| drop_table(inner, name))
-            }
-            Statement::DropGraphView { name } => {
-                ddl(&mut self.inner.lock(), |inner| drop_graph_view(inner, name))
-            }
-            Statement::Insert(ins) => {
-                let mut inner = self.inner.lock();
-                match &ins.source {
-                    grfusion_sql::InsertSource::Values(_) => {
-                        self.run_dml(&mut inner, |ctx, journal| {
-                            dml::execute_insert(ctx, journal, ins)
-                        })
-                    }
-                    grfusion_sql::InsertSource::Select(select) => {
-                        // INSERT ... SELECT: materialize the query first
-                        // (the engine is serial, so this is a consistent
-                        // snapshot), then insert through the normal
-                        // maintenance path.
-                        let rs = self.read_locked(&mut inner, |snap, cfg| {
-                            snap.select(cfg, select, false)
-                        })?;
-                        self.run_dml(&mut inner, |ctx, journal| {
-                            dml::execute_insert_rows(
-                                ctx,
-                                journal,
-                                &ins.table,
-                                &ins.columns,
-                                rs.rows,
-                            )
-                        })
-                    }
-                }
-            }
-            Statement::Update(upd) => {
-                let mut upd = upd.clone();
-                let mut inner = self.inner.lock();
-                self.fold_predicate(&mut inner, &mut upd.selection)?;
-                self.run_dml(&mut inner, move |ctx, journal| {
-                    dml::execute_update(ctx, journal, &upd)
-                })
-            }
-            Statement::Delete(del) => {
-                let mut del = del.clone();
-                let mut inner = self.inner.lock();
-                self.fold_predicate(&mut inner, &mut del.selection)?;
-                self.run_dml(&mut inner, move |ctx, journal| {
-                    dml::execute_delete(ctx, journal, &del)
-                })
-            }
-            Statement::Begin => {
-                let mut inner = self.inner.lock();
-                if inner.txn.is_some() {
-                    return Err(Error::transaction("transaction already in progress"));
-                }
-                inner.txn = Some(Journal::new());
-                Ok(ResultSet::empty())
-            }
-            Statement::Commit => {
-                if self.inner.lock().txn.take().is_none() {
-                    return Err(Error::transaction("no transaction in progress"));
-                }
-                Ok(ResultSet::empty())
-            }
-            Statement::Rollback => {
-                let mut inner = self.inner.lock();
-                let Some(mut journal) = inner.txn.take() else {
-                    return Err(Error::transaction("no transaction in progress"));
-                };
-                let live = &mut *inner;
-                journal.rollback_to(&mut live.catalog, &mut live.graph_views, 0)?;
-                Ok(ResultSet::empty())
-            }
-        }
+        self.inner.lock().execute(stmt, self.cancel.get())
     }
 
     /// Bulk-insert pre-built rows into a table (loader fast path; maintains
     /// graph views and transactional semantics exactly like SQL INSERT).
     pub fn bulk_insert(&self, table: &str, rows: Vec<grfusion_common::Row>) -> Result<u64> {
-        let rs = self.run_dml(&mut self.inner.lock(), |ctx, journal| {
-            dml::execute_bulk_insert(ctx, journal, table, rows)
-        })?;
+        let rs = self
+            .inner
+            .lock()
+            .run_dml(self.cancel.get(), |ctx, journal| {
+                dml::execute_bulk_insert(ctx, journal, table, rows)
+            })?;
         Ok(rs.rows_affected)
     }
 
@@ -328,7 +259,7 @@ impl Database {
         };
         // Subqueries fold at prepare time: their results are frozen into
         // the stored plan (documented prepared-statement semantics).
-        self.read(|snap, cfg| snap.prepare(cfg, select))
+        self.read(|snap| snap.prepare(select))
     }
 
     /// Execute a prepared query with the given parameter values (bound to
@@ -338,7 +269,7 @@ impl Database {
         query: &PreparedQuery,
         params: &[grfusion_common::Value],
     ) -> Result<ResultSet> {
-        self.read(|snap, cfg| snap.run(cfg, query, params.to_vec(), false))
+        self.read(|snap| snap.run(query, params.to_vec(), false))
     }
 
     /// Execute a SELECT with per-operator instrumentation. The result
@@ -352,7 +283,7 @@ impl Database {
                 "execute_with_metrics supports SELECT statements only",
             ));
         };
-        self.read(|snap, cfg| snap.select(cfg, select, true))
+        self.read(|snap| snap.select(select, true))
     }
 
     /// EXPLAIN-style plan text for a SELECT statement.
@@ -361,7 +292,7 @@ impl Database {
         let Statement::Select(select) = &stmt else {
             return Err(Error::analysis("EXPLAIN supports SELECT statements only"));
         };
-        self.read(|snap, cfg| Ok(snap.compile(cfg, select)?.explain_typed()))
+        self.read(|snap| Ok(snap.compile(select)?.explain_typed()))
     }
 
     /// Statistics of a graph view's materialized topology (vertex/edge
@@ -402,7 +333,94 @@ impl Database {
     /// dumps prove the statement was all-or-nothing across storage, indexes,
     /// and topologies.
     pub fn state_dump(&self) -> Result<String> {
-        self.read(|snap, _| Ok(snap.state_dump()))
+        self.read(|snap| Ok(snap.state_dump()))
+    }
+}
+
+impl DbInner {
+    /// Run one statement under the engine lock the caller holds. `cancel`
+    /// is the database's cancel token, if one was handed out.
+    fn execute(&mut self, stmt: &Statement, cancel: Option<&CancelToken>) -> Result<ResultSet> {
+        match stmt {
+            Statement::Select(select) => self.read(cancel, |snap| snap.select(select, false)),
+            Statement::Explain { analyze, select } => {
+                self.read(cancel, |snap| snap.explain(select, *analyze))
+            }
+            Statement::CreateTable(ct) => ddl(self, |inner| create_table(inner, ct)),
+            Statement::CreateIndex(ci) => ddl(self, |inner| create_index(inner, ci)),
+            Statement::CreateGraphView(cgv) => ddl(self, |inner| {
+                let seal = inner.settings.config.csr.sealed;
+                create_graph_view(inner, cgv, seal)
+            }),
+            Statement::DropTable { name } => ddl(self, |inner| drop_table(inner, name)),
+            Statement::DropGraphView { name } => ddl(self, |inner| drop_graph_view(inner, name)),
+            Statement::Insert(ins) => match &ins.source {
+                grfusion_sql::InsertSource::Values(_) => self.run_dml(cancel, |ctx, journal| {
+                    dml::execute_insert(ctx, journal, ins)
+                }),
+                grfusion_sql::InsertSource::Select(select) => {
+                    // INSERT ... SELECT: materialize the query first (the
+                    // engine is serial, so this is a consistent snapshot),
+                    // then insert through the normal maintenance path.
+                    let rs = self.read(cancel, |snap| snap.select(select, false))?;
+                    self.run_dml(cancel, |ctx, journal| {
+                        dml::execute_insert_rows(ctx, journal, &ins.table, &ins.columns, rs.rows)
+                    })
+                }
+            },
+            Statement::Update(upd) => {
+                let mut upd = upd.clone();
+                self.fold_predicate(cancel, &mut upd.selection)?;
+                self.run_dml(cancel, move |ctx, journal| {
+                    dml::execute_update(ctx, journal, &upd)
+                })
+            }
+            Statement::Delete(del) => {
+                let mut del = del.clone();
+                self.fold_predicate(cancel, &mut del.selection)?;
+                self.run_dml(cancel, move |ctx, journal| {
+                    dml::execute_delete(ctx, journal, &del)
+                })
+            }
+            Statement::Begin => {
+                if self.txn.is_some() {
+                    return Err(Error::transaction("transaction already in progress"));
+                }
+                self.txn = Some(Journal::new());
+                Ok(ResultSet::empty())
+            }
+            Statement::Commit => {
+                if self.txn.take().is_none() {
+                    return Err(Error::transaction("no transaction in progress"));
+                }
+                Ok(ResultSet::empty())
+            }
+            Statement::Rollback => {
+                let Some(mut journal) = self.txn.take() else {
+                    return Err(Error::transaction("no transaction in progress"));
+                };
+                journal.rollback_to(&mut self.catalog, &mut self.graph_views, 0)?;
+                Ok(ResultSet::empty())
+            }
+        }
+    }
+
+    /// Run `f` over the live state — the one read source, uncommitted
+    /// writes of an open transaction included.
+    fn read<T>(
+        &mut self,
+        cancel: Option<&CancelToken>,
+        f: impl FnOnce(&Snapshot<'_>) -> Result<T>,
+    ) -> Result<T> {
+        let plan_ctx = cached_planner_ctx(self)?;
+        let snap = Snapshot::locked(
+            &self.catalog,
+            &self.graph_views,
+            &plan_ctx,
+            &self.settings,
+            cancel,
+        );
+        f(&snap)
     }
 }
 
@@ -558,32 +576,29 @@ fn drop_table(inner: &mut DbInner, name: &str) -> Result<()> {
 /// statement re-seals it.
 const RESEAL_FRACTION: f64 = 0.25;
 
-impl Database {
+impl DbInner {
     /// Run one DML statement atomically: inside an open transaction behind
     /// a savepoint in its journal, otherwise in a journal of its own
     /// (auto-commit). A failure rolls back exactly the statement's changes.
-    fn run_dml<F>(&self, inner: &mut DbInner, f: F) -> Result<ResultSet>
+    fn run_dml<F>(&mut self, cancel: Option<&CancelToken>, f: F) -> Result<ResultSet>
     where
         F: FnOnce(&mut DmlCtx<'_>, &mut Journal) -> Result<u64>,
     {
-        let settings = self.settings();
-        // Governor context for cancellation/deadline checkpoints and re-seal
-        // byte accounting.
-        let gov = settings.exec_context();
+        // Governor context for cancellation/deadline checkpoints, fault
+        // sites and re-seal byte accounting.
+        let gov = self.settings.exec_context(cancel);
+        let sealed = self.settings.config.csr.sealed;
         let mut ctx = DmlCtx {
-            catalog: &mut inner.catalog,
-            graph_views: &mut inner.graph_views,
-            source_map: &inner.source_map,
-            checks: Checks {
-                faults: settings.faults.as_deref(),
-                gov: gov.active().then_some(&gov),
-            },
+            catalog: &mut self.catalog,
+            graph_views: &mut self.graph_views,
+            source_map: &self.source_map,
+            gov: &gov,
         };
         let mut auto_commit = Journal::new();
-        let journal = inner.txn.as_mut().unwrap_or(&mut auto_commit);
+        let journal = self.txn.as_mut().unwrap_or(&mut auto_commit);
         let sp = journal.savepoint();
         match f(&mut ctx, journal).and_then(|n| {
-            maybe_reseal(&mut ctx, settings.config.csr.sealed, &gov)?;
+            maybe_reseal(&mut ctx, sealed)?;
             Ok(n)
         }) {
             Ok(n) => Ok(ResultSet::affected(n)),
@@ -594,28 +609,15 @@ impl Database {
         }
     }
 
-    /// [`Database::read`] for a caller that already holds the writer's lock.
-    fn read_locked<T>(
-        &self,
-        inner: &mut DbInner,
-        f: impl FnOnce(&Snapshot<'_>, &Settings) -> Result<T>,
-    ) -> Result<T> {
-        let plan_ctx = cached_planner_ctx(inner)?;
-        let snap = Snapshot::locked(&inner.catalog, &inner.graph_views, &plan_ctx);
-        f(&snap, &self.settings())
-    }
-
     /// Fold the `IN (SELECT ...)` subqueries of an UPDATE/DELETE predicate
     /// against the writer's own view, before the statement starts mutating.
     fn fold_predicate(
-        &self,
-        inner: &mut DbInner,
+        &mut self,
+        cancel: Option<&CancelToken>,
         selection: &mut Option<grfusion_sql::Expr>,
     ) -> Result<()> {
         match selection {
-            Some(e) if has_subquery(e) => {
-                self.read_locked(inner, |snap, cfg| snap.fold_expr(cfg, e))
-            }
+            Some(e) if has_subquery(e) => self.read(cancel, |snap| snap.fold_expr(e)),
             _ => Ok(()),
         }
     }
@@ -631,7 +633,7 @@ impl Database {
 /// a sealed topology via the delta overlay). The seal itself is
 /// build-then-swap, so a failure before the swap leaves the topology on
 /// its previous layout — never half-compacted.
-fn maybe_reseal(ctx: &mut DmlCtx<'_>, sealed: bool, gov: &ExecContext) -> Result<()> {
+fn maybe_reseal(ctx: &mut DmlCtx<'_>, sealed: bool) -> Result<()> {
     if !sealed {
         return Ok(());
     }
@@ -644,11 +646,11 @@ fn maybe_reseal(ctx: &mut DmlCtx<'_>, sealed: bool, gov: &ExecContext) -> Result
         if !(topo.is_sealed() && topo.overlay_fraction() >= RESEAL_FRACTION) {
             continue;
         }
-        ctx.checks.fault("dml.seal")?;
+        ctx.gov.fault("dml.seal")?;
         // Charge the compacted arrays before building them, so a cap
         // violation surfaces while the topology is still untouched.
-        if gov.active() {
-            gov.charge_bytes(topo.sealed_bytes_estimate() as u64)?;
+        if ctx.gov.active() {
+            ctx.gov.charge_bytes(topo.sealed_bytes_estimate() as u64)?;
         }
         topo.seal();
     }

@@ -27,7 +27,7 @@ use grfusion_storage::{Catalog, Table, UndoOp};
 use crate::access;
 use crate::env::QueryEnv;
 use crate::expr::{compile, compile_predicate, show, value_type, Namespace, PhysExpr, Ty};
-use crate::governor::{ExecContext, FaultState};
+use crate::governor::ExecContext;
 use crate::graph_view::{id_value, GraphView};
 
 /// A reversible topology action.
@@ -148,46 +148,18 @@ pub struct DmlCtx<'a> {
     pub graph_views: &'a mut HashMap<String, GraphView>,
     /// Lowercase table name → graph views that use it as a source.
     pub source_map: &'a HashMap<String, Vec<Arc<str>>>,
-    pub checks: Checks<'a>,
-}
-
-/// A statement's abort points. Shared and `Copy`, so a check never
-/// conflicts with a `&mut Table` or `&mut GraphView` held across rows.
-#[derive(Clone, Copy)]
-pub struct Checks<'a> {
-    /// Armed fault-injection plan (`None` for databases without one —
-    /// every `fault(..)` call is then a no-op).
-    pub faults: Option<&'a FaultState>,
-    /// Per-statement governor, polled at every fault site so a client
-    /// disconnect or deadline expiry aborts a long DML statement at the
-    /// next maintenance step (the journal then rolls the prefix back).
-    pub gov: Option<&'a ExecContext>,
-}
-
-impl Checks<'_> {
-    /// Hit a named fault-injection site (see [`crate::governor::DML_FAULT_SITES`]).
-    /// Doubles as the DML cancellation/deadline checkpoint: sites sit at
-    /// every maintenance step, which is exactly the granularity at which a
-    /// statement can safely abort and roll back.
-    #[inline]
-    pub(crate) fn fault(&self, site: &str) -> Result<()> {
-        if let Some(gov) = self.gov {
-            if gov.active() {
-                gov.check_now()?;
-            }
-        }
-        match self.faults {
-            Some(f) => f.hit(site),
-            None => Ok(()),
-        }
-    }
+    /// The statement's governor, whose [`ExecContext::fault`] is an abort
+    /// point at every maintenance step (the journal then rolls the prefix
+    /// back). Shared, so a check never conflicts with a `&mut Table` or
+    /// `&mut GraphView` held across rows.
+    pub gov: &'a ExecContext,
 }
 
 /// One statement's write side, split off the [`DmlCtx`] beside the
 /// catalog: the journal, the abort points, and the views the target table
 /// feeds — each borrowed once and held across the statement's rows.
 struct Writer<'s> {
-    checks: Checks<'s>,
+    gov: &'s ExecContext,
     journal: &'s mut Journal,
     /// Lowercase name of the table being written.
     table: Arc<str>,
@@ -213,7 +185,7 @@ impl<'s> Writer<'s> {
             .collect();
         views.sort_unstable_by_key(|(name, _)| fed.iter().position(|f| Arc::ptr_eq(f, name)));
         let writer = Writer {
-            checks: ctx.checks,
+            gov: ctx.gov,
             journal,
             table,
             views,
@@ -227,7 +199,6 @@ impl<'s> Writer<'s> {
 fn empty_env() -> QueryEnv<'static> {
     QueryEnv {
         snap: None,
-        limits: Default::default(),
         params: Vec::new(),
         gov: Default::default(),
         batch_rows: crate::spine::BATCH_ROWS,
@@ -410,9 +381,9 @@ pub fn execute_insert_rows(
             }
             row
         };
-        w.checks.fault("dml.insert.row")?;
+        w.gov.fault("dml.insert.row")?;
         w.insert_row(table, row)?;
-        w.checks.fault("dml.insert.post")?;
+        w.gov.fault("dml.insert.post")?;
         n += 1;
     }
     Ok(n)
@@ -457,7 +428,7 @@ impl Writer<'_> {
             .get(row_id)
             .ok_or_else(|| Error::execution("inserted row is not live"))?;
         for (gv_name, view) in &mut self.views {
-            self.checks.fault("dml.insert.maintain")?;
+            self.gov.fault("dml.insert.maintain")?;
             let def = &view.def;
             if def.vertex_source == *self.table {
                 let id = id_value(&row[def.vertex_id_col], "vertex")?;
@@ -478,7 +449,7 @@ impl Writer<'_> {
     /// Topology maintenance for one row about to be deleted.
     fn maintain_delete(&mut self, row: &Row) -> Result<()> {
         for (gv_name, view) in &mut self.views {
-            self.checks.fault("dml.delete.maintain")?;
+            self.gov.fault("dml.delete.maintain")?;
             let def = &view.def;
             if def.edge_source == *self.table {
                 let id = id_value(&row[def.edge_id_col], "edge")?;
@@ -510,9 +481,9 @@ impl Writer<'_> {
         new_row: &Row,
     ) -> Result<()> {
         let changed = |col: usize| old_row[col].sql_eq(&new_row[col]) != Some(true);
-        let checks = self.checks;
+        let gov = self.gov;
         for (gv_name, view) in &mut self.views {
-            checks.fault("dml.update.maintain")?;
+            gov.fault("dml.update.maintain")?;
             let def = &view.def;
             if def.vertex_source == *self.table && changed(def.vertex_id_col) {
                 let old_id = id_value(&old_row[def.vertex_id_col], "vertex")?;
@@ -527,7 +498,7 @@ impl Writer<'_> {
                 );
                 // Cascade the new id into the edges relational-source (§3.3.1:
                 // referential integrity of the edge source on vertex-id update).
-                cascade_vertex_id(checks, self.journal, catalog, view, old_id, new_id)?;
+                cascade_vertex_id(gov, self.journal, catalog, view, old_id, new_id)?;
             }
             if def.edge_source == *self.table {
                 let id_changed = changed(def.edge_id_col);
@@ -563,7 +534,7 @@ impl Writer<'_> {
                     );
                     // The nastiest crash point: the edge is gone from the
                     // topology but not yet re-added — rollback must restore it.
-                    checks.fault("dml.update.relink")?;
+                    gov.fault("dml.update.relink")?;
                     view.topology.add_edge(cur_id, new_from, new_to, row_id)?;
                     self.journal
                         .record_graph(gv_name, GraphUndo::AddedEdge { id: cur_id });
@@ -588,14 +559,14 @@ pub fn execute_delete(ctx: &mut DmlCtx<'_>, journal: &mut Journal, del: &Delete)
         // Topology first: a vertex with incident edges refuses deletion,
         // aborting the statement before storage is touched for this row.
         w.maintain_delete(&row)?;
-        w.checks.fault("dml.delete.storage")?;
+        w.gov.fault("dml.delete.storage")?;
         let old = table.delete(row_id)?;
         w.journal.record_storage(UndoOp::Delete {
             table: w.table.clone(), // alloc-ok: Arc bump
             row: row_id,
             old,
         });
-        w.checks.fault("dml.delete.post")?;
+        w.gov.fault("dml.delete.post")?;
         n += 1;
     }
     Ok(n)
@@ -633,7 +604,7 @@ pub fn execute_update(ctx: &mut DmlCtx<'_>, journal: &mut Journal, upd: &Update)
         }
         // Topology / identifier consistency before the storage write.
         w.maintain_update(catalog, row_id, &old_row, &new_row)?;
-        w.checks.fault("dml.update.storage")?;
+        w.gov.fault("dml.update.storage")?;
         // Resolved per row: the cascade above may have written this table.
         let old = catalog.table_mut(&w.table)?.update(row_id, new_row)?;
         w.journal.record_storage(UndoOp::Update {
@@ -641,7 +612,7 @@ pub fn execute_update(ctx: &mut DmlCtx<'_>, journal: &mut Journal, upd: &Update)
             row: row_id,
             old,
         });
-        w.checks.fault("dml.update.post")?;
+        w.gov.fault("dml.update.post")?;
         n += 1;
     }
     Ok(n)
@@ -657,7 +628,7 @@ pub fn execute_update(ctx: &mut DmlCtx<'_>, journal: &mut Journal, upd: &Update)
 /// `new_id`). They are visited in ascending `RowId` order — the scan's —
 /// and each is still checked to name `old_id` before it is rewritten.
 fn cascade_vertex_id(
-    checks: Checks<'_>,
+    gov: &ExecContext,
     journal: &mut Journal,
     catalog: &mut Catalog,
     view: &GraphView,
@@ -696,7 +667,7 @@ fn cascade_vertex_id(
             continue;
         }
         let mut new_row = row.clone(); // alloc-ok: the row being written
-        checks.fault("dml.update.cascade")?;
+        gov.fault("dml.update.cascade")?;
         for col in [from_col, to_col] {
             if names_old(&new_row[col]) {
                 new_row[col] = Value::Integer(new_id);

@@ -105,37 +105,18 @@ pub struct QueryEnv<'e> {
     /// expressions, which read one table's row (or nothing at all), never
     /// a catalog object.
     pub(crate) snap: Option<&'e Snapshot<'e>>,
-    /// Execution limits carried into operators.
-    pub limits: crate::config::ExecLimits,
     /// Bound parameter values for prepared statements (empty otherwise).
     pub params: Vec<grfusion_common::Value>,
-    /// Per-query resource governor (deadline / cancellation / memory
-    /// accountant / fault plan). Defaults to unlimited.
+    /// Per-query resource governor (row cap / deadline / cancellation /
+    /// memory accountant / fault plan). Defaults to unlimited.
     pub gov: crate::governor::ExecContext,
     /// Rows the result collector asks the root for per call, and every
     /// operator that drains its input asks its child for: see
-    /// [`QueryEnv::demand`].
+    /// [`ExecContext::demand`](crate::governor::ExecContext::demand).
     pub(crate) batch_rows: usize,
 }
 
 impl<'e> QueryEnv<'e> {
-    /// The query's batch size: `batch_rows`, or one row when a row budget
-    /// or a fault plan is armed. Both count rows as they are
-    /// *pulled*, so under them every operator hands over exactly the row
-    /// its consumer is about to use — the same operators, asked for one.
-    pub(crate) fn demand(
-        limits: &crate::config::ExecLimits,
-        gov: &crate::governor::ExecContext,
-        batch_rows: usize,
-    ) -> usize {
-        let counted = limits.max_intermediate_rows.is_some() || gov.faults().is_some();
-        if counted {
-            1
-        } else {
-            batch_rows
-        }
-    }
-
     pub fn table(&self, name: &str) -> Result<&'e Table> {
         self.snap
             .and_then(|s| s.table(name))

@@ -20,7 +20,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Instant;
 
-use grfusion_common::{Error, PathData, ResourceKind, Result, Row, Value};
+use grfusion_common::{Error, PathData, Result, Row, Value};
 use grfusion_graph::{
     hop_minimal_path, shortest_path_with_stats, BfsPaths, DfsPaths, EdgeSlot, GraphTopology,
     KShortestPaths, TopologyLayout, TraversalFilter, TraversalSpec, VertexSlot,
@@ -32,7 +32,7 @@ use crate::analyze::NodeContract;
 use crate::env::{GraphEnv, QueryEnv};
 use crate::expr::{CmpOp, EdgeAttr, PhysExpr, SlotAttr, VertexAttr};
 use crate::governor::{
-    path_bytes, path_bytes_at, ExecContext, FaultState, EXPANSION_CHECK_INTERVAL, OP_CHECK_INTERVAL,
+    path_bytes, path_bytes_at, ExecContext, EXPANSION_CHECK_INTERVAL, OP_CHECK_INTERVAL,
 };
 use crate::metrics::{GovCounters, GraphCounters, MetricsSink, NodeSlot, QueryMetrics};
 use crate::plan::{
@@ -42,43 +42,6 @@ use crate::spine::{
     Admit, Aggregate, Batch, BoxOp, Cursor, Distinct, Filter, IndexJoin, IndexLookup, Limit,
     NestedLoopJoin, Operator, Project, Sort, TableScan,
 };
-
-/// Shared row budget: reproduces the paper's temp-memory exhaustion for
-/// join-heavy plans (§7.2). Every row produced by a scan or join ticks it —
-/// always at *emission* time (when the operator yields the row up the
-/// pipeline), never during enumeration, so a `LIMIT 1` query charges one
-/// scan row however many paths the traversal behind it stepped over. An
-/// armed budget makes every demand one row (see `QueryEnv::demand`), so a
-/// row is emitted only when its consumer is about to use it.
-///
-/// `Cell`: every operator of the query shares the budget by reference on
-/// the one thread that runs it.
-pub struct RowBudget {
-    produced: Cell<u64>,
-    limit: Option<u64>,
-}
-
-impl RowBudget {
-    pub fn new(limit: Option<u64>) -> Self {
-        RowBudget {
-            produced: Cell::new(0),
-            limit,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn tick(&self) -> Result<()> {
-        let Some(l) = self.limit else {
-            return Ok(());
-        };
-        let total = self.produced.get() + 1;
-        self.produced.set(total);
-        if total > l {
-            return Err(Error::resource(ResourceKind::Rows, total, l));
-        }
-        Ok(())
-    }
-}
 
 /// Coerce a probe key to the indexed column's type so hash lookups honor
 /// SQL's cross-numeric equality (`uId = 2.0` must find integer 2; a key of
@@ -127,12 +90,11 @@ pub fn execute_plan_with_metrics(
 /// consumer that copies a tuple out of a batch, one allocation per result
 /// row.
 fn run(plan: &PlanNode, env: &QueryEnv<'_>, sink: Option<&MetricsSink>) -> Result<Vec<Row>> {
-    let budget = RowBudget::new(env.limits.max_intermediate_rows);
     // Debug builds check every operator's contract, so the whole test
     // suite runs self-checking; release builds pay nothing.
     let contracts = cfg!(debug_assertions)
         .then(|| RefCell::new(crate::analyze::node_contracts(plan).into_iter()));
-    let mut op = build(plan, env, &budget, sink, contracts.as_ref(), 0, false)?;
+    let mut op = build(plan, env, sink, contracts.as_ref(), 0, false)?;
     let mut batch = Batch::default();
     let mut rows = Vec::new();
     while op.next_batch(&mut batch, env.batch_rows)? {
@@ -207,9 +169,8 @@ fn check_row_contract(c: &NodeContract, label: &str, row: &[Value]) -> Result<()
 struct Instrumented<'e> {
     inner: BoxOp<'e>,
     label: String,
-    faults: Option<&'e FaultState>,
     contract: Option<NodeContract>,
-    gov: Option<&'e ExecContext>,
+    gov: &'e ExecContext,
     pulls: u64,
     checks: u64,
     slot: Option<Rc<NodeSlot>>,
@@ -217,7 +178,7 @@ struct Instrumented<'e> {
 
 impl<'e> Instrumented<'e> {
     fn pull(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
-        if let Some(faults) = self.faults {
+        if let Some(faults) = self.gov.faults() {
             faults.hit(&self.label)?;
         }
         let more = self.inner.next_batch(out, max_rows)?;
@@ -226,7 +187,7 @@ impl<'e> Instrumented<'e> {
                 check_row_contract(contract, &self.label, out.tuple(i))?;
             }
         }
-        if let Some(ctx) = self.gov {
+        if self.gov.active() {
             let before = self.pulls / OP_CHECK_INTERVAL;
             // A counting scan's one row stands for the paths it counted.
             let rows = self.inner.counted().unwrap_or(out.len() as u64); // cast-ok: usize -> u64 widening
@@ -234,7 +195,7 @@ impl<'e> Instrumented<'e> {
             let due = self.pulls / OP_CHECK_INTERVAL - before + u64::from(!more);
             self.checks += due;
             if due > 0 {
-                ctx.check_now()?;
+                self.gov.check_now()?;
             }
         }
         Ok(more)
@@ -259,7 +220,7 @@ impl<'e> Operator<'e> for Instrumented<'e> {
         // The inner operator's counters (bytes it charged, expansion-hook
         // checks) plus this wrapper's own polls.
         let gov = self.inner.governor_stats();
-        if self.gov.is_some() || gov.is_some() {
+        if self.gov.active() || gov.is_some() {
             let mut g = gov.unwrap_or_default();
             g.checks += self.checks;
             slot.set_gov(g);
@@ -279,7 +240,6 @@ impl<'e> Operator<'e> for Instrumented<'e> {
 fn build<'e>(
     plan: &'e PlanNode,
     env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
     sink: Option<&'e MetricsSink>,
     contracts: Option<&'e Contracts>,
     depth: usize,
@@ -290,11 +250,10 @@ fn build<'e>(
     // cursor advances in the same pre-order walk.
     let slot = sink.map(|s| s.register(plan.node_label(), depth));
     let contract = contracts.and_then(|c| c.borrow_mut().next());
-    let child = |n: &'e PlanNode, lazy| build(n, env, budget, sink, contracts, depth + 1, lazy);
+    let child = |n: &'e PlanNode, lazy| build(n, env, sink, contracts, depth + 1, lazy);
     let admit = |filter: &'e Option<PhysExpr>| Admit {
         filter: filter.as_ref(),
         env,
-        budget,
     };
     let inner: BoxOp<'e> = match plan {
         PlanNode::TableScan { table, filter, .. } => {
@@ -345,7 +304,6 @@ fn build<'e>(
             scan: None,
             done: false,
             counted: 0,
-            budget,
             tracker: None,
             layout: env.graph(&config.graph)?.topo.layout(),
         }),
@@ -360,7 +318,6 @@ fn build<'e>(
             config,
             gates: prune_gates(config),
             env,
-            budget,
             stats_done: GraphCounters::default(),
             gov_done: GovCounters::default(),
             tracker: mem_tracker(env),
@@ -447,14 +404,13 @@ fn build<'e>(
             tracker: mem_tracker(env),
         }),
     };
-    let (faults, gov) = (env.gov.faults(), env.gov.active().then_some(&env.gov));
-    if faults.is_none() && contract.is_none() && gov.is_none() && slot.is_none() {
+    let gov = &env.gov;
+    if gov.faults().is_none() && !gov.active() && contract.is_none() && slot.is_none() {
         return Ok(inner);
     }
     Ok(Box::new(Instrumented {
         inner,
         label: plan.node_label(),
-        faults,
         contract,
         gov,
         pulls: 0,
@@ -1205,7 +1161,6 @@ struct PathScanOp<'e> {
     done: bool,
     /// Paths a counting scan ([`Emit::Count`]) has stepped over.
     counted: u64,
-    budget: &'e RowBudget,
     /// Emission-side byte accounting for in-flight (lazy) scans; `None`
     /// for the buffered variant, whose bytes were charged during
     /// materialization.
@@ -1230,16 +1185,16 @@ impl<'e> PathScanOp<'e> {
     }
 
     /// Run the whole traversal, counting its paths instead of emitting
-    /// them. Each is accounted exactly as its emission would be — a row
-    /// budget tick, its bytes from its length — but none is materialized.
+    /// them. Each is accounted exactly as its emission would be — one row
+    /// charged, its bytes from its length — but none is materialized.
     fn count(&mut self) -> Result<()> {
         let view_name_len = self.env.graph(&self.config.graph)?.topo.name().len();
         self.start()?;
-        let (Some(scan), budget) = (&mut self.scan, self.budget) else {
+        let (Some(scan), gov) = (&mut self.scan, &self.env.gov) else {
             return Err(Error::execution("counting scan did not start"));
         };
         while let Some(length) = scan.advance()? {
-            budget.tick()?;
+            gov.charge_row()?;
             if let Some(t) = &self.tracker {
                 t.charge(path_bytes_at(view_name_len, length))?;
             }
@@ -1282,9 +1237,9 @@ impl<'e> Operator<'e> for PathScanOp<'e> {
                 self.done = true;
                 return Ok(false);
             };
-            // The row budget is charged here, at emission, for every
+            // The row cap is charged here, at emission, for every
             // variant — identical accounting at any worker count.
-            self.budget.tick()?;
+            self.env.gov.charge_row()?;
             if let Some(t) = &self.tracker {
                 t.charge(path_bytes(&p))?;
             }
@@ -1324,7 +1279,6 @@ struct PathJoinOp<'e> {
     /// Shared by every probe.
     gates: Vec<PruneGate>,
     env: &'e QueryEnv<'e>,
-    budget: &'e RowBudget,
     /// Traversal counters accumulated from probes that already finished
     /// (the in-flight probe's counters are added on read).
     stats_done: GraphCounters,
@@ -1343,7 +1297,7 @@ impl<'e> PathJoinOp<'e> {
         loop {
             if let Some(scan) = &mut self.current {
                 if let Some(p) = scan.next_path()? {
-                    self.budget.tick()?;
+                    self.env.gov.charge_row()?;
                     // Buffered probes (reachability / eager ablation)
                     // charged their bytes during materialization.
                     if scan.charges_on_emission() {

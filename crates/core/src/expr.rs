@@ -1855,7 +1855,6 @@ mod tests {
     fn env() -> QueryEnv<'static> {
         QueryEnv {
             snap: None,
-            limits: Default::default(),
             params: vec![Value::Integer(5)],
             gov: Default::default(),
             batch_rows: crate::spine::BATCH_ROWS,

@@ -2,37 +2,39 @@
 //!
 //! The paper is explicit that unbounded path enumeration is combinatorially
 //! explosive (EDBT 2018 §6.1 motivates length inference with exactly that
-//! risk). The row budget bounds *result* volume, but a hostile query can
-//! still pin a thread for arbitrary wall time (filters rejecting every path
-//! keep the traversal running without producing rows) or exhaust memory in
-//! materializing operators. The [`ExecContext`] created per query carries
-//! the three guards that close those holes:
+//! risk). Every condition a statement can be aborted on lives in the one
+//! [`ExecContext`] created per statement from `EngineConfig.governor`, the
+//! database's cancel token, the caller's request scope and the fault plan:
 //!
-//! * a **wall-clock deadline** (`EngineConfig.governor.deadline_ms`;
-//!   `grfusion-serve --deadline-ms`, harness `--deadline-ms`);
+//! * a **row cap** (`max_intermediate_rows`): the paper's §7.2 temp-memory
+//!   exhaustion, charged by [`ExecContext::charge_row`] at emission;
+//! * a **wall-clock deadline** (`deadline_ms`; `grfusion-serve
+//!   --deadline-ms`, harness `--deadline-ms`), for the hostile query that
+//!   pins a thread without producing rows;
 //! * a **cooperative cancellation token** ([`CancelToken`]) an external
 //!   thread can trip mid-query;
 //! * a **memory accountant** charging estimated bytes for path
 //!   materialization, aggregation hash tables, sort buffers, and join
-//!   builds against `max_memory_bytes`.
+//!   builds against `max_memory_bytes`;
+//! * the **fault plan**, whose sites a DML statement reaches through
+//!   [`ExecContext::fault`].
 //!
 //! Cancellation is *cooperative*, not preemptive: operators and traversal
 //! filters poll [`ExecContext::check_now`] at periodic checkpoints (every
 //! [`OP_CHECK_INTERVAL`] rows an operator hands up, every
 //! [`EXPANSION_CHECK_INTERVAL`] vertex/edge expansions inside traversal
-//! loops). Preempting a thread mid-mutation could leave shared state
-//! half-written; polling at safe points guarantees the abort path is an
-//! ordinary `Err` that unwinds through the same all-or-nothing rollback
-//! machinery as any other error — storage, indexes, and every
-//! `GraphTopology` stay untouched.
+//! loops, every DML fault site). Preempting a thread mid-mutation could
+//! leave shared state half-written; polling at safe points guarantees the
+//! abort path is an ordinary `Err` that unwinds through the same
+//! all-or-nothing rollback machinery as any other error — storage, indexes,
+//! and every `GraphTopology` stay untouched.
 //!
-//! The same module hosts the **deterministic fault-injection plan**
-//! (`<seed>:<spec>`, installed with `Database::set_fault_plan` or
-//! `grfusion-serve --faults`): a list of rules, each matching a site
-//! name by prefix and firing on an exact hit count, so tests can drive an
-//! error (or simulated allocation failure / deadline expiry) into a chosen
-//! operator `next()` call or DML maintenance step and prove the
-//! crash-consistency invariants hold.
+//! The **deterministic fault-injection plan** (`<seed>:<spec>`, installed
+//! with `Database::set_fault_plan` or `grfusion-serve --faults`) is a list
+//! of rules, each matching a site name by prefix and firing on an exact
+//! hit count, so tests can drive an error (or simulated allocation failure
+//! / deadline expiry) into a chosen operator `next()` call or DML
+//! maintenance step and prove the crash-consistency invariants hold.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -187,14 +189,16 @@ fn current_request() -> Option<RequestScope> {
 
 /// Per-query governor state, carried by `QueryEnv` into every operator of
 /// the one thread that runs the query. Only the cancel watches are shared
-/// with other threads (they trip the token); the memory accountant is a
-/// `Cell`.
+/// with other threads (they trip the token); the row counter and the
+/// memory accountant are `Cell`s.
 #[derive(Debug)]
 pub struct ExecContext {
     started: Instant,
     deadline: Option<Instant>,
     deadline_ms: u64,
     cancel: Vec<CancelWatch>,
+    row_cap: Option<u64>,
+    rows: Cell<u64>,
     mem_cap: Option<u64>,
     mem_used: Cell<u64>,
     faults: Option<Arc<FaultState>>,
@@ -222,6 +226,8 @@ impl ExecContext {
                 .map(|ms| started + std::time::Duration::from_millis(ms)),
             deadline_ms: cfg.deadline_ms.unwrap_or(0),
             cancel,
+            row_cap: cfg.max_intermediate_rows,
+            rows: Cell::new(0),
             mem_cap: cfg.max_memory_bytes,
             mem_used: Cell::new(0),
             faults,
@@ -260,10 +266,24 @@ impl ExecContext {
         ExecContext::new(&effective, watches, faults)
     }
 
-    /// Whether any guard is configured. When false the executor skips its
-    /// governor polls entirely, keeping the default path zero-cost.
+    /// Whether a deadline, a cancel token or a byte cap is armed. When
+    /// false the executor skips its governor polls and byte estimates
+    /// entirely, keeping the default path zero-cost. The row cap is not
+    /// polled — [`ExecContext::charge_row`] enforces it where rows leave.
     pub fn active(&self) -> bool {
         self.deadline.is_some() || !self.cancel.is_empty() || self.mem_cap.is_some()
+    }
+
+    /// The query's batch size: `batch_rows`, or one row when something
+    /// counts rows as they are *pulled* — the row cap or a fault plan — so
+    /// every operator hands over exactly the row its consumer is about to
+    /// use: the same operators, asked for one.
+    pub(crate) fn demand(&self, batch_rows: usize) -> usize {
+        if self.row_cap.is_some() || self.faults.is_some() {
+            1
+        } else {
+            batch_rows
+        }
     }
 
     /// Milliseconds since the query started.
@@ -313,9 +333,41 @@ impl ExecContext {
         Ok(())
     }
 
+    /// Charge one emitted row against the row cap: scans and joins call it
+    /// at *emission*, never during enumeration, so a `LIMIT 1` query charges
+    /// one scan row however many paths its traversal stepped over. Without
+    /// a cap this is free.
+    #[inline]
+    pub fn charge_row(&self) -> Result<()> {
+        let Some(cap) = self.row_cap else {
+            return Ok(());
+        };
+        let total = self.rows.get() + 1;
+        self.rows.set(total);
+        if total > cap {
+            return Err(Error::resource(ResourceKind::Rows, total, cap));
+        }
+        Ok(())
+    }
+
     /// The active fault plan, if any.
     pub fn faults(&self) -> Option<&FaultState> {
         self.faults.as_deref()
+    }
+
+    /// A DML abort point: poll the deadline and the cancel tokens, then hit
+    /// the named fault-injection site (see [`DML_FAULT_SITES`]). Sites sit
+    /// at every maintenance step, which is exactly the granularity at which
+    /// a statement can safely abort and roll back.
+    #[inline]
+    pub(crate) fn fault(&self, site: &str) -> Result<()> {
+        if self.active() {
+            self.check_now()?;
+        }
+        match &self.faults {
+            Some(f) => f.hit(site),
+            None => Ok(()),
+        }
     }
 }
 
@@ -431,13 +483,11 @@ impl FaultPlan {
                 _ => return Err(bad("kind must be error|alloc|deadline")),
             };
             let (site, nth) = match site_part.split_once('@') {
-                Some((s, n)) => (
-                    s.trim().to_string(),
-                    n.trim()
-                        .parse::<u64>()
-                        .map_err(|_| bad("`@n` is not an integer"))?
-                        .max(1),
-                ),
+                Some((s, n)) => match n.trim().parse::<u64>() {
+                    Ok(0) => return Err(bad("`@n` must be at least 1")),
+                    Ok(n) => (s.trim().to_string(), n),
+                    Err(_) => return Err(bad("`@n` is not an integer")),
+                },
                 None => {
                     let s = site_part.trim().to_string();
                     let n = seeded_nth(seed, &s);
@@ -561,9 +611,13 @@ mod tests {
             ("1:", "no rules"),
             ("1:a=b", "kind must be error|alloc|deadline"),
             ("1:@2=error", "empty site pattern"),
+            ("1:x@0=error", "`@n` must be at least 1"),
         ] {
             let e = FaultPlan::parse(spec).unwrap_err().to_string();
-            assert!(e.contains(&format!("invalid fault plan `{spec}`: {why}")), "{e}");
+            assert!(
+                e.contains(&format!("invalid fault plan `{spec}`: {why}")),
+                "{e}"
+            );
         }
         Ok(())
     }
@@ -586,8 +640,10 @@ mod tests {
         assert!(!ctx.active());
         assert!(ctx.check_now().is_ok());
         assert!(ctx.charge_bytes(u64::MAX / 2).is_ok()); // uncapped: free
+        assert!(ctx.charge_row().is_ok()); // uncapped: free
 
         let cfg = GovernorConfig {
+            max_intermediate_rows: None,
             deadline_ms: None,
             max_memory_bytes: Some(100),
         };
@@ -625,6 +681,7 @@ mod tests {
         ));
 
         let cfg = GovernorConfig {
+            max_intermediate_rows: None,
             deadline_ms: Some(0),
             max_memory_bytes: None,
         };
@@ -636,6 +693,66 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn row_cap_is_charged_not_polled() {
+        let cfg = GovernorConfig {
+            max_intermediate_rows: Some(2),
+            ..GovernorConfig::default()
+        };
+        let ctx = ExecContext::new(&cfg, Vec::new(), None);
+        // Nothing to poll: the cap bites where rows are emitted, and it
+        // makes every demand one row.
+        assert!(!ctx.active());
+        assert_eq!(ctx.demand(1024), 1);
+        assert!(ctx.charge_row().is_ok() && ctx.charge_row().is_ok());
+        assert_eq!(
+            ctx.charge_row(),
+            Err(Error::resource(ResourceKind::Rows, 3, 2))
+        );
+        assert_eq!(ExecContext::default().demand(1024), 1024);
+    }
+
+    #[test]
+    fn dml_fault_point_polls_then_hits() {
+        // No plan, no guard: every site passes.
+        assert!(ExecContext::default().fault("dml.insert.row").is_ok());
+
+        // The plan's rule fires on its hit and counts only matching sites.
+        let plan = FaultState::new(FaultPlan::single("dml.update", 2, FaultKind::Error));
+        let ctx = ExecContext::new(&GovernorConfig::default(), Vec::new(), Some(Arc::new(plan)));
+        assert_eq!(ctx.demand(1024), 1);
+        assert!(ctx.fault("dml.update.maintain").is_ok());
+        assert!(ctx.fault("dml.insert.row").is_ok());
+        let err = ctx.fault("dml.update.relink").unwrap_err().to_string();
+        assert!(
+            err.contains("injected fault at `dml.update.relink` (hit 2)"),
+            "{err}"
+        );
+
+        // A cancel is polled before the site is hit: the abort is the
+        // governor's, and the plan's first hit is still to come.
+        let plan = Arc::new(FaultState::new(FaultPlan::single(
+            "dml",
+            1,
+            FaultKind::Error,
+        )));
+        let token = CancelToken::default();
+        let watch = vec![token.watch_from_now()];
+        let ctx = ExecContext::new(&GovernorConfig::default(), watch, Some(plan.clone()));
+        token.cancel();
+        let err = ctx.fault("dml.update.storage");
+        assert!(matches!(
+            err,
+            Err(Error::ResourceExhausted {
+                kind: ResourceKind::Cancelled,
+                ..
+            })
+        ));
+        let ctx = ExecContext::new(&GovernorConfig::default(), Vec::new(), Some(plan));
+        let err = ctx.fault("dml.update.storage").unwrap_err().to_string();
+        assert!(err.contains("(hit 1)"), "{err}");
     }
 
     #[test]
@@ -676,6 +793,7 @@ mod tests {
             let _g = enter_request(&opts);
             // Configured deadline is tighter: it wins.
             let cfg = GovernorConfig {
+                max_intermediate_rows: None,
                 deadline_ms: Some(5),
                 max_memory_bytes: None,
             };

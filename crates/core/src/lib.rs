@@ -53,18 +53,14 @@ pub mod exec;
 pub mod expr;
 pub mod governor;
 pub mod graph_view;
-pub mod lockorder;
 pub mod metrics;
 pub mod plan;
 pub mod planner;
 pub mod result;
-mod settings;
 mod snapshot;
 mod spine;
 
-pub use config::{
-    CsrConfig, EngineConfig, ExecLimits, GovernorConfig, OptimizerFlags, TraversalChoice,
-};
+pub use config::{CsrConfig, EngineConfig, GovernorConfig, OptimizerFlags, TraversalChoice};
 pub use db::{Database, PreparedQuery};
 pub use governor::{
     enter_request, CancelToken, FaultKind, FaultPlan, FaultRule, FaultState, RequestGuard,

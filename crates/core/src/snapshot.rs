@@ -2,8 +2,9 @@
 //! [`Snapshot`].
 //!
 //! A snapshot binds names to tables and graph views for the duration of one
-//! read. Its one source is the tables and topologies `DbInner` owns,
-//! borrowed while the writer's mutex is held — so a read inside an open
+//! read, beside the settings it runs under. Its one source is the tables,
+//! topologies and settings `DbInner` owns, borrowed while the engine lock
+//! is held — so a read inside an open
 //! transaction sees its writes, and `INSERT … SELECT` and DML subquery
 //! folding read the same way — and everything downstream of the
 //! constructor is the same code: compile (fold subqueries → plan), run,
@@ -17,14 +18,14 @@ use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
 use grfusion_sql::{Expr, Select, SelectItem};
 use grfusion_storage::{Catalog, Table};
 
-use crate::db::PreparedQuery;
+use crate::db::{PreparedQuery, Settings};
 use crate::env::{GraphEnv, QueryEnv};
 use crate::exec::{execute_plan, execute_plan_with_metrics};
+use crate::governor::CancelToken;
 use crate::graph_view::{GraphView, GraphViewDef};
 use crate::plan::PlanNode;
 use crate::planner::{plan_select, PlannerCtx};
 use crate::result::ResultSet;
-use crate::settings::Settings;
 
 /// The tables and graph views a prepared plan reads, each held by the
 /// `Arc` that is its identity: a recreated object is a new allocation, and
@@ -35,22 +36,28 @@ pub(crate) struct Sources {
     graphs: Vec<Arc<GraphViewDef>>,
 }
 
-/// Everything one read can observe, by lowercase name.
+/// Everything one read can observe, by lowercase name, and what it runs
+/// under.
 pub(crate) struct Snapshot<'a> {
     tables: HashMap<&'a str, &'a Table>,
     graphs: HashMap<&'a str, GraphEnv<'a>>,
     plan_ctx: &'a PlannerCtx,
+    settings: &'a Settings,
+    /// The database's cancel token, if one was handed out.
+    cancel: Option<&'a CancelToken>,
 }
 
 impl<'a> Snapshot<'a> {
-    /// The live state the writer's mutex owns, uncommitted writes of the
-    /// open transaction included. The shared borrows are the whole
-    /// protocol: nothing can write a table or a topology while the snapshot
-    /// lives.
+    /// The live state the engine lock owns, uncommitted writes of the open
+    /// transaction included. The shared borrows are the whole protocol:
+    /// nothing can write a table, a topology or a setting while the
+    /// snapshot lives.
     pub(crate) fn locked(
         catalog: &'a Catalog,
         views: &'a HashMap<String, GraphView>,
         plan_ctx: &'a PlannerCtx,
+        settings: &'a Settings,
+        cancel: Option<&'a CancelToken>,
     ) -> Self {
         let tables: HashMap<&str, &Table> = catalog.iter().collect();
         // A view's sources cannot be dropped before the view, so both
@@ -72,6 +79,8 @@ impl<'a> Snapshot<'a> {
             tables,
             graphs,
             plan_ctx,
+            settings,
+            cancel,
         }
     }
 
@@ -85,9 +94,9 @@ impl<'a> Snapshot<'a> {
 
     /// Compile a SELECT: fold its subqueries against this snapshot and plan
     /// it with the rule-based planner.
-    pub(crate) fn compile(&self, cfg: &Settings, select: &Select) -> Result<PreparedQuery> {
-        let select = self.fold_subqueries(cfg, select)?;
-        let plan = plan_select(&select, self.plan_ctx, &cfg.config.optimizer)?;
+    pub(crate) fn compile(&self, select: &Select) -> Result<PreparedQuery> {
+        let select = self.fold_subqueries(select)?;
+        let plan = plan_select(&select, self.plan_ctx, &self.settings.config.optimizer)?;
         let sources = Sources::default();
         Ok(PreparedQuery { plan, sources })
     }
@@ -96,8 +105,8 @@ impl<'a> Snapshot<'a> {
     /// the query keeps the tables and graph views its plan reads, and
     /// [`Snapshot::run`] refuses it once one is no longer the object of
     /// that name.
-    pub(crate) fn prepare(&self, cfg: &Settings, select: &Select) -> Result<PreparedQuery> {
-        let PreparedQuery { plan, mut sources } = self.compile(cfg, select)?;
+    pub(crate) fn prepare(&self, select: &Select) -> Result<PreparedQuery> {
+        let PreparedQuery { plan, mut sources } = self.compile(select)?;
         let mut nodes = vec![&plan];
         while let Some(node) = nodes.pop() {
             nodes.extend(node.inputs());
@@ -151,18 +160,16 @@ impl<'a> Snapshot<'a> {
     /// instrumented and the result carries the metrics.
     pub(crate) fn run(
         &self,
-        cfg: &Settings,
         query: &PreparedQuery,
         params: Vec<Value>,
         collect_metrics: bool,
     ) -> Result<ResultSet> {
         self.check_sources(&query.sources)?;
-        let gov = cfg.exec_context();
+        let gov = self.settings.exec_context(self.cancel);
         let env = QueryEnv {
             snap: Some(self),
-            limits: cfg.config.limits,
             params,
-            batch_rows: QueryEnv::demand(&cfg.config.limits, &gov, cfg.batch_rows),
+            batch_rows: gov.demand(self.settings.batch_rows),
             gov,
         };
         let (rows, metrics) = if collect_metrics {
@@ -180,32 +187,22 @@ impl<'a> Snapshot<'a> {
     }
 
     /// Compile and run an ad-hoc SELECT.
-    pub(crate) fn select(
-        &self,
-        cfg: &Settings,
-        select: &Select,
-        collect_metrics: bool,
-    ) -> Result<ResultSet> {
-        let query = self.compile(cfg, select)?;
-        self.run(cfg, &query, Vec::new(), collect_metrics)
+    pub(crate) fn select(&self, select: &Select, collect_metrics: bool) -> Result<ResultSet> {
+        let query = self.compile(select)?;
+        self.run(&query, Vec::new(), collect_metrics)
     }
 
     /// `EXPLAIN` (the typed plan) or `EXPLAIN ANALYZE` (run instrumented,
     /// discard the rows, return the annotated plan tree), one line per
     /// result row.
-    pub(crate) fn explain(
-        &self,
-        cfg: &Settings,
-        select: &Select,
-        analyze: bool,
-    ) -> Result<ResultSet> {
+    pub(crate) fn explain(&self, select: &Select, analyze: bool) -> Result<ResultSet> {
         let (text, metrics) = if analyze {
-            let Some(m) = self.select(cfg, select, true)?.metrics else {
+            let Some(m) = self.select(select, true)?.metrics else {
                 return Err(Error::execution("instrumented run returned no metrics"));
             };
             (m.render(), Some(m))
         } else {
-            (self.compile(cfg, select)?.explain_typed(), None)
+            (self.compile(select)?.explain_typed(), None)
         };
         Ok(ResultSet {
             schema: Arc::new(Schema::new(vec![Column::new("plan", DataType::Varchar)])),
@@ -248,7 +245,7 @@ impl<'a> Snapshot<'a> {
     /// executing them bottom-up against this snapshot (so every fold and
     /// the outer query see one consistent state). Returns a clone only when
     /// folding is needed.
-    fn fold_subqueries<'s>(&self, cfg: &Settings, select: &'s Select) -> Result<Cow<'s, Select>> {
+    fn fold_subqueries<'s>(&self, select: &'s Select) -> Result<Cow<'s, Select>> {
         let exprs = select
             .projections
             .iter()
@@ -266,27 +263,27 @@ impl<'a> Snapshot<'a> {
         let mut owned = select.clone();
         for p in &mut owned.projections {
             if let SelectItem::Expr { expr, .. } = p {
-                self.fold_expr(cfg, expr)?;
+                self.fold_expr(expr)?;
             }
         }
         if let Some(sel) = &mut owned.selection {
-            self.fold_expr(cfg, sel)?;
+            self.fold_expr(sel)?;
         }
         for g in &mut owned.group_by {
-            self.fold_expr(cfg, g)?;
+            self.fold_expr(g)?;
         }
         if let Some(h) = &mut owned.having {
-            self.fold_expr(cfg, h)?;
+            self.fold_expr(h)?;
         }
         for (e, _) in &mut owned.order_by {
-            self.fold_expr(cfg, e)?;
+            self.fold_expr(e)?;
         }
         Ok(Cow::Owned(owned))
     }
 
     /// Fold the subqueries of one expression in place (also the entry point
     /// for UPDATE/DELETE predicates).
-    pub(crate) fn fold_expr(&self, cfg: &Settings, e: &mut Expr) -> Result<()> {
+    pub(crate) fn fold_expr(&self, e: &mut Expr) -> Result<()> {
         use Expr as E;
         match e {
             E::InSubquery {
@@ -294,8 +291,8 @@ impl<'a> Snapshot<'a> {
                 select,
                 negated,
             } => {
-                self.fold_expr(cfg, expr)?;
-                let rs = self.select(cfg, select, false)?;
+                self.fold_expr(expr)?;
+                let rs = self.select(select, false)?;
                 if rs.schema.len() != 1 {
                     return Err(Error::analysis(format!(
                         "IN (SELECT ...) must return exactly one column, got {}",
@@ -314,27 +311,27 @@ impl<'a> Snapshot<'a> {
                 };
             }
             E::Literal(_) | E::Parameter(_) | E::CompoundRef(_) => {}
-            E::Unary { expr, .. } => self.fold_expr(cfg, expr)?,
+            E::Unary { expr, .. } => self.fold_expr(expr)?,
             E::Binary { left, right, .. } => {
-                self.fold_expr(cfg, left)?;
-                self.fold_expr(cfg, right)?;
+                self.fold_expr(left)?;
+                self.fold_expr(right)?;
             }
             E::InList { expr, list, .. } => {
-                self.fold_expr(cfg, expr)?;
+                self.fold_expr(expr)?;
                 for i in list {
-                    self.fold_expr(cfg, i)?;
+                    self.fold_expr(i)?;
                 }
             }
             E::Between {
                 expr, low, high, ..
             } => {
-                self.fold_expr(cfg, expr)?;
-                self.fold_expr(cfg, low)?;
-                self.fold_expr(cfg, high)?;
+                self.fold_expr(expr)?;
+                self.fold_expr(low)?;
+                self.fold_expr(high)?;
             }
             E::Function { args, .. } => {
                 for a in args {
-                    self.fold_expr(cfg, a)?;
+                    self.fold_expr(a)?;
                 }
             }
         }

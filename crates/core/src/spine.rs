@@ -39,7 +39,7 @@ use grfusion_graph::TopologyLayout;
 use grfusion_storage::{Index, Table};
 
 use crate::env::QueryEnv;
-use crate::exec::{MemTracker, RowBudget};
+use crate::exec::MemTracker;
 use crate::expr::{AggFunc, PhysExpr};
 use crate::governor::row_bytes;
 use crate::metrics::{GovCounters, GraphCounters};
@@ -201,12 +201,11 @@ fn tracker_stats(tracker: &Option<MemTracker<'_>>) -> Option<GovCounters> {
 // ---------------------------------------------------------------------------
 
 /// What every scan does with a candidate tuple: test the pushed filter,
-/// then charge the row budget for the tuple about to be emitted.
+/// then charge the governor's row cap for the tuple about to be emitted.
 #[derive(Clone, Copy)]
 pub(crate) struct Admit<'e> {
     pub(crate) filter: Option<&'e PhysExpr>,
     pub(crate) env: &'e QueryEnv<'e>,
-    pub(crate) budget: &'e RowBudget,
 }
 
 impl Admit<'_> {
@@ -217,7 +216,7 @@ impl Admit<'_> {
                 return Ok(false);
             }
         }
-        self.budget.tick()?;
+        self.env.gov.charge_row()?;
         Ok(true)
     }
 }

@@ -15,7 +15,6 @@ type TestResult<T = ()> = std::result::Result<T, Box<dyn std::error::Error>>;
 fn env() -> QueryEnv<'static> {
     QueryEnv {
         snap: None,
-        limits: Default::default(),
         params: Vec::new(),
         gov: Default::default(),
         batch_rows: BATCH_ROWS,
@@ -121,12 +120,11 @@ fn table_scan_hands_out_the_stored_tuples_themselves() -> TestResult {
         .map(|i| table.insert(vec![int(i)]))
         .collect::<Result<_>>()?;
     table.delete(ids[300])?;
-    let (env, budget) = (env(), RowBudget::new(None));
+    let env = env();
     let keep = cmp(CmpOp::GtEq, col(0), PhysExpr::Literal(int(250)));
     let admit = Admit {
         filter: Some(&keep),
         env: &env,
-        budget: &budget,
     };
     let mut scan = TableScan::new(&table, admit);
     let mut out = Batch::default();
@@ -216,13 +214,12 @@ fn distinct_keeps_first_sightings_in_order() -> TestResult {
 
 #[test]
 fn nested_loop_join_asks_its_streamed_side_for_what_the_demand_needs() -> TestResult {
-    let (env, budget) = (env(), RowBudget::new(None));
+    let env = env();
     let (left, left_asked) = source(4);
     let (right, right_asked) = source(3);
     let admit = Admit {
         filter: None,
         env: &env,
-        budget: &budget,
     };
     let mut join = NestedLoopJoin::new(left, 1, right, 2, admit, None);
     // Right-major: every left row against right row 0, then right row 1, …
@@ -250,12 +247,11 @@ fn index_join_probes_per_outer_row_and_resumes_mid_probe() -> TestResult {
     for (k, v) in [(0, 100), (2, 200), (2, 201), (2, 202), (4, 400)] {
         inner.insert(vec![int(k), int(v)])?;
     }
-    let (env, budget, key) = (env(), RowBudget::new(None), col(0));
+    let (env, key) = (env(), col(0));
     let (outer, asked) = source(5);
     let admit = Admit {
         filter: None,
         env: &env,
-        budget: &budget,
     };
     let index = inner
         .index_on(0, Some(IndexKind::Hash))

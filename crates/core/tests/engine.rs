@@ -1113,11 +1113,12 @@ fn sqlgraph_style_hop_joins_agree_with_pathscan() {
 
 #[test]
 fn resource_budget_aborts_join_blowup() {
-    use grfusion::ExecLimits;
+    use grfusion::GovernorConfig;
     let db = social_db();
     db.set_config(EngineConfig {
-        limits: ExecLimits {
+        governor: GovernorConfig {
             max_intermediate_rows: Some(10),
+            ..Default::default()
         },
         ..Default::default()
     });

@@ -220,7 +220,7 @@ fn one_settings_copy_reaches_every_statement_kind() {
     };
 
     let mut cfg = db.config();
-    cfg.limits.max_intermediate_rows = Some(2);
+    cfg.governor.max_intermediate_rows = Some(2);
     db.set_config(cfg);
     assert_eq!(db.config(), cfg);
     assert!(over_budget(db.execute("SELECT uid FROM users")), "read");
@@ -234,7 +234,7 @@ fn one_settings_copy_reaches_every_statement_kind() {
         "writer-side read"
     );
     db.execute("ROLLBACK").unwrap();
-    cfg.limits.max_intermediate_rows = None;
+    cfg.governor.max_intermediate_rows = None;
     db.set_config(cfg);
     assert_eq!(db.execute("SELECT uid FROM users").unwrap().rows.len(), 6);
 

@@ -282,6 +282,13 @@ mod tests {
 
         let e = parse(&["--faults", "bogus"]).err().unwrap_or_default();
         assert!(e.contains("--faults") && e.contains("invalid fault plan `bogus`"), "{e}");
+        // `@0` names a hit that never comes; it is refused, not moved to `@1`.
+        let e = parse(&["--faults", "1:x@0=error"]).err().unwrap_or_default();
+        assert!(
+            e.contains("--faults")
+                && e.contains("invalid fault plan `1:x@0=error`: `@n` must be at least 1"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -136,9 +136,10 @@ struct Conn {
     thread: JoinHandle<()>,
 }
 
-/// The watch list and every slot guard single assignments and pushes, so
-/// the data behind a poisoned lock is still valid.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+/// The watch list, every slot and the tenant registry guard single
+/// assignments, pushes and counter steps, so the data behind a poisoned
+/// lock is still valid.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 

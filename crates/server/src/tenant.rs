@@ -12,17 +12,19 @@
 //! client holds at most `max_concurrent` slots and `max_queued_bytes` of
 //! SQL in the server, no matter how fast it submits.
 //!
-//! Locking: the registry's mutex is [`LockClass::TenantRegistry`], the
-//! strict *leaf* of the engine's documented lock order. Admission
-//! bookkeeping is take-lock/update/release — never held across a call
-//! into the engine — and the runtime lock-order validator enforces
-//! exactly that.
+//! Locking: the registry's mutex (`tenants`) is a strict *leaf* below the
+//! engine lock. Admission bookkeeping is take-lock/update/release — never
+//! held across a call into the engine — and the `lock-order` pass of
+//! `cargo run -p xtask -- analyze` flags a function that takes the engine
+//! lock while holding it. Every update is a counter step, so the data
+//! behind a poisoned lock is still valid and is used as is.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use grfusion::lockorder::{LockClass, OrderedMutex};
 use grfusion_common::{Error, Result};
+
+use crate::server::lock;
 
 /// Per-tenant admission quotas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +73,7 @@ struct Admission {
 
 /// The admission registry shared by every connection thread.
 pub struct TenantRegistry {
-    tenants: OrderedMutex<Admission>,
+    tenants: Mutex<Admission>,
     quota: TenantQuota,
     /// Global in-flight cap across all tenants; the backstop that bounds
     /// the engine's concurrency even with many tenants each inside their
@@ -83,7 +85,7 @@ pub struct TenantRegistry {
 impl TenantRegistry {
     pub fn new(quota: TenantQuota, global_limit: usize, retry_after_ms: u64) -> TenantRegistry {
         TenantRegistry {
-            tenants: OrderedMutex::new(LockClass::TenantRegistry, Admission::default()),
+            tenants: Mutex::new(Admission::default()),
             quota,
             global_limit,
             retry_after_ms,
@@ -95,7 +97,7 @@ impl TenantRegistry {
     /// the slot; dropping it releases the slot (response written, client
     /// gone, or statement panicked — the RAII guard covers every exit path).
     pub fn admit(self: &Arc<Self>, tenant: &str, sql_bytes: usize) -> Result<Permit> {
-        let mut tenants = self.tenants.lock();
+        let mut tenants = lock(&self.tenants);
         let over_global = tenants.in_flight >= self.global_limit;
         let st = tenants.by_tenant.entry(tenant.to_string()).or_default();
         let over_tenant = st.in_flight >= self.quota.max_concurrent
@@ -117,7 +119,7 @@ impl TenantRegistry {
     }
 
     fn release(&self, tenant: &str, sql_bytes: usize) {
-        let mut tenants = self.tenants.lock();
+        let mut tenants = lock(&self.tenants);
         if let Some(st) = tenants.by_tenant.get_mut(tenant) {
             st.in_flight = st.in_flight.saturating_sub(1);
             st.queued_bytes = st.queued_bytes.saturating_sub(sql_bytes);
@@ -127,7 +129,7 @@ impl TenantRegistry {
 
     /// Per-tenant counter snapshot, sorted by tenant id.
     pub fn stats(&self) -> Vec<TenantStats> {
-        let tenants = self.tenants.lock();
+        let tenants = lock(&self.tenants);
         let mut out: Vec<TenantStats> = tenants
             .by_tenant
             .iter()
@@ -145,7 +147,7 @@ impl TenantRegistry {
 
     /// Total queries currently in flight.
     pub fn total_in_flight(&self) -> usize {
-        self.tenants.lock().in_flight
+        lock(&self.tenants).in_flight
     }
 }
 

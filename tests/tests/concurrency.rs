@@ -3,8 +3,11 @@
 //! state, or observe torn graph views.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use grfusion::{Database, EngineConfig, Error, ExecLimits, ResourceKind, Value};
+use grfusion::{
+    Database, EngineConfig, Error, GovernorConfig, RequestOptions, ResourceKind, Value,
+};
 
 fn seeded_db() -> Arc<Database> {
     let db = Database::new();
@@ -147,8 +150,9 @@ fn worker_budget_error_propagates_cleanly() {
     let sql = "SELECT PS.PathString FROM g.Paths PS WHERE PS.Length >= 1 AND PS.Length <= 4";
     let db = seeded_db();
     db.set_config(EngineConfig {
-        limits: ExecLimits {
+        governor: GovernorConfig {
             max_intermediate_rows: Some(50),
+            ..GovernorConfig::default()
         },
         ..EngineConfig::default()
     });
@@ -277,3 +281,95 @@ fn point_to_point_probes_on_a_shared_topology_match_serial() {
     });
 }
 
+/// A directed `n`-clique: `v(id)`, `e(id, a, b)` and the view `g`.
+fn clique_db(n: i64) -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)")
+        .unwrap();
+    db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)")
+        .unwrap();
+    db.bulk_insert("v", (0..n).map(|i| vec![Value::Integer(i)]).collect())
+        .unwrap();
+    let pairs = (0..n).flat_map(|a| (0..n).filter(move |&b| b != a).map(move |b| (a, b)));
+    let erows = pairs
+        .zip(0..)
+        .map(|((a, b), id)| vec![Value::Integer(id), Value::Integer(a), Value::Integer(b)])
+        .collect();
+    db.bulk_insert("e", erows).unwrap();
+    db.execute(
+        "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v \
+         EDGES(ID = id, FROM = a, TO = b) FROM e",
+    )
+    .unwrap();
+    db
+}
+
+/// Every path of length 1..8 of a 12-clique: far more than any build
+/// counts in a second, so the statement runs until it is stopped.
+const CLIQUE_BOMB: &str = "SELECT COUNT(P) FROM g.Paths P WHERE P.Length >= 1 AND P.Length <= 8";
+
+/// The cancel token sits beside the engine lock, not under it: a thread
+/// asking for it while another thread's statement holds the lock gets it
+/// at once, and the token then cancels a statement issued after the call.
+#[test]
+fn cancel_token_never_waits_behind_a_running_statement() {
+    let db = clique_db(12);
+    let bounded = |ms| RequestOptions {
+        deadline_ms: Some(ms),
+        cancel: None,
+    };
+    std::thread::scope(|s| {
+        // Thread A: a statement that holds the engine lock for its whole
+        // one-second deadline, then — after a pause — the cancel.
+        let a = s.spawn(|| {
+            let start = Instant::now();
+            let err = db.execute_script_with_request(CLIQUE_BOMB, &bounded(1_000));
+            let done = Instant::now();
+            std::thread::sleep(Duration::from_millis(200));
+            db.cancel_token().cancel();
+            (start, done, err)
+        });
+        std::thread::sleep(Duration::from_millis(100));
+        let asked = Instant::now();
+        let token = db.cancel_token();
+        let got = Instant::now();
+        // Issued after the call: it queues behind A, starts when A's
+        // statement ends, and is still running when A cancels.
+        let err = db
+            .execute_script_with_request(CLIQUE_BOMB, &bounded(10_000))
+            .unwrap_err();
+        let (a_start, a_done, a_err) = a.join().unwrap();
+
+        assert!(
+            a_start < asked,
+            "A had not started when the token was asked for"
+        );
+        assert!(
+            matches!(
+                a_err,
+                Err(Error::ResourceExhausted {
+                    kind: ResourceKind::Deadline,
+                    ..
+                })
+            ),
+            "A: {a_err:?}"
+        );
+        assert!(
+            got + Duration::from_millis(500) < a_done,
+            "cancel_token() took {:?}; A's statement ended {:?} after it was asked for",
+            got - asked,
+            a_done - asked
+        );
+        assert!(
+            matches!(
+                err,
+                Error::ResourceExhausted {
+                    kind: ResourceKind::Cancelled,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        drop(token);
+    });
+}

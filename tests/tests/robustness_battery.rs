@@ -197,7 +197,7 @@ fn limit_query_budget_is_charged_on_emission() {
     let sql = "SELECT P.PathString FROM g.Paths P HINT(DFS) \
                WHERE P.Length >= 1 AND P.Length <= 3 LIMIT 1";
     let mut cfg = EngineConfig::default();
-    cfg.limits.max_intermediate_rows = Some(10);
+    cfg.governor.max_intermediate_rows = Some(10);
     let db = clique_db(8, cfg);
     let budgeted = db.execute(sql).unwrap().rows;
     assert_eq!(budgeted.len(), 1);
@@ -238,7 +238,7 @@ proptest! {
         })
     ) {
         let mut cfg = EngineConfig::default();
-        cfg.limits.max_intermediate_rows = Some(3);
+        cfg.governor.max_intermediate_rows = Some(3);
         let db = Database::with_config(cfg);
         db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
         db.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER)").unwrap();
@@ -261,7 +261,7 @@ proptest! {
                    WHERE P.Length >= 1 AND P.Length <= 3 LIMIT 1";
         let budgeted = db.execute(sql);
         let mut ucfg = db.config();
-        ucfg.limits.max_intermediate_rows = None;
+        ucfg.governor.max_intermediate_rows = None;
         db.set_config(ucfg);
         let unbudgeted = db.execute(sql);
         match (budgeted, unbudgeted) {
@@ -343,7 +343,7 @@ fn counting_scan_matches_the_materializing_plan() {
     let set = |pushdown: bool, budget: Option<u64>| {
         let mut cfg = db.config();
         cfg.optimizer.aggregate_pushdown = pushdown;
-        cfg.limits.max_intermediate_rows = budget;
+        cfg.governor.max_intermediate_rows = budget;
         db.set_config(cfg);
     };
     for sql in count_forms() {

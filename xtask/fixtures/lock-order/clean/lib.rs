@@ -1,9 +1,8 @@
 //! Fixture: acquisitions in documented rank order — `lock-order` clean.
-impl Database {
+impl Server {
     fn statement(&self) {
         let mut inner = self.inner.lock();
-        let mut cfg = self.settings.lock();
         self.tenants.lock().clear();
-        let _ = (&mut inner, &mut cfg);
+        let _ = &mut inner;
     }
 }

@@ -1,8 +1,8 @@
-//! Fixture: takes `DbInner` while holding `Settings` — inverted.
-impl Database {
-    fn reconfigure(&self) {
-        let cfg = self.settings.lock();
+//! Fixture: takes `DbInner` while holding `TenantRegistry` — inverted.
+impl Server {
+    fn admit_and_run(&self) {
+        let tenants = self.tenants.lock();
         let inner = self.inner.lock();
-        let _ = (cfg, inner);
+        let _ = (tenants, inner);
     }
 }

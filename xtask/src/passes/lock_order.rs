@@ -1,34 +1,36 @@
 //! Pass 1: static lock-order conformance (zero-tolerance).
 //!
 //! The engine's documented discipline (see `crates/core/src/db.rs` and
-//! DESIGN.md): `Database.inner` — the big `DbInner` mutex — is the
-//! *outermost* lock and owns every live table and topology by value, so
-//! those need no lock of their own; the `Settings` mutex is taken while
-//! `DbInner` is held (each statement copies the settings), and by setters
-//! alone; the server's tenant
-//! registry is a leaf never held across a call into the engine. Ranks
-//! ascend inward — the table is [`CLASSES`], and
-//! `tests/tests/lint_gate.rs` holds it equal to the runtime validator's
-//! `LockClass`:
+//! DESIGN.md): `Database.inner` — the `DbInner` mutex — is the one engine
+//! lock. It owns every live table, topology and setting by value, so those
+//! need no lock of their own, and it is the *outermost* lock; the server's
+//! tenant registry is a leaf never held across a call into the engine.
+//! Ranks ascend inward; the table is [`CLASSES`], and this pass is the only
+//! place it is kept:
 //!
 //! | rank | lock             | receiver ident |
 //! |------|------------------|----------------|
 //! | 0    | `DbInner`        | `inner`        |
-//! | 1    | `Settings`       | `settings`     |
-//! | 2    | `TenantRegistry` | `tenants`      |
+//! | 1    | `TenantRegistry` | `tenants`      |
 //!
-//! Within each function we replay acquisitions in source order: a
-//! `let g = <chain>.lock();` binding holds its lock until its block closes
-//! or `drop(g)`; any other `.lock()`/`.read()`/`.write()` call is a
-//! transient acquisition checked but not recorded. A parameter typed
-//! `&DbInner`/`&mut DbInner` means rank 0 is held on entry (the caller
-//! passed the guard's interior). Acquiring a rank ≤ any held rank is a
-//! violation — that shape inverts the documented order somewhere, or
-//! re-locks the same class (instant deadlock under std mutexes).
+//! Two rules:
 //!
-//! This is intra-function and heuristic by design; the runtime
-//! [`LockOrderGuard`](../../../crates/core/src/lockorder.rs) cross-validates
-//! the same ranks under the whole test suite in debug builds.
+//! * **Nesting.** Within each function we replay acquisitions in source
+//!   order: a `let g = <chain>.lock();` (or `let g = lock(&<chain>);`, the
+//!   poison-tolerant helper form) binding holds its lock until its block
+//!   closes or `drop(g)`; any other `.lock()`/`.read()`/`.write()` call is
+//!   a transient acquisition checked but not recorded. A parameter typed
+//!   `&DbInner`/`&mut DbInner` means rank 0 is held on entry (the caller
+//!   passed the guard's interior). Acquiring a rank ≤ any held rank is a
+//!   violation — that shape inverts the documented order somewhere, or
+//!   re-locks the same class (instant deadlock).
+//! * **No way back to the lock.** A function whose signature takes a
+//!   `DbInner` together with `self` or a `Database` holds the engine lock
+//!   and can reach what locks it, so it is a finding by its shape alone.
+//!   Code under the lock runs as `DbInner` methods and free functions over
+//!   `&mut DbInner`, which cannot re-lock it.
+//!
+//! This is intra-function and heuristic by design.
 
 use crate::findings::Finding;
 use crate::model::{functions, ident_before, next_nonspace, SourceFile, SourceModel};
@@ -38,10 +40,9 @@ use crate::passes::Pass;
 /// are locks outside the documented order (caches, stdin) and are ignored.
 pub const CLASSES: &[(&str, u8, &str)] = &[
     ("inner", 0, "DbInner"),
-    ("settings", 1, "Settings"),
     // grfusion-server's tenant admission registry: a strict leaf, never
     // held across a call into the engine.
-    ("tenants", 2, "TenantRegistry"),
+    ("tenants", 1, "TenantRegistry"),
 ];
 
 fn classify(ident: &str) -> Option<(u8, &'static str)> {
@@ -59,7 +60,7 @@ impl Pass for LockOrder {
     }
 
     fn description(&self) -> &'static str {
-        "DbInner-outside / Settings-leaf acquisition-order conformance (zero tolerance)"
+        "DbInner-outside / TenantRegistry-leaf nesting, no DbInner beside a Database (zero tolerance)"
     }
 
     fn run(&self, model: &SourceModel) -> Vec<Finding> {
@@ -89,7 +90,31 @@ struct HeldLock {
     depth: i32,
 }
 
+/// The "no way back to the lock" rule: `DbInner` beside `self` or a
+/// `Database` in one signature.
+fn check_signature(file: &SourceFile, f: &crate::model::FnSpan, out: &mut Vec<Finding>) {
+    let sig = &file.code[f.sig.clone()];
+    let has = |word| crate::model::word_offsets(sig, word).next().is_some();
+    if !has("DbInner") {
+        return;
+    }
+    let Some(beside) = ["self", "Database"].into_iter().find(|w| has(w)) else {
+        return;
+    };
+    out.push(Finding {
+        file: file.rel.clone(),
+        line: file.line_of(f.fn_offset),
+        key: file.rel.clone(),
+        message: format!(
+            "lock-order violation in fn `{}`: takes `DbInner` beside `{beside}`; code holding \
+             the engine lock must not reach the `Database` that locks it",
+            f.name
+        ),
+    });
+}
+
 fn analyze_fn(file: &SourceFile, f: &crate::model::FnSpan, out: &mut Vec<Finding>) {
+    check_signature(file, f, out);
     let code = &file.code;
     let mut events: Vec<(usize, Event)> = Vec::new();
 
@@ -117,6 +142,32 @@ fn analyze_fn(file: &SourceFile, f: &crate::model::FnSpan, out: &mut Vec<Finding
             };
             events.push((at, Event::Acquire(rank, class, name, at)));
         }
+    }
+
+    // The poison-tolerant helper form: `lock(&<chain>)`, receiver ident
+    // last in the argument.
+    for at in crate::model::word_offsets(&code[..f.body.end], "lock").collect::<Vec<_>>() {
+        if at < f.body.start || code[..at].trim_end().ends_with('.') {
+            continue;
+        }
+        let Some((open, b'(')) = next_nonspace(code, at + 4) else {
+            continue;
+        };
+        if !matches!(next_nonspace(code, open + 1), Some((_, b'&'))) {
+            continue;
+        }
+        let Some(close) = matching_paren(code, open) else {
+            continue;
+        };
+        let Some((rank, class)) = ident_before(code, close).and_then(|(_, recv)| classify(recv))
+        else {
+            continue;
+        };
+        let name = match next_nonspace(code, close + 1) {
+            Some((_, b';')) => let_binding_name(code, at),
+            _ => None,
+        };
+        events.push((at, Event::Acquire(rank, class, name, at)));
     }
 
     // Explicit guard releases: `drop(<ident>)`.
@@ -273,27 +324,37 @@ mod tests {
 
     #[test]
     fn conforming_order_is_clean() {
-        let src = "fn admit(&self) {\n    let mut inner = self.inner.lock();\n    let mut cfg = self.settings.lock();\n    self.tenants.lock().clear();\n}\n";
+        let src = "fn admit(&self) {\n    let mut inner = self.inner.lock();\n    self.tenants.lock().clear();\n}\n";
         assert!(scan(src).is_empty());
     }
 
     #[test]
     fn inverted_order_is_flagged() {
-        let src = "fn bad(&self) {\n    let cfg = self.settings.lock();\n    let mut inner = self.inner.lock();\n}\n";
+        let src = "fn bad(&self) {\n    let t = self.tenants.lock();\n    let mut inner = self.inner.lock();\n}\n";
         let found = scan(src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 3);
         assert!(found[0].message.contains("`DbInner` (rank 0)"));
-        assert!(found[0].message.contains("`Settings` (rank 1)"));
+        assert!(found[0].message.contains("`TenantRegistry` (rank 1)"));
         assert!(found[0]
             .message
-            .ends_with("documented order is DbInner -> Settings -> TenantRegistry"));
+            .ends_with("documented order is DbInner -> TenantRegistry"));
+    }
+
+    #[test]
+    fn helper_form_is_an_acquisition() {
+        // `lock(&self.tenants)` holds the registry like `.lock()` does.
+        let src = "fn bad(&self) {\n    let t = lock(&self.tenants);\n    self.inner.lock().clear();\n}\nfn ok(&self) {\n    lock(&self.tenants).in_flight;\n    let inner = self.inner.lock();\n}\n";
+        let found = scan(src);
+        assert_eq!(found.len(), 1);
+        assert_eq!(found[0].line, 3);
+        assert!(found[0].message.contains("fn `bad`"));
     }
 
     #[test]
     fn scope_exit_and_drop_release() {
-        // Block scope releases `t`; drop releases `inner`.
-        let src = "fn ok(&self) {\n    {\n        let t = self.tenants.lock();\n    }\n    let s = self.settings.lock();\n    drop(s);\n    let inner = self.inner.lock();\n    drop(inner);\n    let s2 = self.settings.lock();\n}\n";
+        // Block scope releases `t`; drop releases `t2`.
+        let src = "fn ok(&self) {\n    {\n        let t = self.tenants.lock();\n    }\n    let inner = self.inner.lock();\n    drop(inner);\n    let t2 = self.tenants.lock();\n    drop(t2);\n    let inner = self.inner.lock();\n}\n";
         assert!(scan(src).is_empty());
     }
 
@@ -307,7 +368,7 @@ mod tests {
 
     #[test]
     fn dbinner_param_implies_held() {
-        let src = "fn run_dml(db: &Database, inner: &mut DbInner) {\n    let cfg = db.settings.lock();\n}\nfn bad_helper(inner: &mut DbInner, db: &Database) {\n    let g = db.inner.lock();\n}\n";
+        let src = "fn admit(inner: &mut DbInner, reg: &Registry) {\n    let t = reg.tenants.lock();\n}\nfn bad_helper(inner: &mut DbInner, conn: &Conn) {\n    let g = conn.inner.lock();\n}\n";
         let found = scan(src);
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].line, 5);
@@ -315,8 +376,27 @@ mod tests {
     }
 
     #[test]
+    fn dbinner_beside_self_or_database_is_flagged() {
+        let src = "fn read_locked(&self, inner: &mut DbInner) {}\n\
+                   fn run_dml(db: &Database, inner: &mut DbInner) {}\n\
+                   fn execute(&mut self, stmt: &Statement) {}\n\
+                   fn ddl(inner: &mut DbInner, f: impl FnOnce(&mut DbInner)) {}\n";
+        let found = scan(src);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert_eq!((found[0].line, found[1].line), (1, 2));
+        assert_eq!(
+            found[0].message,
+            "lock-order violation in fn `read_locked`: takes `DbInner` beside `self`; code \
+             holding the engine lock must not reach the `Database` that locks it"
+        );
+        assert!(found[1]
+            .message
+            .contains("fn `run_dml`: takes `DbInner` beside `Database`"));
+    }
+
+    #[test]
     fn transient_acquisitions_checked_not_held() {
-        let src = "fn peek(&self) -> u64 {\n    self.settings.lock().config;\n    let inner = self.inner.lock();\n    0\n}\n";
+        let src = "fn peek(&self) -> u64 {\n    self.tenants.lock().in_flight;\n    let inner = self.inner.lock();\n    0\n}\n";
         assert!(scan(src).is_empty());
     }
 }

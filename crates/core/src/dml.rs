@@ -79,18 +79,6 @@ impl Journal {
         self.entries.len()
     }
 
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Roll back to `savepoint`, undoing storage and topology actions in
     /// reverse order. This is the recovery path: it hits no fault site and
     /// polls no governor, so nothing can interrupt it.

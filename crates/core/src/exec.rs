@@ -1,5 +1,7 @@
 //! Execution of physical plans: the entry points, the operator-tree
-//! builder with its one instrumentation wrapper, and the graph operators.
+//! builder with its one instrumentation wrapper, and the graph operators —
+//! the vertex and edge scans and the one path operator, which serves both
+//! `PathScan` (one probe) and `PathJoin` (one probe per outer row).
 //!
 //! Every operator implements `Operator` (see `spine.rs`, which also
 //! holds the relational operators): `next_batch(out, max_rows)` returns at
@@ -23,7 +25,7 @@ use std::time::Instant;
 use grfusion_common::{Error, PathData, Result, Row, Value};
 use grfusion_graph::{
     hop_minimal_path, shortest_path_with_stats, BfsPaths, DfsPaths, EdgeSlot, GraphTopology,
-    KShortestPaths, TopologyLayout, TraversalFilter, TraversalSpec, VertexSlot,
+    KShortestPaths, SearchStats, TopologyLayout, TraversalFilter, TraversalSpec, VertexSlot,
 };
 use grfusion_sql::IndexEnd;
 use grfusion_storage::{Index, IndexKind, Table};
@@ -98,7 +100,7 @@ fn run(plan: &PlanNode, env: &QueryEnv<'_>, sink: Option<&MetricsSink>) -> Resul
     let mut batch = Batch::default();
     let mut rows = Vec::new();
     while op.next_batch(&mut batch, env.batch_rows)? {
-        rows.extend((0..batch.len()).map(|i| batch.tuple(i).to_vec()));
+        rows.extend((0..batch.len()).map(|i| batch.tuple(i).to_vec())); // alloc-ok: a result row
     }
     Ok(rows)
 }
@@ -120,25 +122,28 @@ fn check_row_contract(c: &NodeContract, label: &str, row: &[Value]) -> Result<()
             c.schema.len()
         )));
     }
-    for (i, v) in row.iter().enumerate() {
-        let col = c.schema.column(i);
+    let violates = |&(i, v): &(usize, &Value)| {
         if v.is_null() {
-            if !c.nullable[i] {
-                return Err(Error::execution(format!(
-                    "operator contract violation at {label}: column {i} (`{}`) was inferred NOT NULL but emitted NULL",
-                    col.name
-                )));
-            }
-            continue;
+            !c.nullable[i]
+        } else {
+            c.check[i] && !c.schema.column(i).data_type.admits(v)
         }
-        if c.check[i] && !col.data_type.admits(v) {
-            return Err(Error::execution(format!(
-                "operator contract violation at {label}: column {i} (`{}`) declared {} but emitted {v}",
-                col.name, col.data_type
-            )));
-        }
-    }
-    Ok(())
+    };
+    let Some((i, v)) = row.iter().enumerate().find(violates) else {
+        return Ok(());
+    };
+    let col = c.schema.column(i);
+    Err(Error::execution(if v.is_null() {
+        format!(
+            "operator contract violation at {label}: column {i} (`{}`) was inferred NOT NULL but emitted NULL",
+            col.name
+        )
+    } else {
+        format!(
+            "operator contract violation at {label}: column {i} (`{}`) declared {} but emitted {v}",
+            col.name, col.data_type
+        )
+    }))
 }
 
 /// Everything the engine observes about an operator from outside, in one
@@ -296,33 +301,17 @@ fn build<'e>(
                 admit: admit(filter),
             })
         }
-        PlanNode::PathScan { config, schema } => Box::new(PathScanOp {
-            config,
-            width: schema.len(),
-            env,
-            inputs: PathProbe::resolve(config, &[], env, &prune_gates(config))?,
-            scan: None,
-            done: false,
-            counted: 0,
-            tracker: None,
-            layout: env.graph(&config.graph)?.topo.layout(),
-        }),
+        PlanNode::PathScan { config, schema } => {
+            Box::new(PathScanOp::new(config, schema.len(), None, env)?)
+        }
         PlanNode::PathJoin {
             outer,
             config,
             schema,
-        } => Box::new(PathJoinOp {
-            outer: Cursor::new(child(outer, lazy)?, lazy),
-            width: schema.len(),
-            current: None,
-            config,
-            gates: prune_gates(config),
-            env,
-            stats_done: GraphCounters::default(),
-            gov_done: GovCounters::default(),
-            tracker: mem_tracker(env),
-            layout: env.graph(&config.graph)?.topo.layout(),
-        }),
+        } => {
+            let outer = Cursor::new(child(outer, lazy)?, lazy);
+            Box::new(PathScanOp::new(config, schema.len(), Some(outer), env)?)
+        }
         PlanNode::Filter {
             input, predicate, ..
         } => Box::new(Filter {
@@ -632,14 +621,18 @@ pub struct EngineFilter<'e> {
 }
 
 impl<'e> EngineFilter<'e> {
-    /// Tuple-pointer dereferences performed so far.
-    pub(crate) fn derefs(&self) -> u64 {
-        self.derefs.get()
-    }
-
-    /// Governor checks performed by this filter's expansion hook.
-    pub(crate) fn gov_checks(&self) -> u64 {
-        self.gov.as_ref().map_or(0, |g| g.checks.get())
+    /// The counters of a probe that walked under this filter, as
+    /// `EXPLAIN ANALYZE` reports them: the traversal's work `search` with
+    /// the dereferences the filter made, and the governor checks of its
+    /// expansion hook. No bytes: those are charged per path.
+    fn counters(&self, search: SearchStats) -> (GraphCounters, GovCounters) {
+        let graph = GraphCounters {
+            vertices_visited: search.vertices_visited,
+            edges_expanded: search.edges_examined,
+            tuple_derefs: self.derefs.get(),
+        };
+        let checks = self.gov.as_ref().map_or(0, |g| g.checks.get());
+        (graph, GovCounters { bytes: 0, checks })
     }
 
     /// Tick the expansion counter; returns `false` once the governor has
@@ -816,7 +809,7 @@ fn edge_cost<'e>(
 /// Boxed edge-cost function used by shortest-path scans.
 type CostFn<'e> = Box<dyn Fn(&GraphTopology, EdgeSlot) -> f64 + 'e>;
 
-/// An in-flight traversal for one probe (or for a standalone scan).
+/// An in-flight traversal for one probe.
 enum ActiveScan<'e> {
     Dfs(DfsPaths<'e, EngineFilter<'e>>),
     Bfs(BfsPaths<'e, EngineFilter<'e>>),
@@ -867,48 +860,15 @@ impl<'e> ActiveScan<'e> {
         })
     }
 
-    /// The scan's cumulative traversal counters so far.
-    fn graph_counters(&self) -> GraphCounters {
+    /// The probe's cumulative traversal and governor counters: those of
+    /// the traversal so far, or those recorded when the buffer was filled.
+    fn counters(&self) -> (GraphCounters, GovCounters) {
         match self {
-            ActiveScan::Dfs(it) => GraphCounters {
-                vertices_visited: it.vertices_visited(),
-                edges_expanded: it.edges_examined(),
-                tuple_derefs: it.filter().derefs(),
-            },
-            ActiveScan::Bfs(it) => GraphCounters {
-                vertices_visited: it.vertices_visited(),
-                edges_expanded: it.edges_examined(),
-                tuple_derefs: it.filter().derefs(),
-            },
-            ActiveScan::Sp { iter, .. } => GraphCounters {
-                vertices_visited: iter.vertices_visited(),
-                edges_expanded: iter.edges_examined(),
-                tuple_derefs: iter.filter().derefs(),
-            },
-            ActiveScan::Buffered { stats, .. } => *stats,
-            ActiveScan::Empty => GraphCounters::default(),
-        }
-    }
-
-    /// Governor work attributable to the scan itself: expansion-hook
-    /// checks from the bound filter (in-flight traversals) or the counters
-    /// recorded when the buffer was materialized.
-    fn gov_counters(&self) -> GovCounters {
-        match self {
-            ActiveScan::Dfs(it) => GovCounters {
-                bytes: 0,
-                checks: it.filter().gov_checks(),
-            },
-            ActiveScan::Bfs(it) => GovCounters {
-                bytes: 0,
-                checks: it.filter().gov_checks(),
-            },
-            ActiveScan::Sp { iter, .. } => GovCounters {
-                bytes: 0,
-                checks: iter.filter().gov_checks(),
-            },
-            ActiveScan::Buffered { gov, .. } => *gov,
-            ActiveScan::Empty => GovCounters::default(),
+            ActiveScan::Dfs(it) => it.filter().counters(it.stats()),
+            ActiveScan::Bfs(it) => it.filter().counters(it.stats()),
+            ActiveScan::Sp { iter, .. } => iter.filter().counters(iter.stats()),
+            ActiveScan::Buffered { stats, gov, .. } => (*stats, *gov),
+            ActiveScan::Empty => Default::default(),
         }
     }
 
@@ -923,196 +883,176 @@ impl<'e> ActiveScan<'e> {
 /// and the anchors resolved against the probing row.
 struct ProbeInputs<'e> {
     filter: EngineFilter<'e>,
+    /// Empty when an anchor is NULL or names no vertex: no path matches.
     seeds: Vec<VertexSlot>,
     /// The pinned end vertex, for the scans that search towards it (the
     /// single-path fast path and `SPScan`).
     target: Option<VertexSlot>,
 }
 
-/// Shared probe-start logic for `PathScan` and `PathJoin`.
-struct PathProbe;
+/// Single-path fast path (planner-proven safe): the query needs at most
+/// one path to the pinned target, so the probe runs the point-to-point
+/// search — or, under a SHORTESTPATH hint, classic closed-set Dijkstra —
+/// instead of enumerating simple paths. Classic Dijkstra ignores hop
+/// counts while searching, so under the hint the fast path only applies
+/// when the query put no upper bound on the length; an explicit hop
+/// bound falls back to the bounded k-shortest enumerator.
+fn single_path(config: &PathScanConfig) -> bool {
+    config.reachability
+        && !(matches!(config.mode, ScanMode::ShortestPath { .. }) && config.explicit_max_len)
+}
 
-impl PathProbe {
-    /// Single-path fast path (planner-proven safe): the query needs at most
-    /// one path to the pinned target, so the probe runs the point-to-point
-    /// search — or, under a SHORTESTPATH hint, classic closed-set Dijkstra —
-    /// instead of enumerating simple paths. Classic Dijkstra ignores hop
-    /// counts while searching, so under the hint the fast path only applies
-    /// when the query put no upper bound on the length; an explicit hop
-    /// bound falls back to the bounded k-shortest enumerator.
-    fn single_path(config: &PathScanConfig) -> bool {
-        config.reachability
-            && !(matches!(config.mode, ScanMode::ShortestPath { .. }) && config.explicit_max_len)
-    }
-
-    /// Bind the filter and resolve the anchors: everything a probe can
-    /// reject short of the traversal itself. A standalone scan does this
-    /// while the operator tree is built, so a bad statement is refused even
-    /// when its parent never pulls. `None`: an anchor is NULL or names no
-    /// vertex, so no path matches.
-    fn resolve<'e>(
-        config: &'e PathScanConfig,
-        outer_row: &[Value],
-        env: &'e QueryEnv<'e>,
-        gates: &[PruneGate],
-    ) -> Result<Option<ProbeInputs<'e>>> {
-        let genv = env.graph(&config.graph)?;
-        let topo = genv.topo;
-        let filter = bind_filter(config, outer_row, env, genv, gates)?;
-        // The vertex an anchor value names, under SQL's `id = value`: the
-        // planner drops the start-anchor conjunct from the residual filter,
-        // so a value no INTEGER id can equal (NULL, 1.5, a string) must
-        // resolve to no vertex rather than be rounded onto one.
-        let anchor = |e: &PhysExpr| -> Result<Option<VertexSlot>> {
-            let mut slot = None;
-            let key = e.eval_ref(outer_row, env, &mut slot)?;
-            let id = index_probe_key(key, grfusion_common::DataType::Integer);
-            Ok(id.and_then(|id| topo.vertex_slot(id.as_integer().ok()?).ok()))
-        };
-
-        let seeds: Vec<VertexSlot> = match &config.start {
-            StartSource::AllVertexes => topo.vertex_slots().collect(),
-            StartSource::Constant(e) | StartSource::Probe(e) => match anchor(e)? {
-                Some(slot) => vec![slot],
-                None => return Ok(None),
-            },
-        };
-        let mut target = None;
-        if Self::single_path(config) || matches!(config.mode, ScanMode::ShortestPath { .. }) {
-            let Some(end_expr) = &config.end else {
-                return Err(Error::plan("single-target path scan without end anchor"));
-            };
-            target = anchor(end_expr)?;
-            if target.is_none() {
-                return Ok(None);
-            }
-        }
-        Ok(Some(ProbeInputs {
+/// Bind the filter and resolve the anchors against `outer_row`: everything
+/// a probe can reject short of the traversal itself.
+fn resolve_probe<'e>(
+    config: &'e PathScanConfig,
+    outer_row: &[Value],
+    env: &'e QueryEnv<'e>,
+    gates: &[PruneGate],
+) -> Result<ProbeInputs<'e>> {
+    let genv = env.graph(&config.graph)?;
+    let topo = genv.topo;
+    let filter = bind_filter(config, outer_row, env, genv, gates)?;
+    // The vertex an anchor value names, under SQL's `id = value`: the
+    // planner drops the start-anchor conjunct from the residual filter,
+    // so a value no INTEGER id can equal (NULL, 1.5, a string) must
+    // resolve to no vertex rather than be rounded onto one.
+    let anchor = |e: &PhysExpr| -> Result<Option<VertexSlot>> {
+        let mut slot = None;
+        let key = e.eval_ref(outer_row, env, &mut slot)?;
+        let id = index_probe_key(key, grfusion_common::DataType::Integer);
+        Ok(id.and_then(|id| topo.vertex_slot(id.as_integer().ok()?).ok()))
+    };
+    let no_match = |filter| {
+        Ok(ProbeInputs {
             filter,
-            seeds,
-            target,
-        }))
-    }
-
-    fn start<'e>(
-        config: &'e PathScanConfig,
-        outer_row: &[Value],
-        env: &'e QueryEnv<'e>,
-        gates: &[PruneGate],
-    ) -> Result<ActiveScan<'e>> {
-        match Self::resolve(config, outer_row, env, gates)? {
-            Some(inputs) => Self::run(config, env, inputs),
-            None => Ok(ActiveScan::Empty),
+            seeds: Vec::new(),
+            target: None,
+        })
+    };
+    let seeds: Vec<VertexSlot> = match &config.start {
+        StartSource::AllVertexes => topo.vertex_slots().collect(),
+        StartSource::Constant(e) | StartSource::Probe(e) => match anchor(e)? {
+            Some(slot) => vec![slot],
+            None => return no_match(filter),
+        },
+    };
+    let mut target = None;
+    if single_path(config) || matches!(config.mode, ScanMode::ShortestPath { .. }) {
+        let Some(end_expr) = &config.end else {
+            return Err(Error::plan("single-target path scan without end anchor"));
+        };
+        target = anchor(end_expr)?;
+        if target.is_none() {
+            return no_match(filter);
         }
     }
+    Ok(ProbeInputs {
+        filter,
+        seeds,
+        target,
+    })
+}
 
-    fn run<'e>(
-        config: &PathScanConfig,
-        env: &'e QueryEnv<'e>,
-        inputs: ProbeInputs<'e>,
-    ) -> Result<ActiveScan<'e>> {
-        let genv = env.graph(&config.graph)?;
-        let topo = genv.topo;
-        let ProbeInputs {
-            filter,
-            seeds,
-            target,
-        } = inputs;
-        let Some(&seed) = seeds.first() else {
-            return Ok(ActiveScan::Empty);
+/// Start a resolved probe's traversal: a single-path search or an eager
+/// enumeration runs to its end here, a lazy enumeration is pulled as its
+/// paths are asked for.
+fn start_probe<'e>(
+    config: &PathScanConfig,
+    env: &'e QueryEnv<'e>,
+    inputs: ProbeInputs<'e>,
+) -> Result<ActiveScan<'e>> {
+    let genv = env.graph(&config.graph)?;
+    let topo = genv.topo;
+    let ProbeInputs {
+        filter,
+        seeds,
+        target,
+    } = inputs;
+    let Some(&seed) = seeds.first() else {
+        return Ok(ActiveScan::Empty);
+    };
+    if let (true, Some(target)) = (single_path(config), target) {
+        let (found, search) = if let ScanMode::ShortestPath { cost, .. } = config.mode {
+            let (p, search) =
+                shortest_path_with_stats(topo, seed, target, edge_cost(genv, cost), &filter)?;
+            (p.filter(|p| p.length() <= config.max_len), search)
+        } else {
+            // By hop-minimality the path satisfies any max-only
+            // length window.
+            hop_minimal_path(topo, seed, target, config.max_len, &filter)
         };
-        if let (true, Some(target)) = (Self::single_path(config), target) {
-            let (found, search) = if let ScanMode::ShortestPath { cost, .. } = config.mode {
-                let (p, search) =
-                    shortest_path_with_stats(topo, seed, target, edge_cost(genv, cost), &filter)?;
-                (p.filter(|p| p.length() <= config.max_len), search)
-            } else {
-                // By hop-minimality the path satisfies any max-only
-                // length window.
-                hop_minimal_path(topo, seed, target, config.max_len, &filter)
-            };
-            let mut gov = GovCounters {
-                bytes: 0,
-                checks: filter.gov_checks(),
-            };
-            if env.gov.active() {
-                if let Some(p) = &found {
-                    gov.bytes = path_bytes(p);
-                    env.gov.charge_bytes(gov.bytes)?;
-                }
-                // A tripped filter pruned the search silently; re-derive
-                // the governor error instead of reporting "unreachable".
-                env.gov.check_now()?;
+        let (stats, mut gov) = filter.counters(search);
+        if env.gov.active() {
+            if let Some(p) = &found {
+                gov.bytes = path_bytes(p);
+                env.gov.charge_bytes(gov.bytes)?;
             }
-            return Ok(ActiveScan::Buffered {
-                iter: found.into_iter().collect::<Vec<_>>().into_iter(),
-                stats: GraphCounters {
-                    vertices_visited: search.vertices_visited,
-                    edges_expanded: search.edges_examined,
-                    tuple_derefs: filter.derefs(),
-                },
-                gov,
-            });
+            // A tripped filter pruned the search silently; re-derive
+            // the governor error instead of reporting "unreachable".
+            env.gov.check_now()?;
         }
+        return Ok(ActiveScan::Buffered {
+            iter: found.into_iter().collect::<Vec<_>>().into_iter(),
+            stats,
+            gov,
+        });
+    }
 
-        let (mode, spec) = resolve_traversal(config, topo);
+    let (mode, spec) = resolve_traversal(config, topo);
 
-        let mut scan = match mode {
-            ScanMode::Dfs => ActiveScan::Dfs(DfsPaths::new(topo, seeds, spec, filter)),
-            ScanMode::Bfs => ActiveScan::Bfs(BfsPaths::new(topo, seeds, spec, filter)),
-            ScanMode::ShortestPath { cost, .. } => {
-                let Some(target) = target else {
-                    return Ok(ActiveScan::Empty);
-                };
-                ActiveScan::Sp {
-                    iter: KShortestPaths::new(
-                        topo,
-                        seed,
-                        target,
-                        config.max_len,
-                        Box::new(edge_cost(genv, cost)),
-                        filter,
-                    ),
-                    min_len: config.min_len,
-                }
+    let mut scan = match mode {
+        ScanMode::Dfs => ActiveScan::Dfs(DfsPaths::new(topo, seeds, spec, filter)),
+        ScanMode::Bfs => ActiveScan::Bfs(BfsPaths::new(topo, seeds, spec, filter)),
+        ScanMode::ShortestPath { cost, .. } => {
+            let Some(target) = target else {
+                return Ok(ActiveScan::Empty);
+            };
+            ActiveScan::Sp {
+                iter: KShortestPaths::new(
+                    topo,
+                    seed,
+                    target,
+                    config.max_len,
+                    Box::new(edge_cost(genv, cost)),
+                    filter,
+                ),
+                min_len: config.min_len,
             }
-            // Resolved to Bfs/Dfs above; fail the query, not the process,
-            // if that resolution is ever skipped.
-            ScanMode::Auto => return Err(Error::plan("unresolved Auto traversal mode")),
-        };
+        }
+        // Resolved to Bfs/Dfs above; fail the query, not the process,
+        // if that resolution is ever skipped.
+        ScanMode::Auto => return Err(Error::plan("unresolved Auto traversal mode")),
+    };
 
-        if !config.lazy {
-            // Ablation: eager materialization of all qualifying paths,
-            // charged against the memory accountant as they land.
-            let track = env.gov.active();
-            let mut bytes = 0u64;
-            let mut all = Vec::new();
-            while let Some(p) = scan.next_path()? {
-                if track {
-                    let b = path_bytes(&p);
-                    bytes += b;
-                    env.gov.charge_bytes(b)?;
-                }
-                all.push(p);
-            }
+    if !config.lazy {
+        // Ablation: eager materialization of all qualifying paths,
+        // charged against the memory accountant as they land.
+        let track = env.gov.active();
+        let mut bytes = 0u64;
+        let mut all = Vec::new();
+        while let Some(p) = scan.next_path()? {
             if track {
-                // Surface a mid-enumeration deadline/cancel trip now
-                // rather than handing back a truncated buffer.
-                env.gov.check_now()?;
+                let b = path_bytes(&p);
+                bytes += b;
+                env.gov.charge_bytes(b)?;
             }
-            let stats = scan.graph_counters();
-            let gov = GovCounters {
-                bytes,
-                checks: scan.gov_counters().checks,
-            };
-            return Ok(ActiveScan::Buffered {
-                iter: all.into_iter(),
-                stats,
-                gov,
-            });
+            all.push(p);
         }
-        Ok(scan)
+        if track {
+            // Surface a mid-enumeration deadline/cancel trip now
+            // rather than handing back a truncated buffer.
+            env.gov.check_now()?;
+        }
+        let (stats, mut gov) = scan.counters();
+        gov.bytes = bytes;
+        return Ok(ActiveScan::Buffered {
+            iter: all.into_iter(),
+            stats,
+            gov,
+        });
     }
+    Ok(scan)
 }
 
 /// §6.3's logical→physical mapping: the traversal a scan runs — never
@@ -1143,27 +1083,34 @@ fn resolve_traversal(config: &PathScanConfig, topo: &GraphTopology) -> (ScanMode
     (mode, spec)
 }
 
+/// The one path operator. A standalone `PathScan` runs one probe; a
+/// `PathJoin` (Figure 6) runs one per outer row, its pushed predicates and
+/// anchors bound to that row, and emits `outer ⊕ path`.
 struct PathScanOp<'e> {
     config: &'e PathScanConfig,
-    /// Output columns: the path, or one count per aggregate call.
-    width: usize,
     env: &'e QueryEnv<'e>,
-    /// The probe's filter and anchors, resolved (and so validated) while
-    /// the operator tree is built; taken by the first pull.
-    inputs: Option<ProbeInputs<'e>>,
-    /// `None` until the first pull: the traversal (a whole
-    /// point-to-point search or an eager materialization) starts there
-    /// and not while the operator tree is built, so its time lands on
-    /// this operator's clock and a parent that never pulls never pays
-    /// for it.
-    scan: Option<ActiveScan<'e>>,
-    /// The traversal reported its end; it is not pulled again.
-    done: bool,
+    /// A join's outer, positioned on the row the current probe binds;
+    /// `None` for a standalone scan.
+    outer: Option<Cursor<'e>>,
+    /// Output columns: the outer's and the path, or one count per
+    /// aggregate call.
+    width: usize,
+    /// A standalone scan's probe, resolved (and so validated) while the
+    /// operator tree is built, so a bad statement is refused even when its
+    /// parent never pulls; taken by the first pull.
+    pending: Option<ProbeInputs<'e>>,
+    /// The probe being drained. A traversal (a whole point-to-point search
+    /// or an eager materialization) starts on the pull that needs it, so
+    /// its time lands on this operator's clock and a parent that never
+    /// pulls never pays for it.
+    current: Option<ActiveScan<'e>>,
+    /// Shared by every probe.
+    gates: Vec<PruneGate>,
+    /// Counters of the probes already drained.
+    done: (GraphCounters, GovCounters),
     /// Paths a counting scan ([`Emit::Count`]) has stepped over.
     counted: u64,
-    /// Emission-side byte accounting for in-flight (lazy) scans; `None`
-    /// for the buffered variant, whose bytes were charged during
-    /// materialization.
+    /// Emission-side byte accounting; present iff the governor is active.
     tracker: Option<MemTracker<'e>>,
     /// Topology layout captured at build time (the topology is locked for
     /// the whole query, so it cannot change underneath the scan).
@@ -1171,85 +1118,145 @@ struct PathScanOp<'e> {
 }
 
 impl<'e> PathScanOp<'e> {
-    fn start(&mut self) -> Result<&mut ActiveScan<'e>> {
-        let scan = match self.inputs.take() {
-            Some(inputs) => PathProbe::run(self.config, self.env, inputs)?,
-            None => ActiveScan::Empty,
+    fn new(
+        config: &'e PathScanConfig,
+        width: usize,
+        outer: Option<Cursor<'e>>,
+        env: &'e QueryEnv<'e>,
+    ) -> Result<Self> {
+        let gates = prune_gates(config);
+        let pending = match outer {
+            Some(_) => None,
+            None => Some(resolve_probe(config, &[], env, &gates)?),
         };
-        // The buffered variant charged its bytes while materializing; a
-        // tracker here would double-charge them at emission.
-        if scan.charges_on_emission() {
-            self.tracker = mem_tracker(self.env);
-        }
-        Ok(self.scan.insert(scan))
+        Ok(PathScanOp {
+            config,
+            env,
+            outer,
+            width,
+            pending,
+            current: None,
+            gates,
+            done: Default::default(),
+            counted: 0,
+            tracker: mem_tracker(env),
+            layout: env.graph(&config.graph)?.topo.layout(),
+        })
     }
 
-    /// Run the whole traversal, counting its paths instead of emitting
-    /// them. Each is accounted exactly as its emission would be — one row
-    /// charged, its bytes from its length — but none is materialized.
-    fn count(&mut self) -> Result<()> {
-        let view_name_len = self.env.graph(&self.config.graph)?.topo.name().len();
-        self.start()?;
-        let (Some(scan), gov) = (&mut self.scan, &self.env.gov) else {
-            return Err(Error::execution("counting scan did not start"));
-        };
-        while let Some(length) = scan.advance()? {
-            gov.charge_row()?;
-            if let Some(t) = &self.tracker {
-                t.charge(path_bytes_at(view_name_len, length))?;
+    /// Start the next probe: the outer's next row's, or a standalone
+    /// scan's one. `false`: there is none. The outer is asked for no more
+    /// rows than the consumer still wants (`demand`), and for one per
+    /// probe under a `LIMIT`.
+    fn next_probe(&mut self, demand: usize) -> Result<bool> {
+        let inputs = match &mut self.outer {
+            Some(outer) => {
+                if !outer.advance(demand)? {
+                    return Ok(false);
+                }
+                resolve_probe(self.config, outer.tuple(), self.env, &self.gates)?
             }
-            self.counted += 1;
+            None => match self.pending.take() {
+                Some(inputs) => inputs,
+                None => return Ok(false),
+            },
+        };
+        self.current = Some(start_probe(self.config, self.env, inputs)?);
+        Ok(true)
+    }
+
+    /// Counters of every probe so far: the drained ones and the current.
+    fn totals(&self) -> (GraphCounters, GovCounters) {
+        let (mut graph, mut gov) = self.done;
+        if let Some(scan) = &self.current {
+            let (g, v) = scan.counters();
+            graph.merge(&g);
+            gov.merge(&v);
+        }
+        (graph, gov)
+    }
+
+    /// Retire the drained current probe into [`PathScanOp::done`].
+    fn finish_probe(&mut self) {
+        self.done = self.totals();
+        self.current = None;
+    }
+
+    /// Append the next `outer ⊕ path` tuple.
+    fn next_row(&mut self, row: &mut Vec<Value>, remaining: usize) -> Result<bool> {
+        loop {
+            if let Some(scan) = &mut self.current {
+                if let Some(p) = scan.next_path()? {
+                    // The row cap is charged here, at emission, for every
+                    // variant; the bytes, unless the probe charged them
+                    // while buffering.
+                    self.env.gov.charge_row()?;
+                    if let (true, Some(t)) = (scan.charges_on_emission(), &self.tracker) {
+                        t.charge(path_bytes(&p))?;
+                    }
+                    if let Some(outer) = &self.outer {
+                        row.extend_from_slice(outer.tuple());
+                    }
+                    row.push(Value::Path(std::sync::Arc::new(p)));
+                    return Ok(true);
+                }
+                self.finish_probe();
+            }
+            if !self.next_probe(remaining)? {
+                return Ok(false);
+            }
+        }
+    }
+
+    /// Run every probe, counting its paths instead of emitting them. Each
+    /// is accounted exactly as its emission would be — one row charged,
+    /// its bytes from its length — but none is materialized.
+    fn count(&mut self) -> Result<i64> {
+        let view_name_len = self.env.graph(&self.config.graph)?.topo.name().len();
+        while self.next_probe(usize::MAX)? {
+            let (Some(scan), gov) = (&mut self.current, &self.env.gov) else {
+                break;
+            };
+            let tracker = self.tracker.as_ref().filter(|_| scan.charges_on_emission());
+            while let Some(length) = scan.advance()? {
+                gov.charge_row()?;
+                if let Some(t) = tracker {
+                    t.charge(path_bytes_at(view_name_len, length))?;
+                }
+                self.counted += 1;
+            }
+            self.finish_probe();
         }
         // A tripped traversal filter drains the walk early; re-derive the
         // governor's error rather than hand up a count of the part walked.
         if self.env.gov.active() {
             self.env.gov.check_now()?;
         }
-        Ok(())
+        i64::try_from(self.counted)
+            .map_err(|_| Error::execution("path count exceeds INTEGER range"))
     }
 }
 
 impl<'e> Operator<'e> for PathScanOp<'e> {
     fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
+        let width = self.width;
         if self.config.emit == Emit::Count {
-            let width = self.width;
+            // One row, on the first pull: a counting scan has no outer, so
+            // its one probe is pending until then.
             return out.fill_rows(width, max_rows, |row, _| {
-                if self.done {
+                if self.pending.is_none() {
                     return Ok(false);
                 }
-                self.done = true;
-                self.count()?;
-                let n = i64::try_from(self.counted)
-                    .map_err(|_| Error::execution("path count exceeds INTEGER range"))?;
+                let n = self.count()?;
                 row.extend(std::iter::repeat_n(Value::Integer(n), width));
                 Ok(true)
             });
         }
-        out.fill_rows(1, max_rows, |row, _| {
-            if self.done {
-                return Ok(false);
-            }
-            let scan = match &mut self.scan {
-                Some(scan) => scan,
-                None => self.start()?,
-            };
-            let Some(p) = scan.next_path()? else {
-                self.done = true;
-                return Ok(false);
-            };
-            // The row cap is charged here, at emission, for every
-            // variant — identical accounting at any worker count.
-            self.env.gov.charge_row()?;
-            if let Some(t) = &self.tracker {
-                t.charge(path_bytes(&p))?;
-            }
-            row.push(Value::Path(std::sync::Arc::new(p)));
-            Ok(true)
-        })
+        out.fill_rows(width, max_rows, |row, left| self.next_row(row, left))
     }
 
     fn graph_stats(&self) -> Option<GraphCounters> {
-        Some(self.scan.as_ref().map(ActiveScan::graph_counters).unwrap_or_default())
+        Some(self.totals().0)
     }
 
     fn counted(&self) -> Option<u64> {
@@ -1260,94 +1267,9 @@ impl<'e> Operator<'e> for PathScanOp<'e> {
         // The tracker exists iff the governor is active; an ungoverned scan
         // performs no checks and must not annotate the plan.
         let t = self.tracker.as_ref()?;
-        let mut g = self.scan.as_ref()?.gov_counters();
+        let mut g = self.totals().1;
         g.merge(&t.counters());
         Some(g)
-    }
-
-    fn layout(&self) -> Option<TopologyLayout> {
-        Some(self.layout)
-    }
-}
-
-struct PathJoinOp<'e> {
-    /// Positioned on the outer row `current` probes from.
-    outer: Cursor<'e>,
-    width: usize,
-    current: Option<ActiveScan<'e>>,
-    config: &'e PathScanConfig,
-    /// Shared by every probe.
-    gates: Vec<PruneGate>,
-    env: &'e QueryEnv<'e>,
-    /// Traversal counters accumulated from probes that already finished
-    /// (the in-flight probe's counters are added on read).
-    stats_done: GraphCounters,
-    /// Same accumulation for per-probe governor counters.
-    gov_done: GovCounters,
-    tracker: Option<MemTracker<'e>>,
-    /// Topology layout captured at build time (see [`PathScanOp::layout`]).
-    layout: TopologyLayout,
-}
-
-impl<'e> PathJoinOp<'e> {
-    /// Append the next `outer ⊕ path` tuple. A probe starts only when its
-    /// outer row is reached; the outer is asked for no more rows than the
-    /// consumer still wants, and for one per probe under a `LIMIT`.
-    fn next_row(&mut self, row: &mut Vec<Value>, remaining: usize) -> Result<bool> {
-        loop {
-            if let Some(scan) = &mut self.current {
-                if let Some(p) = scan.next_path()? {
-                    self.env.gov.charge_row()?;
-                    // Buffered probes (reachability / eager ablation)
-                    // charged their bytes during materialization.
-                    if scan.charges_on_emission() {
-                        if let Some(t) = &self.tracker {
-                            t.charge(path_bytes(&p))?;
-                        }
-                    }
-                    row.extend_from_slice(self.outer.tuple());
-                    row.push(Value::Path(std::sync::Arc::new(p)));
-                    return Ok(true);
-                }
-                self.stats_done.merge(&scan.graph_counters());
-                self.gov_done.merge(&scan.gov_counters());
-                self.current = None;
-            }
-            if !self.outer.advance(remaining)? {
-                return Ok(false);
-            }
-            self.current = Some(PathProbe::start(
-                self.config,
-                self.outer.tuple(),
-                self.env,
-                &self.gates,
-            )?);
-        }
-    }
-}
-
-impl<'e> Operator<'e> for PathJoinOp<'e> {
-    fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
-        out.fill_rows(self.width, max_rows, |row, left| self.next_row(row, left))
-    }
-
-    fn graph_stats(&self) -> Option<GraphCounters> {
-        let mut total = self.stats_done;
-        if let Some(scan) = &self.current {
-            total.merge(&scan.graph_counters());
-        }
-        Some(total)
-    }
-
-    fn governor_stats(&self) -> Option<GovCounters> {
-        // As for PathScanOp: tracker presence == governor active.
-        let t = self.tracker.as_ref()?;
-        let mut total = self.gov_done;
-        if let Some(scan) = &self.current {
-            total.merge(&scan.gov_counters());
-        }
-        total.merge(&t.counters());
-        Some(total)
     }
 
     fn layout(&self) -> Option<TopologyLayout> {

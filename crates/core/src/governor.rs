@@ -561,13 +561,6 @@ impl FaultState {
         }
         Ok(())
     }
-
-    /// Reset all hit counters (re-arm the plan).
-    pub fn reset(&self) {
-        for (_, count) in &self.rules {
-            count.store(0, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Every DML fault-injection site, in statement-execution order. The
@@ -629,9 +622,6 @@ mod tests {
         assert!(st.hit("site.b").is_ok()); // no prefix match
         assert!(st.hit("site.a.sub").is_err()); // 2nd matching hit fires
         assert!(st.hit("site.a").is_ok()); // spent
-        st.reset();
-        assert!(st.hit("site.a").is_ok());
-        assert!(st.hit("site.a").is_err());
     }
 
     #[test]

@@ -11,10 +11,10 @@
 //! Collection is strictly opt-in. When metrics are off (every plain
 //! `execute`), the executor builds the exact same operator tree as before —
 //! no wrapper objects, no clock reads, no per-row bookkeeping. The only
-//! always-on counters are plain (non-atomic) `u64` fields that the
-//! traversal iterators already maintain for the ablation experiments
-//! (`edges_examined`, `max_frontier`, ...); reading them costs nothing when
-//! nobody asks. When metrics are on, each operator's instrumentation
+//! always-on counters are the plain (non-atomic) `u64` fields of the
+//! `SearchStats` every traversal keeps (vertexes visited, edges examined)
+//! and the bound filter's dereference count; reading them costs nothing
+//! when nobody asks. When metrics are on, each operator's instrumentation
 //! wrapper owns a [`NodeSlot`] of `Cell<u64>` counters — a query runs on
 //! its caller's thread, so no atomics are involved.
 

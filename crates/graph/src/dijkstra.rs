@@ -153,8 +153,8 @@ where
     heap: BinaryHeap<ByCost<u32>>,
     /// Set when a negative cost is observed; surfaced on the next pull.
     error: Option<Error>,
-    vertices_visited: u64,
-    edges_examined: u64,
+    /// Heap entries processed (path tips considered), out-edges examined.
+    stats: SearchStats,
 }
 
 impl<'g, F: TraversalFilter, C> KShortestPaths<'g, F, C>
@@ -183,8 +183,7 @@ where
             arena,
             heap,
             error: None,
-            vertices_visited: 0,
-            edges_examined: 0,
+            stats: SearchStats::default(),
         }
     }
 
@@ -193,14 +192,9 @@ where
         self.error.take()
     }
 
-    /// Heap entries processed (path tips considered) so far.
-    pub fn vertices_visited(&self) -> u64 {
-        self.vertices_visited
-    }
-
-    /// Out-edges examined during expansion so far.
-    pub fn edges_examined(&self) -> u64 {
-        self.edges_examined
+    /// The work done so far.
+    pub fn stats(&self) -> SearchStats {
+        self.stats
     }
 
     /// The traversal filter, for callers that track filter-side counters.
@@ -223,7 +217,7 @@ where
             let at = ix(item);
             let node = self.arena[at];
             let depth = ix(node.depth);
-            self.vertices_visited += 1;
+            self.stats.vertices_visited += 1;
             let at_target = node.vertex == self.target;
             // A non-seed entry ending at the target is a result and is never
             // extended (a simple path cannot end at the target twice). The
@@ -237,7 +231,7 @@ where
                 return Some(path_at(self.graph, &self.arena, at, cost));
             }
             for (e, t) in self.graph.out_hops(node.vertex) {
-                self.edges_examined += 1;
+                self.stats.edges_examined += 1;
                 if !self.filter.edge_allowed(self.graph, e, depth) {
                     continue;
                 }

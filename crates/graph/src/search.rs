@@ -1,7 +1,8 @@
-//! State shared by the two single-pair searches ([`crate::p2p`] and
-//! [`crate::dijkstra::shortest_path_with_stats`]): the work counters they
-//! report, the cost-ordered heap entry, the per-thread dense [`Scratch`]
-//! and the parent-edge walk that turns it back into a path.
+//! State shared by the searches: the work counters every traversal
+//! reports, the cost-ordered heap entry, and, for the two single-pair
+//! searches ([`crate::p2p`] and
+//! [`crate::dijkstra::shortest_path_with_stats`]), the per-thread dense
+//! [`Scratch`] and the parent-edge walk that turns it back into a path.
 //!
 //! Visited marks and parent edges are dense arrays indexed by vertex slot,
 //! stamped with a per-search generation so a probe neither clears nor
@@ -16,14 +17,15 @@ use grfusion_common::PathData;
 
 use crate::topology::{ix, EdgeSlot, GraphTopology, VertexSlot};
 
-/// Work counters of one single-pair search — the quantities the engine's
-/// `EXPLAIN ANALYZE` reports for the reachability and shortest-path fast
-/// paths.
+/// Work counters of one traversal — the quantities the engine's
+/// `EXPLAIN ANALYZE` reports for every path scan. Each search and
+/// enumerator keeps one and reports it whole.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
-    /// Vertexes marked (BFS) or settled (Dijkstra).
+    /// Vertexes marked (point-to-point BFS), settled (Dijkstra), added to
+    /// a path (DFS/BFS enumeration) or popped as a path's tip (k-shortest).
     pub vertices_visited: u64,
-    /// Edges offered to the filter.
+    /// Out-edges examined.
     pub edges_examined: u64,
 }
 

@@ -227,14 +227,16 @@ impl Database {
         self.inner.lock().execute(stmt, self.cancel.get())
     }
 
-    /// Bulk-insert pre-built rows into a table (loader fast path; maintains
-    /// graph views and transactional semantics exactly like SQL INSERT).
+    /// Bulk-insert pre-built rows into a table (the loader path: no SQL
+    /// text to parse — VoltDB similarly ships a bulk loader). The rows run
+    /// through SQL INSERT's own loop, so graph views, transactional
+    /// semantics, fault sites and cancellation are exactly INSERT's.
     pub fn bulk_insert(&self, table: &str, rows: Vec<grfusion_common::Row>) -> Result<u64> {
         let rs = self
             .inner
             .lock()
             .run_dml(self.cancel.get(), |ctx, journal| {
-                dml::execute_bulk_insert(ctx, journal, table, rows)
+                dml::execute_insert_rows(ctx, journal, table, &None, rows)
             })?;
         Ok(rs.rows_affected)
     }

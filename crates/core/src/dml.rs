@@ -28,7 +28,7 @@ use crate::access;
 use crate::env::QueryEnv;
 use crate::expr::{compile, compile_predicate, show, value_type, Namespace, PhysExpr, Ty};
 use crate::governor::ExecContext;
-use crate::graph_view::{id_value, GraphView};
+use crate::graph_view::GraphView;
 
 /// A reversible topology action.
 #[derive(Debug, Clone)]
@@ -381,25 +381,6 @@ fn arity_error(expected: usize, got: usize) -> Error {
     Error::execution(format!("INSERT expects {expected} values, got {got}"))
 }
 
-/// Bulk-insert pre-built rows (the loader fast path — VoltDB similarly
-/// ships a bulk loader that bypasses per-statement SQL processing). Graph
-/// views are maintained exactly as for SQL INSERTs.
-pub fn execute_bulk_insert(
-    ctx: &mut DmlCtx<'_>,
-    journal: &mut Journal,
-    table: &str,
-    rows: Vec<Row>,
-) -> Result<u64> {
-    let (catalog, mut w) = Writer::open(ctx, journal, table);
-    let table = catalog.table_mut(&w.table)?;
-    let mut n = 0u64;
-    for row in rows {
-        w.insert_row(table, row)?;
-        n += 1;
-    }
-    Ok(n)
-}
-
 impl Writer<'_> {
     /// Store one row, journal it and maintain the views its table feeds.
     /// Maintenance reads the row where storage put it.
@@ -419,14 +400,12 @@ impl Writer<'_> {
             self.gov.fault("dml.insert.maintain")?;
             let def = &view.def;
             if def.vertex_source == *self.table {
-                let id = id_value(&row[def.vertex_id_col], "vertex")?;
+                let id = def.vertex_id_of(row)?;
                 view.topology.add_vertex(id, row_id)?;
                 self.journal.record_graph(gv_name, GraphUndo::AddedVertex { id });
             }
             if def.edge_source == *self.table {
-                let id = id_value(&row[def.edge_id_col], "edge")?;
-                let from = id_value(&row[def.edge_from_col], "edge FROM")?;
-                let to = id_value(&row[def.edge_to_col], "edge TO")?;
+                let (id, from, to) = def.edge_of(row)?;
                 view.topology.add_edge(id, from, to, row_id)?;
                 self.journal.record_graph(gv_name, GraphUndo::AddedEdge { id });
             }
@@ -440,15 +419,13 @@ impl Writer<'_> {
             self.gov.fault("dml.delete.maintain")?;
             let def = &view.def;
             if def.edge_source == *self.table {
-                let id = id_value(&row[def.edge_id_col], "edge")?;
-                let from = id_value(&row[def.edge_from_col], "edge FROM")?;
-                let to = id_value(&row[def.edge_to_col], "edge TO")?;
+                let (id, from, to) = def.edge_of(row)?;
                 let tuple = view.topology.remove_edge(id)?;
                 self.journal
                     .record_graph(gv_name, GraphUndo::RemovedEdge { id, from, to, tuple });
             }
             if def.vertex_source == *self.table {
-                let id = id_value(&row[def.vertex_id_col], "vertex")?;
+                let id = def.vertex_id_of(row)?;
                 let tuple = view.topology.remove_vertex(id)?;
                 self.journal
                     .record_graph(gv_name, GraphUndo::RemovedVertex { id, tuple });
@@ -468,48 +445,42 @@ impl Writer<'_> {
         old_row: &Row,
         new_row: &Row,
     ) -> Result<()> {
-        let changed = |col: usize| old_row[col].sql_eq(&new_row[col]) != Some(true);
         let gov = self.gov;
         for (gv_name, view) in &mut self.views {
             gov.fault("dml.update.maintain")?;
             let def = &view.def;
-            if def.vertex_source == *self.table && changed(def.vertex_id_col) {
-                let old_id = id_value(&old_row[def.vertex_id_col], "vertex")?;
-                let new_id = id_value(&new_row[def.vertex_id_col], "vertex")?;
-                view.topology.rename_vertex(old_id, new_id)?;
-                self.journal.record_graph(
-                    gv_name,
-                    GraphUndo::RenamedVertex {
-                        from: old_id,
-                        to: new_id,
-                    },
-                );
-                // Cascade the new id into the edges relational-source (§3.3.1:
-                // referential integrity of the edge source on vertex-id update).
-                cascade_vertex_id(gov, self.journal, catalog, view, old_id, new_id)?;
-            }
-            if def.edge_source == *self.table {
-                let id_changed = changed(def.edge_id_col);
-                let endpoint_changed = changed(def.edge_from_col) || changed(def.edge_to_col);
-                if id_changed {
-                    let old_id = id_value(&old_row[def.edge_id_col], "edge")?;
-                    let new_id = id_value(&new_row[def.edge_id_col], "edge")?;
-                    view.topology.rename_edge(old_id, new_id)?;
+            if def.vertex_source == *self.table {
+                let (old_id, new_id) = (def.vertex_id_of(old_row)?, def.vertex_id_of(new_row)?);
+                if old_id != new_id {
+                    view.topology.rename_vertex(old_id, new_id)?;
                     self.journal.record_graph(
                         gv_name,
-                        GraphUndo::RenamedEdge {
+                        GraphUndo::RenamedVertex {
                             from: old_id,
                             to: new_id,
                         },
                     );
+                    // Cascade the new id into the edges relational-source
+                    // (§3.3.1: referential integrity of the edge source on
+                    // vertex-id update).
+                    cascade_vertex_id(gov, self.journal, catalog, view, old_id, new_id)?;
                 }
-                if endpoint_changed {
+            }
+            if def.edge_source == *self.table {
+                let (old_id, old_from, old_to) = def.edge_of(old_row)?;
+                let (cur_id, new_from, new_to) = def.edge_of(new_row)?;
+                if old_id != cur_id {
+                    view.topology.rename_edge(old_id, cur_id)?;
+                    self.journal.record_graph(
+                        gv_name,
+                        GraphUndo::RenamedEdge {
+                            from: old_id,
+                            to: cur_id,
+                        },
+                    );
+                }
+                if (old_from, old_to) != (new_from, new_to) {
                     // Re-link: drop the old edge and add the new one.
-                    let cur_id = id_value(&new_row[def.edge_id_col], "edge")?;
-                    let old_from = id_value(&old_row[def.edge_from_col], "edge FROM")?;
-                    let old_to = id_value(&old_row[def.edge_to_col], "edge TO")?;
-                    let new_from = id_value(&new_row[def.edge_from_col], "edge FROM")?;
-                    let new_to = id_value(&new_row[def.edge_to_col], "edge TO")?;
                     let tuple = view.topology.remove_edge(cur_id)?;
                     self.journal.record_graph(
                         gv_name,
@@ -629,10 +600,11 @@ fn cascade_vertex_id(
     let slot = topo.vertex_slot(new_id)?;
     // Undirected views list every incident edge as outgoing.
     let mut incident: Vec<RowId> = topo
-        .out_edges(slot)
+        .out_hops(slot)
         .iter()
-        .chain(topo.in_edges(slot))
-        .map(|&e| topo.edge_tuple(e))
+        .map(|&(e, _)| e)
+        .chain(topo.in_edges(slot).iter().copied())
+        .map(|e| topo.edge_tuple(e))
         .collect();
     incident.sort_unstable();
     incident.dedup(); // a self-loop is both outgoing and incoming

@@ -36,7 +36,7 @@ use crate::expr::{CmpOp, EdgeAttr, PhysExpr, SlotAttr, VertexAttr};
 use crate::governor::{
     path_bytes, path_bytes_at, ExecContext, EXPANSION_CHECK_INTERVAL, OP_CHECK_INTERVAL,
 };
-use crate::metrics::{GovCounters, GraphCounters, MetricsSink, NodeSlot, QueryMetrics};
+use crate::metrics::{GovCounters, GraphCounters, MetricsSink, QueryMetrics};
 use crate::plan::{
     Emit, PathScanConfig, PlanNode, PushedAggPred, PushedPred, ScanMode, StartSource,
 };
@@ -170,7 +170,7 @@ fn check_row_contract(c: &NodeContract, label: &str, row: &[Value]) -> Result<()
 /// * **metrics** — the clock is read around the whole call (inclusive of
 ///   children and of the overhead above, PostgreSQL-style), and the batch's
 ///   rows, the operator's cumulative traversal and governor counters and
-///   its layout land in the shared [`NodeSlot`].
+///   its layout land in its node's record in the [`MetricsSink`].
 struct Instrumented<'e> {
     inner: BoxOp<'e>,
     label: String,
@@ -178,7 +178,7 @@ struct Instrumented<'e> {
     gov: &'e ExecContext,
     pulls: u64,
     checks: u64,
-    slot: Option<Rc<NodeSlot>>,
+    metrics: Option<(&'e MetricsSink, usize)>,
 }
 
 impl<'e> Instrumented<'e> {
@@ -209,30 +209,26 @@ impl<'e> Instrumented<'e> {
 
 impl<'e> Operator<'e> for Instrumented<'e> {
     fn next_batch(&mut self, out: &mut Batch<'e>, max_rows: usize) -> Result<bool> {
-        let start = self.slot.is_some().then(Instant::now);
+        let start = self.metrics.is_some().then(Instant::now);
         let r = self.pull(out, max_rows);
-        let (Some(slot), Some(start)) = (&self.slot, start) else {
+        let (Some((sink, at)), Some(start)) = (self.metrics, start) else {
             return r;
         };
         let rows = if matches!(r, Ok(true)) { out.len() } else { 0 };
-        slot.record_batch(start.elapsed().as_nanos() as u64, rows as u64);
-        if let Some(g) = self.inner.graph_stats() {
-            slot.set_graph(g);
-        }
-        if let Some(n) = self.inner.counted() {
-            slot.set_paths(n);
-        }
+        let mut m = sink.node(at);
+        m.record_batch(start.elapsed().as_nanos() as u64, rows as u64);
+        // Cumulative counters: the last write wins.
+        m.graph = self.inner.graph_stats().or(m.graph);
+        m.paths = self.inner.counted().or(m.paths);
         // The inner operator's counters (bytes it charged, expansion-hook
         // checks) plus this wrapper's own polls.
         let gov = self.inner.governor_stats();
         if self.gov.active() || gov.is_some() {
             let mut g = gov.unwrap_or_default();
             g.checks += self.checks;
-            slot.set_gov(g);
+            m.gov = Some(g);
         }
-        if let Some(l) = self.inner.layout() {
-            slot.set_layout(l);
-        }
+        m.layout = self.inner.layout().or(m.layout);
         r
     }
 }
@@ -253,7 +249,7 @@ fn build<'e>(
     // Register before building children so the sink's node list comes out
     // in pre-order — the same order as the `EXPLAIN` lines. The contract
     // cursor advances in the same pre-order walk.
-    let slot = sink.map(|s| s.register(plan.node_label(), depth));
+    let metrics = sink.map(|s| (s, s.register(plan.node_label(), depth)));
     let contract = contracts.and_then(|c| c.borrow_mut().next());
     let child = |n: &'e PlanNode, lazy| build(n, env, sink, contracts, depth + 1, lazy);
     let admit = |filter: &'e Option<PhysExpr>| Admit {
@@ -394,7 +390,7 @@ fn build<'e>(
         }),
     };
     let gov = &env.gov;
-    if gov.faults().is_none() && !gov.active() && contract.is_none() && slot.is_none() {
+    if gov.faults().is_none() && !gov.active() && contract.is_none() && metrics.is_none() {
         return Ok(inner);
     }
     Ok(Box::new(Instrumented {
@@ -404,7 +400,7 @@ fn build<'e>(
         gov,
         pulls: 0,
         checks: 0,
-        slot,
+        metrics,
     }))
 }
 

@@ -130,6 +130,20 @@ impl GraphViewDef {
         Schema::new(cols)
     }
 
+    /// The vertex id a row of the vertexes source carries.
+    pub fn vertex_id_of(&self, row: &[Value]) -> Result<i64> {
+        id_value(&row[self.vertex_id_col], "vertex")
+    }
+
+    /// The `(id, FROM, TO)` ids a row of the edges source carries.
+    pub fn edge_of(&self, row: &[Value]) -> Result<(i64, i64, i64)> {
+        Ok((
+            id_value(&row[self.edge_id_col], "edge")?,
+            id_value(&row[self.edge_from_col], "edge FROM")?,
+            id_value(&row[self.edge_to_col], "edge TO")?,
+        ))
+    }
+
     /// Find the source column of an exposed vertex attribute.
     pub fn vertex_attr_col(&self, attr: &str) -> Option<usize> {
         self.vertex_attrs
@@ -169,13 +183,10 @@ impl GraphView {
         let mut topo =
             GraphTopology::with_capacity(def.name.clone(), def.directed, vt.len(), et.len());
         for (row_id, row) in vt.scan() {
-            let id = id_value(&row[def.vertex_id_col], "vertex")?;
-            topo.add_vertex(id, row_id)?;
+            topo.add_vertex(def.vertex_id_of(row)?, row_id)?;
         }
         for (row_id, row) in et.scan() {
-            let id = id_value(&row[def.edge_id_col], "edge")?;
-            let from = id_value(&row[def.edge_from_col], "edge FROM")?;
-            let to = id_value(&row[def.edge_to_col], "edge TO")?;
+            let (id, from, to) = def.edge_of(row)?;
             topo.add_edge(id, from, to, row_id)?;
         }
         Ok(GraphView {
@@ -186,7 +197,7 @@ impl GraphView {
 }
 
 /// Extract an integer id from a source column value.
-pub fn id_value(v: &Value, what: &str) -> Result<i64> {
+fn id_value(v: &Value, what: &str) -> Result<i64> {
     match v {
         Value::Integer(i) => Ok(*i),
         other => Err(Error::constraint(format!(

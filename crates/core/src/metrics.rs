@@ -15,11 +15,10 @@
 //! `SearchStats` every traversal keeps (vertexes visited, edges examined)
 //! and the bound filter's dereference count; reading them costs nothing
 //! when nobody asks. When metrics are on, each operator's instrumentation
-//! wrapper owns a [`NodeSlot`] of `Cell<u64>` counters — a query runs on
-//! its caller's thread, so no atomics are involved.
+//! wrapper updates its node's [`OpMetrics`] in the [`MetricsSink`] — a
+//! query runs on its caller's thread, so no atomics are involved.
 
-use std::cell::{Cell, RefCell};
-use std::rc::Rc;
+use std::cell::{RefCell, RefMut};
 
 use grfusion_graph::TopologyLayout;
 
@@ -65,7 +64,7 @@ impl GovCounters {
 }
 
 /// Runtime metrics for one plan node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct OpMetrics {
     /// The node's `EXPLAIN` label (e.g. `PathScan(g, Bfs, len 1..=3)`).
     pub label: String,
@@ -88,6 +87,17 @@ pub struct OpMetrics {
     /// Topology layout the operator traversed (sealed CSR / delta overlay /
     /// plain adjacency); `None` for relational operators.
     pub layout: Option<TopologyLayout>,
+}
+
+impl OpMetrics {
+    /// One `next_batch` call that took `elapsed_ns` and produced `rows`
+    /// rows (0 = exhausted or errored).
+    #[inline]
+    pub(crate) fn record_batch(&mut self, elapsed_ns: u64, rows: u64) {
+        self.next_calls += 1;
+        self.time_ns += elapsed_ns;
+        self.rows += rows;
+    }
 }
 
 /// Structured metrics for one executed query.
@@ -154,80 +164,14 @@ fn format_us(ns: u64) -> String {
     format!("{:.1}", ns as f64 / 1_000.0)
 }
 
-/// Mutable per-node counter slot shared between the operator's wrapper (which
-/// bumps it) and the sink (which reads it at the end). `Cell` suffices:
-/// the executor is single-threaded.
-#[derive(Debug)]
-pub struct NodeSlot {
-    label: String,
-    depth: usize,
-    rows: Cell<u64>,
-    paths: Cell<Option<u64>>,
-    next_calls: Cell<u64>,
-    time_ns: Cell<u64>,
-    graph: Cell<Option<GraphCounters>>,
-    gov: Cell<Option<GovCounters>>,
-    layout: Cell<Option<TopologyLayout>>,
-}
-
-impl NodeSlot {
-    /// One `next_batch` call that took `elapsed_ns` and produced `rows`
-    /// rows (0 = exhausted or errored).
-    #[inline]
-    pub(crate) fn record_batch(&self, elapsed_ns: u64, rows: u64) {
-        self.next_calls.set(self.next_calls.get() + 1);
-        self.time_ns.set(self.time_ns.get() + elapsed_ns);
-        self.rows.set(self.rows.get() + rows);
-    }
-
-    /// Overwrite the node's graph counters with the operator's cumulative
-    /// totals (counters are monotonic, so the last write wins).
-    #[inline]
-    pub(crate) fn set_graph(&self, g: GraphCounters) {
-        self.graph.set(Some(g));
-    }
-
-    /// Overwrite the paths a counting scan has counted (cumulative).
-    #[inline]
-    pub(crate) fn set_paths(&self, n: u64) {
-        self.paths.set(Some(n));
-    }
-
-    /// Overwrite the node's governor counters with cumulative totals (same
-    /// last-write-wins contract as [`NodeSlot::set_graph`]).
-    #[inline]
-    pub(crate) fn set_gov(&self, g: GovCounters) {
-        self.gov.set(Some(g));
-    }
-
-    /// Record the topology layout the operator traversed (stable for the
-    /// whole query — the topology lock is held — so any write wins).
-    #[inline]
-    pub(crate) fn set_layout(&self, l: TopologyLayout) {
-        self.layout.set(Some(l));
-    }
-
-    fn snapshot(&self) -> OpMetrics {
-        OpMetrics {
-            label: self.label.clone(),
-            depth: self.depth,
-            rows: self.rows.get(),
-            paths: self.paths.get(),
-            next_calls: self.next_calls.get(),
-            time_ns: self.time_ns.get(),
-            graph: self.graph.get(),
-            gov: self.gov.get(),
-            layout: self.layout.get(),
-        }
-    }
-}
-
 /// Collection context for one instrumented execution. Created by
 /// `execute_plan_with_metrics`; plan nodes register themselves in build
-/// (pre-)order so the finished node list lines up with `EXPLAIN` output.
+/// (pre-)order so the finished node list lines up with `EXPLAIN` output,
+/// and each operator's instrumentation wrapper updates its own record by
+/// index. `RefCell` suffices: the executor is single-threaded.
 #[derive(Debug, Default)]
 pub struct MetricsSink {
-    nodes: RefCell<Vec<Rc<NodeSlot>>>,
+    nodes: RefCell<Vec<OpMetrics>>,
 }
 
 impl MetricsSink {
@@ -235,25 +179,27 @@ impl MetricsSink {
         MetricsSink::default()
     }
 
-    pub(crate) fn register(&self, label: String, depth: usize) -> Rc<NodeSlot> {
-        let slot = Rc::new(NodeSlot {
+    /// Add a node's record; the index is where [`MetricsSink::node`] finds
+    /// it.
+    pub(crate) fn register(&self, label: String, depth: usize) -> usize {
+        let mut nodes = self.nodes.borrow_mut();
+        nodes.push(OpMetrics {
             label,
             depth,
-            rows: Cell::new(0),
-            paths: Cell::new(None),
-            next_calls: Cell::new(0),
-            time_ns: Cell::new(0),
-            graph: Cell::new(None),
-            gov: Cell::new(None),
-            layout: Cell::new(None),
+            ..OpMetrics::default()
         });
-        self.nodes.borrow_mut().push(slot.clone());
-        slot
+        nodes.len() - 1
     }
 
-    pub(crate) fn finish(&self) -> QueryMetrics {
+    /// Node `at`'s record, to update after one of its calls.
+    #[inline]
+    pub(crate) fn node(&self, at: usize) -> RefMut<'_, OpMetrics> {
+        RefMut::map(self.nodes.borrow_mut(), |nodes| &mut nodes[at])
+    }
+
+    pub(crate) fn finish(self) -> QueryMetrics {
         QueryMetrics {
-            nodes: self.nodes.borrow().iter().map(|s| s.snapshot()).collect(),
+            nodes: self.nodes.into_inner(),
         }
     }
 }
@@ -267,19 +213,21 @@ mod tests {
         let sink = MetricsSink::new();
         let a = sink.register("Project(1 cols)".into(), 0);
         let b = sink.register("TableScan(t)".into(), 1);
-        a.record_batch(1_500, 1);
-        a.record_batch(500, 0);
-        b.record_batch(1_000, 1);
-        b.set_graph(GraphCounters {
+        sink.node(a).record_batch(1_500, 1);
+        sink.node(a).record_batch(500, 0);
+        let mut node = sink.node(b);
+        node.record_batch(1_000, 1);
+        node.graph = Some(GraphCounters {
             vertices_visited: 3,
             edges_expanded: 5,
             tuple_derefs: 2,
         });
-        b.set_gov(GovCounters {
+        node.gov = Some(GovCounters {
             bytes: 128,
             checks: 4,
         });
-        b.set_layout(TopologyLayout::Delta(2));
+        node.layout = Some(TopologyLayout::Delta(2));
+        drop(node);
         let m = sink.finish();
         assert_eq!(m.nodes.len(), 2);
         assert_eq!(m.nodes[0].label, "Project(1 cols)");

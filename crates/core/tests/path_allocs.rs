@@ -218,3 +218,48 @@ fn k_shortest_allocates_nothing_per_expansion() {
         );
     }
 }
+
+/// A path join runs one probe per outer row, and what a probe allocates
+/// happens in calls the row loop makes: the seed list, the bound filter's
+/// predicate lists, the traversal's own state, a k-shortest probe's boxed
+/// cost function — besides the path it emits (two) and the result row
+/// (one). The count per outer row is pinned exactly, in debug and release
+/// builds alike: `K` more outer rows, each starting at a leaf with one way
+/// on, cost `K` times it (the few doublings of the result vector and the
+/// batch arena stay below `K`). A change that moves a count names why.
+#[test]
+fn path_join_allocations_per_outer_row_are_pinned() {
+    const K: i64 = 100;
+    let joined = |rows: i64, sql: &str| {
+        let db = fixture(5);
+        db.execute("CREATE TABLE s (sid INTEGER PRIMARY KEY, vid INTEGER, tail INTEGER)")
+            .unwrap();
+        let outer = (0..rows)
+            .map(|sid| {
+                let leaf = 1 + sid % 5;
+                vec![Value::Integer(sid), Value::Integer(leaf), Value::Integer(leaf + 5)]
+            })
+            .collect();
+        db.bulk_insert("s", outer).unwrap();
+        let (spent, rs) = allocations(&db, sql);
+        assert_eq!(rs.len() as u64, rows as u64, "{sql}");
+        spent
+    };
+    for (sql, pinned) in [
+        (
+            "SELECT s.sid, PS.EndVertex.Id FROM s, g.Paths PS HINT(DFS) \
+             WHERE PS.StartVertex.Id = s.vid AND PS.Length = 1 AND PS.Edges[0..*].w > 0.0",
+            10u64,
+        ),
+        (
+            "SELECT s.sid, PS.Cost FROM s, g.Paths PS HINT(SHORTESTPATH(w)) \
+             WHERE PS.StartVertex.Id = s.vid AND PS.EndVertex.Id = s.tail AND PS.Length <= 2",
+            8,
+        ),
+    ] {
+        let (once, twice) = (joined(K, sql), joined(2 * K, sql));
+        let per_row = (twice - once) / K as u64;
+        println!("{sql}: {once} allocations for {K} outer rows, {twice} for {}", 2 * K);
+        assert_eq!(per_row, pinned, "{sql}: allocations per outer row");
+    }
+}

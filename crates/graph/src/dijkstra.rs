@@ -94,7 +94,7 @@ where
             // unknown in Dijkstra order, so pass hop 0 / position 1
             // (non-seed) — engine filters that need exact positions use the
             // enumerating scans instead.
-            for (e, t) in graph.out_hops(v) {
+            for &(e, t) in graph.out_hops(v) {
                 stats.edges_examined += 1;
                 if !filter.edge_allowed(graph, e, 0) {
                     continue;
@@ -230,7 +230,7 @@ where
             if !expand {
                 return Some(path_at(self.graph, &self.arena, at, cost));
             }
-            for (e, t) in self.graph.out_hops(node.vertex) {
+            for &(e, t) in self.graph.out_hops(node.vertex) {
                 self.stats.edges_examined += 1;
                 if !self.filter.edge_allowed(self.graph, e, depth) {
                     continue;
@@ -287,7 +287,7 @@ where
         let mut changed = false;
         for v in graph.vertex_slots() {
             let Some(&dv) = dist.get(&v) else { continue };
-            for &e in graph.out_edges(v) {
+            for &(e, _) in graph.out_hops(v) {
                 let t = graph.edge_target(e, v);
                 let nd = dv + cost_fn(graph, e);
                 if dist.get(&t).is_none_or(|&d| nd < d - 1e-12) {

@@ -35,7 +35,7 @@ pub use dijkstra::{shortest_path, shortest_path_with_stats, KShortestPaths};
 pub use filter::{NoFilter, TraversalFilter};
 pub use p2p::hop_minimal_path;
 pub use search::SearchStats;
-pub use topology::{EdgeSlot, GraphStats, GraphTopology, TopologyLayout, VertexSlot};
+pub use topology::{EdgeSlot, GraphStats, GraphTopology, Hop, TopologyLayout, VertexSlot};
 pub use traverse::{BfsPaths, DfsPaths, TraversalSpec};
 
 // Thread-safety contract: the core crate's `Database` is shared across

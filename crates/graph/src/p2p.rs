@@ -54,7 +54,7 @@ pub fn hop_minimal_path<F: TraversalFilter>(
             }
             next.clear();
             for &v in front.iter() {
-                for (e, w) in graph.out_hops(v) {
+                for &(e, w) in graph.out_hops(v) {
                     stats.edges_examined += 1;
                     if !filter.edge_allowed(graph, e, depth) {
                         continue;

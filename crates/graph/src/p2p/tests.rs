@@ -36,7 +36,7 @@ fn reference_bfs<F: TraversalFilter>(
         if depth >= max_len {
             continue;
         }
-        for (e, t) in topo.out_hops(v) {
+        for &(e, t) in topo.out_hops(v) {
             if !filter.edge_allowed(topo, e, depth) {
                 continue;
             }

@@ -1,4 +1,11 @@
 //! The materialized graph-view topology.
+//!
+//! One hop slice, every layout: a vertex's outgoing adjacency is a slice
+//! of [`Hop`]s — the edge and the vertex on its other side — whether it
+//! lives in the never-sealed per-vertex `Vec`s, the sealed CSR, or the
+//! delta overlay. [`GraphTopology::add_edge`] computes the far endpoint
+//! once, when it links the edge, and [`GraphTopology::out_hops`] is the
+//! one outgoing read every traversal kernel expands through.
 
 use std::collections::HashMap;
 
@@ -8,6 +15,10 @@ use grfusion_common::{EdgeId, Error, FoldState, Result, RowId, VertexId};
 pub type VertexSlot = u32;
 /// Slot index of an edge inside the topology's edge arena.
 pub type EdgeSlot = u32;
+/// One outgoing adjacency entry: the edge, then the vertex on its other
+/// side. Every layout stores hops in this form, so a traversal step reads
+/// its next vertex without dereferencing the edge.
+pub type Hop = (EdgeSlot, VertexSlot);
 
 /// Widen a 32-bit slot (or CSR offset) to an array index. The single
 /// audited widening site for the crate's slot-indexed arrays.
@@ -20,9 +31,9 @@ pub(crate) fn ix(v: u32) -> usize {
 struct VertexNode {
     id: VertexId,
     tuple: RowId,
-    /// Outgoing edge slots. For undirected graphs every incident edge
-    /// appears here (and `inc` stays empty).
-    out: Vec<EdgeSlot>,
+    /// Outgoing hops. For undirected graphs every incident edge appears
+    /// here (and `inc` stays empty).
+    out: Vec<Hop>,
     /// Incoming edge slots (directed graphs only).
     inc: Vec<EdgeSlot>,
     alive: bool,
@@ -43,15 +54,13 @@ struct EdgeNode {
 
 /// Sealed CSR (compressed sparse row) snapshot of the adjacency.
 ///
-/// Built by [`GraphTopology::seal`] from the per-vertex edge lists:
-/// `out_offsets[v]..out_offsets[v + 1]` indexes the contiguous
-/// `out_targets` run holding vertex `v`'s outgoing edge slots in exactly
-/// the order the per-vertex `Vec` held them, with the *resolved far
-/// endpoint* of each hop laid out in the parallel `out_heads` array — so a
-/// frontier expansion reads two cache-linear arrays instead of chasing one
-/// heap-allocated `Vec` plus one `EdgeNode` per hop. Incoming edges get the
-/// same offsets/targets treatment (no heads — `FanIn` only needs counts and
-/// slots).
+/// Built by [`GraphTopology::seal`] from the per-vertex hop lists:
+/// `out_offsets[v]..out_offsets[v + 1]` indexes the contiguous `out_hops`
+/// run holding vertex `v`'s [`Hop`]s in exactly the order the per-vertex
+/// `Vec` held them — so a frontier expansion reads one cache-linear array
+/// instead of chasing one heap-allocated `Vec` per vertex. Incoming edges
+/// get the same offsets/targets treatment as bare edge slots (`FanIn` only
+/// needs counts and slots).
 ///
 /// The arrays cover the vertex arena as it existed at seal time
 /// (`out_offsets.len() - 1` slots). Vertexes added later, and vertexes
@@ -59,14 +68,10 @@ struct EdgeNode {
 /// overlay (their `VertexNode::overlaid` flag) and never read the CSR.
 #[derive(Debug, Clone)]
 struct CsrLayout {
-    /// `len == sealed vertex arena size + 1`; prefix sums into `out_targets`.
+    /// `len == sealed vertex arena size + 1`; prefix sums into `out_hops`.
     out_offsets: Vec<u32>,
-    /// Outgoing edge slots, vertex-major, per-vertex traversal order.
-    out_targets: Vec<EdgeSlot>,
-    /// Parallel to `out_targets`: the vertex on the other side of the hop
-    /// (precomputed `edge_target`, the tuple-pointer hop of Figure 4 done
-    /// once at seal time instead of per traversal step).
-    out_heads: Vec<VertexSlot>,
+    /// Outgoing hops, vertex-major, per-vertex traversal order.
+    out_hops: Vec<Hop>,
     in_offsets: Vec<u32>,
     in_targets: Vec<EdgeSlot>,
 }
@@ -79,13 +84,8 @@ impl CsrLayout {
     }
 
     #[inline]
-    fn out_range(&self, v: VertexSlot) -> std::ops::Range<usize> {
-        ix(self.out_offsets[ix(v)])..ix(self.out_offsets[ix(v) + 1])
-    }
-
-    #[inline]
-    fn out_slice(&self, v: VertexSlot) -> &[EdgeSlot] {
-        &self.out_targets[self.out_range(v)]
+    fn out_slice(&self, v: VertexSlot) -> &[Hop] {
+        &self.out_hops[ix(self.out_offsets[ix(v)])..ix(self.out_offsets[ix(v) + 1])]
     }
 
     #[inline]
@@ -98,8 +98,8 @@ impl CsrLayout {
     fn bytes(&self) -> usize {
         use std::mem::size_of;
         (self.out_offsets.capacity() + self.in_offsets.capacity()) * size_of::<u32>()
-            + (self.out_targets.capacity() + self.in_targets.capacity()) * size_of::<EdgeSlot>()
-            + self.out_heads.capacity() * size_of::<VertexSlot>()
+            + self.out_hops.capacity() * size_of::<Hop>()
+            + self.in_targets.capacity() * size_of::<EdgeSlot>()
     }
 }
 
@@ -237,8 +237,8 @@ impl GraphTopology {
         // Vertexes added after sealing are born overlaid, so any
         // non-overlaid slot is covered by the sealed arrays.
         debug_assert!(ix(slot) < csr.vertex_span());
-        let out: Vec<EdgeSlot> = csr.out_slice(slot).to_vec();
-        let inc: Vec<EdgeSlot> = csr.in_slice(slot).to_vec();
+        let out = csr.out_slice(slot).to_vec();
+        let inc = csr.in_slice(slot).to_vec();
         let node = &mut self.vertexes[ix(slot)];
         node.out = out;
         node.inc = inc;
@@ -324,13 +324,13 @@ impl GraphTopology {
             alive: true,
         });
         self.edge_by_id.insert(id, slot);
-        self.vertexes[ix(from_slot)].out.push(slot);
+        self.vertexes[ix(from_slot)].out.push((slot, to_slot));
         self.adjacency_entries += 1;
         if self.directed {
             self.vertexes[ix(to_slot)].inc.push(slot);
         } else if to_slot != from_slot {
             // Undirected: the edge is traversable from both endpoints.
-            self.vertexes[ix(to_slot)].out.push(slot);
+            self.vertexes[ix(to_slot)].out.push((slot, from_slot));
             self.adjacency_entries += 1;
         }
         self.live_edges += 1;
@@ -351,12 +351,12 @@ impl GraphTopology {
         };
         self.touch(from);
         self.touch(to);
-        self.vertexes[ix(from)].out.retain(|&s| s != slot);
+        self.vertexes[ix(from)].out.retain(|&(s, _)| s != slot);
         self.adjacency_entries -= 1;
         if self.directed {
             self.vertexes[ix(to)].inc.retain(|&s| s != slot);
         } else if to != from {
-            self.vertexes[ix(to)].out.retain(|&s| s != slot);
+            self.vertexes[ix(to)].out.retain(|&(s, _)| s != slot);
             self.adjacency_entries -= 1;
         }
         self.live_edges -= 1;
@@ -369,7 +369,7 @@ impl GraphTopology {
         let slot = self.vertex_slot(id)?;
         // Effective adjacency (CSR or overlay): a sealed vertex's Vecs are
         // empty, its edges live in the sealed arrays.
-        if !self.out_edges(slot).is_empty() || !self.in_edges(slot).is_empty() {
+        if !self.out_hops(slot).is_empty() || !self.in_edges(slot).is_empty() {
             return Err(Error::constraint(format!(
                 "vertex {id} in graph `{}` still has incident edges",
                 self.name
@@ -475,15 +475,14 @@ impl GraphTopology {
         (e.from, e.to)
     }
 
-    /// Outgoing edges of a vertex (all incident edges for undirected
-    /// graphs). Sealed vertexes resolve to a contiguous CSR run; overlaid
-    /// (or never-sealed) vertexes to their per-vertex `Vec` — same slice
-    /// type, same order either way. With [`GraphTopology::out_hop`] and
-    /// [`GraphTopology::out_hops`], this is the adjacency read every
-    /// traversal kernel expands through, so the sealed-CSR vs.
-    /// delta-overlay split is resolved in one place.
+    /// Outgoing hops of a vertex (all incident edges for undirected
+    /// graphs), each edge with its far endpoint. Sealed vertexes resolve to
+    /// a contiguous CSR run; overlaid (or never-sealed) vertexes to their
+    /// per-vertex `Vec` — same slice, same order either way. This is the
+    /// one adjacency read every traversal kernel expands through, so the
+    /// sealed-CSR vs. delta-overlay split is resolved in one place.
     #[inline]
-    pub fn out_edges(&self, slot: VertexSlot) -> &[EdgeSlot] {
+    pub fn out_hops(&self, slot: VertexSlot) -> &[Hop] {
         let node = &self.vertexes[ix(slot)];
         match &self.csr {
             Some(csr) if !node.overlaid => csr.out_slice(slot),
@@ -491,7 +490,7 @@ impl GraphTopology {
         }
     }
 
-    /// Incoming edges (empty for undirected graphs — use `out_edges`).
+    /// Incoming edges (empty for undirected graphs — use `out_hops`).
     #[inline]
     pub fn in_edges(&self, slot: VertexSlot) -> &[EdgeSlot] {
         let node = &self.vertexes[ix(slot)];
@@ -504,7 +503,7 @@ impl GraphTopology {
     /// `FanOut` property (§5.2): O(1).
     #[inline]
     pub fn fan_out(&self, slot: VertexSlot) -> usize {
-        self.out_edges(slot).len()
+        self.out_hops(slot).len()
     }
 
     /// `FanIn` property (§5.2): O(1). Equal to `FanOut` for undirected
@@ -514,29 +513,13 @@ impl GraphTopology {
         if self.directed {
             self.in_edges(slot).len()
         } else {
-            self.out_edges(slot).len()
+            self.out_hops(slot).len()
         }
-    }
-
-    /// Outgoing hop `i` of vertex `slot`: the edge plus its far endpoint.
-    /// On the sealed path both come from parallel CSR arrays (two
-    /// cache-linear reads, no `EdgeNode` dereference); on the overlay path
-    /// the endpoint is resolved through the edge arena.
-    #[inline]
-    pub fn out_hop(&self, slot: VertexSlot, i: usize) -> (EdgeSlot, VertexSlot) {
-        let node = &self.vertexes[ix(slot)];
-        if let Some(csr) = &self.csr {
-            if !node.overlaid {
-                let at = ix(csr.out_offsets[ix(slot)]) + i;
-                return (csr.out_targets[at], csr.out_heads[at]);
-            }
-        }
-        let e = node.out[i];
-        (e, self.edge_target(e, slot))
     }
 
     /// Given an edge incident to `from`, the vertex on the other side.
-    /// (For directed graphs, traversal always moves from→to.)
+    /// (For directed graphs, traversal always moves from→to.) Traversals
+    /// read it from the stored [`Hop`]; this re-derives it from the edge.
     #[inline]
     pub fn edge_target(&self, edge: EdgeSlot, from: VertexSlot) -> VertexSlot {
         let e = &self.edges[ix(edge)];
@@ -545,31 +528,6 @@ impl GraphTopology {
         } else {
             e.from
         }
-    }
-
-    /// Iterate `(edge, far endpoint)` hops out of `slot` in traversal
-    /// order, resolving the sealed-vs-overlay dispatch once per vertex
-    /// instead of once per hop (`out_hop` pays it per call — fine for the
-    /// cursor-resumable DFS, measurable on full frontier expansions).
-    #[inline]
-    pub fn out_hops(&self, slot: VertexSlot) -> OutHops<'_> {
-        let node = &self.vertexes[ix(slot)];
-        if let Some(csr) = &self.csr {
-            if !node.overlaid {
-                let r = csr.out_range(slot);
-                return OutHops(OutHopsInner::Sealed(
-                    csr.out_targets[r.clone()]
-                        .iter()
-                        .copied()
-                        .zip(csr.out_heads[r].iter().copied()),
-                ));
-            }
-        }
-        OutHops(OutHopsInner::Linked {
-            graph: self,
-            from: slot,
-            edges: node.out.iter(),
-        })
     }
 
     /// Iterate live vertex slots.
@@ -592,8 +550,8 @@ impl GraphTopology {
 
     // ---- sealing --------------------------------------------------------------
 
-    /// Compact the adjacency into sealed CSR arrays (out- and in-edges,
-    /// plus the parallel far-endpoint array) and empty the delta overlay.
+    /// Compact the adjacency into sealed CSR arrays (out-hops and in-edges)
+    /// and empty the delta overlay.
     ///
     /// The new arrays are built completely before any existing state is
     /// modified, so a caller that aborts *before* invoking `seal` (fault
@@ -604,32 +562,24 @@ impl GraphTopology {
     pub fn seal(&mut self) {
         let span = self.vertexes.len();
         let mut out_offsets = Vec::with_capacity(span + 1);
-        let mut out_targets = Vec::with_capacity(self.adjacency_entries);
-        let mut out_heads = Vec::with_capacity(self.adjacency_entries);
+        let mut out_hops = Vec::with_capacity(self.adjacency_entries);
         let mut in_offsets = Vec::with_capacity(span + 1);
         let mut in_targets =
             Vec::with_capacity(if self.directed { self.live_edges } else { 0 });
         out_offsets.push(0u32);
         in_offsets.push(0u32);
         for slot in 0..span as VertexSlot { // cast-ok: arena size < 2^32 enforced in add_vertex
-            for &e in self.out_edges(slot) {
-                out_targets.push(e);
-                out_heads.push(self.edge_target(e, slot));
-            }
-            for &e in self.in_edges(slot) {
-                in_targets.push(e);
-            }
-            out_offsets.push(out_targets.len() as u32); // cast-ok: adjacency_entries < 2^32 enforced in add_edge
+            out_hops.extend_from_slice(self.out_hops(slot));
+            in_targets.extend_from_slice(self.in_edges(slot));
+            out_offsets.push(out_hops.len() as u32); // cast-ok: adjacency_entries < 2^32 enforced in add_edge
             in_offsets.push(in_targets.len() as u32); // cast-ok: in-entries <= live_edges < 2^32
         }
-        let csr = CsrLayout {
+        self.csr = Some(CsrLayout {
             out_offsets,
-            out_targets,
-            out_heads,
+            out_hops,
             in_offsets,
             in_targets,
-        };
-        self.csr = Some(csr);
+        });
         for v in &mut self.vertexes {
             // Drop the Vec allocations outright: the overlay starts empty
             // and grows only for vertexes DML actually touches.
@@ -678,7 +628,7 @@ impl GraphTopology {
         let span = self.vertexes.len() + 1;
         let inc = if self.directed { self.live_edges } else { 0 };
         span * 2 * size_of::<u32>()
-            + self.adjacency_entries * (size_of::<EdgeSlot>() + size_of::<VertexSlot>())
+            + self.adjacency_entries * size_of::<Hop>()
             + inc * size_of::<EdgeSlot>()
     }
 
@@ -724,7 +674,7 @@ impl GraphTopology {
         self.vertexes
             .iter()
             .filter(|v| v.overlaid)
-            .map(|v| (v.out.capacity() + v.inc.capacity()) * size_of::<EdgeSlot>())
+            .map(|v| v.out.capacity() * size_of::<Hop>() + v.inc.capacity() * size_of::<EdgeSlot>())
             .sum()
     }
 
@@ -741,7 +691,7 @@ impl GraphTopology {
         let adjacency: usize = self
             .vertexes
             .iter()
-            .map(|v| (v.out.capacity() + v.inc.capacity()) * size_of::<EdgeSlot>())
+            .map(|v| v.out.capacity() * size_of::<Hop>() + v.inc.capacity() * size_of::<EdgeSlot>())
             .sum();
         let edge_fixed = self.edges.capacity() * size_of::<EdgeNode>();
         // HashMap entries: key + value + bucket overhead estimate.
@@ -795,52 +745,6 @@ impl GraphTopology {
     }
 }
 
-/// Iterator over a vertex's `(edge, far endpoint)` hops — see
-/// [`GraphTopology::out_hops`]. The layout dispatch happens at
-/// construction: sealed vertexes walk the two parallel CSR arrays,
-/// overlaid (or never-sealed) vertexes walk their `Vec` and resolve each
-/// endpoint through the edge arena.
-pub struct OutHops<'a>(OutHopsInner<'a>);
-
-enum OutHopsInner<'a> {
-    Sealed(
-        std::iter::Zip<
-            std::iter::Copied<std::slice::Iter<'a, EdgeSlot>>,
-            std::iter::Copied<std::slice::Iter<'a, VertexSlot>>,
-        >,
-    ),
-    Linked {
-        graph: &'a GraphTopology,
-        from: VertexSlot,
-        edges: std::slice::Iter<'a, EdgeSlot>,
-    },
-}
-
-impl Iterator for OutHops<'_> {
-    type Item = (EdgeSlot, VertexSlot);
-
-    #[inline]
-    fn next(&mut self) -> Option<(EdgeSlot, VertexSlot)> {
-        match &mut self.0 {
-            OutHopsInner::Sealed(it) => it.next(),
-            OutHopsInner::Linked { graph, from, edges } => {
-                let &e = edges.next()?;
-                Some((e, graph.edge_target(e, *from)))
-            }
-        }
-    }
-
-    #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match &self.0 {
-            OutHopsInner::Sealed(it) => it.size_hint(),
-            OutHopsInner::Linked { edges, .. } => edges.size_hint(),
-        }
-    }
-}
-
-impl ExactSizeIterator for OutHops<'_> {}
-
 /// Statistics snapshot for a graph view.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GraphStats {
@@ -884,7 +788,7 @@ mod tests {
         assert_eq!(g.fan_in(v1), 0);
         assert_eq!(g.fan_out(v4), 0);
         assert_eq!(g.fan_in(v4), 2);
-        assert_eq!(g.out_edges(v1).len(), 2);
+        assert_eq!(g.out_hops(v1).len(), 2);
         assert_eq!(g.in_edges(v4).len(), 2);
     }
 
@@ -898,9 +802,9 @@ mod tests {
         assert_eq!(g.fan_out(v4), 2);
         // traversal from v4 reaches 2 and 3
         let mut targets: Vec<_> = g
-            .out_edges(v4)
+            .out_hops(v4)
             .iter()
-            .map(|&e| g.vertex_id(g.edge_target(e, v4)))
+            .map(|&(e, _)| g.vertex_id(g.edge_target(e, v4)))
             .collect();
         targets.sort();
         assert_eq!(targets, vec![2, 3]);
@@ -1012,7 +916,8 @@ mod tests {
             .map(|v| {
                 let hops: Vec<(EdgeId, VertexId)> = g
                     .out_hops(v)
-                    .map(|(e, t)| (g.edge_id(e), g.vertex_id(t)))
+                    .iter()
+                    .map(|&(e, t)| (g.edge_id(e), g.vertex_id(t)))
                     .collect();
                 (g.vertex_id(v), hops, g.fan_out(v), g.fan_in(v))
             })
@@ -1021,23 +926,45 @@ mod tests {
         all
     }
 
+    /// Every stored hop's far endpoint agrees with the one re-derived from
+    /// the edge arena.
+    fn assert_heads_stored(g: &GraphTopology, layout: TopologyLayout) {
+        assert_eq!(g.layout(), layout);
+        for v in g.vertex_slots() {
+            for &(e, t) in g.out_hops(v) {
+                assert_eq!(t, g.edge_target(e, v), "{layout}: edge {}", g.edge_id(e));
+            }
+        }
+    }
+
     #[test]
-    fn seal_preserves_adjacency_and_order() {
+    fn seal_preserves_adjacency_and_order() -> Result<()> {
         for directed in [true, false] {
             let mut g = diamond(directed);
+            assert_heads_stored(&g, TopologyLayout::Adjacency);
             let before = observe(&g);
             let dump = g.topology_dump();
             g.seal();
-            assert_eq!(g.layout(), TopologyLayout::Csr);
+            assert_heads_stored(&g, TopologyLayout::Csr);
             assert_eq!(observe(&g), before, "directed={directed}");
             assert_eq!(g.topology_dump(), dump);
-            // Indexed hops agree with the slice accessor.
-            for v in g.vertex_slots().collect::<Vec<_>>() {
-                for (i, &e) in g.out_edges(v).iter().enumerate() {
-                    assert_eq!(g.out_hop(v, i), (e, g.edge_target(e, v)));
-                }
-            }
+            // A post-seal insert and a relink (edge 12 moves from 2 -> 4 to
+            // 3 -> 1, as UPDATE of its endpoints does) read from the overlay.
+            g.add_vertex(5, RowId(5))?;
+            g.add_edge(14, 4, 5, RowId(14))?;
+            g.remove_edge(12)?;
+            g.add_edge(12, 3, 1, RowId(12))?;
+            assert_heads_stored(&g, TopologyLayout::Delta(5));
         }
+        // Undirected self-loop: one hop, back to the vertex itself.
+        let mut g = diamond(false);
+        let e = g.add_edge(15, 2, 2, RowId(15))?;
+        assert_heads_stored(&g, TopologyLayout::Adjacency);
+        let v2 = g.vertex_slot(2)?;
+        assert!(g.out_hops(v2).contains(&(e, v2)));
+        g.seal();
+        assert_heads_stored(&g, TopologyLayout::Csr);
+        Ok(())
     }
 
     #[test]
@@ -1072,8 +999,7 @@ mod tests {
         let v5 = g.vertex_slot(5).unwrap();
         assert_eq!(g.fan_out(v4), 1);
         assert_eq!(g.fan_in(v5), 1);
-        let hops: Vec<_> = g.out_hops(v4).collect();
-        assert_eq!(hops, vec![(g.edge_slot(14).unwrap(), v5)]);
+        assert_eq!(g.out_hops(v4), [(g.edge_slot(14).unwrap(), v5)]);
         // Re-seal folds the overlay back in.
         g.seal();
         assert_eq!(g.layout(), TopologyLayout::Csr);

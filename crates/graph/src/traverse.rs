@@ -215,10 +215,9 @@ impl<'g, F: TraversalFilter> DfsPaths<'g, F> {
             let closed = depth > 0 && v == self.path_vertexes[0];
             let mut extended = false;
             if depth < self.spec.max_len && !closed {
-                let out_len = self.graph.out_edges(v).len();
+                let hops = self.graph.out_hops(v);
                 let must_reach = self.spec.closes_at(depth).then_some(self.path_vertexes[0]);
-                while self.cursors[depth] < out_len {
-                    let (e, t) = self.graph.out_hop(v, self.cursors[depth]);
+                while let Some(&(e, t)) = hops.get(self.cursors[depth]) {
                     self.cursors[depth] += 1;
                     self.stats.edges_examined += 1;
                     if must_reach.is_some_and(|s| t != s) {
@@ -450,7 +449,7 @@ impl<'g, F: TraversalFilter> BfsPaths<'g, F> {
                     .spec
                     .closes_at(depth)
                     .then(|| seed_of(&self.arena, node));
-                for (e, t) in self.graph.out_hops(node.vertex) {
+                for &(e, t) in self.graph.out_hops(node.vertex) {
                     self.stats.edges_examined += 1;
                     if must_reach.is_some_and(|s| t != s) {
                         continue;

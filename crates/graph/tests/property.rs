@@ -113,8 +113,13 @@ proptest! {
             let fs = fresh.vertex_slot(v).unwrap();
             prop_assert_eq!(g.fan_out(gs), fresh.fan_out(fs), "fan_out of {}", v);
             prop_assert_eq!(g.fan_in(gs), fresh.fan_in(fs), "fan_in of {}", v);
-            let mut a: Vec<i64> = g.out_edges(gs).iter().map(|&e| g.edge_id(e)).collect();
-            let mut b: Vec<i64> = fresh.out_edges(fs).iter().map(|&e| fresh.edge_id(e)).collect();
+            let mut a: Vec<(i64, i64)> =
+                g.out_hops(gs).iter().map(|&(e, t)| (g.edge_id(e), g.vertex_id(t))).collect();
+            let mut b: Vec<(i64, i64)> = fresh
+                .out_hops(fs)
+                .iter()
+                .map(|&(e, t)| (fresh.edge_id(e), fresh.vertex_id(t)))
+                .collect();
             a.sort();
             b.sort();
             prop_assert_eq!(a, b, "adjacency of {}", v);

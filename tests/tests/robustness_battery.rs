@@ -690,6 +690,26 @@ fn explicit_transaction_survives_injected_fault() {
     assert_reextraction_consistent(&db);
 }
 
+#[test]
+fn bulk_insert_runs_the_insert_fault_sites() {
+    // A bulk load runs SQL INSERT's loop: a fault on its second row rolls
+    // back the first row and the edge it added to the view.
+    let db = social_db(EngineConfig::default());
+    let before = db.state_dump().unwrap();
+    db.set_fault_plan(Some(FaultPlan::parse("0:dml.insert.row@2=error").unwrap()));
+    let rows = || -> Vec<Vec<Value>> {
+        [(105, 1, 3), (106, 2, 4), (107, 3, 5)]
+            .into_iter()
+            .map(|(id, a, b)| vec![Value::Integer(id), Value::Integer(a), Value::Integer(b)])
+            .collect()
+    };
+    let err = db.bulk_insert("r", rows()).unwrap_err();
+    assert!(err.to_string().contains("injected fault"), "got {err:?}");
+    assert_eq!(db.state_dump().unwrap(), before, "faulted bulk load was not all-or-nothing");
+    assert_eq!(db.bulk_insert("r", rows()).unwrap(), 3);
+    assert_reextraction_consistent(&db);
+}
+
 // ---------------------------------------------------------------------------
 // Operator-level fault injection
 // ---------------------------------------------------------------------------

@@ -133,8 +133,8 @@ impl Schema {
 
     /// Concatenate two schemas (for join output).
     pub fn join(&self, other: &Schema) -> Schema {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
+        let mut columns = Vec::with_capacity(self.len() + other.len());
+        columns.extend(self.columns.iter().chain(&other.columns).cloned());
         Schema { columns }
     }
 

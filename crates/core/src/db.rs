@@ -678,10 +678,10 @@ fn planner_ctx(inner: &DbInner) -> Result<PlannerCtx> {
     let mut hash_indexed = HashMap::new();
     for (name, t) in inner.catalog.iter() {
         tables.insert(name.to_string(), t.schema().clone());
-        let cols: Vec<usize> = t
+        let cols: Vec<_> = t
             .indexes()
             .filter(|ix| ix.kind() == IndexKind::Hash)
-            .map(|ix| ix.column())
+            .map(|ix| (ix.column(), IndexKind::Hash))
             .collect();
         if !cols.is_empty() {
             hash_indexed.insert(name.to_string(), cols);

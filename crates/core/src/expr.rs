@@ -35,25 +35,26 @@ use crate::plan::AggSpec;
 // Bindings / namespace
 // ---------------------------------------------------------------------------
 
-/// What a FROM-clause binding denotes.
-#[derive(Debug, Clone, PartialEq)]
-pub enum BindingKind {
-    /// A relational table (lowercase name).
-    Table(String),
+/// What a FROM-clause binding denotes, by the catalog's (lowercase) name.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum BindingKind<'a> {
+    /// A relational table.
+    Table(&'a str),
     /// `gv.VERTEXES` scan output.
-    Vertexes(String),
+    Vertexes(&'a str),
     /// `gv.EDGES` scan output.
-    Edges(String),
+    Edges(&'a str),
     /// `gv.PATHS` — contributes a single Path-typed column.
-    Paths(String),
+    Paths(&'a str),
 }
 
 /// One FROM-clause binding with its slice of the combined pipeline row.
 #[derive(Debug, Clone)]
-pub struct Binding {
-    /// Binding name, lowercase (alias or source name).
-    pub name: String,
-    pub kind: BindingKind,
+pub struct Binding<'a> {
+    /// Binding name (alias or source name) as the query wrote it; it
+    /// matches in any case.
+    pub name: &'a str,
+    pub kind: BindingKind<'a>,
     /// Schema of this binding's columns.
     pub schema: Arc<Schema>,
     /// Offset of this binding's first column in the combined row.
@@ -80,13 +81,12 @@ impl GraphMeta {
             let (attr, ty) = self.vertex_attr_of(name)?;
             return Some((ElemAttr::Slot(SlotAttr::Vertex(attr)), ty));
         }
-        let name = name.to_ascii_lowercase();
-        let attr = match name.as_str() {
+        let attr = match lowercase(name, &mut [0; KEYWORD_MAX]) {
             gv::ID => ElemAttr::Slot(SlotAttr::Edge(EdgeAttr::Id)),
             gv::START_VERTEX => ElemAttr::HopStart,
             gv::END_VERTEX => ElemAttr::HopEnd,
             _ => {
-                let c = self.def.edge_attr_col(&name)?;
+                let c = self.def.edge_attr_col(name)?;
                 let ty = self.edge_schema.column(c).data_type;
                 return Some((ElemAttr::Slot(SlotAttr::Edge(EdgeAttr::Col(c))), ty));
             }
@@ -96,13 +96,12 @@ impl GraphMeta {
 
     /// [`GraphMeta::attr_of`] on the vertexes.
     fn vertex_attr_of(&self, name: &str) -> Option<(VertexAttr, DataType)> {
-        let name = name.to_ascii_lowercase();
-        let attr = match name.as_str() {
+        let attr = match lowercase(name, &mut [0; KEYWORD_MAX]) {
             gv::ID => VertexAttr::Id,
             gv::FANIN => VertexAttr::FanIn,
             gv::FANOUT => VertexAttr::FanOut,
             _ => {
-                let c = self.def.vertex_attr_col(&name)?;
+                let c = self.def.vertex_attr_col(name)?;
                 return Some((VertexAttr::Col(c), self.vertex_schema.column(c).data_type));
             }
         };
@@ -129,13 +128,28 @@ impl GraphMeta {
     }
 }
 
+/// Longest keyword [`lowercase`] matches: `startvertexid`.
+const KEYWORD_MAX: usize = 16;
+
+/// `name` in ASCII lowercase, written into `buf`, so matching a name
+/// against lowercase keywords allocates nothing. A name longer than any
+/// keyword comes back empty, which matches none.
+pub(crate) fn lowercase<'b>(name: &str, buf: &'b mut [u8; KEYWORD_MAX]) -> &'b str {
+    let Some(out) = buf.get_mut(..name.len()) else {
+        return "";
+    };
+    out.copy_from_slice(name.as_bytes());
+    out.make_ascii_lowercase();
+    std::str::from_utf8(out).unwrap_or_default()
+}
+
 /// The name-resolution context for one query: FROM bindings plus graph
 /// metadata, and after aggregation the `Grouping` that reads its output.
 #[derive(Debug, Clone)]
-pub struct Namespace {
-    pub bindings: Vec<Binding>,
+pub struct Namespace<'a> {
+    pub bindings: Vec<Binding<'a>>,
     pub graphs: Arc<HashMap<String, GraphMeta>>,
-    pub(crate) grouping: Option<Grouping>,
+    pub(crate) grouping: Option<Grouping<'a>>,
 }
 
 /// The post-aggregation substitution: the GROUP BY expressions, then the
@@ -143,12 +157,12 @@ pub struct Namespace {
 /// (`schema`). An expression after aggregation is built from these; any
 /// other reference to the input row is an error.
 #[derive(Debug, Clone)]
-pub(crate) struct Grouping {
-    pub(crate) keys: Vec<Expr>,
+pub(crate) struct Grouping<'a> {
+    pub(crate) keys: Vec<&'a Expr>,
     pub(crate) schema: Arc<Schema>,
 }
 
-impl Namespace {
+impl<'a> Namespace<'a> {
     pub fn new(graphs: Arc<HashMap<String, GraphMeta>>) -> Self {
         Namespace {
             bindings: Vec::new(),
@@ -163,9 +177,9 @@ impl Namespace {
     }
 
     /// One table's columns, as a DML statement sees them.
-    pub(crate) fn table(table: &str, schema: Arc<Schema>) -> Result<Self> {
+    pub(crate) fn table(table: &'a str, schema: Arc<Schema>) -> Result<Self> {
         let mut ns = Namespace::empty();
-        ns.push(table, BindingKind::Table(table.to_string()), schema)?;
+        ns.push(table, BindingKind::Table(table), schema)?;
         Ok(ns)
     }
 
@@ -177,10 +191,17 @@ impl Namespace {
     }
 
     /// Append a binding; returns an analysis error on duplicate names.
-    pub fn push(&mut self, name: &str, kind: BindingKind, schema: Arc<Schema>) -> Result<()> {
-        let name = name.to_ascii_lowercase();
-        if self.bindings.iter().any(|b| b.name == name) {
-            return Err(Error::analysis(format!("duplicate FROM binding `{name}`")));
+    pub fn push(
+        &mut self,
+        name: &'a str,
+        kind: BindingKind<'a>,
+        schema: Arc<Schema>,
+    ) -> Result<()> {
+        if self.binding(name).is_some() {
+            return Err(Error::analysis(format!(
+                "duplicate FROM binding `{}`",
+                name.to_ascii_lowercase()
+            )));
         }
         let offset = self.width();
         self.bindings.push(Binding {
@@ -192,9 +213,10 @@ impl Namespace {
         Ok(())
     }
 
-    pub fn binding(&self, name: &str) -> Option<&Binding> {
-        let lower = name.to_ascii_lowercase();
-        self.bindings.iter().find(|b| b.name == lower)
+    pub fn binding(&self, name: &str) -> Option<&Binding<'a>> {
+        self.bindings
+            .iter()
+            .find(|b| b.name.eq_ignore_ascii_case(name))
     }
 
     /// Combined schema of all bindings in order.
@@ -475,12 +497,12 @@ pub enum AggFunc {
 
 impl AggFunc {
     pub fn parse(name: &str) -> Option<AggFunc> {
-        Some(match name.to_ascii_uppercase().as_str() {
-            "COUNT" => AggFunc::Count,
-            "SUM" => AggFunc::Sum,
-            "AVG" => AggFunc::Avg,
-            "MIN" => AggFunc::Min,
-            "MAX" => AggFunc::Max,
+        Some(match lowercase(name, &mut [0; KEYWORD_MAX]) {
+            "count" => AggFunc::Count,
+            "sum" => AggFunc::Sum,
+            "avg" => AggFunc::Avg,
+            "min" => AggFunc::Min,
+            "max" => AggFunc::Max,
             _ => return None,
         })
     }
@@ -1273,7 +1295,7 @@ fn aggregate_type(func: AggFunc, name: &str, t: Ty, arg: &Expr) -> Result<Ty> {
 /// `Grouping`.
 pub fn compile(expr: &Expr, ns: &Namespace) -> Result<PhysExpr> {
     if let Some(g) = &ns.grouping {
-        if let Some(index) = g.keys.iter().position(|k| k == expr) {
+        if let Some(index) = g.keys.iter().position(|k| *k == expr) {
             let ty = g.schema.column(index).data_type;
             return Ok(PhysExpr::Column { index, ty });
         }
@@ -1578,7 +1600,7 @@ impl RangeRef {
 
 /// The element list a `PS.<segment>` reference names, if any.
 pub(crate) fn element_target(segment: &RefPart) -> Option<PathTarget> {
-    match segment.name.to_ascii_lowercase().as_str() {
+    match lowercase(&segment.name, &mut [0; KEYWORD_MAX]) {
         "edges" => Some(PathTarget::Edges),
         "vertexes" | "vertices" => Some(PathTarget::Vertexes),
         _ => None,
@@ -1731,10 +1753,11 @@ fn compile_path_ref(
 ) -> Result<PhysExpr> {
     let meta = ns.graph_meta(graph)?;
     let seg = &parts[1];
-    let seg_name = seg.name.to_ascii_lowercase();
+    let mut buf = [0; KEYWORD_MAX];
+    let seg_name = lowercase(&seg.name, &mut buf);
     let mk = |prop: PathProp, ty: DataType| PhysExpr::PathProp { col, prop, ty };
 
-    match seg_name.as_str() {
+    match seg_name {
         "length" => Ok(mk(PathProp::Length, DataType::Integer)),
         "pathstring" => Ok(mk(PathProp::PathString, DataType::Varchar)),
         "cost" | "totalcost" => Ok(mk(PathProp::Cost, DataType::Double)),

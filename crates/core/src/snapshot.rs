@@ -39,7 +39,7 @@ pub(crate) struct Sources {
 /// Everything one read can observe, by lowercase name, and what it runs
 /// under.
 pub(crate) struct Snapshot<'a> {
-    tables: HashMap<&'a str, &'a Table>,
+    catalog: &'a Catalog,
     graphs: HashMap<&'a str, GraphEnv<'a>>,
     plan_ctx: &'a PlannerCtx,
     settings: &'a Settings,
@@ -59,7 +59,6 @@ impl<'a> Snapshot<'a> {
         settings: &'a Settings,
         cancel: Option<&'a CancelToken>,
     ) -> Self {
-        let tables: HashMap<&str, &Table> = catalog.iter().collect();
         // A view's sources cannot be dropped before the view, so both
         // lookups hit; a view that somehow lost one stays unbound and a
         // query naming it fails with "not bound in query env".
@@ -69,14 +68,14 @@ impl<'a> Snapshot<'a> {
                 let env = GraphEnv {
                     def: &v.def,
                     topo: &v.topology,
-                    vertex_table: tables.get(v.def.vertex_source.as_str())?,
-                    edge_table: tables.get(v.def.edge_source.as_str())?,
+                    vertex_table: catalog.table(&v.def.vertex_source).ok()?,
+                    edge_table: catalog.table(&v.def.edge_source).ok()?,
                 };
                 Some((name.as_str(), env))
             })
             .collect();
         Snapshot {
-            tables,
+            catalog,
             graphs,
             plan_ctx,
             settings,
@@ -85,7 +84,7 @@ impl<'a> Snapshot<'a> {
     }
 
     pub(crate) fn table(&self, name: &str) -> Option<&'a Table> {
-        self.tables.get(name).copied()
+        self.catalog.table(name).ok()
     }
 
     pub(crate) fn graph(&self, name: &str) -> Option<&GraphEnv<'a>> {
@@ -217,10 +216,9 @@ impl<'a> Snapshot<'a> {
     /// the text is independent of iteration order.
     pub(crate) fn state_dump(&self) -> String {
         let mut out = String::new();
-        let mut names: Vec<&str> = self.tables.keys().copied().collect();
-        names.sort_unstable();
-        for name in names {
-            let mut rows: Vec<(u64, String)> = self.tables[name]
+        // The catalog iterates in name order.
+        for (name, table) in self.catalog.iter() {
+            let mut rows: Vec<(u64, String)> = table
                 .scan()
                 .map(|(id, row)| {
                     let vals: Vec<String> = row.iter().map(|v| v.to_string()).collect();

@@ -76,6 +76,23 @@ fn between_and_arithmetic() {
     assert!(db.execute("SELECT 1 / 0 FROM t").is_err());
 }
 
+/// `-9223372036854775808` is the literal `i64::MIN`, the value
+/// `-9223372036854775807 - 1` computes; negating it again overflows.
+#[test]
+fn i64_min_is_writable_as_a_literal() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (-9223372036854775807 - 1), (0)")
+        .unwrap();
+    let rs = db
+        .execute("SELECT id FROM t WHERE id = -9223372036854775808")
+        .unwrap();
+    assert_eq!(rs.rows, vec![vec![Value::Integer(i64::MIN)]]);
+    assert!(db.execute("SELECT - -9223372036854775808 FROM t").is_err());
+    assert!(db.execute("SELECT 9223372036854775808 FROM t").is_err());
+}
+
 #[test]
 fn group_aggregates_skip_nulls() {
     let db = db_with_nulls();

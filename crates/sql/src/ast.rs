@@ -139,20 +139,20 @@ pub enum SelectItem {
 #[derive(Debug, Clone, PartialEq)]
 pub enum FromItem {
     Table {
-        name: String,
-        alias: Option<String>,
+        name: Name,
+        alias: Option<Name>,
     },
     GraphVertexes {
-        graph: String,
-        alias: Option<String>,
+        graph: Name,
+        alias: Option<Name>,
     },
     GraphEdges {
-        graph: String,
-        alias: Option<String>,
+        graph: Name,
+        alias: Option<Name>,
     },
     GraphPaths {
-        graph: String,
-        alias: Option<String>,
+        graph: Name,
+        alias: Option<Name>,
         hint: Option<PathHint>,
     },
 }
@@ -223,10 +223,102 @@ pub enum Expr {
     },
     /// Function call, including aggregates. `COUNT(*)` sets `star`.
     Function {
-        name: String,
+        name: Name,
         args: Vec<Expr>,
         star: bool,
     },
+}
+
+/// A name of a query: a reference segment (`PS`, `Edges`, `lstName`), a
+/// function name, or a FROM item's source or alias. It is kept inline when
+/// it fits in [`Name::INLINE`] bytes, as nearly every name does, so a
+/// query's names cost no allocation; a longer one is boxed. It reads as a
+/// `str`.
+#[derive(Clone)]
+pub struct Name(NameRepr);
+
+#[derive(Clone)]
+enum NameRepr {
+    Inline { len: u8, bytes: [u8; Name::INLINE] },
+    Boxed(Box<str>),
+}
+
+impl Name {
+    /// The longest name stored inline; with the length byte and the tag a
+    /// `Name` is as large as a `String`.
+    pub const INLINE: usize = 22;
+
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            NameRepr::Inline { len, bytes } => {
+                let bytes = &bytes[..usize::from(*len)];
+                // SAFETY: `From<&str>` is the only constructor of an inline
+                // name, and it copies a whole `str` into `bytes[..len]`, so
+                // they are UTF-8. Checking them again on every read would
+                // triple the cost of a name comparison in the planner.
+                unsafe { std::str::from_utf8_unchecked(bytes) }
+            }
+            NameRepr::Boxed(s) => s,
+        }
+    }
+}
+
+impl From<&str> for Name {
+    fn from(s: &str) -> Self {
+        match u8::try_from(s.len()) {
+            Ok(len) if s.len() <= Name::INLINE => {
+                let mut bytes = [0; Name::INLINE];
+                bytes[..s.len()].copy_from_slice(s.as_bytes());
+                Name(NameRepr::Inline { len, bytes })
+            }
+            _ => Name(NameRepr::Boxed(s.into())),
+        }
+    }
+}
+
+impl From<String> for Name {
+    fn from(s: String) -> Self {
+        Name::from(s.as_str())
+    }
+}
+
+impl std::ops::Deref for Name {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl PartialEq for Name {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Name {}
+
+impl PartialEq<str> for Name {
+    fn eq(&self, other: &str) -> bool {
+        self.as_str() == other
+    }
+}
+
+impl PartialEq<&str> for Name {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl std::fmt::Debug for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        std::fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl std::fmt::Display for Name {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self)
+    }
 }
 
 /// A source location (1-based line and column of a token). `0:0` means
@@ -262,7 +354,7 @@ impl std::fmt::Display for Span {
 /// compare equal.
 #[derive(Debug, Clone)]
 pub struct RefPart {
-    pub name: String,
+    pub name: Name,
     pub index: Option<IndexRange>,
     /// Source position of the segment's identifier token (for plan-time
     /// diagnostics). Not part of structural equality.
@@ -276,7 +368,7 @@ impl PartialEq for RefPart {
 }
 
 impl RefPart {
-    pub fn plain(name: impl Into<String>) -> Self {
+    pub fn plain(name: impl Into<Name>) -> Self {
         RefPart {
             name: name.into(),
             index: None,

@@ -21,8 +21,9 @@ pub struct Catalog {
 }
 
 /// The catalog key of `name`: borrowed when it already is lowercase (what
-/// every DML caller passes), allocated only otherwise.
-fn key(name: &str) -> Cow<'_, str> {
+/// every DML caller passes), allocated only otherwise. Table and graph view
+/// names are keyed the same way.
+pub fn key(name: &str) -> Cow<'_, str> {
     if name.bytes().any(|b| b.is_ascii_uppercase()) {
         Cow::Owned(name.to_ascii_lowercase())
     } else {

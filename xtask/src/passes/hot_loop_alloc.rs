@@ -16,7 +16,10 @@
 //!   (`crates/graph/src/traverse.rs`, `crates/graph/src/dijkstra.rs`,
 //!   `crates/graph/src/p2p.rs`, `crates/graph/src/search.rs`) and in the
 //!   DML statement bodies (`crates/core/src/dml.rs`), whose loops run once
-//!   per inserted, updated or deleted row under the engine lock.
+//!   per inserted, updated or deleted row under the engine lock, and in
+//!   the SQL lexer (`crates/sql/src/lexer.rs`), whose loops run once per
+//!   character of every ad-hoc statement: a token borrows the source, so
+//!   only unescaping a `''` may copy it.
 //!
 //! Deliberate allocations (building the output value itself, amortized
 //! reservations) carry `// alloc-ok: reason` on the same line and are
@@ -54,6 +57,9 @@ const HOT_FILES: &[&str] = &[
     // Per-row statement bodies: a `String`/`Row` clone per victim is what
     // the writer holds the engine lock for.
     "crates/core/src/dml.rs",
+    // Per-character loops of every ad-hoc statement: tokens borrow the
+    // source text.
+    "crates/sql/src/lexer.rs",
 ];
 
 const HOT_FNS: &[&str] = &["next", "next_batch", "matches", "truth"];
@@ -151,6 +157,15 @@ mod tests {
         let found = scan("crates/graph/src/traverse.rs", src);
         assert_eq!(found.len(), 1);
         assert!(found[0].message.contains("`to_vec`"));
+    }
+
+    #[test]
+    fn lexer_hot_everywhere() {
+        let src = "fn next_token(&mut self) {\n    while let Some(&b) = bytes.get(i) {\n        let word = text.to_string();\n    }\n}\n";
+        let found = scan("crates/sql/src/lexer.rs", src);
+        assert_eq!(found.len(), 1);
+        assert!(found[0].message.contains("`to_string`"));
+        assert!(scan("crates/sql/src/parser.rs", src).is_empty());
     }
 
     #[test]

@@ -299,14 +299,20 @@ impl Database {
 
     /// Statistics of a graph view's materialized topology (vertex/edge
     /// counts, average fan-out, approximate memory — the §6.3 catalog
-    /// statistic plus the build-cost experiment's memory number).
+    /// statistic plus the build-cost experiment's memory number). The
+    /// sealed bytes, and so the memory, include the edge columns a seal
+    /// copies.
     pub fn graph_stats(&self, name: &str) -> Result<GraphStats> {
         let inner = self.inner.lock();
         let view = inner
             .graph_views
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| Error::catalog(format!("graph view `{name}` does not exist")))?;
-        Ok(view.topology.stats())
+        let mut stats = view.topology.stats();
+        let columns = view.columns.bytes();
+        stats.sealed_bytes += columns;
+        stats.memory_bytes += columns;
+        Ok(stats)
     }
 
     /// Names of all graph views (sorted).
@@ -528,7 +534,20 @@ fn create_graph_view(
     // away: materialization is the one moment the topology is complete and
     // overlay-free, so the seal is a straight copy.
     if seal {
-        view.topology.seal();
+        let def = view.def.clone();
+        let edge_source = def.edge_source.as_str();
+        let mut links = GraphView::links(inner.graph_views.values(), edge_source);
+        links.extend([def.edge_id_col, def.edge_from_col, def.edge_to_col]);
+        view.seal(inner.catalog.table(edge_source)?, &links);
+        // A view over the same edge source that copied one of this view's
+        // links would miss the cascades that rewrite it: it reads its
+        // tuples until its next seal, which leaves the column out.
+        for other in inner.graph_views.values_mut() {
+            let fed = other.def.edge_source == edge_source;
+            if fed && links.iter().any(|&c| other.columns.copies(c)) {
+                other.columns.clear();
+            }
+        }
     }
     // Register the view with each of its sources (§3.3: a source knows the
     // views it feeds). A table used for both roles is registered once.
@@ -641,20 +660,27 @@ fn maybe_reseal(ctx: &mut DmlCtx<'_>, sealed: bool) -> Result<()> {
     }
     // Sorted order: with several views due at once, the fault-site hit
     // sequence (and thus a sweep's nth-hit selection) must be stable.
-    let mut views: Vec<(&String, &mut GraphView)> = ctx.graph_views.iter_mut().collect();
-    views.sort_unstable_by_key(|(name, _)| *name);
-    for (_, view) in views {
-        let topo = &mut view.topology;
-        if !(topo.is_sealed() && topo.overlay_fraction() >= RESEAL_FRACTION) {
-            continue;
-        }
+    let mut due: Vec<String> = (ctx.graph_views.iter())
+        .filter(|(_, v)| v.topology.is_sealed() && v.topology.overlay_fraction() >= RESEAL_FRACTION)
+        .map(|(name, _)| name.clone())
+        .collect();
+    due.sort_unstable();
+    for name in due {
         ctx.gov.fault("dml.seal")?;
-        // Charge the compacted arrays before building them, so a cap
-        // violation surfaces while the topology is still untouched.
+        let Some(def) = ctx.graph_views.get(&name).map(|v| v.def.clone()) else {
+            continue;
+        };
+        let links = GraphView::links(ctx.graph_views.values(), &def.edge_source);
+        let edges = ctx.catalog.table(&def.edge_source)?;
+        let Some(view) = ctx.graph_views.get_mut(&name) else {
+            continue;
+        };
+        // Charge the compacted arrays and the columns before building
+        // them, so a cap violation surfaces while the view is untouched.
         if ctx.gov.active() {
-            ctx.gov.charge_bytes(topo.sealed_bytes_estimate() as u64)?;
+            ctx.gov.charge_bytes(view.sealed_bytes_estimate(edges, &links) as u64)?;
         }
-        topo.seal();
+        view.seal(edges, &links);
     }
     Ok(())
 }

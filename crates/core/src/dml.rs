@@ -82,6 +82,10 @@ impl Journal {
     /// Roll back to `savepoint`, undoing storage and topology actions in
     /// reverse order. This is the recovery path: it hits no fault site and
     /// polls no governor, so nothing can interrupt it.
+    ///
+    /// Undoing an UPDATE of a view's edge source drops the view's edge
+    /// columns until its next seal: the restored value may be older than
+    /// the columns (a statement that re-sealed after the write).
     pub fn rollback_to(
         &mut self,
         catalog: &mut Catalog,
@@ -93,7 +97,15 @@ impl Journal {
                 break;
             };
             match entry {
-                EngineUndo::Storage(op) => op.undo(catalog)?,
+                EngineUndo::Storage(op) => {
+                    if let UndoOp::Update { table, .. } = &op {
+                        let fed = graph_views.values_mut();
+                        for view in fed.filter(|v| v.def.edge_source == **table) {
+                            view.columns.clear();
+                        }
+                    }
+                    op.undo(catalog)?
+                }
                 EngineUndo::Graph { gv, op } => {
                     let topo = &mut graph_views
                         .get_mut(&*gv)
@@ -469,6 +481,13 @@ impl Writer<'_> {
             if def.edge_source == *self.table {
                 let (old_id, old_from, old_to) = def.edge_of(old_row)?;
                 let (cur_id, new_from, new_to) = def.edge_of(new_row)?;
+                // An edge whose copied attributes change reads its tuple
+                // until the next seal. A relinked edge is reborn in a new
+                // slot below, which the columns do not cover.
+                if !view.columns.is_empty() {
+                    let slot = view.topology.edge_slot(old_id)?;
+                    view.columns.note_update(slot, old_row, new_row);
+                }
                 if old_id != cur_id {
                     view.topology.rename_edge(old_id, cur_id)?;
                     self.journal.record_graph(

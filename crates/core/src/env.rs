@@ -7,7 +7,8 @@
 //! attribute fetches that dereference tuple pointers (the O(1)
 //! topology→tuple hop of EDBT 2018 §3.2): one per element kind, taking an
 //! accessor `expr::compile` resolved from the attribute's name, so no name
-//! is looked up while a query runs.
+//! is looked up while a query runs. A sealed edge's numeric attribute is
+//! read from the view's columns instead (`graph_view::EdgeColumns`).
 
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -17,7 +18,7 @@ use grfusion_graph::{EdgeSlot, GraphTopology, VertexSlot};
 use grfusion_storage::Table;
 
 use crate::expr::{EdgeAttr, ElemAttr, SlotAttr, VertexAttr};
-use crate::graph_view::GraphViewDef;
+use crate::graph_view::{EdgeColumns, GraphViewDef};
 use crate::snapshot::Snapshot;
 
 /// Lossless `usize → i64` degree conversion. Topology degrees are bounded
@@ -29,27 +30,59 @@ pub fn degree_i64(n: usize) -> i64 {
     i64::try_from(n).unwrap_or(i64::MAX)
 }
 
-/// Borrowed view of one graph view during query execution.
+/// Borrowed view of one graph view during query execution: a handful of
+/// references, bound by name when an operator is built.
+#[derive(Clone, Copy)]
 pub struct GraphEnv<'e> {
     pub def: &'e Arc<GraphViewDef>,
     pub topo: &'e GraphTopology,
     pub vertex_table: &'e Table,
     pub edge_table: &'e Table,
+    /// The numeric edge attributes as of the view's last seal.
+    pub columns: &'e EdgeColumns,
 }
 
 impl<'e> GraphEnv<'e> {
     /// Attribute `attr` of the edge in `slot`: the one edge fetch, which
     /// residual evaluation, the traversal filter and the shortest-path cost
-    /// all read through. Only a [`EdgeAttr::Col`] dereferences the edge's
-    /// tuple pointer, and borrows the value; `None` if the pointer dangles.
+    /// all read through. A [`EdgeAttr::Col`] is answered from the view's
+    /// columns where they hold it fresh, and otherwise by dereferencing the
+    /// edge's tuple pointer, which borrows the value; `None` if the pointer
+    /// dangles.
     #[inline]
     pub fn edge_value(&self, slot: EdgeSlot, attr: EdgeAttr) -> Option<Cow<'e, Value>> {
+        self.edge_read(slot, attr).0
+    }
+
+    /// [`GraphEnv::edge_value`], and whether it dereferenced the tuple
+    /// pointer (what the traversal counts as `derefs`).
+    #[inline]
+    pub fn edge_read(&self, slot: EdgeSlot, attr: EdgeAttr) -> (Option<Cow<'e, Value>>, bool) {
         match attr {
-            EdgeAttr::Id => Some(Cow::Owned(Value::Integer(self.topo.edge_id(slot)))),
-            EdgeAttr::Col(c) => self
+            EdgeAttr::Id => (Some(Cow::Owned(Value::Integer(self.topo.edge_id(slot)))), false),
+            EdgeAttr::Col(c) => match self.columns.column(c).and_then(|col| col.value(slot)) {
+                Some(v) => (Some(Cow::Owned(v)), false),
+                None => {
+                    let tuple = self.topo.edge_tuple(slot);
+                    (self.edge_table.get_value(tuple, c).map(Cow::Borrowed), true)
+                }
+            },
+        }
+    }
+
+    /// The edge-cost function of a shortest-path scan over source column
+    /// `c`, with the column looked up once per search:
+    /// [`GraphEnv::edge_value`]'s read as a number, infinite where the value
+    /// is NULL or not a number, or the pointer dangles.
+    pub fn edge_costs(self, c: usize) -> impl Fn(&GraphTopology, EdgeSlot) -> f64 + 'e {
+        let column = self.columns.column(c);
+        move |_, slot| match column.and_then(|col| col.cost(slot)) {
+            Some(cost) => cost,
+            None => self
                 .edge_table
                 .get_value(self.topo.edge_tuple(slot), c)
-                .map(Cow::Borrowed),
+                .and_then(|v| v.as_double().ok())
+                .unwrap_or(f64::INFINITY),
         }
     }
 
@@ -123,14 +156,14 @@ impl<'e> QueryEnv<'e> {
             .ok_or_else(|| Error::execution(format!("table `{name}` not bound in query env")))
     }
 
-    pub fn graph(&self, name: &str) -> Result<&'e GraphEnv<'e>> {
+    pub fn graph(&self, name: &str) -> Result<GraphEnv<'e>> {
         self.snap
             .and_then(|s| s.graph(name))
             .ok_or_else(|| Error::execution(format!("graph view `{name}` not bound in query env")))
     }
 
     /// Resolve the graph env a path value belongs to.
-    pub fn graph_of_path(&self, path: &PathData) -> Result<&GraphEnv<'e>> {
+    pub fn graph_of_path(&self, path: &PathData) -> Result<GraphEnv<'e>> {
         self.graph(&path.graph_view)
     }
 }

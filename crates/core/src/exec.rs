@@ -452,7 +452,7 @@ fn mem_tracker<'e>(env: &'e QueryEnv<'e>) -> Option<MemTracker<'e>> {
 // ---------------------------------------------------------------------------
 
 struct VertexScanOp<'e> {
-    genv: &'e GraphEnv<'e>,
+    genv: GraphEnv<'e>,
     slots: Box<dyn Iterator<Item = VertexSlot> + 'e>,
     admit: Admit<'e>,
 }
@@ -493,7 +493,7 @@ impl<'e> Operator<'e> for VertexScanOp<'e> {
 }
 
 struct EdgeScanOp<'e> {
-    genv: &'e GraphEnv<'e>,
+    genv: GraphEnv<'e>,
     slots: Box<dyn Iterator<Item = EdgeSlot> + 'e>,
     admit: Admit<'e>,
 }
@@ -602,10 +602,24 @@ struct FilterGov<'e> {
     tripped: Cell<bool>,
 }
 
-/// The engine-side traversal filter: dereferences tuple pointers to check
+/// The engine-side traversal filter: reads element attributes to check
 /// pushed predicates while the graph is being walked (§6.2).
+///
+/// Every traversal kernel asks it once per edge and once per new vertex.
+/// Where a hook has nothing to do — no pushed test of that element kind
+/// and no governor ticks — it answers in one inlined branch, so an
+/// unconstrained probe runs at the bare kernel's speed. The tests run out
+/// of line, in functions marked cold: the kernel's loop then keeps its
+/// registers for the walk instead of saving them around a call it rarely
+/// makes.
 pub struct EngineFilter<'e> {
-    genv: &'e GraphEnv<'e>,
+    genv: GraphEnv<'e>,
+    /// Whether [`TraversalFilter::edge_allowed`] has work: edge tests or
+    /// governor ticks.
+    edge_work: bool,
+    /// Whether [`TraversalFilter::vertex_allowed`] has work: vertex tests or
+    /// governor ticks.
+    vertex_work: bool,
     edge_preds: Vec<BoundPred<'e, EdgeAttr>>,
     vertex_preds: Vec<BoundPred<'e, VertexAttr>>,
     agg_preds: Vec<BoundAggPred>,
@@ -654,12 +668,13 @@ impl<'e> EngineFilter<'e> {
     }
 
     /// Attribute `attr` of edge `e` for a pushed test (NULL where the
-    /// fetch fails), counting the dereference a column read makes.
+    /// fetch fails), counting the dereference a tuple read makes.
     fn edge_value(&self, e: EdgeSlot, attr: EdgeAttr) -> Cow<'e, Value> {
-        if let EdgeAttr::Col(_) = attr {
+        let (value, deref) = self.genv.edge_read(e, attr);
+        if deref {
             self.derefs.set(self.derefs.get() + 1);
         }
-        self.genv.edge_value(e, attr).unwrap_or(Cow::Owned(Value::Null))
+        value.unwrap_or(Cow::Owned(Value::Null))
     }
 
     /// [`EngineFilter::edge_value`] for a vertex.
@@ -685,21 +700,40 @@ impl<'e> EngineFilter<'e> {
     }
 }
 
-impl<'e> TraversalFilter for EngineFilter<'e> {
-    fn edge_allowed(&self, _: &GraphTopology, edge: EdgeSlot, hop: usize) -> bool {
+impl<'e> EngineFilter<'e> {
+    /// The edge hook's work: the governor tick, then the edge tests.
+    #[cold]
+    #[inline(never)]
+    fn edge_passes(&self, edge: EdgeSlot, hop: usize) -> bool {
         if !self.gov_ok() {
             return false;
         }
         (self.edge_preds.iter()).all(|p| p.holds_at(hop, |a| self.edge_value(edge, a)))
     }
 
-    fn vertex_allowed(&self, _: &GraphTopology, vertex: VertexSlot, position: usize) -> bool {
+    /// The vertex hook's work: the governor tick, then the vertex tests.
+    #[cold]
+    #[inline(never)]
+    fn vertex_passes(&self, vertex: VertexSlot, position: usize) -> bool {
         if !self.gov_ok() {
             return false;
         }
         (self.vertex_preds.iter()).all(|p| p.holds_at(position, |a| self.vertex_value(vertex, a)))
     }
+}
 
+impl<'e> TraversalFilter for EngineFilter<'e> {
+    #[inline]
+    fn edge_allowed(&self, _: &GraphTopology, edge: EdgeSlot, hop: usize) -> bool {
+        !self.edge_work || self.edge_passes(edge, hop)
+    }
+
+    #[inline]
+    fn vertex_allowed(&self, _: &GraphTopology, vertex: VertexSlot, position: usize) -> bool {
+        !self.vertex_work || self.vertex_passes(vertex, position)
+    }
+
+    #[inline]
     fn running_sums(&self) -> usize {
         self.agg_preds.len()
     }
@@ -744,12 +778,13 @@ impl<'e> TraversalFilter for EngineFilter<'e> {
     }
 }
 
-/// Bind pushed predicates against one outer row.
+/// Bind pushed predicates against one outer row, and record which hooks
+/// have work.
 fn bind_filter<'e>(
     config: &'e PathScanConfig,
     outer_row: &[Value],
     env: &'e QueryEnv<'e>,
-    genv: &'e GraphEnv<'e>,
+    genv: GraphEnv<'e>,
     gates: &[PruneGate],
 ) -> Result<EngineFilter<'e>> {
     let (mut edge_preds, mut vertex_preds) = (Vec::new(), Vec::new());
@@ -768,8 +803,11 @@ fn bind_filter<'e>(
             gate: gate.clone(),
         })
     };
+    let governed = env.gov.active();
     Ok(EngineFilter {
         genv,
+        edge_work: governed || !edge_preds.is_empty(),
+        vertex_work: governed || !vertex_preds.is_empty(),
         edge_preds,
         vertex_preds,
         agg_preds: config
@@ -779,27 +817,13 @@ fn bind_filter<'e>(
             .map(bind_agg)
             .collect::<Result<_>>()?,
         derefs: Cell::new(0),
-        gov: env.gov.active().then(|| FilterGov {
+        gov: governed.then(|| FilterGov {
             ctx: &env.gov,
             ticks: Cell::new(0),
             checks: Cell::new(0),
             tripped: Cell::new(false),
         }),
     })
-}
-
-/// The edge-cost function of a shortest-path scan: column `cost` of the
-/// edges source, read through the edge's tuple pointer (NULL or
-/// non-numeric = infinite).
-fn edge_cost<'e>(
-    genv: &'e GraphEnv<'e>,
-    cost: usize,
-) -> impl Fn(&GraphTopology, EdgeSlot) -> f64 + 'e {
-    move |_, e| {
-        genv.edge_value(e, EdgeAttr::Col(cost))
-            .and_then(|v| v.as_double().ok())
-            .unwrap_or(f64::INFINITY)
-    }
 }
 
 /// Boxed edge-cost function used by shortest-path scans.
@@ -875,9 +899,10 @@ impl<'e> ActiveScan<'e> {
     }
 }
 
-/// What a probe needs before it can traverse: the pushed predicates bound
-/// and the anchors resolved against the probing row.
+/// What a probe needs before it can traverse: its view, the pushed
+/// predicates bound and the anchors resolved against the probing row.
 struct ProbeInputs<'e> {
+    genv: GraphEnv<'e>,
     filter: EngineFilter<'e>,
     /// Empty when an anchor is NULL or names no vertex: no path matches.
     seeds: Vec<VertexSlot>,
@@ -902,11 +927,11 @@ fn single_path(config: &PathScanConfig) -> bool {
 /// a probe can reject short of the traversal itself.
 fn resolve_probe<'e>(
     config: &'e PathScanConfig,
+    genv: GraphEnv<'e>,
     outer_row: &[Value],
     env: &'e QueryEnv<'e>,
     gates: &[PruneGate],
 ) -> Result<ProbeInputs<'e>> {
-    let genv = env.graph(&config.graph)?;
     let topo = genv.topo;
     let filter = bind_filter(config, outer_row, env, genv, gates)?;
     // The vertex an anchor value names, under SQL's `id = value`: the
@@ -921,6 +946,7 @@ fn resolve_probe<'e>(
     };
     let no_match = |filter| {
         Ok(ProbeInputs {
+            genv,
             filter,
             seeds: Vec::new(),
             target: None,
@@ -944,6 +970,7 @@ fn resolve_probe<'e>(
         }
     }
     Ok(ProbeInputs {
+        genv,
         filter,
         seeds,
         target,
@@ -958,20 +985,20 @@ fn start_probe<'e>(
     env: &'e QueryEnv<'e>,
     inputs: ProbeInputs<'e>,
 ) -> Result<ActiveScan<'e>> {
-    let genv = env.graph(&config.graph)?;
-    let topo = genv.topo;
     let ProbeInputs {
+        genv,
         filter,
         seeds,
         target,
     } = inputs;
+    let topo = genv.topo;
     let Some(&seed) = seeds.first() else {
         return Ok(ActiveScan::Empty);
     };
     if let (true, Some(target)) = (single_path(config), target) {
         let (found, search) = if let ScanMode::ShortestPath { cost, .. } = config.mode {
             let (p, search) =
-                shortest_path_with_stats(topo, seed, target, edge_cost(genv, cost), &filter)?;
+                shortest_path_with_stats(topo, seed, target, genv.edge_costs(cost), &filter)?;
             (p.filter(|p| p.length() <= config.max_len), search)
         } else {
             // By hop-minimality the path satisfies any max-only
@@ -1010,7 +1037,7 @@ fn start_probe<'e>(
                     seed,
                     target,
                     config.max_len,
-                    Box::new(edge_cost(genv, cost)),
+                    Box::new(genv.edge_costs(cost)),
                     filter,
                 ),
                 min_len: config.min_len,
@@ -1085,6 +1112,8 @@ fn resolve_traversal(config: &PathScanConfig, topo: &GraphTopology) -> (ScanMode
 struct PathScanOp<'e> {
     config: &'e PathScanConfig,
     env: &'e QueryEnv<'e>,
+    /// The scanned view, bound once when the operator is built.
+    genv: GraphEnv<'e>,
     /// A join's outer, positioned on the row the current probe binds;
     /// `None` for a standalone scan.
     outer: Option<Cursor<'e>>,
@@ -1108,9 +1137,6 @@ struct PathScanOp<'e> {
     counted: u64,
     /// Emission-side byte accounting; present iff the governor is active.
     tracker: Option<MemTracker<'e>>,
-    /// Topology layout captured at build time (the topology is locked for
-    /// the whole query, so it cannot change underneath the scan).
-    layout: TopologyLayout,
 }
 
 impl<'e> PathScanOp<'e> {
@@ -1121,13 +1147,15 @@ impl<'e> PathScanOp<'e> {
         env: &'e QueryEnv<'e>,
     ) -> Result<Self> {
         let gates = prune_gates(config);
+        let genv = env.graph(&config.graph)?;
         let pending = match outer {
             Some(_) => None,
-            None => Some(resolve_probe(config, &[], env, &gates)?),
+            None => Some(resolve_probe(config, genv, &[], env, &gates)?),
         };
         Ok(PathScanOp {
             config,
             env,
+            genv,
             outer,
             width,
             pending,
@@ -1136,7 +1164,6 @@ impl<'e> PathScanOp<'e> {
             done: Default::default(),
             counted: 0,
             tracker: mem_tracker(env),
-            layout: env.graph(&config.graph)?.topo.layout(),
         })
     }
 
@@ -1150,7 +1177,7 @@ impl<'e> PathScanOp<'e> {
                 if !outer.advance(demand)? {
                     return Ok(false);
                 }
-                resolve_probe(self.config, outer.tuple(), self.env, &self.gates)?
+                resolve_probe(self.config, self.genv, outer.tuple(), self.env, &self.gates)?
             }
             None => match self.pending.take() {
                 Some(inputs) => inputs,
@@ -1208,7 +1235,7 @@ impl<'e> PathScanOp<'e> {
     /// is accounted exactly as its emission would be — one row charged,
     /// its bytes from its length — but none is materialized.
     fn count(&mut self) -> Result<i64> {
-        let view_name_len = self.env.graph(&self.config.graph)?.topo.name().len();
+        let view_name_len = self.genv.topo.name().len();
         while self.next_probe(usize::MAX)? {
             let (Some(scan), gov) = (&mut self.current, &self.env.gov) else {
                 break;
@@ -1269,6 +1296,8 @@ impl<'e> Operator<'e> for PathScanOp<'e> {
     }
 
     fn layout(&self) -> Option<TopologyLayout> {
-        Some(self.layout)
+        // The topology is borrowed for the whole query, so it cannot change
+        // underneath the scan.
+        Some(self.genv.topo.layout())
     }
 }

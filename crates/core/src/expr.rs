@@ -795,7 +795,7 @@ impl PhysExpr {
                 col, attr, func, ..
             } => {
                 let path = row[*col].as_path()?;
-                eval_path_agg(path, *attr, *func, env.graph_of_path(path)?)
+                eval_path_agg(path, *attr, *func, &env.graph_of_path(path)?)
             }
             PhysExpr::Not(_)
             | PhysExpr::And(..)
@@ -820,7 +820,7 @@ impl PhysExpr {
             } => {
                 let path = row[*col].as_path()?;
                 let genv = env.graph_of_path(path)?;
-                eval_quant(path, *start, *end, *attr, test, row, env, genv)
+                eval_quant(path, *start, *end, *attr, test, row, env, &genv)
             }
         }
     }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use grfusion_common::{Column, DataType, Error, Result, Schema, Value};
-use grfusion_graph::GraphTopology;
+use grfusion_graph::{EdgeSlot, GraphTopology};
 use grfusion_sql::CreateGraphView;
 use grfusion_storage::{Catalog, Table};
 
@@ -170,6 +170,310 @@ pub struct GraphView {
     /// another definition was prepared against a view since dropped.
     pub def: Arc<GraphViewDef>,
     pub topology: GraphTopology,
+    /// The numeric edge attributes as of the last seal; empty while the
+    /// view has never sealed.
+    pub columns: EdgeColumns,
+}
+
+/// Edge slot → array index: slots are `u32`, so this widens.
+#[inline]
+fn slot_ix(slot: EdgeSlot) -> usize {
+    slot as usize // cast-ok: u32 -> usize widening
+}
+
+/// Whether bit `i` of `bits` is set; `false` past its end, so an empty map
+/// reads all clear.
+#[inline]
+fn bit(bits: &[u64], i: usize) -> bool {
+    bits.get(i / 64).is_some_and(|w| w >> (i % 64) & 1 == 1)
+}
+
+/// Set bit `i` of `bits`, first sizing an empty map to `span` bits.
+fn set_bit(bits: &mut Vec<u64>, span: usize, i: usize) {
+    if bits.is_empty() {
+        *bits = vec![0; span.div_ceil(64)];
+    }
+    if let Some(w) = bits.get_mut(i / 64) {
+        *w |= 1 << (i % 64);
+    }
+}
+
+/// A view's INTEGER and DOUBLE edge attributes copied into columns indexed
+/// by edge slot at every seal (GRAPHITE's split, PAPERS.md): the
+/// shortest-path cost, a pushed `Edges[..].attr` test and a running sum
+/// read a sealed edge's value here instead of dereferencing its tuple
+/// pointer. Layout: 8 bytes a slot per column; a column holding a NULL
+/// adds a 1-bit null map, and the first stale edge a 1-bit stale map.
+///
+/// An edge answers from the columns only while it is *fresh*:
+/// * it was live in the edge arena at the seal — an edge born later
+///   (inserted, relinked, restored by a rollback) has a slot past the
+///   columns' span;
+/// * no UPDATE changed one of its copied attributes since: view
+///   maintenance marks the edge stale until the next seal;
+/// * no rollback undid an UPDATE of the edge source since: a restored
+///   value may predate the columns, so the rollback drops them whole until
+///   the next seal.
+///
+/// Every other read goes through the tuple pointer, as before the seal.
+#[derive(Debug, Default)]
+pub struct EdgeColumns {
+    /// By source column; `None` for a column that is not copied.
+    cols: Vec<Option<EdgeColumn>>,
+    /// Edge slots the columns cover: the edge arena at the seal.
+    span: usize,
+    /// One bit per covered slot, set for a stale edge; empty while none is.
+    stale: Vec<u64>,
+}
+
+#[derive(Debug)]
+struct EdgeColumn {
+    /// `span` values. A NULL DOUBLE holds +∞, its shortest-path cost.
+    values: Numbers,
+    /// One bit per covered slot, set where the value is NULL; empty while
+    /// none is.
+    nulls: Vec<u64>,
+}
+
+#[derive(Debug)]
+enum Numbers {
+    Integer(Vec<i64>),
+    Double(Vec<f64>),
+}
+
+/// One copied column, looked up once and then read by slot (see
+/// [`EdgeColumns::column`]).
+#[derive(Clone, Copy)]
+pub struct ColumnRef<'c> {
+    values: NumberSlice<'c>,
+    nulls: &'c [u64],
+    stale: &'c [u64],
+}
+
+#[derive(Clone, Copy)]
+enum NumberSlice<'c> {
+    Integer(&'c [i64]),
+    Double(&'c [f64]),
+}
+
+impl ColumnRef<'_> {
+    /// The value of the edge in `slot`, if it is fresh; `None`: read the
+    /// tuple.
+    #[inline]
+    pub fn value(&self, slot: EdgeSlot) -> Option<Value> {
+        let s = slot_ix(slot);
+        let v = match self.values {
+            NumberSlice::Integer(v) => Value::Integer(*v.get(s)?),
+            NumberSlice::Double(v) => Value::Double(*v.get(s)?),
+        };
+        if bit(self.stale, s) {
+            return None;
+        }
+        Some(if bit(self.nulls, s) { Value::Null } else { v })
+    }
+
+    /// [`ColumnRef::value`] as a shortest-path cost: the number, or +∞
+    /// where it is NULL.
+    #[inline]
+    pub fn cost(&self, slot: EdgeSlot) -> Option<f64> {
+        let s = slot_ix(slot);
+        let cost = match self.values {
+            NumberSlice::Double(v) => *v.get(s)?,
+            NumberSlice::Integer(v) => {
+                let i = *v.get(s)?;
+                if bit(self.nulls, s) {
+                    f64::INFINITY
+                } else {
+                    i as f64 // cast-ok: SQL's INTEGER -> DOUBLE widening, as `Value::as_double`
+                }
+            }
+        };
+        if bit(self.stale, s) {
+            return None;
+        }
+        Some(cost)
+    }
+}
+
+impl EdgeColumns {
+    /// The source columns a seal copies: the view's INTEGER and DOUBLE
+    /// edge attributes, less `links`.
+    fn copied(def: &GraphViewDef, edge_table: &Table, links: &[usize]) -> Vec<(usize, DataType)> {
+        let schema = edge_table.schema();
+        let mut out: Vec<(usize, DataType)> = Vec::new();
+        for &(_, c) in &def.edge_attrs {
+            let ty = schema.column(c).data_type;
+            let numeric = matches!(ty, DataType::Integer | DataType::Double);
+            if numeric && !links.contains(&c) && !out.iter().any(|&(o, _)| o == c) {
+                out.push((c, ty));
+            }
+        }
+        out
+    }
+
+    /// The edge slots a seal of `topo` would cover.
+    fn span_of(topo: &GraphTopology) -> usize {
+        topo.edge_slots().last().map_or(0, |s| slot_ix(s) + 1)
+    }
+
+    /// Bytes the value arrays of a seal of `topo` would hold, charged to
+    /// the governor before the seal (the bit maps come later, and only
+    /// with a NULL or a stale edge).
+    fn bytes_estimate(
+        def: &GraphViewDef,
+        topo: &GraphTopology,
+        edge_table: &Table,
+        links: &[usize],
+    ) -> usize {
+        Self::copied(def, edge_table, links).len() * Self::span_of(topo) * 8
+    }
+
+    /// Copy the numeric attributes of every live edge of `topo`. An edge
+    /// whose row is missing, or holds a value of another type than its
+    /// column's, is left stale and reads through its tuple pointer.
+    fn build(
+        def: &GraphViewDef,
+        topo: &GraphTopology,
+        edge_table: &Table,
+        links: &[usize],
+    ) -> EdgeColumns {
+        let span = Self::span_of(topo);
+        let mut copied: Vec<(usize, EdgeColumn)> = Self::copied(def, edge_table, links)
+            .into_iter()
+            .map(|(c, ty)| {
+                let values = match ty {
+                    DataType::Integer => Numbers::Integer(vec![0; span]),
+                    _ => Numbers::Double(vec![0.0; span]),
+                };
+                (c, EdgeColumn { values, nulls: Vec::new() })
+            })
+            .collect();
+        let mut stale = Vec::new();
+        for slot in topo.edge_slots() {
+            let s = slot_ix(slot);
+            let Some(row) = edge_table.get(topo.edge_tuple(slot)) else {
+                set_bit(&mut stale, span, s);
+                continue;
+            };
+            for (c, col) in &mut copied {
+                match (&mut col.values, &row[*c]) {
+                    (Numbers::Integer(v), Value::Integer(i)) => v[s] = *i,
+                    (Numbers::Double(v), Value::Double(d)) => v[s] = *d,
+                    (values, Value::Null) => {
+                        if let Numbers::Double(v) = values {
+                            v[s] = f64::INFINITY;
+                        }
+                        set_bit(&mut col.nulls, span, s);
+                    }
+                    _ => set_bit(&mut stale, span, s),
+                }
+            }
+        }
+        let mut cols: Vec<Option<EdgeColumn>> = Vec::new();
+        for (c, col) in copied {
+            if cols.len() <= c {
+                cols.resize_with(c + 1, || None);
+            }
+            cols[c] = Some(col);
+        }
+        EdgeColumns { cols, span, stale }
+    }
+
+    /// Source column `col`, if the columns hold it.
+    #[inline]
+    pub fn column(&self, col: usize) -> Option<ColumnRef<'_>> {
+        let c = self.cols.get(col)?.as_ref()?;
+        let values = match &c.values {
+            Numbers::Integer(v) => NumberSlice::Integer(v),
+            Numbers::Double(v) => NumberSlice::Double(v),
+        };
+        Some(ColumnRef {
+            values,
+            nulls: &c.nulls,
+            stale: &self.stale,
+        })
+    }
+
+    /// Whether the columns hold source column `col`.
+    pub fn copies(&self, col: usize) -> bool {
+        self.cols.get(col).is_some_and(Option::is_some)
+    }
+
+    /// View maintenance saw an UPDATE rewrite the edge in `slot`: unless
+    /// every copied attribute kept its value, the edge reads its tuple
+    /// until the next seal.
+    pub fn note_update(&mut self, slot: EdgeSlot, old_row: &[Value], new_row: &[Value]) {
+        // Identity, not SQL equality: `0.0 = -0.0` and `1 = 1.0` hold in
+        // SQL, yet each pair prints apart.
+        let same = |a: Option<&Value>, b: Option<&Value>| match (a, b) {
+            (Some(Value::Null), Some(Value::Null)) => true,
+            (Some(Value::Integer(x)), Some(Value::Integer(y))) => x == y,
+            (Some(Value::Double(x)), Some(Value::Double(y))) => x.to_bits() == y.to_bits(),
+            _ => false,
+        };
+        let changed = (self.cols.iter().enumerate())
+            .any(|(c, col)| col.is_some() && !same(old_row.get(c), new_row.get(c)));
+        let s = slot_ix(slot);
+        if changed && s < self.span {
+            set_bit(&mut self.stale, self.span, s);
+        }
+    }
+
+    /// Whether no edge is covered: never sealed, or dropped by a rollback.
+    pub fn is_empty(&self) -> bool {
+        self.span == 0
+    }
+
+    /// Forget every copied value, until the next seal.
+    pub fn clear(&mut self) {
+        *self = EdgeColumns::default();
+    }
+
+    /// Heap bytes the columns hold.
+    pub fn bytes(&self) -> usize {
+        let column = |c: &EdgeColumn| {
+            let values = match &c.values {
+                Numbers::Integer(v) => v.capacity() * std::mem::size_of::<i64>(),
+                Numbers::Double(v) => v.capacity() * std::mem::size_of::<f64>(),
+            };
+            values + c.nulls.capacity() * 8
+        };
+        let cols: usize = self.cols.iter().flatten().map(column).sum();
+        cols + self.stale.capacity() * 8
+    }
+}
+
+impl GraphView {
+    /// Compact the topology into sealed CSR arrays and copy the numeric
+    /// edge attributes into columns (see [`EdgeColumns`]), all but the
+    /// `links`: the id, `FROM` and `TO` columns of every view over the edge
+    /// source ([`GraphView::links`]), which a vertex-id cascade rewrites
+    /// without an UPDATE of the edge.
+    pub fn seal(&mut self, edge_table: &Table, links: &[usize]) {
+        self.topology.seal();
+        // Free the old columns first: a re-seal then holds one copy at a
+        // time, not two.
+        self.columns.clear();
+        self.columns = EdgeColumns::build(&self.def, &self.topology, edge_table, links);
+    }
+
+    /// Bytes a [`GraphView::seal`] would allocate now: the CSR arrays and
+    /// the column values. The governor charges it before the seal.
+    pub fn sealed_bytes_estimate(&self, edge_table: &Table, links: &[usize]) -> usize {
+        self.topology.sealed_bytes_estimate()
+            + EdgeColumns::bytes_estimate(&self.def, &self.topology, edge_table, links)
+    }
+
+    /// The id, `FROM` and `TO` columns of `edge_source` that `views` use.
+    pub fn links<'v>(views: impl IntoIterator<Item = &'v GraphView>, edge_source: &str) -> Vec<usize> {
+        let mut links = Vec::new();
+        for d in views.into_iter().map(|v| &v.def) {
+            if d.edge_source == edge_source {
+                links.extend([d.edge_id_col, d.edge_from_col, d.edge_to_col]);
+            }
+        }
+        links
+    }
 }
 
 impl GraphView {
@@ -192,6 +496,7 @@ impl GraphView {
         Ok(GraphView {
             def: Arc::new(def),
             topology: topo,
+            columns: EdgeColumns::default(),
         })
     }
 }

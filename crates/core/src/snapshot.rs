@@ -40,7 +40,9 @@ pub(crate) struct Sources {
 /// under.
 pub(crate) struct Snapshot<'a> {
     catalog: &'a Catalog,
-    graphs: HashMap<&'a str, GraphEnv<'a>>,
+    /// The engine's own views, bound into a [`GraphEnv`] when a query names
+    /// one: a read builds no per-view state up front.
+    views: &'a HashMap<String, GraphView>,
     plan_ctx: &'a PlannerCtx,
     settings: &'a Settings,
     /// The database's cancel token, if one was handed out.
@@ -59,24 +61,9 @@ impl<'a> Snapshot<'a> {
         settings: &'a Settings,
         cancel: Option<&'a CancelToken>,
     ) -> Self {
-        // A view's sources cannot be dropped before the view, so both
-        // lookups hit; a view that somehow lost one stays unbound and a
-        // query naming it fails with "not bound in query env".
-        let graphs = views
-            .iter()
-            .filter_map(|(name, v)| {
-                let env = GraphEnv {
-                    def: &v.def,
-                    topo: &v.topology,
-                    vertex_table: catalog.table(&v.def.vertex_source).ok()?,
-                    edge_table: catalog.table(&v.def.edge_source).ok()?,
-                };
-                Some((name.as_str(), env))
-            })
-            .collect();
         Snapshot {
             catalog,
-            graphs,
+            views,
             plan_ctx,
             settings,
             cancel,
@@ -87,8 +74,19 @@ impl<'a> Snapshot<'a> {
         self.catalog.table(name).ok()
     }
 
-    pub(crate) fn graph(&self, name: &str) -> Option<&GraphEnv<'a>> {
-        self.graphs.get(name)
+    /// The view named `name` (lowercase) and its sources. A view's sources
+    /// cannot be dropped before the view, so both table lookups hit; a view
+    /// that somehow lost one stays unbound, and a query naming it fails
+    /// with "not bound in query env".
+    pub(crate) fn graph(&self, name: &str) -> Option<GraphEnv<'a>> {
+        let v = self.views.get(name)?;
+        Some(GraphEnv {
+            def: &v.def,
+            topo: &v.topology,
+            vertex_table: self.catalog.table(&v.def.vertex_source).ok()?,
+            edge_table: self.catalog.table(&v.def.edge_source).ok()?,
+            columns: &v.columns,
+        })
     }
 
     /// Compile a SELECT: fold its subqueries against this snapshot and plan
@@ -147,7 +145,7 @@ impl<'a> Snapshot<'a> {
             }
         }
         for def in &sources.graphs {
-            let live = self.graph(&def.name).map(|g| g.def);
+            let live = self.views.get(&def.name).map(|v| &v.def);
             if !live.is_some_and(|d| Arc::ptr_eq(d, def)) {
                 return stale(format!("graph view `{}`", def.name));
             }
@@ -231,10 +229,10 @@ impl<'a> Snapshot<'a> {
                 out.push_str(&format!("r @{id} {vals}\n"));
             }
         }
-        let mut names: Vec<&str> = self.graphs.keys().copied().collect();
-        names.sort_unstable();
-        for name in names {
-            out.push_str(&self.graphs[name].topo.topology_dump());
+        let mut views: Vec<(&String, &GraphView)> = self.views.iter().collect();
+        views.sort_unstable_by_key(|(name, _)| *name);
+        for (_, view) in views {
+            out.push_str(&view.topology.topology_dump());
         }
         out
     }

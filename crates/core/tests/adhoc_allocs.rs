@@ -143,9 +143,9 @@ fn counted<T: PartialEq + std::fmt::Debug>(what: &str, mut f: impl FnMut() -> T)
 /// each shape, in `shapes()` order. Debug builds also check every
 /// operator's contract as the plan runs, which allocates.
 const PINS: [(u64, u64, u64); 3] = if cfg!(debug_assertions) {
-    [(6, 36, 18), (11, 58, 31), (17, 63, 23)]
+    [(6, 35, 17), (11, 57, 30), (17, 62, 22)]
 } else {
-    [(6, 25, 7), (11, 46, 19), (17, 51, 11)]
+    [(6, 24, 6), (11, 45, 18), (17, 50, 10)]
 };
 
 #[test]

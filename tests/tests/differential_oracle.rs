@@ -706,6 +706,138 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// Stale-column cases: attribute DML against the sealed edge columns
+// ---------------------------------------------------------------------------
+
+/// A workload's graph with a `sel` INTEGER beside the weight, so the
+/// sealed lane copies both into edge columns.
+fn build_attr_engine(csr: CsrConfig, w: &Workload) -> Database {
+    let db = Database::with_config(EngineConfig {
+        csr,
+        ..Default::default()
+    });
+    db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
+    db.execute(
+        "CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE, sel INTEGER)",
+    )
+    .unwrap();
+    let vrows: Vec<Vec<Value>> = (0..w.n as i64).map(|i| vec![Value::Integer(i)]).collect();
+    db.bulk_insert("v", vrows).unwrap();
+    let erows: Vec<Vec<Value>> = (w.edges.iter().enumerate())
+        .map(|(i, (a, b))| {
+            vec![
+                Value::Integer(i as i64),
+                Value::Integer(*a as i64),
+                Value::Integer(*b as i64),
+                Value::Double(1.0 + (i % 7) as f64),
+                Value::Integer((i as i64 * 37) % 100),
+            ]
+        })
+        .collect();
+    db.bulk_insert("e", erows).unwrap();
+    db.execute(&format!(
+        "CREATE {} GRAPH VIEW g VERTEXES(ID = id) FROM v \
+         EDGES(ID = id, FROM = a, TO = b, w = w, sel = sel) FROM e",
+        if w.directed { "DIRECTED" } else { "UNDIRECTED" }
+    ))
+    .unwrap();
+    db
+}
+
+/// The reads that go through the edge columns: SPScan costs, constrained
+/// reachability, a pushed predicate over whole paths and a running sum.
+fn attr_queries(n: usize) -> Vec<String> {
+    let mut out = vec![
+        "SELECT PS.PathString FROM g.Paths PS HINT(DFS) \
+         WHERE PS.Length >= 1 AND PS.Length <= 3 AND PS.Edges[0..*].sel < 50"
+            .to_string(),
+        "SELECT PS.PathString, PS.Cost FROM g.Paths PS HINT(BFS) \
+         WHERE PS.StartVertex.Id = 0 AND PS.Length <= 3 AND SUM(PS.Edges.w) < 8.0"
+            .to_string(),
+    ];
+    for s in 0..n.min(3) {
+        for t in 0..n {
+            out.push(format!(
+                "SELECT PS.PathString, PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
+                 WHERE PS.StartVertex.Id = {s} AND PS.EndVertex.Id = {t}"
+            ));
+            out.push(format!(
+                "SELECT PS.Length FROM g.Paths PS WHERE PS.StartVertex.Id = {s} \
+                 AND PS.EndVertex.Id = {t} AND PS.Length <= 4 AND PS.Edges[0..*].sel < 50 LIMIT 1"
+            ));
+        }
+    }
+    out
+}
+
+/// The sealed lane against the `adjacency_only` reference through three
+/// cases: an UPDATE of the weight, then SPScan; an UPDATE of `sel`, then
+/// constrained reachability; and an UPDATE inside `BEGIN … ROLLBACK`
+/// across a statement that re-seals. The sealed lane must answer every
+/// read as the reference does, and end in the same state.
+fn check_attr(w: &Workload) -> Result<(), String> {
+    let sealed = build_attr_engine(CsrConfig::sealed(), w);
+    let plain = build_attr_engine(CsrConfig::adjacency_only(), w);
+    let queries = attr_queries(w.n);
+    let compare = |step: &str| -> Result<(), String> {
+        for sql in &queries {
+            let (got, want) = (rows_exact(&sealed, sql), rows_exact(&plain, sql));
+            if got != want {
+                return Err(format!(
+                    "{step}: sealed diverges on `{sql}`:\n  got {got:?}\n  want {want:?}"
+                ));
+            }
+        }
+        let (sd, pd) = (sealed.state_dump().unwrap(), plain.state_dump().unwrap());
+        if sd != pd {
+            return Err(format!("{step}: state_dump divergence"));
+        }
+        Ok(())
+    };
+    let run = |stmt: &str| -> Result<(), String> {
+        let (a, b) = (sealed.execute(stmt), plain.execute(stmt));
+        match (&a, &b) {
+            (Ok(x), Ok(y)) if x.rows_affected == y.rows_affected => Ok(()),
+            _ => Err(format!("DML divergence on `{stmt}`: sealed {a:?} vs plain {b:?}")),
+        }
+    };
+    compare("sealed")?;
+    run("UPDATE e SET w = w + 2.5 WHERE id % 3 = 0")?;
+    compare("UPDATE w")?;
+    run("UPDATE e SET sel = 90 WHERE id % 2 = 1")?;
+    compare("UPDATE sel")?;
+
+    // Inside a transaction: an UPDATE, then a statement whose new edges
+    // touch every vertex, so the sealed lane re-seals with the updated
+    // values copied; ROLLBACK must take those values back.
+    run("BEGIN")?;
+    run("UPDATE e SET w = 9.5, sel = 95 WHERE id % 2 = 0")?;
+    let ring: Vec<String> = (0..w.n)
+        .map(|i| format!("({}, {i}, {}, 0.5, 5)", 1000 + i, (i + 1) % w.n))
+        .collect();
+    run(&format!("INSERT INTO e VALUES {}", ring.join(", ")))?;
+    if sealed.graph_stats("g").unwrap().overlay_bytes != 0 {
+        return Err("the ring insert did not re-seal the sealed lane".into());
+    }
+    compare("in the transaction, re-sealed")?;
+    run("ROLLBACK")?;
+    compare("after ROLLBACK")?;
+    // The next re-seal copies the columns again.
+    run(&format!("INSERT INTO e VALUES {}", ring.join(", ")))?;
+    compare("re-sealed after the rollback")
+}
+
+#[test]
+fn differential_oracle_stale_columns() {
+    for seed in 0..48u64 {
+        let w = gen_workload(seed);
+        if let Err(err) = check_attr(&w) {
+            panic!("stale-column oracle failed:\n{}\n{err}", w.render());
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Concurrent lane: statement atomicity under concurrent readers
 // ---------------------------------------------------------------------------
 

@@ -148,21 +148,21 @@ fn reach_probe_time_lands_on_the_pathscan_operator() {
     assert!(owned, "(PathScan ns, root ns) per run: {seen:?}");
 }
 
-/// Fig 8 family — constrained reachability: the pushed edge predicate must
-/// show up as tuple-pointer dereferences (§6.2's per-hop attribute cost).
+/// Fig 8 family — constrained reachability: the pushed edge predicate
+/// reads a sealed edge's `w` from the view's columns, and an edge whose
+/// `w` an UPDATE changed since the seal through its tuple pointer, which
+/// shows up as tuple-pointer dereferences (§6.2's per-hop attribute cost).
 #[test]
 fn fig8_constrained_counts_derefs() {
     let db = fixture_db();
-    let m = collect(
-        &db,
-        "fig8",
-        "SELECT PS.PathString FROM g.Paths PS \
-         WHERE PS.StartVertex.Id = 1 AND PS.Length >= 1 AND PS.Length <= 3 \
-         AND PS.Edges[0..*].w > 0.5",
-        true,
-    );
-    let g = m.graph_totals();
-    assert!(g.tuple_derefs > 0, "pushed predicate never dereferenced a tuple");
+    let sql = "SELECT PS.PathString FROM g.Paths PS \
+               WHERE PS.StartVertex.Id = 1 AND PS.Length >= 1 AND PS.Length <= 3 \
+               AND PS.Edges[0..*].w > 0.5";
+    let g = collect(&db, "fig8", sql, true).graph_totals();
+    assert_eq!(g.tuple_derefs, 0, "a sealed edge's `w` is read from its column");
+    db.execute("UPDATE e SET w = 2.0 WHERE id = 10").unwrap();
+    let g = collect(&db, "fig8", sql, true).graph_totals();
+    assert!(g.tuple_derefs > 0, "the updated edge never dereferenced its tuple");
 }
 
 /// Fig 9 family — shortest paths via HINT(SHORTESTPATH(w)).

@@ -471,7 +471,8 @@ fn limit_is_a_demand_the_traversal_sees() {
             1,
             6,
             5,
-            5,
+            // The sealed view answers `w` from its edge columns.
+            0,
         ),
         (
             "SELECT PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
@@ -751,6 +752,83 @@ fn seal_fault_kinds_all_roll_back() {
     // all-or-nothing, exactly like the other maintenance sites.
     for kind in ["error", "alloc", "deadline"] {
         run_site("dml.seal", kind);
+    }
+}
+
+/// The weighted ring 1->2->3->4->5->1 (`w` = 1..5) under views `g` and,
+/// with `twin`, an identical `h`, so one statement can re-seal two views.
+fn weighted_ring(cfg: EngineConfig, twin: bool) -> Database {
+    let db = Database::with_config(cfg);
+    db.execute("CREATE TABLE u (id INTEGER PRIMARY KEY)").unwrap();
+    db.execute("CREATE TABLE r (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE)")
+        .unwrap();
+    db.execute("INSERT INTO u VALUES (1), (2), (3), (4), (5)").unwrap();
+    db.execute(
+        "INSERT INTO r VALUES (100, 1, 2, 1.0), (101, 2, 3, 2.0), (102, 3, 4, 3.0), \
+         (103, 4, 5, 4.0), (104, 5, 1, 5.0)",
+    )
+    .unwrap();
+    for name in ["g", "h"].into_iter().take(1 + usize::from(twin)) {
+        db.execute(&format!(
+            "CREATE DIRECTED GRAPH VIEW {name} VERTEXES(ID = id) FROM u \
+             EDGES(ID = id, FROM = a, TO = b, w = w) FROM r"
+        ))
+        .unwrap();
+    }
+    db
+}
+
+/// Shortest-path costs on `g` from every vertex to 4.
+fn costs_to_4(db: &Database) -> Vec<String> {
+    (1..=5)
+        .map(|s| {
+            let rs = db
+                .execute(&format!(
+                    "SELECT PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
+                     WHERE PS.StartVertex.Id = {s} AND PS.EndVertex.Id = 4"
+                ))
+                .unwrap();
+            format!("{s}: {:?}", rs.rows)
+        })
+        .collect()
+}
+
+/// A fault at the re-seal after an attribute UPDATE rolls the statement
+/// back, and SPScan answers the costs from before it: the sealed view's
+/// edge columns never serve a value the rollback took back. `@1` faults
+/// the one view's seal; `@2` faults the second view's after the first
+/// (`g`) re-sealed and copied the new weights, which the rollback then
+/// undoes under it.
+#[test]
+fn seal_fault_after_an_attribute_update_keeps_the_old_costs() {
+    // Re-weights 102 (3->4) in place and relinks 100 (1->2 to 1->4): three
+    // of five vertexes overlaid, so the statement re-seals.
+    const STMT: &str = "UPDATE r SET w = w + 10.0, b = 4 WHERE id = 100 OR id = 102";
+    let plain = EngineConfig {
+        csr: grfusion::CsrConfig::adjacency_only(),
+        ..Default::default()
+    };
+    for (twin, rule) in [(false, "0:dml.seal@1=error"), (true, "0:dml.seal@2=error")] {
+        let db = weighted_ring(EngineConfig::default(), twin);
+        let reference = weighted_ring(plain, twin);
+        // An attribute UPDATE that commits: edge 101 reads its tuple now.
+        for d in [&db, &reference] {
+            d.execute("UPDATE r SET w = 7.0 WHERE id = 101").unwrap();
+        }
+        let old = costs_to_4(&reference);
+        assert_eq!(costs_to_4(&db), old, "{rule}: before the fault");
+        let before = db.state_dump().unwrap();
+        db.set_fault_plan(Some(FaultPlan::parse(rule).unwrap()));
+        assert!(db.execute(STMT).is_err(), "{rule}: the re-seal did not fault");
+        assert_eq!(db.state_dump().unwrap(), before, "{rule}: not all-or-nothing");
+        assert_eq!(costs_to_4(&db), old, "{rule}: the old costs after the rollback");
+        // The rule is spent: the statement now re-seals, and the new costs
+        // are the reference's.
+        db.execute(STMT).unwrap();
+        reference.execute(STMT).unwrap();
+        assert_eq!(db.graph_stats("g").unwrap().overlay_bytes, 0, "{rule}: no re-seal");
+        assert_eq!(costs_to_4(&db), costs_to_4(&reference), "{rule}: after the retry");
+        assert_ne!(costs_to_4(&db), old, "{rule}: the retry changed no cost");
     }
 }
 

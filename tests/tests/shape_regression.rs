@@ -370,20 +370,27 @@ mod explain_analyze_shape {
         }
     }
 
+    /// A pushed edge test reads a sealed edge's `w` from the view's
+    /// columns; once an UPDATE changed `w`, through the tuple pointer,
+    /// which counts.
     #[test]
     fn pushed_predicate_counts_tuple_derefs() {
         let db = diamond_db();
-        let rs = db
-            .execute_with_metrics(
-                "SELECT PS.PathString FROM g.Paths PS \
-                 WHERE PS.StartVertex.Id = 1 \
-                 AND PS.Length >= 1 AND PS.Length <= 3 \
-                 AND PS.Edges[0..*].w > 0.5",
-            )
-            .unwrap();
-        assert_eq!(rs.rows.len(), 6); // all weights are 1.0
-        let g = rs.metrics.unwrap().graph_totals();
-        assert!(g.tuple_derefs > 0, "edge-weight predicate never dereferenced");
+        let derefs = |db: &grfusion::Database| {
+            let rs = db
+                .execute_with_metrics(
+                    "SELECT PS.PathString FROM g.Paths PS \
+                     WHERE PS.StartVertex.Id = 1 \
+                     AND PS.Length >= 1 AND PS.Length <= 3 \
+                     AND PS.Edges[0..*].w > 0.5",
+                )
+                .unwrap();
+            assert_eq!(rs.rows.len(), 6); // all weights are above 0.5
+            rs.metrics.unwrap().graph_totals().tuple_derefs
+        };
+        assert_eq!(derefs(&db), 0, "a sealed edge's weight is read from its column");
+        db.execute("UPDATE e SET w = 2.0").unwrap();
+        assert!(derefs(&db) > 0, "edge-weight predicate never dereferenced");
     }
 
     #[test]
@@ -495,6 +502,51 @@ mod explain_analyze_shape {
         })
     }
 
+    /// `derefs=` counts tuple reads only. On a sealed chain 1->…->10, a
+    /// constrained reach and a SPScan under a pushed `sel` test read every
+    /// edge's `sel` from the view's columns; an edge inserted after the
+    /// seal (1->4, overlaid below the re-seal threshold) is read through
+    /// its tuple pointer, and that read counts.
+    #[test]
+    fn sealed_reads_count_no_derefs_overlaid_ones_do() {
+        let db = grfusion::Database::new();
+        db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY)").unwrap();
+        db.execute(
+            "CREATE TABLE e (id INTEGER PRIMARY KEY, a INTEGER, b INTEGER, w DOUBLE, sel INTEGER)",
+        )
+        .unwrap();
+        for i in 1..=10 {
+            db.execute(&format!("INSERT INTO v VALUES ({i})")).unwrap();
+        }
+        for i in 1..=9 {
+            db.execute(&format!("INSERT INTO e VALUES ({i}, {i}, {}, {i}.0, 10)", i + 1))
+                .unwrap();
+        }
+        db.execute(
+            "CREATE DIRECTED GRAPH VIEW g VERTEXES(ID = id) FROM v \
+             EDGES(ID = id, FROM = a, TO = b, w = w, sel = sel) FROM e",
+        )
+        .unwrap();
+        let reach = "SELECT PS.Length FROM g.Paths PS WHERE PS.StartVertex.Id = 1 \
+                     AND PS.EndVertex.Id = 4 AND PS.Length <= 5 AND PS.Edges[0..*].sel < 50 LIMIT 1";
+        let sp = "SELECT PS.Cost FROM g.Paths PS HINT(SHORTESTPATH(w)) \
+                  WHERE PS.StartVertex.Id = 1 AND PS.EndVertex.Id = 4 AND PS.Edges[0..*].sel < 50";
+        let counters = |sql: &str| {
+            let rs = db.execute(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+            let plan: Vec<String> = rs.rows.iter().map(|r| r[0].to_string()).collect();
+            let line = (plan.iter().find(|l| l.trim_start().starts_with("PathScan")))
+                .unwrap_or_else(|| panic!("no PathScan in:\n{}", plan.join("\n")));
+            let at = line.find("(vertices=").unwrap();
+            line[at..].to_string()
+        };
+        assert_eq!(counters(reach), "(vertices=4 edges=3 derefs=0) (layout=csr)");
+        assert_eq!(counters(sp), "(vertices=4 edges=3 derefs=0) (layout=csr)");
+        db.execute("INSERT INTO e VALUES (100, 1, 4, 0.5, 10)").unwrap();
+        assert_eq!(counters(reach), "(vertices=3 edges=2 derefs=1) (layout=delta(2))");
+        // Both paths to 4, cheapest first: the new edge is tested once.
+        assert_eq!(counters(sp), "(vertices=5 edges=4 derefs=1) (layout=delta(2))");
+    }
+
     /// A path join over two outer rows sums its probes' traversal
     /// counters and the bytes their paths were charged. The outer rows
     /// probe from 3 and then from 1, so under `LIMIT 1` the reachability
@@ -596,9 +648,10 @@ mod csr_layout_shape {
 
         // Freshly materialized: sealed, no overlay. 6 vertexes / 6 directed
         // edges compact to (7+7) u32 offsets + 6 out-targets + 6 out-heads
-        // + 6 in-targets = 128 bytes.
+        // + 6 in-targets = 128 bytes, and the `w` column to 6 doubles = 48
+        // bytes (no NULL and no stale edge, so no bit map).
         let s = db.graph_stats("g").unwrap();
-        assert_eq!(s.sealed_bytes, 128, "sealed CSR byte footprint drifted");
+        assert_eq!(s.sealed_bytes, 128 + 48, "sealed CSR byte footprint drifted");
         assert_eq!(s.overlay_bytes, 0);
         assert!(
             s.memory_bytes >= s.sealed_bytes,
@@ -610,15 +663,16 @@ mod csr_layout_shape {
         // re-seal threshold, so the statement does not re-seal).
         db.execute("INSERT INTO v VALUES (7)").unwrap();
         let s = db.graph_stats("g").unwrap();
-        assert_eq!(s.sealed_bytes, 128, "seal must not rebuild below threshold");
+        assert_eq!(s.sealed_bytes, 128 + 48, "seal must not rebuild below threshold");
         assert!(analyze_text(&db).contains("(layout=delta(1))"), "{}", analyze_text(&db));
 
         // An edge insert touches both endpoints: 3/7 overlaid ≥ 0.25, so
         // the same statement re-seals — overlay folded back, CSR rebuilt
-        // for 7 vertexes / 7 edges: (8+8) u32 offsets + 7+7+7 slots = 148.
+        // for 7 vertexes / 7 edges: (8+8) u32 offsets + 7+7+7 slots = 148,
+        // and the `w` column for 7 edges: 56.
         db.execute("INSERT INTO e VALUES (16, 6, 7, 1.0)").unwrap();
         let s = db.graph_stats("g").unwrap();
-        assert_eq!(s.sealed_bytes, 148, "re-sealed CSR byte footprint drifted");
+        assert_eq!(s.sealed_bytes, 148 + 56, "re-sealed CSR byte footprint drifted");
         assert_eq!(s.overlay_bytes, 0, "re-seal left overlay bytes behind");
         assert!(analyze_text(&db).contains("(layout=csr)"), "{}", analyze_text(&db));
     }
@@ -1072,7 +1126,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 2..=8) :: (ps PATH)",
                     "rows: 1->3->4; 1->3->4->5; 1->3->4->5->1; 1->3->4->5->6",
-                    "vertices=7 edges=7 derefs=2",
+                    "vertices=7 edges=7 derefs=0",
                 ],
             ),
             (
@@ -1082,7 +1136,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 2..=8) :: (ps PATH)",
                     "rows: 1->3->4; 1->3->4->5; 1->3->4->5->1; 1->3->4->5->6",
-                    "vertices=7 edges=7 derefs=2",
+                    "vertices=7 edges=7 derefs=0",
                 ],
             ),
             (
@@ -1092,7 +1146,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 2..=8) :: (ps PATH)",
                     "rows: 1->3->4; 1->3->4->5; 1->3->4->5->1; 1->3->4->5->6",
-                    "vertices=6 edges=6 derefs=3",
+                    "vertices=6 edges=6 derefs=0",
                 ],
             ),
             (
@@ -1102,7 +1156,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 2..=8) :: (ps PATH)",
                     "rows: 1->2->4; 1->3->4",
-                    "vertices=5 edges=6 derefs=4",
+                    "vertices=5 edges=6 derefs=0",
                 ],
             ),
             (
@@ -1112,7 +1166,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=4) :: (ps PATH)",
                     "rows: 1; 1->2; 1->2->4; 1->2->4->5; 1->2->4->5->1; 1->2->4->5->6; 1->3",
-                    "vertices=7 edges=7 derefs=7",
+                    "vertices=7 edges=7 derefs=0",
                 ],
             ),
             (
@@ -1122,7 +1176,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1; 1->2; 1->2->4; 1->3",
-                    "vertices=4 edges=5 derefs=5",
+                    "vertices=4 edges=5 derefs=0",
                 ],
             ),
             (
@@ -1162,7 +1216,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 3..=8) :: (ps PATH)",
                     "rows: 1->2->4->5; 1->2->4->5->1; 1->2->4->5->6; 1->3->4->5; 1->3->4->5->1; 1->3->4->5->6",
-                    "vertices=11 edges=10 derefs=2",
+                    "vertices=11 edges=10 derefs=0",
                 ],
             ),
             (
@@ -1263,7 +1317,7 @@ mod consumption_parity {
                     "    PathJoin(g, Auto, len 0..=2) :: (sid INTEGER?, vid INTEGER?, k INTEGER?, ps PATH)",
                     "      TableScan(s) :: (sid INTEGER?, vid INTEGER?, k INTEGER?)",
                     "rows: 1|1; 1|1->2; 1|1->2->4; 1|1->3; 2|4",
-                    "vertices=5 edges=5 derefs=5",
+                    "vertices=5 edges=5 derefs=0",
                 ],
             ),
             (
@@ -1274,7 +1328,7 @@ mod consumption_parity {
                     "    PathJoin(g, Auto, len 1..=1) :: (sid INTEGER?, vid INTEGER?, k INTEGER?, ps PATH)",
                     "      TableScan(s) :: (sid INTEGER?, vid INTEGER?, k INTEGER?)",
                     "rows: 1|1->2",
-                    "vertices=3 edges=3 derefs=3",
+                    "vertices=3 edges=3 derefs=0",
                 ],
             ),
         ]);
@@ -1292,7 +1346,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->3; 1->3->4",
-                    "vertices=5 edges=6 derefs=6",
+                    "vertices=5 edges=6 derefs=0",
                 ],
             ),
             (
@@ -1302,7 +1356,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->2->4->5; 1->3; 1->3->4",
-                    "vertices=6 edges=8 derefs=8",
+                    "vertices=6 edges=8 derefs=0",
                 ],
             ),
             (
@@ -1312,7 +1366,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->3; 1->3->4",
-                    "vertices=5 edges=6 derefs=6",
+                    "vertices=5 edges=6 derefs=0",
                 ],
             ),
             (
@@ -1322,7 +1376,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->2->4->5; 1->3; 1->3->4",
-                    "vertices=6 edges=8 derefs=8",
+                    "vertices=6 edges=8 derefs=0",
                 ],
             ),
             (
@@ -1373,7 +1427,7 @@ mod consumption_parity {
                     "    PathJoin(g, Auto, len 0..=8) :: (sid INTEGER?, vid INTEGER?, k INTEGER?, ps PATH)",
                     "      TableScan(s) :: (sid INTEGER?, vid INTEGER?, k INTEGER?)",
                     "rows: 1|1->2; 1|1->2->4; 1|1->3; 2|4->5",
-                    "vertices=6 edges=8 derefs=8",
+                    "vertices=6 edges=8 derefs=0",
                 ],
             ),
         ]);
@@ -1541,7 +1595,7 @@ mod consumption_parity {
                     "    Filter :: (ps PATH)",
                     "      PathScan(g, Auto, len 0..=6, reachability) :: (ps PATH)",
                     "rows: 4",
-                    "vertices=6 edges=6 derefs=6",
+                    "vertices=6 edges=6 derefs=0",
                 ],
             ),
             (
@@ -1563,7 +1617,7 @@ mod consumption_parity {
                     "    Filter :: (ps PATH)",
                     "      PathScan(g, Auto, len 0..=8, reachability) :: (ps PATH)",
                     "rows: 4",
-                    "vertices=5 edges=5 derefs=5",
+                    "vertices=5 edges=5 derefs=0",
                 ],
             ),
             (
@@ -1596,7 +1650,7 @@ mod consumption_parity {
                     "    Filter :: (ps PATH)",
                     "      PathScan(g, Auto, len 0..=8) :: (ps PATH)",
                     "rows: 4",
-                    "vertices=11 edges=10 derefs=10",
+                    "vertices=11 edges=10 derefs=0",
                 ],
             ),
             (
@@ -1917,7 +1971,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(ga, Auto, len 1..=3) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->3; 1->3->4",
-                    "vertices=5 edges=6 derefs=10",
+                    "vertices=5 edges=6 derefs=4",
                 ],
             ),
             (
@@ -1984,7 +2038,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(ga, Auto, len 0..=4) :: (ps PATH)",
                     "rows: 1->2; 1->2->4; 1->3; 1->3->4",
-                    "vertices=5 edges=6 derefs=6",
+                    "vertices=5 edges=6 derefs=0",
                 ],
             ),
             (
@@ -2014,7 +2068,7 @@ mod consumption_parity {
                     "  Filter :: (ps PATH)",
                     "    PathScan(ga, ShortestPath { cost_attr: \"w\" }, len 0..=64) :: (ps PATH)",
                     "rows: ",
-                    "vertices=4 edges=6 derefs=11",
+                    "vertices=4 edges=6 derefs=5",
                 ],
             ),
             (
@@ -2025,7 +2079,7 @@ mod consumption_parity {
                     "    PathJoin(ga, Auto, len 0..=2) :: (sid INTEGER?, vid INTEGER?, k INTEGER?, ps PATH)",
                     "      TableScan(s) :: (sid INTEGER?, vid INTEGER?, k INTEGER?)",
                     "rows: 1|1; 1|1->2; 1|1->2->4; 1|1->3; 2|4",
-                    "vertices=5 edges=5 derefs=5",
+                    "vertices=5 edges=5 derefs=0",
                 ],
             ),
         ]);
@@ -2106,6 +2160,149 @@ mod consumption_parity {
         ];
         for (sql, params, want) in cases {
             assert_eq!(prepared_fingerprint(&db, sql, params), *want, "sql={sql}");
+        }
+    }
+}
+
+/// The engine's prepared probes against the bare kernels they run: the
+/// same topology built straight from the dataset, searched with `NoFilter`
+/// and a `Vec<f64>` of weights by edge slot (what the benchmark's
+/// `graph.kernel_*_us` time). Tier-1 holds their answers equal, sealed,
+/// over a delta overlay with updated weights, and re-sealed; the timing
+/// guard below holds their times close.
+mod kernel_parity {
+    use grfusion::{Database, PreparedQuery, Value};
+    use grfusion_baselines::GrFusionSystem;
+    use grfusion_common::RowId;
+    use grfusion_datasets::{follower, random_connected_pairs, roads, Adjacency, Dataset};
+    use grfusion_graph::{hop_minimal_path, shortest_path, GraphTopology, NoFilter};
+
+    pub(super) const REACH12: &str = "SELECT PS.Length FROM g.Paths PS \
+        WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ? AND PS.Length <= 12 LIMIT 1";
+    pub(super) const SHORTEST: &str = "SELECT PS.Cost FROM g.Paths PS \
+        HINT(SHORTESTPATH(weight)) WHERE PS.StartVertex.Id = ? AND PS.EndVertex.Id = ? LIMIT 1";
+
+    /// The dataset's graph as a bare topology, with each edge's weight at
+    /// its slot.
+    pub(super) struct Kernel {
+        pub(super) g: GraphTopology,
+        pub(super) weights: Vec<f64>,
+    }
+
+    impl Kernel {
+        pub(super) fn build(ds: &Dataset) -> Kernel {
+            let w = ds.weight_attr_index();
+            let mut k = Kernel {
+                g: GraphTopology::new("kernel", ds.directed),
+                weights: Vec::new(),
+            };
+            for (id, _) in &ds.vertices {
+                k.g.add_vertex(*id, RowId(*id as u64)).unwrap();
+            }
+            for (id, from, to, attrs) in &ds.edges {
+                k.add_edge(*id, *from, *to, attrs[w].as_double().unwrap());
+            }
+            k.g.seal();
+            k
+        }
+
+        fn add_edge(&mut self, id: i64, from: i64, to: i64, weight: f64) {
+            let slot = self.g.add_edge(id, from, to, RowId(id as u64)).unwrap();
+            assert_eq!(slot as usize, self.weights.len(), "edge slots follow insertion");
+            self.weights.push(weight);
+        }
+
+        /// Hop length of a shortest path within 12 hops.
+        pub(super) fn reach(&self, s: i64, t: i64) -> Option<i64> {
+            let (s, t) = (self.g.vertex_slot(s).unwrap(), self.g.vertex_slot(t).unwrap());
+            let (p, _) = hop_minimal_path(&self.g, s, t, 12, &NoFilter);
+            p.map(|p| p.length() as i64)
+        }
+
+        /// Cost of a cheapest path.
+        pub(super) fn shortest(&self, s: i64, t: i64) -> Option<f64> {
+            let (s, t) = (self.g.vertex_slot(s).unwrap(), self.g.vertex_slot(t).unwrap());
+            let p = shortest_path(&self.g, s, t, |_, e| self.weights[e as usize], &NoFilter);
+            p.unwrap().map(|p| p.cost)
+        }
+    }
+
+    /// The one value of a prepared probe's one row, if it found a path.
+    pub(super) fn probe(db: &Database, q: &PreparedQuery, s: i64, t: i64) -> Option<Value> {
+        let rs = db.execute_prepared(q, &[Value::Integer(s), Value::Integer(t)]).unwrap();
+        assert!(rs.rows.len() <= 1);
+        rs.rows.into_iter().next().map(|mut r| r.remove(0))
+    }
+
+    /// Every pair's reach length and cheapest cost, engine against kernel.
+    fn assert_parity(what: &str, db: &Database, k: &Kernel, pairs: &[(i64, i64)]) {
+        let (reach, sp) = (db.prepare(REACH12).unwrap(), db.prepare(SHORTEST).unwrap());
+        let found = pairs.iter().filter(|&&(s, t)| k.reach(s, t).is_some()).count();
+        assert!(found >= pairs.len() / 2, "{what}: only {found} pairs connected");
+        for &(s, t) in pairs {
+            let engine = probe(db, &reach, s, t).map(|v| v.as_integer().unwrap());
+            assert_eq!(engine, k.reach(s, t), "{what}: reach {s} -> {t}");
+            let engine = probe(db, &sp, s, t).map(|v| v.as_double().unwrap());
+            let kernel = k.shortest(s, t);
+            assert_eq!(engine.map(f64::to_bits), kernel.map(f64::to_bits), "{what}: cost {s} -> {t}: {engine:?} vs {kernel:?}");
+        }
+    }
+
+    fn layout(db: &Database) -> (usize, usize) {
+        let s = db.graph_stats("g").unwrap();
+        (s.sealed_bytes, s.overlay_bytes)
+    }
+
+    #[test]
+    fn prepared_probes_answer_what_the_bare_kernels_do() {
+        for ds in [follower(600, 7), roads(600, 8)] {
+            let directed = if ds.directed { "directed" } else { "undirected" };
+            let sys = GrFusionSystem::load(&ds).unwrap();
+            let db = sys.db();
+            let mut k = Kernel::build(&ds);
+            let adj = Adjacency::build(&ds);
+            let mut pairs = random_connected_pairs(&ds, &adj, 12, 24, 11);
+            // Pairs with no path within 12 hops in either system.
+            pairs.extend([(0, 599), (599, 0), (17, 311)]);
+            assert_parity(&format!("{directed} sealed"), db, &k, &pairs);
+
+            // A few new edges and re-weighted old ones: the new edges sit in
+            // the overlay, the re-weighted ones are stale in the columns.
+            let mut next = ds.edges.len() as i64;
+            let mut insert = |k: &mut Kernel, links: &[(i64, i64)]| {
+                let rows: Vec<String> = links
+                    .iter()
+                    .map(|&(a, b)| {
+                        let w = 0.25 + (next % 7) as f64;
+                        k.add_edge(next, a, b, w);
+                        next += 1;
+                        format!("({}, {a}, {b}, {w:?}, 1)", next - 1)
+                    })
+                    .collect();
+                db.execute(&format!(
+                    "INSERT INTO e_src (id, src, dst, weight, sel) VALUES {}",
+                    rows.join(", ")
+                ))
+                .unwrap();
+            };
+            insert(&mut k, &[(0, 599), (12, 40), (40, 12), (300, 301), (5, 77)]);
+            for id in (0..ds.edges.len() as i64).step_by(9) {
+                let w = 0.5 + (id % 5) as f64;
+                db.execute(&format!("UPDATE e_src SET weight = {w:?} WHERE id = {id}")).unwrap();
+                let slot = k.g.edge_slot(id).unwrap();
+                k.weights[slot as usize] = w;
+            }
+            let (_, overlay) = layout(db);
+            assert!(overlay > 0, "{directed}: the new edges should sit in an overlay");
+            assert_parity(&format!("{directed} overlaid"), db, &k, &pairs);
+
+            // Enough new edges that the statement re-seals.
+            let links: Vec<(i64, i64)> = (0..150).map(|i| (i * 2, i * 2 + 3)).collect();
+            let sealed_before = layout(db).0;
+            insert(&mut k, &links);
+            let (sealed, overlay) = layout(db);
+            assert!(overlay == 0 && sealed > sealed_before, "{directed}: no re-seal");
+            assert_parity(&format!("{directed} re-sealed"), db, &k, &pairs);
         }
     }
 }
@@ -2223,5 +2420,63 @@ fn grfusion_beats_sqlgraph_on_triangles() {
             "expected ≥2× gap on {} at sel {sel}: grfusion {g:.1}µs vs sqlgraph {r:.1}µs",
             ds.kind.label()
         );
+    }
+}
+
+/// A prepared probe costs what its kernel costs: the engine's reach-12 and
+/// SHORTESTPATH probes stay within 1.3× of `hop_minimal_path` /
+/// `shortest_path` with `NoFilter` and a `Vec<f64>` of weights, on the same
+/// seeded pairs (best of 5 per pair, summed over the pairs). What is left
+/// between them is the relational wrapper, the one-branch filter hooks and
+/// the column read of each relaxed edge's weight.
+#[test]
+#[ignore = "timing-sensitive; run with: cargo test --release -- --ignored"]
+fn prepared_probes_stay_near_the_bare_kernels() {
+    use kernel_parity::{probe, Kernel, REACH12, SHORTEST};
+    use std::hint::black_box;
+    use std::time::Duration;
+
+    let ds = follower(20_000, 42);
+    let adj = Adjacency::build(&ds);
+    let sys = GrFusionSystem::load(&ds).unwrap();
+    let db = sys.db();
+    let k = Kernel::build(&ds);
+    let best = |f: &mut dyn FnMut()| -> Duration {
+        (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                f();
+                t.elapsed()
+            })
+            .min()
+            .unwrap_or_default()
+    };
+    let classes = [
+        ("reach12", REACH12, pairs_at_distance(&ds, &adj, 12, 16, 42)),
+        ("shortest_path", SHORTEST, random_connected_pairs(&ds, &adj, 6, 16, 42)),
+    ];
+    for (class, sql, pairs) in classes {
+        assert!(!pairs.is_empty(), "{class}: no pairs");
+        let q = db.prepare(sql).unwrap();
+        let (mut engine, mut kernel) = (Duration::ZERO, Duration::ZERO);
+        for &(s, t) in &pairs {
+            engine += best(&mut || {
+                black_box(probe(db, &q, s, t));
+            });
+            kernel += best(&mut || {
+                if class == "reach12" {
+                    black_box(k.reach(s, t));
+                } else {
+                    black_box(k.shortest(s, t));
+                }
+            });
+        }
+        let ratio = engine.as_secs_f64() / kernel.as_secs_f64();
+        assert!(
+            ratio <= 1.3,
+            "{class}: engine {engine:?} vs kernel {kernel:?} over {} pairs = {ratio:.2}x",
+            pairs.len()
+        );
+        println!("{class}: engine {engine:?} kernel {kernel:?} = {ratio:.2}x");
     }
 }
